@@ -66,6 +66,7 @@ def cache_get(path: Path, descriptor: str, invariant: str,
               weight_set=None) -> ResultRecord | None:
     """Latest record matching the key whose tool version major matches.
 
+    An exact record beats any inexact one, whatever their order in the file.
     Corrupted lines are skipped with a warning; a missing file is a miss.
     """
     if invariant not in _INVARIANTS:
@@ -90,5 +91,6 @@ def cache_get(path: Path, descriptor: str, invariant: str,
                 continue
             if _major(record.tool_version) != _major(__version__):
                 continue
-            hit = record
+            if record.exact or hit is None or not hit.exact:
+                hit = record
     return hit

@@ -140,7 +140,7 @@ def _cmd_davenport(args) -> int:
     cached = None
     if not args.no_cache:
         cached = cache_get(path, desc.canonical(), invariant, weights)
-    if cached is not None:
+    if cached is not None and cached.exact:
         elapsed_ms = int(1000 * (time.perf_counter() - t0))
         doc = {
             "descriptor": desc.canonical(),
@@ -328,10 +328,7 @@ def _grid(families: list[str], primes: list[int], max_order: int, ranges):
         if family in ("d", "q", "sd", "m2"):
             order = 8
             while order <= max_order:
-                candidates = [order]
-                for n in candidates:
-                    for desc in _two_group_descs(family, n):
-                        out.append(desc)
+                out.extend(_two_group_descs(family, order))
                 order *= 2
             if family in ("q", "sd"):
                 # non-2-power orders covered by the dicyclic/semidihedral result

@@ -4,12 +4,15 @@ The ordered Davenport constant D(G) is 1 plus the longest sequence with no
 nonempty index-increasing subsequence multiplying to the identity. The set
 of all such subsequence products of a prefix (the reach set, stored as an
 int bit mask) is a sufficient statistic: extending by g maps S to
-S | S*g | {g}. The search is a memoized longest-path walk on reach sets,
-which terminates because an identity-free extension strictly grows the set.
+S | S*g | {g}. The search is a memoized longest walk on reach states, which
+terminates because an identity-free extension strictly grows the state.
 
-Variants reuse the same skeleton with richer states: per-length product sets
-for E(G), weighted extension rows for D_A(G), and a verifier-driven DFS over
-multisets for the unordered constant D'(G).
+One engine, _longest_free, runs that walk with an explicit stack, owns the
+memo, the budget and the witness reconstruction. Each invariant supplies only
+its start state and a step that returns None on product one: reach masks for
+D(G), weighted reach masks for D_A(G) and per-length product sets for E(G).
+The unordered constant D'(G) is not prefix-summarizable and keeps its own
+verifier-driven DFS over multisets.
 """
 
 from __future__ import annotations
@@ -73,22 +76,91 @@ class _BudgetHit(Exception):
 
 
 class _Clock:
-    """Cheap cooperative budget checks inside recursive searches."""
+    """Cooperative budget checks, both limits at every search state."""
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
         self.start = time.perf_counter()
-        self._n = 0
 
     def tick(self, states: int) -> None:
-        self._n += 1
-        if states > self.budget.max_states:
-            raise _BudgetHit
-        if self._n & 1023 == 0 and self.elapsed() > self.budget.max_seconds:
+        if states > self.budget.max_states or self.elapsed() > self.budget.max_seconds:
             raise _BudgetHit
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
+
+
+def _checked_budget(group: FiniteGroup, budget: SearchBudget | None,
+                    max_order: int, cap: str) -> SearchBudget:
+    """The budget to search with; groups above max_order need an explicit one."""
+    if group.order > max_order and budget is None:
+        raise GroupTooLargeError(
+            f"{group.name}: order {group.order} above {cap} cap {max_order}; "
+            "pass an explicit budget to attempt anyway")
+    return budget or SearchBudget()
+
+
+def _longest_free(group: FiniteGroup, start, extend, alphabet,
+                  budget: SearchBudget) -> SearchResult:
+    """Longest walk from start along steps extend(state, g) that are not None.
+
+    An explicit-stack memoized DFS: memo[state] is the longest walk from
+    state, and live steps strictly grow the state, so the walk graph is
+    acyclic. When the budget trips, the longest path seen so far is a lower
+    bound and the result is flagged exact=False; otherwise the witness is the
+    lexicographically-least longest walk.
+    """
+    clock = _Clock(budget)
+    memo: dict = {}
+    path: list[int] = []
+    best_path: list[int] = []
+    stack = [(start, iter(alphabet))]
+    bests = [0]  # longest walk found so far from each stacked state
+    try:
+        while stack:
+            state, letters = stack[-1]
+            for g in letters:
+                nxt = extend(state, g)
+                if nxt is None:
+                    continue
+                path.append(g)
+                if len(path) > len(best_path):
+                    best_path[:] = path
+                v = memo.get(nxt)
+                if v is None:
+                    clock.tick(len(memo))
+                    stack.append((nxt, iter(alphabet)))
+                    bests.append(0)
+                    break
+                path.pop()
+                if v >= bests[-1]:
+                    bests[-1] = v + 1
+            else:
+                stack.pop()
+                v = memo[state] = bests.pop()
+                if stack:
+                    clock.tick(len(memo))
+                    path.pop()
+                    if v >= bests[-1]:
+                        bests[-1] = v + 1
+    except _BudgetHit:
+        return SearchResult(1 + len(best_path), Sequence(group, tuple(best_path)),
+                            len(memo), clock.elapsed(), False)
+    terms = []
+    state = start
+    remaining = memo[start]
+    while remaining > 0:
+        for g in alphabet:
+            nxt = extend(state, g)
+            if nxt is not None and memo[nxt] == remaining - 1:
+                terms.append(g)
+                state = nxt
+                remaining -= 1
+                break
+        else:
+            raise DavlabError("witness reconstruction failed")  # pragma: no cover
+    return SearchResult(1 + memo[start], Sequence(group, tuple(terms)), len(memo),
+                        clock.elapsed(), True)
 
 
 def _succ_rows(group: FiniteGroup) -> list[list[int]]:
@@ -164,19 +236,10 @@ def davenport_ordered(group: FiniteGroup, budget: SearchBudget | None = None,
     when a budget trips, the best witness found so far gives a lower bound
     and the result is flagged exact=False.
     """
-    if group.order > max_order and budget is None:
-        raise GroupTooLargeError(
-            f"{group.name}: order {group.order} above search cap {max_order}; "
-            "pass an explicit budget to attempt anyway")
-    budget = budget or SearchBudget()
-    clock = _Clock(budget)
-    n = group.order
+    budget = _checked_budget(group, budget, max_order, "search")
     succ = _succ_rows(group)
-    memo: dict[int, int] = {}
-    best_path: list[int] = []
-    path: list[int] = []
 
-    def extend(mask: int, g: int) -> int:
+    def extend(mask: int, g: int) -> int | None:
         new = mask | (1 << g)
         row = succ[g]
         m = mask
@@ -184,66 +247,9 @@ def davenport_ordered(group: FiniteGroup, budget: SearchBudget | None = None,
             low = m & -m
             new |= row[low.bit_length() - 1]
             m ^= low
-        return new
+        return None if new & 1 else new
 
-    def longest(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        clock.tick(len(memo))
-        best = 0
-        for g in range(1, n):
-            nm = extend(mask, g)
-            if nm & 1:
-                continue
-            path.append(g)
-            if len(path) > len(best_path):
-                best_path[:] = path
-            v = 1 + longest(nm)
-            path.pop()
-            if v > best:
-                best = v
-        memo[mask] = best
-        return best
-
-    exact = True
-    try:
-        value = 1 + longest(0)
-    except _BudgetHit:
-        exact = False
-        value = 1 + len(best_path)
-    if exact:
-        witness = _reconstruct(group, succ, memo)
-    else:
-        witness = Sequence(group, tuple(best_path))
-    return SearchResult(value, witness, len(memo), clock.elapsed(), exact)
-
-
-def _reconstruct(group: FiniteGroup, succ, memo) -> Sequence:
-    """Greedy lexicographically-least optimal path through the memo table."""
-    n = group.order
-    terms = []
-    mask = 0
-    remaining = memo[0]
-    while remaining > 0:
-        for g in range(1, n):
-            new = mask | (1 << g)
-            m = mask
-            row = succ[g]
-            while m:
-                low = m & -m
-                new |= row[low.bit_length() - 1]
-                m ^= low
-            if new & 1:
-                continue
-            if 1 + memo[new] == remaining:
-                terms.append(g)
-                mask = new
-                remaining -= 1
-                break
-        else:
-            raise DavlabError("witness reconstruction failed")  # pragma: no cover
-    return Sequence(group, tuple(terms))
+    return _longest_free(group, 0, extend, range(1, group.order), budget)
 
 
 def davenport_ordered_naive(group: FiniteGroup) -> int:
@@ -416,11 +422,7 @@ def davenport_unordered(group: FiniteGroup, budget: SearchBudget | None = None,
     element order; the arrangement-product sets are not prefix-summarizable,
     hence the verifier-driven walk instead of a reach-state recursion.
     """
-    if group.order > max_order and budget is None:
-        raise GroupTooLargeError(
-            f"{group.name}: order {group.order} above unordered cap {max_order}; "
-            "pass an explicit budget to attempt anyway")
-    budget = budget or SearchBudget()
+    budget = _checked_budget(group, budget, max_order, "unordered")
     clock = _Clock(budget)
     checker = _UnorderedChecker(group)
     n = group.order
@@ -470,20 +472,15 @@ def has_group_length_product_one(seq: Sequence) -> bool:
 
 def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None,
                  max_order: int = DEFAULT_EG_CAP) -> SearchResult:
-    """Exact E(G) over length-stratified reach states."""
-    if group.order > max_order and budget is None:
-        raise GroupTooLargeError(
-            f"{group.name}: order {group.order} above E cap {max_order}; "
-            "pass an explicit budget to attempt anyway")
-    budget = budget or SearchBudget()
-    clock = _Clock(budget)
+    """Exact E(G) over length-stratified reach states.
+
+    Identity terms stay legal: extremal E witnesses are identity-padded.
+    """
+    budget = _checked_budget(group, budget, max_order, "E")
     n = group.order
     succ = _succ_rows(group)
-    memo: dict[tuple, int] = {}
-    best_path: list[int] = []
-    path: list[int] = []
 
-    def extend(state: tuple, g: int) -> tuple:
+    def extend(state: tuple, g: int) -> tuple | None:
         row = succ[g]
         new = list(state)
         for m in range(n - 1, 0, -1):
@@ -491,55 +488,9 @@ def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None,
             if prev:
                 new[m] |= _mapped(prev, row)
         new[0] |= 1 << g
-        return tuple(new)
+        return None if new[n - 1] & 1 else tuple(new)
 
-    def longest(state: tuple) -> int:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        clock.tick(len(memo))
-        best = 0
-        for g in range(n):
-            ns = extend(state, g)
-            if ns[n - 1] & 1:
-                continue
-            path.append(g)
-            if len(path) > len(best_path):
-                best_path[:] = path
-            v = 1 + longest(ns)
-            path.pop()
-            if v > best:
-                best = v
-        memo[state] = best
-        return best
-
-    start = (0,) * n
-    exact = True
-    try:
-        value = 1 + longest(start)
-    except _BudgetHit:
-        exact = False
-        value = 1 + len(best_path)
-        witness = Sequence(group, tuple(best_path))
-        return SearchResult(value, witness, len(memo), clock.elapsed(), exact)
-    # lexicographically-least optimal witness
-    terms = []
-    state = start
-    remaining = memo[start]
-    while remaining > 0:
-        for g in range(n):
-            ns = extend(state, g)
-            if ns[n - 1] & 1:
-                continue
-            if 1 + memo[ns] == remaining:
-                terms.append(g)
-                state = ns
-                remaining -= 1
-                break
-        else:
-            raise DavlabError("witness reconstruction failed")  # pragma: no cover
-    return SearchResult(value, Sequence(group, tuple(terms)), len(memo),
-                        clock.elapsed(), exact)
+    return _longest_free(group, (0,) * n, extend, range(n), budget)
 
 
 def eg_lower_witness(group: FiniteGroup, ordered_witness: Sequence) -> Sequence:
@@ -566,6 +517,22 @@ def _validate_weights(group: FiniteGroup, weights) -> tuple[int, ...]:
     return A
 
 
+def _weighted_step(group: FiniteGroup, A: tuple[int, ...]):
+    """Reach-mask step S -> S | {s * g^a} | {g^a} over a in the validated
+    weights A, returning None on product one."""
+    succ = _succ_rows(group)
+    choice = _weighted_rows(group, A)
+
+    def extend(mask: int, g: int) -> int | None:
+        new = mask
+        for h in choice[g]:
+            new |= 1 << h
+            new |= _mapped(mask, succ[h])
+        return None if new & 1 else new
+
+    return extend
+
+
 def davenport_weighted(group: FiniteGroup, weights,
                        budget: SearchBudget | None = None,
                        max_order: int = DEFAULT_ORDERED_CAP) -> SearchResult:
@@ -573,86 +540,18 @@ def davenport_weighted(group: FiniteGroup, weights,
     S -> S | {s * g^a} | {g^a}. Identity terms hit product one immediately
     because 1^a = 1."""
     A = _validate_weights(group, weights)
-    if group.order > max_order and budget is None:
-        raise GroupTooLargeError(
-            f"{group.name}: order {group.order} above search cap {max_order}")
-    budget = budget or SearchBudget()
-    clock = _Clock(budget)
-    n = group.order
-    succ = _succ_rows(group)
-    choice = _weighted_rows(group, A)
-    memo: dict[int, int] = {}
-    best_path: list[int] = []
-    path: list[int] = []
-
-    def extend(mask: int, g: int) -> int:
-        new = mask
-        for h in choice[g]:
-            new |= 1 << h
-            new |= _mapped(mask, succ[h])
-        return new
-
-    def longest(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        clock.tick(len(memo))
-        best = 0
-        for g in range(n):
-            nm = extend(mask, g)
-            if nm & 1:
-                continue
-            path.append(g)
-            if len(path) > len(best_path):
-                best_path[:] = path
-            v = 1 + longest(nm)
-            path.pop()
-            if v > best:
-                best = v
-        memo[mask] = best
-        return best
-
-    exact = True
-    try:
-        value = 1 + longest(0)
-    except _BudgetHit:
-        exact = False
-        value = 1 + len(best_path)
-        return SearchResult(value, Sequence(group, tuple(best_path)), len(memo),
-                            clock.elapsed(), exact)
-    terms = []
-    mask = 0
-    remaining = memo[0]
-    while remaining > 0:
-        for g in range(n):
-            nm = extend(mask, g)
-            if nm & 1:
-                continue
-            if 1 + memo[nm] == remaining:
-                terms.append(g)
-                mask = nm
-                remaining -= 1
-                break
-        else:
-            raise DavlabError("witness reconstruction failed")  # pragma: no cover
-    return SearchResult(value, Sequence(group, tuple(terms)), len(memo),
-                        clock.elapsed(), exact)
+    budget = _checked_budget(group, budget, max_order, "search")
+    return _longest_free(group, 0, _weighted_step(group, A), range(group.order),
+                         budget)
 
 
 def is_weighted_free(seq: Sequence, weights) -> bool:
     """No index-increasing subsequence with per-term weight choices hits 1."""
-    group = seq.group
-    A = _validate_weights(group, weights)
-    succ = _succ_rows(group)
-    choice = _weighted_rows(group, A)
+    extend = _weighted_step(seq.group, _validate_weights(seq.group, weights))
     mask = 0
     for g in seq.terms:
-        new = mask
-        for h in choice[g]:
-            new |= 1 << h
-            new |= _mapped(mask, succ[h])
-        mask = new
-        if mask & 1:
+        mask = extend(mask, g)
+        if mask is None:
             return False
     return True
 

@@ -34,6 +34,17 @@ def test_later_put_wins(tmp_path):
     assert got.value == 5 and got.exact
 
 
+def test_exact_record_beats_later_inexact(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache_put(path, ResultRecord("q[8]", "D", 5, True))
+    cache_put(path, ResultRecord("q[8]", "D", 4, False))
+    got = cache_get(path, "q[8]", "D")
+    assert got.value == 5 and got.exact
+    cache_put(path, ResultRecord("q[16]", "D", 7, False))
+    cache_put(path, ResultRecord("q[16]", "D", 8, False))
+    assert cache_get(path, "q[16]", "D").value == 8
+
+
 def test_key_includes_weights(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache_put(path, ResultRecord("c[5]", "DA", 3, True, weight_set=[1, 4]))

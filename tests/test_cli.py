@@ -126,6 +126,16 @@ def test_davenport_budget_allows_inexact(capsys):
     assert doc["value"] >= 2
 
 
+def test_davenport_inexact_cache_record_is_not_served(capsys, tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    code, doc = run_json(capsys, "davenport", "q[24]", "--budget-states=100",
+                         "--json", "--cache", cache)
+    assert code == 0 and doc["exact"] is False
+    code, doc = run_json(capsys, "davenport", "q[24]", "--json", "--cache", cache)
+    assert code == 0
+    assert doc["cached"] is False and doc["exact"] is True and doc["value"] == 13
+
+
 def test_witness_verify(capsys):
     code, out = run(capsys, "witness", "q[12]", "--theorem=1", "--verify")
     assert code == 0

@@ -1,13 +1,17 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from davlab import (SearchBudget, Sequence, davenport_ordered, davenport_ordered_naive,
-                    davenport_unordered, davenport_weighted, davenport_weighted_naive,
-                    eg_invariant, eg_lower_witness, has_group_length_product_one,
-                    is_minimal_product_one, is_ordered_free, is_product_one,
-                    is_unordered_free, is_weighted_free, min_weight_set,
-                    olson_white_bound, reach_extend)
+from davlab import (SearchBudget, Sequence, build, davenport_ordered,
+                    davenport_ordered_naive, davenport_unordered, davenport_weighted,
+                    davenport_weighted_naive, eg_invariant, eg_lower_witness,
+                    has_group_length_product_one, is_minimal_product_one,
+                    is_ordered_free, is_product_one, is_unordered_free,
+                    is_weighted_free, min_weight_set, olson_white_bound,
+                    parse_descriptor, reach_extend, zerosum)
 from davlab.errors import DavlabError, GroupTooLargeError, InvalidWeightsError
 from davlab.zerosum import ReachState
 
@@ -95,15 +99,42 @@ def test_witness_is_lexicographically_least(grp):
     assert res.witness.terms == (1, 1, 1)
 
 
-def test_group_too_large_without_budget(grp):
+def test_group_too_large_without_budget(grp, monkeypatch):
+    def no_tables(group):
+        raise AssertionError("the cap is checked before any table is built")
+
+    monkeypatch.setattr(zerosum, "_succ_rows", no_tables)
     with pytest.raises(GroupTooLargeError):
         davenport_ordered(grp("g1[3,2,1,1]"))  # order 81 > default cap 64
+    with pytest.raises(GroupTooLargeError):
+        davenport_weighted(grp("g1[3,2,1,1]"), (1, 2))
 
 
-def test_budget_trips_gracefully(grp):
-    res = davenport_ordered(grp("g1[3,1,1,1]"), SearchBudget(max_states=200))
+@pytest.mark.parametrize("variant", ["ordered", "weighted", "E"])
+def test_budget_trips_gracefully(variant, grp):
+    budget = SearchBudget(max_states=200)
+    if variant == "ordered":
+        res = davenport_ordered(grp("g1[3,1,1,1]"), budget)
+        free = is_ordered_free(res.witness)
+    elif variant == "weighted":
+        res = davenport_weighted(grp("g1[3,1,1,1]"), (1, 2), budget)
+        free = is_weighted_free(res.witness, (1, 2))
+    else:
+        res = eg_invariant(grp("q[8]"), budget)
+        free = not has_group_length_product_one(res.witness)
     assert not res.exact
     assert res.value >= 2
+    assert len(res.witness) == res.value - 1
+    assert free
+
+
+def test_time_budget_bounds_deep_search(grp):
+    # a recursive walk of this depth overflows the interpreter stack
+    start = time.perf_counter()
+    res = davenport_ordered(grp("c[1100]"), SearchBudget(max_seconds=2))
+    assert time.perf_counter() - start < 10
+    assert not res.exact
+    assert len(res.witness) == res.value - 1
     assert is_ordered_free(res.witness)
 
 
@@ -123,6 +154,17 @@ NAIVE_GRID = ["c[1]", "c[2]", "c[3]", "c[4]", "c[5]", "c[6]", "c[7]", "c[8]",
 def test_search_equals_naive_oracle(text, grp):
     G = grp(text)
     assert davenport_ordered(G).value == davenport_ordered_naive(G), text
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(NAIVE_GRID), st.lists(st.integers(min_value=0), max_size=10))
+def test_freeness_matches_direct_enumeration(text, raw):
+    G = build(parse_descriptor(text))
+    seq = Sequence(G, tuple(x % G.order for x in raw))
+    free = 0 not in subsequence_products(G, seq.terms)
+    assert is_ordered_free(seq) == free
+    if G.exponent() > 1:  # the trivial group has no valid weight set
+        assert is_weighted_free(seq, (1,)) == is_ordered_free(seq)
 
 
 def test_product_one_pair(grp):
