@@ -39,12 +39,26 @@ def _emit(doc: dict, json_mode: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _budget_from(args) -> zs.SearchBudget | None:
-    if args.budget_states is None and args.budget_seconds is None:
+def _budget_from(states: int | None, seconds: float | None) -> zs.SearchBudget | None:
+    """The search budget of --budget-states/--budget-seconds; an unset one
+    keeps its default, and None when neither is set."""
+    if states is None and seconds is None:
         return None
+    default = zs.SearchBudget()
     return zs.SearchBudget(
-        max_states=args.budget_states or zs.SearchBudget().max_states,
-        max_seconds=args.budget_seconds or zs.SearchBudget().max_seconds)
+        max_states=default.max_states if states is None else states,
+        max_seconds=default.max_seconds if seconds is None else seconds)
+
+
+def _positive(kind):
+    """argparse type: a number of the given kind that is above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse says 'invalid int value' with it
+    return parse
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -162,7 +176,7 @@ def _cmd_davenport(args) -> int:
         ])
         return 0
     group = build(desc)
-    budget = _budget_from(args)
+    budget = _budget_from(args.budget_states, args.budget_seconds)
     if args.variant == "ordered":
         result = zs.davenport_ordered(group, budget)
     elif args.variant == "unordered":
@@ -565,11 +579,8 @@ def row_from_cache(desc: GroupDescriptor, search_max_order: int, path) -> dict |
 
 def _scan_worker(payload):
     text, search_max_order, states, seconds = payload
-    budget = None
-    if states is not None or seconds is not None:
-        budget = zs.SearchBudget(states or zs.SearchBudget().max_states,
-                                 seconds or zs.SearchBudget().max_seconds)
-    return compute_scan_row(parse_descriptor(text), search_max_order, budget)
+    return compute_scan_row(parse_descriptor(text), search_max_order,
+                            _budget_from(states, seconds))
 
 
 def _cmd_scan(args) -> int:
@@ -578,12 +589,13 @@ def _cmd_scan(args) -> int:
     ranges = _parse_param_ranges(args.param_ranges)
     grid = _grid(families, primes, args.max_order, ranges)
     path = cache_path(args.cache)
-    budget = _budget_from(args)
+    budget = _budget_from(args.budget_states, args.budget_seconds)
     t0 = time.perf_counter()
     try:
         threads = int(os.environ.get(ENV_THREADS, "1") or "1")
     except ValueError:
         threads = 1
+    threads = max(1, min(threads, os.cpu_count() or 1))
 
     rows: list[dict | None] = [None] * len(grid)
     misses: list[int] = []
@@ -687,9 +699,9 @@ def _add_common(sub, cache_flags: bool = False, budget_flags: bool = False):
         sub.add_argument("--no-cache", action="store_true",
                          help="skip cache reads and writes")
     if budget_flags:
-        sub.add_argument("--budget-states", type=int, default=None,
+        sub.add_argument("--budget-states", type=_positive(int), default=None,
                          help="search state budget (allows larger groups; inexact on trip)")
-        sub.add_argument("--budget-seconds", type=float, default=None,
+        sub.add_argument("--budget-seconds", type=_positive(float), default=None,
                          help="search time budget in seconds")
 
 

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -251,11 +253,52 @@ def test_scan_parallel_matches_sequential(capsys, tmp_path, monkeypatch):
     code1, doc1 = run_json(capsys, "scan", "--families=d,q", "--max-order=16",
                            "--json", "--cache", cache1)
     monkeypatch.setenv("DAVLAB_THREADS", "3")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # parallel even on one CPU
     code2, doc2 = run_json(capsys, "scan", "--families=d,q", "--max-order=16",
                            "--json", "--cache", cache2)
     strip = lambda rows: [{k: v for k, v in r.items()
                            if k not in ("elapsed_ms", "cached")} for r in rows]
     assert strip(doc1["rows"]) == strip(doc2["rows"])
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    ("64", 2, [2]), ("64", None, []), ("0", 8, []), ("-3", 8, []), ("3", 8, [3])])
+def test_scan_threads_clamped_to_cpu_count(threads, cpus, workers, capsys, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and runs
+        the rows in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("DAVLAB_THREADS", threads)
+    code, doc = run_json(capsys, "scan", "--families=d,q", "--max-order=16",
+                         "--json", "--no-cache")
+    assert code == 0 and len(doc["rows"]) > 3
+    assert started == workers
+
+
+@pytest.mark.parametrize("flag", ["--budget-states", "--budget-seconds"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_budget_is_a_usage_error(flag, value, capsys):
+    for argv in (["davenport", "q[8]"], ["scan", "--families=q", "--max-order=8"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}", "--no-cache"])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
 
 
 def test_scan_status_logic_marks_refutations():

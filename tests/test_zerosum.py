@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -108,6 +109,10 @@ def test_group_too_large_without_budget(grp, monkeypatch):
         davenport_ordered(grp("g1[3,2,1,1]"))  # order 81 > default cap 64
     with pytest.raises(GroupTooLargeError):
         davenport_weighted(grp("g1[3,2,1,1]"), (1, 2))
+    with pytest.raises(GroupTooLargeError):
+        eg_invariant(grp("q[16]"))  # order 16 > E cap 8
+    with pytest.raises(GroupTooLargeError):
+        davenport_unordered(grp("d[32]"))  # order 32 > unordered cap 16
 
 
 @pytest.mark.parametrize("variant", ["ordered", "weighted", "E"])
@@ -128,7 +133,12 @@ def test_budget_trips_gracefully(variant, grp):
     assert free
 
 
-def test_time_budget_bounds_deep_search(grp):
+def no_byte_tables(row):
+    raise AssertionError("no byte table is built above the cutoff")
+
+
+def test_time_budget_bounds_deep_search(grp, monkeypatch):
+    monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
     # a recursive walk of this depth overflows the interpreter stack
     start = time.perf_counter()
     res = davenport_ordered(grp("c[1100]"), SearchBudget(max_seconds=2))
@@ -136,6 +146,47 @@ def test_time_budget_bounds_deep_search(grp):
     assert not res.exact
     assert len(res.witness) == res.value - 1
     assert is_ordered_free(res.witness)
+
+
+# Orders 1, 2, 6 and 12 end in a partial byte; 12, 24 and 32 take the two-,
+# three- and four-byte unrolled lookups, 36 the general byte loop with a
+# partial last byte, and the last group lies above the table cutoff.
+MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "d[36]",
+            f"c[{zerosum._BYTE_TABLE_MAX_ORDER + 2}]"]
+
+
+@functools.lru_cache(maxsize=None)
+def _maps_and_rows(text):
+    G = build(parse_descriptor(text))
+    return G.order, zerosum._right_maps(G), zerosum._succ_rows(G)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(MAP_GRID), st.data())
+def test_right_maps_match_bit_loop(text, data):
+    n, maps, succ = _maps_and_rows(text)
+    elements = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    sparse = sum(1 << x for x in elements)
+    for mask in (sparse, sparse ^ ((1 << n) - 1)):
+        for g in range(n):
+            assert maps[g](mask) == zerosum._mapped(mask, succ[g]), (text, g, mask)
+
+
+def test_bit_loop_path_gives_the_same_search(grp, monkeypatch):
+    searches = [(davenport_ordered, "q[16]", ()), (eg_invariant, "d[6]", ()),
+                (davenport_weighted, "q[12]", ((1, 5),))]
+
+    def run_all():
+        out = []
+        for search, text, args in searches:
+            res = search(grp(text), *args)
+            out.append((res.value, res.exact, res.states_explored, res.witness.terms))
+        return out
+
+    with_tables = run_all()
+    monkeypatch.setattr(zerosum, "_BYTE_TABLE_MAX_ORDER", 0)
+    monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
+    assert run_all() == with_tables
 
 
 def test_olson_white(grp):
