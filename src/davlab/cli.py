@@ -595,7 +595,7 @@ def _cmd_scan(args) -> int:
         threads = int(os.environ.get(ENV_THREADS, "1") or "1")
     except ValueError:
         threads = 1
-    threads = max(1, min(threads, os.cpu_count() or 1))
+    threads = min(threads, os.cpu_count() or 1)
 
     rows: list[dict | None] = [None] * len(grid)
     misses: list[int] = []

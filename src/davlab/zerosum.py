@@ -16,11 +16,13 @@ verifier-driven DFS over multisets.
 
 The steps map a mask S to S*g through per-element byte tables (_right_maps):
 one precomputed 256-entry table per byte of S, OR-ed together, instead of one
-lookup per set bit. The tables grow as n * ceil(n/8) * 256 entries, so above
-_BYTE_TABLE_MAX_ORDER the steps loop over the set bits instead.
+lookup per set bit. The lookups are unrolled up to four bytes, so above
+_BYTE_TABLE_MAX_ORDER (order 32) the steps loop over the set bits instead.
 is_ordered_free, reach_extend and the naive oracles keep their own loops as
-the independent check on the table step. The D' search keeps the set-bit loop
-too: mapping masks is about 2% of its time, which goes to multiset handling.
+the independent check on the table step. is_weighted_free checks one
+sequence and uses the set-bit loop rather than build tables for it. The D'
+search keeps the set-bit loop too: mapping masks is about 2% of its time,
+which goes to multiset handling.
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ DEFAULT_UNORDERED_CAP = 16
 DEFAULT_EG_CAP = 8
 DEFAULT_ARRANGE_CAP = 16
 
-# Largest order whose reach-mask step uses per-byte lookup tables. The tables
-# hold n * ceil(n/8) * 256 entries: 32k at order 32, 524k (about 24 MB, built
-# in 0.1 s) at order 128, but 39M at order 1100, where a budgeted search would
-# spend its time and memory building them. Above this order the step loops
-# over the set bits instead.
-_BYTE_TABLE_MAX_ORDER = 128
+# Largest order whose reach-mask step uses per-byte lookup tables: four
+# bytes, the widest lookup _byte_map unrolls. The tables hold
+# n * ceil(n/8) * 256 entries, 32k at order 32 but 39M at order 1100, where a
+# budgeted search would spend its time and memory building them. Above this
+# order the step loops over the set bits instead.
+_BYTE_TABLE_MAX_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,9 @@ def _byte_tables(row: list[int]) -> list[list[int]]:
 
 
 def _byte_map(tabs: list[list[int]]):
-    """mask -> OR of one table entry per byte of mask. Up to four bytes the
-    lookups are unrolled, which is where the speed of the tables comes from."""
+    """mask -> OR of one table entry per byte of mask, for one to four bytes.
+    The lookups are unrolled, which is where the speed of the tables comes
+    from."""
     if len(tabs) == 1:
         return tabs[0].__getitem__
     if len(tabs) == 2:
@@ -220,19 +223,9 @@ def _byte_map(tabs: list[list[int]]):
     if len(tabs) == 3:
         t0, t1, t2 = tabs
         return lambda m: t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]
-    if len(tabs) == 4:
-        t0, t1, t2, t3 = tabs
-        return lambda m: (t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
-                          | t3[m >> 24])
-    nbytes = len(tabs)
-
-    def mapped(m: int) -> int:
-        out = 0
-        for tab, b in zip(tabs, m.to_bytes(nbytes, byteorder="little")):
-            out |= tab[b]
-        return out
-
-    return mapped
+    t0, t1, t2, t3 = tabs
+    return lambda m: (t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+                      | t3[m >> 24])
 
 
 def _right_maps(group: FiniteGroup) -> list:
@@ -576,10 +569,9 @@ def _validate_weights(group: FiniteGroup, weights) -> tuple[int, ...]:
     return A
 
 
-def _weighted_step(group: FiniteGroup, A: tuple[int, ...]):
+def _weighted_step(group: FiniteGroup, A: tuple[int, ...], maps: list):
     """Reach-mask step S -> S | {s * g^a} | {g^a} over a in the validated
-    weights A, returning None on product one."""
-    maps = _right_maps(group)
+    weights A, returning None on product one; maps[h](S) is S*h."""
     choice = _weighted_rows(group, A)
 
     def extend(mask: int, g: int) -> int | None:
@@ -599,13 +591,16 @@ def davenport_weighted(group: FiniteGroup, weights,
     because 1^a = 1."""
     A = _validate_weights(group, weights)
     budget = _checked_budget(group, budget, max_order, "search")
-    return _longest_free(group, 0, _weighted_step(group, A), range(group.order),
-                         budget)
+    return _longest_free(group, 0, _weighted_step(group, A, _right_maps(group)),
+                         range(group.order), budget)
 
 
 def is_weighted_free(seq: Sequence, weights) -> bool:
     """No index-increasing subsequence with per-term weight choices hits 1."""
-    extend = _weighted_step(seq.group, _validate_weights(seq.group, weights))
+    group = seq.group
+    # the set-bit loop: one check does not repay building the byte tables
+    maps = [functools.partial(_mapped, row=row) for row in _succ_rows(group)]
+    extend = _weighted_step(group, _validate_weights(group, weights), maps)
     mask = 0
     for g in seq.terms:
         mask = extend(mask, g)

@@ -261,8 +261,7 @@ def test_scan_parallel_matches_sequential(capsys, tmp_path, monkeypatch):
     assert strip(doc1["rows"]) == strip(doc2["rows"])
 
 
-@pytest.mark.parametrize("threads, cpus, workers", [
-    ("64", 2, [2]), ("64", None, []), ("0", 8, []), ("-3", 8, []), ("3", 8, [3])])
+@pytest.mark.parametrize("threads, cpus, workers", [("64", 2, [2]), ("64", None, [])])
 def test_scan_threads_clamped_to_cpu_count(threads, cpus, workers, capsys, monkeypatch):
     started = []
 

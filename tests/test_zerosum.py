@@ -149,10 +149,8 @@ def test_time_budget_bounds_deep_search(grp, monkeypatch):
 
 
 # Orders 1, 2, 6 and 12 end in a partial byte; 12, 24 and 32 take the two-,
-# three- and four-byte unrolled lookups, 36 the general byte loop with a
-# partial last byte, and the last group lies above the table cutoff.
-MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "d[36]",
-            f"c[{zerosum._BYTE_TABLE_MAX_ORDER + 2}]"]
+# three- and four-byte unrolled lookups, and d[36] lies above the table cutoff.
+MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "d[36]"]
 
 
 @functools.lru_cache(maxsize=None)
