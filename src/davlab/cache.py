@@ -1,4 +1,9 @@
-"""Append-only JSON-lines result cache keyed by (descriptor, invariant, weights)."""
+"""Append-only JSON-lines result cache keyed by (descriptor, invariant, weights).
+
+One read loop, `cache_records`, serves every lookup. `cache_get` is its
+one-key case; `scan` asks for the keys of its whole grid at once, so it
+reads the file once per invocation.
+"""
 
 from __future__ import annotations
 
@@ -37,8 +42,13 @@ class ResultRecord:
     v: int = SCHEMA_VERSION
 
     def key(self) -> tuple:
-        weights = tuple(sorted(self.weight_set)) if self.weight_set else None
-        return (self.descriptor, self.invariant, weights)
+        return record_key(self.descriptor, self.invariant, self.weight_set)
+
+
+def record_key(descriptor: str, invariant: str, weight_set=None) -> tuple:
+    """The cache key of a result; the weights are an unordered set."""
+    return (descriptor, invariant,
+            tuple(sorted(weight_set)) if weight_set else None)
 
 
 def cache_path(explicit: str | os.PathLike | None = None) -> Path:
@@ -62,35 +72,43 @@ def _major(version: str) -> str:
     return version.split(".", 1)[0]
 
 
-def cache_get(path: Path, descriptor: str, invariant: str,
-              weight_set=None) -> ResultRecord | None:
-    """Latest record matching the key whose tool version major matches.
+def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
+    """Stream the file once and return, for each given key that has records
+    of this tool's major version, the exact one if any, else the latest.
 
-    An exact record beats any inexact one, whatever their order in the file.
-    Corrupted lines are skipped with a warning; a missing file is a miss.
+    Corrupted lines are skipped with a warning; a missing file has no
+    records. Records of other keys are dropped as they are read, so memory
+    grows with the keys asked for, not with the file.
     """
-    if invariant not in _INVARIANTS:
-        raise ValueError(f"unknown invariant {invariant!r}")
-    key = (descriptor, invariant,
-           tuple(sorted(weight_set)) if weight_set else None)
+    wanted = set(keys)
+    hits: dict[tuple, ResultRecord] = {}
     if not Path(path).exists():
-        return None
-    hit: ResultRecord | None = None
+        return hits
+    major = _major(__version__)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-                record = ResultRecord(**raw)
-            except (json.JSONDecodeError, TypeError) as exc:
+                record = ResultRecord(**json.loads(line))
+                key = record.key()
+                # a field of the wrong type raises here too
+                if key not in wanted or _major(record.tool_version) != major:
+                    continue
+            except (json.JSONDecodeError, TypeError, AttributeError) as exc:
                 warnings.warn(f"{path}:{lineno}: skipping corrupted cache line ({exc})")
                 continue
-            if record.key() != key:
-                continue
-            if _major(record.tool_version) != _major(__version__):
-                continue
+            hit = hits.get(key)
             if record.exact or hit is None or not hit.exact:
-                hit = record
-    return hit
+                hits[key] = record
+    return hits
+
+
+def cache_get(path: Path, descriptor: str, invariant: str,
+              weight_set=None) -> ResultRecord | None:
+    """The record `cache_records` keeps for this one key, or None."""
+    if invariant not in _INVARIANTS:
+        raise ValueError(f"unknown invariant {invariant!r}")
+    key = record_key(descriptor, invariant, weight_set)
+    return cache_records(path, [key]).get(key)

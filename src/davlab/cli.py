@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import os
@@ -18,7 +19,8 @@ import time
 from . import jennings as jn
 from . import witnesses as wt
 from . import zerosum as zs
-from .cache import ResultRecord, cache_get, cache_path, cache_put
+from .cache import (ResultRecord, cache_get, cache_path, cache_put, cache_records,
+                    record_key)
 from .descriptors import (GRAMMAR_HINT, GroupDescriptor, make_descriptor,
                           parse_descriptor, validate_descriptor)
 from .errors import DavlabError, DescriptorError
@@ -457,114 +459,57 @@ def _row_status(desc: GroupDescriptor, is_p: bool, lower: int, upper: int,
     return "CONFIRMED" if lower == upper else "CONSISTENT"
 
 
-def _upper_without_build(desc: GroupDescriptor, order: int, is_p: bool):
-    """Upper bound derivable from the descriptor alone (non-p-group families
-    in the scan grid are dicyclic/semidihedral, never cyclic)."""
-    if is_p:
-        return None
-    if desc.family in ("q", "sd"):
-        return ((order + 2) // 2, "olson_white")
-    return (order, "order")
+def _is_p_group(order: int) -> bool:
+    return prime_power(order) is not None and order > 1
 
 
-def compute_scan_row(desc: GroupDescriptor, search_max_order: int,
-                     budget: zs.SearchBudget | None = None
-                     ) -> tuple[dict, list[ResultRecord]]:
-    """Bounds and verdict for one row, plus the records to persist."""
-    canonical = desc.canonical()
-    t0 = time.perf_counter()
+def _needed(desc: GroupDescriptor, search_max_order: int) -> tuple[str, ...]:
+    """The invariants a scan row uses: the Loewy length bounds a p-group
+    from above, a witness check bounds D from below where a construction is
+    known, and D itself is searched at or below search_max_order."""
     order = desc.theoretical_order()
-    is_p = prime_power(order) is not None and order > 1
-    plan = _witness_plan(desc)
-    records: list[ResultRecord] = []
-    group = build(desc)
-
-    if is_p:
-        upper, upper_source = jn.loewy_length(group), "loewy_length"
-        records.append(ResultRecord(canonical, "L", upper, True))
-    else:
-        upper, upper_source = _upper_without_build(desc, order, is_p)
-
-    lower, lower_source = 1, "trivial"
-    if plan is not None:
-        theorem, in_scope = plan
-        spec = wt.witness_for_theorem(desc, theorem, allow_unverified=True)
-        free = zs.is_ordered_free(spec.sequence(group))
-        bound = spec.length + 1 if free else 1
-        records.append(ResultRecord(
-            canonical, "witness_check", bound, free,
-            witness=[f"{group.labels[el]} ^{spec.multiplicities[nm]}"
-                     for nm, el in spec.elements.items()]))
-        if free and bound > lower:
-            lower = bound
-            lower_source = "witness" if in_scope else "witness(out-of-scope)"
-
-    exact_D = None
+    needed = []
+    if _is_p_group(order):
+        needed.append("L")
+    if _witness_plan(desc) is not None:
+        needed.append("witness_check")
     if order <= search_max_order:
-        result = zs.davenport_ordered(group, budget)
-        if result.exact:
-            exact_D = result.value
-        records.append(ResultRecord(
-            canonical, "D", result.value, result.exact,
-            witness=result.witness.labels(),
-            elapsed_ms=int(1000 * result.elapsed)))
-        if exact_D is not None and exact_D > lower:
-            lower = exact_D
-            lower_source = "search"
-
-    row = {
-        "descriptor": canonical,
-        "order": order,
-        "lower": lower,
-        "lower_source": lower_source,
-        "upper": upper,
-        "upper_source": upper_source,
-        "exact_value": exact_D,
-        "status": _row_status(desc, is_p, lower, upper, exact_D),
-        "cached": False,
-        "elapsed_ms": int(1000 * (time.perf_counter() - t0)),
-    }
-    return row, records
+        needed.append("D")
+    return tuple(needed)
 
 
-def row_from_cache(desc: GroupDescriptor, search_max_order: int, path) -> dict | None:
-    """Assemble a row purely from cached records; None when anything is missing."""
-    canonical = desc.canonical()
-    t0 = time.perf_counter()
+def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
+             cached: bool, elapsed_ms: int = 0) -> dict:
+    """Bounds, their sources and the verdict of one scan row from the
+    records of its needed invariants, whether read from the cache or fresh.
+
+    Rows off p-group orders are dicyclic or semidihedral (Olson-White
+    bound), never cyclic, so they need no Loewy length.
+    """
     order = desc.theoretical_order()
-    is_p = prime_power(order) is not None and order > 1
-    plan = _witness_plan(desc)
-    want_search = order <= search_max_order
-
+    is_p = _is_p_group(order)
     if is_p:
-        rec_L = cache_get(path, canonical, "L")
-        if rec_L is None:
-            return None
-        upper, upper_source = int(rec_L.value), "loewy_length"
+        upper, upper_source = int(records["L"].value), "loewy_length"
+    elif desc.family in ("q", "sd"):
+        upper, upper_source = (order + 2) // 2, "olson_white"
     else:
-        upper, upper_source = _upper_without_build(desc, order, is_p)
+        upper, upper_source = order, "order"
 
     lower, lower_source = 1, "trivial"
-    if plan is not None:
-        rec_w = cache_get(path, canonical, "witness_check")
-        if rec_w is None:
-            return None
-        if rec_w.exact and int(rec_w.value) > lower:
-            lower = int(rec_w.value)
-            lower_source = "witness" if plan[1] else "witness(out-of-scope)"
+    witness = records.get("witness_check")
+    if witness is not None and witness.exact and int(witness.value) > lower:
+        lower = int(witness.value)
+        lower_source = "witness" if _witness_plan(desc)[1] else "witness(out-of-scope)"
 
     exact_D = None
-    if want_search:
-        rec_D = cache_get(path, canonical, "D")
-        if rec_D is None or not rec_D.exact:
-            return None
-        exact_D = int(rec_D.value)
+    search = records.get("D")
+    if search is not None and search.exact:
+        exact_D = int(search.value)
         if exact_D > lower:
-            lower = exact_D
-            lower_source = "search"
+            lower, lower_source = exact_D, "search"
 
     return {
-        "descriptor": canonical,
+        "descriptor": desc.canonical(),
         "order": order,
         "lower": lower,
         "lower_source": lower_source,
@@ -572,15 +517,35 @@ def row_from_cache(desc: GroupDescriptor, search_max_order: int, path) -> dict |
         "upper_source": upper_source,
         "exact_value": exact_D,
         "status": _row_status(desc, is_p, lower, upper, exact_D),
-        "cached": True,
-        "elapsed_ms": int(1000 * (time.perf_counter() - t0)),
+        "cached": cached,
+        "elapsed_ms": elapsed_ms,
     }
 
 
-def _scan_worker(payload):
-    text, search_max_order, states, seconds = payload
-    return compute_scan_row(parse_descriptor(text), search_max_order,
-                            _budget_from(states, seconds))
+def _scan_worker(payload) -> tuple[dict, list[ResultRecord]]:
+    """Compute the needed records of one scan row: (row, records to persist)."""
+    text, needed, states, seconds = payload
+    t0 = time.perf_counter()
+    desc = parse_descriptor(text)
+    canonical = desc.canonical()
+    group = build(desc)
+    records: dict[str, ResultRecord] = {}
+    if "L" in needed:
+        records["L"] = ResultRecord(canonical, "L", jn.loewy_length(group), True)
+    if "witness_check" in needed:
+        spec = wt.witness_for_theorem(desc, _witness_plan(desc)[0], allow_unverified=True)
+        free = zs.is_ordered_free(spec.sequence(group))
+        records["witness_check"] = ResultRecord(
+            canonical, "witness_check", spec.length + 1 if free else 1, free,
+            witness=[f"{group.labels[el]} ^{spec.multiplicities[nm]}"
+                     for nm, el in spec.elements.items()])
+    if "D" in needed:
+        result = zs.davenport_ordered(group, _budget_from(states, seconds))
+        records["D"] = ResultRecord(
+            canonical, "D", result.value, result.exact,
+            witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
+    row = scan_row(desc, records, False, int(1000 * (time.perf_counter() - t0)))
+    return row, list(records.values())
 
 
 def _cmd_scan(args) -> int:
@@ -588,8 +553,15 @@ def _cmd_scan(args) -> int:
     primes = [int(p) for p in args.primes.split(",") if p.strip()]
     ranges = _parse_param_ranges(args.param_ranges)
     grid = _grid(families, primes, args.max_order, ranges)
+    needs = [_needed(desc, args.search_max_order) for desc in grid]
+    if args.budget_states is None and args.budget_seconds is None:
+        for desc, needed in zip(grid, needs):
+            if "D" in needed and desc.theoretical_order() > zs.DEFAULT_ORDERED_CAP:
+                raise DescriptorError(
+                    f"{desc.canonical()}: order {desc.theoretical_order()} above "
+                    f"search cap {zs.DEFAULT_ORDERED_CAP}; lower --search-max-order "
+                    "or pass --budget-states/--budget-seconds")
     path = cache_path(args.cache)
-    budget = _budget_from(args.budget_states, args.budget_seconds)
     t0 = time.perf_counter()
     try:
         threads = int(os.environ.get(ENV_THREADS, "1") or "1")
@@ -597,27 +569,27 @@ def _cmd_scan(args) -> int:
         threads = 1
     threads = min(threads, os.cpu_count() or 1)
 
+    keys = [{inv: record_key(desc.canonical(), inv) for inv in needed}
+            for desc, needed in zip(grid, needs)]
+    found = {} if args.no_cache else cache_records(
+        path, [key for row_keys in keys for key in row_keys.values()])
     rows: list[dict | None] = [None] * len(grid)
     misses: list[int] = []
     for i, desc in enumerate(grid):
-        if not args.no_cache:
-            rows[i] = row_from_cache(desc, args.search_max_order, path)
-        if rows[i] is None:
+        records = {inv: found[key] for inv, key in keys[i].items() if key in found}
+        if len(records) == len(keys[i]) and ("D" not in records or records["D"].exact):
+            rows[i] = scan_row(desc, records, True)
+        else:
             misses.append(i)
 
-    if threads > 1 and len(misses) > 1:
-        payloads = [(grid[i].canonical(), args.search_max_order,
-                     args.budget_states, args.budget_seconds) for i in misses]
-        workers = min(threads, len(misses))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, (row, records) in zip(misses, pool.map(_scan_worker, payloads)):
-                rows[i] = row
-                if not args.no_cache:
-                    for record in records:
-                        cache_put(path, record)
-    else:
-        for i in misses:
-            row, records = compute_scan_row(grid[i], args.search_max_order, budget)
+    payloads = [(grid[i].canonical(), needs[i], args.budget_states, args.budget_seconds)
+                for i in misses]
+    with contextlib.ExitStack() as stack:
+        run = map
+        if threads > 1 and len(misses) > 1:
+            run = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(threads, len(misses)))).map
+        for i, (row, records) in zip(misses, run(_scan_worker, payloads)):
             rows[i] = row
             if not args.no_cache:
                 for record in records:

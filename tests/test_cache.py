@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from davlab.cache import ResultRecord, cache_get, cache_path, cache_put
+from davlab.cache import (ResultRecord, cache_get, cache_path, cache_put, cache_records,
+                          record_key)
 
 
 def test_roundtrip(tmp_path):
@@ -60,6 +62,8 @@ def test_corrupted_lines_warn_and_skip(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
         fh.write(json.dumps({"unexpected": "shape"}) + "\n")
+        fh.write(json.dumps({"descriptor": "q[8]", "invariant": "D", "value": 6,
+                             "exact": True, "tool_version": 1}) + "\n")
     with pytest.warns(UserWarning, match="corrupted"):
         got = cache_get(path, "q[8]", "D")
     assert got is not None and got.value == 5
@@ -90,3 +94,29 @@ def test_put_unwritable_path(tmp_path):
     with pytest.raises(OSError):
         cache_put(tmp_path / "no" / "dir" / "cache.jsonl",
                   ResultRecord("q[8]", "D", 5, True))
+
+
+def test_cache_records_keeps_only_wanted_keys(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache_put(path, ResultRecord("q[8]", "D", 4, False))
+    cache_put(path, ResultRecord("q[8]", "D", 5, True))
+    cache_put(path, ResultRecord("q[16]", "D", 7, True))           # not wanted
+    cache_put(path, ResultRecord("q[12]", "L", 9, True, tool_version="9.0.0"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    cache_put(path, ResultRecord("c[5]", "DA", 3, True, weight_set=[4, 1]))
+    cache_put(path, ResultRecord("q[8]", "D", 3, False))           # exact still wins
+    cache_put(path, ResultRecord("q[8]", "L", 4, True))            # not wanted
+    wanted = [record_key("q[8]", "D"), record_key("q[12]", "L"),
+              record_key("c[5]", "DA", [1, 4]), record_key("d[8]", "D")]
+    with pytest.warns(UserWarning, match="corrupted"):
+        got = cache_records(path, wanted)
+    assert set(got) == {("q[8]", "D", None), ("c[5]", "DA", (1, 4))}
+    assert (got[("q[8]", "D", None)].value, got[("q[8]", "D", None)].exact) == (5, True)
+    assert got[("c[5]", "DA", (1, 4))].value == 3
+    with pytest.warns(UserWarning, match="corrupted"):
+        for key in wanted:
+            one = cache_get(path, *key)
+            assert (asdict(one) if one else None) == \
+                (asdict(got[key]) if key in got else None)
+

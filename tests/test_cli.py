@@ -261,6 +261,66 @@ def test_scan_parallel_matches_sequential(capsys, tmp_path, monkeypatch):
     assert strip(doc1["rows"]) == strip(doc2["rows"])
 
 
+def _strip(rows):
+    return [{k: v for k, v in r.items() if k not in ("elapsed_ms", "cached")}
+            for r in rows]
+
+
+def test_warm_scan_reads_cache_once(capsys, tmp_path, monkeypatch):
+    import builtins
+    import davlab.cache
+    cache = str(tmp_path / "scan.jsonl")
+    args = ("scan", "--families=d,q,sd,m2", "--max-order=16", "--json", "--cache", cache)
+    run_json(capsys, *args)
+    opens = []
+
+    def counting_open(file, mode="r", *rest, **kwargs):
+        opens.append((str(file), mode))
+        return builtins.open(file, mode, *rest, **kwargs)
+
+    monkeypatch.setattr(davlab.cache, "open", counting_open, raising=False)
+    code, doc = run_json(capsys, *args)
+    assert code == 0 and len(doc["rows"]) > 5
+    assert all(r["cached"] for r in doc["rows"])
+    assert opens == [(cache, "r")]  # one read, nothing appended
+
+
+def test_scan_recomputes_rows_with_inexact_or_missing_records(capsys, tmp_path):
+    cache = tmp_path / "scan.jsonl"
+    args = ("scan", "--families=d,q", "--max-order=16", "--json", "--cache", str(cache))
+    _, cold = run_json(capsys, *args)
+    # q[8]: its D record becomes inexact; the others lose one needed record
+    dropped = {("d[8]", "D"), ("d[16]", "L"), ("q[12]", "witness_check")}
+    kept = []
+    for line in cache.read_text().splitlines():
+        record = json.loads(line)
+        key = (record["descriptor"], record["invariant"])
+        if key in dropped:
+            continue
+        if key == ("q[8]", "D"):
+            record["exact"] = False
+        kept.append(json.dumps(record))
+    cache.write_text("\n".join(kept) + "\n")
+    code, warm = run_json(capsys, *args)
+    assert code == 0
+    assert _strip(warm["rows"]) == _strip(cold["rows"])
+    recomputed = {r["descriptor"] for r in warm["rows"] if not r["cached"]}
+    assert recomputed == {"q[8]", "d[8]", "d[16]", "q[12]"}
+
+
+def test_scan_search_above_cap_needs_a_budget(capsys, tmp_path):
+    cache = tmp_path / "scan.jsonl"
+    code = main(["scan", "--families=d", "--max-order=128", "--search-max-order=128",
+                 "--cache", str(cache)])
+    assert code == 2
+    assert "d[128]: order 128 above search cap 64" in capsys.readouterr().err
+    assert not cache.exists()
+    code, doc = run_json(capsys, "scan", "--families=d", "--max-order=32",
+                         "--search-max-order=128", "--json", "--cache", str(cache))
+    assert code == 0
+    assert [r["exact_value"] for r in doc["rows"]] == [5, 9, 17]
+
+
 @pytest.mark.parametrize("threads, cpus, workers", [("64", 2, [2]), ("64", None, [])])
 def test_scan_threads_clamped_to_cpu_count(threads, cpus, workers, capsys, monkeypatch):
     started = []
