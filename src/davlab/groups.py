@@ -1,15 +1,23 @@
 """Explicit finite groups built from presentations as full multiplication tables.
 
-Every family is realized on normal-form tuples with a collection rule for
-products; the table is materialized once and all later work is table lookups.
-Element 0 is always the identity and labels are the normal-form words.
+Every family is realized on normal-form tuples of generator exponents, listed
+in row-major mixed-radix order, with one collection formula for products that
+works on ints and on numpy coordinate arrays alike. build() decodes element
+indices into coordinates once, evaluates the formula on blocks of rows
+broadcast against all columns, and re-encodes the products as indices; the
+table is materialized once and all later work is table lookups. Element 0 is
+always the identity and labels are the normal-form words. Every built table
+is checked: group axioms, that the named generators generate it, and every
+relation of the presentation.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +38,10 @@ class FiniteGroup:
 
     Immutable after construction; instances are safe to share. ``table[x][y]``
     is the product x*y, index 0 is the identity, ``prime`` is set when the
-    order is a prime power.
+    order is a prime power. The named ``generators`` generate the whole group
+    (``build`` checks this); centers, abelianness and whole-group subgroups
+    rely on it. A group made with no named generators counts as generated by
+    all of its elements.
     """
 
     __slots__ = ("name", "order", "table", "inverse", "labels", "generators",
@@ -46,16 +57,11 @@ class FiniteGroup:
         self.prime = prime
         self._exponent: int | None = None
         self._max_element_order: int | None = None
-        inverse = [-1] * self.order
-        for x in range(self.order):
-            row = table[x]
-            for y in range(self.order):
-                if row[y] == 0:
-                    inverse[x] = y
-                    break
-            if inverse[x] < 0:
-                raise InternalConsistencyError(f"{name}: element {x} has no inverse")
-        self.inverse = inverse
+        try:
+            self.inverse = [row.index(0) for row in table]
+        except ValueError:
+            x = next(x for x, row in enumerate(table) if 0 not in row)
+            raise InternalConsistencyError(f"{name}: element {x} has no inverse") from None
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -110,8 +116,9 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         if self._exponent is None:
-            self._exponent = math.lcm(*(self.element_order(x) for x in self.elements()))
-            self._max_element_order = max(self.element_order(x) for x in self.elements())
+            orders = [self.element_order(x) for x in self.elements()]
+            self._exponent = math.lcm(*orders)
+            self._max_element_order = max(orders)
         return self._exponent
 
     def max_element_order(self) -> int:
@@ -124,14 +131,20 @@ class FiniteGroup:
         # exponent 6), so test for an element of full order.
         return self.max_element_order() == self.order
 
+    def generating_set(self) -> list[int]:
+        """The named generators, or every element when none are named."""
+        return list(self.generators.values()) or list(self.elements())
+
     def is_abelian(self) -> bool:
         t = self.table
-        return all(t[x][y] == t[y][x] for x in self.elements() for y in self.elements())
+        gens = self.generating_set()
+        return all(t[x][y] == t[y][x] for x in gens for y in gens)
 
     def center(self) -> list[int]:
+        """Elements commuting with every generator, hence with every element."""
         t = self.table
-        n = self.order
-        return [z for z in range(n) if all(t[z][g] == t[g][z] for g in range(n))]
+        gens = self.generating_set()
+        return [z for z in range(self.order) if all(t[z][g] == t[g][z] for g in gens)]
 
     def word(self, spec: list[tuple[str, int]]) -> int:
         """Evaluate a word in the named generators, e.g. [("a",-1),("b",1)]."""
@@ -151,92 +164,91 @@ def _word_label(parts: list[tuple[str, int]]) -> str:
 
 
 # --- per-family normal-form systems -----------------------------------------
-# Each _sys_* returns (elements, mult, label, generators, prime) where
-# elements is the ordered tuple list (identity first), mult multiplies two
-# tuples, label renders a tuple, generators maps names to tuples.
+# Each _sys_* returns a _System. Elements are coordinate tuples in row-major
+# mixed-radix order over `radices` (so the identity, all zeros, is element 0);
+# coordinate k is the exponent of the k-th named generator in the normal-form
+# word. `mult` is one formula on coordinate tuples whose entries may be ints
+# or broadcastable numpy integer arrays: it uses only +, -, *, // and % (0/1
+# arithmetic in place of branches), so build() evaluates it on whole row blocks.
+
+
+class _System(NamedTuple):
+    radices: tuple[int, ...]
+    mult: Callable[[tuple, tuple], tuple]
+    label: Callable[[tuple], str]
+    gens: dict[str, tuple[int, ...]]
+    prime: int | None
+
+
+def _system(names, radices, mult, prime) -> _System:
+    """Labels are words in `names`; generator k is the k-th unit tuple."""
+    radices = tuple(radices)
+    gens = {name: tuple(1 % r if i == k else 0 for i, r in enumerate(radices))
+            for k, name in enumerate(names)}
+    return _System(radices, mult, lambda e: _word_label(list(zip(names, e))), gens, prime)
+
+
+def _prime_of(order: int) -> int | None:
+    pp = prime_power(order)
+    return pp[0] if pp else None
+
 
 def _sys_cyclic(d: GroupDescriptor):
     n = d["n"]
-    elems = list(range(n))
-    mult = lambda x, y: (x + y) % n
-    label = lambda x: _word_label([("g", x)])
-    gens = {"g": 1 % n}
-    pp = prime_power(n)
-    return elems, mult, label, gens, pp[0] if pp else None
+    def mult(x, y):
+        return ((x[0] + y[0]) % n,)
+    return _system(("g",), (n,), mult, _prime_of(n))
 
 
 def _sys_abelian(d: GroupDescriptor):
-    import itertools
     factors = d.values()
-    elems = list(itertools.product(*(range(k) for k in factors)))
     def mult(x, y):
         return tuple((a + b) % k for a, b, k in zip(x, y, factors))
     names = [f"g{i+1}" for i in range(len(factors))]
-    label = lambda x: _word_label(list(zip(names, x)))
-    gens = {}
-    for i, name in enumerate(names):
-        g = [0] * len(factors)
-        g[i] = 1 % factors[i]
-        gens[name] = tuple(g)
-    pp = prime_power(math.prod(factors))
-    return elems, mult, label, gens, pp[0] if pp else None
+    return _system(names, factors, mult, _prime_of(math.prod(factors)))
 
 
-def _sys_semidirect2(order: int, t: int):
+def _sys_semidirect2(order: int, t: int, prime: int | None):
     """<x, y | x^2 = 1, y^m = 1, x^-1 y x = y^t> with m = order/2.
 
     Covers dihedral (t = -1), semidihedral (t = m/2 - 1) and the modular
     maximal-cyclic family (t = m/2 + 1); elements are x^i y^j.
     """
     m = order // 2
-    elems = [(i, j) for i in range(2) for j in range(m)]
     def mult(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
-        # y^j x = x y^(j t), so x^i1 y^j1 x^i2 y^j2 = x^(i1+i2) y^(j1 t^i2 + j2)
-        return ((i1 + i2) % 2, (j1 * (t if i2 else 1) + j2) % m)
-    label = lambda e: _word_label([("x", e[0]), ("y", e[1])])
-    gens = {"x": (1, 0), "y": (0, 1)}
-    return elems, mult, label, gens
+        (i1, j1), (i2, j2) = e1, e2
+        # y^j x = x y^(j t), so x^i1 y^j1 x^i2 y^j2 = x^(i1+i2) y^(j1 t^i2 + j2),
+        # and t^i2 = 1 + (t - 1) i2 for i2 in {0, 1}
+        return ((i1 + i2) % 2, (j1 * (1 + (t - 1) * i2) + j2) % m)
+    return _system(("x", "y"), (2, m), mult, prime)
 
 
 def _sys_dihedral(d: GroupDescriptor):
     order = d["order"]
-    e, m, l, g = _sys_semidirect2(order, -1)
-    pp = prime_power(order)
-    return e, m, l, g, pp[0] if pp else None
+    return _sys_semidirect2(order, -1, _prime_of(order))
 
 
 def _sys_semidihedral(d: GroupDescriptor):
     order = d["order"]
     # conjugation exponent 2n - 1 for order 8n equals 2^(r-2) - 1 when 8n = 2^r
-    e, m, l, g = _sys_semidirect2(order, order // 4 - 1)
-    pp = prime_power(order)
-    return e, m, l, g, pp[0] if pp else None
+    return _sys_semidirect2(order, order // 4 - 1, _prime_of(order))
 
 
 def _sys_modular2(d: GroupDescriptor):
     order = d["order"]
-    e, m, l, g = _sys_semidirect2(order, order // 4 + 1)
-    return e, m, l, g, 2
+    return _sys_semidirect2(order, order // 4 + 1, 2)
 
 
 def _sys_dicyclic(d: GroupDescriptor):
     order = d["order"]
     n = order // 4
     m = 2 * n
-    elems = [(i, j) for i in range(2) for j in range(m)]
     def mult(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
-        j = (j1 * (-1 if i2 else 1)) + j2
-        if i1 and i2:
-            j += n  # x^2 = y^n, central since y^n = y^-n
-        return ((i1 + i2) % 2, j % m)
-    label = lambda e: _word_label([("x", e[0]), ("y", e[1])])
-    gens = {"x": (1, 0), "y": (0, 1)}
-    pp = prime_power(order)
-    return elems, mult, label, gens, pp[0] if pp else None
+        (i1, j1), (i2, j2) = e1, e2
+        # y^j x = x y^-j, and x^2 = y^n (central since y^n = y^-n) when both
+        # x exponents are 1
+        return ((i1 + i2) % 2, (j1 * (1 - 2 * i2) + j2 + n * i1 * i2) % m)
+    return _system(("x", "y"), (2, m), mult, _prime_of(order))
 
 
 def _sys_g1(d: GroupDescriptor):
@@ -247,14 +259,10 @@ def _sys_g1(d: GroupDescriptor):
     """
     p = d["p"]
     pa, pb, pg = p ** d["alpha"], p ** d["beta"], p ** d["gamma"]
-    elems = [(i, j, t) for i in range(pa) for j in range(pb) for t in range(pg)]
     def mult(e1, e2):
-        i1, j1, t1 = e1
-        i2, j2, t2 = e2
+        (i1, j1, t1), (i2, j2, t2) = e1, e2
         return ((i1 + i2) % pa, (j1 + j2) % pb, (t1 + t2 - j1 * i2) % pg)
-    label = lambda e: _word_label([("a", e[0]), ("b", e[1]), ("c", e[2])])
-    gens = {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}
-    return elems, mult, label, gens, p
+    return _system(("a", "b", "c"), (pa, pb, pg), mult, p)
 
 
 def _sys_g2(d: GroupDescriptor):
@@ -264,18 +272,12 @@ def _sys_g2(d: GroupDescriptor):
     u = 1 + p ** (d["alpha"] - d["gamma"])
     v = pow(u, -1, pa)
     # v^j for j in [0, p^beta); u is a unit of order p^gamma dividing p^beta
-    vpow = [1]
-    for _ in range(pb - 1):
-        vpow.append(vpow[-1] * v % pa)
-    elems = [(i, j) for i in range(pa) for j in range(pb)]
+    vpow = np.array([pow(v, j, pa) for j in range(pb)], dtype=np.int64)
     def mult(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
+        (i1, j1), (i2, j2) = e1, e2
         # b^j1 a^i2 = a^(i2 * u^-j1) b^j1
         return ((i1 + i2 * vpow[j1]) % pa, (j1 + j2) % pb)
-    label = lambda e: _word_label([("a", e[0]), ("b", e[1])])
-    gens = {"a": (1, 0), "b": (0, 1)}
-    return elems, mult, label, gens, p
+    return _system(("a", "b"), (pa, pb), mult, p)
 
 
 def _mat_mul(A, B):
@@ -308,17 +310,15 @@ def _sys_g3(d: GroupDescriptor):
         closing[1][0] % ps, closing[1][1] % ps) != (0, 1):
         raise InternalConsistencyError(
             f"{d.canonical()}: conjugation action is not of order dividing p^beta")
-    elems = [(i, t, j) for i in range(pa) for t in range(ps) for j in range(pb)]
+    # entry [r][c] of phi^(-j) for every j, indexed by j
+    A00, A01, A10, A11 = (np.array([P[r][c] for P in powers], dtype=np.int64)
+                          for r in range(2) for c in range(2))
     def mult(e1, e2):
-        i1, t1, j1 = e1
-        i2, t2, j2 = e2
-        A = powers[j1]  # phi^(-j1)
-        i2b = (A[0][0] * i2 + A[0][1] * t2) % pa
-        t2b = (A[1][0] * i2 + A[1][1] * t2) % ps
+        (i1, t1, j1), (i2, t2, j2) = e1, e2
+        i2b = (A00[j1] * i2 + A01[j1] * t2) % pa
+        t2b = (A10[j1] * i2 + A11[j1] * t2) % ps
         return ((i1 + i2b) % pa, (t1 + t2b) % ps, (j1 + j2) % pb)
-    label = lambda e_: _word_label([("a", e_[0]), ("c", e_[1]), ("b", e_[2])])
-    gens = {"a": (1, 0, 0), "c": (0, 1, 0), "b": (0, 0, 1)}
-    return elems, mult, label, gens, p
+    return _system(("a", "c", "b"), (pa, ps, pb), mult, p)
 
 
 def _sys_g4(d: GroupDescriptor):
@@ -332,19 +332,12 @@ def _sys_g4(d: GroupDescriptor):
     p = d["p"]
     pa, pb, pg = p ** d["alpha"], p ** d["beta"], p ** d["gamma"]
     pr, psg = p ** d["rho"], p ** d["sigma"]
-    elems = [(i, j, t) for i in range(pa) for j in range(pb) for t in range(pg)]
     def mult(e1, e2):
-        i1, j1, t1 = e1
-        i2, j2, t2 = e2
-        t = t1 + t2 - j1 * i2
-        if i1 + i2 >= pa:
-            t += pr
-        if j1 + j2 >= pb:
-            t += psg
+        (i1, j1, t1), (i2, j2, t2) = e1, e2
+        # (i1 + i2) // pa is the 0/1 carry of the a exponent, likewise for b
+        t = t1 + t2 - j1 * i2 + pr * ((i1 + i2) // pa) + psg * ((j1 + j2) // pb)
         return ((i1 + i2) % pa, (j1 + j2) % pb, t % pg)
-    label = lambda e: _word_label([("a", e[0]), ("b", e[1]), ("c", e[2])])
-    gens = {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)}
-    return elems, mult, label, gens, p
+    return _system(("a", "b", "c"), (pa, pb, pg), mult, p)
 
 
 _SYSTEMS = {
@@ -393,29 +386,57 @@ def check_group_axioms(group: FiniteGroup, seed: int = 0) -> None:
                 f"{group.name}: associativity fails on random sample")
 
 
+# Rows per block of the array build: its temporaries, a few 128 x n int64
+# arrays, stay a few MB at the order cap, where one n x n int64 array alone
+# would take 134 MB.
+_BLOCK_ROWS = 128
+
+
+def _table(radices: tuple[int, ...], mult) -> list[list[int]]:
+    """The multiplication table of a system, as lists of shared int objects.
+
+    Indices are decoded into coordinate arrays once; each block of rows is
+    multiplied against all columns by broadcasting and re-encoded. The codes
+    index one shared object array of the ints 0..n-1, so that the n^2 cells
+    reference n int objects instead of n^2 fresh ones.
+    """
+    n = math.prod(radices)
+    cols = np.unravel_index(np.arange(n), radices)
+    ints = np.array(range(n), dtype=object)
+    table = []
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = tuple(c[start:start + _BLOCK_ROWS, None] for c in cols)
+        table.extend(ints[np.ravel_multi_index(mult(rows, cols), radices)].tolist())
+    return table
+
+
 @functools.lru_cache(maxsize=32)
 def build(desc: GroupDescriptor) -> FiniteGroup:
     """Construct the group for a validated descriptor.
 
-    Refuses orders above ORDER_CAP. The built table passes the group axioms
-    and every relation of the presentation, otherwise an
-    InternalConsistencyError is raised.
+    Refuses orders above ORDER_CAP. The named generators generate the built
+    table, which passes the group axioms and every relation of the
+    presentation; otherwise an InternalConsistencyError is raised.
     """
+    from .subgroups import subgroup_closure
     validate_descriptor(desc)
     order = desc.theoretical_order()
     if order > ORDER_CAP:
         raise GroupTooLargeError(
             f"{desc.canonical()}: order {order} exceeds cap {ORDER_CAP}")
-    elems, mult, label, gens, prime = _SYSTEMS[desc.family](desc)
-    index = {e: k for k, e in enumerate(elems)}
-    table = [[index[mult(x, y)] for y in elems] for x in elems]
+    system = _SYSTEMS[desc.family](desc)
+    table = _table(system.radices, system.mult)
     if len(table) != order:
         raise InternalConsistencyError(
             f"{desc.canonical()}: built order {len(table)} != expected {order}")
-    group = FiniteGroup(
-        desc.canonical(), table, [label(e) for e in elems],
-        {name: index[g] for name, g in gens.items()}, prime=prime)
+    labels = [system.label(e) for e in itertools.product(*map(range, system.radices))]
+    generators = {name: int(np.ravel_multi_index(g, system.radices))
+                  for name, g in system.gens.items()}
+    group = FiniteGroup(desc.canonical(), table, labels, generators, prime=system.prime)
     check_group_axioms(group)
+    if len(subgroup_closure(group, generators.values())) != order:
+        raise InternalConsistencyError(
+            f"{desc.canonical()}: generators {sorted(generators)} do not generate it")
     report = verify_presentation(group, desc)
     if not report.ok:
         raise InternalConsistencyError(

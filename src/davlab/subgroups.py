@@ -1,4 +1,13 @@
-"""Subgroups as bit vectors over element indices, with closure machinery."""
+"""Subgroups as bit vectors over element indices, carried by generating sets.
+
+A Subgroup holds its member mask and a list of elements generating it. The
+list is recorded by the operations that make subgroups (the named generators
+of the group, the kept generators of a closure) and derived greedily from the
+mask otherwise. Closures grow one generator at a time, by right cosets of the
+subgroup built so far, so a candidate already inside costs one bit test.
+Commutator subgroups are normal closures of the commutators of generators;
+products close the union of two generating sets.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +16,19 @@ from .groups import FiniteGroup
 
 
 class Subgroup:
-    """Sorted element set of a parent group, backed by an int bit mask."""
+    """Sorted element set of a parent group, backed by an int bit mask.
 
-    __slots__ = ("group", "mask")
+    The mask must be closed under the group law. ``gens`` is a list of
+    elements generating it, derived from the mask on first use when the
+    maker did not record one.
+    """
 
-    def __init__(self, group: FiniteGroup, mask: int):
+    __slots__ = ("group", "mask", "_gens")
+
+    def __init__(self, group: FiniteGroup, mask: int, gens: list[int] | None = None):
         self.group = group
         self.mask = mask
+        self._gens = gens
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> "Subgroup":
@@ -21,6 +36,13 @@ class Subgroup:
         for x in elements:
             mask |= 1 << x
         return cls(group, mask)
+
+    @property
+    def gens(self) -> list[int]:
+        """Elements generating the subgroup; do not mutate the list."""
+        if self._gens is None:
+            self._gens = _grow(self.group, 1, [], self.elements())[1]
+        return self._gens
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -39,13 +61,7 @@ class Subgroup:
         return self.mask & ~other.mask == 0
 
     def elements(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return _members(self.mask)
 
     @property
     def is_trivial(self) -> bool:
@@ -55,60 +71,90 @@ class Subgroup:
         return f"Subgroup(|H|={len(self)} of {self.group.name})"
 
 
+def _members(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _grow(group: FiniteGroup, mask: int, gens: list[int], candidates):
+    """(mask, gens) of <H, candidates> for the subgroup H given as (mask, gens).
+
+    Each candidate c outside the subgroup K built so far becomes a generator,
+    and K grows to <K, c> as a union of right cosets K y: since K y g = K (y g),
+    a walk over coset representatives under right multiplication by the
+    generators visits every coset once.
+    """
+    table = group.table
+    gens = list(gens)
+    for c in candidates:
+        if (mask >> c) & 1:
+            continue
+        gens.append(c)
+        K = _members(mask)
+        reps = [0]
+        while reps:
+            row = table[reps.pop()]
+            for g in gens:
+                z = row[g]
+                if not (mask >> z) & 1:
+                    # z = 1 z is in K z; set first, so the walk also ends
+                    # on a table that is not a group
+                    mask |= 1 << z
+                    for k in K:
+                        mask |= 1 << table[k][z]
+                    reps.append(z)
+    return mask, gens
+
+
 def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, 1)
+    return Subgroup(group, 1, [])
 
 
 def whole_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, (1 << group.order) - 1)
+    """G, generated by the group's named generators."""
+    return Subgroup(group, (1 << group.order) - 1, group.generating_set())
 
 
 def subgroup_closure(group: FiniteGroup, gens) -> Subgroup:
-    """Least subgroup containing gens, by breadth-first closure under the table.
+    """Least subgroup containing gens; empty gens yields the trivial subgroup.
 
-    Finiteness makes closure under right multiplication by the generators
-    enough; inverses come for free. Empty gens yields the trivial subgroup.
+    The result records the generators it kept: those, in ascending order,
+    that were not already in the closure of the ones before them.
     """
-    table = group.table
-    gen_list = sorted(set(gens))
-    seen = 1
-    frontier = [0]
-    for g in gen_list:
-        if not (seen >> g) & 1:
-            seen |= 1 << g
-            frontier.append(g)
-    while frontier:
-        x = frontier.pop()
-        row = table[x]
-        for g in gen_list:
-            y = row[g]
-            if not (seen >> y) & 1:
-                seen |= 1 << y
-                frontier.append(y)
-    return Subgroup(group, seen)
+    return Subgroup(group, *_grow(group, 1, [], sorted(set(gens))))
 
 
 def commutator_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
-    """Closure of all pairwise commutators [h, k], h in H, k in K."""
-    table = group.table
-    inv = group.inverse
-    gens = set()
-    k_elems = K.elements()
-    k_invs = [inv[k] for k in k_elems]
-    for h in H.elements():
-        row_ih = table[inv[h]]
-        row_h = table[h]
-        for k, ik in zip(k_elems, k_invs):
-            gens.add(table[row_ih[ik]][row_h[k]])
-    gens.discard(0)
-    return subgroup_closure(group, gens)
+    """[H, K], generated by all pairwise commutators [h, k], h in H, k in K.
+
+    Computed as the same subgroup: the normal closure in <H, K> of the
+    commutators [x, y] of generators x of H and y of K. Each generator of the
+    closure is conjugated by each generator of H and K and added when it falls
+    outside; N^c <= N implies N^c = N in a finite group, so the result is
+    normal in <H, K>.
+    """
+    table, inv = group.table, group.inverse
+    seeds = [group.commutator(x, y) for x in H.gens for y in K.gens]
+    conjugators = H.gens + K.gens
+    mask, gens = _grow(group, 1, [], seeds)
+    i = 0
+    while i < len(gens):
+        x = gens[i]
+        i += 1
+        for c in conjugators:  # add x^c = c^-1 x c
+            mask, gens = _grow(group, mask, gens, (table[table[inv[c]][x]][c],))
+    return Subgroup(group, mask, gens)
 
 
 def power_subgroup(group: FiniteGroup, H: Subgroup, k: int) -> Subgroup:
     """Subgroup generated by the k-th powers of the members of H."""
     if k < 1:
         raise DavlabError(f"power_subgroup needs k >= 1, got {k}")
-    return subgroup_closure(group, {group.pow(h, k) for h in H.elements()})
+    return Subgroup(group, *_grow(group, 1, [], (group.pow(h, k) for h in H.elements())))
 
 
 def power_set(group: FiniteGroup, H: Subgroup, k: int) -> set[int]:
@@ -117,7 +163,8 @@ def power_set(group: FiniteGroup, H: Subgroup, k: int) -> set[int]:
 
 
 def product_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
-    return subgroup_closure(group, set(H.elements()) | set(K.elements()))
+    """<H, K>: H grown by the generators of K."""
+    return Subgroup(group, *_grow(group, H.mask, H.gens, K.gens))
 
 
 def is_normal(group: FiniteGroup, H: Subgroup) -> bool:

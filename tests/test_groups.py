@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from davlab import build, build_from_string, parse_descriptor, verify_presentation
 from davlab.errors import GroupTooLargeError, InternalConsistencyError
-from davlab.groups import check_group_axioms
+from davlab import groups
+from davlab.groups import FiniteGroup, check_group_axioms
 from davlab.groups import _sys_g4  # tuple-level access for the carry family
 
 GRID = [
@@ -234,3 +237,73 @@ def test_abelian_product_matches_componentwise(grp):
         for e2 in pairs:
             want = index[((e1[0] + e2[0]) % 2, (e1[1] + e2[1]) % 4)]
             assert G.mul(index[e1], index[e2]) == want
+
+
+# sha256 of np.asarray(table, int32).tobytes() as built by the per-pair loop
+# over the element list (index[mult(x, y)] for every x, y) before tables were
+# built from coordinate arrays; a reordered encoding or a wrong cocycle sign
+# changes the digest. m2[1024] and d[1000] lie above the full-associativity
+# cap, where the axiom check only samples triples.
+GOLDEN_TABLES = {
+    "c[1]": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+    "c[12]": "95e853c042436f11d7eda0d1883c5880debefaefde06702c2d26b1cecdf395bb",
+    "ab[1,4]": "dda21c0c7eac5e110dd2377b15ccac9197ef8352f9ebc590eec8ad9def58b5eb",
+    "ab[2,4,3]": "475801add22da4207684b7dc449acc26705f2a7cdd37ae13599dd2a67ccc55a0",
+    "d[4]": "ae6755f9e0f25932512eebd6b9c03ace2bfaf6ddcfab511694411edcb84a6a1c",
+    "d[18]": "9b2132b8202b222c402fcc5289aef89290385e65ddc5a29c49fb6aabec9c54e4",
+    "q[8]": "0dc765ba514225a156a8a5f49e02abea58ee70c596367147b1dd18935859d8bd",
+    "q[20]": "30d5453b1d1b88101373bf4ee234e6117b94452110472a9cf464f19b0eab2aff",
+    "sd[16]": "d520371fdc46fbe1f381352d594517c069f150b773802b6e8bdea5fea0698684",
+    "sd[40]": "261149a95e314b9a3d42212710945ebd5a18690419dbae41f0b0a074c0ff5b3a",
+    "m2[64]": "4ac2b72d5833f6274b96ae22fec81e1f37e05432b58453e540fc84a1abf08178",
+    "g1[3,2,1,1]": "27b7f4977b1d86071261bb6539bd289f4586bbb67e5df0863bb003a47c07b574",
+    "g1[5,1,1,1]": "2e1ece2ac6ff74b25cae3dd32c667ebd2f5922967b0c3eccb360bc360a7619c5",
+    "g2[3,2,2,1]": "eaba43873dc2677bc22be08d4115d46a65a363747e4a6f9e6c621ee69ef9c0f1",
+    "g3[3,3,2,2,1]": "0dcfdc3c8e87394657689b12a4a9df7456c54e382b47fffafe651ab190b0d970",
+    "m2[1024]": "7ebb0d8bf1f6d5b89edbed32ce2b0b15db3c26d23710516c474910d2eb315ecb",
+    "d[1000]": "c095593b437781342a22f512a9aee8eb4ba5afae91f2579f3e3e708db810e831",
+}
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_TABLES))
+def test_table_matches_golden_digest(text, grp):
+    table = np.asarray(grp(text).table, dtype=np.int32)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == GOLDEN_TABLES[text]
+
+
+def test_build_rejects_generators_that_do_not_generate(monkeypatch):
+    real = groups._SYSTEMS["d"]
+
+    def without_y(desc):
+        system = real(desc)
+        return system._replace(gens={"x": system.gens["x"]})
+
+    monkeypatch.setitem(groups._SYSTEMS, "d", without_y)
+    with pytest.raises(InternalConsistencyError, match="do not generate it"):
+        groups.build.__wrapped__(parse_descriptor("d[8]"))
+
+
+def test_missing_inverse_is_an_internal_error():
+    table = [[0, 1, 2], [1, 2, 1], [2, 0, 1]]  # row 1 has no identity
+    with pytest.raises(InternalConsistencyError, match="element 1 has no inverse"):
+        FiniteGroup("broken", table, ["1", "x", "y"], {})
+
+
+# the naive-oracle grid of test_zerosum.py plus four larger groups
+GENERATOR_GRID = ["c[1]", "c[2]", "c[3]", "c[4]", "c[5]", "c[6]", "c[7]", "c[8]",
+                  "ab[2,2]", "d[6]", "q[8]", "d[8]",
+                  "d[64]", "q[48]", "g1[3,1,1,1]", "g2[3,2,1,1]"]
+
+
+@pytest.mark.parametrize("text", GENERATOR_GRID)
+def test_generator_shortcuts_match_all_pairs(text, grp):
+    """center, is_abelian and inverse agree with their all-pairs definitions."""
+    G = grp(text)
+    elems = range(G.order)
+    t = G.table
+    assert G.center() == [z for z in elems if all(t[z][g] == t[g][z] for g in elems)]
+    assert G.is_abelian() == all(t[x][y] == t[y][x] for x in elems for y in elems)
+    assert G.inverse == [next(y for y in elems if t[x][y] == 0) for x in elems]
+    # a group with no named generators counts as generated by all elements
+    bare = FiniteGroup(G.name, t, G.labels, {})
+    assert bare.center() == G.center() and bare.is_abelian() == G.is_abelian()

@@ -160,3 +160,31 @@ def test_series_members_normal_in_g(text, grp):
     G = grp(text)
     for M in m_series(G):
         assert is_normal(G, M)
+
+
+def literal_m_series(G, p):
+    """M_1 = G, M_n = <[M_{n-1}, G], M_{ceil(n/p)}^(p)> from all pairs and all
+    powers, down to the first trivial term; masks only."""
+    def closure(elems):
+        seen, frontier = {0}, [0]
+        while frontier:
+            row = G.table[frontier.pop()]
+            for g in elems:
+                if row[g] not in seen:
+                    seen.add(row[g])
+                    frontier.append(row[g])
+        return seen
+
+    series = [set(range(G.order))]
+    while len(series[-1]) > 1:
+        n = len(series) + 1
+        comms = {G.commutator(x, g) for x in series[-1] for g in range(G.order)}
+        powers = {G.pow(x, p) for x in series[(n + p - 1) // p - 1]}
+        series.append(closure(comms | powers))
+    return [sum(1 << x for x in s) for s in series]
+
+
+@pytest.mark.parametrize("text", ["d[256]", "q[128]", "g1[3,2,2,1]", "g2[3,4,2,2]"])
+def test_m_series_matches_literal_definition(text, grp):
+    G = grp(text)
+    assert [s.mask for s in m_series(G)] == literal_m_series(G, G.prime)

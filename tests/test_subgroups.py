@@ -1,11 +1,15 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from davlab import (commutator_subgroup, is_normal, nilpotency_class, power_subgroup,
+from davlab import (build, commutator_subgroup, is_normal, nilpotency_class, power_subgroup,
                     product_subgroup, quotient_order, subgroup_closure,
-                    trivial_subgroup, whole_subgroup)
+                    parse_descriptor, trivial_subgroup, whole_subgroup)
 from davlab.errors import DavlabError
+from davlab.groups import FiniteGroup, check_group_axioms
 from davlab.subgroups import Subgroup, power_set
 
 
@@ -169,3 +173,68 @@ def test_subgroup_container_protocol(grp):
     assert 0 in H and G.pow(G.generators["g"], 4) in H
     assert G.generators["g"] not in H
     assert H == Subgroup.from_elements(G, H.elements())
+
+
+# --- generator-set operations against their literal definitions -------------
+
+def literal_closure(G, elems) -> int:
+    """Mask of the closure of elems under the table, one element at a time."""
+    gens = set(elems)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        row = G.table[frontier.pop()]
+        for g in gens:
+            if row[g] not in seen:
+                seen.add(row[g])
+                frontier.append(row[g])
+    return sum(1 << x for x in seen)
+
+
+def literal_commutator(G, H, K) -> int:
+    return literal_closure(G, {G.commutator(h, k) for h in H.elements() for k in K.elements()})
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    """S_n on permutation tuples, generated by (0 1) and (0 1 ... n-1).
+
+    In the descriptor families every commutator lands in a cyclic normal
+    subgroup or in the center, so the closure of generator commutators is
+    already normal there; in S_4 and S_5 it often is not (in A_4,
+    [<(0 1 2)>, <(0 1 3)>] is the Klein group, not a subgroup of order 2).
+    """
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
+    cycle = tuple(range(1, n)) + (0,)
+    swap = (1, 0) + tuple(range(2, n))
+    G = FiniteGroup(f"S{n}", table, [str(p) for p in perms],
+                    {"s": index[swap], "t": index[cycle]})
+    check_group_axioms(G)
+    return G
+
+
+SYMMETRIC = {"S4": symmetric_group(4), "S5": symmetric_group(5)}
+PROPERTY_GRID = ["c[12]", "ab[3,9]", "d[6]", "d[16]", "d[64]", "q[24]", "q[48]",
+                 "sd[32]", "m2[64]", "g1[3,1,1,1]", "g1[3,2,2,1]", "g2[3,2,2,1]",
+                 "g2[5,2,1,1]", *SYMMETRIC]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(PROPERTY_GRID), st.data())
+def test_subgroup_operations_match_literal_definitions(text, data):
+    G = SYMMETRIC.get(text) or build(parse_descriptor(text))
+    element = st.integers(min_value=0, max_value=G.order - 1)
+    h_seeds = data.draw(st.lists(element, min_size=1, max_size=3))
+    k_seeds = data.draw(st.lists(element, min_size=1, max_size=3))
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    H = subgroup_closure(G, h_seeds)              # generators recorded
+    assert H.mask == literal_closure(G, h_seeds)
+    K = Subgroup(G, literal_closure(G, k_seeds))  # generators derived from the mask
+    assert subgroup_closure(G, K.gens) == K
+    assert commutator_subgroup(G, H, K).mask == literal_commutator(G, H, K)
+    assert commutator_subgroup(G, K, H).mask == literal_commutator(G, K, H)
+    assert power_subgroup(G, H, k).mask == literal_closure(G, power_set(G, H, k))
+    assert power_subgroup(G, K, k).mask == literal_closure(G, power_set(G, K, k))
+    assert product_subgroup(G, H, K).mask == literal_closure(
+        G, set(H.elements()) | set(K.elements()))
