@@ -2,7 +2,8 @@
 
 One read loop, `cache_records`, serves every lookup. `cache_get` is its
 one-key case; `scan` asks for the keys of its whole grid at once, so it
-reads the file once per invocation.
+reads the file once per invocation. Search results (D, Dprime, E, DA) are
+served only from records of the current SEARCH_ALGO.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .version import __version__
+from .version import SEARCH_ALGO, __version__
 
 SCHEMA_VERSION = 1
 DEFAULT_CACHE_FILE = "davlab-cache.jsonl"
 ENV_CACHE = "DAVLAB_CACHE"
 
-_INVARIANTS = {"D", "Dprime", "E", "DA", "L", "L_formula", "witness_check",
-               "oracle_check"}
+_SEARCH_INVARIANTS = {"D", "Dprime", "E", "DA"}
+_INVARIANTS = _SEARCH_INVARIANTS | {"L", "L_formula", "witness_check", "oracle_check"}
 
 
 def _now() -> str:
@@ -40,6 +41,7 @@ class ResultRecord:
     elapsed_ms: int = 0
     timestamp: str = field(default_factory=_now)
     v: int = SCHEMA_VERSION
+    algo: int | None = SEARCH_ALGO
 
     def key(self) -> tuple:
         return record_key(self.descriptor, self.invariant, self.weight_set)
@@ -75,6 +77,8 @@ def _major(version: str) -> str:
 def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     """Stream the file once and return, for each given key that has records
     of this tool's major version, the exact one if any, else the latest.
+    Search records whose algo is not SEARCH_ALGO (a line without the field
+    predates it) are stale and skipped.
 
     Corrupted lines are skipped with a warning; a missing file has no
     records. Records of other keys are dropped as they are read, so memory
@@ -91,10 +95,12 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
             if not line:
                 continue
             try:
-                record = ResultRecord(**json.loads(line))
+                record = ResultRecord(**{"algo": None, **json.loads(line)})
                 key = record.key()
                 # a field of the wrong type raises here too
                 if key not in wanted or _major(record.tool_version) != major:
+                    continue
+                if record.invariant in _SEARCH_INVARIANTS and record.algo != SEARCH_ALGO:
                     continue
             except (json.JSONDecodeError, TypeError, AttributeError) as exc:
                 warnings.warn(f"{path}:{lineno}: skipping corrupted cache line ({exc})")

@@ -672,7 +672,8 @@ def _add_common(sub, cache_flags: bool = False, budget_flags: bool = False):
                          help="skip cache reads and writes")
     if budget_flags:
         sub.add_argument("--budget-states", type=_positive(int), default=None,
-                         help="search state budget (allows larger groups; inexact on trip)")
+                         help="search state budget, counted in orbit representatives "
+                              "for D, D_A and E (allows larger groups; inexact on trip)")
         sub.add_argument("--budget-seconds", type=_positive(float), default=None,
                          help="search time budget in seconds")
 

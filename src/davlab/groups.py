@@ -23,7 +23,7 @@ import numpy as np
 
 from .descriptors import GroupDescriptor, validate_descriptor
 from .errors import GroupTooLargeError, InternalConsistencyError
-from .numtheory import prime_power
+from .numtheory import is_prime, prime_power
 from .report import Report
 
 ORDER_CAP = 4096
@@ -45,7 +45,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("name", "order", "table", "inverse", "labels", "generators",
-                 "prime", "_exponent", "_max_element_order")
+                 "prime", "_orders")
 
     def __init__(self, name: str, table: list[list[int]], labels: list[str],
                  generators: dict[str, int], prime: int | None = None):
@@ -55,8 +55,7 @@ class FiniteGroup:
         self.labels = labels
         self.generators = generators
         self.prime = prime
-        self._exponent: int | None = None
-        self._max_element_order: int | None = None
+        self._orders: list[int] | None = None
         try:
             self.inverse = [row.index(0) for row in table]
         except ValueError:
@@ -114,17 +113,31 @@ class FiniteGroup:
             k += 1
         return k
 
+    def element_orders(self) -> list[int]:
+        """The order of every element, by index; do not mutate the list.
+
+        The order of x is the least divisor d of |G| with x^d = 1: starting
+        from d = |G|, each prime p of |G| is divided out of d while
+        x^(d/p) = 1, one power by squaring per test.
+        """
+        if self._orders is None:
+            n = self.order
+            primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+            orders = []
+            for x in range(n):
+                d = n
+                for p in primes:
+                    while d % p == 0 and self.pow(x, d // p) == 0:
+                        d //= p
+                orders.append(d)
+            self._orders = orders
+        return self._orders
+
     def exponent(self) -> int:
-        if self._exponent is None:
-            orders = [self.element_order(x) for x in self.elements()]
-            self._exponent = math.lcm(*orders)
-            self._max_element_order = max(orders)
-        return self._exponent
+        return math.lcm(*self.element_orders())
 
     def max_element_order(self) -> int:
-        if self._max_element_order is None:
-            self.exponent()
-        return self._max_element_order
+        return max(self.element_orders())
 
     def is_cyclic(self) -> bool:
         # exponent == order is not enough outside abelian groups (S_3 has
@@ -365,8 +378,18 @@ def check_group_axioms(group: FiniteGroup, seed: int = 0) -> None:
     rng = np.arange(n, dtype=np.int32)
     if not (np.array_equal(T[0], rng) and np.array_equal(T[:, 0], rng)):
         raise InternalConsistencyError(f"{group.name}: identity row/column broken")
-    if not (np.array_equal(np.sort(T, axis=1), np.tile(rng, (n, 1)))
-            and np.array_equal(np.sort(T.T, axis=1), np.tile(rng, (n, 1)))):
+    # every row and every column is a permutation of 0..n-1 exactly when all
+    # entries lie in range and every (row, entry) and (entry, column) pair occurs
+    latin = bool(T.min() >= 0 and T.max() < n)
+    if latin:
+        seen = np.zeros((n, n), dtype=bool)
+        seen[rng[:, None], T] = True
+        latin = bool(seen.all())
+    if latin:
+        seen[:] = False
+        seen[T, rng[None, :]] = True
+        latin = bool(seen.all())
+    if not latin:
         raise InternalConsistencyError(f"{group.name}: table is not a Latin square")
     for x in range(n):
         if group.table[x][group.inverse[x]] != 0:

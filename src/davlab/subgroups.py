@@ -7,12 +7,24 @@ mask otherwise. Closures grow one generator at a time, by right cosets of the
 subgroup built so far, so a candidate already inside costs one bit test.
 Commutator subgroups are normal closures of the commutators of generators;
 products close the union of two generating sets.
+
+automorphisms() finds automorphisms from images of the kept generators of
+the whole group, each checked as a bijective homomorphism on every element.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import DavlabError
 from .groups import FiniteGroup
+
+# Bounds on automorphisms(): generator-image tuples tried, and permutation
+# entries kept (|A| * |G|). The second caps the memory of the kept maps and
+# the work of one orbit key in the searches, which maps a mask through up to
+# |A| of them; at order 32 it admits 1024 automorphisms.
+_AUT_MAX_CANDIDATES = 4096
+_AUT_MAX_ENTRIES = 1 << 15
 
 
 class Subgroup:
@@ -218,3 +230,82 @@ def nilpotency_class(group: FiniteGroup) -> int | None:
     if not series[-1].is_trivial:
         return None
     return len(series) - 1
+
+
+def automorphisms(group: FiniteGroup) -> list[list[int]]:
+    """A group A of automorphisms of `group`, each as the list of images of
+    0..n-1, the identity first.
+
+    Candidates send each kept generator s of the whole group (those
+    subgroup_closure keeps) to an element of the same order. A candidate is
+    extended along a breadth-first tree of the Cayley graph and kept only
+    when the map phi is a bijection with phi(h s) = phi(h) phi(s) for every
+    element h and generator s; as the s generate the group, phi is then a
+    homomorphism. The automorphisms found are closed under composition. At
+    most _AUT_MAX_CANDIDATES candidates are tried, and the enumeration ends
+    when a closure would hold more than _AUT_MAX_ENTRIES / |G| maps, so A
+    may be a proper subgroup of Aut(G).
+    """
+    n = group.order
+    table = group.table
+    gens = subgroup_closure(group, group.generating_set()).gens
+    orders = group.element_orders()
+    tree = []  # (child, parent, k): child = parent * gens[k], in BFS order
+    seen = [True] + [False] * (n - 1)
+    visit = [0]
+    for h in visit:
+        for k, s in enumerate(gens):
+            c = table[h][s]
+            if not seen[c]:
+                seen[c] = True
+                visit.append(c)
+                tree.append((c, h, k))
+    columns = [[row[s] for row in table] for s in gens]
+
+    def extended(images) -> list[int] | None:
+        """The map sending gens to images, when it is an automorphism."""
+        phi = [0] * n
+        for c, h, k in tree:
+            phi[c] = table[phi[h]][images[k]]
+        if len(set(phi)) != n:
+            return None
+        for col, im in zip(columns, images):
+            if [phi[x] for x in col] != [table[y][im] for y in phi]:
+                return None
+        return phi
+
+    identity = tuple(gens)
+    closed = {identity}  # the generator images of every member of A
+    found: list[list[int]] = []  # automorphisms generating A
+    max_kept = max(1, _AUT_MAX_ENTRIES // n)
+    options = [[s] + [y for y in range(n) if orders[y] == orders[s] and y != s]
+               for s in gens]
+    for images in itertools.islice(itertools.product(*options), _AUT_MAX_CANDIDATES):
+        if images in closed:
+            continue
+        phi = extended(images)
+        if phi is None:
+            continue
+        grown = _close(closed, found + [phi], max_kept)
+        if grown is None:
+            break
+        closed = grown
+        found.append(phi)
+    return [list(range(n))] + [extended(im) for im in sorted(closed - {identity})]
+
+
+def _close(members: set, maps: list[list[int]], limit: int) -> set | None:
+    """The generator-image tuples of the closure of members under left
+    composition with maps, or None when it holds more than limit."""
+    out = set(members)
+    frontier = list(members)
+    while frontier:
+        images = frontier.pop()
+        for phi in maps:
+            nxt = tuple(phi[y] for y in images)
+            if nxt not in out:
+                if len(out) == limit:
+                    return None
+                out.add(nxt)
+                frontier.append(nxt)
+    return out

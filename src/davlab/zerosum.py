@@ -14,10 +14,23 @@ D(G), weighted reach masks for D_A(G) and per-length product sets for E(G).
 The unordered constant D'(G) is not prefix-summarizable and keeps its own
 verifier-driven DFS over multisets.
 
+The memo is keyed by orbits under automorphisms. An automorphism a maps a
+free sequence to a free one, and the state of the image sequence is a(S), so
+the longest free extension of S depends only on its orbit. _longest_free
+therefore stores and looks up memo entries under key(S), the least image of
+S under the automorphisms that subgroups.automorphisms finds (a group of
+them, so the key is one representative per orbit), while steps, paths and
+the witness reconstruction stay on raw states: values, exactness and
+witnesses are those of the unkeyed search. SearchResult.states_explored and
+the state budget count orbit representatives. The keys serve D, D_A (a maps
+g^w to a(g)^w) and E (a fixes the identity); D' has none.
+
 The steps map a mask S to S*g through per-element byte tables (_right_maps):
 one precomputed 256-entry table per byte of S, OR-ed together, instead of one
 lookup per set bit. The lookups are unrolled up to four bytes, so above
 _BYTE_TABLE_MAX_ORDER (order 32) the steps loop over the set bits instead.
+The orbit keys follow the same cutoff, with each table entry a numpy array
+of the images under all automorphisms at once (_orbit_images).
 is_ordered_free, reach_extend and the naive oracles keep their own loops as
 the independent check on the table step. is_weighted_free checks one
 sequence and uses the set-bit loop rather than build tables for it. The D'
@@ -33,9 +46,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (BudgetExceededError, DavlabError, GroupTooLargeError,
                      InvalidWeightsError)
 from .groups import FiniteGroup
+from .subgroups import automorphisms
 
 DEFAULT_ORDERED_CAP = 64
 DEFAULT_UNORDERED_CAP = 16
@@ -82,6 +98,9 @@ class SearchBudget:
 
 @dataclass
 class SearchResult:
+    """states_explored is, for the D, D_A and E searches, the number of memo
+    entries, one per orbit representative; for D', the multisets visited."""
+
     value: int
     witness: Sequence
     states_explored: int
@@ -119,24 +138,29 @@ def _checked_budget(group: FiniteGroup, budget: SearchBudget | None,
 
 
 def _longest_free(group: FiniteGroup, start, extend, alphabet,
-                  budget: SearchBudget) -> SearchResult:
+                  budget: SearchBudget, key) -> SearchResult:
     """Longest walk from start along steps extend(state, g) that are not None.
 
-    An explicit-stack memoized DFS: memo[state] is the longest walk from
+    An explicit-stack memoized DFS: memo[key(state)] is the longest walk from
     state, and live steps strictly grow the state, so the walk graph is
-    acyclic. When the budget trips, the longest path seen so far is a lower
-    bound and the result is flagged exact=False; otherwise the witness is the
-    lexicographically-least longest walk.
+    acyclic. key is used for the memo only (lookups, stores, the state
+    budget and the reconstruction's reads); steps and paths stay on raw
+    states. States of one key must have equal longest walks, and every
+    successor of a state must have the key of a successor of any state of
+    the same key; orbit keys under a group of automorphisms (_mask_key)
+    satisfy both. When the budget trips, the longest path seen so far is a
+    lower bound and the result is flagged exact=False; otherwise the witness
+    is the lexicographically-least longest walk.
     """
     clock = _Clock(budget)
     memo: dict = {}
     path: list[int] = []
     best_path: list[int] = []
-    stack = [(start, iter(alphabet))]
+    stack = [(start, key(start), iter(alphabet))]
     bests = [0]  # longest walk found so far from each stacked state
     try:
         while stack:
-            state, letters = stack[-1]
+            state, _, letters = stack[-1]
             for g in letters:
                 nxt = extend(state, g)
                 if nxt is None:
@@ -144,18 +168,18 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
                 path.append(g)
                 if len(path) > len(best_path):
                     best_path[:] = path
-                v = memo.get(nxt)
+                k = key(nxt)
+                v = memo.get(k)
                 if v is None:
                     clock.tick(len(memo))
-                    stack.append((nxt, iter(alphabet)))
+                    stack.append((nxt, k, iter(alphabet)))
                     bests.append(0)
                     break
                 path.pop()
                 if v >= bests[-1]:
                     bests[-1] = v + 1
             else:
-                stack.pop()
-                v = memo[state] = bests.pop()
+                v = memo[stack.pop()[1]] = bests.pop()
                 if stack:
                     clock.tick(len(memo))
                     path.pop()
@@ -166,18 +190,18 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
                             len(memo), clock.elapsed(), False)
     terms = []
     state = start
-    remaining = memo[start]
+    remaining = memo[key(start)]
     while remaining > 0:
         for g in alphabet:
             nxt = extend(state, g)
-            if nxt is not None and memo[nxt] == remaining - 1:
+            if nxt is not None and memo[key(nxt)] == remaining - 1:
                 terms.append(g)
                 state = nxt
                 remaining -= 1
                 break
         else:
             raise DavlabError("witness reconstruction failed")  # pragma: no cover
-    return SearchResult(1 + memo[start], Sequence(group, tuple(terms)), len(memo),
+    return SearchResult(1 + memo[key(start)], Sequence(group, tuple(terms)), len(memo),
                         clock.elapsed(), True)
 
 
@@ -197,13 +221,14 @@ def _mapped(mask: int, row: list[int]) -> int:
     return out
 
 
-def _byte_tables(row: list[int]) -> list[list[int]]:
+def _byte_tables(row: list) -> list[list]:
     """tabs[k][b] is the image under row of the bits b << 8k; the last table
-    covers only the bits below the group order."""
+    covers only the bits below the group order. The entries of row may also
+    be numpy arrays, one image per automorphism (_orbit_images)."""
     tabs = []
     for lo in range(0, len(row), 8):
         bits = row[lo:lo + 8]
-        tab = [0] * (1 << len(bits))
+        tab = [bits[0] & 0] * (1 << len(bits))  # 0, or an array of zeros
         for b in range(1, len(tab)):
             low = b & -b
             tab[b] = tab[b ^ low] | bits[low.bit_length() - 1]
@@ -235,6 +260,53 @@ def _right_maps(group: FiniteGroup) -> list:
     if group.order > _BYTE_TABLE_MAX_ORDER:
         return [functools.partial(_mapped, row=row) for row in succ]
     return [_byte_map(_byte_tables(row)) for row in succ]
+
+
+def _orbit_images(group: FiniteGroup):
+    """images(mask) -> the images of mask under every automorphism that
+    automorphisms() finds, as a numpy array; None when it finds only the
+    identity.
+
+    Like _right_maps, byte tables up to _BYTE_TABLE_MAX_ORDER and the
+    set-bit loop above it, each entry now the array of the images under all
+    automorphisms at once: uint32 in the tables, as masks fit 32 bits there,
+    Python ints above.
+    """
+    auts = automorphisms(group)
+    if len(auts) == 1:
+        return None
+    perms = np.array(auts, dtype=np.int64).T  # perms[x] lists the images of x
+    if group.order > _BYTE_TABLE_MAX_ORDER:
+        cols = [np.array([1 << int(y) for y in images], dtype=object) for images in perms]
+        zero = np.zeros(len(auts), dtype=object)
+        return lambda mask: zero | _mapped(mask, cols)
+    cols = list(np.uint32(1) << perms.astype(np.uint32))
+    return _byte_map([np.array(tab) for tab in _byte_tables(cols)])
+
+
+def _same(state):
+    return state
+
+
+def _mask_key(group: FiniteGroup):
+    """The memo key of reach masks: the least image of the mask under the
+    automorphisms found, one representative per orbit, cached per raw mask.
+    Sound for every step that commutes with automorphisms: that of D, and of
+    D_A, since a(g^w) = a(g)^w."""
+    images = _orbit_images(group)
+    if images is None:
+        return _same
+    return functools.cache(lambda mask: int(images(mask).min()))
+
+
+def _tuple_key(group: FiniteGroup):
+    """The memo key of tuples of masks (the E states): the least of their
+    images under one automorphism applied to every component, compared as
+    tuples, cached per raw state."""
+    images = _orbit_images(group)
+    if images is None:
+        return _same
+    return functools.cache(lambda state: min(zip(*(images(c).tolist() for c in state))))
 
 
 # --- reach states -------------------------------------------------------------
@@ -301,7 +373,8 @@ def davenport_ordered(group: FiniteGroup, budget: SearchBudget | None = None,
         new = mask | (1 << g) | maps[g](mask)
         return None if new & 1 else new
 
-    return _longest_free(group, 0, extend, range(1, group.order), budget)
+    return _longest_free(group, 0, extend, range(1, group.order), budget,
+                         _mask_key(group))
 
 
 def davenport_ordered_naive(group: FiniteGroup) -> int:
@@ -542,7 +615,8 @@ def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None,
         new[0] |= 1 << g
         return None if new[n - 1] & 1 else tuple(new)
 
-    return _longest_free(group, (0,) * n, extend, range(n), budget)
+    # automorphisms fix the identity, so a(state) is the state of a(terms)
+    return _longest_free(group, (0,) * n, extend, range(n), budget, _tuple_key(group))
 
 
 def eg_lower_witness(group: FiniteGroup, ordered_witness: Sequence) -> Sequence:
@@ -592,7 +666,7 @@ def davenport_weighted(group: FiniteGroup, weights,
     A = _validate_weights(group, weights)
     budget = _checked_budget(group, budget, max_order, "search")
     return _longest_free(group, 0, _weighted_step(group, A, _right_maps(group)),
-                         range(group.order), budget)
+                         range(group.order), budget, _mask_key(group))
 
 
 def is_weighted_free(seq: Sequence, weights) -> bool:

@@ -5,6 +5,7 @@ import pytest
 
 from davlab.cache import (ResultRecord, cache_get, cache_path, cache_put, cache_records,
                           record_key)
+from davlab.version import SEARCH_ALGO, __version__
 
 
 def test_roundtrip(tmp_path):
@@ -120,3 +121,18 @@ def test_cache_records_keeps_only_wanted_keys(tmp_path):
             assert (asdict(one) if one else None) == \
                 (asdict(got[key]) if key in got else None)
 
+
+
+def test_search_records_need_the_current_algo(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    line = {"descriptor": "q[8]", "invariant": "D", "value": 5, "exact": True,
+            "tool_version": __version__}
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")                           # no algo field
+        fh.write(json.dumps({**line, "algo": SEARCH_ALGO + 1}) + "\n")
+        fh.write(json.dumps({**line, "invariant": "L"}) + "\n")     # not a search
+    assert cache_get(path, "q[8]", "D") is None
+    assert cache_get(path, "q[8]", "L").value == 5
+    cache_put(path, ResultRecord("q[8]", "D", 5, True))
+    got = cache_get(path, "q[8]", "D")
+    assert got.value == 5 and got.algo == SEARCH_ALGO

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
@@ -205,6 +206,49 @@ def test_axiom_check_catches_broken_table():
     bad = FiniteGroup("broken", broken, list(G.labels), {})
     with pytest.raises(InternalConsistencyError):
         check_group_axioms(bad)
+
+
+def _with_cells(G, cells):
+    table = [row[:] for row in G.table]
+    for (x, y), value in cells.items():
+        table[x][y] = value
+    return FiniteGroup("edited", table, list(G.labels), {})
+
+
+@pytest.mark.parametrize("edit", ["row", "column", "above", "negative"])
+def test_latin_check_catches_each_defect(edit):
+    G = build_from_string("d[6]")
+    T = G.table
+    cells = {
+        # two cells of column 3 swapped: every column stays a permutation,
+        # rows 2 and 4 each hold a duplicate
+        "row": {(2, 3): T[4][3], (4, 3): T[2][3]},
+        # two cells of row 2 swapped: every row stays a permutation,
+        # columns 3 and 4 each hold a duplicate
+        "column": {(2, 3): T[2][4], (2, 4): T[2][3]},
+        "above": {(2, 3): G.order},
+        "negative": {(2, 3): -1},
+    }[edit]
+    with pytest.raises(InternalConsistencyError, match="not a Latin square"):
+        check_group_axioms(_with_cells(G, cells))
+
+
+@pytest.mark.parametrize("text", GRID)
+def test_element_orders_match_the_literal_walk(text, grp):
+    G = grp(text)
+    orders = [G.element_order(x) for x in G.elements()]
+    assert G.element_orders() == orders
+    assert G.exponent() == math.lcm(*orders)
+    assert G.is_cyclic() == (max(orders) == G.order)
+
+
+def test_element_orders_at_the_order_cap(grp):
+    # c[4096] lists g^k at index k, whose order is n / gcd(k, n)
+    G = grp("c[4096]")
+    assert G.element_orders() == [4096 // math.gcd(k, 4096) for k in range(4096)]
+    assert G.exponent() == 4096 and G.is_cyclic()
+    S3 = grp("d[6]")
+    assert S3.exponent() == 6 and not S3.is_cyclic()
 
 
 ORDER_PROFILES = {

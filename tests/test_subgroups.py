@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from davlab import (build, commutator_subgroup, is_normal, nilpotency_class, pow
                     parse_descriptor, trivial_subgroup, whole_subgroup)
 from davlab.errors import DavlabError
 from davlab.groups import FiniteGroup, check_group_axioms
-from davlab.subgroups import Subgroup, power_set
+from davlab import subgroups
+from davlab.subgroups import Subgroup, automorphisms, power_set
 
 
 def test_closure_empty_is_trivial(grp):
@@ -238,3 +240,66 @@ def test_subgroup_operations_match_literal_definitions(text, data):
     assert power_subgroup(G, K, k).mask == literal_closure(G, power_set(G, K, k))
     assert product_subgroup(G, H, K).mask == literal_closure(
         G, set(H.elements()) | set(K.elements()))
+
+
+def is_automorphism(G, phi) -> bool:
+    """A bijection of the elements with phi(x y) = phi(x) phi(y) on all n^2 pairs."""
+    T = G.table
+    return sorted(phi) == list(range(G.order)) and all(
+        phi[T[x][y]] == T[phi[x]][phi[y]] for x in range(G.order) for y in range(G.order))
+
+
+def test_automorphism_check_rejects_a_non_automorphism(grp):
+    # y -> y^-1 with every other element fixed is a bijection, not a homomorphism
+    G = grp("q[8]")
+    y = G.generators["y"]
+    phi = list(range(G.order))
+    phi[y], phi[G.inv(y)] = G.inv(y), y
+    assert not is_automorphism(G, phi)
+
+
+# Every group of order <= 32 that the search tests and the search benchmark
+# run, with the order of its full automorphism group, which the enumeration
+# reaches on all of them: phi(n) for C_n, n phi(n) for D_2n (n >= 3),
+# 2n phi(2n) for Q_4n (n >= 3), 24 for Q_8, 6 for C_2^2, 2^(2r-4) for SD_2^r,
+# 2^r for M_2^r, 432 for the Heisenberg group mod 3 and 54 for M_27.
+AUT_GRID = {
+    "c[1]": 1, "c[2]": 1, "c[3]": 2, "c[4]": 2, "c[5]": 4, "c[6]": 2, "c[7]": 6,
+    "c[8]": 4, "ab[2,2]": 6, "d[6]": 6, "q[8]": 24, "d[8]": 8, "q[12]": 12,
+    "d[16]": 32, "q[16]": 32, "sd[16]": 16, "m2[16]": 16, "q[24]": 48,
+    "d[32]": 128, "q[32]": 128, "sd[32]": 64, "m2[32]": 32,
+    "g1[3,1,1,1]": 432, "g2[3,2,1,1]": 54,
+}
+
+
+@pytest.mark.parametrize("text", sorted(AUT_GRID))
+def test_automorphisms_are_bijective_homomorphisms(text, grp):
+    G = grp(text)
+    auts = automorphisms(G)
+    assert auts[0] == list(range(G.order))
+    assert len({tuple(phi) for phi in auts}) == len(auts) == AUT_GRID[text]
+    for phi in auts:
+        assert is_automorphism(G, phi), (text, phi)
+
+
+@pytest.mark.parametrize("text", ["q[8]", "d[16]", "sd[16]", "q[24]", "S4"])
+def test_automorphisms_form_a_group(text, grp):
+    G = SYMMETRIC[text] if text in SYMMETRIC else grp(text)
+    auts = automorphisms(G)
+    members = {tuple(phi) for phi in auts}
+    for a in auts:
+        for b in auts:
+            assert tuple(a[y] for y in b) in members
+    if text == "S4":  # no named generators; Aut(S_4) = Inn(S_4)
+        assert len(auts) == 24 and all(is_automorphism(G, phi) for phi in auts)
+
+
+@pytest.mark.parametrize("text", ["ab[2,2,2,2,2,2]", "ab[4,4,4]", "c[1100]"])
+def test_automorphism_enumeration_stays_bounded(text, grp):
+    # |Aut| is about 2e10, 86016 and 400 here
+    G = grp(text)
+    start = time.perf_counter()
+    auts = automorphisms(G)
+    assert time.perf_counter() - start < 1
+    assert len(auts) * G.order <= subgroups._AUT_MAX_ENTRIES
+    assert len(auts) > 1

@@ -14,6 +14,7 @@ from davlab import (SearchBudget, Sequence, build, davenport_ordered,
                     is_weighted_free, min_weight_set, olson_white_bound,
                     parse_descriptor, reach_extend, zerosum)
 from davlab.errors import DavlabError, GroupTooLargeError, InvalidWeightsError
+from davlab.subgroups import automorphisms
 from davlab.zerosum import ReachState
 
 
@@ -122,7 +123,8 @@ def test_budget_trips_gracefully(variant, grp):
         res = davenport_ordered(grp("g1[3,1,1,1]"), budget)
         free = is_ordered_free(res.witness)
     elif variant == "weighted":
-        res = davenport_weighted(grp("g1[3,1,1,1]"), (1, 2), budget)
+        # the whole search takes 8 orbit states
+        res = davenport_weighted(grp("g1[3,1,1,1]"), (1, 2), SearchBudget(max_states=4))
         free = is_weighted_free(res.witness, (1, 2))
     else:
         res = eg_invariant(grp("q[8]"), budget)
@@ -372,3 +374,95 @@ def test_search_results_report_state_counts(grp):
     res = davenport_ordered(grp("d[8]"))
     assert res.states_explored > 0
     assert res.elapsed >= 0
+
+
+# Ordered items of the benchmark's search workload, except the q[32] rung,
+# whose unkeyed search takes about 20 s.
+KEYED_GRID = NAIVE_GRID + ["q[16]", "sd[16]", "m2[16]", "q[24]", "d[32]"]
+KEYED_SEARCHES = ([(davenport_ordered, text, ()) for text in KEYED_GRID]
+                  + [(eg_invariant, text, ()) for text in ("c[8]", "d[6]", "q[8]")]
+                  + [(davenport_weighted, "q[12]", ((1, 5),)),
+                     (davenport_weighted, "q[24]", ((1, 5),)),
+                     (davenport_weighted, "d[16]", ((1, 3),))])
+
+
+def only_the_identity(group):
+    return [list(range(group.order))]
+
+
+def test_orbit_keys_give_the_same_search(grp, monkeypatch):
+    """Keyed and unkeyed searches agree on value, exactness and witness."""
+    def run_all():
+        out = []
+        for search, text, args in KEYED_SEARCHES:
+            res = search(grp(text), *args)
+            out.append(((search.__name__, text), res.value, res.exact,
+                        res.witness.terms, res.states_explored))
+        return out
+
+    keyed = run_all()
+    monkeypatch.setattr(zerosum, "automorphisms", only_the_identity)
+    unkeyed = run_all()
+    assert [k[:4] for k in keyed] == [u[:4] for u in unkeyed]
+    assert all(k[4] <= u[4] for k, u in zip(keyed, unkeyed))
+    assert sum(k[4] for k in keyed) < sum(u[4] for u in unkeyed)
+
+
+@pytest.mark.parametrize("max_states", [1, 50, 2000])
+def test_keyed_budget_trip_is_a_valid_lower_bound(max_states, grp):
+    res = davenport_ordered(grp("q[32]"), SearchBudget(max_states=max_states))
+    assert not res.exact
+    assert len(res.witness) == res.value - 1
+    assert is_ordered_free(res.witness)
+    assert res.value <= 17
+
+
+def test_orbit_keys_make_the_frontier_rung_exact(grp):
+    res = davenport_ordered(grp("q[32]"), SearchBudget(max_states=20_000))
+    assert res.exact and res.value == 17
+    assert is_ordered_free(res.witness) and len(res.witness) == 16
+
+
+INVARIANCE_GRID = ["c[8]", "ab[2,2]", "d[6]", "q[8]", "d[8]", "q[12]", "m2[16]"]
+
+
+@functools.lru_cache(maxsize=None)
+def _group_and_automorphisms(text):
+    G = build(parse_descriptor(text))
+    return G, automorphisms(G)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(INVARIANCE_GRID), st.data())
+def test_freeness_is_invariant_under_automorphisms(text, data):
+    G, auts = _group_and_automorphisms(text)
+    terms = data.draw(st.lists(st.integers(0, G.order - 1), max_size=G.order + 2))
+    universe = list(range(1, G.exponent()))
+    weights = data.draw(st.sets(st.sampled_from(universe), min_size=1))
+    seq = Sequence(G, tuple(terms))
+    expected = (is_ordered_free(seq), is_weighted_free(seq, weights),
+                has_group_length_product_one(seq))
+    for phi in auts:
+        image = Sequence(G, tuple(phi[x] for x in terms))
+        assert (is_ordered_free(image), is_weighted_free(image, weights),
+                has_group_length_product_one(image)) == expected, (text, phi, terms)
+
+
+def _image(mask, phi):
+    return sum(1 << y for x, y in enumerate(phi) if mask >> x & 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(INVARIANCE_GRID + ["q[32]"]), st.data())
+def test_orbit_keys_are_canonical(text, data):
+    """A key is an image of the state, and every image has the same key."""
+    G, auts = _group_and_automorphisms(text)
+    mask_key, tuple_key = zerosum._mask_key(G), zerosum._tuple_key(G)
+    state = tuple(data.draw(st.lists(st.integers(0, (1 << G.order) - 1),
+                                     min_size=1, max_size=4)))
+    images = [tuple(_image(m, phi) for m in state) for phi in auts]
+    assert mask_key(state[0]) in {image[0] for image in images}
+    assert tuple_key(state) in images
+    for image in images:
+        assert mask_key(image[0]) == mask_key(state[0])
+        assert tuple_key(image) == tuple_key(state)
