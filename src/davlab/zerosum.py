@@ -10,9 +10,9 @@ terminates because an identity-free extension strictly grows the state.
 One engine, _longest_free, runs that walk with an explicit stack, owns the
 memo, the budget and the witness reconstruction. Each invariant supplies only
 its start state and a step that returns None on product one: reach masks for
-D(G), weighted reach masks for D_A(G) and per-length product sets for E(G).
-The unordered constant D'(G) is not prefix-summarizable and keeps its own
-verifier-driven DFS over multisets.
+D(G), weighted reach masks for D_A(G), per-length product sets for E(G) and
+sorted multisets for the unordered constant D'(G), whose step tests one bit
+of the mask of sub-multiset arrangement products (_submultiset_products).
 
 The memo is keyed by orbits under automorphisms. An automorphism a maps a
 free sequence to a free one, and the state of the image sequence is a(S), so
@@ -23,23 +23,25 @@ them, so the key is one representative per orbit), while steps, paths and
 the witness reconstruction stay on raw states: values, exactness and
 witnesses are those of the unkeyed search. SearchResult.states_explored and
 the state budget count orbit representatives. The keys serve D, D_A (a maps
-g^w to a(g)^w) and E (a fixes the identity); D' has none.
+g^w to a(g)^w), E (a fixes the identity) and D' (a maps a free multiset to a
+free one, and the key is its least sorted image).
 
 The steps map a mask S to S*g through per-element byte tables (_right_maps):
 one precomputed 256-entry table per byte of S, OR-ed together, instead of one
 lookup per set bit. The lookups are unrolled up to four bytes, so above
-_BYTE_TABLE_MAX_ORDER (order 32) the steps loop over the set bits instead.
+_BYTE_TABLE_MAX_ORDER (order 32) the steps loop over the set bits instead,
+shifting each image bit from a column of the table (_shifted).
 The orbit keys follow the same cutoff, with each table entry a numpy array
 of the images under all automorphisms at once (_orbit_images).
-is_ordered_free, reach_extend and the naive oracles keep their own loops as
-the independent check on the table step. is_weighted_free checks one
-sequence and uses the set-bit loop rather than build tables for it. The D'
-search keeps the set-bit loop too: mapping masks is about 2% of its time,
-which goes to multiset handling.
+is_ordered_free, reach_extend, is_unordered_free and the naive oracles keep
+their own loops as the independent check on the table step.
+is_weighted_free checks one sequence and uses the set-bit loop rather than
+build tables for it.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import time
@@ -54,7 +56,7 @@ from .groups import FiniteGroup
 from .subgroups import automorphisms
 
 DEFAULT_ORDERED_CAP = 64
-DEFAULT_UNORDERED_CAP = 16
+DEFAULT_UNORDERED_CAP = 32
 DEFAULT_EG_CAP = 8
 DEFAULT_ARRANGE_CAP = 16
 
@@ -98,8 +100,8 @@ class SearchBudget:
 
 @dataclass
 class SearchResult:
-    """states_explored is, for the D, D_A and E searches, the number of memo
-    entries, one per orbit representative; for D', the multisets visited."""
+    """states_explored is the number of memo entries of the search, one per
+    orbit representative, for all four invariants."""
 
     value: int
     witness: Sequence
@@ -253,13 +255,25 @@ def _byte_map(tabs: list[list[int]]):
                       | t3[m >> 24])
 
 
+def _shifted(mask: int, col) -> int:
+    """The set-bit loop over col[x] = x*g, each bit of S*g shifted on the
+    fly: it holds no n-bit int per table cell."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << col[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _right_maps(group: FiniteGroup) -> list:
     """maps[g](S) is the reach mask S*g: per-byte lookup tables up to
-    _BYTE_TABLE_MAX_ORDER, the set-bit loop over _succ_rows above it."""
-    succ = _succ_rows(group)
+    _BYTE_TABLE_MAX_ORDER, the set-bit loop over the table's columns above
+    it."""
+    cols = list(zip(*group.table))  # cols[g][x] = x*g
     if group.order > _BYTE_TABLE_MAX_ORDER:
-        return [functools.partial(_mapped, row=row) for row in succ]
-    return [_byte_map(_byte_tables(row)) for row in succ]
+        return [functools.partial(_shifted, col=col) for col in cols]
+    return [_byte_map(_byte_tables([1 << y for y in col])) for col in cols]
 
 
 def _orbit_images(group: FiniteGroup):
@@ -530,48 +544,92 @@ class _UnorderedChecker:
                 return False
         return True
 
-    def extension_free(self, ms: tuple[int, ...], g: int) -> bool:
-        """Is ms + (g,) free, assuming ms already is? Only sub-multisets
-        containing the new term can break freeness."""
-        for sub in self.submultisets(ms):
-            if self.arrangement_products(tuple(sorted(sub + (g,)))) & 1:
-                return False
-        return True
+
+def _submultiset_products(group: FiniteGroup):
+    """reach(ms) -> the mask R(ms) of the products of all arrangements of all
+    sub-multisets of the sorted multiset ms, the empty one giving 1.
+
+    P(V), the arrangement products of V itself, and R(V) follow over the
+    distinct elements h of V: P(V) is the union of P(V-h)*h (arrangements
+    ending in h), and R(V) is P(V) with the union of the R(V-h). Both are
+    kept per sorted multiset, and filled in with an explicit stack, as a
+    multiset of |G| - 1 terms is |G| - 1 removals deep.
+    """
+    maps = _right_maps(group)
+    memo: dict[tuple, tuple[int, int]] = {(): (1, 1)}  # V -> (P(V), R(V))
+
+    def smaller(ms):
+        return [(h, ms[:i] + ms[i + 1:]) for i, h in enumerate(ms)
+                if i == 0 or ms[i - 1] != h]
+
+    def reach(ms: tuple[int, ...]) -> int:
+        got = memo.get(ms)
+        if got is not None:
+            return got[1]
+        todo = [ms]
+        while todo:
+            v = todo[-1]
+            if v in memo:
+                todo.pop()
+                continue
+            subs = smaller(v)
+            missing = [s for _, s in subs if s not in memo]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            p = r = 0
+            for h, s in subs:
+                ps, rs = memo[s]
+                p |= maps[h](ps)
+                r |= rs
+            memo[v] = (p, r | p)
+        return memo[ms][1]
+
+    return reach
+
+
+def _multiset_key(group: FiniteGroup):
+    """The memo key of sorted multisets: the least of their sorted images
+    under the automorphisms found, cached per raw multiset."""
+    auts = automorphisms(group)
+    if len(auts) == 1:
+        return _same
+    perms = np.array(auts, dtype=np.int64)  # perms[a] lists the images under a
+
+    def key(ms: tuple[int, ...]) -> tuple[int, ...]:
+        if not ms:
+            return ms
+        rows = np.sort(perms[:, ms], axis=1)
+        # lexsort orders by its last key first
+        return tuple(rows[np.lexsort(rows[:, ::-1].T)[0]].tolist())
+
+    return functools.cache(key)
 
 
 def davenport_unordered(group: FiniteGroup, budget: SearchBudget | None = None,
                         max_order: int = DEFAULT_UNORDERED_CAP) -> SearchResult:
-    """Exact D'(G) by DFS over multisets that stay unordered-free.
+    """Exact D'(G) by memoized longest-walk search over sorted multisets.
 
-    Freeness is multiset-level, so candidates are enumerated in nondecreasing
-    element order; the arrangement-product sets are not prefix-summarizable,
-    hence the verifier-driven walk instead of a reach-state recursion.
+    A step adds any element g != 1. For a free multiset M, M + g is free iff
+    g^-1 is not in R(M) (_submultiset_products): an arrangement of a sub-multiset
+    of M + g with product 1 that uses g can be rotated to end in g, and
+    rotating conjugates the product, so it stays 1. The longest free
+    extension of M is that of every image of M under automorphisms, which
+    keys the memo (_multiset_key); the least longest walk is sorted.
     """
     budget = _checked_budget(group, budget, max_order, "unordered")
-    clock = _Clock(budget)
-    checker = _UnorderedChecker(group)
-    n = group.order
-    best: list[int] = []
-    nodes = 0
-    exact = True
+    reach = _submultiset_products(group)
+    inv = [group.inv(g) for g in range(group.order)]
 
-    def walk(ms: tuple[int, ...], start: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        clock.tick(nodes + len(checker.arr))
-        if len(ms) > len(best):
-            best[:] = ms
-        for g in range(start, n):
-            if checker.extension_free(ms, g):
-                walk(tuple(sorted(ms + (g,))), g)
+    def extend(ms: tuple[int, ...], g: int) -> tuple[int, ...] | None:
+        if reach(ms) >> inv[g] & 1:
+            return None
+        i = bisect.bisect_right(ms, g)
+        return ms[:i] + (g,) + ms[i:]
 
-    try:
-        walk((), 1)
-    except _BudgetHit:
-        exact = False
-    value = 1 + len(best)
-    return SearchResult(value, Sequence(group, tuple(best)), nodes,
-                        clock.elapsed(), exact)
+    return _longest_free(group, (), extend, range(1, group.order), budget,
+                         _multiset_key(group))
 
 
 # --- E(G): product-one subsequences of length exactly |G| ------------------------

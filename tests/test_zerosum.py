@@ -12,7 +12,7 @@ from davlab import (SearchBudget, Sequence, build, davenport_ordered,
                     has_group_length_product_one, is_minimal_product_one,
                     is_ordered_free, is_product_one, is_unordered_free,
                     is_weighted_free, min_weight_set, olson_white_bound,
-                    parse_descriptor, reach_extend, zerosum)
+                    parse_descriptor, reach_extend, validate_descriptor, zerosum)
 from davlab.errors import DavlabError, GroupTooLargeError, InvalidWeightsError
 from davlab.subgroups import automorphisms
 from davlab.zerosum import ReachState
@@ -105,7 +105,8 @@ def test_group_too_large_without_budget(grp, monkeypatch):
     def no_tables(group):
         raise AssertionError("the cap is checked before any table is built")
 
-    monkeypatch.setattr(zerosum, "_succ_rows", no_tables)
+    for name in ("_succ_rows", "_right_maps", "automorphisms"):
+        monkeypatch.setattr(zerosum, name, no_tables)
     with pytest.raises(GroupTooLargeError):
         davenport_ordered(grp("g1[3,2,1,1]"))  # order 81 > default cap 64
     with pytest.raises(GroupTooLargeError):
@@ -113,7 +114,7 @@ def test_group_too_large_without_budget(grp, monkeypatch):
     with pytest.raises(GroupTooLargeError):
         eg_invariant(grp("q[16]"))  # order 16 > E cap 8
     with pytest.raises(GroupTooLargeError):
-        davenport_unordered(grp("d[32]"))  # order 32 > unordered cap 16
+        davenport_unordered(grp("q[48]"))  # order 48 > unordered cap 32
 
 
 @pytest.mark.parametrize("variant", ["ordered", "weighted", "E"])
@@ -174,7 +175,8 @@ def test_right_maps_match_bit_loop(text, data):
 
 def test_bit_loop_path_gives_the_same_search(grp, monkeypatch):
     searches = [(davenport_ordered, "q[16]", ()), (eg_invariant, "d[6]", ()),
-                (davenport_weighted, "q[12]", ((1, 5),))]
+                (davenport_weighted, "q[12]", ((1, 5),)),
+                (davenport_unordered, "q[16]", ())]
 
     def run_all():
         out = []
@@ -287,7 +289,15 @@ def test_unordered_m16(grp):
 
 def test_unordered_cap(grp):
     with pytest.raises(GroupTooLargeError):
-        davenport_unordered(grp("d[32]"))
+        davenport_unordered(grp("q[48]"))
+
+
+@pytest.mark.parametrize("text,value", [("q[24]", 13), ("d[24]", 13), ("d[32]", 17),
+                                        ("q[32]", 17), ("sd[32]", 17), ("m2[32]", 17)])
+def test_unordered_within_the_cap(text, value, grp):
+    res = davenport_unordered(grp(text))
+    assert res.value == value and res.exact
+    assert len(res.witness) == value - 1 and is_unordered_free(res.witness)
 
 
 def test_eg_small_cyclic(grp):
@@ -383,7 +393,9 @@ KEYED_SEARCHES = ([(davenport_ordered, text, ()) for text in KEYED_GRID]
                   + [(eg_invariant, text, ()) for text in ("c[8]", "d[6]", "q[8]")]
                   + [(davenport_weighted, "q[12]", ((1, 5),)),
                      (davenport_weighted, "q[24]", ((1, 5),)),
-                     (davenport_weighted, "d[16]", ((1, 3),))])
+                     (davenport_weighted, "d[16]", ((1, 3),)),
+                     (davenport_unordered, "q[16]", ()),
+                     (davenport_unordered, "m2[16]", ())])
 
 
 def only_the_identity(group):
@@ -417,6 +429,15 @@ def test_keyed_budget_trip_is_a_valid_lower_bound(max_states, grp):
     assert res.value <= 17
 
 
+@pytest.mark.parametrize("max_states", [1, 50])
+def test_unordered_budget_trip_is_a_valid_lower_bound(max_states, grp):
+    res = davenport_unordered(grp("q[32]"), SearchBudget(max_states=max_states))
+    assert not res.exact
+    assert len(res.witness) == res.value - 1
+    assert is_unordered_free(res.witness)
+    assert res.value <= 17
+
+
 def test_orbit_keys_make_the_frontier_rung_exact(grp):
     res = davenport_ordered(grp("q[32]"), SearchBudget(max_states=20_000))
     assert res.exact and res.value == 17
@@ -441,11 +462,12 @@ def test_freeness_is_invariant_under_automorphisms(text, data):
     weights = data.draw(st.sets(st.sampled_from(universe), min_size=1))
     seq = Sequence(G, tuple(terms))
     expected = (is_ordered_free(seq), is_weighted_free(seq, weights),
-                has_group_length_product_one(seq))
+                has_group_length_product_one(seq), is_unordered_free(seq))
     for phi in auts:
         image = Sequence(G, tuple(phi[x] for x in terms))
         assert (is_ordered_free(image), is_weighted_free(image, weights),
-                has_group_length_product_one(image)) == expected, (text, phi, terms)
+                has_group_length_product_one(image),
+                is_unordered_free(image)) == expected, (text, phi, terms)
 
 
 def _image(mask, phi):
@@ -466,3 +488,82 @@ def test_orbit_keys_are_canonical(text, data):
     for image in images:
         assert mask_key(image[0]) == mask_key(state[0])
         assert tuple_key(image) == tuple_key(state)
+
+
+def reference_unordered(G):
+    """The multiset search D' ran before it moved onto the engine: a
+    recursive walk over sorted multisets, extended only by g >= max(ms),
+    where ms + g is free when no sub-multiset of ms has an arrangement with
+    g of product 1. Returns the value, the witness and the multisets
+    visited."""
+    checker = zerosum._UnorderedChecker(G)
+    best = []
+    nodes = 0
+
+    def extension_free(ms, g):
+        return not any(checker.arrangement_products(tuple(sorted(sub + (g,)))) & 1
+                       for sub in checker.submultisets(ms))
+
+    def walk(ms, start):
+        nonlocal nodes
+        nodes += 1
+        if len(ms) > len(best):
+            best[:] = ms
+        for g in range(start, G.order):
+            if extension_free(ms, g):
+                walk(ms + (g,), g)
+
+    walk((), 1)
+    return 1 + len(best), tuple(best), nodes
+
+
+def family_groups(max_order):
+    """Every valid descriptor of order <= max_order in the families c, ab
+    (two to four nondecreasing factors), d, q, sd and m2."""
+    texts = [f"{f}[{n}]" for f in ("c", "d", "q", "sd", "m2")
+             for n in range(1, max_order + 1)]
+    for k in (2, 3, 4):
+        texts += [f"ab[{','.join(map(str, t))}]" for t in
+                  itertools.combinations_with_replacement(range(2, max_order // 2 + 1), k)]
+    out = []
+    for text in texts:
+        try:
+            desc = parse_descriptor(text)
+            validate_descriptor(desc)
+        except DavlabError:
+            continue
+        if desc.theoretical_order() <= max_order:
+            out.append(text)
+    return out
+
+
+UNORDERED_GRID = sorted(set(NAIVE_GRID + family_groups(16)))
+
+
+@pytest.mark.parametrize("text", UNORDERED_GRID)
+def test_unordered_search_equals_the_reference_walk(text, grp, monkeypatch):
+    G = grp(text)
+    value, witness, nodes = reference_unordered(G)
+    keyed = davenport_unordered(G)
+    monkeypatch.setattr(zerosum, "automorphisms", only_the_identity)
+    unkeyed = davenport_unordered(G)
+    for res in (keyed, unkeyed):
+        assert (res.value, res.exact, res.witness.terms) == (value, True, witness)
+    assert unkeyed.states_explored == nodes
+    # an automorphism a moving x merges the states (x,) and (a(x),)
+    assert (keyed.states_explored < nodes) == (len(automorphisms(G)) > 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(INVARIANCE_GRID), st.data())
+def test_extension_step_matches_the_verifier(text, data):
+    """For free M, M + g is free exactly when g^-1 is not in R(M)."""
+    G = build(parse_descriptor(text))
+    terms = ()
+    for x in data.draw(st.lists(st.integers(1, G.order - 1), max_size=G.order)):
+        grown = tuple(sorted(terms + (x,)))
+        if is_unordered_free(Sequence(G, grown)):
+            terms = grown
+    g = data.draw(st.integers(0, G.order - 1))
+    reach = zerosum._submultiset_products(G)
+    assert (reach(terms) >> G.inv(g) & 1 == 0) == is_unordered_free(Sequence(G, terms + (g,)))
