@@ -26,7 +26,7 @@ from .numtheory import half_exponent, is_prime, least_qnr, legendre_symbol
 from .witnesses import (CongruenceSystem, WitnessSpec, congruence_oracle,
                         congruence_system, discriminant_check, expected_davenport,
                         witness_dicyclic_sd, witness_for_theorem, witness_g1,
-                        witness_g2, witness_g3, witness_two_power)
+                        witness_g2, witness_g3, witness_plan, witness_two_power)
 from .cache import ResultRecord, cache_get, cache_path, cache_put
 
 __all__ = [
@@ -49,6 +49,6 @@ __all__ = [
     "CongruenceSystem", "WitnessSpec", "congruence_oracle", "congruence_system",
     "discriminant_check", "expected_davenport", "witness_dicyclic_sd",
     "witness_for_theorem", "witness_g1", "witness_g2", "witness_g3",
-    "witness_two_power",
+    "witness_plan", "witness_two_power",
     "ResultRecord", "cache_get", "cache_path", "cache_put",
 ]

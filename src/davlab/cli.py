@@ -7,10 +7,14 @@ stdout. Exit code 0 means no assertion failed; parse errors exit 2.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import json
+import math
+import operator
 import os
 import re
 import sys
@@ -24,8 +28,8 @@ from .cache import (ResultRecord, cache_get, cache_path, cache_put, cache_record
 from .descriptors import (GRAMMAR_HINT, GroupDescriptor, make_descriptor,
                           parse_descriptor, validate_descriptor)
 from .errors import DavlabError, DescriptorError
-from .groups import build, group_info
-from .numtheory import prime_power
+from .groups import ORDER_CAP, build, group_info
+from .numtheory import is_prime, prime_power
 from .version import __version__
 
 ENV_THREADS = "DAVLAB_THREADS"
@@ -61,6 +65,19 @@ def _positive(kind):
         return value
     parse.__name__ = kind.__name__  # argparse says 'invalid int value' with it
     return parse
+
+
+def _odd_primes(text: str) -> list[int]:
+    """argparse type of --primes: a comma list of odd primes up to ORDER_CAP
+    (a g-family group has order at least p^3, so no larger p builds)."""
+    try:
+        primes = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        primes = []
+    if not primes or not all(2 < p <= ORDER_CAP and is_prime(p) for p in primes):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of odd primes up to {ORDER_CAP}, got {text!r}")
+    return primes
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -147,73 +164,54 @@ def _cmd_loewy(args) -> int:
 
 def _cmd_davenport(args) -> int:
     desc = parse_descriptor(args.descriptor)
+    canonical = desc.canonical()
     invariant = _VARIANT_INVARIANT[args.variant]
     weights = _parse_weights(args.weights) if args.weights else None
     if args.variant == "weighted" and weights is None:
         raise DescriptorError("--variant=weighted needs --weights=a1,a2,...")
     path = cache_path(args.cache)
     t0 = time.perf_counter()
-    cached = None
-    if not args.no_cache:
-        cached = cache_get(path, desc.canonical(), invariant, weights)
-    if cached is not None and cached.exact:
-        elapsed_ms = int(1000 * (time.perf_counter() - t0))
-        doc = {
-            "descriptor": desc.canonical(),
-            "invariant": invariant,
-            "value": cached.value,
-            "exact": cached.exact,
-            "witness": cached.witness,
-            "cached": True,
-            "elapsed_ms": elapsed_ms,
-            "version": __version__,
-        }
-        _emit(doc, args.json, [
-            f"descriptor: {desc.canonical()}",
-            f"invariant: {invariant}",
-            f"value: {cached.value}",
-            f"exact: {str(cached.exact).lower()}",
-            f"witness: {' '.join(cached.witness) if cached.witness else '(none)'}",
-            f"cache: hit ({elapsed_ms} ms)",
-        ])
-        return 0
-    group = build(desc)
-    budget = _budget_from(args.budget_states, args.budget_seconds)
-    if args.variant == "ordered":
-        result = zs.davenport_ordered(group, budget)
-    elif args.variant == "unordered":
-        result = zs.davenport_unordered(group, budget)
-    elif args.variant == "E":
-        result = zs.eg_invariant(group, budget)
-    else:
-        result = zs.davenport_weighted(group, weights, budget)
-    elapsed_ms = int(1000 * (time.perf_counter() - t0))
-    witness_labels = result.witness.labels()
-    if not args.no_cache:
-        cache_put(path, ResultRecord(
-            descriptor=desc.canonical(), invariant=invariant, value=result.value,
+    record = None if args.no_cache else cache_get(path, canonical, invariant, weights)
+    fresh = record is None or not record.exact
+    if fresh:
+        search = {"ordered": zs.davenport_ordered, "unordered": zs.davenport_unordered,
+                  "E": zs.eg_invariant,
+                  "weighted": functools.partial(zs.davenport_weighted, weights=weights)}
+        result = search[args.variant](build(desc), budget=_budget_from(
+            args.budget_states, args.budget_seconds))
+        record = ResultRecord(
+            descriptor=canonical, invariant=invariant, value=result.value,
             exact=result.exact, weight_set=list(weights) if weights else None,
-            witness=witness_labels, elapsed_ms=elapsed_ms))
+            witness=result.witness.labels())
+    elapsed_ms = int(1000 * (time.perf_counter() - t0))
     doc = {
-        "descriptor": desc.canonical(),
+        "descriptor": canonical,
         "invariant": invariant,
-        "value": result.value,
-        "exact": result.exact,
-        "witness": witness_labels,
-        "states": result.states_explored,
-        "cached": False,
+        "value": record.value,
+        "exact": record.exact,
+        "witness": record.witness,
+        "cached": not fresh,
         "elapsed_ms": elapsed_ms,
         "version": __version__,
     }
-    _emit(doc, args.json, [
-        f"descriptor: {desc.canonical()}",
+    lines = [
+        f"descriptor: {canonical}",
         f"invariant: {invariant}",
-        f"value: {result.value}",
-        f"exact: {str(result.exact).lower()}",
-        f"witness: {result.witness.compact()}",
-        f"states: {result.states_explored}",
-        f"elapsed_ms: {elapsed_ms}",
-    ])
+        f"value: {record.value}",
+        f"exact: {str(record.exact).lower()}",
+    ]
+    if fresh:
+        record.elapsed_ms = elapsed_ms
+        if not args.no_cache:
+            cache_put(path, record)
+        doc["states"] = result.states_explored
+        lines += [f"witness: {result.witness.compact()}",
+                  f"states: {result.states_explored}",
+                  f"elapsed_ms: {elapsed_ms}"]
+    else:
+        lines += [f"witness: {' '.join(record.witness) if record.witness else '(none)'}",
+                  f"cache: hit ({elapsed_ms} ms)"]
+    _emit(doc, args.json, lines)
     return 0
 
 
@@ -222,11 +220,7 @@ def _cmd_witness(args) -> int:
     spec = wt.witness_for_theorem(desc, args.theorem, args.unverified_explore)
     group = build(desc)
     seq = spec.sequence(group)
-    in_scope = True
-    if desc.family == "g1":
-        in_scope = desc["gamma"] == 1
-    elif desc.family == "g3":
-        in_scope = desc["sigma"] == 1
+    in_scope = wt.witness_plan(desc)[1]
     free = oracle = None
     if args.verify:
         free = zs.is_ordered_free(seq)
@@ -242,8 +236,7 @@ def _cmd_witness(args) -> int:
         "invariant": "witness_check",
         "value": lower,
         "exact": verified,
-        "witness": [f"{group.labels[el]} ^{spec.multiplicities[name]}"
-                    for name, el in spec.elements.items()],
+        "witness": spec.block_labels(group),
         "case": spec.case_tag,
         "length": spec.length,
         "ordered_free": free,
@@ -277,9 +270,7 @@ def _cmd_oracle(args) -> int:
     verdict = wt.congruence_oracle(system)
     disc = wt.discriminant_check(system.prime, system.case_tag)
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
-    tuples = 1
-    for r in system.ranges:
-        tuples *= r
+    tuples = math.prod(system.ranges)
     doc = {
         "descriptor": desc.canonical(),
         "invariant": "oracle_check",
@@ -322,19 +313,14 @@ def _parse_param_ranges(text: str | None):
     return out
 
 
+_RANGE_OPS = {"=": operator.eq, "<=": operator.le, ">=": operator.ge}
+
+
 def _range_ok(desc: GroupDescriptor, ranges) -> bool:
+    """Whether desc meets every range on a parameter its family carries."""
     pmap = desc.pmap
-    for name, op, value in ranges:
-        if name not in pmap:
-            continue  # constraint applies only to families carrying the parameter
-        have = pmap[name]
-        if op == "=" and have != value:
-            return False
-        if op == "<=" and have > value:
-            return False
-        if op == ">=" and have < value:
-            return False
-    return True
+    return all(name not in pmap or _RANGE_OPS[op](pmap[name], value)
+               for name, op, value in ranges)
 
 
 def _grid(families: list[str], primes: list[int], max_order: int, ranges):
@@ -344,16 +330,13 @@ def _grid(families: list[str], primes: list[int], max_order: int, ranges):
         if family in ("d", "q", "sd", "m2"):
             order = 8
             while order <= max_order:
-                out.extend(_two_group_descs(family, order))
+                out.append(make_descriptor(family, order))
                 order *= 2
             if family in ("q", "sd"):
                 # non-2-power orders covered by the dicyclic/semidihedral result
                 step = 4 if family == "q" else 8
-                start = 2 * step
-                for n in range(start, max_order + 1, step):
-                    if n & (n - 1) == 0:
-                        continue
-                    out.append(make_descriptor(family, n))
+                out.extend(make_descriptor(family, n)
+                           for n in range(2 * step, max_order + 1, step) if n & (n - 1))
         elif family in ("g1", "g2", "g3", "g4"):
             for p in primes:
                 out.extend(_p_family_descs(family, p, max_order))
@@ -366,24 +349,12 @@ def _grid(families: list[str], primes: list[int], max_order: int, ranges):
             validate_descriptor(desc)
         except DavlabError:
             continue
-        if not _range_ok(desc, ranges):
-            continue
         key = desc.canonical()
-        if key not in seen and desc.theoretical_order() <= max_order:
+        if (key not in seen and desc.theoretical_order() <= max_order
+                and _range_ok(desc, ranges)):
             seen.add(key)
             grid.append(desc)
     return grid
-
-
-def _two_group_descs(family: str, order: int):
-    if family == "d" and order >= 8:
-        yield make_descriptor("d", order)
-    elif family == "q" and order >= 8:
-        yield make_descriptor("q", order)
-    elif family == "sd" and order >= 16:
-        yield make_descriptor("sd", order)
-    elif family == "m2" and order >= 16:
-        yield make_descriptor("m2", order)
 
 
 def _p_family_descs(family: str, p: int, max_order: int):
@@ -414,30 +385,9 @@ def _p_family_descs(family: str, p: int, max_order: int):
                         yield make_descriptor("g4", p, a, b, g, r, s)
 
 
-def _witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
-    """(theorem label, scope-verified) for families with a known construction."""
-    f = desc.family
-    if f in ("d", "q", "sd", "m2"):
-        order = desc["order"]
-        if order & (order - 1) == 0:
-            r = order.bit_length() - 1
-            if (f in ("d", "q") and r >= 3) or (f in ("sd", "m2") and r >= 4):
-                return (7, True)
-        if f in ("q", "sd"):
-            return (1, True)
-        return None
-    if f == "g1":
-        return (6, desc["gamma"] == 1)
-    if f == "g2":
-        return (6, True)
-    if f == "g3":
-        return (6, desc["sigma"] == 1)
-    return None
-
-
 def _proven_claim(desc: GroupDescriptor) -> int | None:
     """The D(G) value the covered results pin for this descriptor, if any."""
-    plan = _witness_plan(desc)
+    plan = wt.witness_plan(desc)
     if plan is None or not plan[1]:
         return None
     return wt.expected_davenport(desc)
@@ -471,7 +421,7 @@ def _needed(desc: GroupDescriptor, search_max_order: int) -> tuple[str, ...]:
     needed = []
     if _is_p_group(order):
         needed.append("L")
-    if _witness_plan(desc) is not None:
+    if wt.witness_plan(desc) is not None:
         needed.append("witness_check")
     if order <= search_max_order:
         needed.append("D")
@@ -499,7 +449,7 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
     witness = records.get("witness_check")
     if witness is not None and witness.exact and int(witness.value) > lower:
         lower = int(witness.value)
-        lower_source = "witness" if _witness_plan(desc)[1] else "witness(out-of-scope)"
+        lower_source = "witness" if wt.witness_plan(desc)[1] else "witness(out-of-scope)"
 
     exact_D = None
     search = records.get("D")
@@ -533,12 +483,11 @@ def _scan_worker(payload) -> tuple[dict, list[ResultRecord]]:
     if "L" in needed:
         records["L"] = ResultRecord(canonical, "L", jn.loewy_length(group), True)
     if "witness_check" in needed:
-        spec = wt.witness_for_theorem(desc, _witness_plan(desc)[0], allow_unverified=True)
+        spec = wt.witness_for_theorem(desc, wt.witness_plan(desc)[0], allow_unverified=True)
         free = zs.is_ordered_free(spec.sequence(group))
         records["witness_check"] = ResultRecord(
             canonical, "witness_check", spec.length + 1 if free else 1, free,
-            witness=[f"{group.labels[el]} ^{spec.multiplicities[nm]}"
-                     for nm, el in spec.elements.items()])
+            witness=spec.block_labels(group))
     if "D" in needed:
         result = zs.davenport_ordered(group, _budget_from(states, seconds))
         records["D"] = ResultRecord(
@@ -550,9 +499,8 @@ def _scan_worker(payload) -> tuple[dict, list[ResultRecord]]:
 
 def _cmd_scan(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    primes = [int(p) for p in args.primes.split(",") if p.strip()]
     ranges = _parse_param_ranges(args.param_ranges)
-    grid = _grid(families, primes, args.max_order, ranges)
+    grid = _grid(families, args.primes, args.max_order, ranges)
     needs = [_needed(desc, args.search_max_order) for desc in grid]
     if args.budget_states is None and args.budget_seconds is None:
         for desc, needed in zip(grid, needs):
@@ -595,9 +543,7 @@ def _cmd_scan(args) -> int:
                 for record in records:
                     cache_put(path, record)
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
-    refuted = sum(1 for r in rows if r["status"] == "REFUTED")
-    confirmed = sum(1 for r in rows if r["status"] == "CONFIRMED")
-    consistent = sum(1 for r in rows if r["status"] == "CONSISTENT")
+    counts = collections.Counter(r["status"] for r in rows)
 
     if args.json:
         print(json.dumps({"rows": rows, "elapsed_ms": elapsed_ms,
@@ -617,48 +563,10 @@ def _cmd_scan(args) -> int:
                   f"{r['upper']:>5} {r['status']:<10} "
                   f"{r['lower_source']}/{r['upper_source']}"
                   + (" [cached]" if r["cached"] else ""))
-        print(f"summary: {len(rows)} rows, {confirmed} CONFIRMED, "
-              f"{consistent} CONSISTENT, {refuted} REFUTED ({elapsed_ms} ms)")
-    return 1 if refuted else 0
-
-
-# --- output schema -----------------------------------------------------------------
-
-_OUTPUT_INVARIANTS = {"D", "Dprime", "E", "DA", "L", "L_formula",
-                      "witness_check", "oracle_check", "info"}
-_STATUSES = {"CONFIRMED", "CONSISTENT", "REFUTED"}
-
-
-def validate_output(doc) -> list[str]:
-    """Structural check of a CLI JSON document against the shipped schema;
-    returns a list of problems, empty when valid."""
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if "rows" in doc:
-        for key, kind in (("rows", list), ("elapsed_ms", int), ("version", str)):
-            if not isinstance(doc.get(key), kind):
-                problems.append(f"scan document field {key} missing or mistyped")
-        for i, row in enumerate(doc.get("rows", [])):
-            if not isinstance(row, dict):
-                problems.append(f"row {i} is not an object")
-                continue
-            for key, kind in (("descriptor", str), ("order", int),
-                              ("lower", int), ("upper", int)):
-                if not isinstance(row.get(key), kind):
-                    problems.append(f"row {i} field {key} missing or mistyped")
-            if row.get("status") not in _STATUSES:
-                problems.append(f"row {i} has bad status {row.get('status')!r}")
-        return problems
-    for key, kind in (("descriptor", str), ("exact", bool),
-                      ("elapsed_ms", int), ("version", str)):
-        if not isinstance(doc.get(key), kind):
-            problems.append(f"field {key} missing or mistyped")
-    if doc.get("invariant") not in _OUTPUT_INVARIANTS:
-        problems.append(f"bad invariant {doc.get('invariant')!r}")
-    if not isinstance(doc.get("value"), (int, bool)):
-        problems.append("field value must be integer or boolean")
-    return problems
+        print(f"summary: {len(rows)} rows, {counts['CONFIRMED']} CONFIRMED, "
+              f"{counts['CONSISTENT']} CONSISTENT, {counts['REFUTED']} REFUTED "
+              f"({elapsed_ms} ms)")
+    return 1 if counts["REFUTED"] else 0
 
 
 # --- entry point ------------------------------------------------------------------
@@ -723,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("scan", help="conjecture scan over descriptor grids")
     p.add_argument("--families", default="d,q,sd,m2,g1,g2,g3")
-    p.add_argument("--primes", default="3,5")
+    p.add_argument("--primes", type=_odd_primes, default="3,5",
+                   help="comma list of odd primes for the g families")
     p.add_argument("--max-order", type=int, default=32)
     p.add_argument("--search-max-order", type=int, default=16,
                    help="exact search only at or below this order")

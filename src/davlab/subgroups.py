@@ -6,7 +6,8 @@ of the group, the kept generators of a closure) and derived greedily from the
 mask otherwise. Closures grow one generator at a time, by right cosets of the
 subgroup built so far, so a candidate already inside costs one bit test.
 Commutator subgroups are normal closures of the commutators of generators;
-products close the union of two generating sets.
+products close the union of two generating sets; normality is tested by
+conjugating generators by generators.
 
 automorphisms() finds automorphisms from images of the kept generators of
 the whole group, each checked as a bijective homomorphism on every element.
@@ -179,34 +180,25 @@ def product_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
     return Subgroup(group, *_grow(group, H.mask, H.gens, K.gens))
 
 
+def _normalized_by(H: Subgroup, conjugators) -> bool:
+    """True when c^-1 H c = H for every c in conjugators: x^c in H for the
+    kept generators x of H gives H^c <= H, hence H^c = H. The normalizer is
+    a subgroup, so the conjugators need only generate the group in question."""
+    table, inv, mask = H.group.table, H.group.inverse, H.mask
+    return all((mask >> table[table[inv[c]][x]][c]) & 1
+               for c in conjugators for x in H.gens)
+
+
 def is_normal(group: FiniteGroup, H: Subgroup) -> bool:
-    table = group.table
-    inv = group.inverse
-    mask = H.mask
-    h_elems = H.elements()
-    for g in range(group.order):
-        row_ig = table[inv[g]]
-        for h in h_elems:
-            if not (mask >> table[row_ig[h]][g]) & 1:  # g^-1 h g
-                return False
-    return True
+    return _normalized_by(H, group.generating_set())
 
 
 def quotient_order(H: Subgroup, K: Subgroup) -> int:
     """|H| / |K| for K a normal subgroup of H; raises otherwise."""
-    group = H.group
     if not K <= H:
         raise DavlabError("quotient_order: K is not contained in H")
-    table = group.table
-    inv = group.inverse
-    kmask = K.mask
-    k_elems = K.elements()
-    for h in H.elements():
-        ih = inv[h]
-        row = table[ih]
-        for k in k_elems:
-            if not (kmask >> table[row[k]][h]) & 1:
-                raise DavlabError("quotient_order: K is not normal in H")
+    if not _normalized_by(K, H.gens):
+        raise DavlabError("quotient_order: K is not normal in H")
     return len(H) // len(K)
 
 

@@ -53,6 +53,39 @@ class WitnessSpec:
             parts.append(label if count == 1 else f"({label})^{count}")
         return " ".join(parts)
 
+    def block_labels(self, group: FiniteGroup) -> list[str]:
+        """One 'label ^count' entry per block, e.g. ['y ^3', 'x ^1']."""
+        return [f"{group.labels[el]} ^{self.multiplicities[name]}"
+                for name, el in self.elements.items()]
+
+
+# The parameter that must be 1 for the theorem-6 construction to be proven
+# extremal; g2 is proven throughout.
+_PROVEN_SCOPE = {"g1": "gamma", "g3": "sigma"}
+
+
+def witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
+    """(theorem, proven) of the construction covering a valid descriptor, or
+    None when there is none: theorem 7 for the order-2^r d, q, sd and m2
+    groups of order at least 8, theorem 1 for the other q and sd orders,
+    theorem 6 for g1, g2 and g3, proven only inside _PROVEN_SCOPE."""
+    f = desc.family
+    if f in ("d", "q", "sd", "m2"):
+        order = desc["order"]
+        if order & (order - 1) == 0 and order >= 8:
+            return (7, True)
+        return (1, True) if f in ("q", "sd") else None
+    if f in ("g1", "g2", "g3"):
+        return (6, f not in _PROVEN_SCOPE or desc[_PROVEN_SCOPE[f]] == 1)
+    return None
+
+
+def _require_proven(desc: GroupDescriptor, allow_unverified: bool) -> None:
+    if not allow_unverified and not witness_plan(desc)[1]:
+        raise DavlabError(
+            f"{desc.canonical()}: verified construction needs "
+            f"{_PROVEN_SCOPE[desc.family]} = 1 (pass allow_unverified to explore)")
+
 
 def witness_dicyclic_sd(desc: GroupDescriptor) -> WitnessSpec:
     """y^(2n-1) x over the dicyclic group of order 4n, y^(4n-1) x over the
@@ -99,10 +132,7 @@ def witness_g1(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
     validate_descriptor(desc)
     if desc.family != "g1":
         raise DavlabError(f"{desc.canonical()}: g1 construction only")
-    if desc["gamma"] != 1 and not allow_unverified:
-        raise DavlabError(
-            f"{desc.canonical()}: verified construction needs gamma = 1 "
-            "(pass allow_unverified to explore)")
+    _require_proven(desc, allow_unverified)
     p = desc["p"]
     group = build(desc)
     a, b, c = group.generators["a"], group.generators["b"], group.generators["c"]
@@ -148,10 +178,7 @@ def witness_g3(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
     validate_descriptor(desc)
     if desc.family != "g3":
         raise DavlabError(f"{desc.canonical()}: g3 construction only")
-    if desc["sigma"] != 1 and not allow_unverified:
-        raise DavlabError(
-            f"{desc.canonical()}: verified construction needs sigma = 1 "
-            "(pass allow_unverified to explore)")
+    _require_proven(desc, allow_unverified)
     p = desc["p"]
     group = build(desc)
     a, b = group.generators["a"], group.generators["b"]

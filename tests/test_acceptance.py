@@ -15,7 +15,8 @@ from davlab import (SearchBudget, build, congruence_oracle, congruence_system,
                     jennings_data, loewy_formula, loewy_length, make_descriptor,
                     mseries_closed_form_check, olson_white_bound, parse_descriptor,
                     power_generators_check, witness_for_theorem)
-from davlab.cli import main, validate_output
+from conftest import schema_errors
+from davlab.cli import main
 from davlab.jennings import quotient_elementary_abelian_report
 
 
@@ -244,7 +245,7 @@ def test_criterion_9_scan_integrity(tmp_path, capsys):
             total += time.perf_counter() - t0
             out = capsys.readouterr().out
             doc = json.loads(out)
-            assert validate_output(doc) == []
+            assert schema_errors(doc) == []
             assert code == 0, argv
             docs.append(doc)
         return docs, total

@@ -1,10 +1,14 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from davlab.cli import main, validate_output
+from conftest import schema_errors
+from davlab.cli import main
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -15,7 +19,7 @@ def run(capsys, *argv) -> tuple[int, str]:
 def run_json(capsys, *argv) -> tuple[int, dict]:
     code, out = run(capsys, *argv)
     doc = json.loads(out)
-    assert validate_output(doc) == []
+    assert schema_errors(doc) == []
     return code, doc
 
 
@@ -81,6 +85,23 @@ def test_davenport_q8(capsys, tmp_path):
     assert doc["cached"] is False
     code2, doc2 = run_json(capsys, "davenport", "q[8]", "--json", "--cache", cache)
     assert code2 == 0 and doc2["cached"] is True and doc2["value"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("q[8]",),
+    ("q[8]", "--variant=unordered"),
+    ("c[4]", "--variant=E"),
+    ("c[5]", "--variant=weighted", "--weights=1,4"),
+], ids=["D", "Dprime", "E", "DA"])
+def test_davenport_cached_document_equals_fresh(argv, capsys, tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    _, fresh = run_json(capsys, "davenport", *argv, "--json", "--cache", cache)
+    _, hit = run_json(capsys, "davenport", *argv, "--json", "--cache", cache)
+    assert fresh["cached"] is False and hit["cached"] is True
+    assert "states" in fresh and "states" not in hit
+    drop = lambda doc: {k: v for k, v in doc.items()
+                        if k not in ("cached", "states", "elapsed_ms")}
+    assert drop(hit) == drop(fresh)
 
 
 def test_davenport_unordered_m16(capsys, tmp_path):
@@ -249,6 +270,74 @@ def test_scan_json_schema(capsys, tmp_path):
     assert rows["m2[16]"]["status"] == "CONFIRMED"
 
 
+def test_scan_grid_of_the_two_power_families(capsys):
+    code, doc = run_json(capsys, "scan", "--families=d,q,sd,m2", "--max-order=32",
+                         "--json", "--no-cache")
+    assert code == 0
+    # sd[8] and m2[8] are no valid descriptors, so the grid leaves them out
+    assert [r["descriptor"] for r in doc["rows"]] == [
+        "d[8]", "d[16]", "d[32]", "q[8]", "q[16]", "q[32]", "q[12]", "q[20]",
+        "q[24]", "q[28]", "sd[16]", "sd[32]", "sd[24]", "m2[16]", "m2[32]"]
+
+
+def _python(*argv):
+    """A fresh interpreter on this checkout's davlab, so that a hang fails on
+    the timeout and imports start from nothing."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=30)
+
+
+@pytest.mark.parametrize("primes", ["1", "0", "-3", "2", "9", "3,x", "", "4099"])
+def test_scan_primes_takes_odd_primes_only(primes):
+    done = _python("-m", "davlab.cli", "scan", "--families=g1", f"--primes={primes}",
+                   "--no-cache")
+    assert done.returncode == 2
+    assert "--primes: expected a comma list of odd primes" in done.stderr
+    assert done.stdout == ""
+
+
+def test_scan_primes_list(capsys):
+    code, doc = run_json(capsys, "scan", "--families=g1", "--primes=5, 3,",
+                         "--max-order=125", "--json", "--no-cache")
+    assert code == 0
+    assert [r["descriptor"] for r in doc["rows"]] == ["g1[5,1,1,1]", "g1[3,1,1,1]",
+                                                     "g1[3,2,1,1]"]
+
+
+def test_import_cli_leaves_out_jsonschema():
+    done = _python("-c", "import sys, davlab.cli; sys.exit('jsonschema' in sys.modules)")
+    assert done.returncode == 0
+
+
+def test_schema_is_strict():
+    good = {"descriptor": "q[8]", "invariant": "D", "value": 5, "exact": True,
+            "witness": ["y", "x"], "cached": False, "elapsed_ms": 1, "version": "0.1.0"}
+    row = {"descriptor": "q[8]", "order": 8, "lower": 5, "upper": 5,
+           "status": "CONFIRMED", "exact_value": 5, "cached": True}
+    scan = {"rows": [row], "elapsed_ms": 1, "version": "0.1.0"}
+    assert schema_errors(good) == [] and schema_errors(scan) == []
+    bad = [
+        [],
+        {**good, "invariant": "Q"},
+        {**good, "exact": 1},
+        {**good, "value": "5"},
+        {**good, "value": 5.0},
+        {**good, "elapsed_ms": True},
+        {**good, "witness": [3]},
+        {k: v for k, v in good.items() if k != "version"},
+        {**scan, "rows": {}},
+        {**scan, "elapsed_ms": "1"},
+        {**scan, "rows": [{**row, "status": "MAYBE"}]},
+        {**scan, "rows": [{**row, "order": True}]},
+        {**scan, "rows": [{**row, "exact_value": 5.0}]},
+        {**scan, "rows": [{**row, "cached": "yes"}]},
+        {**scan, "rows": [{k: v for k, v in row.items() if k != "upper"}]},
+    ]
+    for doc in bad:
+        assert schema_errors(doc), doc
+
+
 def test_scan_csv(capsys, tmp_path):
     cache = str(tmp_path / "scan.jsonl")
     code, out = run(capsys, "scan", "--families=q", "--max-order=8", "--csv",
@@ -344,6 +433,21 @@ def test_scan_recomputes_rows_with_inexact_or_missing_records(capsys, tmp_path):
     assert _strip(warm["rows"]) == _strip(cold["rows"])
     recomputed = {r["descriptor"] for r in warm["rows"] if not r["cached"]}
     assert recomputed == {"q[8]", "d[8]", "d[16]", "q[12]"}
+
+
+def test_scan_refuted_row_exits_1(capsys, tmp_path):
+    cache = tmp_path / "scan.jsonl"
+    args = ("scan", "--families=q", "--max-order=12", "--cache", str(cache))
+    assert main(list(args)) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    for record in records:
+        if (record["descriptor"], record["invariant"]) == ("q[8]", "D"):
+            record["value"] = 4  # an exact D off the proven 5
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out = run(capsys, *args)
+    assert code == 1
+    assert "summary: 2 rows, 1 CONFIRMED, 0 CONSISTENT, 1 REFUTED" in out
 
 
 def test_scan_search_above_cap_needs_a_budget(capsys, tmp_path):

@@ -144,6 +144,46 @@ def test_is_normal_center_and_rotations(grp):
     assert is_normal(G, whole_subgroup(G))
 
 
+def literally_normal(G, H, K) -> bool:
+    """K normal in H by the definition: h^-1 k h in K for all h in H, k in K."""
+    return all(G.table[G.table[G.inverse[h]][k]][h] in K
+               for h in H.elements() for k in K.elements())
+
+
+NORMALITY_GRID = ["d[8]", "q[8]", "d[12]", "sd[16]", "g1[3,1,1,1]", "q[24]", "ab[2,4]"]
+
+
+def test_normality_by_generators_matches_the_definition(grp):
+    subgroups_seen = normal = non_normal_pairs = 0
+    for text in NORMALITY_GRID:
+        G = grp(text)
+        whole = whole_subgroup(G)
+        subs = {}  # mask -> in G by the definition
+        # every pair, not one per subgroup, so that each kept generator of
+        # a non-normal subgroup is at some point the one that leaves it
+        for x in range(G.order):
+            for y in range(x, G.order):
+                K = subgroup_closure(G, {x, y})
+                if K.mask not in subs:
+                    subs[K.mask] = literally_normal(G, whole, K)
+                assert is_normal(G, K) == subs[K.mask], (text, K.gens)
+        subgroups_seen += len(subs)
+        normal += sum(subs.values())
+        subs = [Subgroup(G, mask) for mask in subs]
+        for K in subs:
+            for H in subs:
+                if not K <= H:
+                    continue
+                if literally_normal(G, H, K):
+                    assert quotient_order(H, K) * len(K) == len(H)
+                else:
+                    non_normal_pairs += 1
+                    with pytest.raises(DavlabError, match="not normal"):
+                        quotient_order(H, K)
+    assert subgroups_seen == 92
+    assert 0 < normal < subgroups_seen and non_normal_pairs > 0
+
+
 def test_class_two_families(grp):
     for text in ("g1[3,1,1,1]", "g1[3,2,2,2]", "g2[3,2,1,1]", "g2[3,4,2,2]",
                  "g3[3,3,2,2,1]", "g1[5,1,1,1]"):

@@ -3,7 +3,8 @@ import pytest
 from davlab import (build, congruence_oracle, congruence_system, discriminant_check,
                     expected_davenport, is_ordered_free, is_prime, loewy_formula,
                     parse_descriptor, witness_dicyclic_sd, witness_for_theorem,
-                    witness_g1, witness_g2, witness_g3, witness_two_power)
+                    witness_g1, witness_g2, witness_g3, witness_plan, witness_two_power)
+from davlab.descriptors import validate_descriptor
 from davlab.errors import BudgetExceededError, DavlabError
 from davlab.witnesses import CongruenceSystem
 
@@ -135,6 +136,52 @@ def test_witness_for_theorem_scope_errors():
         witness_for_theorem(parse_descriptor("c[5]"), 6)
     with pytest.raises(DavlabError):
         witness_for_theorem(parse_descriptor("g1[3,1,1,1]"), 2)
+
+
+PLAN_GRID = ["c[1]", "c[8]", "ab[2,4]", "d[4]", "d[8]", "d[12]", "d[16]", "q[8]", "q[12]",
+             "q[16]", "q[24]", "sd[16]", "sd[24]", "sd[32]", "m2[16]", "m2[32]",
+             "g1[3,1,1,1]", "g1[3,2,2,2]", "g1[5,1,1,1]", "g2[3,2,1,1]",
+             "g3[3,3,2,2,1]", "g4[3,4,2,2,1,0]"]
+
+
+@pytest.mark.parametrize("text", PLAN_GRID)
+def test_witness_plan_names_what_witness_for_theorem_builds(text):
+    desc = parse_descriptor(text)
+    validate_descriptor(desc)
+    plan = witness_plan(desc)
+    accepted = []
+    for theorem in (1, 6, 7):
+        try:
+            witness_for_theorem(desc, theorem, allow_unverified=True)
+            accepted.append(theorem)
+        except DavlabError:
+            pass
+    assert (plan is None) == (not accepted)
+    if plan is not None:
+        theorem, proven = plan
+        assert theorem in accepted
+        # proven is the scope in which the construction needs no opt-in
+        try:
+            witness_for_theorem(desc, theorem)
+            in_scope = True
+        except DavlabError:
+            in_scope = False
+        assert proven == in_scope
+
+
+def test_witness_plan_scope():
+    for text in ("c[8]", "ab[2,4]", "d[12]", "g4[3,4,2,2,1,0]"):
+        assert witness_plan(parse_descriptor(text)) is None
+    assert witness_plan(parse_descriptor("q[8]")) == (7, True)
+    assert witness_plan(parse_descriptor("q[12]")) == (1, True)
+    assert witness_plan(parse_descriptor("g1[3,2,2,2]")) == (6, False)
+    assert witness_plan(parse_descriptor("g3[3,3,2,2,1]")) == (6, True)
+    assert witness_plan(parse_descriptor("g3[3,4,3,3,2]")) == (6, False)  # above ORDER_CAP
+
+
+def test_block_labels(grp):
+    G = grp("d[8]")
+    assert witness_two_power(parse_descriptor("d[8]")).block_labels(G) == ["y ^3", "x ^1"]
 
 
 def test_congruence_system_selection():
