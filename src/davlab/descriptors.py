@@ -158,6 +158,7 @@ def validate_descriptor(desc: GroupDescriptor) -> None:
         return
 
     p = desc["p"]
+    _require(p < 2 ** 64, desc, "p < 2^64")
     _require(p % 2 == 1 and is_prime(p), desc, "odd prime p")
     a, b, g = desc["alpha"], desc["beta"], desc["gamma"]
     if f == "g1":

@@ -7,8 +7,9 @@ indices into coordinates once, evaluates the formula on blocks of rows
 broadcast against all columns, and re-encodes the products as indices; the
 table is materialized once and all later work is table lookups. Element 0 is
 always the identity and labels are the normal-form words. Every built table
-is checked: group axioms, that the named generators generate it, and every
-relation of the presentation.
+is checked: identity and Latin square, that the named generators generate it,
+associativity by Light's generator test (a full proof at every order, in
+O(|gens| n^2)), and every relation of the presentation.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .numtheory import is_prime, prime_power
 from .report import Report
 
 ORDER_CAP = 4096
-
-# Full associativity is checked up to this order; a random sample above it.
-_FULL_ASSOC_CAP = 512
-_ASSOC_SAMPLES = 100_000
 
 
 class FiniteGroup:
@@ -367,14 +364,26 @@ _SYSTEMS = {
 }
 
 
-def check_group_axioms(group: FiniteGroup, seed: int = 0) -> None:
-    """Identity, inverses, Latin square, associativity; raises on failure.
+# Rows per block of the array build and of the associativity test: their
+# temporaries, a few 128 x n int64 arrays, stay a few MB at the order cap,
+# where one n x n int64 array alone would take 134 MB.
+_BLOCK_ROWS = 128
 
-    Associativity is checked on every triple up to order 512 and on 10^5
-    random triples above that.
+
+def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
+    """Prove that the table is a group generated by its named generators.
+
+    T is the table as an int32 array; it is made from ``group.table`` when not
+    given. The identity row and column and the Latin property are checked
+    directly. Associativity is proven at every order by Light's test: the
+    elements a with (x a) y = x (a y) for all x, y are closed under products,
+    so it suffices that every named generator passes and that right products
+    of generators reach every element from the identity. That costs
+    O(|gens| n^2) instead of the O(n^3) of all triples.
     """
     n = group.order
-    T = np.asarray(group.table, dtype=np.int32)
+    if T is None:
+        T = np.asarray(group.table, dtype=np.int32)
     rng = np.arange(n, dtype=np.int32)
     if not (np.array_equal(T[0], rng) and np.array_equal(T[:, 0], rng)):
         raise InternalConsistencyError(f"{group.name}: identity row/column broken")
@@ -391,32 +400,33 @@ def check_group_axioms(group: FiniteGroup, seed: int = 0) -> None:
         latin = bool(seen.all())
     if not latin:
         raise InternalConsistencyError(f"{group.name}: table is not a Latin square")
-    for x in range(n):
-        if group.table[x][group.inverse[x]] != 0:
-            raise InternalConsistencyError(f"{group.name}: inverse broken at {x}")
-    if n <= _FULL_ASSOC_CAP:
-        for x in range(n):
-            if not np.array_equal(T[T[x]], T[x][T]):
+    gens = group.generating_set()
+    table = group.table
+    reached = [False] * n
+    reached[0] = True
+    queue = [0]
+    for x in queue:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if not reached[y]:
+                reached[y] = True
+                queue.append(y)
+    if len(queue) != n:
+        raise InternalConsistencyError(
+            f"{group.name}: generators {sorted(group.generators)} do not generate it")
+    for g in gens:
+        gy = T[g]
+        for start in range(0, n, _BLOCK_ROWS):
+            X = T[start:start + _BLOCK_ROWS]
+            if not np.array_equal(T[X[:, g]], X[:, gy]):
                 raise InternalConsistencyError(
-                    f"{group.name}: associativity fails in row {x}")
-    else:
-        rnd = np.random.default_rng(seed)
-        xs = rnd.integers(0, n, _ASSOC_SAMPLES)
-        ys = rnd.integers(0, n, _ASSOC_SAMPLES)
-        zs = rnd.integers(0, n, _ASSOC_SAMPLES)
-        if not np.array_equal(T[T[xs, ys], zs], T[xs, T[ys, zs]]):
-            raise InternalConsistencyError(
-                f"{group.name}: associativity fails on random sample")
+                    f"{group.name}: associativity fails at generator {g}")
 
 
-# Rows per block of the array build: its temporaries, a few 128 x n int64
-# arrays, stay a few MB at the order cap, where one n x n int64 array alone
-# would take 134 MB.
-_BLOCK_ROWS = 128
-
-
-def _table(radices: tuple[int, ...], mult) -> list[list[int]]:
-    """The multiplication table of a system, as lists of shared int objects.
+def _table(radices: tuple[int, ...], mult) -> tuple[list[list[int]], np.ndarray]:
+    """The multiplication table of a system, as lists of shared int objects
+    and as the same table in an n x n int32 array.
 
     Indices are decoded into coordinate arrays once; each block of rows is
     multiplied against all columns by broadcasting and re-encoded. The codes
@@ -426,11 +436,14 @@ def _table(radices: tuple[int, ...], mult) -> list[list[int]]:
     n = math.prod(radices)
     cols = np.unravel_index(np.arange(n), radices)
     ints = np.array(range(n), dtype=object)
+    array = np.empty((n, n), dtype=np.int32)
     table = []
     for start in range(0, n, _BLOCK_ROWS):
         rows = tuple(c[start:start + _BLOCK_ROWS, None] for c in cols)
-        table.extend(ints[np.ravel_multi_index(mult(rows, cols), radices)].tolist())
-    return table
+        codes = np.ravel_multi_index(mult(rows, cols), radices)
+        array[start:start + _BLOCK_ROWS] = codes
+        table.extend(ints[codes].tolist())
+    return table, array
 
 
 @functools.lru_cache(maxsize=32)
@@ -441,14 +454,13 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
     table, which passes the group axioms and every relation of the
     presentation; otherwise an InternalConsistencyError is raised.
     """
-    from .subgroups import subgroup_closure
     validate_descriptor(desc)
     order = desc.theoretical_order()
     if order > ORDER_CAP:
         raise GroupTooLargeError(
             f"{desc.canonical()}: order {order} exceeds cap {ORDER_CAP}")
     system = _SYSTEMS[desc.family](desc)
-    table = _table(system.radices, system.mult)
+    table, array = _table(system.radices, system.mult)
     if len(table) != order:
         raise InternalConsistencyError(
             f"{desc.canonical()}: built order {len(table)} != expected {order}")
@@ -456,10 +468,7 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
     generators = {name: int(np.ravel_multi_index(g, system.radices))
                   for name, g in system.gens.items()}
     group = FiniteGroup(desc.canonical(), table, labels, generators, prime=system.prime)
-    check_group_axioms(group)
-    if len(subgroup_closure(group, generators.values())) != order:
-        raise InternalConsistencyError(
-            f"{desc.canonical()}: generators {sorted(generators)} do not generate it")
+    check_group_axioms(group, array)
     report = verify_presentation(group, desc)
     if not report.ok:
         raise InternalConsistencyError(

@@ -5,20 +5,35 @@ import math
 from .errors import DavlabError
 
 
+# Miller-Rabin with these bases is exact below _MR_BOUND (Sorenson and
+# Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division, sufficient for the sizes handled here."""
-    if n <= 1:
+    """Deterministic Miller-Rabin, exact for n < 3.18e23; raises above that."""
+    if n < 2:
         return False
-    if n <= 3:
-        return True
-    if n % 2 == 0:
-        return False
-    r = math.isqrt(n)
-    i = 3
-    while i <= r:
-        if n % i == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        raise DavlabError(f"is_prime is exact only below {_MR_BOUND}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

@@ -280,12 +280,19 @@ def test_scan_grid_of_the_two_power_families(capsys):
         "q[24]", "q[28]", "sd[16]", "sd[32]", "sd[24]", "m2[16]", "m2[32]"]
 
 
-def _python(*argv):
+def _python(*argv, timeout=30):
     """A fresh interpreter on this checkout's davlab, so that a hang fails on
     the timeout and imports start from nothing."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=30)
+                          text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("p", ["1000000000000000003", str(2 ** 64 + 13)])
+def test_info_with_a_huge_prime_p_is_a_quick_error(p):
+    done = _python("-m", "davlab.cli", "info", f"g1[{p},1,1,1]", timeout=10)
+    assert done.returncode in (1, 2)
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("primes", ["1", "0", "-3", "2", "9", "3,x", "", "4099"])

@@ -52,6 +52,18 @@ def test_validate_g1_needs_odd_prime():
         validate_descriptor(parse_descriptor("g1[9,1,1,1]"))
 
 
+def test_validate_bounds_p_before_the_primality_test():
+    # 2^64 + 13 is prime; refused by size, not by the primality test
+    with pytest.raises(ConstraintError, match=r"p < 2\^64"):
+        validate_descriptor(parse_descriptor(f"g1[{2 ** 64 + 13},1,1,1]"))
+    with pytest.raises(ConstraintError, match=r"p < 2\^64"):
+        validate_descriptor(parse_descriptor(f"g2[{10 ** 40},2,1,1]"))
+    # the descriptor bound is not the order cap: witness and oracle routes
+    # take descriptors of any order
+    validate_descriptor(parse_descriptor("g1[17,1,1,1]"))
+    validate_descriptor(parse_descriptor("g1[1000000000000000003,1,1,1]"))
+
+
 def test_validate_g3_alpha_sigma_constraint():
     # alpha + sigma = 3 < 2*gamma = 4
     with pytest.raises(ConstraintError, match="alpha \\+ sigma >= 2\\*gamma"):

@@ -28,6 +28,7 @@ def test_build_order_axioms_presentation(text):
     G = build(desc)
     assert G.order == desc.theoretical_order()
     check_group_axioms(G)
+    assert _associative_literal(G.table)
     report = verify_presentation(G, desc)
     assert report.ok, str(report)
 
@@ -208,11 +209,11 @@ def test_axiom_check_catches_broken_table():
         check_group_axioms(bad)
 
 
-def _with_cells(G, cells):
+def _with_cells(G, cells, generators=None):
     table = [row[:] for row in G.table]
     for (x, y), value in cells.items():
         table[x][y] = value
-    return FiniteGroup("edited", table, list(G.labels), {})
+    return FiniteGroup("edited", table, list(G.labels), generators or {})
 
 
 @pytest.mark.parametrize("edit", ["row", "column", "above", "negative"])
@@ -286,8 +287,8 @@ def test_abelian_product_matches_componentwise(grp):
 # sha256 of np.asarray(table, int32).tobytes() as built by the per-pair loop
 # over the element list (index[mult(x, y)] for every x, y) before tables were
 # built from coordinate arrays; a reordered encoding or a wrong cocycle sign
-# changes the digest. m2[1024] and d[1000] lie above the full-associativity
-# cap, where the axiom check only samples triples.
+# changes the digest. build() checks the axioms on an int32 copy that
+# _table fills alongside the lists; test_table_array_mirrors_the_list pins it.
 GOLDEN_TABLES = {
     "c[1]": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
     "c[12]": "95e853c042436f11d7eda0d1883c5880debefaefde06702c2d26b1cecdf395bb",
@@ -313,6 +314,16 @@ GOLDEN_TABLES = {
 def test_table_matches_golden_digest(text, grp):
     table = np.asarray(grp(text).table, dtype=np.int32)
     assert hashlib.sha256(table.tobytes()).hexdigest() == GOLDEN_TABLES[text]
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_TABLES))
+def test_table_array_mirrors_the_list(text):
+    desc = parse_descriptor(text)
+    system = groups._SYSTEMS[desc.family](desc)
+    table, array = groups._table(system.radices, system.mult)
+    assert array.dtype == np.int32
+    assert hashlib.sha256(array.tobytes()).hexdigest() == GOLDEN_TABLES[text]
+    assert np.array_equal(array, np.asarray(table, dtype=np.int32))
 
 
 def test_build_rejects_generators_that_do_not_generate(monkeypatch):
@@ -351,3 +362,81 @@ def test_generator_shortcuts_match_all_pairs(text, grp):
     # a group with no named generators counts as generated by all elements
     bare = FiniteGroup(G.name, t, G.labels, {})
     assert bare.center() == G.center() and bare.is_abelian() == G.is_abelian()
+
+
+# --- associativity by Light's generator test ----------------------------------
+
+def _associative_literal(table) -> bool:
+    """(x y) z = x (y z) on every triple, one row x at a time."""
+    T = np.asarray(table, dtype=np.int32)
+    return all(np.array_equal(T[T[x]], T[x][T]) for x in range(len(T)))
+
+
+def _symmetric(k):
+    """S_k on the permutations of range(k) in lexicographic order (the
+    identity first), generated by a transposition and a k-cycle."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(k))] for q in perms] for p in perms]
+    gens = {"s": index[(1, 0) + tuple(range(2, k))],
+            "r": index[tuple(range(1, k)) + (0,)]}
+    return FiniteGroup(f"S{k}", table, [str(p) for p in perms], gens)
+
+
+# a non-associative loop of order 5, the least order that has one; right
+# powers of 1 run through all five elements, and the identity is its only
+# associative element
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 2, 0, 4, 3],
+         [2, 3, 4, 0, 1],
+         [3, 4, 1, 2, 0],
+         [4, 0, 3, 1, 2]]
+
+
+def _intercalate_swap(G, a, c):
+    """G's table with the 2 x 2 subsquare on rows a, a t and columns c, t c
+    transposed, where t = x is an involution. The subsquare reads
+    [[u, v], [v, u]], so every row and column stays a permutation; the
+    generator columns are left alone, so the generators still reach all."""
+    T = G.table
+    t = G.generators["x"]
+    at, tc = T[a][t], T[t][c]
+    assert G.element_order(t) == 2 and T[at][tc] == T[a][c] and T[at][c] == T[a][tc]
+    assert not {a, at} & {0} and not {c, tc} & {0, *G.generators.values()}
+    cells = {(a, c): T[a][tc], (a, tc): T[a][c], (at, c): T[at][tc], (at, tc): T[at][c]}
+    return _with_cells(G, cells, dict(G.generators))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_light_check_accepts_symmetric_groups(k):
+    G = _symmetric(k)
+    check_group_axioms(G)
+    assert _associative_literal(G.table)
+
+
+def test_non_associative_loop_is_rejected():
+    assert not _associative_literal(LOOP5)
+    loop = FiniteGroup("loop5", LOOP5, list("12345"), {"g": 1})
+    with pytest.raises(InternalConsistencyError, match="associativity fails"):
+        check_group_axioms(loop)
+    # with no named generators, every element is tested
+    with pytest.raises(InternalConsistencyError, match="associativity fails"):
+        check_group_axioms(FiniteGroup("loop5", LOOP5, list("12345"), {}))
+
+
+@pytest.mark.parametrize("text,a,c", [("d[32]", 5, 7), ("d[32]", 31, 20),
+                                      ("m2[1024]", 1000, 3), ("m2[1024]", 1023, 600)])
+def test_intercalate_swap_is_rejected(text, a, c, grp):
+    # d[32] fits in one row block of the test, m2[1024] spans eight
+    bad = _intercalate_swap(grp(text), a, c)
+    if bad.order <= 32:
+        assert not _associative_literal(bad.table)
+    with pytest.raises(InternalConsistencyError, match="associativity fails"):
+        check_group_axioms(bad)
+
+
+def test_axiom_check_rejects_generators_that_do_not_generate(grp):
+    G = grp("d[8]")
+    partial = FiniteGroup(G.name, G.table, G.labels, {"x": G.generators["x"]})
+    with pytest.raises(InternalConsistencyError, match="do not generate it"):
+        check_group_axioms(partial)

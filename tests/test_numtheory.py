@@ -13,6 +13,26 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_matches_trial_division_below_1e5():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(100_000) if is_prime(n)] == [
+        n for n in range(100_000) if by_trial_division(n)]
+
+
+def test_is_prime_on_large_inputs():
+    assert is_prime(1_000_000_000_000_000_003)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    # strong pseudoprimes to every base up to 7 and up to 23 respectively
+    assert not is_prime(3_215_031_751)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 32 - 5))
+    # a strong pseudoprime to every base up to 37: past the exact range
+    with pytest.raises(DavlabError, match="exact only below"):
+        is_prime(318_665_857_834_031_151_167_461)
+    assert not is_prime(2 ** 89)  # an even number needs no Miller-Rabin round
+
+
 def test_legendre_against_direct_squares():
     for p in (3, 5, 7, 11, 13, 17):
         squares = {(x * x) % p for x in range(1, p)}
