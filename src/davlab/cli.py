@@ -80,6 +80,14 @@ def _odd_primes(text: str) -> list[int]:
     return primes
 
 
+def _max_order(text: str) -> int:
+    """argparse type of --max-order: 1 to ORDER_CAP, as no larger group builds."""
+    if not (text.isdigit() and 1 <= int(text) <= ORDER_CAP):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 1 to {ORDER_CAP}, got {text!r}")
+    return int(text)
+
+
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -633,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="d,q,sd,m2,g1,g2,g3")
     p.add_argument("--primes", type=_odd_primes, default="3,5",
                    help="comma list of odd primes for the g families")
-    p.add_argument("--max-order", type=int, default=32)
+    p.add_argument("--max-order", type=_max_order, default=32)
     p.add_argument("--search-max-order", type=int, default=16,
                    help="exact search only at or below this order")
     p.add_argument("--param-ranges", default=None,

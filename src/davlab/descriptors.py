@@ -15,19 +15,6 @@ from dataclasses import dataclass
 from .errors import ConstraintError, DescriptorError
 from .numtheory import is_prime
 
-FAMILY_NAMES = {
-    "c": "cyclic",
-    "ab": "abelian_product",
-    "d": "dihedral",
-    "q": "dicyclic",
-    "sd": "semidihedral",
-    "m2": "modular2",
-    "g1": "g1",
-    "g2": "g2",
-    "g3": "g3",
-    "g4": "g4",
-}
-
 # Fixed positional parameter names; None marks variadic families.
 _PARAM_NAMES = {
     "c": ("n",),
@@ -122,7 +109,10 @@ def parse_descriptor(text: str) -> GroupDescriptor:
     if not m:
         raise DescriptorError(f"cannot parse {text!r}; {GRAMMAR_HINT}")
     family = m.group(1)
-    values = tuple(int(tok) for tok in m.group(2).split(","))
+    try:
+        values = tuple(int(tok) for tok in m.group(2).split(","))
+    except ValueError:  # a parameter past the interpreter's int digit limit
+        raise DescriptorError(f"{family}[...]: a parameter has too many digits") from None
     return make_descriptor(family, *values)
 
 
@@ -159,6 +149,8 @@ def validate_descriptor(desc: GroupDescriptor) -> None:
 
     p = desc["p"]
     _require(p < 2 ** 64, desc, "p < 2^64")
+    # no group this large builds; the bound keeps every p^e cheap to compute
+    _require(max(desc.values()[1:]) <= 64, desc, "every exponent <= 64")
     _require(p % 2 == 1 and is_prime(p), desc, "odd prime p")
     a, b, g = desc["alpha"], desc["beta"], desc["gamma"]
     if f == "g1":

@@ -7,9 +7,10 @@ indices into coordinates once, evaluates the formula on blocks of rows
 broadcast against all columns, and re-encodes the products as indices; the
 table is materialized once and all later work is table lookups. Element 0 is
 always the identity and labels are the normal-form words. Every built table
-is checked: identity and Latin square, that the named generators generate it,
-associativity by Light's generator test (a full proof at every order, in
-O(|gens| n^2)), and every relation of the presentation.
+is proven a group (entries in range, identity, right inverses, generation and
+Light's associativity test, O(|gens| n^2) at every order; a monoid with right
+inverses is a group, hence Latin), and every relation of the presentation is
+checked.
 """
 
 from __future__ import annotations
@@ -374,32 +375,25 @@ def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
     """Prove that the table is a group generated by its named generators.
 
     T is the table as an int32 array; it is made from ``group.table`` when not
-    given. The identity row and column and the Latin property are checked
-    directly. Associativity is proven at every order by Light's test: the
-    elements a with (x a) y = x (a y) for all x, y are closed under products,
-    so it suffices that every named generator passes and that right products
-    of generators reach every element from the identity. That costs
-    O(|gens| n^2) instead of the O(n^3) of all triples.
+    given. Five premises are checked: (1) every entry lies in 0..n-1; (2) row
+    0 and column 0 are the identity; (3) every row holds a 0, a right inverse
+    (``FiniteGroup.__init__`` raises "has no inverse" otherwise); (4) right
+    products of the generators reach every element from 0; (5) each generator
+    a passes Light's test, (x a) y = x (a y) for all x, y. The elements that
+    pass it are closed under products and include 0 by (2), so (4) and (5)
+    prove associativity in O(|gens| n^2), not the O(n^3) of all triples. A
+    monoid in which every element has a right inverse is a group, and a group
+    table is a Latin square, so that needs no test of its own.
     """
     n = group.order
     if T is None:
         T = np.asarray(group.table, dtype=np.int32)
+    # an entry out of range would fail, or wrap around when negative, below
+    if not (T.min() >= 0 and T.max() < n):
+        raise InternalConsistencyError(f"{group.name}: table entry out of range")
     rng = np.arange(n, dtype=np.int32)
     if not (np.array_equal(T[0], rng) and np.array_equal(T[:, 0], rng)):
         raise InternalConsistencyError(f"{group.name}: identity row/column broken")
-    # every row and every column is a permutation of 0..n-1 exactly when all
-    # entries lie in range and every (row, entry) and (entry, column) pair occurs
-    latin = bool(T.min() >= 0 and T.max() < n)
-    if latin:
-        seen = np.zeros((n, n), dtype=bool)
-        seen[rng[:, None], T] = True
-        latin = bool(seen.all())
-    if latin:
-        seen[:] = False
-        seen[T, rng[None, :]] = True
-        latin = bool(seen.all())
-    if not latin:
-        raise InternalConsistencyError(f"{group.name}: table is not a Latin square")
     gens = group.generating_set()
     table = group.table
     reached = [False] * n
@@ -457,8 +451,10 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
     validate_descriptor(desc)
     order = desc.theoretical_order()
     if order > ORDER_CAP:
+        # str() refuses ints past a few thousand digits
+        shown = order if order < 2 ** 64 else f">= 2^{order.bit_length() - 1}"
         raise GroupTooLargeError(
-            f"{desc.canonical()}: order {order} exceeds cap {ORDER_CAP}")
+            f"{desc.canonical()}: order {shown} exceeds cap {ORDER_CAP}")
     system = _SYSTEMS[desc.family](desc)
     table, array = _table(system.radices, system.mult)
     if len(table) != order:
@@ -520,9 +516,6 @@ def _relations(group: FiniteGroup, desc: GroupDescriptor):
             yield ("x^2 = 1", G.pow(x, 2), 0)
             yield (f"y^{4*n} = 1", G.pow(y, 4 * n), 0)
             yield (f"x^-1 y x = y^{2*n-1}", xyx, G.pow(y, 2 * n - 1))
-            if order & (order - 1) == 0:
-                r = order.bit_length() - 1
-                yield (f"x^-1 y x = y^(2^{r-2}-1)", xyx, G.pow(y, 2 ** (r - 2) - 1))
         else:
             r = order.bit_length() - 1
             yield ("x^2 = 1", G.pow(x, 2), 0)

@@ -59,6 +59,7 @@ DEFAULT_ORDERED_CAP = 64
 DEFAULT_UNORDERED_CAP = 32
 DEFAULT_EG_CAP = 8
 DEFAULT_ARRANGE_CAP = 16
+WEIGHT_SET_CAP = 16
 
 # Largest order whose reach-mask step uses per-byte lookup tables: four
 # bytes, the widest lookup _byte_map unrolls. The tables hold
@@ -372,15 +373,15 @@ def is_ordered_free(seq: Sequence) -> bool:
 
 # --- ordered Davenport constant -----------------------------------------------
 
-def davenport_ordered(group: FiniteGroup, budget: SearchBudget | None = None,
-                      max_order: int = DEFAULT_ORDERED_CAP) -> SearchResult:
+def davenport_ordered(group: FiniteGroup,
+                      budget: SearchBudget | None = None) -> SearchResult:
     """Exact D(G) by memoized longest-path search on reach sets.
 
-    Groups above max_order are refused unless an explicit budget is passed;
-    when a budget trips, the best witness found so far gives a lower bound
-    and the result is flagged exact=False.
+    Groups above DEFAULT_ORDERED_CAP are refused unless an explicit budget is
+    passed; when a budget trips, the best witness found so far gives a lower
+    bound and the result is flagged exact=False.
     """
-    budget = _checked_budget(group, budget, max_order, "search")
+    budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
     maps = _right_maps(group)
 
     def extend(mask: int, g: int) -> int | None:
@@ -438,10 +439,11 @@ def olson_white_bound(group: FiniteGroup) -> int:
 
 # --- product-one predicates -----------------------------------------------------
 
-def is_product_one(seq: Sequence, max_len: int = DEFAULT_ARRANGE_CAP) -> bool:
+def is_product_one(seq: Sequence) -> bool:
     """Some arrangement of all terms multiplies to the identity."""
-    if len(seq) > max_len:
-        raise BudgetExceededError(f"arrangement search capped at {max_len} terms")
+    if len(seq) > DEFAULT_ARRANGE_CAP:
+        raise BudgetExceededError(
+            f"arrangement search capped at {DEFAULT_ARRANGE_CAP} terms")
     if not seq.terms:
         return True
     table = seq.group.table
@@ -607,8 +609,8 @@ def _multiset_key(group: FiniteGroup):
     return functools.cache(key)
 
 
-def davenport_unordered(group: FiniteGroup, budget: SearchBudget | None = None,
-                        max_order: int = DEFAULT_UNORDERED_CAP) -> SearchResult:
+def davenport_unordered(group: FiniteGroup,
+                        budget: SearchBudget | None = None) -> SearchResult:
     """Exact D'(G) by memoized longest-walk search over sorted multisets.
 
     A step adds any element g != 1. For a free multiset M, M + g is free iff
@@ -618,7 +620,7 @@ def davenport_unordered(group: FiniteGroup, budget: SearchBudget | None = None,
     extension of M is that of every image of M under automorphisms, which
     keys the memo (_multiset_key); the least longest walk is sorted.
     """
-    budget = _checked_budget(group, budget, max_order, "unordered")
+    budget = _checked_budget(group, budget, DEFAULT_UNORDERED_CAP, "unordered")
     reach = _submultiset_products(group)
     inv = [group.inv(g) for g in range(group.order)]
 
@@ -653,13 +655,12 @@ def has_group_length_product_one(seq: Sequence) -> bool:
     return group_length_reach(seq.group, seq.terms)[seq.group.order - 1] & 1 == 1
 
 
-def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None,
-                 max_order: int = DEFAULT_EG_CAP) -> SearchResult:
+def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:
     """Exact E(G) over length-stratified reach states.
 
     Identity terms stay legal: extremal E witnesses are identity-padded.
     """
-    budget = _checked_budget(group, budget, max_order, "E")
+    budget = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
     n = group.order
     maps = _right_maps(group)
 
@@ -716,13 +717,12 @@ def _weighted_step(group: FiniteGroup, A: tuple[int, ...], maps: list):
 
 
 def davenport_weighted(group: FiniteGroup, weights,
-                       budget: SearchBudget | None = None,
-                       max_order: int = DEFAULT_ORDERED_CAP) -> SearchResult:
+                       budget: SearchBudget | None = None) -> SearchResult:
     """Exact D_A(G): the reach extension also ranges over the weight powers,
     S -> S | {s * g^a} | {g^a}. Identity terms hit product one immediately
     because 1^a = 1."""
     A = _validate_weights(group, weights)
-    budget = _checked_budget(group, budget, max_order, "search")
+    budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
     return _longest_free(group, 0, _weighted_step(group, A, _right_maps(group)),
                          range(group.order), budget, _mask_key(group))
 
@@ -775,19 +775,18 @@ def davenport_weighted_naive(group: FiniteGroup, weights) -> int:
     return best + 1
 
 
-def min_weight_set(group: FiniteGroup, k: int, max_order: int = 16,
-                   max_exponent: int = 16) -> int | None:
+def min_weight_set(group: FiniteGroup, k: int) -> int | None:
     """min |A| over weight sets with D_A(G) <= k, or None when no A works.
 
     Exhausts subsets of [1, exp(G)-1] by size, smallest first; D_A shrinks as
-    A grows, so the first success is optimal.
+    A grows, so the first success is optimal. Refused above WEIGHT_SET_CAP,
+    which bounds the exponent too.
     """
     if k < 1:
         raise DavlabError("min_weight_set needs k >= 1")
-    if group.order > max_order or group.exponent() > max_exponent:
+    if group.order > WEIGHT_SET_CAP:
         raise GroupTooLargeError(
-            f"{group.name}: weight-set exhaustion capped at order {max_order}, "
-            f"exponent {max_exponent}")
+            f"{group.name}: weight-set exhaustion capped at order {WEIGHT_SET_CAP}")
     universe = list(range(1, group.exponent()))
     if not universe:
         return None

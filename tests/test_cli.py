@@ -295,6 +295,32 @@ def test_info_with_a_huge_prime_p_is_a_quick_error(p):
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("info", "g1[3,1000000000,1,1]"),
+    ("loewy", "g1[3,1000000000,1,1]", "--method", "formula"),
+    ("oracle", "g1[3,1000000000,1,1]"),
+    ("info", "g2[3,200000,1,1]"),
+    ("info", f"ab[{'9' * 4000},{'9' * 4000}]"),
+    ("info", f"c[{'9' * 5000}]"),
+], ids=["info-g1", "loewy-g1", "oracle-g1", "info-g2", "info-ab", "info-c"])
+def test_descriptor_with_huge_parameters_is_a_quick_error(argv):
+    # p ** e hangs for e near 10^9, and str() and int() refuse ints past the
+    # interpreter's digit limit
+    done = _python("-m", "davlab.cli", *argv, timeout=10)
+    assert done.returncode in (1, 2)
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("max_order", ["8192", "0", "x"])
+def test_scan_max_order_stays_within_the_order_cap(max_order):
+    # refused before any row of the grid is built
+    done = _python("-m", "davlab.cli", "scan", "--families=d",
+                   f"--max-order={max_order}", "--no-cache", timeout=10)
+    assert done.returncode == 2
+    assert "--max-order: expected an integer from 1 to 4096" in done.stderr
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("primes", ["1", "0", "-3", "2", "9", "3,x", "", "4099"])
 def test_scan_primes_takes_odd_primes_only(primes):
     done = _python("-m", "davlab.cli", "scan", "--families=g1", f"--primes={primes}",

@@ -64,6 +64,24 @@ def test_validate_bounds_p_before_the_primality_test():
     validate_descriptor(parse_descriptor("g1[1000000000000000003,1,1,1]"))
 
 
+@pytest.mark.parametrize("text", ["g1[3,65,1,1]", "g2[3,200000,1,1]",
+                                  "g3[3,65,64,64,1]", "g4[3,66,65,64,2,1]"])
+def test_validate_bounds_the_exponents(text):
+    # checked before p ** e is ever computed, which hangs for e near 10^9
+    with pytest.raises(ConstraintError, match="every exponent <= 64"):
+        validate_descriptor(parse_descriptor(text))
+
+
+def test_validate_takes_exponents_up_to_64():
+    validate_descriptor(parse_descriptor("g1[3,64,64,64]"))
+    validate_descriptor(parse_descriptor("g3[3,64,64,32,1]"))
+
+
+def test_parse_refuses_parameters_past_the_int_digit_limit():
+    with pytest.raises(DescriptorError, match="too many digits"):
+        parse_descriptor(f"c[{'9' * 5000}]")
+
+
 def test_validate_g3_alpha_sigma_constraint():
     # alpha + sigma = 3 < 2*gamma = 4
     with pytest.raises(ConstraintError, match="alpha \\+ sigma >= 2\\*gamma"):

@@ -218,19 +218,21 @@ def _with_cells(G, cells, generators=None):
 
 @pytest.mark.parametrize("edit", ["row", "column", "above", "negative"])
 def test_latin_check_catches_each_defect(edit):
+    # no Latin test of its own: an entry out of range fails the range test,
+    # and a table that is not Latin is not a group, so Light's test fails
     G = build_from_string("d[6]")
     T = G.table
-    cells = {
+    cells, match = {
         # two cells of column 3 swapped: every column stays a permutation,
         # rows 2 and 4 each hold a duplicate
-        "row": {(2, 3): T[4][3], (4, 3): T[2][3]},
+        "row": ({(2, 3): T[4][3], (4, 3): T[2][3]}, "associativity fails"),
         # two cells of row 2 swapped: every row stays a permutation,
         # columns 3 and 4 each hold a duplicate
-        "column": {(2, 3): T[2][4], (2, 4): T[2][3]},
-        "above": {(2, 3): G.order},
-        "negative": {(2, 3): -1},
+        "column": ({(2, 3): T[2][4], (2, 4): T[2][3]}, "associativity fails"),
+        "above": ({(2, 3): G.order}, "out of range"),
+        "negative": ({(2, 3): -1}, "out of range"),
     }[edit]
-    with pytest.raises(InternalConsistencyError, match="not a Latin square"):
+    with pytest.raises(InternalConsistencyError, match=match):
         check_group_axioms(_with_cells(G, cells))
 
 
@@ -372,6 +374,45 @@ def _associative_literal(table) -> bool:
     return all(np.array_equal(T[T[x]], T[x][T]) for x in range(len(T)))
 
 
+def _latin_literal(table) -> bool:
+    """Every row and every column is a permutation of 0..n-1."""
+    everything = list(range(len(table)))
+    return all(sorted(line) == everything for line in [*table, *zip(*table)])
+
+
+def _edited_cells(T):
+    """Every single-cell edit of table T to each value from -1 to n, and
+    every swap of two cells inside a row or inside a column."""
+    n = len(T)
+    for x, y in itertools.product(range(n), repeat=2):
+        for value in range(-1, n + 1):
+            yield {(x, y): value}
+    for a in range(n):
+        for b, c in itertools.combinations(range(n), 2):
+            yield {(a, b): T[a][c], (a, c): T[a][b]}
+            yield {(b, a): T[c][a], (c, a): T[b][a]}
+
+
+@pytest.mark.parametrize("text", ["c[6]", "c[7]", "d[6]", "d[8]", "q[8]", "ab[2,2,2]",
+                                  "q[12]", "sd[16]"])
+def test_axiom_check_accepts_only_latin_associative_edits(text, grp):
+    # the check has no Latin test: in range, identity, right inverses,
+    # generation and Light's test must imply it on every edit of the grid
+    G = grp(text)
+    accepted = 0
+    for generators in (dict(G.generators), {}):
+        for cells in _edited_cells(G.table):
+            try:
+                edited = _with_cells(G, cells, generators)
+                check_group_axioms(edited)
+            except InternalConsistencyError:
+                continue
+            assert _latin_literal(edited.table) and _associative_literal(edited.table)
+            accepted += 1
+    # the edits that leave a cell as it was
+    assert accepted == 2 * G.order ** 2
+
+
 def _symmetric(k):
     """S_k on the permutations of range(k) in lexicographic order (the
     identity first), generated by a transposition and a k-cycle."""
@@ -422,6 +463,14 @@ def test_non_associative_loop_is_rejected():
     # with no named generators, every element is tested
     with pytest.raises(InternalConsistencyError, match="associativity fails"):
         check_group_axioms(FiniteGroup("loop5", LOOP5, list("12345"), {}))
+
+
+def test_right_zero_semigroup_is_rejected():
+    # x y = y is associative, every row holds a 0, and with every element a
+    # generator all are reached from 0: only the identity column is wrong
+    table = [list(range(4)) for _ in range(4)]
+    with pytest.raises(InternalConsistencyError, match="identity row/column broken"):
+        check_group_axioms(FiniteGroup("right-zero", table, list("abcd"), {}))
 
 
 @pytest.mark.parametrize("text,a,c", [("d[32]", 5, 7), ("d[32]", 31, 20),
