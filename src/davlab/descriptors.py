@@ -35,6 +35,16 @@ GRAMMAR_HINT = (
     "g4[p,alpha,beta,gamma,rho,sigma]"
 )
 
+_SHOWN_DIGITS = 40
+
+
+def _shown(value: int) -> str:
+    text = str(value)
+    if len(text) <= _SHOWN_DIGITS:
+        return text
+    return f"{text[:3]}...{text[-3:]} ({len(text)} digits)"
+
+
 _DESCRIPTOR_RE = re.compile(r"^([a-z][a-z0-9]*)\[(\d+(?:,\d+)*)\]$")
 
 
@@ -62,7 +72,9 @@ class GroupDescriptor:
         return f"{self.family}[{','.join(str(v) for v in self.values())}]"
 
     def __str__(self) -> str:
-        return self.canonical()
+        """canonical() for messages: a parameter past _SHOWN_DIGITS digits is
+        shortened to its ends and its length, e.g. 999...998 (3001 digits)."""
+        return f"{self.family}[{','.join(_shown(v) for v in self.values())}]"
 
     def theoretical_order(self) -> int:
         """Group order implied by the parameters (construction must match it)."""
@@ -118,7 +130,7 @@ def parse_descriptor(text: str) -> GroupDescriptor:
 
 def _require(ok: bool, desc: GroupDescriptor, constraint: str) -> None:
     if not ok:
-        raise ConstraintError(f"{desc.canonical()}: requires {constraint}")
+        raise ConstraintError(f"{desc}: requires {constraint}")
 
 
 def validate_descriptor(desc: GroupDescriptor) -> None:

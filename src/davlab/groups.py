@@ -2,15 +2,17 @@
 
 Every family is realized on normal-form tuples of generator exponents, listed
 in row-major mixed-radix order, with one collection formula for products that
-works on ints and on numpy coordinate arrays alike. build() decodes element
-indices into coordinates once, evaluates the formula on blocks of rows
-broadcast against all columns, and re-encodes the products as indices; the
-table is materialized once and all later work is table lookups. Element 0 is
-always the identity and labels are the normal-form words. Every built table
+works on ints and on numpy coordinate arrays alike. Three shared normal forms
+build nine of the ten families: abelian (c, ab), metacyclic (d, q, sd, m2,
+g2) and central (g1, g4); g3 keeps its own matrix action. build() decodes
+element indices into coordinates once, evaluates the formula on blocks of
+rows broadcast against all columns, and re-encodes the products as indices;
+the table is materialized once and all later work is table lookups. Element 0
+is always the identity and labels are the normal-form words. Every built table
 is proven a group (entries in range, identity, right inverses, generation and
 Light's associativity test, O(|gens| n^2) at every order; a monoid with right
-inverses is a group, hence Latin), and every relation of the presentation is
-checked.
+inverses is a group, hence Latin), and every relation of the family's own
+presentation is checked, so the shared builders are verified, not trusted.
 """
 
 from __future__ import annotations
@@ -174,13 +176,17 @@ def _word_label(parts: list[tuple[str, int]]) -> str:
     return " ".join(bits) if bits else "1"
 
 
-# --- per-family normal-form systems -----------------------------------------
-# Each _sys_* returns a _System. Elements are coordinate tuples in row-major
-# mixed-radix order over `radices` (so the identity, all zeros, is element 0);
-# coordinate k is the exponent of the k-th named generator in the normal-form
-# word. `mult` is one formula on coordinate tuples whose entries may be ints
-# or broadcastable numpy integer arrays: it uses only +, -, *, // and % (0/1
-# arithmetic in place of branches), so build() evaluates it on whole row blocks.
+# --- normal-form systems -----------------------------------------------------
+# Each _sys_* returns a _System for a descriptor: _sys_abelian for c and ab,
+# _sys_metacyclic for d, q, sd, m2 and g2, _sys_central for g1 and g4, and
+# _sys_g3. Elements are coordinate tuples in row-major mixed-radix order over
+# `radices` (so the identity, all zeros, is element 0); coordinate k is the
+# exponent of the k-th named generator in the normal-form word. `mult` is one
+# formula on coordinate tuples whose entries may be ints or broadcastable numpy
+# integer arrays: it uses only +, -, *, //, % and lookups in precomputed power
+# arrays, branching on the parameters but never on the elements, so build()
+# evaluates it on whole row blocks. _relations and validate_descriptor stay
+# per family, as the independent check on the shared forms.
 
 
 class _System(NamedTuple):
@@ -204,91 +210,78 @@ def _prime_of(order: int) -> int | None:
     return pp[0] if pp else None
 
 
-def _sys_cyclic(d: GroupDescriptor):
-    n = d["n"]
-    def mult(x, y):
-        return ((x[0] + y[0]) % n,)
-    return _system(("g",), (n,), mult, _prime_of(n))
-
-
 def _sys_abelian(d: GroupDescriptor):
+    """c[n] and ab[n1,...]: componentwise sums; c names its one generator g."""
     factors = d.values()
     def mult(x, y):
         return tuple((a + b) % k for a, b, k in zip(x, y, factors))
-    names = [f"g{i+1}" for i in range(len(factors))]
+    names = ("g",) if d.family == "c" else [f"g{i+1}" for i in range(len(factors))]
     return _system(names, factors, mult, _prime_of(math.prod(factors)))
 
 
-def _sys_semidirect2(order: int, t: int, prime: int | None):
-    """<x, y | x^2 = 1, y^m = 1, x^-1 y x = y^t> with m = order/2.
+def _metacyclic(names, m: int, n: int, r: int, s: int, prime: int | None,
+                normal_first: bool = False) -> _System:
+    """<x, y | y^m = 1, x^n = y^s, x^-1 y x = y^r> on the words x^i y^j.
 
-    Covers dihedral (t = -1), semidihedral (t = m/2 - 1) and the modular
-    maximal-cyclic family (t = m/2 + 1); elements are x^i y^j.
+    With normal_first the words are y^j x^i instead, coordinates (j, i).
+    `names` lists the two generators in coordinate order. The presentation
+    needs r^n = 1 and s (r - 1) = 0 modulo m; build() checks the result.
     """
+    # y^j x^i = x^i y^(j r^i), so x^i y^j = y^(j r^-i) x^i
+    rpow = np.array([pow(r, -k if normal_first else k, m) for k in range(n)],
+                    dtype=np.int64)
+    def mult(e1, e2):
+        if normal_first:
+            (j1, i1), (j2, i2) = e1, e2
+            j = j1 + j2 * rpow[i1]
+        else:
+            (i1, j1), (i2, j2) = e1, e2
+            j = j1 * rpow[i2] + j2
+        if s:
+            # x^n = y^s is central, so a wrapped x exponent leaves y^s behind
+            j = j + s * ((i1 + i2) // n)
+        i, j = (i1 + i2) % n, j % m
+        return (j, i) if normal_first else (i, j)
+    radices = (m, n) if normal_first else (n, m)
+    return _system(names, radices, mult, prime)
+
+
+def _sys_metacyclic(d: GroupDescriptor):
+    """d, q, sd and m2 have the cyclic subgroup <y> of index 2; g2 is split
+    with b^-1 a b = a^(1 + p^(alpha-gamma)) and keeps its words a^i b^j."""
+    if d.family == "g2":
+        p, alpha = d["p"], d["alpha"]
+        return _metacyclic(("a", "b"), p ** alpha, p ** d["beta"],
+                           1 + p ** (alpha - d["gamma"]), 0, p, normal_first=True)
+    order = d["order"]
     m = order // 2
-    def mult(e1, e2):
-        (i1, j1), (i2, j2) = e1, e2
-        # y^j x = x y^(j t), so x^i1 y^j1 x^i2 y^j2 = x^(i1+i2) y^(j1 t^i2 + j2),
-        # and t^i2 = 1 + (t - 1) i2 for i2 in {0, 1}
-        return ((i1 + i2) % 2, (j1 * (1 + (t - 1) * i2) + j2) % m)
-    return _system(("x", "y"), (2, m), mult, prime)
+    r, s = {"d": (-1, 0), "q": (-1, m // 2),
+            "sd": (m // 2 - 1, 0), "m2": (m // 2 + 1, 0)}[d.family]
+    return _metacyclic(("x", "y"), m, 2, r, s, _prime_of(order))
 
 
-def _sys_dihedral(d: GroupDescriptor):
-    order = d["order"]
-    return _sys_semidirect2(order, -1, _prime_of(order))
+def _sys_central(d: GroupDescriptor):
+    """g1 and g4: [a,b] = c central on the words a^i b^j c^t, and for g4
+    a^(p^alpha) = c^(p^rho), b^(p^beta) = c^(p^sigma).
 
-
-def _sys_semidihedral(d: GroupDescriptor):
-    order = d["order"]
-    # conjugation exponent 2n - 1 for order 8n equals 2^(r-2) - 1 when 8n = 2^r
-    return _sys_semidirect2(order, order // 4 - 1, _prime_of(order))
-
-
-def _sys_modular2(d: GroupDescriptor):
-    order = d["order"]
-    return _sys_semidirect2(order, order // 4 + 1, 2)
-
-
-def _sys_dicyclic(d: GroupDescriptor):
-    order = d["order"]
-    n = order // 4
-    m = 2 * n
-    def mult(e1, e2):
-        (i1, j1), (i2, j2) = e1, e2
-        # y^j x = x y^-j, and x^2 = y^n (central since y^n = y^-n) when both
-        # x exponents are 1
-        return ((i1 + i2) % 2, (j1 * (1 - 2 * i2) + j2 + n * i1 * i2) % m)
-    return _system(("x", "y"), (2, m), mult, _prime_of(order))
-
-
-def _sys_g1(d: GroupDescriptor):
-    """Central-commutator family: [a,b] = c central, componentwise otherwise.
-
-    Triples (i, j, t) stand for a^i b^j c^t; collecting b^j1 past a^i2 with
-    b a = a b c^-1 gives the cocycle term -j1*i2 on the c exponent.
+    Collecting b^j1 past a^i2 with b a = a b c^-1 gives the cocycle term
+    -j1*i2 on the c exponent; a wrapped a or b exponent adds its carry. The
+    smallest admissible g4 parameters already give order p^8, so g4 tables
+    always exceed the order cap; its rule is exercised at tuple level.
     """
     p = d["p"]
     pa, pb, pg = p ** d["alpha"], p ** d["beta"], p ** d["gamma"]
+    ca, cb = (p ** d["rho"], p ** d["sigma"]) if d.family == "g4" else (0, 0)
     def mult(e1, e2):
         (i1, j1, t1), (i2, j2, t2) = e1, e2
-        return ((i1 + i2) % pa, (j1 + j2) % pb, (t1 + t2 - j1 * i2) % pg)
+        t = t1 + t2 - j1 * i2
+        # (i1 + i2) // pa is the 0/1 carry of the a exponent, likewise for b
+        if ca:
+            t = t + ca * ((i1 + i2) // pa)
+        if cb:
+            t = t + cb * ((j1 + j2) // pb)
+        return ((i1 + i2) % pa, (j1 + j2) % pb, t % pg)
     return _system(("a", "b", "c"), (pa, pb, pg), mult, p)
-
-
-def _sys_g2(d: GroupDescriptor):
-    """Split metacyclic family: b^-1 a b = a^u with u = 1 + p^(alpha-gamma)."""
-    p = d["p"]
-    pa, pb = p ** d["alpha"], p ** d["beta"]
-    u = 1 + p ** (d["alpha"] - d["gamma"])
-    v = pow(u, -1, pa)
-    # v^j for j in [0, p^beta); u is a unit of order p^gamma dividing p^beta
-    vpow = np.array([pow(v, j, pa) for j in range(pb)], dtype=np.int64)
-    def mult(e1, e2):
-        (i1, j1), (i2, j2) = e1, e2
-        # b^j1 a^i2 = a^(i2 * u^-j1) b^j1
-        return ((i1 + i2 * vpow[j1]) % pa, (j1 + j2) % pb)
-    return _system(("a", "b"), (pa, pb), mult, p)
 
 
 def _mat_mul(A, B):
@@ -320,7 +313,7 @@ def _sys_g3(d: GroupDescriptor):
     if (closing[0][0] % pa, closing[0][1] % pa) != (1, 0) or (
         closing[1][0] % ps, closing[1][1] % ps) != (0, 1):
         raise InternalConsistencyError(
-            f"{d.canonical()}: conjugation action is not of order dividing p^beta")
+            f"{d}: conjugation action is not of order dividing p^beta")
     # entry [r][c] of phi^(-j) for every j, indexed by j
     A00, A01, A10, A11 = (np.array([P[r][c] for P in powers], dtype=np.int64)
                           for r in range(2) for c in range(2))
@@ -332,36 +325,17 @@ def _sys_g3(d: GroupDescriptor):
     return _system(("a", "c", "b"), (pa, ps, pb), mult, p)
 
 
-def _sys_g4(d: GroupDescriptor):
-    """Carry family: [a,b] = c central, a^(p^alpha) = c^(p^rho), b^(p^beta) = c^(p^sigma).
-
-    Same cocycle as the g1 family plus carry contributions when the a or b
-    exponent wraps. The smallest admissible parameters already give order
-    p^8, so tables for this family always exceed the order cap; the rule is
-    exercised at tuple level.
-    """
-    p = d["p"]
-    pa, pb, pg = p ** d["alpha"], p ** d["beta"], p ** d["gamma"]
-    pr, psg = p ** d["rho"], p ** d["sigma"]
-    def mult(e1, e2):
-        (i1, j1, t1), (i2, j2, t2) = e1, e2
-        # (i1 + i2) // pa is the 0/1 carry of the a exponent, likewise for b
-        t = t1 + t2 - j1 * i2 + pr * ((i1 + i2) // pa) + psg * ((j1 + j2) // pb)
-        return ((i1 + i2) % pa, (j1 + j2) % pb, t % pg)
-    return _system(("a", "b", "c"), (pa, pb, pg), mult, p)
-
-
 _SYSTEMS = {
-    "c": _sys_cyclic,
+    "c": _sys_abelian,
     "ab": _sys_abelian,
-    "d": _sys_dihedral,
-    "q": _sys_dicyclic,
-    "sd": _sys_semidihedral,
-    "m2": _sys_modular2,
-    "g1": _sys_g1,
-    "g2": _sys_g2,
+    "d": _sys_metacyclic,
+    "q": _sys_metacyclic,
+    "sd": _sys_metacyclic,
+    "m2": _sys_metacyclic,
+    "g1": _sys_central,
+    "g2": _sys_metacyclic,
     "g3": _sys_g3,
-    "g4": _sys_g4,
+    "g4": _sys_central,
 }
 
 
@@ -454,12 +428,12 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
         # str() refuses ints past a few thousand digits
         shown = order if order < 2 ** 64 else f">= 2^{order.bit_length() - 1}"
         raise GroupTooLargeError(
-            f"{desc.canonical()}: order {shown} exceeds cap {ORDER_CAP}")
+            f"{desc}: order {shown} exceeds cap {ORDER_CAP}")
     system = _SYSTEMS[desc.family](desc)
     table, array = _table(system.radices, system.mult)
     if len(table) != order:
         raise InternalConsistencyError(
-            f"{desc.canonical()}: built order {len(table)} != expected {order}")
+            f"{desc}: built order {len(table)} != expected {order}")
     labels = [system.label(e) for e in itertools.product(*map(range, system.radices))]
     generators = {name: int(np.ravel_multi_index(g, system.radices))
                   for name, g in system.gens.items()}
@@ -468,7 +442,7 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
     report = verify_presentation(group, desc)
     if not report.ok:
         raise InternalConsistencyError(
-            f"{desc.canonical()}: presentation check failed: {report.failures()}")
+            f"{desc}: presentation check failed: {report.failures()}")
     return group
 
 

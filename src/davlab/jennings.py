@@ -151,14 +151,14 @@ def loewy_formula(desc: GroupDescriptor) -> int:
         order = desc["order"]
         if order & (order - 1) != 0:
             raise NoFormulaError(
-                f"{desc.canonical()}: no closed form, order is not a power of 2")
+                f"{desc}: no closed form, order is not a power of 2")
         r = order.bit_length() - 1
         if f in ("d", "q") and r < 3:
-            raise NoFormulaError(f"{desc.canonical()}: closed form needs r >= 3")
+            raise NoFormulaError(f"{desc}: closed form needs r >= 3")
         if f in ("sd", "m2") and r < 4:
-            raise NoFormulaError(f"{desc.canonical()}: closed form needs r >= 4")
+            raise NoFormulaError(f"{desc}: closed form needs r >= 4")
         return 2 ** (r - 1) + 1
-    raise NoFormulaError(f"{desc.canonical()}: no closed-form Loewy length known here")
+    raise NoFormulaError(f"{desc}: no closed-form Loewy length known here")
 
 
 _CLASS_TWO_FAMILIES = ("g1", "g2", "g3", "g4")
@@ -175,7 +175,7 @@ def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> Repo
     """
     if desc.family not in _CLASS_TWO_FAMILIES:
         raise NotAPGroupError(
-            f"{desc.canonical()}: closed-form chain applies to g1..g4 only")
+            f"{desc}: closed-form chain applies to g1..g4 only")
     p = desc["p"]
     series = m_series(group, p)
     G = whole_subgroup(group)
@@ -213,7 +213,7 @@ def power_generators_check(group: FiniteGroup, desc: GroupDescriptor) -> Report:
     and that subgroup must equal the raw set of p^s-th powers."""
     if desc.family not in _CLASS_TWO_FAMILIES:
         raise NotAPGroupError(
-            f"{desc.canonical()}: power-generator form applies to g1..g4 only")
+            f"{desc}: power-generator form applies to g1..g4 only")
     p = desc["p"]
     G = whole_subgroup(group)
     a, b = group.generators["a"], group.generators["b"]

@@ -83,26 +83,29 @@ def witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
 def _require_proven(desc: GroupDescriptor, allow_unverified: bool) -> None:
     if not allow_unverified and not witness_plan(desc)[1]:
         raise DavlabError(
-            f"{desc.canonical()}: verified construction needs "
+            f"{desc}: verified construction needs "
             f"{_PROVEN_SCOPE[desc.family]} = 1 (pass allow_unverified to explore)")
+
+
+def _metacyclic_witness(desc: GroupDescriptor, tag: str, normal: str,
+                        other: str) -> WitnessSpec:
+    """normal^(o(normal)-1) other^(index-1) over a metacyclic family, where
+    the normal generator spans a cyclic normal subgroup of that index."""
+    group = build(desc)
+    y, x = group.generators[normal], group.generators[other]
+    order = group.element_order(y)
+    return WitnessSpec(desc, tag, {normal: y, other: x},
+                       {normal: order - 1, other: group.order // order - 1})
 
 
 def witness_dicyclic_sd(desc: GroupDescriptor) -> WitnessSpec:
     """y^(2n-1) x over the dicyclic group of order 4n, y^(4n-1) x over the
     semidihedral group of order 8n; length is ceil((|G|+1)/2) - 1."""
     validate_descriptor(desc)
-    if desc.family == "q":
-        reps = desc["order"] // 2 - 1
-        tag = "dicyclic"
-    elif desc.family == "sd":
-        reps = desc["order"] // 2 - 1
-        tag = "semidihedral"
-    else:
-        raise DavlabError(f"{desc.canonical()}: construction covers q and sd only")
-    group = build(desc)
-    return WitnessSpec(desc, tag,
-                       {"y": group.generators["y"], "x": group.generators["x"]},
-                       {"y": reps, "x": 1})
+    tags = {"q": "dicyclic", "sd": "semidihedral"}
+    if desc.family not in tags:
+        raise DavlabError(f"{desc}: construction covers q and sd only")
+    return _metacyclic_witness(desc, tags[desc.family], "y", "x")
 
 
 def witness_two_power(desc: GroupDescriptor) -> WitnessSpec:
@@ -110,15 +113,11 @@ def witness_two_power(desc: GroupDescriptor) -> WitnessSpec:
     modular maximal-cyclic families; length 2^(r-1)."""
     validate_descriptor(desc)
     if desc.family not in ("d", "q", "sd", "m2"):
-        raise DavlabError(f"{desc.canonical()}: construction covers d, q, sd, m2")
+        raise DavlabError(f"{desc}: construction covers d, q, sd, m2")
     order = desc["order"]
     if order & (order - 1) != 0 or order < 8:
-        raise DavlabError(f"{desc.canonical()}: needs order 2^r with r >= 3")
-    group = build(desc)
-    r = order.bit_length() - 1
-    return WitnessSpec(desc, "two_group",
-                       {"y": group.generators["y"], "x": group.generators["x"]},
-                       {"y": 2 ** (r - 1) - 1, "x": 1})
+        raise DavlabError(f"{desc}: needs order 2^r with r >= 3")
+    return _metacyclic_witness(desc, "two_group", "y", "x")
 
 
 def witness_g1(desc: GroupDescriptor, allow_unverified: bool = False) -> WitnessSpec:
@@ -131,7 +130,7 @@ def witness_g1(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
     """
     validate_descriptor(desc)
     if desc.family != "g1":
-        raise DavlabError(f"{desc.canonical()}: g1 construction only")
+        raise DavlabError(f"{desc}: g1 construction only")
     _require_proven(desc, allow_unverified)
     p = desc["p"]
     group = build(desc)
@@ -160,12 +159,8 @@ def witness_g2(desc: GroupDescriptor) -> WitnessSpec:
     """a^(p^a - 1) b^(p^b - 1) over the g2 family; length L - 1."""
     validate_descriptor(desc)
     if desc.family != "g2":
-        raise DavlabError(f"{desc.canonical()}: g2 construction only")
-    p = desc["p"]
-    group = build(desc)
-    return WitnessSpec(desc, "g2",
-                       {"a": group.generators["a"], "b": group.generators["b"]},
-                       {"a": p ** desc["alpha"] - 1, "b": p ** desc["beta"] - 1})
+        raise DavlabError(f"{desc}: g2 construction only")
+    return _metacyclic_witness(desc, "g2", "a", "b")
 
 
 def witness_g3(desc: GroupDescriptor, allow_unverified: bool = False) -> WitnessSpec:
@@ -177,7 +172,7 @@ def witness_g3(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
     """
     validate_descriptor(desc)
     if desc.family != "g3":
-        raise DavlabError(f"{desc.canonical()}: g3 construction only")
+        raise DavlabError(f"{desc}: g3 construction only")
     _require_proven(desc, allow_unverified)
     p = desc["p"]
     group = build(desc)
@@ -217,7 +212,7 @@ def witness_for_theorem(desc: GroupDescriptor, theorem: int,
             return witness_g2(desc)
         if desc.family == "g3":
             return witness_g3(desc, allow_unverified)
-        raise DavlabError(f"{desc.canonical()}: theorem 6 covers g1, g2, g3")
+        raise DavlabError(f"{desc}: theorem 6 covers g1, g2, g3")
     raise DavlabError(f"no witness construction labeled {theorem} (use 1, 6 or 7)")
 
 
@@ -260,7 +255,7 @@ def congruence_system(desc: GroupDescriptor) -> CongruenceSystem:
     """The system matching the g1/g3 witness for the prime's residue class."""
     validate_descriptor(desc)
     if desc.family not in ("g1", "g3"):
-        raise DavlabError(f"{desc.canonical()}: congruence systems exist for g1, g3")
+        raise DavlabError(f"{desc}: congruence systems exist for g1, g3")
     p = desc["p"]
     case = "3mod4" if p % 4 == 3 else "1mod4"
     return CongruenceSystem(

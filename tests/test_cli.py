@@ -302,13 +302,18 @@ def test_info_with_a_huge_prime_p_is_a_quick_error(p):
     ("info", "g2[3,200000,1,1]"),
     ("info", f"ab[{'9' * 4000},{'9' * 4000}]"),
     ("info", f"c[{'9' * 5000}]"),
-], ids=["info-g1", "loewy-g1", "oracle-g1", "info-g2", "info-ab", "info-c"])
+    ("info", f"d[{'9' * 2999}8]"),
+    ("loewy", f"d[{'9' * 2999}8]", "--method", "formula"),
+    ("witness", f"q[{'9' * 2997}996]", "--theorem", "1"),
+], ids=["info-g1", "loewy-g1", "oracle-g1", "info-g2", "info-ab", "info-c",
+        "info-d", "loewy-d", "witness-q"])
 def test_descriptor_with_huge_parameters_is_a_quick_error(argv):
     # p ** e hangs for e near 10^9, and str() and int() refuse ints past the
-    # interpreter's digit limit
+    # interpreter's digit limit; messages shorten a long parameter
     done = _python("-m", "davlab.cli", *argv, timeout=10)
     assert done.returncode in (1, 2)
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert max(map(len, done.stderr.splitlines())) <= 200
 
 
 @pytest.mark.parametrize("max_order", ["8192", "0", "x"])

@@ -134,3 +134,16 @@ def test_make_descriptor_arity():
         make_descriptor("g2", 3, 2, 1)
     with pytest.raises(DescriptorError):
         make_descriptor("ab")
+
+
+def test_str_shortens_long_parameters_and_canonical_stays_exact():
+    huge = int("9" * 3000 + "8")
+    desc = make_descriptor("d", huge)
+    assert str(desc) == "d[999...998 (3001 digits)]"
+    assert desc.canonical() == f"d[{huge}]"
+    forty = 10 ** 39  # 40 digits are shown in full
+    assert str(make_descriptor("ab", forty, 3)) == f"ab[{forty},3]"
+    assert str(make_descriptor("ab", 10 * forty, 3)) == "ab[100...000 (41 digits),3]"
+    with pytest.raises(ConstraintError) as err:
+        validate_descriptor(make_descriptor("sd", huge))
+    assert str(err.value) == "sd[999...998 (3001 digits)]: requires order 8n with n >= 2"

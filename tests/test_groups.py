@@ -10,7 +10,6 @@ from davlab import build, build_from_string, parse_descriptor, verify_presentati
 from davlab.errors import GroupTooLargeError, InternalConsistencyError
 from davlab import groups
 from davlab.groups import FiniteGroup, check_group_axioms
-from davlab.groups import _sys_g4  # tuple-level access for the carry family
 
 GRID = [
     "c[1]", "c[2]", "c[5]", "c[9]", "c[12]", "ab[2,2]", "ab[3,3]", "ab[2,4]",
@@ -141,7 +140,7 @@ def test_g4_collection_rules_at_tuple_level():
     desc = parse_descriptor("g4[3,4,2,2,1,0]")
     p, alpha, beta, gamma = 3, 4, 2, 2
     rho, sigma = 1, 0
-    elems, mult, label, gens, prime = _sys_g4(desc)
+    radices, mult, label, gens, prime = groups._SYSTEMS["g4"](desc)
     ident = (0, 0, 0)
     a, b, c = gens["a"], gens["b"], gens["c"]
 
@@ -309,6 +308,12 @@ GOLDEN_TABLES = {
     "g3[3,3,2,2,1]": "0dcfdc3c8e87394657689b12a4a9df7456c54e382b47fffafe651ab190b0d970",
     "m2[1024]": "7ebb0d8bf1f6d5b89edbed32ce2b0b15db3c26d23710516c474910d2eb315ecb",
     "d[1000]": "c095593b437781342a22f512a9aee8eb4ba5afae91f2579f3e3e708db810e831",
+    # g2 at p = 5 and at gamma = 2, q of odd index, sd of order not 2^r
+    "g2[5,2,1,1]": "c167698974ba2247801ebe6ff7267452caf3d6d03a64dbc3ca01332e37352e67",
+    "g2[3,4,2,2]": "e5c9522f4d2e33dc6e2b98118b75c8b7bb4a6f95648efe5d4d5e08ef87e84040",
+    "g1[3,2,2,2]": "ccc9fbc93be3a3e2a168045a8d0eb4f6db91045d3dcbf5d98f29294749b27cba",
+    "q[12]": "7f13a5bfc3f9b951e3fdd78b25e72691f80aa16e894802feb392d0ea09d5aff7",
+    "sd[24]": "6cf09f97a6a3015aedbb30072201f263a25196f47efaab2f9e71731b30f584ef",
 }
 
 
@@ -338,6 +343,17 @@ def test_build_rejects_generators_that_do_not_generate(monkeypatch):
     monkeypatch.setitem(groups._SYSTEMS, "d", without_y)
     with pytest.raises(InternalConsistencyError, match="do not generate it"):
         groups.build.__wrapped__(parse_descriptor("d[8]"))
+
+
+def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
+    """The shared metacyclic builder assumes s(r-1) = 0 (mod m); build() must
+    refuse a q system that breaks it (x^2 = y with r = -1, m = 4)."""
+    def broken(desc):
+        return groups._metacyclic(("x", "y"), desc["order"] // 2, 2, -1, 1, 2)
+
+    monkeypatch.setitem(groups._SYSTEMS, "q", broken)
+    with pytest.raises(InternalConsistencyError):
+        groups.build.__wrapped__(parse_descriptor("q[8]"))
 
 
 def test_missing_inverse_is_an_internal_error():
