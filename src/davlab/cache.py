@@ -15,6 +15,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .errors import CacheFileError
 from .version import SEARCH_ALGO, __version__
 
 SCHEMA_VERSION = 1
@@ -67,7 +68,7 @@ def cache_put(path: Path, record: ResultRecord) -> None:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
     except OSError as exc:
-        raise OSError(f"cache file {path} is not writable: {exc}") from exc
+        raise CacheFileError(f"cache file {path} is not writable: {exc}") from exc
 
 
 def _major(version: str) -> str:
@@ -81,15 +82,20 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     predates it) are stale and skipped.
 
     Corrupted lines are skipped with a warning; a missing file has no
-    records. Records of other keys are dropped as they are read, so memory
-    grows with the keys asked for, not with the file.
+    records, and one that cannot be read raises CacheFileError. Records of
+    other keys are dropped as they are read, so memory grows with the keys
+    asked for, not with the file.
     """
     wanted = set(keys)
     hits: dict[tuple, ResultRecord] = {}
     if not Path(path).exists():
         return hits
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CacheFileError(f"cache file {path} is not readable: {exc}") from exc
     major = _major(__version__)
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -2,15 +2,19 @@
 
 Every command accepts --json and then emits exactly one JSON document on
 stdout. Exit code 0 means no assertion failed; parse errors exit 2.
+
+At module level this imports only the numpy-free modules (descriptors,
+cache, errors, numtheory, theory, version). The table-building modules are
+imported inside the code that builds or searches, and looked up there at
+call time, so a warm scan, a cached davenport and loewy --method formula
+never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -20,16 +24,14 @@ import re
 import sys
 import time
 
-from . import jennings as jn
-from . import witnesses as wt
-from . import zerosum as zs
 from .cache import (ResultRecord, cache_get, cache_path, cache_put, cache_records,
                     record_key)
 from .descriptors import (GRAMMAR_HINT, GroupDescriptor, make_descriptor,
                           parse_descriptor, validate_descriptor)
 from .errors import DavlabError, DescriptorError
-from .groups import ORDER_CAP, build, group_info
 from .numtheory import is_prime, prime_power
+from .theory import (DEFAULT_ORDERED_CAP, ORDER_CAP, expected_davenport, loewy_formula,
+                     witness_plan)
 from .version import __version__
 
 ENV_THREADS = "DAVLAB_THREADS"
@@ -45,13 +47,14 @@ def _emit(doc: dict, json_mode: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _budget_from(states: int | None, seconds: float | None) -> zs.SearchBudget | None:
-    """The search budget of --budget-states/--budget-seconds; an unset one
-    keeps its default, and None when neither is set."""
+def _budget_from(states: int | None, seconds: float | None):
+    """The zerosum.SearchBudget of --budget-states/--budget-seconds; an
+    unset one keeps its default, and None when neither is set."""
     if states is None and seconds is None:
         return None
-    default = zs.SearchBudget()
-    return zs.SearchBudget(
+    from . import zerosum
+    default = zerosum.SearchBudget()
+    return zerosum.SearchBudget(
         max_states=default.max_states if states is None else states,
         max_seconds=default.max_seconds if seconds is None else seconds)
 
@@ -98,9 +101,10 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 # --- subcommand bodies ----------------------------------------------------------
 
 def _cmd_info(args) -> int:
+    from . import groups
     desc = parse_descriptor(args.descriptor)
     t0 = time.perf_counter()
-    info = group_info(build(desc))
+    info = groups.group_info(groups.build(desc))
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
     doc = {
         "descriptor": desc.canonical(),
@@ -135,12 +139,13 @@ def _cmd_loewy(args) -> int:
     direct = formula = None
     chain = coeffs = None
     if args.method in ("direct", "both"):
-        data = jn.jennings_data(build(desc))
+        from . import groups, jennings
+        data = jennings.jennings_data(groups.build(desc))
         direct = data.loewy_length
         chain = data.chain_sizes
         coeffs = data.coefficients
     if args.method in ("formula", "both"):
-        formula = jn.loewy_formula(desc)
+        formula = loewy_formula(desc)
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
     agree = direct == formula if args.method == "both" else True
     value = direct if direct is not None else formula
@@ -182,10 +187,12 @@ def _cmd_davenport(args) -> int:
     record = None if args.no_cache else cache_get(path, canonical, invariant, weights)
     fresh = record is None or not record.exact
     if fresh:
-        search = {"ordered": zs.davenport_ordered, "unordered": zs.davenport_unordered,
-                  "E": zs.eg_invariant,
-                  "weighted": functools.partial(zs.davenport_weighted, weights=weights)}
-        result = search[args.variant](build(desc), budget=_budget_from(
+        from . import groups, zerosum
+        search = {"ordered": zerosum.davenport_ordered,
+                  "unordered": zerosum.davenport_unordered,
+                  "E": zerosum.eg_invariant,
+                  "weighted": functools.partial(zerosum.davenport_weighted, weights=weights)}
+        result = search[args.variant](groups.build(desc), budget=_budget_from(
             args.budget_states, args.budget_seconds))
         record = ResultRecord(
             descriptor=canonical, invariant=invariant, value=result.value,
@@ -224,16 +231,17 @@ def _cmd_davenport(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import groups, witnesses, zerosum
     desc = parse_descriptor(args.descriptor)
-    spec = wt.witness_for_theorem(desc, args.theorem, args.unverified_explore)
-    group = build(desc)
+    spec = witnesses.witness_for_theorem(desc, args.theorem, args.unverified_explore)
+    group = groups.build(desc)
     seq = spec.sequence(group)
-    in_scope = wt.witness_plan(desc)[1]
+    in_scope = witness_plan(desc)[1]
     free = oracle = None
     if args.verify:
-        free = zs.is_ordered_free(seq)
+        free = zerosum.is_ordered_free(seq)
         if desc.family in ("g1", "g3") and in_scope:
-            oracle = wt.congruence_oracle(wt.congruence_system(desc))
+            oracle = witnesses.congruence_oracle(witnesses.congruence_system(desc))
     verified = bool(args.verify and free and (oracle is None or oracle == free))
     # outside the proven parameter scope a non-free sequence is a finding,
     # not a failure
@@ -272,11 +280,12 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import witnesses
     desc = parse_descriptor(args.descriptor)
     t0 = time.perf_counter()
-    system = wt.congruence_system(desc)
-    verdict = wt.congruence_oracle(system)
-    disc = wt.discriminant_check(system.prime, system.case_tag)
+    system = witnesses.congruence_system(desc)
+    verdict = witnesses.congruence_oracle(system)
+    disc = witnesses.discriminant_check(system.prime, system.case_tag)
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
     tuples = math.prod(system.ranges)
     doc = {
@@ -395,10 +404,10 @@ def _p_family_descs(family: str, p: int, max_order: int):
 
 def _proven_claim(desc: GroupDescriptor) -> int | None:
     """The D(G) value the covered results pin for this descriptor, if any."""
-    plan = wt.witness_plan(desc)
+    plan = witness_plan(desc)
     if plan is None or not plan[1]:
         return None
-    return wt.expected_davenport(desc)
+    return expected_davenport(desc)
 
 
 def _row_status(desc: GroupDescriptor, is_p: bool, lower: int, upper: int,
@@ -429,7 +438,7 @@ def _needed(desc: GroupDescriptor, search_max_order: int) -> tuple[str, ...]:
     needed = []
     if _is_p_group(order):
         needed.append("L")
-    if wt.witness_plan(desc) is not None:
+    if witness_plan(desc) is not None:
         needed.append("witness_check")
     if order <= search_max_order:
         needed.append("D")
@@ -457,7 +466,7 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
     witness = records.get("witness_check")
     if witness is not None and witness.exact and int(witness.value) > lower:
         lower = int(witness.value)
-        lower_source = "witness" if wt.witness_plan(desc)[1] else "witness(out-of-scope)"
+        lower_source = "witness" if witness_plan(desc)[1] else "witness(out-of-scope)"
 
     exact_D = None
     search = records.get("D")
@@ -482,22 +491,24 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
 
 def _scan_worker(payload) -> tuple[dict, list[ResultRecord]]:
     """Compute the needed records of one scan row: (row, records to persist)."""
+    from . import groups, jennings, witnesses, zerosum
     text, needed, states, seconds = payload
     t0 = time.perf_counter()
     desc = parse_descriptor(text)
     canonical = desc.canonical()
-    group = build(desc)
+    group = groups.build(desc)
     records: dict[str, ResultRecord] = {}
     if "L" in needed:
-        records["L"] = ResultRecord(canonical, "L", jn.loewy_length(group), True)
+        records["L"] = ResultRecord(canonical, "L", jennings.loewy_length(group), True)
     if "witness_check" in needed:
-        spec = wt.witness_for_theorem(desc, wt.witness_plan(desc)[0], allow_unverified=True)
-        free = zs.is_ordered_free(spec.sequence(group))
+        spec = witnesses.witness_for_theorem(desc, witness_plan(desc)[0],
+                                             allow_unverified=True)
+        free = zerosum.is_ordered_free(spec.sequence(group))
         records["witness_check"] = ResultRecord(
             canonical, "witness_check", spec.length + 1 if free else 1, free,
             witness=spec.block_labels(group))
     if "D" in needed:
-        result = zs.davenport_ordered(group, _budget_from(states, seconds))
+        result = zerosum.davenport_ordered(group, _budget_from(states, seconds))
         records["D"] = ResultRecord(
             canonical, "D", result.value, result.exact,
             witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
@@ -512,10 +523,10 @@ def _cmd_scan(args) -> int:
     needs = [_needed(desc, args.search_max_order) for desc in grid]
     if args.budget_states is None and args.budget_seconds is None:
         for desc, needed in zip(grid, needs):
-            if "D" in needed and desc.theoretical_order() > zs.DEFAULT_ORDERED_CAP:
+            if "D" in needed and desc.theoretical_order() > DEFAULT_ORDERED_CAP:
                 raise DescriptorError(
                     f"{desc.canonical()}: order {desc.theoretical_order()} above "
-                    f"search cap {zs.DEFAULT_ORDERED_CAP}; lower --search-max-order "
+                    f"search cap {DEFAULT_ORDERED_CAP}; lower --search-max-order "
                     "or pass --budget-states/--budget-seconds")
     path = cache_path(args.cache)
     t0 = time.perf_counter()
@@ -543,6 +554,7 @@ def _cmd_scan(args) -> int:
     with contextlib.ExitStack() as stack:
         run = map
         if threads > 1 and len(misses) > 1:
+            import concurrent.futures
             run = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(threads, len(misses)))).map
         for i, (row, records) in zip(misses, run(_scan_worker, payloads)):
@@ -557,6 +569,7 @@ def _cmd_scan(args) -> int:
         print(json.dumps({"rows": rows, "elapsed_ms": elapsed_ms,
                           "version": __version__}, indent=2, sort_keys=True))
     elif args.csv:
+        import csv
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()) if rows
                                 else ["descriptor"])
         writer.writeheader()

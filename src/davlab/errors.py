@@ -35,3 +35,7 @@ class InvalidWeightsError(DavlabError):
 
 class BudgetExceededError(DavlabError):
     """Hard budget hit in a context that cannot degrade gracefully."""
+
+
+class CacheFileError(DavlabError, OSError):
+    """The result cache file could not be read or appended to."""

@@ -29,8 +29,7 @@ from .descriptors import GroupDescriptor, validate_descriptor
 from .errors import GroupTooLargeError, InternalConsistencyError
 from .numtheory import is_prime, prime_power
 from .report import Report
-
-ORDER_CAP = 4096
+from .theory import ORDER_CAP
 
 
 class FiniteGroup:

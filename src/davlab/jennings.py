@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .descriptors import GroupDescriptor, validate_descriptor
-from .errors import InternalConsistencyError, NoFormulaError, NotAPGroupError
+from .descriptors import GroupDescriptor
+from .errors import InternalConsistencyError, NotAPGroupError
 from .groups import FiniteGroup
 from .numtheory import prime_power
 from .report import Report
 from .subgroups import (Subgroup, commutator_subgroup, power_set, power_subgroup,
                         product_subgroup, subgroup_closure, whole_subgroup)
+from .theory import loewy_formula  # the closed form, kept importable from here
 
 
 def _check_p_group(group: FiniteGroup, p: int | None) -> int:
@@ -129,36 +130,6 @@ def quotient_elementary_abelian_report(group: FiniteGroup,
         report.add(f"M_{i+1}^(p) <= M_{i+2}", ok_pow)
         report.add(f"[M_{i+1}, M_{i+1}] <= M_{i+2}", ok_comm)
     return report
-
-
-def loewy_formula(desc: GroupDescriptor) -> int:
-    """Closed-form Loewy length for the families that have one.
-
-    g1: p^a + p^b + 2 p^g - 3;  g2: p^a + p^b - 1;  g3: p^a + p^b + 2 p^s - 3;
-    d/q of order 2^r (r >= 3) and sd/m2 of order 2^r (r >= 4): 2^(r-1) + 1.
-    """
-    validate_descriptor(desc)
-    f = desc.family
-    if f in ("g1", "g2", "g3"):
-        p = desc["p"]
-        pa, pb = p ** desc["alpha"], p ** desc["beta"]
-        if f == "g1":
-            return pa + pb + 2 * p ** desc["gamma"] - 3
-        if f == "g2":
-            return pa + pb - 1
-        return pa + pb + 2 * p ** desc["sigma"] - 3
-    if f in ("d", "q", "sd", "m2"):
-        order = desc["order"]
-        if order & (order - 1) != 0:
-            raise NoFormulaError(
-                f"{desc}: no closed form, order is not a power of 2")
-        r = order.bit_length() - 1
-        if f in ("d", "q") and r < 3:
-            raise NoFormulaError(f"{desc}: closed form needs r >= 3")
-        if f in ("sd", "m2") and r < 4:
-            raise NoFormulaError(f"{desc}: closed form needs r >= 4")
-        return 2 ** (r - 1) + 1
-    raise NoFormulaError(f"{desc}: no closed-form Loewy length known here")
 
 
 _CLASS_TWO_FAMILIES = ("g1", "g2", "g3", "g4")

@@ -1,0 +1,77 @@
+"""Closed forms over descriptor parameters: size caps, witness plans, proven
+Davenport values and Loewy lengths.
+
+Nothing here builds a table. Like descriptors, cache and numtheory, this
+module imports no numpy, so a command that only reads the cache (a warm
+scan, a cached davenport) or asks for a closed form (loewy --method formula)
+never loads the table-building modules.
+"""
+
+from __future__ import annotations
+
+from .descriptors import GroupDescriptor, validate_descriptor
+from .errors import NoFormulaError
+
+# Largest group order groups.build constructs.
+ORDER_CAP = 4096
+
+# Largest order the D and D_A searches take without an explicit budget.
+DEFAULT_ORDERED_CAP = 64
+
+# The parameter that must be 1 for the theorem-6 construction to be proven
+# extremal; g2 is proven throughout.
+_PROVEN_SCOPE = {"g1": "gamma", "g3": "sigma"}
+
+
+def witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
+    """(theorem, proven) of the construction covering a valid descriptor, or
+    None when there is none: theorem 7 for the order-2^r d, q, sd and m2
+    groups of order at least 8, theorem 1 for the other q and sd orders,
+    theorem 6 for g1, g2 and g3, proven only inside _PROVEN_SCOPE."""
+    f = desc.family
+    if f in ("d", "q", "sd", "m2"):
+        order = desc["order"]
+        if order & (order - 1) == 0 and order >= 8:
+            return (7, True)
+        return (1, True) if f in ("q", "sd") else None
+    if f in ("g1", "g2", "g3"):
+        return (6, f not in _PROVEN_SCOPE or desc[_PROVEN_SCOPE[f]] == 1)
+    return None
+
+
+def expected_davenport(desc: GroupDescriptor) -> int:
+    """The proven D(G) value for the witness families: ceil((|G|+1)/2) for
+    dicyclic/semidihedral, the closed-form Loewy length for the rest."""
+    if desc.family in ("q", "sd") and desc["order"] & (desc["order"] - 1) != 0:
+        return (desc["order"] + 2) // 2
+    return loewy_formula(desc)
+
+
+def loewy_formula(desc: GroupDescriptor) -> int:
+    """Closed-form Loewy length for the families that have one.
+
+    g1: p^a + p^b + 2 p^g - 3;  g2: p^a + p^b - 1;  g3: p^a + p^b + 2 p^s - 3;
+    d/q of order 2^r (r >= 3) and sd/m2 of order 2^r (r >= 4): 2^(r-1) + 1.
+    """
+    validate_descriptor(desc)
+    f = desc.family
+    if f in ("g1", "g2", "g3"):
+        p = desc["p"]
+        pa, pb = p ** desc["alpha"], p ** desc["beta"]
+        if f == "g1":
+            return pa + pb + 2 * p ** desc["gamma"] - 3
+        if f == "g2":
+            return pa + pb - 1
+        return pa + pb + 2 * p ** desc["sigma"] - 3
+    if f in ("d", "q", "sd", "m2"):
+        order = desc["order"]
+        if order & (order - 1) != 0:
+            raise NoFormulaError(
+                f"{desc}: no closed form, order is not a power of 2")
+        r = order.bit_length() - 1
+        if f in ("d", "q") and r < 3:
+            raise NoFormulaError(f"{desc}: closed form needs r >= 3")
+        if f in ("sd", "m2") and r < 4:
+            raise NoFormulaError(f"{desc}: closed form needs r >= 4")
+        return 2 ** (r - 1) + 1
+    raise NoFormulaError(f"{desc}: no closed-form Loewy length known here")

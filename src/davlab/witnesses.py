@@ -20,6 +20,8 @@ from .descriptors import GroupDescriptor, validate_descriptor
 from .errors import BudgetExceededError, DavlabError
 from .groups import FiniteGroup, build
 from .numtheory import half_exponent, least_qnr, legendre_symbol
+# expected_davenport is kept importable from here
+from .theory import _PROVEN_SCOPE, expected_davenport, witness_plan
 from .zerosum import Sequence
 
 RANGE_CAP = 10_000
@@ -57,27 +59,6 @@ class WitnessSpec:
         """One 'label ^count' entry per block, e.g. ['y ^3', 'x ^1']."""
         return [f"{group.labels[el]} ^{self.multiplicities[name]}"
                 for name, el in self.elements.items()]
-
-
-# The parameter that must be 1 for the theorem-6 construction to be proven
-# extremal; g2 is proven throughout.
-_PROVEN_SCOPE = {"g1": "gamma", "g3": "sigma"}
-
-
-def witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
-    """(theorem, proven) of the construction covering a valid descriptor, or
-    None when there is none: theorem 7 for the order-2^r d, q, sd and m2
-    groups of order at least 8, theorem 1 for the other q and sd orders,
-    theorem 6 for g1, g2 and g3, proven only inside _PROVEN_SCOPE."""
-    f = desc.family
-    if f in ("d", "q", "sd", "m2"):
-        order = desc["order"]
-        if order & (order - 1) == 0 and order >= 8:
-            return (7, True)
-        return (1, True) if f in ("q", "sd") else None
-    if f in ("g1", "g2", "g3"):
-        return (6, f not in _PROVEN_SCOPE or desc[_PROVEN_SCOPE[f]] == 1)
-    return None
 
 
 def _require_proven(desc: GroupDescriptor, allow_unverified: bool) -> None:
@@ -214,15 +195,6 @@ def witness_for_theorem(desc: GroupDescriptor, theorem: int,
             return witness_g3(desc, allow_unverified)
         raise DavlabError(f"{desc}: theorem 6 covers g1, g2, g3")
     raise DavlabError(f"no witness construction labeled {theorem} (use 1, 6 or 7)")
-
-
-def expected_davenport(desc: GroupDescriptor) -> int:
-    """The proven D(G) value for the witness families: ceil((|G|+1)/2) for
-    dicyclic/semidihedral, the closed-form Loewy length for the rest."""
-    if desc.family in ("q", "sd") and desc["order"] & (desc["order"] - 1) != 0:
-        return (desc["order"] + 2) // 2
-    from .jennings import loewy_formula
-    return loewy_formula(desc)
 
 
 # --- congruence systems ---------------------------------------------------------

@@ -54,8 +54,8 @@ from .errors import (BudgetExceededError, DavlabError, GroupTooLargeError,
                      InvalidWeightsError)
 from .groups import FiniteGroup
 from .subgroups import automorphisms
+from .theory import DEFAULT_ORDERED_CAP
 
-DEFAULT_ORDERED_CAP = 64
 DEFAULT_UNORDERED_CAP = 32
 DEFAULT_EG_CAP = 8
 DEFAULT_ARRANGE_CAP = 16

@@ -1,0 +1,24 @@
+import importlib
+
+import pytest
+
+import davlab
+
+
+def test_public_names_are_the_objects_of_their_defining_modules():
+    assert davlab.__version__ == importlib.import_module("davlab.version").__version__
+    for name in set(davlab.__all__) - {"__version__"}:
+        value = getattr(davlab, name)
+        module = importlib.import_module(value.__module__)
+        assert module.__name__.startswith("davlab."), name
+        assert getattr(module, name) is value, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(davlab.__all__) <= set(dir(davlab))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        davlab.no_such_name
+    assert not hasattr(davlab, "no_such_name")
