@@ -81,17 +81,17 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     Search records whose algo is not SEARCH_ALGO (a line without the field
     predates it) are stale and skipped.
 
-    Corrupted lines are skipped with a warning; a missing file has no
-    records, and one that cannot be read raises CacheFileError. Records of
-    other keys are dropped as they are read, so memory grows with the keys
-    asked for, not with the file.
+    Corrupted lines, such as one that is not UTF-8 or not JSON, are skipped
+    with a warning; a missing file has no records, and one that cannot be
+    read raises CacheFileError. Records of other keys are dropped as they are
+    read, so memory grows with the keys asked for, not with the file.
     """
     wanted = set(keys)
     hits: dict[tuple, ResultRecord] = {}
     if not Path(path).exists():
         return hits
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise CacheFileError(f"cache file {path} is not readable: {exc}") from exc
     major = _major(__version__)
@@ -101,14 +101,17 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
             if not line:
                 continue
             try:
-                record = ResultRecord(**{"algo": None, **json.loads(line)})
+                # strict: a line that is not UTF-8 is corrupted, not repaired
+                text = line.decode("utf-8")
+                record = ResultRecord(**{"algo": None, **json.loads(text)})
                 key = record.key()
                 # a field of the wrong type raises here too
                 if key not in wanted or _major(record.tool_version) != major:
                     continue
                 if record.invariant in _SEARCH_INVARIANTS and record.algo != SEARCH_ALGO:
                     continue
-            except (json.JSONDecodeError, TypeError, AttributeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
+                    AttributeError) as exc:
                 warnings.warn(f"{path}:{lineno}: skipping corrupted cache line ({exc})")
                 continue
             hit = hits.get(key)

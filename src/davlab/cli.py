@@ -607,6 +607,9 @@ def _add_common(sub, cache_flags: bool = False, budget_flags: bool = False):
                          help="search time budget in seconds")
 
 
+# Built once per process: main() may run many times in one process (tests,
+# library callers), and every fresh parser leaves cyclic garbage behind.
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="davlab",

@@ -47,7 +47,8 @@ class FiniteGroup:
                  "prime", "_orders")
 
     def __init__(self, name: str, table: list[list[int]], labels: list[str],
-                 generators: dict[str, int], prime: int | None = None):
+                 generators: dict[str, int], prime: int | None = None,
+                 inverse: list[int] | None = None):
         self.name = name
         self.order = len(table)
         self.table = table
@@ -55,6 +56,9 @@ class FiniteGroup:
         self.generators = generators
         self.prime = prime
         self._orders: list[int] | None = None
+        if inverse is not None:
+            self.inverse = inverse
+            return
         try:
             self.inverse = [row.index(0) for row in table]
         except ValueError:
@@ -350,13 +354,14 @@ def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
     T is the table as an int32 array; it is made from ``group.table`` when not
     given. Five premises are checked: (1) every entry lies in 0..n-1; (2) row
     0 and column 0 are the identity; (3) every row holds a 0, a right inverse
-    (``FiniteGroup.__init__`` raises "has no inverse" otherwise); (4) right
-    products of the generators reach every element from 0; (5) each generator
-    a passes Light's test, (x a) y = x (a y) for all x, y. The elements that
-    pass it are closed under products and include 0 by (2), so (4) and (5)
-    prove associativity in O(|gens| n^2), not the O(n^3) of all triples. A
-    monoid in which every element has a right inverse is a group, and a group
-    table is a Latin square, so that needs no test of its own.
+    (``FiniteGroup.__init__``, or ``build`` from T, raises "has no inverse"
+    otherwise); (4) right products of the generators reach every element from
+    0; (5) each generator a passes Light's test, (x a) y = x (a y) for all x,
+    y. The elements that pass it are closed under products and include 0 by
+    (2), so (4) and (5) prove associativity in O(|gens| n^2), not the O(n^3)
+    of all triples. A monoid in which every element has a right inverse is a
+    group, and a group table is a Latin square, so that needs no test of its
+    own.
     """
     n = group.order
     if T is None:
@@ -413,6 +418,17 @@ def _table(radices: tuple[int, ...], mult) -> tuple[list[list[int]], np.ndarray]
     return table, array
 
 
+def _inverses(name: str, T: np.ndarray) -> list[int]:
+    """The right inverses of a built int32 table, whose entries
+    ``np.ravel_multi_index`` has bounds-checked: the first 0 of each row, as
+    ``row.index(0)`` finds it, read off the whole array at once."""
+    inverse = T.argmin(axis=1)
+    missing = np.flatnonzero(T[np.arange(len(T)), inverse])
+    if missing.size:
+        raise InternalConsistencyError(f"{name}: element {missing[0]} has no inverse")
+    return inverse.tolist()
+
+
 @functools.lru_cache(maxsize=32)
 def build(desc: GroupDescriptor) -> FiniteGroup:
     """Construct the group for a validated descriptor.
@@ -436,7 +452,8 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
     labels = [system.label(e) for e in itertools.product(*map(range, system.radices))]
     generators = {name: int(np.ravel_multi_index(g, system.radices))
                   for name, g in system.gens.items()}
-    group = FiniteGroup(desc.canonical(), table, labels, generators, prime=system.prime)
+    group = FiniteGroup(desc.canonical(), table, labels, generators, prime=system.prime,
+                        inverse=_inverses(desc.canonical(), array))
     check_group_axioms(group, array)
     report = verify_presentation(group, desc)
     if not report.ok:

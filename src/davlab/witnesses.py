@@ -244,9 +244,21 @@ def congruence_system(desc: GroupDescriptor) -> CongruenceSystem:
 def congruence_oracle(system: CongruenceSystem) -> bool:
     """True when the all-zero tuple is the only solution inside the box.
 
-    Enumerates the full ranges (vectorized over y, z, w with a plain loop on
-    x); no variable is eliminated. This is the arithmetic counterpart of the
-    group-table freeness check.
+    Every tuple of the full ranges is evaluated; no variable is eliminated.
+    The g1 systems loop on x, vectorized over y, z, w. The g3 systems
+    evaluate the whole (y, z, w) box once and count its tuples by x in one
+    histogram. This is the arithmetic counterpart of the group-table
+    freeness check.
+    """
+    return _solution_count(system) == 1
+
+
+def _solution_count(system: CongruenceSystem) -> int:
+    """The number of solutions inside the box, all-zero tuple included.
+
+    x enters the g1 eq3 quadratically, so those systems take one pass over
+    the (y, z, w) box per x. In the g3 systems x enters only eq1, as
+    x = partial(y, z, w) mod m1, so one pass counts every x at once.
     """
     rx, ry, rz, rw = system.ranges
     if max(system.ranges) > RANGE_CAP:
@@ -290,11 +302,13 @@ def congruence_oracle(system: CongruenceSystem) -> bool:
         eq3 = bracket % m3 == 0
         partial = (lin + shift * bracket) % m1
         base = eq2 & eq3
-        for x in range(rx):
-            count += int(np.count_nonzero(base & ((partial - x) % m1 == 0)))
+        # the solutions with a given x are the base tuples with partial = x;
+        # x ranges over 0..rx-1 = 0..m1-1
+        per_x = np.bincount(partial[base], minlength=m1)
+        count = int(per_x[:rx].sum())
     else:
         raise DavlabError(f"unknown case tag {tag!r}")
-    return count == 1
+    return count
 
 
 def discriminant_check(p: int, case: str) -> bool:

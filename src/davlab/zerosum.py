@@ -357,16 +357,18 @@ def reach_extend(state: ReachState, g: int) -> ReachState:
 def is_ordered_free(seq: Sequence) -> bool:
     """True when no nonempty index-increasing subsequence multiplies to 1."""
     table = seq.group.table
-    mask = 0
+    # reached lists the products of the nonempty subsequences so far, seen
+    # marks them
+    reached: list[int] = []
+    seen = bytearray(seq.group.order)
     for g in seq.terms:
-        new = 1 << g
-        m = mask
-        while m:
-            low = m & -m
-            new |= 1 << table[low.bit_length() - 1][g]
-            m ^= low
-        mask |= new
-        if mask & 1:
+        # each earlier product times g (the list is taken before any append),
+        # then g alone
+        for y in [table[x][g] for x in reached] + [g]:
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+        if seen[0]:
             return False
     return True
 

@@ -70,6 +70,28 @@ def test_corrupted_lines_warn_and_skip(tmp_path):
     assert got is not None and got.value == 5
 
 
+def test_lines_that_are_not_utf8_warn_and_skip(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+        # valid JSON around an invalid byte: no repair may serve it
+        fh.write(json.dumps({"descriptor": "q[8]", "invariant": "L", "value": 4,
+                             "exact": True}).encode().replace(b"q[8]", b"q[8\xff]") + b"\n")
+    cache_put(path, ResultRecord("q[8]", "D", 5, True))
+    # UTF-8 outside ASCII is text like any other
+    line = {"descriptor": "q[8]", "invariant": "L", "value": 5, "exact": True,
+            "witness": ["\u03c9"], "tool_version": __version__}
+    with open(path, "ab") as fh:
+        fh.write(json.dumps(line, ensure_ascii=False).encode("utf-8") + b"\n")
+    with pytest.warns(UserWarning) as caught:
+        got = cache_records(path, [record_key("q[8]", "D"), record_key("q[8]", "L")])
+    assert [str(w.message).split(" (")[0] for w in caught] == [
+        f"{path}:1: skipping corrupted cache line",
+        f"{path}:2: skipping corrupted cache line"]
+    assert got[("q[8]", "D", None)].value == 5
+    assert (got[("q[8]", "L", None)].value, got[("q[8]", "L", None)].witness) == (5, ["\u03c9"])
+
+
 def test_version_major_mismatch_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache_put(path, ResultRecord("q[8]", "D", 99, True, tool_version="9.0.0"))

@@ -497,6 +497,23 @@ def _strip(rows):
             for r in rows]
 
 
+@pytest.mark.parametrize("argv", [("scan", "--families=q", "--max-order=8"),
+                                  ("davenport", "q[8]")], ids=["scan", "davenport"])
+def test_a_cache_line_that_is_not_utf8_is_skipped(argv, tmp_path):
+    cache = tmp_path / "bad.jsonl"
+    cache.write_bytes(b"\xff\xfe garbage\n")
+    for _ in range(2):  # against the bad line alone, then with the records added
+        done = _python("-m", "davlab.cli", *argv, "--json", "--cache", str(cache))
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert f"{cache}:1: skipping corrupted cache line" in done.stderr
+        assert schema_errors(json.loads(done.stdout)) == []
+    # the bad line stays; the records appended after it are served
+    assert cache.read_bytes().startswith(b"\xff\xfe garbage\n")
+    rows = json.loads(done.stdout).get("rows", [json.loads(done.stdout)])
+    assert all(r["cached"] for r in rows)
+
+
 def test_warm_scan_reads_cache_once(capsys, tmp_path, monkeypatch):
     import builtins
     import davlab.cache
@@ -513,7 +530,7 @@ def test_warm_scan_reads_cache_once(capsys, tmp_path, monkeypatch):
     code, doc = run_json(capsys, *args)
     assert code == 0 and len(doc["rows"]) > 5
     assert all(r["cached"] for r in doc["rows"])
-    assert opens == [(cache, "r")]  # one read, nothing appended
+    assert opens == [(cache, "rb")]  # one read, nothing appended
 
 
 def test_scan_recomputes_rows_with_inexact_or_missing_records(capsys, tmp_path):

@@ -362,6 +362,22 @@ def test_missing_inverse_is_an_internal_error():
         FiniteGroup("broken", table, ["1", "x", "y"], {})
 
 
+def test_build_reads_inverses_off_the_array(monkeypatch, grp):
+    G = grp("m2[2048]")
+    assert all(type(i) is int for i in G.inverse)
+    assert G.inverse == [row.index(0) for row in G.table]
+    real = groups._SYSTEMS["c"]
+
+    def left_projection(desc):
+        # x * y = x: row 0 is all 0 and no other row holds the identity
+        return real(desc)._replace(
+            mult=lambda rows, cols: [np.broadcast_arrays(r, c)[0] for r, c in zip(rows, cols)])
+
+    monkeypatch.setitem(groups._SYSTEMS, "c", left_projection)
+    with pytest.raises(InternalConsistencyError, match=r"c\[5\]: element 1 has no inverse"):
+        groups.build.__wrapped__(parse_descriptor("c[5]"))
+
+
 # the naive-oracle grid of test_zerosum.py plus four larger groups
 GENERATOR_GRID = ["c[1]", "c[2]", "c[3]", "c[4]", "c[5]", "c[6]", "c[7]", "c[8]",
                   "ab[2,2]", "d[6]", "q[8]", "d[8]",

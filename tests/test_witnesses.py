@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+
+import numpy as np
 import pytest
 
 from davlab import (build, congruence_oracle, congruence_system, discriminant_check,
@@ -6,7 +10,8 @@ from davlab import (build, congruence_oracle, congruence_system, discriminant_ch
                     witness_g1, witness_g2, witness_g3, witness_plan, witness_two_power)
 from davlab.descriptors import validate_descriptor
 from davlab.errors import BudgetExceededError, DavlabError
-from davlab.witnesses import CongruenceSystem
+from davlab.numtheory import least_qnr
+from davlab.witnesses import RANGE_CAP, CongruenceSystem, _solution_count
 
 
 def labels_of(spec, G):
@@ -228,6 +233,117 @@ def test_congruence_oracle_range_cap():
     system = CongruenceSystem(prime=3, case_tag="g1_3mod4", alpha=9, beta=9, gamma=9)
     with pytest.raises(BudgetExceededError):
         congruence_oracle(system)
+
+
+def _count_by_x_loop(system) -> int:
+    """The oracle's count as first written: for each x in range, one pass
+    over the whole (y, z, w) box. The reference for _solution_count."""
+    rx, ry, rz, rw = system.ranges
+    p, tag, q = system.prime, system.case_tag, system.q
+    m1, m2, m3 = system.moduli
+    y = np.arange(ry, dtype=np.int64)[:, None, None]
+    z = np.arange(rz, dtype=np.int64)[None, :, None]
+    w = np.arange(rw, dtype=np.int64)[None, None, :]
+    count = 0
+    if tag == "g1_3mod4":
+        for x in range(rx):
+            eq1 = (-x + z + 2 * w) % m1 == 0
+            eq2 = (x - y - w) % m2 == 0
+            eq3 = (-2 * (x - y) * (z + 2 * w) + (x * x + 2 * w * w)) % m3 == 0
+            count += int(np.count_nonzero(eq1 & eq2 & eq3))
+    elif tag == "g1_1mod4":
+        for x in range(rx):
+            eq1 = (-x + z + w) % m1 == 0
+            eq2 = (x - y + q * z) % m2 == 0
+            eq3 = (-2 * (x - y) * (z + w) - 2 * q * z * w + x * x - q * z * z) % m3 == 0
+            count += int(np.count_nonzero(eq1 & eq2 & eq3))
+    else:
+        inv2 = (m1 + 1) // 2
+        shift = inv2 * p ** (system.alpha - system.gamma)
+        if tag == "g3_3mod4":
+            bracket = -2 * y * (z + 2 * w) - 4 * z * w - (z * z + 2 * w * w)
+            lin = z + 2 * w
+            eq2 = (y + z + w) % m2 == 0
+        else:
+            bracket = (-2 * y * (z + w) - 2 * (q + 1) * z * w
+                       - (q + 1) * z * z - w * w)
+            lin = z + w
+            eq2 = (y + (q + 1) * z + w) % m2 == 0
+        eq3 = bracket % m3 == 0
+        partial = (lin + shift * bracket) % m1
+        base = eq2 & eq3
+        for x in range(rx):
+            count += int(np.count_nonzero(base & ((partial - x) % m1 == 0)))
+    return count
+
+
+def _small_systems(max_box: int = 5_000_000):
+    """The system of every valid g1 and g3 descriptor whose box holds at most
+    max_box tuples and whose ranges fit under RANGE_CAP."""
+    out = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        top = 1
+        while p ** (top + 1) <= max_box:
+            top += 1
+        exps = range(1, top + 1)
+        for a, b, g in itertools.product(exps, repeat=3):
+            if a >= b >= g and p ** (a + b + 2 * g) <= max_box:
+                out.append(f"g1[{p},{a},{b},{g}]")
+        for a, b, g, s in itertools.product(exps, repeat=4):
+            if b >= g > s and a + s >= 2 * g and p ** (a + b + 2 * s) <= max_box:
+                out.append(f"g3[{p},{a},{b},{g},{s}]")
+    systems = [congruence_system(parse_descriptor(text)) for text in out]
+    return [s for s in systems if max(s.ranges) <= RANGE_CAP]
+
+
+SMALL_SYSTEMS = _small_systems()
+
+
+@pytest.mark.parametrize("tag", ["g1_3mod4", "g1_1mod4", "g3_3mod4", "g3_1mod4"])
+def test_solution_count_equals_the_x_loop(tag):
+    systems = [s for s in SMALL_SYSTEMS if s.case_tag == tag]
+    assert systems
+    for system in systems:
+        count = _solution_count(system)
+        assert count == _count_by_x_loop(system), system
+        # on this grid only the verified scope is extremal: gamma or sigma > 1 is not
+        proven = (system.sigma if tag.startswith("g3") else system.gamma) == 1
+        assert (count == 1) == proven, system
+
+
+def test_small_systems_reach_the_cap_in_both_classes():
+    by_tag = {}
+    for s in SMALL_SYSTEMS:
+        box = s.ranges[0] * s.ranges[1] * s.ranges[2] * s.ranges[3]
+        by_tag[s.case_tag] = max(by_tag.get(s.case_tag, 0), box)
+    assert set(by_tag) == {"g1_3mod4", "g1_1mod4", "g3_3mod4", "g3_1mod4"}
+    assert min(by_tag.values()) > 10 ** 5
+
+
+def _wrong_systems():
+    """Systems with nonzero solutions: the case tag flipped to the other
+    residue class, or q replaced by a quadratic residue."""
+    for system in SMALL_SYSTEMS:
+        r = system.ranges
+        if r[0] * r[1] * r[2] * r[3] > 500_000:
+            continue
+        family, case = system.case_tag.split("_")
+        if case == "3mod4":
+            # -1 is a non-residue, so -4q is a residue for a non-residue q
+            yield dataclasses.replace(system, case_tag=f"{family}_1mod4",
+                                      q=least_qnr(system.prime))
+        else:
+            yield dataclasses.replace(system, case_tag=f"{family}_3mod4", q=None)
+            yield dataclasses.replace(system, q=4)  # 4 = 2^2 is a residue
+
+
+def test_solution_count_equals_the_x_loop_on_wrong_systems():
+    counts = []
+    for system in _wrong_systems():
+        count = _solution_count(system)
+        assert count == _count_by_x_loop(system), system
+        counts.append(count)
+    assert len(counts) > 20 and all(c > 1 for c in counts), counts
 
 
 def test_discriminant_check_examples():

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import random
 import time
 
 import pytest
@@ -12,7 +14,8 @@ from davlab import (SearchBudget, Sequence, build, davenport_ordered,
                     has_group_length_product_one, is_minimal_product_one,
                     is_ordered_free, is_product_one, is_unordered_free,
                     is_weighted_free, min_weight_set, olson_white_bound,
-                    parse_descriptor, reach_extend, validate_descriptor, zerosum)
+                    make_descriptor, parse_descriptor, reach_extend, validate_descriptor,
+                    witness_for_theorem, zerosum)
 from davlab.errors import DavlabError, GroupTooLargeError, InvalidWeightsError
 from davlab.subgroups import automorphisms
 from davlab.zerosum import ReachState
@@ -76,6 +79,84 @@ def test_is_ordered_free_witnesses(grp):
     a, b = G2.generators["a"], G2.generators["b"]
     seq = Sequence(G2, (a,) * 8 + (b,) * 2)
     assert len(seq) == 10 and is_ordered_free(seq)
+
+
+def _ordered_free_by_bitmask(seq) -> bool:
+    """is_ordered_free as first written: the reach set as an int bitmask,
+    walked one set bit at a time. The reference for the reach-list walk."""
+    table = seq.group.table
+    mask = 0
+    for g in seq.terms:
+        new = 1 << g
+        m = mask
+        while m:
+            low = m & -m
+            new |= 1 << table[low.bit_length() - 1][g]
+            m ^= low
+        mask |= new
+        if mask & 1:
+            return False
+    return True
+
+
+def _family_groups(max_order: int) -> list[str]:
+    """Every valid descriptor of every family with order at most max_order;
+    ab factors are listed in nondecreasing order."""
+    candidates = [make_descriptor(f, n) for f in ("c", "d", "q", "sd", "m2")
+                  for n in range(1, max_order + 1)]
+    for k in range(1, max_order.bit_length()):
+        candidates += [make_descriptor("ab", *t) for t in
+                       itertools.combinations_with_replacement(range(2, max_order + 1), k)
+                       if math.prod(t) <= max_order]
+    for p in (3, 5):
+        for e in itertools.product(range(1, 4), repeat=3):
+            candidates += [make_descriptor("g1", p, *e), make_descriptor("g2", p, *e)]
+    out = []
+    for desc in candidates:
+        try:
+            validate_descriptor(desc)
+        except DavlabError:
+            continue
+        if desc.theoretical_order() <= max_order:
+            out.append(desc.canonical())
+    return out
+
+
+def _random_sequences(G, rng: random.Random, count: int):
+    """Sequences of length 0 to |G|, half of them drawn from one to three
+    elements so that terms repeat; the identity is an element like any other."""
+    for _ in range(count):
+        if rng.random() < 0.5:
+            pool = rng.sample(range(G.order), min(G.order, rng.randint(1, 3)))
+        else:
+            pool = range(G.order)
+        length = rng.randint(0, G.order)
+        yield Sequence(G, tuple(rng.choice(pool) for _ in range(length)))
+
+
+def test_is_ordered_free_equals_the_bitmask_walk(grp):
+    texts = _family_groups(32)
+    assert {"c[32]", "ab[2,2,2,2,2]", "q[32]", "g1[3,1,1,1]", "g2[3,2,1,1]"} <= set(texts)
+    outcomes = {True: 0, False: 0}
+    for text in texts:
+        G = grp(text)
+        rng = random.Random(text)
+        for seq in _random_sequences(G, rng, 60):
+            free = is_ordered_free(seq)
+            assert free == _ordered_free_by_bitmask(seq), (text, seq.terms)
+            outcomes[free] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.parametrize("text,theorem", [("m2[2048]", 7), ("g1[3,3,3,1]", 6),
+                                          ("g2[3,4,3,2]", 6)])
+def test_is_ordered_free_equals_the_bitmask_walk_at_large_order(text, theorem, grp):
+    G = grp(text)
+    seq = witness_for_theorem(parse_descriptor(text), theorem).sequence(G)
+    assert is_ordered_free(seq) and _ordered_free_by_bitmask(seq)
+    # the inverse of the whole product closes a product-one sequence
+    closed = Sequence(G, seq.terms + (G.inv(G.product(list(seq.terms))),))
+    assert not is_ordered_free(closed) and not _ordered_free_by_bitmask(closed)
 
 
 def test_davenport_q8(grp):
