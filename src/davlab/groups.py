@@ -5,14 +5,18 @@ in row-major mixed-radix order, with one collection formula for products that
 works on ints and on numpy coordinate arrays alike. Three shared normal forms
 build nine of the ten families: abelian (c, ab), metacyclic (d, q, sd, m2,
 g2) and central (g1, g4); g3 keeps its own matrix action. build() decodes
-element indices into coordinates once, evaluates the formula on blocks of
-rows broadcast against all columns, and re-encodes the products as indices;
-the table is materialized once and all later work is table lookups. Element 0
-is always the identity and labels are the normal-form words. Every built table
-is proven a group (entries in range, identity, right inverses, generation and
-Light's associativity test, O(|gens| n^2) at every order; a monoid with right
-inverses is a group, hence Latin), and every relation of the family's own
-presentation is checked, so the shared builders are verified, not trusted.
+element indices into coordinates once and evaluates the formula on blocks of
+rows broadcast against the columns whose last coordinate is 0. In every
+normal form the last coordinate of a product is the right factor's last
+exponent added modulo its radix, with no carry into the other coordinates,
+so the rest of each row is filled by rotating that coordinate. The table is
+stored once, as one int32 array per row (4 bytes a cell), and all later work
+is table lookups. Element 0 is always the identity and labels are the
+normal-form words. Every built table is proven a group (entries in range,
+identity, right inverses, generation and Light's associativity test,
+O(|gens| n^2) at every order; a monoid with right inverses is a group, hence
+Latin), and every relation of the family's own presentation is checked, so
+the shared builders and the row fill are verified, not trusted.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,17 +41,20 @@ class FiniteGroup:
     """A finite group as a complete multiplication table on 0..order-1.
 
     Immutable after construction; instances are safe to share. ``table[x][y]``
-    is the product x*y, index 0 is the identity, ``prime`` is set when the
-    order is a prime power. The named ``generators`` generate the whole group
-    (``build`` checks this); centers, abelianness and whole-group subgroups
-    rely on it. A group made with no named generators counts as generated by
-    all of its elements.
+    is the product x*y, an int; index 0 is the identity, ``prime`` is set when
+    the order is a prime power. ``build`` stores each row as an int32
+    ``array.array``: index it, slice it or take ``list(row)`` for a list copy,
+    but do not compare it with a list. Hand-made tables may be lists of
+    lists. The named ``generators`` generate the whole group (``build``
+    checks this); centers, abelianness and whole-group subgroups rely on it.
+    A group made with no named generators counts as generated by all of its
+    elements.
     """
 
     __slots__ = ("name", "order", "table", "inverse", "labels", "generators",
                  "prime", "_orders")
 
-    def __init__(self, name: str, table: list[list[int]], labels: list[str],
+    def __init__(self, name: str, table: Sequence[Sequence[int]], labels: list[str],
                  generators: dict[str, int], prime: int | None = None,
                  inverse: list[int] | None = None):
         self.name = name
@@ -188,8 +196,14 @@ def _word_label(parts: list[tuple[str, int]]) -> str:
 # formula on coordinate tuples whose entries may be ints or broadcastable numpy
 # integer arrays: it uses only +, -, *, //, % and lookups in precomputed power
 # arrays, branching on the parameters but never on the elements, so build()
-# evaluates it on whole row blocks. _relations and validate_descriptor stay
-# per family, as the independent check on the shared forms.
+# evaluates it on whole row blocks. In every system the last coordinate of a
+# product is the right factor's last exponent added modulo the last radix r,
+# and no other coordinate depends on that exponent: right multiplication by
+# the last generator only rotates the last coordinate. So _table evaluates
+# `mult` on the n/r columns whose last coordinate is 0 and fills the rest of
+# each row by that rotation; build()'s checks run on the filled table.
+# _relations and validate_descriptor stay per family, as the independent
+# check on the shared forms.
 
 
 class _System(NamedTuple):
@@ -229,7 +243,12 @@ def _metacyclic(names, m: int, n: int, r: int, s: int, prime: int | None,
     With normal_first the words are y^j x^i instead, coordinates (j, i).
     `names` lists the two generators in coordinate order. The presentation
     needs r^n = 1 and s (r - 1) = 0 modulo m; build() checks the result.
+    normal_first needs s = 0: a wrapped x exponent would leave y^s in the
+    first coordinate, so the last exponent would carry (see _System).
     """
+    if normal_first and s:
+        raise InternalConsistencyError(
+            f"metacyclic words y^j x^i with x^{n} = y^{s}: the x exponent carries")
     # y^j x^i = x^i y^(j r^i), so x^i y^j = y^(j r^-i) x^i
     rpow = np.array([pow(r, -k if normal_first else k, m) for k in range(n)],
                     dtype=np.int64)
@@ -343,8 +362,8 @@ _SYSTEMS = {
 
 
 # Rows per block of the array build and of the associativity test: their
-# temporaries, a few 128 x n int64 arrays, stay a few MB at the order cap,
-# where one n x n int64 array alone would take 134 MB.
+# temporaries, a few 128 x n arrays, stay a few MB at the order cap, where one
+# n x n int64 array alone would take 134 MB.
 _BLOCK_ROWS = 128
 
 
@@ -366,7 +385,7 @@ def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
     n = group.order
     if T is None:
         T = np.asarray(group.table, dtype=np.int32)
-    # an entry out of range would fail, or wrap around when negative, below
+    # every index taken below is an entry, so in range once this holds
     if not (T.min() >= 0 and T.max() < n):
         raise InternalConsistencyError(f"{group.name}: table entry out of range")
     rng = np.arange(n, dtype=np.int32)
@@ -387,40 +406,56 @@ def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
     if len(queue) != n:
         raise InternalConsistencyError(
             f"{group.name}: generators {sorted(group.generators)} do not generate it")
+    # (x a) y and x (a y) of each row block go into buffers made once: a
+    # fresh MB-sized temporary per block is mapped and faulted in anew
+    # whenever the allocator hands blocks of that size back to the system.
+    # mode="clip" writes straight into them (mode="raise" buffers the
+    # output); with every entry in range it clips nothing.
+    left = np.empty((min(n, _BLOCK_ROWS), n), dtype=T.dtype)
+    right = np.empty_like(left)
+    same = np.empty(left.shape, dtype=bool)
     for g in gens:
         gy = T[g]
         for start in range(0, n, _BLOCK_ROWS):
             X = T[start:start + _BLOCK_ROWS]
-            if not np.array_equal(T[X[:, g]], X[:, gy]):
+            k = len(X)
+            np.take(T, X[:, g], axis=0, out=left[:k], mode="clip")
+            np.take(X, gy, axis=1, out=right[:k], mode="clip")
+            if not np.equal(left[:k], right[:k], out=same[:k]).all():
                 raise InternalConsistencyError(
                     f"{group.name}: associativity fails at generator {g}")
 
 
-def _table(radices: tuple[int, ...], mult) -> tuple[list[list[int]], np.ndarray]:
-    """The multiplication table of a system, as lists of shared int objects
-    and as the same table in an n x n int32 array.
+def _table(radices: tuple[int, ...], mult) -> tuple[list[array], np.ndarray]:
+    """The multiplication table of a system, as one int32 ``array.array`` per
+    row and as the same table in an n x n int32 array.
 
-    Indices are decoded into coordinate arrays once; each block of rows is
-    multiplied against all columns by broadcasting and re-encoded. The codes
-    index one shared object array of the ints 0..n-1, so that the n^2 cells
-    reference n int objects instead of n^2 fresh ones.
+    Indices are decoded into coordinate arrays once. Each block of rows is
+    multiplied against the columns whose last coordinate is 0 and re-encoded
+    as a base index; cell (x, base column + k) is that base with its last
+    coordinate lo rotated to (lo + k) mod r (see _System).
     """
     n = math.prod(radices)
-    cols = np.unravel_index(np.arange(n), radices)
-    ints = np.array(range(n), dtype=object)
-    array = np.empty((n, n), dtype=np.int32)
-    table = []
+    r = radices[-1]
+    coords = np.unravel_index(np.arange(n), radices)
+    cols = tuple(c[::r] for c in coords)
+    shift = np.arange(r, dtype=np.int32)
+    T = np.empty((n, n), dtype=np.int32)
     for start in range(0, n, _BLOCK_ROWS):
-        rows = tuple(c[start:start + _BLOCK_ROWS, None] for c in cols)
-        codes = np.ravel_multi_index(mult(rows, cols), radices)
-        array[start:start + _BLOCK_ROWS] = codes
-        table.extend(ints[codes].tolist())
-    return table, array
+        rows = tuple(c[start:start + _BLOCK_ROWS, None] for c in coords)
+        base = np.ravel_multi_index(mult(rows, cols), radices).astype(np.int32)
+        lo = base % r
+        block = T[start:start + _BLOCK_ROWS].reshape(len(base), n // r, r)
+        np.add(lo[..., None], shift, out=block)
+        np.subtract(block, r, out=block, where=block >= r)
+        block += (base - lo)[..., None]
+    return [array("i", row.tobytes()) for row in T], T
 
 
 def _inverses(name: str, T: np.ndarray) -> list[int]:
-    """The right inverses of a built int32 table, whose entries
-    ``np.ravel_multi_index`` has bounds-checked: the first 0 of each row, as
+    """The right inverses of a built int32 table, whose entries are in range
+    (``np.ravel_multi_index`` bounds-checks each base, and the rotation stays
+    inside the base's block of r): the first 0 of each row, as
     ``row.index(0)`` finds it, read off the whole array at once."""
     inverse = T.argmin(axis=1)
     missing = np.flatnonzero(T[np.arange(len(T)), inverse])
@@ -445,7 +480,7 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
         raise GroupTooLargeError(
             f"{desc}: order {shown} exceeds cap {ORDER_CAP}")
     system = _SYSTEMS[desc.family](desc)
-    table, array = _table(system.radices, system.mult)
+    table, T = _table(system.radices, system.mult)
     if len(table) != order:
         raise InternalConsistencyError(
             f"{desc}: built order {len(table)} != expected {order}")
@@ -453,8 +488,8 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
     generators = {name: int(np.ravel_multi_index(g, system.radices))
                   for name, g in system.gens.items()}
     group = FiniteGroup(desc.canonical(), table, labels, generators, prime=system.prime,
-                        inverse=_inverses(desc.canonical(), array))
-    check_group_axioms(group, array)
+                        inverse=_inverses(desc.canonical(), T))
+    check_group_axioms(group, T)
     report = verify_presentation(group, desc)
     if not report.ok:
         raise InternalConsistencyError(

@@ -26,6 +26,9 @@ from .zerosum import Sequence
 
 RANGE_CAP = 10_000
 PRODUCT_CAP = 2_000_000_000
+# Tuples per block of x values in the g1 counts: their int64 temporaries
+# stay a few MB however the box is shaped.
+_BLOCK_TUPLES = 1 << 17
 
 
 @dataclass
@@ -245,10 +248,10 @@ def congruence_oracle(system: CongruenceSystem) -> bool:
     """True when the all-zero tuple is the only solution inside the box.
 
     Every tuple of the full ranges is evaluated; no variable is eliminated.
-    The g1 systems loop on x, vectorized over y, z, w. The g3 systems
-    evaluate the whole (y, z, w) box once and count its tuples by x in one
-    histogram. This is the arithmetic counterpart of the group-table
-    freeness check.
+    The g1 systems evaluate blocks of x values broadcast against the whole
+    (y, z, w) box. The g3 systems evaluate the box once and count its tuples
+    by x in one histogram. This is the arithmetic counterpart of the
+    group-table freeness check.
     """
     return _solution_count(system) == 1
 
@@ -256,9 +259,11 @@ def congruence_oracle(system: CongruenceSystem) -> bool:
 def _solution_count(system: CongruenceSystem) -> int:
     """The number of solutions inside the box, all-zero tuple included.
 
-    x enters the g1 eq3 quadratically, so those systems take one pass over
-    the (y, z, w) box per x. In the g3 systems x enters only eq1, as
-    x = partial(y, z, w) mod m1, so one pass counts every x at once.
+    x enters the g1 eq3 quadratically, so those systems evaluate every
+    (x, y, z, w), a block of x values per pass, each block holding about
+    _BLOCK_TUPLES tuples. In the g3 systems x enters only eq1, as
+    x = partial(y, z, w) mod m1, so one pass over the (y, z, w) box counts
+    every x at once.
     """
     rx, ry, rz, rw = system.ranges
     if max(system.ranges) > RANGE_CAP:
@@ -275,17 +280,18 @@ def _solution_count(system: CongruenceSystem) -> int:
     tag = system.case_tag
     q = system.q
     count = 0
-    if tag == "g1_3mod4":
-        for x in range(rx):
-            eq1 = (-x + z + 2 * w) % m1 == 0
-            eq2 = (x - y - w) % m2 == 0
-            eq3 = (-2 * (x - y) * (z + 2 * w) + (x * x + 2 * w * w)) % m3 == 0
-            count += int(np.count_nonzero(eq1 & eq2 & eq3))
-    elif tag == "g1_1mod4":
-        for x in range(rx):
-            eq1 = (-x + z + w) % m1 == 0
-            eq2 = (x - y + q * z) % m2 == 0
-            eq3 = (-2 * (x - y) * (z + w) - 2 * q * z * w + x * x - q * z * z) % m3 == 0
+    if tag in ("g1_3mod4", "g1_1mod4"):
+        step = max(1, _BLOCK_TUPLES // (ry * rz * rw))
+        for start in range(0, rx, step):
+            x = np.arange(start, min(start + step, rx), dtype=np.int64)[:, None, None, None]
+            if tag == "g1_3mod4":
+                eq1 = (-x + z + 2 * w) % m1 == 0
+                eq2 = (x - y - w) % m2 == 0
+                eq3 = (-2 * (x - y) * (z + 2 * w) + (x * x + 2 * w * w)) % m3 == 0
+            else:
+                eq1 = (-x + z + w) % m1 == 0
+                eq2 = (x - y + q * z) % m2 == 0
+                eq3 = (-2 * (x - y) * (z + w) - 2 * q * z * w + x * x - q * z * z) % m3 == 0
             count += int(np.count_nonzero(eq1 & eq2 & eq3))
     elif tag in ("g3_3mod4", "g3_1mod4"):
         inv2 = (m1 + 1) // 2

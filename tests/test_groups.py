@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -42,7 +43,7 @@ def test_identity_is_element_zero(grp):
 
 def test_trivial_group():
     G = build_from_string("c[1]")
-    assert G.order == 1 and G.table == [[0]]
+    assert G.order == 1 and [list(row) for row in G.table] == [[0]]
 
 
 def test_dicyclic_relations(grp):
@@ -288,8 +289,8 @@ def test_abelian_product_matches_componentwise(grp):
 # sha256 of np.asarray(table, int32).tobytes() as built by the per-pair loop
 # over the element list (index[mult(x, y)] for every x, y) before tables were
 # built from coordinate arrays; a reordered encoding or a wrong cocycle sign
-# changes the digest. build() checks the axioms on an int32 copy that
-# _table fills alongside the lists; test_table_array_mirrors_the_list pins it.
+# changes the digest. build() checks the axioms on the int32 array that
+# _table copies its rows from; test_table_array_mirrors_the_list pins it.
 GOLDEN_TABLES = {
     "c[1]": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
     "c[12]": "95e853c042436f11d7eda0d1883c5880debefaefde06702c2d26b1cecdf395bb",
@@ -345,6 +346,14 @@ def test_build_rejects_generators_that_do_not_generate(monkeypatch):
         groups.build.__wrapped__(parse_descriptor("d[8]"))
 
 
+def test_metacyclic_words_with_a_carrying_last_exponent_are_refused():
+    # on the words y^j x^i a wrapped x exponent leaves y^s behind, which the
+    # row fill of _table cannot express
+    with pytest.raises(InternalConsistencyError, match="carries"):
+        groups._metacyclic(("y", "x"), 4, 2, -1, 2, 2, normal_first=True)
+    assert groups._metacyclic(("y", "x"), 4, 2, -1, 0, 2, normal_first=True).radices == (4, 2)
+
+
 def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
     """The shared metacyclic builder assumes s(r-1) = 0 (mod m); build() must
     refuse a q system that breaks it (x^2 = y with r = -1, m = 4)."""
@@ -366,16 +375,18 @@ def test_build_reads_inverses_off_the_array(monkeypatch, grp):
     G = grp("m2[2048]")
     assert all(type(i) is int for i in G.inverse)
     assert G.inverse == [row.index(0) for row in G.table]
-    real = groups._SYSTEMS["c"]
+    real = groups._SYSTEMS["ab"]
 
     def left_projection(desc):
-        # x * y = x: row 0 is all 0 and no other row holds the identity
+        # x * y = x on the columns the build evaluates, those of last
+        # coordinate 0; the fill then rotates the last coordinate, so row
+        # (i, j) holds (i, *) and only rows with i = 0 hold the identity
         return real(desc)._replace(
             mult=lambda rows, cols: [np.broadcast_arrays(r, c)[0] for r, c in zip(rows, cols)])
 
-    monkeypatch.setitem(groups._SYSTEMS, "c", left_projection)
-    with pytest.raises(InternalConsistencyError, match=r"c\[5\]: element 1 has no inverse"):
-        groups.build.__wrapped__(parse_descriptor("c[5]"))
+    monkeypatch.setitem(groups._SYSTEMS, "ab", left_projection)
+    with pytest.raises(InternalConsistencyError, match=r"ab\[5,5\]: element 5 has no inverse"):
+        groups.build.__wrapped__(parse_descriptor("ab[5,5]"))
 
 
 # the naive-oracle grid of test_zerosum.py plus four larger groups
@@ -396,6 +407,63 @@ def test_generator_shortcuts_match_all_pairs(text, grp):
     # a group with no named generators counts as generated by all elements
     bare = FiniteGroup(G.name, t, G.labels, {})
     assert bare.center() == G.center() and bare.is_abelian() == G.is_abelian()
+
+
+def _table_by_full_product(radices, mult) -> np.ndarray:
+    """The table as first built from coordinate arrays: the product formula
+    evaluated on every cell, blocks of rows against all columns. The
+    reference for _table, which evaluates it only on the columns whose last
+    coordinate is 0."""
+    n = math.prod(radices)
+    cols = np.unravel_index(np.arange(n), radices)
+    T = np.empty((n, n), dtype=np.int32)
+    for start in range(0, n, 128):
+        rows = tuple(c[start:start + 128, None] for c in cols)
+        T[start:start + 128] = np.ravel_multi_index(mult(rows, cols), radices)
+    return T
+
+
+def _acceptance_scan_groups() -> list[str]:
+    from davlab import cli
+    from test_acceptance import SCAN_INVOCATIONS
+    out = []
+    for invocation in SCAN_INVOCATIONS:
+        args = cli.build_parser().parse_args(["scan", *invocation])
+        out += [d.canonical() for d in cli._grid(args.families.split(","), args.primes,
+                                                 args.max_order,
+                                                 cli._parse_param_ranges(args.param_ranges))]
+    return out
+
+
+SCAN_GROUPS = _acceptance_scan_groups()
+FILL_GRID = sorted(set(GENERATOR_GRID) | set(GOLDEN_TABLES) | set(SCAN_GROUPS))
+
+
+def test_fill_grid_covers_the_acceptance_scans():
+    assert len(SCAN_GROUPS) == 38 and {"m2[1024]", "d[1000]"} <= set(FILL_GRID)
+
+
+@pytest.mark.parametrize("text", FILL_GRID)
+def test_table_equals_the_full_product(text):
+    desc = parse_descriptor(text)
+    system = groups._SYSTEMS[desc.family](desc)
+    rows, T = groups._table(system.radices, system.mult)
+    want = _table_by_full_product(system.radices, system.mult).tobytes()
+    assert T.tobytes() == want
+    assert b"".join(row.tobytes() for row in rows) == want
+
+
+@pytest.mark.parametrize("text", ["g1[13,1,1,1]", "g1[3,2,2,2]", "g3[3,3,2,2,1]"])
+def test_table_rows_hold_no_gc_references(text, grp):
+    # a garbage collection walks every reference a tracked row holds: int32
+    # array rows hold none per cell, where lists held n^2 for the table
+    G = grp(text)
+    assert sum(len(gc.get_referents(row)) for row in G.table) <= G.order
+    row = G.table[5]
+    copy = row[:]
+    copy[0] = -1
+    assert row[0] != -1 and type(row[0]) is int
+    assert list(row) == [G.mul(5, y) for y in G.elements()]
 
 
 # --- associativity by Light's generator test ----------------------------------
