@@ -4,13 +4,21 @@ One read loop, `cache_records`, serves every lookup. `cache_get` is its
 one-key case; `scan` asks for the keys of its whole grid at once, so it
 reads the file once per invocation. Search results (D, Dprime, E, DA) are
 served only from records of the current SEARCH_ALGO.
+
+A lookup parses only the lines that can hold a wanted key. A line that
+begins with the head `cache_put` writes, `{"algo": <null|int>,
+"descriptor": "<d>", `, with <d> plain printable ASCII naming no wanted
+descriptor, and that ends in `}`, is skipped unparsed, so a corrupted line
+of that shape warns only on lookups that want its descriptor. Every other
+line is decoded and parsed, and warns when corrupted. A skip can only turn
+a hit into a miss, which is recomputed, never a wrong answer.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
+import re
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,7 +34,13 @@ _SEARCH_INVARIANTS = {"D", "Dprime", "E", "DA"}
 _INVARIANTS = _SEARCH_INVARIANTS | {"L", "L_formula", "witness_check", "oracle_check"}
 
 
+# The start of every line cache_put writes (sorted keys, default separators),
+# capturing a descriptor that needs no JSON escape.
+_HEAD = re.compile(rb'\{"algo": (?:null|-?[0-9]+), "descriptor": "([ !#-\[\]-~]*)", ')
+
+
 def _now() -> str:
+    import datetime  # only new records need it; a warm lookup skips the import
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
@@ -81,12 +95,17 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     Search records whose algo is not SEARCH_ALGO (a line without the field
     predates it) are stale and skipped.
 
-    Corrupted lines, such as one that is not UTF-8 or not JSON, are skipped
-    with a warning; a missing file has no records, and one that cannot be
-    read raises CacheFileError. Records of other keys are dropped as they are
+    Only lines that can hold a wanted key are parsed: a line with the
+    `cache_put` head (`_HEAD`) whose descriptor no wanted key names, and
+    which ends in `}`, is skipped unread. Corrupted parsed lines, such as
+    one that is not UTF-8 or not JSON, are skipped with a warning; so a
+    truncated line always warns, and one corrupted after an unwanted head
+    does not. A missing file has no records, and one that cannot be read
+    raises CacheFileError. Records of other keys are dropped as they are
     read, so memory grows with the keys asked for, not with the file.
     """
     wanted = set(keys)
+    wanted_heads = {key[0].encode() for key in wanted}
     hits: dict[tuple, ResultRecord] = {}
     if not Path(path).exists():
         return hits
@@ -99,6 +118,9 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
+                continue
+            head = _HEAD.match(line)
+            if head and head[1] not in wanted_heads and line.endswith(b"}"):
                 continue
             try:
                 # strict: a line that is not UTF-8 is corrupted, not repaired

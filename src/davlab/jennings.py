@@ -20,8 +20,9 @@ from .errors import InternalConsistencyError, NotAPGroupError
 from .groups import FiniteGroup
 from .numtheory import prime_power
 from .report import Report
-from .subgroups import (Subgroup, commutator_subgroup, power_set, power_subgroup,
-                        product_subgroup, subgroup_closure, whole_subgroup)
+from .subgroups import (Subgroup, _normalized_by, commutator_subgroup, power_set,
+                        power_subgroup, product_subgroup, subgroup_closure,
+                        whole_subgroup)
 from .theory import loewy_formula  # the closed form, kept importable from here
 
 
@@ -112,23 +113,22 @@ def jennings_data(group: FiniteGroup, p: int | None = None) -> JenningsData:
 
 def quotient_elementary_abelian_report(group: FiniteGroup,
                                        series: list[Subgroup], p: int) -> Report:
-    """Each M_i / M_{i+1} must be elementary abelian: p-th powers and
-    commutators of M_i land in M_{i+1} (checked by membership, no cosets)."""
+    """Each M_i / M_{i+1} must be elementary abelian. With M_{i+1} inside
+    M_i and normalized by the generators of M_i, the quotient is generated
+    by the images of those generators, so it is elementary abelian exactly
+    when their p-th powers and pairwise commutators land in M_{i+1}
+    (membership, no cosets)."""
     report = Report(f"elementary abelian quotients of {group.name}")
     for i in range(len(series) - 1):
         upper, lower = series[i], series[i + 1]
-        elems = upper.elements()
-        ok_pow = all(group.pow(h, p) in lower for h in elems)
-        ok_comm = True
-        for h in elems:
-            if not ok_comm:
-                break
-            for k in elems:
-                if group.commutator(h, k) not in lower:
-                    ok_comm = False
-                    break
-        report.add(f"M_{i+1}^(p) <= M_{i+2}", ok_pow)
-        report.add(f"[M_{i+1}, M_{i+1}] <= M_{i+2}", ok_comm)
+        gens = upper.gens
+        report.add(f"M_{i+2} normal in M_{i+1}",
+                   lower <= upper and _normalized_by(lower, gens))
+        report.add(f"M_{i+1}^(p) <= M_{i+2}",
+                   all(group.pow(h, p) in lower for h in gens))
+        report.add(f"[M_{i+1}, M_{i+1}] <= M_{i+2}",
+                   all(group.commutator(h, k) in lower
+                       for j, h in enumerate(gens) for k in gens[j + 1:]))
     return report
 
 

@@ -349,54 +349,59 @@ def test_import_cli_leaves_out_jsonschema():
 
 
 # Runs `davlab <argv>` in this interpreter, then prints as the last line of
-# stderr which of the table-building modules the command imported.
-_TABLE_MODULES_PROBE = """
+# stderr which of the modules a warm run does without it imported: numpy and
+# the table builder, and datetime, which only a new cache record needs.
+_WARM_FREE_MODULES_PROBE = """
 import json, sys
 from davlab.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps(sorted({"numpy", "davlab.groups"} & set(sys.modules))), file=sys.stderr)
+print(json.dumps(sorted({"numpy", "davlab.groups", "datetime"} & set(sys.modules))),
+      file=sys.stderr)
 sys.exit(code)
 """
+_COLD = ["datetime", "davlab.groups", "numpy"]
 
 
-def _table_modules_after(*argv) -> list[str]:
-    """numpy and davlab.groups, as far as a fresh `davlab argv` imported them."""
-    done = _python("-c", _TABLE_MODULES_PROBE, *argv)
+def _warm_free_modules_after(*argv) -> list[str]:
+    """numpy, davlab.groups and datetime, as far as a fresh `davlab argv`
+    imported them."""
+    done = _python("-c", _WARM_FREE_MODULES_PROBE, *argv)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stderr.splitlines()[-1])
 
 
 def test_import_davlab_and_cli_leave_out_numpy():
     done = _python("-c", "import sys, davlab, davlab.cli; "
-                         "loaded = {'numpy', 'davlab.groups'} & set(sys.modules); "
+                         "loaded = {'numpy', 'davlab.groups', 'datetime'} & set(sys.modules); "
                          "sys.exit(f'imported {sorted(loaded)}' if loaded else 0)")
     assert done.returncode == 0, done.stderr
 
 
 def test_help_leaves_out_numpy():
-    assert _table_modules_after("--help") == []
+    assert _warm_free_modules_after("--help") == []
 
 
 def test_warm_scan_leaves_out_numpy(tmp_path):
     args = ("scan", "--families=d,q,sd,m2", "--max-order=32", "--cache",
             str(tmp_path / "c.jsonl"))
-    assert _table_modules_after(*args) == ["davlab.groups", "numpy"]  # cold: builds
-    assert _table_modules_after(*args) == []
+    assert _warm_free_modules_after(*args) == _COLD  # builds, writes records
+    assert _warm_free_modules_after(*args) == []
 
 
 def test_cached_davenport_leaves_out_numpy(tmp_path):
     args = ("davenport", "q[8]", "--cache", str(tmp_path / "c.jsonl"))
-    assert _table_modules_after(*args) == ["davlab.groups", "numpy"]
-    assert _table_modules_after(*args) == []
+    assert _warm_free_modules_after(*args) == _COLD
+    assert _warm_free_modules_after(*args) == []
 
 
 def test_loewy_formula_leaves_out_numpy():
-    assert _table_modules_after("loewy", "q[16]", "--method", "formula") == []
-    assert _table_modules_after("loewy", "q[16]", "--method", "direct") == [
-        "davlab.groups", "numpy"]
+    assert _warm_free_modules_after("loewy", "q[16]", "--method", "formula") == []
+    # numpy may import datetime itself, so only the table modules are pinned
+    assert {"davlab.groups", "numpy"} <= set(
+        _warm_free_modules_after("loewy", "q[16]", "--method", "direct"))
 
 
 def test_unwritable_cache_is_an_error_line(capsys, tmp_path):

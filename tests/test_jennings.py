@@ -8,6 +8,7 @@ from davlab import (jennings_data, jennings_exponents, loewy_formula,
                     power_generators_check)
 from davlab.errors import NoFormulaError, NotAPGroupError
 from davlab.jennings import quotient_elementary_abelian_report
+from davlab.subgroups import subgroup_closure, whole_subgroup
 
 P_GRID = [
     "c[2]", "c[3]", "c[9]", "c[27]", "ab[2,2]", "ab[3,3]", "ab[3,9]",
@@ -118,6 +119,49 @@ def test_jennings_invariants(text, grp):
     assert data.chain_sizes[-1] == 1
     report = quotient_elementary_abelian_report(G, data.series, p)
     assert report.ok, str(report)
+
+
+def _element_sweep_ok(group, series, p) -> bool:
+    """The former quotient check, kept as the reference: every p-th power and
+    every commutator of elements of M_i lies in M_{i+1}."""
+    for upper, lower in zip(series, series[1:]):
+        elems = upper.elements()
+        if not all(group.pow(h, p) in lower for h in elems):
+            return False
+        if not all(group.commutator(h, k) in lower for h in elems for k in elems):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("text", [t for t in P_GRID
+                                  if parse_descriptor(t).theoretical_order() <= 81])
+def test_quotient_report_equals_the_element_sweep(text, grp):
+    """On the M-series and on every chain left by dropping one of its terms."""
+    G = grp(text)
+    data = jennings_data(G)
+    series, p = data.series, data.prime
+    assert quotient_elementary_abelian_report(G, series, p).ok
+    assert _element_sweep_ok(G, series, p)
+    for i in range(1, len(series) - 1):
+        chain = series[:i] + series[i + 1:]
+        assert quotient_elementary_abelian_report(G, chain, p).ok == \
+            _element_sweep_ok(G, chain, p), (text, i)
+
+
+def test_quotient_report_rejects_broken_series(grp):
+    # the lower term is not normal: the reflection subgroup <x> of D_8
+    G = grp("d[8]")
+    chain = [whole_subgroup(G), subgroup_closure(G, [G.generators["x"]])]
+    report = quotient_elementary_abelian_report(G, chain, 2)
+    assert not _element_sweep_ok(G, chain, 2)
+    assert "M_2 normal in M_1" in [e.name for e in report.failures()]
+    # the lower term is too small: Q_8 / 1 is not elementary abelian
+    G = grp("q[8]")
+    chain = [whole_subgroup(G), subgroup_closure(G, [])]
+    report = quotient_elementary_abelian_report(G, chain, 2)
+    assert not _element_sweep_ok(G, chain, 2)
+    assert [e.name for e in report.failures()] == [
+        "M_1^(p) <= M_2", "[M_1, M_1] <= M_2"]
 
 
 @pytest.mark.parametrize("text", [t for t in P_GRID if t[0] == "g"])
