@@ -206,6 +206,8 @@ def _cmd_davenport(args) -> int:
         "exact": record.exact,
         "witness": record.witness,
         "cached": not fresh,
+        # a served record is exact, so its search ran to the end
+        "stop_reason": result.stop_reason if fresh else "done",
         "elapsed_ms": elapsed_ms,
         "version": __version__,
     }
@@ -222,6 +224,7 @@ def _cmd_davenport(args) -> int:
         doc["states"] = result.states_explored
         lines += [f"witness: {result.witness.compact()}",
                   f"states: {result.states_explored}",
+                  f"stop_reason: {result.stop_reason}",
                   f"elapsed_ms: {elapsed_ms}"]
     else:
         lines += [f"witness: {' '.join(record.witness) if record.witness else '(none)'}",

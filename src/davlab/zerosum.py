@@ -4,27 +4,40 @@ The ordered Davenport constant D(G) is 1 plus the longest sequence with no
 nonempty index-increasing subsequence multiplying to the identity. The set
 of all such subsequence products of a prefix (the reach set, stored as an
 int bit mask) is a sufficient statistic: extending by g maps S to
-S | S*g | {g}. The search is a memoized longest walk on reach states, which
-terminates because an identity-free extension strictly grows the state.
+S | S*g | {g}. The search is over walks on reach states, which are finite
+because an identity-free extension strictly grows the state.
 
-One engine, _longest_free, runs that walk with an explicit stack, owns the
-memo, the budget and the witness reconstruction. Each invariant supplies only
-its start state and a step that returns None on product one: reach masks for
-D(G), weighted reach masks for D_A(G), per-length product sets for E(G) and
+One engine, _longest_free, runs that search with an explicit stack, owns the
+memo, the budget and the witness. Each invariant supplies only its start
+state and a step that returns None on product one: reach masks for D(G),
+weighted reach masks for D_A(G), per-length product sets for E(G) and
 sorted multisets for the unordered constant D'(G), whose step tests one bit
 of the mask of sub-multiset arrangement products (_submultiset_products).
 
+The engine refutes lengths rather than maximizing: with w the longest walk
+found so far, a DFS asks for a walk of length w+1, extends any walk it finds
+greedily and asks again, and the first length it refutes is the value.
+Its memo, dead, maps a state to a length b of which it has no walk; a
+refuted state stores one more than the largest bound of its children, which
+stays true as the asked length grows. D and D_A also pass a counting cut,
+room(S) = |G| - 1 - |S| (_room): a free step adds an element to S and 1 is
+never in it, so a child with too little room is cut before its orbit key
+is computed. The cut is not the Loewy bound D <= L or the Olson-White
+bound, so the search stays an independent check of both. E and D' pass no
+cut. The witness is the lexicographically least longest walk
+(_longest_free says why).
+
 The memo is keyed by orbits under automorphisms. An automorphism a maps a
 free sequence to a free one, and the state of the image sequence is a(S), so
-the longest free extension of S depends only on its orbit. _longest_free
+the free walks from S and from a(S) have the same lengths. _longest_free
 therefore stores and looks up memo entries under key(S), the least image of
 S under the automorphisms that subgroups.automorphisms finds (a group of
 them, so the key is one representative per orbit), while steps, paths and
-the witness reconstruction stay on raw states: values, exactness and
-witnesses are those of the unkeyed search. SearchResult.states_explored and
-the state budget count orbit representatives. The keys serve D, D_A (a maps
-g^w to a(g)^w), E (a fixes the identity) and D' (a maps a free multiset to a
-free one, and the key is its least sorted image).
+the witness stay on raw states: values, exactness and witnesses are those
+of the unkeyed search. SearchResult.states_explored and the state budget
+count orbit representatives. The keys serve D, D_A (a maps g^w to a(g)^w),
+E (a fixes the identity) and D' (a maps a free multiset to a free one, and
+the key is its least sorted image).
 
 The steps map a mask S to S*g through per-element byte tables (_right_maps):
 one precomputed 256-entry table per byte of S, OR-ed together, instead of one
@@ -102,13 +115,16 @@ class SearchBudget:
 @dataclass
 class SearchResult:
     """states_explored is the number of memo entries of the search, one per
-    orbit representative, for all four invariants."""
+    orbit representative, for all four invariants. stop_reason is "done"
+    for an exact result, else the budget limit that tripped: "states" or
+    "seconds"."""
 
     value: int
     witness: Sequence
     states_explored: int
     elapsed: float
     exact: bool
+    stop_reason: str = "done"
 
 
 class _BudgetHit(Exception):
@@ -116,15 +132,22 @@ class _BudgetHit(Exception):
 
 
 class _Clock:
-    """Cooperative budget checks, both limits at every search state."""
+    """Cooperative budget checks, both limits at every search state;
+    stop_reason names the limit that tripped."""
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
         self.start = time.perf_counter()
+        self.stop_reason = "done"
 
     def tick(self, states: int) -> None:
-        if states > self.budget.max_states or self.elapsed() > self.budget.max_seconds:
-            raise _BudgetHit
+        if states > self.budget.max_states:
+            self.stop_reason = "states"
+        elif self.elapsed() > self.budget.max_seconds:
+            self.stop_reason = "seconds"
+        else:
+            return
+        raise _BudgetHit
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.start
@@ -141,71 +164,104 @@ def _checked_budget(group: FiniteGroup, budget: SearchBudget | None,
 
 
 def _longest_free(group: FiniteGroup, start, extend, alphabet,
-                  budget: SearchBudget, key) -> SearchResult:
-    """Longest walk from start along steps extend(state, g) that are not None.
+                  budget: SearchBudget, key, room=None) -> SearchResult:
+    """Longest walk from start along steps extend(state, g) that are not None,
+    found by refuting one length at a time.
 
-    An explicit-stack memoized DFS: memo[key(state)] is the longest walk from
-    state, and live steps strictly grow the state, so the walk graph is
-    acyclic. key is used for the memo only (lookups, stores, the state
-    budget and the reconstruction's reads); steps and paths stay on raw
-    states. States of one key must have equal longest walks, and every
-    successor of a state must have the key of a successor of any state of
-    the same key; orbit keys under a group of automorphisms (_mask_key)
-    satisfy both. When the budget trips, the longest path seen so far is a
-    lower bound and the result is flagged exact=False; otherwise the witness
-    is the lexicographically-least longest walk.
+    With w the length of the best walk found so far, an explicit-stack DFS
+    asks whether a walk of length w+1 exists. On success the walk is
+    extended greedily, by the first live letter at each step, w becomes its
+    length and the next length is asked for; on failure the result is w+1,
+    exact. When the budget trips, the longest walk verified so far is a
+    lower bound and the result is flagged exact=False.
+
+    dead[key(state)] = b means that no state of that key has a walk of
+    length b (and so of any length above b). A frame that fails stores the
+    largest child bound plus one, and 1 when it has no live child; a child
+    whose bound is at most the length it still needs is not entered. A bound
+    is a fact about the state, not about the asked length, so it holds
+    across iterations; with no cut, b is one more than the longest walk.
+    room(state), when given, is an upper bound on the length of a walk from
+    state: a child with room below the length it needs is cut with bound
+    room + 1 before its key is computed, and never enters dead.
+
+    Live steps strictly grow the state, so the walk graph is acyclic. key is
+    used for dead only (lookups, stores and the state budget); steps and
+    paths stay on raw states. States of one key must have the same walks up
+    to relabelling, which orbit keys under a group of automorphisms
+    (_mask_key) satisfy, and room must agree on them.
+
+    The witness is the lexicographically least longest walk. The last
+    successful DFS finds the least walk of its length w+1, since it enters
+    letters in order and skips only subtrees without a walk that long, and
+    every longest walk extends a walk of that length. From its end, the
+    least live letter leads on to a longest walk, as the greedy descent
+    from it reached the final length.
     """
     clock = _Clock(budget)
-    memo: dict = {}
-    path: list[int] = []
-    best_path: list[int] = []
-    stack = [(start, key(start), iter(alphabet))]
-    bests = [0]  # longest walk found so far from each stacked state
+    dead: dict = {}
+    best: list[int] = []
     try:
-        while stack:
-            state, _, letters = stack[-1]
-            for g in letters:
-                nxt = extend(state, g)
-                if nxt is None:
-                    continue
-                path.append(g)
-                if len(path) > len(best_path):
-                    best_path[:] = path
-                k = key(nxt)
-                v = memo.get(k)
-                if v is None:
-                    clock.tick(len(memo))
+        while True:
+            target = len(best) + 1
+            path: list[int] = []
+            stack = [(start, key(start), iter(alphabet))]
+            bounds = [1]  # per stacked state: no walk of this length from it
+            found = None
+            while stack:
+                state, _, letters = stack[-1]
+                need = target - len(path) - 1  # length a child still needs
+                for g in letters:
+                    nxt = extend(state, g)
+                    if nxt is None:
+                        continue
+                    if need == 0:
+                        path.append(g)
+                        found = nxt
+                        break
+                    if room is not None:
+                        r = room(nxt)
+                        if r < need:
+                            bounds[-1] = max(bounds[-1], r + 2)
+                            continue
+                    k = key(nxt)
+                    b = dead.get(k)
+                    if b is not None and b <= need:
+                        bounds[-1] = max(bounds[-1], b + 1)
+                        continue
+                    clock.tick(len(dead))
+                    path.append(g)
                     stack.append((nxt, k, iter(alphabet)))
-                    bests.append(0)
+                    bounds.append(1)
                     break
-                path.pop()
-                if v >= bests[-1]:
-                    bests[-1] = v + 1
-            else:
-                v = memo[stack.pop()[1]] = bests.pop()
-                if stack:
-                    clock.tick(len(memo))
-                    path.pop()
-                    if v >= bests[-1]:
-                        bests[-1] = v + 1
-    except _BudgetHit:
-        return SearchResult(1 + len(best_path), Sequence(group, tuple(best_path)),
-                            len(memo), clock.elapsed(), False)
-    terms = []
-    state = start
-    remaining = memo[key(start)]
-    while remaining > 0:
-        for g in alphabet:
-            nxt = extend(state, g)
-            if nxt is not None and memo[key(nxt)] == remaining - 1:
-                terms.append(g)
-                state = nxt
-                remaining -= 1
+                else:
+                    b = dead[stack.pop()[1]] = bounds.pop()
+                    if stack:
+                        clock.tick(len(dead))
+                        path.pop()
+                        bounds[-1] = max(bounds[-1], b + 1)
+                    continue
+                if found is not None:
+                    break
+            if found is None:
                 break
-        else:
-            raise DavlabError("witness reconstruction failed")  # pragma: no cover
-    return SearchResult(1 + memo[key(start)], Sequence(group, tuple(terms)), len(memo),
-                        clock.elapsed(), True)
+            best = path  # verified, and grown in place by the descent
+            state = found
+            while True:
+                for g in alphabet:
+                    nxt = extend(state, g)
+                    if nxt is not None:
+                        path.append(g)
+                        state = nxt
+                        break
+                else:
+                    break
+                clock.tick(len(dead))
+    except _BudgetHit:
+        return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
+                            clock.elapsed(), False, clock.stop_reason)
+    return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
+                        clock.elapsed(), True, clock.stop_reason)
 
 
 def _succ_rows(group: FiniteGroup) -> list[list[int]]:
@@ -314,6 +370,15 @@ def _mask_key(group: FiniteGroup):
     return functools.cache(lambda mask: int(images(mask).min()))
 
 
+def _room(group: FiniteGroup):
+    """room(mask) bounds the free walks from a reach mask S, for D and D_A:
+    a free step grows S, since S | S*h | {h} = S would put every power of h
+    in S and so 1, and 1 is never in S, so no walk from S is longer than
+    |G| - 1 - |S|."""
+    top = group.order - 1
+    return lambda mask: top - mask.bit_count()
+
+
 def _tuple_key(group: FiniteGroup):
     """The memo key of tuples of masks (the E states): the least of their
     images under one automorphism applied to every component, compared as
@@ -377,7 +442,7 @@ def is_ordered_free(seq: Sequence) -> bool:
 
 def davenport_ordered(group: FiniteGroup,
                       budget: SearchBudget | None = None) -> SearchResult:
-    """Exact D(G) by memoized longest-path search on reach sets.
+    """Exact D(G) by memoized search on reach sets (_longest_free).
 
     Groups above DEFAULT_ORDERED_CAP are refused unless an explicit budget is
     passed; when a budget trips, the best witness found so far gives a lower
@@ -391,7 +456,7 @@ def davenport_ordered(group: FiniteGroup,
         return None if new & 1 else new
 
     return _longest_free(group, 0, extend, range(1, group.order), budget,
-                         _mask_key(group))
+                         _mask_key(group), _room(group))
 
 
 def davenport_ordered_naive(group: FiniteGroup) -> int:
@@ -613,7 +678,7 @@ def _multiset_key(group: FiniteGroup):
 
 def davenport_unordered(group: FiniteGroup,
                         budget: SearchBudget | None = None) -> SearchResult:
-    """Exact D'(G) by memoized longest-walk search over sorted multisets.
+    """Exact D'(G) by memoized search over sorted multisets (_longest_free).
 
     A step adds any element g != 1. For a free multiset M, M + g is free iff
     g^-1 is not in R(M) (_submultiset_products): an arrangement of a sub-multiset
@@ -726,7 +791,7 @@ def davenport_weighted(group: FiniteGroup, weights,
     A = _validate_weights(group, weights)
     budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
     return _longest_free(group, 0, _weighted_step(group, A, _right_maps(group)),
-                         range(group.order), budget, _mask_key(group))
+                         range(group.order), budget, _mask_key(group), _room(group))
 
 
 def is_weighted_free(seq: Sequence, weights) -> bool:

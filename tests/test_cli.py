@@ -99,6 +99,7 @@ def test_davenport_cached_document_equals_fresh(argv, capsys, tmp_path):
     _, hit = run_json(capsys, "davenport", *argv, "--json", "--cache", cache)
     assert fresh["cached"] is False and hit["cached"] is True
     assert "states" in fresh and "states" not in hit
+    assert fresh["stop_reason"] == hit["stop_reason"] == "done"
     drop = lambda doc: {k: v for k, v in doc.items()
                         if k not in ("cached", "states", "elapsed_ms")}
     assert drop(hit) == drop(fresh)
@@ -145,8 +146,9 @@ def test_davenport_budget_allows_inexact(capsys):
     code, doc = run_json(capsys, "davenport", "g1[3,1,1,1]", "--json", "--no-cache",
                          "--budget-states", "500")
     assert code == 0
-    assert doc["exact"] is False
+    assert doc["exact"] is False and doc["stop_reason"] == "states"
     assert doc["value"] >= 2
+    assert not schema_errors(doc)
 
 
 def test_davenport_inexact_cache_record_is_not_served(capsys, tmp_path):

@@ -223,13 +223,24 @@ def no_byte_tables(row):
 
 def test_time_budget_bounds_deep_search(grp, monkeypatch):
     monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
-    # a recursive walk of this depth overflows the interpreter stack
+    # a recursive walk of this depth overflows the interpreter stack; the
+    # first walk found is 1100 steps long, and refuting 1101 takes longer
+    # than the budget
     start = time.perf_counter()
-    res = davenport_ordered(grp("c[1100]"), SearchBudget(max_seconds=2))
+    res = davenport_ordered(grp("ab[2,1100]"), SearchBudget(max_seconds=2))
     assert time.perf_counter() - start < 10
-    assert not res.exact
+    assert not res.exact and res.stop_reason == "seconds"
     assert len(res.witness) == res.value - 1
     assert is_ordered_free(res.witness)
+
+
+def test_room_cut_refutes_a_deep_cyclic_search(grp, monkeypatch):
+    monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
+    # (g)^1099 is found greedily, and every first step leaves too little room
+    # for 1100 more
+    res = davenport_ordered(grp("c[1100]"), SearchBudget(max_seconds=60))
+    assert res.exact and res.value == 1100 and res.stop_reason == "done"
+    assert res.witness.terms == (1,) * 1099
 
 
 # Orders 1, 2, 6 and 12 end in a partial byte; 12, 24 and 32 take the two-,
@@ -465,6 +476,7 @@ def test_search_results_report_state_counts(grp):
     res = davenport_ordered(grp("d[8]"))
     assert res.states_explored > 0
     assert res.elapsed >= 0
+    assert res.stop_reason == "done"
 
 
 # Ordered items of the benchmark's search workload, except the q[32] rung,
@@ -501,10 +513,10 @@ def test_orbit_keys_give_the_same_search(grp, monkeypatch):
     assert sum(k[4] for k in keyed) < sum(u[4] for u in unkeyed)
 
 
-@pytest.mark.parametrize("max_states", [1, 50, 2000])
+@pytest.mark.parametrize("max_states", [1, 50, 1000])
 def test_keyed_budget_trip_is_a_valid_lower_bound(max_states, grp):
     res = davenport_ordered(grp("q[32]"), SearchBudget(max_states=max_states))
-    assert not res.exact
+    assert not res.exact and res.stop_reason == "states"
     assert len(res.witness) == res.value - 1
     assert is_ordered_free(res.witness)
     assert res.value <= 17
@@ -633,6 +645,88 @@ def test_unordered_search_equals_the_reference_walk(text, grp, monkeypatch):
     assert unkeyed.states_explored == nodes
     # an automorphism a moving x merges the states (x,) and (a(x),)
     assert (keyed.states_explored < nodes) == (len(automorphisms(G)) > 1)
+
+
+def _longest_free_reference(group, start, extend, alphabet, budget, key, room=None):
+    """The engine before it refuted lengths: a memoized DFS for the longest
+    walk, memo[key(state)] being the longest walk from state, with the
+    witness rebuilt from the memo. It takes no cut, so room is ignored."""
+    clock = zerosum._Clock(budget)
+    memo = {}
+    path = []
+    best_path = []
+    stack = [(start, key(start), iter(alphabet))]
+    bests = [0]  # longest walk found so far from each stacked state
+    try:
+        while stack:
+            state, _, letters = stack[-1]
+            for g in letters:
+                nxt = extend(state, g)
+                if nxt is None:
+                    continue
+                path.append(g)
+                if len(path) > len(best_path):
+                    best_path[:] = path
+                k = key(nxt)
+                v = memo.get(k)
+                if v is None:
+                    clock.tick(len(memo))
+                    stack.append((nxt, k, iter(alphabet)))
+                    bests.append(0)
+                    break
+                path.pop()
+                if v >= bests[-1]:
+                    bests[-1] = v + 1
+            else:
+                v = memo[stack.pop()[1]] = bests.pop()
+                if stack:
+                    clock.tick(len(memo))
+                    path.pop()
+                    if v >= bests[-1]:
+                        bests[-1] = v + 1
+    except zerosum._BudgetHit:
+        return zerosum.SearchResult(1 + len(best_path), Sequence(group, tuple(best_path)),
+                                    len(memo), clock.elapsed(), False, clock.stop_reason)
+    terms = []
+    state = start
+    remaining = memo[key(start)]
+    while remaining > 0:
+        for g in alphabet:
+            nxt = extend(state, g)
+            if nxt is not None and memo[key(nxt)] == remaining - 1:
+                terms.append(g)
+                state = nxt
+                remaining -= 1
+                break
+    return zerosum.SearchResult(1 + memo[key(start)], Sequence(group, tuple(terms)),
+                                len(memo), clock.elapsed(), True)
+
+
+REFERENCE_SEARCHES = (
+    KEYED_SEARCHES
+    + [(davenport_ordered, text, ()) for text in family_groups(24) if text not in KEYED_GRID]
+    + [(davenport_weighted, text, (weights,)) for text, weights in
+       [("c[8]", (1, 7)), ("c[9]", (2, 4)), ("ab[2,4]", (1, 3)), ("d[12]", (1, 5)),
+        ("q[16]", (1, 7)), ("sd[16]", (1, 3)), ("d[24]", (1, 11)), ("m2[16]", (3, 5))]])
+
+
+def test_refutation_equals_the_longest_walk(grp, monkeypatch):
+    """The refuting engine gives the values, exactness and witnesses of the
+    longest-walk DFS; without a cut (E, D') it keeps the same states, with
+    the cut (D, D_A) no more."""
+    def run_all():
+        return [search(grp(text), *args) for search, text, args in REFERENCE_SEARCHES]
+
+    new = run_all()
+    monkeypatch.setattr(zerosum, "_longest_free", _longest_free_reference)
+    old = run_all()
+    for (search, text, _), n, o in zip(REFERENCE_SEARCHES, new, old):
+        item = (search.__name__, text)
+        assert (n.value, n.exact, n.witness.terms) == (o.value, o.exact, o.witness.terms), item
+        if search in (eg_invariant, davenport_unordered):
+            assert n.states_explored == o.states_explored, item
+        else:
+            assert n.states_explored <= o.states_explored, item
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
