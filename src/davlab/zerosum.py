@@ -200,58 +200,55 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
     """
     clock = _Clock(budget)
     dead: dict = {}
+
+    def least_walk(target: int):
+        """(path, end state) of the least walk of length target, or None
+        once the bounds stored in dead refute it."""
+        path: list[int] = []
+        stack = [(start, key(start), iter(alphabet))]
+        bounds = [1]  # per stacked state: no walk of this length from it
+        while stack:
+            state, _, letters = stack[-1]
+            need = target - len(path) - 1  # length a child still needs
+            for g in letters:
+                nxt = extend(state, g)
+                if nxt is None:
+                    continue
+                if need == 0:
+                    path.append(g)
+                    return path, nxt
+                if room is not None:
+                    r = room(nxt)
+                    if r < need:
+                        bounds[-1] = max(bounds[-1], r + 2)
+                        continue
+                k = key(nxt)
+                b = dead.get(k)
+                if b is not None and b <= need:
+                    bounds[-1] = max(bounds[-1], b + 1)
+                    continue
+                clock.tick(len(dead))
+                path.append(g)
+                stack.append((nxt, k, iter(alphabet)))
+                bounds.append(1)
+                break
+            else:
+                b = dead[stack.pop()[1]] = bounds.pop()
+                if stack:
+                    clock.tick(len(dead))
+                    path.pop()
+                    bounds[-1] = max(bounds[-1], b + 1)
+        return None
+
     best: list[int] = []
     try:
-        while True:
-            target = len(best) + 1
-            path: list[int] = []
-            stack = [(start, key(start), iter(alphabet))]
-            bounds = [1]  # per stacked state: no walk of this length from it
-            found = None
-            while stack:
-                state, _, letters = stack[-1]
-                need = target - len(path) - 1  # length a child still needs
-                for g in letters:
-                    nxt = extend(state, g)
-                    if nxt is None:
-                        continue
-                    if need == 0:
-                        path.append(g)
-                        found = nxt
-                        break
-                    if room is not None:
-                        r = room(nxt)
-                        if r < need:
-                            bounds[-1] = max(bounds[-1], r + 2)
-                            continue
-                    k = key(nxt)
-                    b = dead.get(k)
-                    if b is not None and b <= need:
-                        bounds[-1] = max(bounds[-1], b + 1)
-                        continue
-                    clock.tick(len(dead))
-                    path.append(g)
-                    stack.append((nxt, k, iter(alphabet)))
-                    bounds.append(1)
-                    break
-                else:
-                    b = dead[stack.pop()[1]] = bounds.pop()
-                    if stack:
-                        clock.tick(len(dead))
-                        path.pop()
-                        bounds[-1] = max(bounds[-1], b + 1)
-                    continue
-                if found is not None:
-                    break
-            if found is None:
-                break
-            best = path  # verified, and grown in place by the descent
-            state = found
+        while (found := least_walk(len(best) + 1)) is not None:
+            best, state = found  # verified, and grown in place by the descent
             while True:
                 for g in alphabet:
                     nxt = extend(state, g)
                     if nxt is not None:
-                        path.append(g)
+                        best.append(g)
                         state = nxt
                         break
                 else:
@@ -261,7 +258,7 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
         return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
                             clock.elapsed(), False, clock.stop_reason)
     return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
-                        clock.elapsed(), True, clock.stop_reason)
+                        clock.elapsed(), True)
 
 
 def _succ_rows(group: FiniteGroup) -> list[list[int]]:
