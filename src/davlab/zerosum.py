@@ -30,26 +30,28 @@ cut. The witness is the lexicographically least longest walk
 The memo is keyed by orbits under automorphisms. An automorphism a maps a
 free sequence to a free one, and the state of the image sequence is a(S), so
 the free walks from S and from a(S) have the same lengths. _longest_free
-therefore stores and looks up memo entries under key(S), the least image of
-S under the automorphisms that subgroups.automorphisms finds (a group of
-them, so the key is one representative per orbit), while steps, paths and
-the witness stay on raw states: values, exactness and witnesses are those
-of the unkeyed search. SearchResult.states_explored and the state budget
-count orbit representatives. The keys serve D, D_A (a maps g^w to a(g)^w),
-E (a fixes the identity) and D' (a maps a free multiset to a free one, and
-the key is its least sorted image).
+therefore keys its memo by the least image of a state under the
+automorphisms that subgroups.automorphisms finds (a group of them, so one
+key per orbit), while steps, paths and the witness stay on raw states:
+values, exactness and witnesses are those of the unkeyed search, and
+states_explored and the state budget count orbit representatives. D and D_A
+(a maps g^w to a(g)^w) key one mask (_mask_key); E (a fixes the identity)
+keys its tuple of masks componentwise (_tuple_key). D' keys a multiset by
+_tuple_key of its multiplicity layers (_layers): layer k is the mask of the
+elements occurring more than k times, the layers determine the multiset,
+and a maps them to the layers of the image multiset.
 
-The steps map a mask S to S*g through per-element byte tables (_right_maps):
-one precomputed 256-entry table per byte of S, OR-ed together, instead of one
-lookup per set bit. The lookups are unrolled up to four bytes, so above
-_BYTE_TABLE_MAX_ORDER (order 32) the steps loop over the set bits instead,
-shifting each image bit from a column of the table (_shifted).
-The orbit keys follow the same cutoff, with each table entry a numpy array
-of the images under all automorphisms at once (_orbit_images).
-is_ordered_free, reach_extend, is_unordered_free and the naive oracles keep
-their own loops as the independent check on the table step.
-is_weighted_free checks one sequence and uses the set-bit loop rather than
-build tables for it.
+The search steps map a mask S to S*g through per-element byte tables
+(_right_maps), one 256-entry table per byte of S, unrolled up to four bytes:
+above _BYTE_TABLE_MAX_ORDER (32) they loop over the set bits of S instead,
+shifting each image bit from the column x -> x*g of the table (_shifted).
+The D' and E caps are at or below 32, so those searches step by the byte
+tables only. The orbit keys follow the same cutoff, each table entry an
+array of the images under all automorphisms (_orbit_images). The checkers
+(reach_extend, is_weighted_free, is_unordered_free, group_length_reach)
+never build byte tables: they walk the set-bit loop over the column of each
+letter they meet, built on first use (_ColumnSteps). With is_ordered_free
+and the naive oracles they are the independent check on the table step.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ class _BudgetHit(Exception):
 
 
 class _Clock:
-    """Cooperative budget checks, both limits at every search state;
+    """Cooperative budget checks, both limits at every search state and
+    every 64 letters tried, as one state of a large group can try thousands;
     stop_reason names the limit that tripped."""
 
     def __init__(self, budget: SearchBudget):
@@ -211,6 +214,8 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
             state, _, letters = stack[-1]
             need = target - len(path) - 1  # length a child still needs
             for g in letters:
+                if not g & 63:
+                    clock.tick(len(dead))
                 nxt = extend(state, g)
                 if nxt is None:
                     continue
@@ -246,6 +251,8 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
             best, state = found  # verified, and grown in place by the descent
             while True:
                 for g in alphabet:
+                    if not g & 63:
+                        clock.tick(len(dead))
                     nxt = extend(state, g)
                     if nxt is not None:
                         best.append(g)
@@ -261,14 +268,8 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
                         clock.elapsed(), True)
 
 
-def _succ_rows(group: FiniteGroup) -> list[list[int]]:
-    """succ[g][x] is the bit of x*g; used to map reach sets under extension."""
-    table = group.table
-    n = group.order
-    return [[1 << table[x][g] for x in range(n)] for g in range(n)]
-
-
-def _mapped(mask: int, row: list[int]) -> int:
+def _mapped(mask: int, row: list) -> int:
+    """The OR of row[x] over the set bits x of mask (_orbit_images)."""
     out = 0
     while mask:
         low = mask & -mask
@@ -320,26 +321,32 @@ def _shifted(mask: int, col) -> int:
     return out
 
 
+class _ColumnSteps(dict):
+    """steps[g](S) is S*g by the set-bit loop over the column x -> x*g,
+    built on the first use of g: all n columns are n^2 cells."""
+
+    def __init__(self, group: FiniteGroup):
+        self.table = group.table
+
+    def __missing__(self, g: int):
+        step = self[g] = functools.partial(_shifted, col=[row[g] for row in self.table])
+        return step
+
+
 def _right_maps(group: FiniteGroup) -> list:
     """maps[g](S) is the reach mask S*g: per-byte lookup tables up to
     _BYTE_TABLE_MAX_ORDER, the set-bit loop over the table's columns above
     it."""
-    cols = list(zip(*group.table))  # cols[g][x] = x*g
     if group.order > _BYTE_TABLE_MAX_ORDER:
-        return [functools.partial(_shifted, col=col) for col in cols]
-    return [_byte_map(_byte_tables([1 << y for y in col])) for col in cols]
+        return _ColumnSteps(group)
+    return [_byte_map(_byte_tables([1 << y for y in col])) for col in zip(*group.table)]
 
 
 def _orbit_images(group: FiniteGroup):
     """images(mask) -> the images of mask under every automorphism that
     automorphisms() finds, as a numpy array; None when it finds only the
-    identity.
-
-    Like _right_maps, byte tables up to _BYTE_TABLE_MAX_ORDER and the
-    set-bit loop above it, each entry now the array of the images under all
-    automorphisms at once: uint32 in the tables, as masks fit 32 bits there,
-    Python ints above.
-    """
+    identity. Like _right_maps: byte tables of uint32 arrays up to
+    _BYTE_TABLE_MAX_ORDER, the set-bit loop over arrays of ints above it."""
     auts = automorphisms(group)
     if len(auts) == 1:
         return None
@@ -377,13 +384,28 @@ def _room(group: FiniteGroup):
 
 
 def _tuple_key(group: FiniteGroup):
-    """The memo key of tuples of masks (the E states): the least of their
-    images under one automorphism applied to every component, compared as
-    tuples, cached per raw state."""
+    """The memo key of tuples of masks: the least of their images under one
+    automorphism applied to every component, compared as tuples, cached per
+    raw state and per component (states share most of their components)."""
     images = _orbit_images(group)
     if images is None:
         return _same
-    return functools.cache(lambda state: min(zip(*(images(c).tolist() for c in state))))
+    component = functools.cache(images)
+    return functools.cache(
+        lambda state: min(zip(*(component(c).tolist() for c in state)), default=()))
+
+
+def _layers(ms: tuple[int, ...]) -> tuple[int, ...]:
+    """Layer k of a sorted multiset is the mask of the elements occurring
+    more than k times."""
+    layers: list[int] = []
+    k = 0
+    for i, x in enumerate(ms):
+        k = k + 1 if i and ms[i - 1] == x else 0
+        if k == len(layers):
+            layers.append(0)
+        layers[k] |= 1 << x
+    return tuple(layers)
 
 
 # --- reach states -------------------------------------------------------------
@@ -411,9 +433,8 @@ class ReachState:
 
 def reach_extend(state: ReachState, g: int) -> ReachState:
     """State after appending g: products become S | S*g | {g}."""
-    group = state.group
-    row = [1 << group.table[x][g] for x in range(group.order)]
-    return ReachState(group, state.mask | _mapped(state.mask, row) | (1 << g))
+    mask = state.mask
+    return ReachState(state.group, mask | _ColumnSteps(state.group)[g](mask) | (1 << g))
 
 
 def is_ordered_free(seq: Sequence) -> bool:
@@ -573,7 +594,7 @@ class _UnorderedChecker:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.succ = _succ_rows(group)
+        self.right = _ColumnSteps(group)
         self.arr: dict[tuple, int] = {(): 1}
 
     def arrangement_products(self, ms: tuple[int, ...]) -> int:
@@ -587,22 +608,15 @@ class _UnorderedChecker:
             if g == prev:
                 continue
             prev = g
-            out |= _mapped(self.arrangement_products(ms[:i] + ms[i + 1:]), self.succ[g])
+            out |= self.right[g](self.arrangement_products(ms[:i] + ms[i + 1:]))
         self.arr[ms] = out
         return out
 
     def submultisets(self, ms: tuple[int, ...]):
+        """Every sub-multiset of ms, sorted, the empty one included."""
         items = sorted(Counter(ms).items())
-        def rec(i):
-            if i == len(items):
-                yield ()
-                return
-            g, c = items[i]
-            for tail in rec(i + 1):
-                for k in range(c + 1):
-                    yield (g,) * k + tail
-        for t in rec(0):
-            yield tuple(sorted(t))
+        for ks in itertools.product(*(range(c + 1) for _, c in items)):
+            yield tuple(g for (g, _), k in zip(items, ks) for _ in range(k))
 
     def multiset_free(self, ms: tuple[int, ...]) -> bool:
         for sub in self.submultisets(ms):
@@ -655,24 +669,6 @@ def _submultiset_products(group: FiniteGroup):
     return reach
 
 
-def _multiset_key(group: FiniteGroup):
-    """The memo key of sorted multisets: the least of their sorted images
-    under the automorphisms found, cached per raw multiset."""
-    auts = automorphisms(group)
-    if len(auts) == 1:
-        return _same
-    perms = np.array(auts, dtype=np.int64)  # perms[a] lists the images under a
-
-    def key(ms: tuple[int, ...]) -> tuple[int, ...]:
-        if not ms:
-            return ms
-        rows = np.sort(perms[:, ms], axis=1)
-        # lexsort orders by its last key first
-        return tuple(rows[np.lexsort(rows[:, ::-1].T)[0]].tolist())
-
-    return functools.cache(key)
-
-
 def davenport_unordered(group: FiniteGroup,
                         budget: SearchBudget | None = None) -> SearchResult:
     """Exact D'(G) by memoized search over sorted multisets (_longest_free).
@@ -682,7 +678,8 @@ def davenport_unordered(group: FiniteGroup,
     of M + g with product 1 that uses g can be rotated to end in g, and
     rotating conjugates the product, so it stays 1. The longest free
     extension of M is that of every image of M under automorphisms, which
-    keys the memo (_multiset_key); the least longest walk is sorted.
+    keys the memo (_tuple_key of its _layers); the least longest walk is
+    sorted.
     """
     budget = _checked_budget(group, budget, DEFAULT_UNORDERED_CAP, "unordered")
     reach = _submultiset_products(group)
@@ -694,8 +691,9 @@ def davenport_unordered(group: FiniteGroup,
         i = bisect.bisect_right(ms, g)
         return ms[:i] + (g,) + ms[i:]
 
+    layer_key = _tuple_key(group)
     return _longest_free(group, (), extend, range(1, group.order), budget,
-                         _multiset_key(group))
+                         lambda ms: layer_key(_layers(ms)))
 
 
 # --- E(G): product-one subsequences of length exactly |G| ------------------------
@@ -704,12 +702,12 @@ def group_length_reach(group: FiniteGroup, terms) -> tuple[int, ...]:
     """Per-length reach: position m holds products of ordered subsequences of
     length exactly m+1, truncated at |G| (longer ones are never needed)."""
     n = group.order
-    succ = _succ_rows(group)
+    steps = _ColumnSteps(group)
     state = [0] * n
     for g in terms:
-        row = succ[g]
+        right = steps[g]
         for m in range(n - 1, 0, -1):
-            state[m] |= _mapped(state[m - 1], row)
+            state[m] |= right(state[m - 1])
         state[0] |= 1 << g
     return tuple(state)
 
@@ -794,9 +792,7 @@ def davenport_weighted(group: FiniteGroup, weights,
 def is_weighted_free(seq: Sequence, weights) -> bool:
     """No index-increasing subsequence with per-term weight choices hits 1."""
     group = seq.group
-    # the set-bit loop: one check does not repay building the byte tables
-    maps = [functools.partial(_mapped, row=row) for row in _succ_rows(group)]
-    extend = _weighted_step(group, _validate_weights(group, weights), maps)
+    extend = _weighted_step(group, _validate_weights(group, weights), _ColumnSteps(group))
     mask = 0
     for g in seq.terms:
         mask = extend(mask, g)

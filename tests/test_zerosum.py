@@ -1,8 +1,10 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -186,7 +188,7 @@ def test_group_too_large_without_budget(grp, monkeypatch):
     def no_tables(group):
         raise AssertionError("the cap is checked before any table is built")
 
-    for name in ("_succ_rows", "_right_maps", "automorphisms"):
+    for name in ("_ColumnSteps", "_right_maps", "automorphisms"):
         monkeypatch.setattr(zerosum, name, no_tables)
     with pytest.raises(GroupTooLargeError):
         davenport_ordered(grp("g1[3,2,1,1]"))  # order 81 > default cap 64
@@ -225,10 +227,12 @@ def test_time_budget_bounds_deep_search(grp, monkeypatch):
     monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
     # a recursive walk of this depth overflows the interpreter stack; the
     # first walk found is 1100 steps long, and refuting 1101 takes longer
-    # than the budget
+    # than the budget. One state tries 2,199 letters, each a set-bit step
+    # over about 1,100 elements, so the clock is read inside its letter loop.
     start = time.perf_counter()
-    res = davenport_ordered(grp("ab[2,1100]"), SearchBudget(max_seconds=2))
+    res = davenport_ordered(grp("ab[2,1100]"), SearchBudget(max_seconds=1))
     assert time.perf_counter() - start < 10
+    assert res.elapsed <= 1.25
     assert not res.exact and res.stop_reason == "seconds"
     assert len(res.witness) == res.value - 1
     assert is_ordered_free(res.witness)
@@ -249,20 +253,66 @@ MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "d[36]"]
 
 
 @functools.lru_cache(maxsize=None)
-def _maps_and_rows(text):
+def _group_and_right_maps(text):
     G = build(parse_descriptor(text))
-    return G.order, zerosum._right_maps(G), zerosum._succ_rows(G)
+    return G, zerosum._right_maps(G)
+
+
+def _literal_step(G, mask, g):
+    """S*g written out: the OR of 1 << x*g over the elements x of S."""
+    return functools.reduce(operator.or_, (1 << G.table[x][g] for x in range(G.order)
+                                           if mask >> x & 1), 0)
 
 
 @settings(derandomize=True, deadline=None)
 @given(st.sampled_from(MAP_GRID), st.data())
 def test_right_maps_match_bit_loop(text, data):
-    n, maps, succ = _maps_and_rows(text)
+    """The search steps (byte tables, or the set-bit loop above the cutoff)
+    and the checkers' column steps both give S*g."""
+    G, maps = _group_and_right_maps(text)
+    steps = zerosum._ColumnSteps(G)
+    n = G.order
     elements = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
     sparse = sum(1 << x for x in elements)
     for mask in (sparse, sparse ^ ((1 << n) - 1)):
         for g in range(n):
-            assert maps[g](mask) == zerosum._mapped(mask, succ[g]), (text, g, mask)
+            expected = _literal_step(G, mask, g)
+            assert maps[g](mask) == expected, (text, g, mask)
+            assert steps[g](mask) == expected, (text, g, mask)
+
+
+def test_checkers_stay_small_on_a_large_group(grp):
+    """The checkers step through the columns of the letters they meet: on a
+    group of order 2048 a 3-term check builds no n^2 structure."""
+    G = grp("m2[2048]")
+    seq = Sequence(G, (1, 2, 3))
+
+    def extended():
+        state = ReachState(G)
+        for g in seq.terms:
+            state = reach_extend(state, g)
+        return state
+
+    checks = {"is_weighted_free": lambda: is_weighted_free(seq, (1, 3)),
+              "is_unordered_free": lambda: is_unordered_free(seq),
+              "has_group_length_product_one": lambda: has_group_length_product_one(seq),
+              "reach_extend": extended}
+    answers = {}
+    for name, check in checks.items():
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            answers[name] = check()
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20 and seconds < 0.5, (name, peak, seconds)
+    assert answers["reach_extend"].products() == subsequence_products(G, seq.terms)
+    assert not answers["has_group_length_product_one"]
+    free = is_ordered_free(seq)
+    assert is_weighted_free(seq, (1,)) == free
+    assert answers["is_weighted_free"] <= free and answers["is_unordered_free"] <= free
 
 
 def test_bit_loop_path_gives_the_same_search(grp, monkeypatch):
@@ -581,6 +631,24 @@ def test_orbit_keys_are_canonical(text, data):
     for image in images:
         assert mask_key(image[0]) == mask_key(state[0])
         assert tuple_key(image) == tuple_key(state)
+    # the D' key: tuple_key of the multiplicity layers of a sorted multiset
+    ms = tuple(sorted(data.draw(st.lists(st.integers(0, G.order - 1), max_size=G.order))))
+    layers = zerosum._layers(ms)
+    assert tuple(sorted(x for layer in layers for x in range(G.order)
+                        if layer >> x & 1)) == ms
+    ms_images = [tuple(sorted(phi[x] for x in ms)) for phi in auts]
+    assert tuple_key(layers) in {zerosum._layers(image) for image in ms_images}
+    for image in ms_images:
+        assert tuple_key(zerosum._layers(image)) == tuple_key(layers)
+
+
+@pytest.mark.parametrize("text, states", [("m2[16]", 282), ("q[16]", 139),
+                                          ("d[16]", 117), ("q[24]", 976)])
+def test_unordered_orbit_states_are_pinned(text, states, grp):
+    """The orbit partition of the D' memo: a key that splits or merges
+    orbits changes these counts."""
+    res = davenport_unordered(grp(text))
+    assert res.exact and res.states_explored == states
 
 
 def reference_unordered(G):
