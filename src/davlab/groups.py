@@ -4,14 +4,12 @@ Every family is realized on normal-form tuples of generator exponents, listed
 in row-major mixed-radix order, with one collection formula for products that
 works on ints and on numpy coordinate arrays alike. Three shared normal forms
 build nine of the ten families: abelian (c, ab), metacyclic (d, q, sd, m2,
-g2) and central (g1, g4); g3 keeps its own matrix action. build() decodes
-element indices into coordinates once and evaluates the formula on blocks of
-rows broadcast against the columns whose last coordinate is 0. In every
-normal form the last coordinate of a product is the right factor's last
-exponent added modulo its radix, with no carry into the other coordinates,
-so the rest of each row is filled by rotating that coordinate. The table is
-stored once, as one int32 array per row (4 bytes a cell), and all later work
-is table lookups. Element 0 is always the identity and labels are the
+g2) and central (g1, g4); g3 keeps its own matrix action. build() evaluates
+the formula only on the rows of the generators, each against all columns at
+once; every other row is a numpy gather, since the row of a word w h is the
+row of w read at the entries of the row of h. The table is stored once, as
+one int32 array per row (4 bytes a cell), and all later work is table
+lookups. Element 0 is always the identity and labels are the
 normal-form words. Every built table is proven a group (entries in range,
 identity, right inverses, generation and Light's associativity test,
 O(|gens| n^2) at every order; a monoid with right inverses is a group, hence
@@ -195,13 +193,11 @@ def _word_label(parts: list[tuple[str, int]]) -> str:
 # exponent of the k-th named generator in the normal-form word. `mult` is one
 # formula on coordinate tuples whose entries may be ints or broadcastable numpy
 # integer arrays: it uses only +, -, *, //, % and lookups in precomputed power
-# arrays, branching on the parameters but never on the elements, so build()
-# evaluates it on whole row blocks. In every system the last coordinate of a
-# product is the right factor's last exponent added modulo the last radix r,
-# and no other coordinate depends on that exponent: right multiplication by
-# the last generator only rotates the last coordinate. So _table evaluates
-# `mult` on the n/r columns whose last coordinate is 0 and fills the rest of
-# each row by that rotation; build()'s checks run on the filled table.
+# arrays, branching on the parameters but never on the elements, so _table
+# evaluates it on each generator's row at once. The word of coordinates
+# (e_0, ..., e_k, 0, ..., 0) times g_k^e is the word with e_k + e in place of
+# e_k while that stays below the radix, so _table gathers every other row
+# from the generator rows; build()'s checks run on the filled table.
 # _relations and validate_descriptor stay per family, as the independent
 # check on the shared forms.
 
@@ -243,12 +239,7 @@ def _metacyclic(names, m: int, n: int, r: int, s: int, prime: int | None,
     With normal_first the words are y^j x^i instead, coordinates (j, i).
     `names` lists the two generators in coordinate order. The presentation
     needs r^n = 1 and s (r - 1) = 0 modulo m; build() checks the result.
-    normal_first needs s = 0: a wrapped x exponent would leave y^s in the
-    first coordinate, so the last exponent would carry (see _System).
     """
-    if normal_first and s:
-        raise InternalConsistencyError(
-            f"metacyclic words y^j x^i with x^{n} = y^{s}: the x exponent carries")
     # y^j x^i = x^i y^(j r^i), so x^i y^j = y^(j r^-i) x^i
     rpow = np.array([pow(r, -k if normal_first else k, m) for k in range(n)],
                     dtype=np.int64)
@@ -361,9 +352,9 @@ _SYSTEMS = {
 }
 
 
-# Rows per block of the array build and of the associativity test: their
-# temporaries, a few 128 x n arrays, stay a few MB at the order cap, where one
-# n x n int64 array alone would take 134 MB.
+# Rows per block of the associativity test: its buffers, a few 128 x n
+# arrays, stay a few MB at the order cap, where one n x n int64 array alone
+# would take 134 MB.
 _BLOCK_ROWS = 128
 
 
@@ -430,33 +421,42 @@ def _table(radices: tuple[int, ...], mult) -> tuple[list[array], np.ndarray]:
     """The multiplication table of a system, as one int32 ``array.array`` per
     row and as the same table in an n x n int32 array.
 
-    Indices are decoded into coordinate arrays once. Each block of rows is
-    multiplied against the columns whose last coordinate is 0 and re-encoded
-    as a base index; cell (x, base column + k) is that base with its last
-    coordinate lo rotated to (lo + k) mod r (see _System).
+    `mult` runs once per generator g_k, on its unit tuple against every
+    column, for row(g_k). Every other row is gathered: (w h) y = w (h y), so
+    row(w h) = row(w)[row(h)]. Coordinate by coordinate, the rows whose k-th
+    exponent lies in [d, 2d) and whose later exponents are 0 are the rows of
+    exponent [0, d) gathered at row(g_k^d), for d = 1, 2, 4, ...; the next
+    step is row(g_k^2d) = row(g_k^d)[row(g_k^d)].
     """
     n = math.prod(radices)
-    r = radices[-1]
     coords = np.unravel_index(np.arange(n), radices)
-    cols = tuple(c[::r] for c in coords)
-    shift = np.arange(r, dtype=np.int32)
     T = np.empty((n, n), dtype=np.int32)
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = tuple(c[start:start + _BLOCK_ROWS, None] for c in coords)
-        base = np.ravel_multi_index(mult(rows, cols), radices).astype(np.int32)
-        lo = base % r
-        block = T[start:start + _BLOCK_ROWS].reshape(len(base), n // r, r)
-        np.add(lo[..., None], shift, out=block)
-        np.subtract(block, r, out=block, where=block >= r)
-        block += (base - lo)[..., None]
+    T[0] = np.arange(n)
+    # each row is gathered straight into T, so the fill makes no temporary
+    # of more than n cells; every index is in range, so mode="clip" clips
+    # none (mode="raise" would buffer the output)
+    filled = [0]  # rows whose exponents past coordinate k are 0
+    stride = n
+    for k, r in enumerate(radices):
+        stride //= r
+        unit = tuple(1 % r if i == k else 0 for i in range(len(radices)))
+        step = np.ravel_multi_index(mult(unit, coords), radices)
+        d = 1
+        while d < r:
+            for x in filled:
+                for y in range(x, x + min(d, r - d) * stride, stride):
+                    np.take(T[y], step, out=T[y + d * stride], mode="clip")
+            step = step[step]
+            d *= 2
+        filled = [y for x in filled for y in range(x, x + r * stride, stride)]
     return [array("i", row.tobytes()) for row in T], T
 
 
 def _inverses(name: str, T: np.ndarray) -> list[int]:
     """The right inverses of a built int32 table, whose entries are in range
-    (``np.ravel_multi_index`` bounds-checks each base, and the rotation stays
-    inside the base's block of r): the first 0 of each row, as
-    ``row.index(0)`` finds it, read off the whole array at once."""
+    (``np.ravel_multi_index`` bounds-checks every generator row, and every
+    gather copies in-range entries at in-range indices): the first 0 of each
+    row, as ``row.index(0)`` finds it, read off the whole array at once."""
     inverse = T.argmin(axis=1)
     missing = np.flatnonzero(T[np.arange(len(T)), inverse])
     if missing.size:
