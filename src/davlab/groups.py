@@ -8,8 +8,10 @@ g2) and central (g1, g4); g3 keeps its own matrix action. build() evaluates
 the formula only on the rows of the generators, each against all columns at
 once; every other row is a numpy gather, since the row of a word w h is the
 row of w read at the entries of the row of h. The table is stored once, as
-one int32 array per row (4 bytes a cell), and all later work is table
-lookups. Element 0 is always the identity and labels are the
+one read-only n x n int16 array (2 bytes a cell: every index lies below
+ORDER_CAP <= 2^15), and all later work is table lookups: rows are slices of
+one flat memoryview over the array, and whole-group sweeps are numpy gathers
+on it. Element 0 is always the identity and labels are the
 normal-form words. Every built table is proven a group (entries in range,
 identity, right inverses, generation and Light's associativity test,
 O(|gens| n^2) at every order; a monoid with right inverses is a group, hence
@@ -22,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -38,38 +39,50 @@ from .theory import ORDER_CAP
 class FiniteGroup:
     """A finite group as a complete multiplication table on 0..order-1.
 
-    Immutable after construction; instances are safe to share. ``table[x][y]``
-    is the product x*y, an int; index 0 is the identity, ``prime`` is set when
-    the order is a prime power. ``build`` stores each row as an int32
-    ``array.array``: index it, slice it or take ``list(row)`` for a list copy,
-    but do not compare it with a list. Hand-made tables may be lists of
-    lists. The named ``generators`` generate the whole group (``build``
-    checks this); centers, abelianness and whole-group subgroups rely on it.
-    A group made with no named generators counts as generated by all of its
-    elements.
+    Immutable after construction; instances are safe to share. ``array`` is
+    the table as a read-only n x n int16 numpy array, its only store, for
+    whole-group sweeps by gathers. ``table[x]`` is row x, a read-only slice
+    of one flat memoryview over the array (format 'h'), so ``table[x][y]``,
+    the product x*y, is an int: index a row, slice it or take ``list(row)``
+    for a list copy, but do not compare it with a list. Index 0 is the
+    identity, ``prime`` is set when the order is a prime power.
+
+    The table may be given as that array (``build``) or as rows of ints
+    (lists, arrays, memoryviews); either way it is stored as int16 once every
+    entry is known to lie in 0..n-1, and InternalConsistencyError is raised
+    otherwise, or when a row holds no 0 (no right inverse). The named
+    ``generators`` generate the whole group (``build`` checks this); centers,
+    abelianness and whole-group subgroups rely on it. A group made with no
+    named generators counts as generated by all of its elements.
     """
 
-    __slots__ = ("name", "order", "table", "inverse", "labels", "generators",
-                 "prime", "_orders")
+    __slots__ = ("name", "order", "array", "table", "inverse", "labels",
+                 "generators", "prime", "_orders")
 
-    def __init__(self, name: str, table: Sequence[Sequence[int]], labels: list[str],
-                 generators: dict[str, int], prime: int | None = None,
-                 inverse: list[int] | None = None):
+    def __init__(self, name: str, table: np.ndarray | Sequence[Sequence[int]],
+                 labels: list[str], generators: dict[str, int],
+                 prime: int | None = None):
+        T = np.asarray(table)
+        n = len(T)
+        if n > ORDER_CAP:
+            raise GroupTooLargeError(f"{name}: order {n} exceeds cap {ORDER_CAP}")
+        # compared before the int16 cast, which would wrap an entry such as
+        # 40000; every index taken from the table is an entry, so in range
+        if T.shape != (n, n) or not (T.min() >= 0 and T.max() < n):
+            raise InternalConsistencyError(f"{name}: table entry out of range")
+        T = np.ascontiguousarray(T, dtype=np.int16)
+        # before the array is made read-only: argmin copies a read-only array
+        self.inverse = _inverses(name, T)
+        T.flags.writeable = False
+        flat = memoryview(T.reshape(-1))
         self.name = name
-        self.order = len(table)
-        self.table = table
+        self.order = n
+        self.array = T
+        self.table = [flat[x * n:x * n + n] for x in range(n)]
         self.labels = labels
         self.generators = generators
         self.prime = prime
         self._orders: list[int] | None = None
-        if inverse is not None:
-            self.inverse = inverse
-            return
-        try:
-            self.inverse = [row.index(0) for row in table]
-        except ValueError:
-            x = next(x for x, row in enumerate(table) if 0 not in row)
-            raise InternalConsistencyError(f"{name}: element {x} has no inverse") from None
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -358,28 +371,23 @@ _SYSTEMS = {
 _BLOCK_ROWS = 128
 
 
-def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
+def check_group_axioms(group: FiniteGroup) -> None:
     """Prove that the table is a group generated by its named generators.
 
-    T is the table as an int32 array; it is made from ``group.table`` when not
-    given. Five premises are checked: (1) every entry lies in 0..n-1; (2) row
-    0 and column 0 are the identity; (3) every row holds a 0, a right inverse
-    (``FiniteGroup.__init__``, or ``build`` from T, raises "has no inverse"
-    otherwise); (4) right products of the generators reach every element from
-    0; (5) each generator a passes Light's test, (x a) y = x (a y) for all x,
-    y. The elements that pass it are closed under products and include 0 by
-    (2), so (4) and (5) prove associativity in O(|gens| n^2), not the O(n^3)
-    of all triples. A monoid in which every element has a right inverse is a
-    group, and a group table is a Latin square, so that needs no test of its
-    own.
+    Five premises are checked: (1) every entry lies in 0..n-1 and (3) every
+    row holds a 0, a right inverse (``FiniteGroup`` refuses a table
+    otherwise, "out of range" or "has no inverse"); (2) row 0 and column 0
+    are the identity; (4) right products of the generators reach every
+    element from 0; (5) each generator a passes Light's test, (x a) y =
+    x (a y) for all x, y. The elements that pass it are closed under products
+    and include 0 by (2), so (4) and (5) prove associativity in
+    O(|gens| n^2), not the O(n^3) of all triples. A monoid in which every
+    element has a right inverse is a group, and a group table is a Latin
+    square, so that needs no test of its own.
     """
     n = group.order
-    if T is None:
-        T = np.asarray(group.table, dtype=np.int32)
-    # every index taken below is an entry, so in range once this holds
-    if not (T.min() >= 0 and T.max() < n):
-        raise InternalConsistencyError(f"{group.name}: table entry out of range")
-    rng = np.arange(n, dtype=np.int32)
+    T = group.array
+    rng = np.arange(n)
     if not (np.array_equal(T[0], rng) and np.array_equal(T[:, 0], rng)):
         raise InternalConsistencyError(f"{group.name}: identity row/column broken")
     gens = group.generating_set()
@@ -406,7 +414,7 @@ def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
     right = np.empty_like(left)
     same = np.empty(left.shape, dtype=bool)
     for g in gens:
-        gy = T[g]
+        gy = T[g].astype(np.intp)  # converted once, not on every block
         for start in range(0, n, _BLOCK_ROWS):
             X = T[start:start + _BLOCK_ROWS]
             k = len(X)
@@ -417,9 +425,8 @@ def check_group_axioms(group: FiniteGroup, T: np.ndarray | None = None) -> None:
                     f"{group.name}: associativity fails at generator {g}")
 
 
-def _table(radices: tuple[int, ...], mult) -> tuple[list[array], np.ndarray]:
-    """The multiplication table of a system, as one int32 ``array.array`` per
-    row and as the same table in an n x n int32 array.
+def _table(radices: tuple[int, ...], mult) -> np.ndarray:
+    """The multiplication table of a system, as an n x n int16 array.
 
     `mult` runs once per generator g_k, on its unit tuple against every
     column, for row(g_k). Every other row is gathered: (w h) y = w (h y), so
@@ -430,7 +437,7 @@ def _table(radices: tuple[int, ...], mult) -> tuple[list[array], np.ndarray]:
     """
     n = math.prod(radices)
     coords = np.unravel_index(np.arange(n), radices)
-    T = np.empty((n, n), dtype=np.int32)
+    T = np.empty((n, n), dtype=np.int16)
     T[0] = np.arange(n)
     # each row is gathered straight into T, so the fill makes no temporary
     # of more than n cells; every index is in range, so mode="clip" clips
@@ -449,14 +456,13 @@ def _table(radices: tuple[int, ...], mult) -> tuple[list[array], np.ndarray]:
             step = step[step]
             d *= 2
         filled = [y for x in filled for y in range(x, x + r * stride, stride)]
-    return [array("i", row.tobytes()) for row in T], T
+    return T
 
 
 def _inverses(name: str, T: np.ndarray) -> list[int]:
-    """The right inverses of a built int32 table, whose entries are in range
-    (``np.ravel_multi_index`` bounds-checks every generator row, and every
-    gather copies in-range entries at in-range indices): the first 0 of each
-    row, as ``row.index(0)`` finds it, read off the whole array at once."""
+    """The right inverses of a table array whose entries are in 0..n-1: the
+    first 0 of each row, read off the whole array at once (argmin finds the
+    first least entry)."""
     inverse = T.argmin(axis=1)
     missing = np.flatnonzero(T[np.arange(len(T)), inverse])
     if missing.size:
@@ -480,16 +486,15 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
         raise GroupTooLargeError(
             f"{desc}: order {shown} exceeds cap {ORDER_CAP}")
     system = _SYSTEMS[desc.family](desc)
-    table, T = _table(system.radices, system.mult)
-    if len(table) != order:
+    T = _table(system.radices, system.mult)
+    if len(T) != order:
         raise InternalConsistencyError(
-            f"{desc}: built order {len(table)} != expected {order}")
+            f"{desc}: built order {len(T)} != expected {order}")
     labels = [system.label(e) for e in itertools.product(*map(range, system.radices))]
     generators = {name: int(np.ravel_multi_index(g, system.radices))
                   for name, g in system.gens.items()}
-    group = FiniteGroup(desc.canonical(), table, labels, generators, prime=system.prime,
-                        inverse=_inverses(desc.canonical(), T))
-    check_group_axioms(group, T)
+    group = FiniteGroup(desc.canonical(), T, labels, generators, prime=system.prime)
+    check_group_axioms(group)
     report = verify_presentation(group, desc)
     if not report.ok:
         raise InternalConsistencyError(

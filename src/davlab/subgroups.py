@@ -7,7 +7,8 @@ mask otherwise. Closures grow one generator at a time, by right cosets of the
 subgroup built so far, so a candidate already inside costs one bit test.
 Commutator subgroups are normal closures of the commutators of generators;
 products close the union of two generating sets; normality is tested by
-conjugating generators by generators.
+conjugating generators by generators. The k-th powers of all members are
+taken at once, by square and multiply with gathers on the table array.
 
 automorphisms() finds automorphisms from images of the kept generators of
 the whole group, each checked as a bijective homomorphism on every element.
@@ -16,6 +17,8 @@ the whole group, each checked as a bijective homomorphism on every element.
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from .errors import DavlabError
 from .groups import FiniteGroup
@@ -163,16 +166,40 @@ def commutator_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgrou
     return Subgroup(group, mask, gens)
 
 
+def _powers(group: FiniteGroup, H: Subgroup, k: int) -> np.ndarray:
+    """h^k for every member h of H, in ascending order of h, by square and
+    multiply with one gather of the table per step over all members."""
+    T = group.array
+    bits = np.frombuffer(H.mask.to_bytes((group.order + 7) // 8, "little"), dtype=np.uint8)
+    base = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+    if k < 0:
+        base = np.asarray(group.inverse)[base]
+        k = -k
+    result = np.zeros_like(base)
+    while k:
+        if k & 1:
+            result = T[result, base]
+        k >>= 1
+        if k:
+            base = T[base, base]
+    return result
+
+
 def power_subgroup(group: FiniteGroup, H: Subgroup, k: int) -> Subgroup:
-    """Subgroup generated by the k-th powers of the members of H."""
+    """Subgroup generated by the k-th powers of the members of H.
+
+    The candidates are the distinct powers in the order of their first
+    occurrence over ascending h, so the kept generators are those of the
+    powers taken one member at a time."""
     if k < 1:
         raise DavlabError(f"power_subgroup needs k >= 1, got {k}")
-    return Subgroup(group, *_grow(group, 1, [], (group.pow(h, k) for h in H.elements())))
+    candidates = dict.fromkeys(_powers(group, H, k).tolist())
+    return Subgroup(group, *_grow(group, 1, [], candidates))
 
 
 def power_set(group: FiniteGroup, H: Subgroup, k: int) -> set[int]:
     """The raw set of k-th powers (not necessarily a subgroup in general)."""
-    return {group.pow(h, k) for h in H.elements()}
+    return set(_powers(group, H, k).tolist())
 
 
 def product_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
@@ -252,7 +279,7 @@ def automorphisms(group: FiniteGroup) -> list[list[int]]:
                 seen[c] = True
                 visit.append(c)
                 tree.append((c, h, k))
-    columns = [[row[s] for row in table] for s in gens]
+    columns = [group.array[:, s].tolist() for s in gens]
 
     def extended(images) -> list[int] | None:
         """The map sending gens to images, when it is an automorphism."""

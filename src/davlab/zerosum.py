@@ -323,13 +323,14 @@ def _shifted(mask: int, col) -> int:
 
 class _ColumnSteps(dict):
     """steps[g](S) is S*g by the set-bit loop over the column x -> x*g,
-    built on the first use of g: all n columns are n^2 cells."""
+    read as one slice of the table on the first use of g: all n columns are
+    n^2 cells."""
 
     def __init__(self, group: FiniteGroup):
-        self.table = group.table
+        self.array = group.array
 
     def __missing__(self, g: int):
-        step = self[g] = functools.partial(_shifted, col=[row[g] for row in self.table])
+        step = self[g] = functools.partial(_shifted, col=self.array[:, g].tolist())
         return step
 
 
@@ -339,7 +340,7 @@ def _right_maps(group: FiniteGroup) -> list:
     it."""
     if group.order > _BYTE_TABLE_MAX_ORDER:
         return _ColumnSteps(group)
-    return [_byte_map(_byte_tables([1 << y for y in col])) for col in zip(*group.table)]
+    return [_byte_map(_byte_tables([1 << y for y in col])) for col in group.array.T.tolist()]
 
 
 def _orbit_images(group: FiniteGroup):
@@ -438,20 +439,19 @@ def reach_extend(state: ReachState, g: int) -> ReachState:
 
 
 def is_ordered_free(seq: Sequence) -> bool:
-    """True when no nonempty index-increasing subsequence multiplies to 1."""
-    table = seq.group.table
-    # reached lists the products of the nonempty subsequences so far, seen
-    # marks them
-    reached: list[int] = []
-    seen = bytearray(seq.group.order)
+    """True when no nonempty index-increasing subsequence multiplies to 1.
+
+    The products S of the nonempty subsequences of each prefix are kept as
+    their inverses, a bool vector R = S^-1: appending g makes S | S*g | {g},
+    so R becomes R | g^-1 R | {g^-1}, and y lies in g^-1 R exactly when
+    g y does, one gather of R at row g of the table."""
+    group = seq.group
+    T, inverse = group.array, group.inverse
+    R = np.zeros(group.order, dtype=bool)
     for g in seq.terms:
-        # each earlier product times g (the list is taken before any append),
-        # then g alone
-        for y in [table[x][g] for x in reached] + [g]:
-            if not seen[y]:
-                seen[y] = 1
-                reached.append(y)
-        if seen[0]:
+        R |= R[T[g]]
+        R[inverse[g]] = True
+        if R[0]:
             return False
     return True
 
@@ -683,10 +683,17 @@ def davenport_unordered(group: FiniteGroup,
     """
     budget = _checked_budget(group, budget, DEFAULT_UNORDERED_CAP, "unordered")
     reach = _submultiset_products(group)
-    inv = [group.inv(g) for g in range(group.order)]
+    inv = group.inverse
+    # R of the state last stepped from: the engine tries every letter on one
+    # state object in turn, so R(ms) is looked up, and ms hashed, once per
+    # state rather than once per letter
+    last: tuple = (None, 0)
 
     def extend(ms: tuple[int, ...], g: int) -> tuple[int, ...] | None:
-        if reach(ms) >> inv[g] & 1:
+        nonlocal last
+        if last[0] is not ms:
+            last = (ms, reach(ms))
+        if last[1] >> inv[g] & 1:
             return None
         i = bisect.bisect_right(ms, g)
         return ms[:i] + (g,) + ms[i:]

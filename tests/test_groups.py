@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import functools
 import itertools
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from davlab import build, build_from_string, parse_descriptor, verify_presentati
 from davlab.errors import GroupTooLargeError, InternalConsistencyError
 from davlab import groups
 from davlab.groups import FiniteGroup, check_group_axioms
+from davlab.theory import ORDER_CAP
 
 GRID = [
     "c[1]", "c[2]", "c[5]", "c[9]", "c[12]", "ab[2,2]", "ab[3,3]", "ab[2,4]",
@@ -202,7 +205,7 @@ def test_presentation_check_catches_wrong_table():
 def test_axiom_check_catches_broken_table():
     from davlab.groups import FiniteGroup
     G = build_from_string("c[4]")
-    broken = [row[:] for row in G.table]
+    broken = [list(row) for row in G.table]
     broken[1][2], broken[1][3] = broken[1][3], broken[1][2]  # rows stay permutations
     bad = FiniteGroup("broken", broken, list(G.labels), {})
     with pytest.raises(InternalConsistencyError):
@@ -210,13 +213,13 @@ def test_axiom_check_catches_broken_table():
 
 
 def _with_cells(G, cells, generators=None):
-    table = [row[:] for row in G.table]
+    table = [list(row) for row in G.table]
     for (x, y), value in cells.items():
         table[x][y] = value
     return FiniteGroup("edited", table, list(G.labels), generators or {})
 
 
-@pytest.mark.parametrize("edit", ["row", "column", "above", "negative"])
+@pytest.mark.parametrize("edit", ["row", "column", "above", "negative", "int16", "int64"])
 def test_latin_check_catches_each_defect(edit):
     # no Latin test of its own: an entry out of range fails the range test,
     # and a table that is not Latin is not a group, so Light's test fails
@@ -231,6 +234,10 @@ def test_latin_check_catches_each_defect(edit):
         "column": ({(2, 3): T[2][4], (2, 4): T[2][3]}, "associativity fails"),
         "above": ({(2, 3): G.order}, "out of range"),
         "negative": ({(2, 3): -1}, "out of range"),
+        # past int16, and past int32: compared before any narrowing cast,
+        # so never an OverflowError or a wrapped entry
+        "int16": ({(2, 3): 40000}, "out of range"),
+        "int64": ({(2, 3): 2 ** 40}, "out of range"),
     }[edit]
     with pytest.raises(InternalConsistencyError, match=match):
         check_group_axioms(_with_cells(G, cells))
@@ -289,8 +296,8 @@ def test_abelian_product_matches_componentwise(grp):
 # sha256 of np.asarray(table, int32).tobytes() as built by the per-pair loop
 # over the element list (index[mult(x, y)] for every x, y) before tables were
 # built from coordinate arrays; a reordered encoding or a wrong cocycle sign
-# changes the digest. build() checks the axioms on the int32 array that
-# _table copies its rows from; test_table_array_mirrors_the_list pins it.
+# changes the digest. build() keeps _table's int16 array as the group's only
+# store, and its rows read from it; test_table_array_mirrors_the_list pins it.
 GOLDEN_TABLES = {
     "c[1]": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
     "c[12]": "95e853c042436f11d7eda0d1883c5880debefaefde06702c2d26b1cecdf395bb",
@@ -325,13 +332,17 @@ def test_table_matches_golden_digest(text, grp):
 
 
 @pytest.mark.parametrize("text", sorted(GOLDEN_TABLES))
-def test_table_array_mirrors_the_list(text):
+def test_table_array_mirrors_the_list(text, grp):
     desc = parse_descriptor(text)
     system = groups._SYSTEMS[desc.family](desc)
-    table, array = groups._table(system.radices, system.mult)
-    assert array.dtype == np.int32
-    assert hashlib.sha256(array.tobytes()).hexdigest() == GOLDEN_TABLES[text]
-    assert np.array_equal(array, np.asarray(table, dtype=np.int32))
+    T = groups._table(system.radices, system.mult)
+    assert T.dtype == np.int16
+    wide = np.asarray(T, dtype=np.int32)
+    assert hashlib.sha256(wide.tobytes()).hexdigest() == GOLDEN_TABLES[text]
+    G = grp(text)
+    assert G.array.dtype == np.int16 and not G.array.flags.writeable
+    assert np.array_equal(G.array, T)
+    assert np.array_equal(np.asarray(G.table, dtype=np.int32), wide)
 
 
 def test_build_rejects_generators_that_do_not_generate(monkeypatch):
@@ -350,12 +361,12 @@ def test_metacyclic_words_with_a_carrying_last_exponent_are_filled():
     # Q_8 on the words y^j x^i: a wrapped x exponent leaves y^2 behind in the
     # first coordinate, so the last coordinate of a product carries
     system = groups._metacyclic(("y", "x"), 4, 2, -1, 2, 2, normal_first=True)
-    rows, T = groups._table(system.radices, system.mult)
-    assert T.tobytes() == _table_by_full_product(system.radices, system.mult).tobytes()
+    T = groups._table(system.radices, system.mult)
+    assert np.array_equal(T, _table_by_full_product(system.radices, system.mult))
     labels = [system.label(e) for e in itertools.product(*map(range, system.radices))]
     generators = {name: int(np.ravel_multi_index(g, system.radices))
                   for name, g in system.gens.items()}
-    check_group_axioms(FiniteGroup("Q8", rows, labels, generators), T)
+    check_group_axioms(FiniteGroup("Q8", T, labels, generators))
 
 
 def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
@@ -378,7 +389,7 @@ def test_missing_inverse_is_an_internal_error():
 def test_build_reads_inverses_off_the_array(monkeypatch, grp):
     G = grp("m2[2048]")
     assert all(type(i) is int for i in G.inverse)
-    assert G.inverse == [row.index(0) for row in G.table]
+    assert G.inverse == [list(row).index(0) for row in G.table]
     real = groups._SYSTEMS["ab"]
 
     def left_projection(desc):
@@ -453,23 +464,113 @@ def test_fill_grid_covers_the_acceptance_scans():
 def test_table_equals_the_full_product(text):
     desc = parse_descriptor(text)
     system = groups._SYSTEMS[desc.family](desc)
-    rows, T = groups._table(system.radices, system.mult)
-    want = _table_by_full_product(system.radices, system.mult).tobytes()
-    assert T.tobytes() == want
-    assert b"".join(row.tobytes() for row in rows) == want
+    T = groups._table(system.radices, system.mult)
+    assert T.dtype == np.int16
+    assert np.array_equal(T, _table_by_full_product(system.radices, system.mult))
 
 
 @pytest.mark.parametrize("text", ["g1[13,1,1,1]", "g1[3,2,2,2]", "g3[3,3,2,2,1]"])
 def test_table_rows_hold_no_gc_references(text, grp):
-    # a garbage collection walks every reference a tracked row holds: int32
-    # array rows hold none per cell, where lists held n^2 for the table
+    # a garbage collection walks every reference a tracked row holds: a
+    # memoryview row holds one (its buffer), none per cell, where lists held
+    # n^2 for the table
     G = grp(text)
     assert sum(len(gc.get_referents(row)) for row in G.table) <= G.order
     row = G.table[5]
-    copy = row[:]
+    with pytest.raises(TypeError):
+        row[0] = -1
+    with pytest.raises(ValueError):
+        G.array[5, 0] = -1
+    copy = list(row)
     copy[0] = -1
     assert row[0] != -1 and type(row[0]) is int
     assert list(row) == [G.mul(5, y) for y in G.elements()]
+
+
+@pytest.mark.parametrize("kind", ["list", "array", "memoryview", "ndarray", "rows"])
+def test_hand_made_tables_are_stored_as_int16(kind, grp):
+    G = grp("q[12]")
+    rows = [list(row) for row in G.table]
+    table = {"list": rows,
+             "array": [array("i", row) for row in rows],
+             "memoryview": [memoryview(array("q", row)) for row in rows],
+             "ndarray": np.array(rows, dtype=np.int64),
+             "rows": G.table}[kind]
+    H = FiniteGroup("hand", table, G.labels, dict(G.generators))
+    check_group_axioms(H)
+    assert H.array.dtype == np.int16 and not H.array.flags.writeable
+    assert np.array_equal(H.array, G.array) and H.inverse == G.inverse
+    assert all(type(i) is int for i in H.inverse)
+    assert [list(row) for row in H.table] == rows
+
+
+def test_int16_holds_every_index_below_the_order_cap():
+    assert ORDER_CAP <= 2 ** 15
+    # and a hand-made table past the cap is refused, not wrapped
+    table = np.zeros((ORDER_CAP + 1, ORDER_CAP + 1), dtype=np.int16)
+    with pytest.raises(GroupTooLargeError, match="exceeds cap"):
+        FiniteGroup("big", table, [], {})
+
+
+def _m2_product(n: int, x: int, y: int) -> int:
+    """x y in m2[n] on the words x^i y^j, index i (n/2) + j: y^j x = x y^(j r)
+    with r = n/4 + 1."""
+    m = n // 2
+    (i1, j1), (i2, j2) = divmod(x, m), divmod(y, m)
+    return (i1 + i2) % 2 * m + (j1 * pow(m // 2 + 1, i2, m) + j2) % m
+
+
+def _closed_power(closed, h: int, k: int) -> int:
+    """h^k by square and multiply on the closed-form product, in Python ints."""
+    p = 0
+    for bit in bin(k)[2:]:
+        p = closed(p, p)
+        if bit == "1":
+            p = closed(p, h)
+    return p
+
+
+CAP_PRODUCTS = {"c[4096]": lambda x, y: (x + y) % 4096,
+                "m2[4096]": functools.partial(_m2_product, 4096)}
+
+
+@pytest.mark.parametrize("text", sorted(CAP_PRODUCTS))
+def test_cells_at_the_order_cap_read_back_as_ints(text, grp):
+    G = grp(text)
+    assert G.order == ORDER_CAP and G.array.dtype == np.int16
+    closed = CAP_PRODUCTS[text]
+    sample = [*range(0, G.order, 61), G.order - 1]
+    high = 0
+    for x in sample:
+        row = G.table[x]
+        for y in sample:
+            v = row[y]
+            assert type(v) is int and v == closed(x, y) == G.array[x, y], (x, y)
+            high += v >= 2048
+    assert high > len(sample) ** 2 // 4
+
+
+@pytest.mark.parametrize("text", sorted(CAP_PRODUCTS))
+def test_table_arithmetic_at_the_order_cap_does_not_wrap(text, grp):
+    # an entry near the cap times the order, 4095 * 4096, wraps in int16:
+    # rows hand out Python ints, and the gathers over the array agree with
+    # the closed form at the top of the range, where a kernel computing a
+    # flat index x n + y in int16 would read the wrong cells
+    from davlab.subgroups import power_set, power_subgroup, whole_subgroup
+    from davlab.zerosum import Sequence, is_ordered_free
+    G = grp(text)
+    n, closed = G.order, CAP_PRODUCTS[text]
+    top = G.table[n - 1][n - 1]
+    assert top * n == closed(n - 1, n - 1) * n > 2 ** 15
+    W = whole_subgroup(G)
+    for k in (2, 3, n - 1):
+        assert power_set(G, W, k) == {_closed_power(closed, h, k) for h in range(n)}, k
+    squares = {closed(h, h) for h in range(n)}
+    assert power_subgroup(G, W, 2).mask == sum(1 << p for p in squares)
+    g = n - 1 if text == "c[4096]" else G.generators["y"]
+    order = G.element_order(g)
+    assert is_ordered_free(Sequence(G, (g,) * (order - 1)))
+    assert not is_ordered_free(Sequence(G, (g,) * order))
 
 
 # --- associativity by Light's generator test ----------------------------------

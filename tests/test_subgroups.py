@@ -282,6 +282,91 @@ def test_subgroup_operations_match_literal_definitions(text, data):
         G, set(H.elements()) | set(K.elements()))
 
 
+# --- gather kernels against the element loops they replaced ---------------------
+
+# S_4 and S_5 (hand-made tables) and the pin_large groups of davbench
+KERNEL_GRID = ["S4", "S5", "m2[2048]", "g1[3,3,3,1]", "g2[3,4,3,2]"]
+
+
+def _kernel_group(text):
+    return SYMMETRIC.get(text) or build(parse_descriptor(text))
+
+
+def _kernel_subgroups(G):
+    """The whole group, its derived subgroup, the trivial subgroup and two
+    closures of seeded random elements, one with generators derived."""
+    rng = random.Random(G.name)
+    W = whole_subgroup(G)
+    closures = [subgroup_closure(G, rng.sample(range(G.order), k)) for k in (1, 2)]
+    return [W, commutator_subgroup(G, W, W), trivial_subgroup(G), closures[0],
+            Subgroup(G, closures[1].mask)]
+
+
+def _ordered_free_by_reach_list(seq) -> bool:
+    """zerosum.is_ordered_free as the reach-list walk it replaced: every
+    earlier product times g, then g alone, until 1 is reached."""
+    table = seq.group.table
+    reached: list[int] = []
+    seen = bytearray(seq.group.order)
+    for g in seq.terms:
+        for y in [table[x][g] for x in reached] + [g]:
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+        if seen[0]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("text", KERNEL_GRID)
+def test_power_gathers_equal_the_element_loop(text):
+    G = _kernel_group(text)
+    e = G.exponent()
+    for H in _kernel_subgroups(G):
+        for k in sorted({1, 2, 3, 5, e - 1, e, e + 1, -1, -2}):
+            loop = [G.pow(h, k) for h in H.elements()]
+            assert subgroups._powers(G, H, k).tolist() == loop, (H, k)
+            assert power_set(G, H, k) == set(loop)
+            if k >= 1:
+                old = Subgroup(G, *subgroups._grow(G, 1, [], loop))
+                new = power_subgroup(G, H, k)
+                assert (new.mask, new.gens) == (old.mask, old.gens), (H, k)
+
+
+@pytest.mark.parametrize("text", KERNEL_GRID)
+def test_ordered_freeness_equals_the_reach_list_walk(text):
+    from davlab.zerosum import Sequence, is_ordered_free
+    G = _kernel_group(text)
+    rng = random.Random(text)
+    outcomes = {True: 0, False: 0}
+    sequences = []
+    for _ in range(40):
+        pool = rng.sample(range(G.order), rng.randint(1, 3))
+        sequences.append([rng.choice(pool) for _ in range(rng.randint(0, 40))])
+        sequences.append([rng.randrange(G.order) for _ in range(rng.randint(0, 12))])
+    for g in list(G.generators.values()) + [G.order - 1]:
+        k = G.element_order(g)
+        sequences += [[g] * (k - 1), [g] * k]
+    for terms in sequences:
+        seq = Sequence(G, tuple(terms))
+        free = is_ordered_free(seq)
+        assert free == _ordered_free_by_reach_list(seq), terms
+        outcomes[free] += 1
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+@pytest.mark.parametrize("text", KERNEL_GRID)
+def test_column_steps_read_the_table_columns(text):
+    from davlab.zerosum import _ColumnSteps
+    G = _kernel_group(text)
+    steps = _ColumnSteps(G)
+    rng = random.Random(text)
+    letters = {0, G.order - 1, *G.generators.values(), *rng.sample(range(G.order), 8)}
+    for g in sorted(letters):
+        col = steps[g].keywords["col"]
+        assert col == [row[g] for row in G.table] and all(type(y) is int for y in col)
+
+
 def is_automorphism(G, phi) -> bool:
     """A bijection of the elements with phi(x y) = phi(x) phi(y) on all n^2 pairs."""
     T = G.table
