@@ -50,7 +50,8 @@ class FiniteGroup:
     The table may be given as that array (``build``) or as rows of ints
     (lists, arrays, memoryviews); either way it is stored as int16 once every
     entry is known to lie in 0..n-1, and InternalConsistencyError is raised
-    otherwise, or when a row holds no 0 (no right inverse). The named
+    otherwise, or when a row holds no 0 (no right inverse). A C-contiguous
+    int16 array is kept without a copy and made read-only. The named
     ``generators`` generate the whole group (``build`` checks this); centers,
     abelianness and whole-group subgroups rely on it. A group made with no
     named generators counts as generated by all of its elements.
