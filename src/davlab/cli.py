@@ -31,7 +31,7 @@ from .descriptors import (GRAMMAR_HINT, GroupDescriptor, make_descriptor,
 from .errors import DavlabError, DescriptorError
 from .numtheory import is_prime, prime_power
 from .theory import (DEFAULT_ORDERED_CAP, ORDER_CAP, expected_davenport, loewy_formula,
-                     witness_plan)
+                     olson_white, witness_plan)
 from .version import __version__
 
 ENV_THREADS = "DAVLAB_THREADS"
@@ -461,7 +461,7 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
     if is_p:
         upper, upper_source = int(records["L"].value), "loewy_length"
     elif desc.family in ("q", "sd"):
-        upper, upper_source = (order + 2) // 2, "olson_white"
+        upper, upper_source = olson_white(order), "olson_white"
     else:
         upper, upper_source = order, "order"
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .descriptors import GroupDescriptor
-from .errors import InternalConsistencyError, NotAPGroupError
+from .errors import DavlabError, InternalConsistencyError, NotAPGroupError
 from .groups import FiniteGroup
 from .numtheory import prime_power
 from .report import Report
@@ -65,28 +67,30 @@ def jennings_exponents(series: list[Subgroup], p: int) -> list[int]:
 
 
 def loewy_polynomial(exponents: list[int], p: int) -> list[int]:
-    """Coefficients of prod_i (1 + x^i + ... + x^((p-1)i))^(e_i)."""
-    coeffs = [1]
+    """Coefficients of prod_i (1 + x^i + ... + x^((p-1)i))^(e_i), one
+    convolution per factor. Every partial product has nonnegative
+    coefficients summing to at most p^(sum e_i), |G| for the exponents of a
+    group, so int64 holds them below 2^63."""
+    if p ** sum(exponents) >= 1 << 63:
+        raise DavlabError(f"coefficients of p^{sum(exponents)} terms exceed int64")
+    coeffs = np.ones(1, dtype=np.int64)
     for i, e in enumerate(exponents, start=1):
-        factor = [0] * ((p - 1) * i + 1)
-        for k in range(p):
-            factor[k * i] = 1
+        factor = np.zeros((p - 1) * i + 1, dtype=np.int64)
+        factor[::i] = 1
         for _ in range(e):
-            out = [0] * (len(coeffs) + len(factor) - 1)
-            for j, cj in enumerate(coeffs):
-                if cj:
-                    for k, fk in enumerate(factor):
-                        if fk:
-                            out[j + k] += cj
-            coeffs = out
-    return coeffs
+            coeffs = np.convolve(coeffs, factor)
+    return coeffs.tolist()
+
+
+def _loewy_from(exponents: list[int], p: int) -> int:
+    """L = 1 + (p-1) * sum(i * e_i)."""
+    return 1 + (p - 1) * sum(i * e for i, e in enumerate(exponents, start=1))
 
 
 def loewy_length(group: FiniteGroup, p: int | None = None) -> int:
     """1 + (p-1) * sum(i * e_i) over the computed chain."""
     p = _check_p_group(group, p)
-    exps = jennings_exponents(m_series(group, p), p)
-    return 1 + (p - 1) * sum(i * e for i, e in enumerate(exps, start=1))
+    return _loewy_from(jennings_exponents(m_series(group, p), p), p)
 
 
 @dataclass
@@ -106,9 +110,7 @@ def jennings_data(group: FiniteGroup, p: int | None = None) -> JenningsData:
     p = _check_p_group(group, p)
     series = m_series(group, p)
     exps = jennings_exponents(series, p)
-    coeffs = loewy_polynomial(exps, p)
-    L = 1 + (p - 1) * sum(i * e for i, e in enumerate(exps, start=1))
-    return JenningsData(p, series, exps, coeffs, L)
+    return JenningsData(p, series, exps, loewy_polynomial(exps, p), _loewy_from(exps, p))
 
 
 def quotient_elementary_abelian_report(group: FiniteGroup,

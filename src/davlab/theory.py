@@ -39,11 +39,17 @@ def witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
     return None
 
 
+def olson_white(order: int) -> int:
+    """The Olson-White bound ceil((|G| + 1) / 2) on D(G) for a non-cyclic
+    group of this order."""
+    return (order + 2) // 2
+
+
 def expected_davenport(desc: GroupDescriptor) -> int:
-    """The proven D(G) value for the witness families: ceil((|G|+1)/2) for
-    dicyclic/semidihedral, the closed-form Loewy length for the rest."""
+    """The proven D(G) value for the witness families: the Olson-White bound
+    for dicyclic/semidihedral, the closed-form Loewy length for the rest."""
     if desc.family in ("q", "sd") and desc["order"] & (desc["order"] - 1) != 0:
-        return (desc["order"] + 2) // 2
+        return olson_white(desc["order"])
     return loewy_formula(desc)
 
 

@@ -51,12 +51,7 @@ class WitnessSpec:
         return Sequence(group, tuple(terms))
 
     def describe(self, group: FiniteGroup) -> str:
-        parts = []
-        for name, el in self.elements.items():
-            count = self.multiplicities[name]
-            label = group.labels[el]
-            parts.append(label if count == 1 else f"({label})^{count}")
-        return " ".join(parts)
+        return self.sequence(group).compact()
 
     def block_labels(self, group: FiniteGroup) -> list[str]:
         """One 'label ^count' entry per block, e.g. ['y ^3', 'x ^1']."""

@@ -52,6 +52,16 @@ array of the images under all automorphisms (_orbit_images). The checkers
 never build byte tables: they walk the set-bit loop over the column of each
 letter they meet, built on first use (_ColumnSteps). With is_ordered_free
 and the naive oracles they are the independent check on the table step.
+
+Some computations are written twice on purpose, one copy checking the
+other, and must stay apart: the byte-table search steps and the
+column-step checkers; _submultiset_products (the D' search) and
+_UnorderedChecker (is_unordered_free, is_product_one); the E search step
+and group_length_reach; davenport_ordered, is_ordered_free and the naive
+oracles; groups._relations and the family formulas; theory.loewy_formula
+and the Jennings M-series. Every other product-one computation is written
+once: the subset-mask walk of the naive oracle and of
+has_proper_ordered_product_one is _subsequence_products.
 """
 
 from __future__ import annotations
@@ -68,8 +78,8 @@ import numpy as np
 from .errors import (BudgetExceededError, DavlabError, GroupTooLargeError,
                      InvalidWeightsError)
 from .groups import FiniteGroup
-from .subgroups import automorphisms
-from .theory import DEFAULT_ORDERED_CAP
+from .subgroups import _members, automorphisms
+from .theory import DEFAULT_ORDERED_CAP, olson_white
 
 DEFAULT_UNORDERED_CAP = 32
 DEFAULT_EG_CAP = 8
@@ -125,8 +135,11 @@ class SearchResult:
     witness: Sequence
     states_explored: int
     elapsed: float
-    exact: bool
     stop_reason: str = "done"
+
+    @property
+    def exact(self) -> bool:
+        return self.stop_reason == "done"
 
 
 class _BudgetHit(Exception):
@@ -262,10 +275,9 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
                     break
                 clock.tick(len(dead))
     except _BudgetHit:
-        return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
-                            clock.elapsed(), False, clock.stop_reason)
+        pass  # clock.stop_reason names the limit; best is a verified lower bound
     return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
-                        clock.elapsed(), True)
+                        clock.elapsed(), clock.stop_reason)
 
 
 def _mapped(mask: int, row: list) -> int:
@@ -419,13 +431,7 @@ class ReachState:
     mask: int = 0
 
     def products(self) -> set[int]:
-        out = set()
-        m = self.mask
-        while m:
-            low = m & -m
-            out.add(low.bit_length() - 1)
-            m ^= low
-        return out
+        return set(_members(self.mask))
 
     @property
     def has_identity(self) -> bool:
@@ -477,6 +483,20 @@ def davenport_ordered(group: FiniteGroup,
                          _mask_key(group), _room(group))
 
 
+def _subsequence_products(table, terms):
+    """(mask, product) of every nonempty index-increasing subsequence of
+    terms, the subsequence being the terms at the set bits of mask, in
+    increasing mask order: the product of a mask is its lowest term times
+    the product of the rest, which comes earlier."""
+    prods = [0] * (1 << len(terms))
+    for m in range(1, len(prods)):
+        low = m & -m
+        i = low.bit_length() - 1
+        rest = m ^ low
+        p = prods[m] = table[terms[i]][prods[rest]] if rest else terms[i]
+        yield m, p
+
+
 def davenport_ordered_naive(group: FiniteGroup) -> int:
     """Brute-force D(G): walk every sequence, testing each prefix for an
     ordered product-one subsequence by direct enumeration of all 2^len - 1
@@ -488,26 +508,13 @@ def davenport_ordered_naive(group: FiniteGroup) -> int:
     n = group.order
     best = 0
 
-    def prefix_free(seq: list[int]) -> bool:
-        length = len(seq)
-        prods = [0] * (1 << length)
-        for m in range(1, 1 << length):
-            low = m & -m
-            i = low.bit_length() - 1
-            rest = m ^ low
-            p = table[seq[i]][prods[rest]] if rest else seq[i]
-            prods[m] = p
-            if p == 0:
-                return False
-        return True
-
     def walk(seq: list[int]) -> None:
         nonlocal best
         if len(seq) > best:
             best = len(seq)
         for g in range(n):
             seq.append(g)
-            if prefix_free(seq):
+            if all(p != 0 for _, p in _subsequence_products(table, seq)):
                 walk(seq)
             seq.pop()
 
@@ -519,41 +526,19 @@ def olson_white_bound(group: FiniteGroup) -> int:
     """ceil((|G| + 1) / 2), valid for non-cyclic groups only."""
     if group.is_cyclic():
         raise DavlabError(f"{group.name}: bound applies to non-cyclic groups only")
-    return (group.order + 2) // 2
+    return olson_white(group.order)
 
 
 # --- product-one predicates -----------------------------------------------------
 
 def is_product_one(seq: Sequence) -> bool:
-    """Some arrangement of all terms multiplies to the identity."""
+    """Some arrangement of all terms multiplies to the identity: bit 0 of
+    the arrangement products of the multiset (the empty one gives 1)."""
     if len(seq) > DEFAULT_ARRANGE_CAP:
         raise BudgetExceededError(
             f"arrangement search capped at {DEFAULT_ARRANGE_CAP} terms")
-    if not seq.terms:
-        return True
-    table = seq.group.table
-    memo: dict[tuple, bool] = {}
-
-    def reach(remaining: tuple[int, ...], prod: int) -> bool:
-        if not remaining:
-            return prod == 0
-        key = (remaining, prod)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out = False
-        prev = None
-        for i, g in enumerate(remaining):
-            if g == prev:
-                continue
-            prev = g
-            if reach(remaining[:i] + remaining[i + 1:], table[prod][g]):
-                out = True
-                break
-        memo[key] = out
-        return out
-
-    return reach(tuple(sorted(seq.terms)), 0)
+    ms = tuple(sorted(seq.terms))
+    return _UnorderedChecker(seq.group).arrangement_products(ms) & 1 == 1
 
 
 def has_proper_ordered_product_one(seq: Sequence) -> bool:
@@ -561,18 +546,9 @@ def has_proper_ordered_product_one(seq: Sequence) -> bool:
     length = len(seq)
     if length > DEFAULT_ARRANGE_CAP:
         raise BudgetExceededError(f"subsequence scan capped at {DEFAULT_ARRANGE_CAP}")
-    table = seq.group.table
-    terms = seq.terms
     full = (1 << length) - 1
-    prods = [0] * (1 << length)
-    for m in range(1, 1 << length):
-        low = m & -m
-        i = low.bit_length() - 1
-        rest = m ^ low
-        prods[m] = table[terms[i]][prods[rest]] if rest else terms[i]
-        if prods[m] == 0 and m != full:
-            return True
-    return False
+    return any(p == 0 and m != full
+               for m, p in _subsequence_products(seq.group.table, seq.terms))
 
 
 def is_minimal_product_one(seq: Sequence) -> bool:

@@ -58,6 +58,25 @@ def test_not_a_p_group(grp):
         m_series(grp("q[8]"), p=3)
 
 
+def _loewy_polynomial_by_lists(exponents, p):
+    """loewy_polynomial as first written: each factor multiplied in over
+    dense coefficient lists."""
+    coeffs = [1]
+    for i, e in enumerate(exponents, start=1):
+        factor = [0] * ((p - 1) * i + 1)
+        for k in range(p):
+            factor[k * i] = 1
+        for _ in range(e):
+            out = [0] * (len(coeffs) + len(factor) - 1)
+            for j, cj in enumerate(coeffs):
+                if cj:
+                    for k, fk in enumerate(factor):
+                        if fk:
+                            out[j + k] += cj
+            coeffs = out
+    return coeffs
+
+
 def test_loewy_polynomial_cyclic():
     assert loewy_polynomial([1], 5) == [1, 1, 1, 1, 1]
 
@@ -109,6 +128,7 @@ def test_jennings_invariants(text, grp):
     data = jennings_data(G)
     p = data.prime
     coeffs = data.coefficients
+    assert coeffs == _loewy_polynomial_by_lists(data.exponents, p)
     assert sum(coeffs) == G.order
     assert coeffs[0] == 1 and coeffs[-1] == 1
     assert coeffs == coeffs[::-1]
@@ -195,6 +215,10 @@ def test_two_group_formula_matches_direct(grp):
     for text in ("d[8]", "d[16]", "d[32]", "q[8]", "q[16]", "q[32]",
                  "sd[16]", "sd[32]", "m2[16]", "m2[32]"):
         assert loewy_formula(parse_descriptor(text)) == loewy_length(grp(text)), text
+    # at the order cap, the convolved coefficients equal the list products
+    data = jennings_data(grp("m2[4096]"))
+    assert data.loewy_length == loewy_formula(parse_descriptor("m2[4096]")) == 2049
+    assert data.coefficients == _loewy_polynomial_by_lists(data.exponents, 2)
 
 
 @pytest.mark.parametrize("text", ["g2[3,2,2,1]", "g1[3,2,1,1]", "q[16]", "m2[16]",

@@ -18,6 +18,16 @@ def labels_of(spec, G):
     return {name: G.labels[el] for name, el in spec.elements.items()}
 
 
+def _describe_by_blocks(spec, G) -> str:
+    """WitnessSpec.describe as first written: one piece per block."""
+    parts = []
+    for name, el in spec.elements.items():
+        count = spec.multiplicities[name]
+        label = G.labels[el]
+        parts.append(label if count == 1 else f"({label})^{count}")
+    return " ".join(parts)
+
+
 def test_dicyclic_witnesses(grp):
     for text, length in (("q[8]", 4), ("q[12]", 6), ("q[20]", 10)):
         desc = parse_descriptor(text)
@@ -151,16 +161,19 @@ PLAN_GRID = ["c[1]", "c[8]", "ab[2,4]", "d[4]", "d[8]", "d[12]", "d[16]", "q[8]"
 
 @pytest.mark.parametrize("text", PLAN_GRID)
 def test_witness_plan_names_what_witness_for_theorem_builds(text):
+    """Also: each construction's run-length display equals its block join."""
     desc = parse_descriptor(text)
     validate_descriptor(desc)
     plan = witness_plan(desc)
     accepted = []
     for theorem in (1, 6, 7):
         try:
-            witness_for_theorem(desc, theorem, allow_unverified=True)
-            accepted.append(theorem)
+            spec = witness_for_theorem(desc, theorem, allow_unverified=True)
         except DavlabError:
-            pass
+            continue
+        accepted.append(theorem)
+        G = build(desc)
+        assert spec.describe(G) == _describe_by_blocks(spec, G), (text, theorem)
     assert (plan is None) == (not accepted)
     if plan is not None:
         theorem, proven = plan

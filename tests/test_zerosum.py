@@ -392,14 +392,63 @@ def test_minimal_rejects_inner_product_one(grp):
     assert not is_minimal_product_one(seq)
 
 
-@pytest.mark.parametrize("text", ["c[5]", "c[6]", "ab[2,2]", "d[6]", "q[8]", "d[8]"])
+def _product_one_by_memo_walk(seq) -> bool:
+    """is_product_one as first written: a memoized walk over (terms left,
+    product so far), stopping at the first arrangement that closes to 1."""
+    table = seq.group.table
+    memo = {}
+
+    def reach(remaining, prod):
+        if not remaining:
+            return prod == 0
+        if (remaining, prod) not in memo:
+            memo[remaining, prod] = any(
+                reach(remaining[:i] + remaining[i + 1:], table[prod][g])
+                for i, g in enumerate(remaining) if i == 0 or remaining[i - 1] != g)
+        return memo[remaining, prod]
+
+    return reach(tuple(sorted(seq.terms)), 0)
+
+
+def _proper_product_one_by_subset_loop(seq) -> bool:
+    """has_proper_ordered_product_one as first written: the products of all
+    subsequences by subset mask, each the lowest term times the rest."""
+    table, terms = seq.group.table, seq.terms
+    full = (1 << len(terms)) - 1
+    prods = [0] * (full + 1)
+    for m in range(1, full + 1):
+        low = m & -m
+        i = low.bit_length() - 1
+        prods[m] = table[terms[i]][prods[m ^ low]] if m ^ low else terms[i]
+        if prods[m] == 0 and m != full:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("text", ["c[5]", "c[6]", "ab[2,2]", "d[6]", "q[8]", "d[8]", "q[16]"])
 def test_witness_plus_inverse_is_minimal_product_one(text, grp):
+    """Also: both product-one predicates equal their first versions on every
+    multiset of at most 6 terms, in sorted and in shuffled order, up to
+    order 8, and on random sequences up to the 16-term cap above it."""
     G = grp(text)
     witness = davenport_ordered(G).witness
     closing = G.inv(G.product(witness.terms))
     closed = Sequence(G, witness.terms + (closing,))
     assert len(closed) == davenport_ordered(G).value
     assert is_minimal_product_one(closed)
+    rng = random.Random(text)
+    if G.order <= 8:
+        samples = [list(ms) for k in range(7)
+                   for ms in itertools.combinations_with_replacement(range(G.order), k)]
+        samples += [rng.sample(ms, len(ms)) for ms in samples]
+    else:
+        samples = [[rng.randrange(G.order) for _ in range(rng.randint(0, 16))]
+                   for _ in range(24)]
+    for terms in samples:
+        seq = Sequence(G, tuple(terms))
+        assert is_product_one(seq) == _product_one_by_memo_walk(seq), terms
+        assert (zerosum.has_proper_ordered_product_one(seq)
+                == _proper_product_one_by_subset_loop(seq)), terms
 
 
 def test_unordered_free_vs_ordered(grp):
@@ -754,7 +803,7 @@ def _longest_free_reference(group, start, extend, alphabet, budget, key, room=No
                         bests[-1] = v + 1
     except zerosum._BudgetHit:
         return zerosum.SearchResult(1 + len(best_path), Sequence(group, tuple(best_path)),
-                                    len(memo), clock.elapsed(), False, clock.stop_reason)
+                                    len(memo), clock.elapsed(), clock.stop_reason)
     terms = []
     state = start
     remaining = memo[key(start)]
@@ -767,7 +816,7 @@ def _longest_free_reference(group, start, extend, alphabet, budget, key, room=No
                 remaining -= 1
                 break
     return zerosum.SearchResult(1 + memo[key(start)], Sequence(group, tuple(terms)),
-                                len(memo), clock.elapsed(), True)
+                                len(memo), clock.elapsed())
 
 
 REFERENCE_SEARCHES = (
