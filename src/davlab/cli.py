@@ -357,7 +357,7 @@ def _grid(families: list[str], primes: list[int], max_order: int, ranges):
                 step = 4 if family == "q" else 8
                 out.extend(make_descriptor(family, n)
                            for n in range(2 * step, max_order + 1, step) if n & (n - 1))
-        elif family in ("g1", "g2", "g3", "g4"):
+        elif family in ("g1", "g2", "g3"):
             for p in primes:
                 out.extend(_p_family_descs(family, p, max_order))
         else:
@@ -396,13 +396,6 @@ def _p_family_descs(family: str, p: int, max_order: int):
             if (b >= g > s >= 1 and a + s >= 2 * g
                     and p ** (a + b + s) <= max_order):
                 yield make_descriptor("g3", p, a, b, g, s)
-    elif family == "g4":
-        for a, b, g in itertools.product(exps, repeat=3):
-            for r in range(1, g):
-                for s in range(0, r):
-                    if (a > b >= g >= 1 and r < min(g, s + a - b)
-                            and p ** (a + b + g) <= max_order):
-                        yield make_descriptor("g4", p, a, b, g, r, s)
 
 
 def _proven_claim(desc: GroupDescriptor) -> int | None:

@@ -4,7 +4,7 @@ Grammar (whitespace-free, decimal integers):
 
     c[n]  ab[n1,n2,...]  d[order]  q[order]  sd[order]  m2[order]
     g1[p,alpha,beta,gamma]  g2[p,alpha,beta,gamma]
-    g3[p,alpha,beta,gamma,sigma]  g4[p,alpha,beta,gamma,rho,sigma]
+    g3[p,alpha,beta,gamma,sigma]
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ _PARAM_NAMES = {
     "g1": ("p", "alpha", "beta", "gamma"),
     "g2": ("p", "alpha", "beta", "gamma"),
     "g3": ("p", "alpha", "beta", "gamma", "sigma"),
-    "g4": ("p", "alpha", "beta", "gamma", "rho", "sigma"),
 }
 
 GRAMMAR_HINT = (
     "descriptors: c[n], ab[n1,n2,...], d[order], q[order], sd[order], m2[order], "
-    "g1[p,alpha,beta,gamma], g2[p,alpha,beta,gamma], g3[p,alpha,beta,gamma,sigma], "
-    "g4[p,alpha,beta,gamma,rho,sigma]"
+    "g1[p,alpha,beta,gamma], g2[p,alpha,beta,gamma], g3[p,alpha,beta,gamma,sigma]"
 )
 
 _SHOWN_DIGITS = 40
@@ -89,7 +87,7 @@ class GroupDescriptor:
         if f in ("d", "q", "sd", "m2"):
             return self["order"]
         p = self["p"]
-        if f in ("g1", "g4"):
+        if f == "g1":
             return p ** (self["alpha"] + self["beta"] + self["gamma"])
         if f == "g2":
             return p ** (self["alpha"] + self["beta"])
@@ -174,10 +172,5 @@ def validate_descriptor(desc: GroupDescriptor) -> None:
         s = desc["sigma"]
         _require(b >= g > s >= 1, desc, "beta >= gamma > sigma >= 1")
         _require(a + s >= 2 * g, desc, "alpha + sigma >= 2*gamma")
-    elif f == "g4":
-        r, s = desc["rho"], desc["sigma"]
-        _require(a > b >= g >= 1, desc, "alpha > beta >= gamma >= 1")
-        _require(0 <= s < r, desc, "0 <= sigma < rho")
-        _require(r < min(g, s + a - b), desc, "rho < min(gamma, sigma + alpha - beta)")
     else:
         raise DescriptorError(f"unknown family {f!r}")

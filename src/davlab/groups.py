@@ -1,22 +1,23 @@
 """Explicit finite groups built from presentations as full multiplication tables.
 
-Every family is realized on normal-form tuples of generator exponents, listed
-in row-major mixed-radix order, with one collection formula for products that
-works on ints and on numpy coordinate arrays alike. Three shared normal forms
-build nine of the ten families: abelian (c, ab), metacyclic (d, q, sd, m2,
-g2) and central (g1, g4); g3 keeps its own matrix action. build() evaluates
-the formula only on the rows of the generators, each against all columns at
-once; every other row is a numpy gather, since the row of a word w h is the
-row of w read at the entries of the row of h. The table is stored once, as
-one read-only n x n int16 array (2 bytes a cell: every index lies below
-ORDER_CAP <= 2^15), and all later work is table lookups: rows are slices of
-one flat memoryview over the array, and whole-group sweeps are numpy gathers
-on it. Element 0 is always the identity and labels are the
-normal-form words. Every built table is proven a group (entries in range,
-identity, right inverses, generation and Light's associativity test,
-O(|gens| n^2) at every order; a monoid with right inverses is a group, hence
-Latin), and every relation of the family's own presentation is checked, so
-the shared builders and the row fill are verified, not trusted.
+Every family is a polycyclic presentation, given as data: relative orders,
+power words g_k^(r_k) and conjugate words g_k^-1 g_j g_k. Its elements are
+the normal-form words, listed in row-major mixed-radix order. One builder
+makes the table of any such presentation: it computes each generator's row
+from rows already in the table, in the top-down form (<g_{k+1}, ...> normal
+in <g_k, ...>: c, ab, d, q, sd, m2, g1) or the mirror form (<g_0, ...,
+g_{k-1}> normal in <g_0, ..., g_k>: g2, g3), and gathers every other row,
+since the row of a word w h is the row of w read at the entries of the row
+of h. The table is stored once, as one read-only n x n int16 array (2 bytes
+a cell: every index lies below ORDER_CAP <= 2^15), and all later work is
+table lookups: rows are slices of one flat memoryview over the array, and
+whole-group sweeps are numpy gathers on it. Element 0 is always the identity
+and labels are the normal-form words. Every built table is proven a group
+(entries in range, identity, right inverses, generation and Light's
+associativity test, O(|gens| n^2) at every order; a monoid with right
+inverses is a group, hence Latin), and every relation of the family's own
+presentation is checked, so the presentations and the row fill are
+verified, not trusted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,171 +200,57 @@ def _word_label(parts: list[tuple[str, int]]) -> str:
     return " ".join(bits) if bits else "1"
 
 
-# --- normal-form systems -----------------------------------------------------
-# Each _sys_* returns a _System for a descriptor: _sys_abelian for c and ab,
-# _sys_metacyclic for d, q, sd, m2 and g2, _sys_central for g1 and g4, and
-# _sys_g3. Elements are coordinate tuples in row-major mixed-radix order over
-# `radices` (so the identity, all zeros, is element 0); coordinate k is the
-# exponent of the k-th named generator in the normal-form word. `mult` is one
-# formula on coordinate tuples whose entries may be ints or broadcastable numpy
-# integer arrays: it uses only +, -, *, //, % and lookups in precomputed power
-# arrays, branching on the parameters but never on the elements, so _table
-# evaluates it on each generator's row at once. The word of coordinates
-# (e_0, ..., e_k, 0, ..., 0) times g_k^e is the word with e_k + e in place of
-# e_k while that stays below the radix, so _table gathers every other row
-# from the generator rows; build()'s checks run on the filled table.
+# --- polycyclic presentations --------------------------------------------------
+# (Sims, Computation with Finitely Presented Groups, 1994, ch. 9; Holt, Eick
+# & O'Brien, Handbook of Computational Group Theory, 2005, ch. 8.)
 # _relations and validate_descriptor stay per family, as the independent
-# check on the shared forms.
+# check on the presentations.
 
 
-class _System(NamedTuple):
+class _Presentation(NamedTuple):
+    """The group of the normal words g_0^e_0 ... g_{K-1}^e_{K-1},
+    0 <= e_k < r_k = radices[k], spelled in `names`, with the relations
+    g_k^(r_k) = powers[k] and g_k^-1 g_j g_k = conjugates[j, k].
+
+    Words are exponent tuples, read modulo the radices; a missing power is
+    the identity and a missing conjugate is g_j. Either every conjugate has
+    j > k and every word of g_k lies in <g_{k+1}, ..., g_{K-1}> (top-down:
+    each such subgroup is normal in the next larger one), or every conjugate
+    has j < k and every word of g_k lies in <g_0, ..., g_{k-1}> (mirror:
+    <g_0, ..., g_{k-1}> is normal in <g_0, ..., g_k>). A generator of
+    radix 1 is the identity and takes no word.
+    """
+    names: tuple[str, ...]
     radices: tuple[int, ...]
-    mult: Callable[[tuple, tuple], tuple]
-    label: Callable[[tuple], str]
-    gens: dict[str, tuple[int, ...]]
-    prime: int | None
+    powers: dict[int, tuple[int, ...]]
+    conjugates: dict[tuple[int, int], tuple[int, ...]]
 
 
-def _system(names, radices, mult, prime) -> _System:
-    """Labels are words in `names`; generator k is the k-th unit tuple."""
-    radices = tuple(radices)
-    gens = {name: tuple(1 % r if i == k else 0 for i, r in enumerate(radices))
-            for k, name in enumerate(names)}
-    return _System(radices, mult, lambda e: _word_label(list(zip(names, e))), gens, prime)
-
-
-def _prime_of(order: int) -> int | None:
-    pp = prime_power(order)
-    return pp[0] if pp else None
-
-
-def _sys_abelian(d: GroupDescriptor):
-    """c[n] and ab[n1,...]: componentwise sums; c names its one generator g."""
-    factors = d.values()
-    def mult(x, y):
-        return tuple((a + b) % k for a, b, k in zip(x, y, factors))
-    names = ("g",) if d.family == "c" else [f"g{i+1}" for i in range(len(factors))]
-    return _system(names, factors, mult, _prime_of(math.prod(factors)))
-
-
-def _metacyclic(names, m: int, n: int, r: int, s: int, prime: int | None,
-                normal_first: bool = False) -> _System:
-    """<x, y | y^m = 1, x^n = y^s, x^-1 y x = y^r> on the words x^i y^j.
-
-    With normal_first the words are y^j x^i instead, coordinates (j, i).
-    `names` lists the two generators in coordinate order. The presentation
-    needs r^n = 1 and s (r - 1) = 0 modulo m; build() checks the result.
-    """
-    # y^j x^i = x^i y^(j r^i), so x^i y^j = y^(j r^-i) x^i
-    rpow = np.array([pow(r, -k if normal_first else k, m) for k in range(n)],
-                    dtype=np.int64)
-    def mult(e1, e2):
-        if normal_first:
-            (j1, i1), (j2, i2) = e1, e2
-            j = j1 + j2 * rpow[i1]
-        else:
-            (i1, j1), (i2, j2) = e1, e2
-            j = j1 * rpow[i2] + j2
-        if s:
-            # x^n = y^s is central, so a wrapped x exponent leaves y^s behind
-            j = j + s * ((i1 + i2) // n)
-        i, j = (i1 + i2) % n, j % m
-        return (j, i) if normal_first else (i, j)
-    radices = (m, n) if normal_first else (n, m)
-    return _system(names, radices, mult, prime)
-
-
-def _sys_metacyclic(d: GroupDescriptor):
-    """d, q, sd and m2 have the cyclic subgroup <y> of index 2; g2 is split
-    with b^-1 a b = a^(1 + p^(alpha-gamma)) and keeps its words a^i b^j."""
-    if d.family == "g2":
-        p, alpha = d["p"], d["alpha"]
-        return _metacyclic(("a", "b"), p ** alpha, p ** d["beta"],
-                           1 + p ** (alpha - d["gamma"]), 0, p, normal_first=True)
-    order = d["order"]
-    m = order // 2
-    r, s = {"d": (-1, 0), "q": (-1, m // 2),
-            "sd": (m // 2 - 1, 0), "m2": (m // 2 + 1, 0)}[d.family]
-    return _metacyclic(("x", "y"), m, 2, r, s, _prime_of(order))
-
-
-def _sys_central(d: GroupDescriptor):
-    """g1 and g4: [a,b] = c central on the words a^i b^j c^t, and for g4
-    a^(p^alpha) = c^(p^rho), b^(p^beta) = c^(p^sigma).
-
-    Collecting b^j1 past a^i2 with b a = a b c^-1 gives the cocycle term
-    -j1*i2 on the c exponent; a wrapped a or b exponent adds its carry. The
-    smallest admissible g4 parameters already give order p^8, so g4 tables
-    always exceed the order cap; its rule is exercised at tuple level.
-    """
+def _presentation(d: GroupDescriptor) -> _Presentation:
+    """The family's presentation, on the words its labels spell."""
+    f = d.family
+    if f in ("c", "ab"):
+        factors = d.values()
+        names = ("g",) if f == "c" else tuple(f"g{i+1}" for i in range(len(factors)))
+        return _Presentation(names, factors, {}, {})
+    if f in ("d", "q", "sd", "m2"):
+        # <x, y | y^m = 1, x^2 = y^s, x^-1 y x = y^r> on the words x^i y^j
+        m = d["order"] // 2
+        r, s = {"d": (-1, 0), "q": (-1, m // 2),
+                "sd": (m // 2 - 1, 0), "m2": (m // 2 + 1, 0)}[f]
+        return _Presentation(("x", "y"), (2, m), {0: (0, s)}, {(1, 0): (0, r)})
     p = d["p"]
     pa, pb, pg = p ** d["alpha"], p ** d["beta"], p ** d["gamma"]
-    ca, cb = (p ** d["rho"], p ** d["sigma"]) if d.family == "g4" else (0, 0)
-    def mult(e1, e2):
-        (i1, j1, t1), (i2, j2, t2) = e1, e2
-        t = t1 + t2 - j1 * i2
-        # (i1 + i2) // pa is the 0/1 carry of the a exponent, likewise for b
-        if ca:
-            t = t + ca * ((i1 + i2) // pa)
-        if cb:
-            t = t + cb * ((j1 + j2) // pb)
-        return ((i1 + i2) % pa, (j1 + j2) % pb, t % pg)
-    return _system(("a", "b", "c"), (pa, pb, pg), mult, p)
-
-
-def _mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
-def _sys_g3(d: GroupDescriptor):
-    """Family with [a,b] = a^e c and [c,b] = a^(-e^2) c^(-e), e = p^(alpha-gamma).
-
-    Built as (C_{p^alpha} x C_{p^sigma}) extended by b acting through the
-    automorphism phi(a) = a^(1+e) c, phi(c) = a^(-e^2) c^(1-e); triples
-    (i, t, j) stand for a^i c^t b^j and products use phi^(-j1) on the middle.
-    The action matrix has determinant 1 and its p^beta-th power must be the
-    identity, which is verified here before any table is built.
-    """
-    p = d["p"]
-    pa, pb, ps = p ** d["alpha"], p ** d["beta"], p ** d["sigma"]
     e = p ** (d["alpha"] - d["gamma"])
-    # phi as a matrix on exponent columns (i, t); phi^-1 = [[1-e, e^2], [-1, 1+e]]
-    minv = ((1 - e, e * e), (-1, 1 + e))
-    powers = [((1, 0), (0, 1))]
-    for _ in range(pb - 1):
-        m = _mat_mul(powers[-1], minv)
-        powers.append(((m[0][0] % pa, m[0][1] % pa), (m[1][0] % pa, m[1][1] % pa)))
-    closing = _mat_mul(powers[-1], minv)
-    if (closing[0][0] % pa, closing[0][1] % pa) != (1, 0) or (
-        closing[1][0] % ps, closing[1][1] % ps) != (0, 1):
-        raise InternalConsistencyError(
-            f"{d}: conjugation action is not of order dividing p^beta")
-    # entry [r][c] of phi^(-j) for every j, indexed by j
-    A00, A01, A10, A11 = (np.array([P[r][c] for P in powers], dtype=np.int64)
-                          for r in range(2) for c in range(2))
-    def mult(e1, e2):
-        (i1, t1, j1), (i2, t2, j2) = e1, e2
-        i2b = (A00[j1] * i2 + A01[j1] * t2) % pa
-        t2b = (A10[j1] * i2 + A11[j1] * t2) % ps
-        return ((i1 + i2b) % pa, (t1 + t2b) % ps, (j1 + j2) % pb)
-    return _system(("a", "c", "b"), (pa, ps, pb), mult, p)
-
-
-_SYSTEMS = {
-    "c": _sys_abelian,
-    "ab": _sys_abelian,
-    "d": _sys_metacyclic,
-    "q": _sys_metacyclic,
-    "sd": _sys_metacyclic,
-    "m2": _sys_metacyclic,
-    "g1": _sys_central,
-    "g2": _sys_metacyclic,
-    "g3": _sys_g3,
-    "g4": _sys_central,
-}
+    if f == "g1":
+        # [a,b] = c central on the words a^i b^j c^t, so a^-1 b a = b c^-1
+        return _Presentation(("a", "b", "c"), (pa, pb, pg), {}, {(1, 0): (0, 1, -1)})
+    if f == "g2":
+        # mirror form: <a> is normal, on the words a^i b^j
+        return _Presentation(("a", "b"), (pa, pb), {}, {(0, 1): (1 + e, 0)})
+    # g3, mirror form: b acts on the abelian normal <a, c>, words a^i c^t b^j
+    return _Presentation(("a", "c", "b"), (pa, p ** d["sigma"], pb), {},
+                         {(0, 2): (1 + e, 1, 0), (1, 2): (-e * e, 1 - e, 0)})
 
 
 # Rows per block of the associativity test: its buffers, a few 128 x n
@@ -426,29 +313,26 @@ def check_group_axioms(group: FiniteGroup) -> None:
                     f"{group.name}: associativity fails at generator {g}")
 
 
-def _table(radices: tuple[int, ...], mult) -> np.ndarray:
-    """The multiplication table of a system, as an n x n int16 array.
+def _fill(T: np.ndarray, radices: tuple[int, ...], row_of) -> None:
+    """Fill T, whose row 0 is the identity row, with the table of the normal
+    words over `radices`.
 
-    `mult` runs once per generator g_k, on its unit tuple against every
-    column, for row(g_k). Every other row is gathered: (w h) y = w (h y), so
-    row(w h) = row(w)[row(h)]. Coordinate by coordinate, the rows whose k-th
-    exponent lies in [d, 2d) and whose later exponents are 0 are the rows of
-    exponent [0, d) gathered at row(g_k^d), for d = 1, 2, 4, ...; the next
-    step is row(g_k^2d) = row(g_k^d)[row(g_k^d)].
+    row_of(k) returns row(g_k) as an intp array; it is called once per
+    generator, when every row of a word in g_0..g_{k-1} is filled. Every
+    other row is gathered: (w h) y = w (h y), so row(w h) = row(w)[row(h)].
+    Coordinate by coordinate, the rows whose k-th exponent lies in [d, 2d)
+    and whose later exponents are 0 are the rows of exponent [0, d) gathered
+    at row(g_k^d), for d = 1, 2, 4, ...; the next step is
+    row(g_k^2d) = row(g_k^d)[row(g_k^d)].
     """
-    n = math.prod(radices)
-    coords = np.unravel_index(np.arange(n), radices)
-    T = np.empty((n, n), dtype=np.int16)
-    T[0] = np.arange(n)
     # each row is gathered straight into T, so the fill makes no temporary
     # of more than n cells; every index is in range, so mode="clip" clips
     # none (mode="raise" would buffer the output)
     filled = [0]  # rows whose exponents past coordinate k are 0
-    stride = n
+    stride = len(T)
     for k, r in enumerate(radices):
         stride //= r
-        unit = tuple(1 % r if i == k else 0 for i in range(len(radices)))
-        step = np.ravel_multi_index(mult(unit, coords), radices)
+        step = row_of(k)
         d = 1
         while d < r:
             for x in filled:
@@ -457,7 +341,120 @@ def _table(radices: tuple[int, ...], mult) -> np.ndarray:
             step = step[step]
             d *= 2
         filled = [y for x in filled for y in range(x, x + r * stride, stride)]
+
+
+def _powers(row: list[int], r: int) -> list[int]:
+    """c^0, ..., c^(r-1), read off the row of c: c^a = c c^(a-1)."""
+    out = [0]
+    for _ in range(r - 1):
+        out.append(row[out[-1]])
+    return out
+
+
+def _generator_indices(radices: tuple[int, ...]) -> list[int]:
+    """The element of each g_k: its unit word, or the identity at radix 1."""
+    return [math.prod(radices[k + 1:]) * (1 % r) for k, r in enumerate(radices)]
+
+
+def _pc_table(name: str, pc: _Presentation) -> np.ndarray:
+    """The multiplication table of a presentation, as an n x n int16 array.
+
+    Every generator row is made of rows already in the table and _fill
+    gathers the rest, so every entry lies in 0..n-1 whatever the words say:
+    an inconsistent presentation fails check_group_axioms. A word out of its
+    place, or a mirror conjugation that is no bijection, raises
+    InternalConsistencyError.
+
+    Top-down, G_k = <g_k, ..., g_{K-1}> is the leading block T[:n_k, :n_k],
+    filled from the bottom level up. With phi the conjugation by g_k on
+    G_{k+1}, g_j g_k^e h = g_k^e phi^e(g_j) h for j > k, and g_k g_k^e h is
+    g_k^(e+1) h, or g_k^(r_k) h at the radix: rows of G_{k+1}. Refilling G_k
+    rewrites the block of G_{k+1} with the same rows. Mirror, for x in
+    H_{k-1} = <g_0, ..., g_{k-1}>, g_k x g_k^e = psi(x) g_k^(e+1) with psi
+    the inverse of the conjugation by g_k, and the row of g_k is its row on
+    H_k repeated over the later coordinates.
+    """
+    radices = pc.radices
+    K, n = len(radices), math.prod(radices)
+    strides = [math.prod(radices[k + 1:]) for k in range(K)]
+    gens = _generator_indices(radices)
+    mirror = any(j < k for j, k in pc.conjugates)
+    power = [0] * K
+    conj = {}
+    words = [((k, k), w) for k, w in pc.powers.items()] + list(pc.conjugates.items())
+    for (j, k), word in words:
+        w = int(np.ravel_multi_index(word, radices, mode="wrap"))
+        # top-down: w in G_{k+1}, the indices below strides[k]; mirror: w in
+        # H_{k-1}, the multiples of radices[k] * strides[k]
+        if not (0 <= j < K and 0 <= k < K and radices[j] > 1 and radices[k] > 1
+                and (j == k or (j < k) == mirror)
+                and (w % (radices[k] * strides[k]) == 0 if mirror else w < strides[k])):
+            raise InternalConsistencyError(f"{name}: word of g_{k} out of its place")
+        if j == k:
+            power[k] = w
+        else:
+            conj[j, k] = w
+    T = np.empty((n, n), dtype=np.int16)
+    T[0] = np.arange(n)
+
+    def top_down_rows(k: int) -> list[np.ndarray]:
+        """The rows of g_k, ..., g_{K-1} on G_k, from the block of G_{k+1}."""
+        r, m = radices[k], strides[k]
+        phi = np.zeros(1, dtype=np.intp)
+        for i in range(K - 1, k, -1):
+            # phi(g_i^a x) = phi(g_i)^a phi(x) for x in G_{i+1}
+            pw = _powers(T[conj.get((i, k), gens[i]), :m].tolist(), radices[i])
+            phi = T[np.array(pw)[:, None], phi].ravel()
+        phi = phi.tolist()
+        offsets = np.arange(0, r * m, m)[:, None]
+        rows = [np.concatenate([np.arange(m, r * m), T[power[k], :m]])]
+        for j in range(k + 1, K):
+            images = [gens[j]]
+            for _ in range(r - 1):
+                images.append(phi[images[-1]])
+            rows.append((T[images, :m] + offsets).ravel())
+        return rows
+
+    def mirror_row(k: int) -> np.ndarray:
+        """The row of g_k on the whole group, from the rows of H_{k-1}."""
+        r, later = radices[k], strides[k]
+        S = r * later  # element x of H_{k-1} is x S
+        m = n // S
+        phi = np.zeros(1, dtype=np.intp)
+        for i in range(k):
+            # phi(x g_i^a) = phi(x) phi(g_i)^a for x in H_{i-1}
+            pw = _powers((T[conj.get((i, k), gens[i]), ::S] // S).tolist(), radices[i])
+            phi = (T[phi[:, None] * S, np.array(pw) * S] // S).ravel().astype(np.intp)
+        psi = np.full(m, -1, dtype=np.intp)
+        psi[phi] = np.arange(m)
+        if psi.min() < 0:
+            raise InternalConsistencyError(
+                f"{name}: conjugation by g_{k} is not a bijection")
+        on_h = psi[:, None] * r + np.arange(1, r + 1)
+        on_h[:, -1] = T[psi * S, power[k]] // S * r
+        return (on_h.reshape(-1, 1) * later + np.arange(later)).ravel()
+
+    if mirror:
+        _fill(T, radices, mirror_row)
+    else:
+        for k in reversed(range(K)):
+            size = radices[k] * strides[k]
+            _fill(T[:size, :size], radices[k:], top_down_rows(k).__getitem__)
     return T
+
+
+def _pc_group(name: str, pc: _Presentation) -> FiniteGroup:
+    """The group of a presentation, labelled by its normal words; the named
+    generators generate it and it passes check_group_axioms, or
+    InternalConsistencyError is raised."""
+    T = _pc_table(name, pc)
+    labels = [_word_label(list(zip(pc.names, e)))
+              for e in itertools.product(*map(range, pc.radices))]
+    generators = dict(zip(pc.names, _generator_indices(pc.radices)))
+    pp = prime_power(len(T))
+    group = FiniteGroup(name, T, labels, generators, prime=pp[0] if pp else None)
+    check_group_axioms(group)
+    return group
 
 
 def _inverses(name: str, T: np.ndarray) -> list[int]:
@@ -486,16 +483,10 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
         shown = order if order < 2 ** 64 else f">= 2^{order.bit_length() - 1}"
         raise GroupTooLargeError(
             f"{desc}: order {shown} exceeds cap {ORDER_CAP}")
-    system = _SYSTEMS[desc.family](desc)
-    T = _table(system.radices, system.mult)
-    if len(T) != order:
+    group = _pc_group(desc.canonical(), _presentation(desc))
+    if group.order != order:
         raise InternalConsistencyError(
-            f"{desc}: built order {len(T)} != expected {order}")
-    labels = [system.label(e) for e in itertools.product(*map(range, system.radices))]
-    generators = {name: int(np.ravel_multi_index(g, system.radices))
-                  for name, g in system.gens.items()}
-    group = FiniteGroup(desc.canonical(), T, labels, generators, prime=system.prime)
-    check_group_axioms(group)
+            f"{desc}: built order {group.order} != expected {order}")
     report = verify_presentation(group, desc)
     if not report.ok:
         raise InternalConsistencyError(
@@ -583,13 +574,6 @@ def _relations(group: FiniteGroup, desc: GroupDescriptor):
         yield (f"o(a) = {pa}", G.element_order(a), pa)
         yield (f"o(b) = {pb}", G.element_order(b), pb)
         yield (f"o(c) = {ps}", G.element_order(c), ps)
-    elif f == "g4":
-        pr, psg = p ** desc["rho"], p ** desc["sigma"]
-        yield (f"[a,b]^{pg} = 1", G.pow(c_ab, pg), 0)
-        yield ("[[a,b],a] = 1", G.commutator(c_ab, a), 0)
-        yield ("[[a,b],b] = 1", G.commutator(c_ab, b), 0)
-        yield (f"a^{pa} = [a,b]^{pr}", G.pow(a, pa), G.pow(c_ab, pr))
-        yield (f"b^{pb} = [a,b]^{psg}", G.pow(b, pb), G.pow(c_ab, psg))
 
 
 def verify_presentation(group: FiniteGroup, desc: GroupDescriptor) -> Report:

@@ -134,7 +134,7 @@ def quotient_elementary_abelian_report(group: FiniteGroup,
     return report
 
 
-_CLASS_TWO_FAMILIES = ("g1", "g2", "g3", "g4")
+_CLASS_TWO_FAMILIES = ("g1", "g2", "g3")
 
 
 def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> Report:
@@ -148,7 +148,7 @@ def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> Repo
     """
     if desc.family not in _CLASS_TWO_FAMILIES:
         raise NotAPGroupError(
-            f"{desc}: closed-form chain applies to g1..g4 only")
+            f"{desc}: closed-form chain applies to g1..g3 only")
     p = desc["p"]
     series = m_series(group, p)
     G = whole_subgroup(group)
@@ -186,7 +186,7 @@ def power_generators_check(group: FiniteGroup, desc: GroupDescriptor) -> Report:
     and that subgroup must equal the raw set of p^s-th powers."""
     if desc.family not in _CLASS_TWO_FAMILIES:
         raise NotAPGroupError(
-            f"{desc}: power-generator form applies to g1..g4 only")
+            f"{desc}: power-generator form applies to g1..g3 only")
     p = desc["p"]
     G = whole_subgroup(group)
     a, b = group.generators["a"], group.generators["b"]

@@ -58,7 +58,7 @@ other, and must stay apart: the byte-table search steps and the
 column-step checkers; _submultiset_products (the D' search) and
 _UnorderedChecker (is_unordered_free, is_product_one); the E search step
 and group_length_reach; davenport_ordered, is_ordered_free and the naive
-oracles; groups._relations and the family formulas; theory.loewy_formula
+oracles; groups._relations and the family presentations; theory.loewy_formula
 and the Jennings M-series. Every other product-one computation is written
 once: the subset-mask walk of the naive oracle and of
 has_proper_ordered_product_one is _subsequence_products.
@@ -432,10 +432,6 @@ class ReachState:
 
     def products(self) -> set[int]:
         return set(_members(self.mask))
-
-    @property
-    def has_identity(self) -> bool:
-        return self.mask & 1 == 1
 
 
 def reach_extend(state: ReachState, g: int) -> ReachState:

@@ -25,7 +25,7 @@ def _pass(n: int, message: str) -> None:
 
 
 def _g_family_grid(max_order: int = 729, primes=(3, 5)):
-    """Every valid g1/g2/g3/g4 descriptor with order at most max_order."""
+    """Every valid g1/g2/g3 descriptor with order at most max_order."""
     out = []
     for p in primes:
         top = 1
@@ -40,12 +40,6 @@ def _g_family_grid(max_order: int = 729, primes=(3, 5)):
         for a, b, g, s in itertools.product(exps, repeat=4):
             if b >= g > s >= 1 and a + s >= 2 * g and p ** (a + b + s) <= max_order:
                 out.append(make_descriptor("g3", p, a, b, g, s))
-        for a, b, g in itertools.product(exps, repeat=3):
-            for r in range(1, g):
-                for s in range(0, r):
-                    if a > b >= g and r < min(g, s + a - b) \
-                            and p ** (a + b + g) <= max_order:
-                        out.append(make_descriptor("g4", p, a, b, g, r, s))
     return out
 
 
@@ -109,8 +103,6 @@ def test_criterion_4_jennings_consistency_suite():
     the two closed-form reports, over the full desk grid."""
     t0 = time.perf_counter()
     grid = [parse_descriptor(t) for t in TWO_GROUPS_R5] + _g_family_grid()
-    g4_members = [d for d in grid if d.family == "g4"]
-    assert not g4_members  # smallest admissible g4 order is p^8 > 729
     checked = 0
     for desc in grid:
         G = build(desc)
@@ -122,7 +114,7 @@ def test_criterion_4_jennings_consistency_suite():
         assert data.loewy_length == m + 1, desc.canonical()
         report = quotient_elementary_abelian_report(G, data.series, p)
         assert report.ok, f"{desc.canonical()}: {report.failures()}"
-        if desc.family in ("g1", "g2", "g3", "g4"):
+        if desc.family in ("g1", "g2", "g3"):
             r1 = mseries_closed_form_check(G, desc)
             assert r1.ok, f"{desc.canonical()}: {r1.failures()}"
             r2 = power_generators_check(G, desc)

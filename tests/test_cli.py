@@ -318,6 +318,16 @@ def test_descriptor_with_huge_parameters_is_a_quick_error(argv):
     assert max(map(len, done.stderr.splitlines())) <= 200
 
 
+def test_g4_is_an_unknown_family():
+    # the carry family g4 had order >= 3^8 above the order cap at every
+    # admissible parameter, so no command computed anything for it
+    for argv in (("info", "g4[3,4,2,2,1,0]"), ("scan", "--families=g4", "--no-cache")):
+        done = _python("-m", "davlab.cli", *argv, timeout=10)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+        assert "family 'g4'" in done.stderr
+
+
 @pytest.mark.parametrize("max_order", ["8192", "0", "x"])
 def test_scan_max_order_stays_within_the_order_cap(max_order):
     # refused before any row of the grid is built

@@ -6,7 +6,7 @@ from davlab.errors import ConstraintError, DescriptorError
 
 def test_parse_roundtrip():
     for text in ["c[5]", "ab[2,2,3]", "d[8]", "q[12]", "sd[16]", "m2[32]",
-                 "g1[3,1,1,1]", "g2[3,2,1,1]", "g3[3,3,2,2,1]", "g4[3,4,2,2,1,0]"]:
+                 "g1[3,1,1,1]", "g2[3,2,1,1]", "g3[3,3,2,2,1]"]:
         assert parse_descriptor(text).canonical() == text
 
 
@@ -29,7 +29,7 @@ def test_theoretical_orders():
     cases = {
         "c[7]": 7, "ab[2,3,4]": 24, "d[14]": 14, "q[20]": 20, "sd[24]": 24,
         "m2[64]": 64, "g1[3,2,1,1]": 81, "g2[5,2,1,1]": 125,
-        "g3[3,3,2,2,1]": 729, "g4[3,4,2,2,1,0]": 6561,
+        "g3[3,3,2,2,1]": 729,
     }
     for text, order in cases.items():
         assert parse_descriptor(text).theoretical_order() == order
@@ -65,7 +65,7 @@ def test_validate_bounds_p_before_the_primality_test():
 
 
 @pytest.mark.parametrize("text", ["g1[3,65,1,1]", "g2[3,200000,1,1]",
-                                  "g3[3,65,64,64,1]", "g4[3,66,65,64,2,1]"])
+                                  "g3[3,65,64,64,1]"])
 def test_validate_bounds_the_exponents(text):
     # checked before p ** e is ever computed, which hangs for e near 10^9
     with pytest.raises(ConstraintError, match="every exponent <= 64"):
@@ -116,17 +116,6 @@ def test_validate_modular2_minimum():
     with pytest.raises(ConstraintError):
         validate_descriptor(parse_descriptor("m2[24]"))
     validate_descriptor(parse_descriptor("m2[16]"))
-
-
-def test_validate_g4_window():
-    validate_descriptor(parse_descriptor("g4[3,4,2,2,1,0]"))
-    # rho must stay below min(gamma, sigma + alpha - beta)
-    with pytest.raises(ConstraintError, match="rho < min"):
-        validate_descriptor(parse_descriptor("g4[3,4,2,2,2,0]"))
-    with pytest.raises(ConstraintError, match="sigma < rho"):
-        validate_descriptor(parse_descriptor("g4[3,4,2,2,1,1]"))
-    with pytest.raises(ConstraintError, match="alpha > beta"):
-        validate_descriptor(parse_descriptor("g4[3,2,2,2,1,0]"))
 
 
 def test_make_descriptor_arity():

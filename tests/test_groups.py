@@ -3,11 +3,12 @@ import hashlib
 import functools
 import itertools
 import math
-import random
 from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from davlab import build, build_from_string, parse_descriptor, verify_presentation
 from davlab.errors import GroupTooLargeError, InternalConsistencyError
@@ -131,55 +132,6 @@ def test_order_cap_refusal():
         build_from_string("g1[3,3,3,2]")  # 3^8 = 6561
 
 
-def test_g4_always_exceeds_cap():
-    # the smallest admissible g4 parameters give order 3^8 = 6561 > 4096
-    with pytest.raises(GroupTooLargeError):
-        build_from_string("g4[3,4,2,2,1,0]")
-
-
-def test_g4_collection_rules_at_tuple_level():
-    """The g4 table never fits under the cap, so exercise the normal-form
-    product directly: associativity on random triples, the defining carry
-    relations, and the commutator value."""
-    desc = parse_descriptor("g4[3,4,2,2,1,0]")
-    p, alpha, beta, gamma = 3, 4, 2, 2
-    rho, sigma = 1, 0
-    radices, mult, label, gens, prime = groups._SYSTEMS["g4"](desc)
-    ident = (0, 0, 0)
-    a, b, c = gens["a"], gens["b"], gens["c"]
-
-    def tpow(x, k):
-        out = ident
-        for _ in range(k):
-            out = mult(out, x)
-        return out
-
-    def tinv(x):
-        # order divides p^(alpha+gamma); repeated multiply is fine at this size
-        out = ident
-        cur = x
-        prev = ident
-        while cur != ident:
-            prev = mult(prev, x)
-            cur = mult(cur, x)
-        return prev if x != ident else ident
-
-    rng = random.Random(7)
-    pa, pb, pg = p ** alpha, p ** beta, p ** gamma
-    sample = [(rng.randrange(pa), rng.randrange(pb), rng.randrange(pg))
-              for _ in range(120)]
-    for x, y, z in zip(sample, sample[40:], sample[80:]):
-        assert mult(mult(x, y), z) == mult(x, mult(y, z))
-
-    # a^(p^alpha) = c^(p^rho), b^(p^beta) = c^(p^sigma), [a,b] = c
-    assert tpow(a, pa) == tpow(c, p ** rho)
-    assert tpow(b, pb) == tpow(c, p ** sigma)
-    comm = mult(mult(tinv(a), tinv(b)), mult(a, b))
-    assert comm == c
-    assert mult(a, c) == mult(c, a) and mult(b, c) == mult(c, b)
-    assert tpow(c, pg) == ident
-
-
 def test_word_evaluation(grp):
     G = grp("g1[3,1,1,1]")
     k = G.word([("a", -1), ("b", 1), ("c", 2)])
@@ -296,8 +248,9 @@ def test_abelian_product_matches_componentwise(grp):
 # sha256 of np.asarray(table, int32).tobytes() as built by the per-pair loop
 # over the element list (index[mult(x, y)] for every x, y) before tables were
 # built from coordinate arrays; a reordered encoding or a wrong cocycle sign
-# changes the digest. build() keeps _table's int16 array as the group's only
-# store, and its rows read from it; test_table_array_mirrors_the_list pins it.
+# changes the digest. build() keeps _pc_table's int16 array as the group's
+# only store, and its rows read from it; test_table_array_mirrors_the_list
+# pins it.
 GOLDEN_TABLES = {
     "c[1]": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
     "c[12]": "95e853c042436f11d7eda0d1883c5880debefaefde06702c2d26b1cecdf395bb",
@@ -333,9 +286,7 @@ def test_table_matches_golden_digest(text, grp):
 
 @pytest.mark.parametrize("text", sorted(GOLDEN_TABLES))
 def test_table_array_mirrors_the_list(text, grp):
-    desc = parse_descriptor(text)
-    system = groups._SYSTEMS[desc.family](desc)
-    T = groups._table(system.radices, system.mult)
+    T = groups._pc_table(text, groups._presentation(parse_descriptor(text)))
     assert T.dtype == np.int16
     wide = np.asarray(T, dtype=np.int32)
     assert hashlib.sha256(wide.tobytes()).hexdigest() == GOLDEN_TABLES[text]
@@ -346,38 +297,87 @@ def test_table_array_mirrors_the_list(text, grp):
 
 
 def test_build_rejects_generators_that_do_not_generate(monkeypatch):
-    real = groups._SYSTEMS["d"]
+    real = groups._presentation
 
     def without_y(desc):
-        system = real(desc)
-        return system._replace(gens={"x": system.gens["x"]})
+        # the d[8] presentation naming only x: its words still need y
+        return real(desc)._replace(names=("x",))
 
-    monkeypatch.setitem(groups._SYSTEMS, "d", without_y)
+    monkeypatch.setattr(groups, "_presentation", without_y)
     with pytest.raises(InternalConsistencyError, match="do not generate it"):
         groups.build.__wrapped__(parse_descriptor("d[8]"))
 
 
 def test_metacyclic_words_with_a_carrying_last_exponent_are_filled():
-    # Q_8 on the words y^j x^i: a wrapped x exponent leaves y^2 behind in the
-    # first coordinate, so the last coordinate of a product carries
-    system = groups._metacyclic(("y", "x"), 4, 2, -1, 2, 2, normal_first=True)
-    T = groups._table(system.radices, system.mult)
-    assert np.array_equal(T, _table_by_full_product(system.radices, system.mult))
-    labels = [system.label(e) for e in itertools.product(*map(range, system.radices))]
-    generators = {name: int(np.ravel_multi_index(g, system.radices))
-                  for name, g in system.gens.items()}
-    check_group_axioms(FiniteGroup("Q8", T, labels, generators))
+    # Q_8 in the mirror form, on the words y^j x^i: x^2 = y^2 is not
+    # trivial, so a wrapped x exponent leaves y^2 behind in the first
+    # coordinate and the last coordinate of a product carries
+    pc = groups._Presentation(("y", "x"), (4, 2), {1: (2, 0)}, {(0, 1): (-1, 0)})
+    G = groups._pc_group("Q8", pc)
+    check_group_axioms(G)
+    x, y = G.generators["x"], G.generators["y"]
+    assert (x, y) == (1, 2) and G.labels[7] == "y^3 x"
+    assert G.pow(y, 4) == 0
+    assert G.pow(x, 2) == G.pow(y, 2) != 0
+    assert G.mul(G.inv(x), G.mul(y, x)) == G.inv(y)
+    assert sorted(G.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
 def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
-    """The shared metacyclic builder assumes s(r-1) = 0 (mod m); build() must
-    refuse a q system that breaks it (x^2 = y with r = -1, m = 4)."""
+    """A cyclic-by-C_2 presentation needs s(r-1) = 0 (mod m) for x^2 = y^s;
+    build() must refuse a q presentation that breaks it (x^2 = y with
+    r = -1, m = 4)."""
     def broken(desc):
-        return groups._metacyclic(("x", "y"), desc["order"] // 2, 2, -1, 1, 2)
+        return groups._Presentation(("x", "y"), (2, 4), {0: (0, 1)}, {(1, 0): (0, -1)})
 
-    monkeypatch.setitem(groups._SYSTEMS, "q", broken)
+    monkeypatch.setattr(groups, "_presentation", broken)
     with pytest.raises(InternalConsistencyError):
         groups.build.__wrapped__(parse_descriptor("q[8]"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_an_inconsistent_presentation_cannot_crash_the_builder(data):
+    """Random words, each in the subgroup its form puts it in: the builder
+    returns a group that satisfies the presentation or raises
+    InternalConsistencyError, and reads no cell it has not written (two
+    different fills of the fresh table give the same outcome)."""
+    K = data.draw(st.integers(1, 3))
+    radices = tuple(data.draw(st.lists(st.integers(2, 4), min_size=K, max_size=K)))
+    mirror = data.draw(st.booleans())
+
+    def word(k):
+        inside = range(k) if mirror else range(k + 1, K)
+        return tuple(data.draw(st.integers(0, r - 1)) if i in inside else 0
+                     for i, r in enumerate(radices))
+
+    powers = {k: word(k) for k in range(K)}
+    conjugates = {(j, k): word(k) for j in range(K) for k in range(K)
+                  if (j < k if mirror else j > k)}
+    pc = groups._Presentation(("a", "b", "c")[:K], radices, powers, conjugates)
+    outcomes = []
+    for junk in (-1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "empty", functools.partial(np.full, fill_value=junk))
+            try:
+                outcomes.append(groups._pc_group("pc", pc))
+            except InternalConsistencyError as err:
+                outcomes.append(str(err))
+    G, again = outcomes
+    if isinstance(G, str):
+        assert G == again
+        return
+    assert np.array_equal(G.array, again.array)
+    check_group_axioms(G)
+    g = [G.generators[name] for name in pc.names]
+
+    def element(w):
+        return int(np.ravel_multi_index(w, radices))
+
+    for k in range(K):
+        assert G.pow(g[k], radices[k]) == element(powers[k])
+    for (j, k), w in conjugates.items():
+        assert G.mul(G.inv(g[k]), G.mul(g[j], g[k])) == element(w)
 
 
 def test_missing_inverse_is_an_internal_error():
@@ -390,16 +390,14 @@ def test_build_reads_inverses_off_the_array(monkeypatch, grp):
     G = grp("m2[2048]")
     assert all(type(i) is int for i in G.inverse)
     assert G.inverse == [list(row).index(0) for row in G.table]
-    real = groups._SYSTEMS["ab"]
 
-    def left_projection(desc):
-        # x * y = x, so the row of each generator holds only that generator;
-        # element 1 is the generator of the last coordinate, and its row is
-        # the first without the identity
-        return real(desc)._replace(
-            mult=lambda rows, cols: [np.broadcast_arrays(r, c)[0] for r, c in zip(rows, cols)])
+    def left_projection(name, pc):
+        # x * y = x, a table no presentation gives: row 0 holds the identity
+        # and every other row lacks it, so element 1 is the first reported
+        n = math.prod(pc.radices)
+        return np.repeat(np.arange(n, dtype=np.int16), n).reshape(n, n)
 
-    monkeypatch.setitem(groups._SYSTEMS, "ab", left_projection)
+    monkeypatch.setattr(groups, "_pc_table", left_projection)
     with pytest.raises(InternalConsistencyError, match=r"ab\[5,5\]: element 1 has no inverse"):
         groups.build.__wrapped__(parse_descriptor("ab[5,5]"))
 
@@ -422,19 +420,6 @@ def test_generator_shortcuts_match_all_pairs(text, grp):
     # a group with no named generators counts as generated by all elements
     bare = FiniteGroup(G.name, t, G.labels, {})
     assert bare.center() == G.center() and bare.is_abelian() == G.is_abelian()
-
-
-def _table_by_full_product(radices, mult) -> np.ndarray:
-    """The table as first built from coordinate arrays: the product formula
-    evaluated on every cell, blocks of rows against all columns. The
-    reference for _table, which evaluates it only on the generator rows."""
-    n = math.prod(radices)
-    cols = np.unravel_index(np.arange(n), radices)
-    T = np.empty((n, n), dtype=np.int32)
-    for start in range(0, n, 128):
-        rows = tuple(c[start:start + 128, None] for c in cols)
-        T[start:start + 128] = np.ravel_multi_index(mult(rows, cols), radices)
-    return T
 
 
 def _acceptance_scan_groups() -> list[str]:
@@ -460,13 +445,67 @@ def test_fill_grid_covers_the_acceptance_scans():
     assert len(SCAN_GROUPS) == 38 and {"m2[1024]", "d[1000]"} <= set(FILL_GRID)
 
 
+# sha256 of np.asarray(table, int32).tobytes(), as GOLDEN_TABLES, for the
+# rest of FILL_GRID: tables built by the per-family product formulas that
+# the presentations replaced, each checked then against the formula
+# evaluated on every cell
+FILL_DIGESTS = {
+    "ab[2,2]": "ae6755f9e0f25932512eebd6b9c03ace2bfaf6ddcfab511694411edcb84a6a1c",
+    "c[2]": "8bd2fa7c6873c97e24da3767da43702d8c85aadb7136ed816c324b1ebc6b26d2",
+    "c[3]": "6ced0cf01c15a0cfb730d6f177e211bcc740f4cc329db4643b8362d4ce425730",
+    "c[4]": "dda21c0c7eac5e110dd2377b15ccac9197ef8352f9ebc590eec8ad9def58b5eb",
+    "c[5]": "f27bc669f5be8e03620c5825c3f76aec293f51d04438c0c024c672514f33fe78",
+    "c[6]": "84c95b76c6f1fb478960b43b3dd0626607eb91a6f425c3de1ce336c428441840",
+    "c[7]": "bdcd54e3dba14b50538277fd28788c94220f0914ab60b623c757af03211b5302",
+    "c[8]": "c791d253f2d877a6d6dd0f8e0a3feb9ef2f68bcc5cd5a0091741988aad2034ec",
+    "d[16]": "fa6e3f7b369f9bb02e5f8960f915dc6bce381ab2693350649a2ea556fa71462d",
+    "d[32]": "5ac2ff907bce0da418893b8d50d9e975636e6069ece8c0c8c9fe0d6d16f9c74a",
+    "d[64]": "c35c4f849a41393d34456f29d1356d6528fe3f58bc9a660bc86343609567fe31",
+    "d[6]": "16ebf768e7443be9e194cce3760f12e11cfd77faf0d865363284a02f4169ce15",
+    "d[8]": "4c7411b49beb661d62a8eecb14484ef1dc1de838542aa30d1c25124bdd9cb58e",
+    "g1[13,1,1,1]": "4219a14a632e52d6654fb363c76533998d17c319b6015f942bbb6bc351b70264",
+    "g1[3,1,1,1]": "a2e897a232c5022ad0b1ddf74ccc38e97607ab08e9f080284ffda78b66ebe6f6",
+    "g1[3,2,2,1]": "d497706bcb55dc7227ed95dc02b1dfe212d21da919c73178c9214afda57fb6e2",
+    "g1[3,3,1,1]": "c0e14802efef7e84e037f3da154da334b57c6638c60502968f84d57b0dc91d93",
+    "g1[3,3,2,1]": "b98ea9bae498da36e1c6a3cc349269157dec630a8c1ed1673fec83a4f2577392",
+    "g1[3,3,3,1]": "2159e82ef76fee67246fe45c5f7ff11d0295ca4ed5fb977e9fb416b96031f3d9",
+    "g1[3,4,1,1]": "1ee2cfe8a0e3d6aa5cbf931a36565397e7134612f54e83297fb8f491aa6a66dc",
+    "g1[5,2,1,1]": "23b3174509f91a67e40851c8134341058b016cc753d0ef760d0ae0c791bdbd74",
+    "g2[3,2,1,1]": "5f19a8b1b7e760faf01c2ab5905784e5c91ecf4d9f9c7564dcc2332e5053c925",
+    "g2[3,2,3,1]": "82f47a325c1197ff2fdb3f6dcf0d87fd7985452c6b601c78d2717a1bd896c458",
+    "g2[3,2,4,1]": "8df56c57205145c2b2fbcece76bf75fca21495a4339d9550fff75beedf783221",
+    "g2[3,3,1,1]": "aacee9cae146881488848876755d0f401fb91a77a5c37181b7338b203d872d3a",
+    "g2[3,3,2,1]": "a80e702b47b96855700536762afca02c8975d8674d4e1ca7706b3af5cad6f79b",
+    "g2[3,3,3,1]": "fcc8a74b1127633dede88de3100b3da29d96191e9bb9f284cf97119a95ccaf86",
+    "g2[3,4,1,1]": "a87041e0d20b87f76a296234dcd815f2c18b041bbedc730570c6b773e64239b9",
+    "g2[3,4,2,1]": "6e55610327407e52604bb78730725f8b16511f5396e2512c9977e2d66bf87441",
+    "g2[3,4,3,2]": "a760c849ba5ec85dfbc60c929cde590367515d3ec4cb2b43aa42ce3f0db65cbc",
+    "g2[3,5,1,1]": "b869638688a06a4d516e793e779aa164e569642e3cdb19de0e4ccd925d551920",
+    "g2[5,2,2,1]": "33fb4b9f158645789af57463ab8ba7159b302ee65d772dc10b942f7d1ec89bc3",
+    "g2[5,3,1,1]": "3064c67b7e351ea7d07a9040fd7a3322f87a4261bc21b7623695a31934cf941f",
+    "m2[16]": "ced8191af57366c355ad831eccc18bf388df5158e67852cf3b76fabb76f66b1d",
+    "m2[2048]": "8f4a7a2715256417786416d68f5ec162ff7be2da8f595d23654e6b7ea431db6f",
+    "m2[32]": "f9682e26bc161d9d7cef8b75e9ba097711e3a354f616cc0876b8f8a4ab5fa2a7",
+    "q[16]": "7265b022746dacee5ea4dc0664222f975c3ef7d3f3bdaba920dde887f752758f",
+    "q[24]": "e2119d69f8aaad8ed2d1244490908e1434bfb6078f1e7f40e5b784639166fa5a",
+    "q[28]": "0b1d7a3ab62a2c89fd99d5d752a2ebd6014b7d7dbbd71d20694dfe38750d70b5",
+    "q[32]": "5f314a1965fdecef875677809be8b65ddab12fa2716bd04b99454a0b9b068825",
+    "q[48]": "4679abccce9c4db69b7f8eef38f554857189f8917e95633c91e82787f032ec3d",
+    "sd[32]": "fa4393ba92dad5dd9689a3cc77557c557676f71c88374ff894f3a2b7d7fb6c86",
+}
+
+
+def test_fill_digests_cover_the_fill_grid():
+    assert not set(FILL_DIGESTS) & set(GOLDEN_TABLES)
+    assert sorted({**FILL_DIGESTS, **GOLDEN_TABLES}) == FILL_GRID
+
+
 @pytest.mark.parametrize("text", FILL_GRID)
 def test_table_equals_the_full_product(text):
-    desc = parse_descriptor(text)
-    system = groups._SYSTEMS[desc.family](desc)
-    T = groups._table(system.radices, system.mult)
+    T = groups._pc_table(text, groups._presentation(parse_descriptor(text)))
     assert T.dtype == np.int16
-    assert np.array_equal(T, _table_by_full_product(system.radices, system.mult))
+    digest = hashlib.sha256(np.asarray(T, dtype=np.int32).tobytes()).hexdigest()
+    assert digest == {**FILL_DIGESTS, **GOLDEN_TABLES}[text]
 
 
 @pytest.mark.parametrize("text", ["g1[13,1,1,1]", "g1[3,2,2,2]", "g3[3,3,2,2,1]"])

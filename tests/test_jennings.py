@@ -116,8 +116,6 @@ def test_loewy_formula_rejects_unsupported():
     with pytest.raises(NoFormulaError):
         loewy_formula(parse_descriptor("sd[24]"))  # not a 2-group
     with pytest.raises(NoFormulaError):
-        loewy_formula(parse_descriptor("g4[3,4,2,2,1,0]"))
-    with pytest.raises(NoFormulaError):
         loewy_formula(parse_descriptor("d[4]"))  # below the r >= 3 scope
 
 

@@ -156,7 +156,7 @@ def test_witness_for_theorem_scope_errors():
 PLAN_GRID = ["c[1]", "c[8]", "ab[2,4]", "d[4]", "d[8]", "d[12]", "d[16]", "q[8]", "q[12]",
              "q[16]", "q[24]", "sd[16]", "sd[24]", "sd[32]", "m2[16]", "m2[32]",
              "g1[3,1,1,1]", "g1[3,2,2,2]", "g1[5,1,1,1]", "g2[3,2,1,1]",
-             "g3[3,3,2,2,1]", "g4[3,4,2,2,1,0]"]
+             "g3[3,3,2,2,1]"]
 
 
 @pytest.mark.parametrize("text", PLAN_GRID)
@@ -188,7 +188,7 @@ def test_witness_plan_names_what_witness_for_theorem_builds(text):
 
 
 def test_witness_plan_scope():
-    for text in ("c[8]", "ab[2,4]", "d[12]", "g4[3,4,2,2,1,0]"):
+    for text in ("c[8]", "ab[2,4]", "d[12]"):
         assert witness_plan(parse_descriptor(text)) is None
     assert witness_plan(parse_descriptor("q[8]")) == (7, True)
     assert witness_plan(parse_descriptor("q[12]")) == (1, True)
