@@ -2,7 +2,7 @@
 
 Every family is a polycyclic presentation, given as data: relative orders,
 power words g_k^(r_k) and conjugate words g_k^-1 g_j g_k. Its elements are
-the normal-form words, listed in row-major mixed-radix order. One builder
+the normal-form words, listed in row-major mixed-radix order. One function
 makes the table of any such presentation: it computes each generator's row
 from rows already in the table, in the top-down form (<g_{k+1}, ...> normal
 in <g_k, ...>: c, ab, d, q, sd, m2, g1) or the mirror form (<g_0, ...,

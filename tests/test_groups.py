@@ -337,8 +337,8 @@ def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
-def test_an_inconsistent_presentation_cannot_crash_the_builder(data):
-    """Random words, each in the subgroup its form puts it in: the builder
+def test_an_inconsistent_presentation_cannot_crash_the_table_fill(data):
+    """Random words, each in the subgroup its form puts it in: _pc_group
     returns a group that satisfies the presentation or raises
     InternalConsistencyError, and reads no cell it has not written (two
     different fills of the fresh table give the same outcome)."""
