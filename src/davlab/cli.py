@@ -140,6 +140,7 @@ def _cmd_loewy(args) -> int:
     chain = coeffs = None
     if args.method in ("direct", "both"):
         from . import groups, jennings
+        t0 = time.perf_counter()  # a first import, numpy's, is not computation time
         data = jennings.jennings_data(groups.build(desc))
         direct = data.loewy_length
         chain = data.chain_sizes
@@ -179,15 +180,19 @@ def _cmd_davenport(args) -> int:
     desc = parse_descriptor(args.descriptor)
     canonical = desc.canonical()
     invariant = _VARIANT_INVARIANT[args.variant]
-    weights = _parse_weights(args.weights) if args.weights else None
+    weights = None if args.weights is None else _parse_weights(args.weights)
     if args.variant == "weighted" and weights is None:
         raise DescriptorError("--variant=weighted needs --weights=a1,a2,...")
+    if args.variant != "weighted" and weights is not None:
+        raise DescriptorError(f"--weights needs --variant=weighted, not {args.variant}")
     path = cache_path(args.cache)
     t0 = time.perf_counter()
     record = None if args.no_cache else cache_get(path, canonical, invariant, weights)
     fresh = record is None or not record.exact
     if fresh:
+        imported = time.perf_counter()
         from . import groups, zerosum
+        t0 += time.perf_counter() - imported  # a first import, numpy's, is not search time
         search = {"ordered": zerosum.davenport_ordered,
                   "unordered": zerosum.davenport_unordered,
                   "E": zerosum.eg_invariant,

@@ -9,8 +9,9 @@ because an identity-free extension strictly grows the state.
 
 One engine, _longest_free, runs that search with an explicit stack, owns the
 memo, the budget and the witness. Each invariant supplies only its start
-state and a step that returns None on product one: reach masks for D(G),
-weighted reach masks for D_A(G), per-length product sets for E(G) and
+state and a step that returns None on product one: weighted reach masks for
+D_A(G), S -> S | {g^a} | S*g^a over the weights a in A (_weighted_extend),
+of which D(G) is the case A = {1}; per-length product sets for E(G); and
 sorted multisets for the unordered constant D'(G), whose step tests one bit
 of the mask of sub-multiset arrangement products (_submultiset_products).
 
@@ -41,10 +42,11 @@ _tuple_key of its multiplicity layers (_layers): layer k is the mask of the
 elements occurring more than k times, the layers determine the multiset,
 and a maps them to the layers of the image multiset.
 
-The search steps map a mask S to S*g through per-element byte tables
-(_right_maps), one 256-entry table per byte of S, unrolled up to four bytes:
+The search steps map a mask S to the union of the S*g^a through
+per-element byte tables (_right_maps), one 256-entry table per byte of S
+built from the OR of the columns of the powers, unrolled up to four bytes:
 above _BYTE_TABLE_MAX_ORDER (32) they loop over the set bits of S instead,
-shifting each image bit from the column x -> x*g of the table (_shifted).
+shifting each image bit from the column x -> x*h of each power h (_shifted).
 The D' and E caps are at or below 32, so those searches step by the byte
 tables only. The orbit keys follow the same cutoff, each table entry an
 array of the images under all automorphisms (_orbit_images). The checkers
@@ -60,8 +62,8 @@ _UnorderedChecker (is_unordered_free, is_product_one); the E search step
 and group_length_reach; davenport_ordered, is_ordered_free and the naive
 oracles; groups._relations and the family presentations; theory.loewy_formula
 and the Jennings M-series. Every other product-one computation is written
-once: the subset-mask walk of the naive oracle and of
-has_proper_ordered_product_one is _subsequence_products.
+once: the subset-mask walk of the naive oracle of D and D_A (_naive) and
+of has_proper_ordered_product_one is _subsequence_products.
 """
 
 from __future__ import annotations
@@ -346,13 +348,34 @@ class _ColumnSteps(dict):
         return step
 
 
-def _right_maps(group: FiniteGroup) -> list:
-    """maps[g](S) is the reach mask S*g: per-byte lookup tables up to
-    _BYTE_TABLE_MAX_ORDER, the set-bit loop over the table's columns above
-    it."""
+def _right_maps(group: FiniteGroup, A: tuple[int, ...] = (1,)) -> list:
+    """maps[g](S) is the union of the reach masks S*g^a over a in A, S*g
+    for the default A = (1,): one per-byte lookup over the OR of the columns
+    of the powers of g up to _BYTE_TABLE_MAX_ORDER, so a letter costs one map
+    call, the union of the set-bit column steps above it (_column_maps)."""
     if group.order > _BYTE_TABLE_MAX_ORDER:
-        return _ColumnSteps(group)
-    return [_byte_map(_byte_tables([1 << y for y in col])) for col in group.array.T.tolist()]
+        return _column_maps(group, A)
+    # bits[x, h] = 1 << x*h fits in int64 here; in one row the columns of
+    # distinct powers share no bit, so their sum is their OR
+    bits = np.int64(1) << group.array.astype(np.int64)
+    return [_byte_map(_byte_tables(bits[:, hs].sum(axis=1).tolist()))
+            for hs in _weighted_rows(group, A)]
+
+
+def _column_maps(group: FiniteGroup, A: tuple[int, ...]):
+    """maps[g](S) is the union of S*g^a over a in A by the column steps of
+    the powers (_ColumnSteps), which are the maps themselves for A = (1,)."""
+    steps = _ColumnSteps(group)
+    if A == (1,):
+        return steps
+
+    def union(mask: int, powers: list[int]) -> int:
+        out = 0
+        for h in powers:
+            out |= steps[h](mask)
+        return out
+
+    return [functools.partial(union, powers=hs) for hs in _weighted_rows(group, A)]
 
 
 def _orbit_images(group: FiniteGroup):
@@ -462,21 +485,14 @@ def is_ordered_free(seq: Sequence) -> bool:
 
 def davenport_ordered(group: FiniteGroup,
                       budget: SearchBudget | None = None) -> SearchResult:
-    """Exact D(G) by memoized search on reach sets (_longest_free).
+    """Exact D(G) by memoized search on reach sets: D_A(G) at A = {1}
+    (_weighted_search), whose step is S -> S | {g} | S*g.
 
     Groups above DEFAULT_ORDERED_CAP are refused unless an explicit budget is
     passed; when a budget trips, the best witness found so far gives a lower
     bound and the result is flagged exact=False.
     """
-    budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
-    maps = _right_maps(group)
-
-    def extend(mask: int, g: int) -> int | None:
-        new = mask | (1 << g) | maps[g](mask)
-        return None if new & 1 else new
-
-    return _longest_free(group, 0, extend, range(1, group.order), budget,
-                         _mask_key(group), _room(group))
+    return _weighted_search(group, (1,), budget)
 
 
 def _subsequence_products(table, terms):
@@ -494,23 +510,28 @@ def _subsequence_products(table, terms):
 
 
 def davenport_ordered_naive(group: FiniteGroup) -> int:
-    """Brute-force D(G): walk every sequence, testing each prefix for an
-    ordered product-one subsequence by direct enumeration of all 2^len - 1
-    subsequences. Prefixes that already contain one are not extended, since
-    every extension keeps the witnessing subsequence. No reach sets, no
-    memoization; this is the independent oracle for the search above.
-    """
+    """Brute-force D(G): the naive oracle (_naive) at A = {1}."""
+    return _naive(group, (1,))
+
+
+def _naive(group: FiniteGroup, A: tuple[int, ...]) -> int:
+    """Brute-force D_A(G): walk every sequence, testing each prefix for a
+    product-one subsequence by direct enumeration of every choice of powers
+    g^a of its terms and of all 2^len - 1 subsequences of each choice.
+    Prefixes that already contain one are not extended, since every
+    extension keeps it. No reach sets, no memoization: the oracle for the
+    searches."""
     table = group.table
-    n = group.order
+    powers = [sorted({group.pow(g, a) for a in A}) for g in group.elements()]
     best = 0
 
     def walk(seq: list[int]) -> None:
         nonlocal best
-        if len(seq) > best:
-            best = len(seq)
-        for g in range(n):
+        best = max(best, len(seq))
+        for g in group.elements():
             seq.append(g)
-            if all(p != 0 for _, p in _subsequence_products(table, seq)):
+            if all(p != 0 for choice in itertools.product(*(powers[x] for x in seq))
+                   for _, p in _subsequence_products(table, choice)):
                 walk(seq)
             seq.pop()
 
@@ -743,35 +764,40 @@ def _validate_weights(group: FiniteGroup, weights) -> tuple[int, ...]:
     return A
 
 
-def _weighted_step(group: FiniteGroup, A: tuple[int, ...], maps: list):
-    """Reach-mask step S -> S | {s * g^a} | {g^a} over a in the validated
-    weights A, returning None on product one; maps[h](S) is S*h."""
-    choice = _weighted_rows(group, A)
+def _weighted_extend(group: FiniteGroup, A: tuple[int, ...], maps):
+    """The reach-mask step extend(S, g) = S | B_g | M_g(S), None on product
+    one: B_g is the mask of the distinct powers g^a over a in A, and
+    maps[g] is M_g, the union of the S*g^a (_right_maps, _column_maps)."""
+    power_masks = [sum(1 << h for h in hs) for hs in _weighted_rows(group, A)]
 
     def extend(mask: int, g: int) -> int | None:
-        new = mask
-        for h in choice[g]:
-            new |= (1 << h) | maps[h](mask)
+        new = mask | power_masks[g] | maps[g](mask)
         return None if new & 1 else new
 
     return extend
 
 
+def _weighted_search(group: FiniteGroup, A: tuple[int, ...],
+                     budget: SearchBudget | None) -> SearchResult:
+    """D_A(G) by reach-mask search (_longest_free), for weights A that are
+    valid or (1,). The identity letter is never live, as 1^a = 1."""
+    budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
+    return _longest_free(group, 0, _weighted_extend(group, A, _right_maps(group, A)),
+                         range(1, group.order), budget, _mask_key(group), _room(group))
+
+
 def davenport_weighted(group: FiniteGroup, weights,
                        budget: SearchBudget | None = None) -> SearchResult:
     """Exact D_A(G): the reach extension also ranges over the weight powers,
-    S -> S | {s * g^a} | {g^a}. Identity terms hit product one immediately
-    because 1^a = 1."""
-    A = _validate_weights(group, weights)
-    budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
-    return _longest_free(group, 0, _weighted_step(group, A, _right_maps(group)),
-                         range(group.order), budget, _mask_key(group), _room(group))
+    S -> S | {s * g^a} | {g^a}. D(G) is the case A = {1}."""
+    return _weighted_search(group, _validate_weights(group, weights), budget)
 
 
 def is_weighted_free(seq: Sequence, weights) -> bool:
     """No index-increasing subsequence with per-term weight choices hits 1."""
     group = seq.group
-    extend = _weighted_step(group, _validate_weights(group, weights), _ColumnSteps(group))
+    A = _validate_weights(group, weights)
+    extend = _weighted_extend(group, A, _column_maps(group, A))
     mask = 0
     for g in seq.terms:
         mask = extend(mask, g)
@@ -781,37 +807,8 @@ def is_weighted_free(seq: Sequence, weights) -> bool:
 
 
 def davenport_weighted_naive(group: FiniteGroup, weights) -> int:
-    """Brute-force D_A(G): extends every sequence whose weighted subsequence
-    products (enumerated directly over subsets and weight assignments) avoid
-    the identity."""
-    A = _validate_weights(group, weights)
-    table = group.table
-    n = group.order
-    best = 0
-
-    def products(seq: tuple[int, ...]) -> set[int]:
-        out = set()
-        length = len(seq)
-        for msk in range(1, 1 << length):
-            picked = [seq[i] for i in range(length) if msk >> i & 1]
-            for assign in itertools.product(A, repeat=len(picked)):
-                p = 0
-                for g, a in zip(picked, assign):
-                    p = table[p][group.pow(g, a)]
-                out.add(p)
-        return out
-
-    def walk(seq: tuple[int, ...]) -> None:
-        nonlocal best
-        if len(seq) > best:
-            best = len(seq)
-        for g in range(n):
-            cand = seq + (g,)
-            if 0 not in products(cand):
-                walk(cand)
-
-    walk(())
-    return best + 1
+    """Brute-force D_A(G) by the naive oracle (_naive)."""
+    return _naive(group, _validate_weights(group, weights))
 
 
 def min_weight_set(group: FiniteGroup, k: int) -> int | None:

@@ -127,6 +127,21 @@ def test_davenport_weighted_needs_weights(capsys):
     assert main(["davenport", "c[5]", "--variant=weighted", "--no-cache"]) == 2
 
 
+@pytest.mark.parametrize("variant", [(), ("--variant=unordered",), ("--variant=E",)],
+                         ids=["D", "Dprime", "E"])
+def test_davenport_weights_need_the_weighted_variant(variant, capsys, tmp_path):
+    """--weights with another variant is refused, not searched as that
+    variant and cached under the weight set."""
+    cache = tmp_path / "c.jsonl"
+    assert main(["davenport", "q[8]", "--variant=weighted", "--weights=1,3",
+                 "--cache", str(cache)]) == 0
+    before = cache.read_bytes()
+    capsys.readouterr()
+    assert main(["davenport", "q[8]", *variant, "--weights=1,3", "--cache", str(cache)]) == 2
+    assert capsys.readouterr().err.startswith("error: --weights")
+    assert cache.read_bytes() == before
+
+
 def test_davenport_trivial_group(capsys):
     code, doc = run_json(capsys, "davenport", "c[1]", "--json", "--no-cache")
     assert code == 0 and doc["value"] == 1
@@ -407,6 +422,28 @@ def test_cached_davenport_leaves_out_numpy(tmp_path):
     args = ("davenport", "q[8]", "--cache", str(tmp_path / "c.jsonl"))
     assert _warm_free_modules_after(*args) == _COLD
     assert _warm_free_modules_after(*args) == []
+
+
+# Runs `davlab <argv>` twice in this interpreter and prints each elapsed_ms.
+_ELAPSED_TWICE_PROBE = """
+import contextlib, io, json, sys
+from davlab.cli import main
+for _ in range(2):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(sys.argv[1:]) == 0
+    print(json.loads(out.getvalue())["elapsed_ms"])
+"""
+
+
+@pytest.mark.parametrize("argv", [("davenport", "c[1]", "--no-cache"), ("loewy", "q[8]")])
+def test_elapsed_ms_leaves_out_the_first_imports(argv):
+    """The first run of a fresh process imports numpy and the table modules;
+    its elapsed_ms counts the computation only, like the second run's."""
+    done = _python("-c", _ELAPSED_TWICE_PROBE, *argv, "--json")
+    assert done.returncode == 0, done.stderr
+    first, second = map(int, done.stdout.split())
+    assert abs(first - second) <= 30, (first, second)
 
 
 def test_loewy_formula_leaves_out_numpy():

@@ -253,9 +253,9 @@ MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "d[36]"]
 
 
 @functools.lru_cache(maxsize=None)
-def _group_and_right_maps(text):
+def _group_and_right_maps(text, A):
     G = build(parse_descriptor(text))
-    return G, zerosum._right_maps(G)
+    return G, zerosum._right_maps(G, A)
 
 
 def _literal_step(G, mask, g):
@@ -267,18 +267,23 @@ def _literal_step(G, mask, g):
 @settings(derandomize=True, deadline=None)
 @given(st.sampled_from(MAP_GRID), st.data())
 def test_right_maps_match_bit_loop(text, data):
-    """The search steps (byte tables, or the set-bit loop above the cutoff)
-    and the checkers' column steps both give S*g."""
-    G, maps = _group_and_right_maps(text)
-    steps = zerosum._ColumnSteps(G)
+    """For a weight set A, the search maps (byte tables, or the set-bit loop
+    above the cutoff) and the checkers' column union both give the union of
+    the S*g^a over a in A; A = (1,) is S*g."""
+    exponent = build(parse_descriptor(text)).exponent()
+    A = tuple(sorted(data.draw(st.sets(st.integers(1, max(1, exponent - 1)),
+                                       min_size=1, max_size=3))))
+    G, maps = _group_and_right_maps(text, A)
+    columns = zerosum._column_maps(G, A)
     n = G.order
     elements = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
     sparse = sum(1 << x for x in elements)
     for mask in (sparse, sparse ^ ((1 << n) - 1)):
         for g in range(n):
-            expected = _literal_step(G, mask, g)
-            assert maps[g](mask) == expected, (text, g, mask)
-            assert steps[g](mask) == expected, (text, g, mask)
+            expected = functools.reduce(
+                operator.or_, (_literal_step(G, mask, G.pow(g, a)) for a in A))
+            assert maps[g](mask) == expected, (text, A, g, mask)
+            assert columns[g](mask) == expected, (text, A, g, mask)
 
 
 def test_checkers_stay_small_on_a_large_group(grp):
@@ -859,3 +864,136 @@ def test_extension_step_matches_the_verifier(text, data):
     g = data.draw(st.integers(0, G.order - 1))
     reach = zerosum._submultiset_products(G)
     assert (reach(terms) >> G.inv(g) & 1 == 0) == is_unordered_free(Sequence(G, terms + (g,)))
+
+
+# D and D_A as they were searched before D became D_A at A = {1}: D by its
+# own step S | {g} | S*g, D_A by a loop over the powers of each letter with
+# the identity letter in its alphabet, both over the S*g maps of the parent
+# (byte tables of one column, column steps above the cutoff); and the two
+# brute-force walkers the one naive oracle replaced.
+
+def _reference_right_maps(G):
+    if G.order > zerosum._BYTE_TABLE_MAX_ORDER:
+        return zerosum._ColumnSteps(G)
+    return [zerosum._byte_map(zerosum._byte_tables([1 << y for y in col]))
+            for col in G.array.T.tolist()]
+
+
+def reference_ordered(G, budget=None):
+    maps = _reference_right_maps(G)
+
+    def extend(mask, g):
+        new = mask | (1 << g) | maps[g](mask)
+        return None if new & 1 else new
+
+    return zerosum._longest_free(G, 0, extend, range(1, G.order), budget or SearchBudget(),
+                                 zerosum._mask_key(G), zerosum._room(G))
+
+
+def reference_weighted(G, A, budget=None):
+    choice = [sorted({G.pow(g, a) for a in A}) for g in G.elements()]
+    maps = _reference_right_maps(G)
+
+    def extend(mask, g):
+        new = mask
+        for h in choice[g]:
+            new |= (1 << h) | maps[h](mask)
+        return None if new & 1 else new
+
+    return zerosum._longest_free(G, 0, extend, range(G.order), budget or SearchBudget(),
+                                 zerosum._mask_key(G), zerosum._room(G))
+
+
+def reference_ordered_naive(G):
+    table = G.table
+    best = 0
+
+    def walk(seq):
+        nonlocal best
+        if len(seq) > best:
+            best = len(seq)
+        for g in range(G.order):
+            seq.append(g)
+            if all(p != 0 for _, p in zerosum._subsequence_products(table, seq)):
+                walk(seq)
+            seq.pop()
+
+    walk([])
+    return best + 1
+
+
+def reference_weighted_naive(G, A):
+    table = G.table
+    best = 0
+
+    def products(seq):
+        out = set()
+        for msk in range(1, 1 << len(seq)):
+            picked = [seq[i] for i in range(len(seq)) if msk >> i & 1]
+            for assign in itertools.product(A, repeat=len(picked)):
+                p = 0
+                for g, a in zip(picked, assign):
+                    p = table[p][G.pow(g, a)]
+                out.add(p)
+        return out
+
+    def walk(seq):
+        nonlocal best
+        if len(seq) > best:
+            best = len(seq)
+        for g in range(G.order):
+            cand = seq + (g,)
+            if 0 not in products(cand):
+                walk(cand)
+
+    walk(())
+    return best + 1
+
+
+def weight_sets(G):
+    """For exponent e > 1: {1, e-1}, or {1} at e = 2; {1, d} for d the least
+    element order above 1 and below e, a weight with the identity among its
+    powers; and [2, e-1] when e > 3."""
+    e = G.exponent()
+    if e == 1:
+        return []
+    orders = [o for o in G.element_orders() if 1 < o < e]
+    sets = [(1, e - 1) if e > 2 else (1,)]
+    if orders:
+        sets.append((1, min(orders)))
+    if e > 3:
+        sets.append(tuple(range(2, e)))
+    return sets
+
+
+def outcome(res):
+    return res.value, res.exact, res.stop_reason, res.witness.terms, res.states_explored
+
+
+@pytest.mark.parametrize("text", _family_groups(32))
+def test_d_and_d_a_equal_their_former_steps(text, grp):
+    G = grp(text)
+    assert outcome(davenport_ordered(G)) == outcome(reference_ordered(G)), text
+    for A in weight_sets(G):
+        assert outcome(davenport_weighted(G, A)) == outcome(reference_weighted(G, A)), (text, A)
+
+
+@pytest.mark.parametrize("text,A", [("q[32]", None), ("d[36]", (1, 5)), ("q[48]", (1, 5, 7))])
+def test_budgeted_searches_equal_their_former_steps(text, A, grp):
+    """The q[32] frontier rung, and D_A above the byte-table cutoff, where
+    M_g is the union of the column steps."""
+    G = grp(text)
+    budget = SearchBudget(max_states=20_000 if A is None else 3_000)
+    if A is None:
+        new, old = davenport_ordered(G, budget), reference_ordered(G, budget)
+    else:
+        new, old = davenport_weighted(G, A, budget), reference_weighted(G, A, budget)
+    assert outcome(new) == outcome(old)
+
+
+@pytest.mark.parametrize("text", _family_groups(8))
+def test_naive_oracle_equals_the_former_walkers(text, grp):
+    G = grp(text)
+    assert davenport_ordered_naive(G) == reference_ordered_naive(G), text
+    for A in weight_sets(G):
+        assert davenport_weighted_naive(G, A) == reference_weighted_naive(G, A), (text, A)
