@@ -52,8 +52,9 @@ tables only. The orbit keys follow the same cutoff, each table entry an
 array of the images under all automorphisms (_orbit_images). The checkers
 (reach_extend, is_weighted_free, is_unordered_free, group_length_reach)
 never build byte tables: they walk the set-bit loop over the column of each
-letter they meet, built on first use (_ColumnSteps). With is_ordered_free
-and the naive oracles they are the independent check on the table step.
+letter or power they meet, built on first use (_ColumnSteps, _column_maps).
+With is_ordered_free and the naive oracle they are the independent check on
+the table step.
 
 Some computations are written twice on purpose, one copy checking the
 other, and must stay apart: the byte-table search steps and the
