@@ -240,6 +240,7 @@ def _cmd_davenport(args) -> int:
 
 def _cmd_witness(args) -> int:
     from . import groups, witnesses, zerosum
+    t0 = time.perf_counter()
     desc = parse_descriptor(args.descriptor)
     spec = witnesses.witness_for_theorem(desc, args.theorem, args.unverified_explore)
     group = groups.build(desc)
@@ -250,6 +251,7 @@ def _cmd_witness(args) -> int:
         free = zerosum.is_ordered_free(seq)
         if desc.family in ("g1", "g3") and in_scope:
             oracle = witnesses.congruence_oracle(witnesses.congruence_system(desc))
+    elapsed_ms = int(1000 * (time.perf_counter() - t0))
     verified = bool(args.verify and free and (oracle is None or oracle == free))
     # outside the proven parameter scope a non-free sequence is a finding,
     # not a failure
@@ -268,7 +270,7 @@ def _cmd_witness(args) -> int:
         "in_proven_scope": in_scope,
         "bounds": {"lower": lower, "upper": None,
                    "lower_source": "witness", "upper_source": None},
-        "elapsed_ms": 0,
+        "elapsed_ms": elapsed_ms,
         "version": __version__,
     }
     lines = [

@@ -8,56 +8,32 @@ S | S*g | {g}. The search is over walks on reach states, which are finite
 because an identity-free extension strictly grows the state.
 
 One engine, _longest_free, runs that search with an explicit stack, owns the
-memo, the budget and the witness. Each invariant supplies only its start
-state and a step that returns None on product one: weighted reach masks for
-D_A(G), S -> S | {g^a} | S*g^a over the weights a in A (_weighted_extend),
-of which D(G) is the case A = {1}; per-length product sets for E(G); and
-sorted multisets for the unordered constant D'(G), whose step tests one bit
-of the mask of sub-multiset arrangement products (_submultiset_products).
+memo, the budget and the witness. Each invariant supplies its start state
+and the live steps of a state in letter order: weighted reach masks for
+D_A(G), S -> S | {g^a} | S*g^a over the weights a in A, of which D(G) is
+the case A = {1}; per-length product sets packed into one int for E(G); and
+sorted multisets for the unordered constant D'(G).
 
-The engine refutes lengths rather than maximizing: with w the longest walk
-found so far, a DFS asks for a walk of length w+1, extends any walk it finds
-greedily and asks again, and the first length it refutes is the value.
-Its memo, dead, maps a state to a length b of which it has no walk; a
-refuted state stores one more than the largest bound of its children, which
-stays true as the asked length grows. D and D_A also pass a counting cut,
-room(S) = |G| - 1 - |S| (_room): a free step adds an element to S and 1 is
-never in it, so a child with too little room is cut before its orbit key
-is computed. The cut is not the Loewy bound D <= L or the Olson-White
-bound, so the search stays an independent check of both. E and D' pass no
-cut. The witness is the lexicographically least longest walk
-(_longest_free says why).
+The engine refutes lengths rather than maximizing, with a counting cut for
+D and D_A (_room) that is neither the Loewy nor the Olson-White bound, so
+the search stays an independent check of both. It keys its memo by orbits:
+an automorphism a maps a free sequence to a free one, and the state of the
+image sequence is a(S), so the key of a state is its least image under the
+automorphisms that subgroups.automorphisms finds, while steps, paths and the
+witness stay on raw states. D and D_A key one mask (_mask_key), E its packed
+masks componentwise (_packed_key), and D' the multiplicity layers of its
+multiset (_layers), which determine the multiset.
 
-The memo is keyed by orbits under automorphisms. An automorphism a maps a
-free sequence to a free one, and the state of the image sequence is a(S), so
-the free walks from S and from a(S) have the same lengths. _longest_free
-therefore keys its memo by the least image of a state under the
-automorphisms that subgroups.automorphisms finds (a group of them, so one
-key per orbit), while steps, paths and the witness stay on raw states:
-values, exactness and witnesses are those of the unkeyed search, and
-states_explored and the state budget count orbit representatives. D and D_A
-(a maps g^w to a(g)^w) key one mask (_mask_key); E (a fixes the identity)
-keys its tuple of masks componentwise (_tuple_key). D' keys a multiset by
-_tuple_key of its multiplicity layers (_layers): layer k is the mask of the
-elements occurring more than k times, the layers determine the multiset,
-and a maps them to the layers of the image multiset.
-
-The search steps map a mask S to the union of the S*g^a through
-per-element byte tables (_right_maps), one 256-entry table per byte of S
-built from the OR of the columns of the powers, unrolled up to four bytes:
-above _BYTE_TABLE_MAX_ORDER (32) they loop over the set bits of S instead,
-shifting each image bit from the column x -> x*h of each power h (_shifted).
-The D' and E caps are at or below 32, so those searches step by the byte
-tables only. The orbit keys follow the same cutoff, each table entry an
-array of the images under all automorphisms (_orbit_images). The checkers
+The searches step every letter at once (_packed_step): slot g of one int
+holds the union of the S*g^a, from one lookup per byte of S. Above
+_BYTE_TABLE_MAX_ORDER (32) steps loop over the set bits of S instead, and
+the orbit keys follow the same cutoff (_orbit_images). The checkers
 (reach_extend, is_weighted_free, is_unordered_free, group_length_reach)
 never build byte tables: they walk the set-bit loop over the column of each
-letter or power they meet, built on first use (_ColumnSteps, _column_maps).
-With is_ordered_free and the naive oracle they are the independent check on
-the table step.
+letter or power they meet (_ColumnSteps, _column_maps).
 
 Some computations are written twice on purpose, one copy checking the
-other, and must stay apart: the byte-table search steps and the
+other, and must stay apart: the packed search steps and the
 column-step checkers; _submultiset_products (the D' search) and
 _UnorderedChecker (is_unordered_free, is_product_one); the E search step
 and group_length_reach; davenport_ordered, is_ordered_free and the naive
@@ -72,6 +48,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -90,10 +67,8 @@ DEFAULT_ARRANGE_CAP = 16
 WEIGHT_SET_CAP = 16
 
 # Largest order whose reach-mask step uses per-byte lookup tables: four
-# bytes, the widest lookup _byte_map unrolls. The tables hold
-# n * ceil(n/8) * 256 entries, 32k at order 32 but 39M at order 1100, where a
-# budgeted search would spend its time and memory building them. Above this
-# order the step loops over the set bits instead.
+# bytes, the widest lookup _byte_map unrolls. The ceil(n/8) * 256 entries
+# pack n images of n bits: 128 KB for D at order 32, 5 GB at order 1100.
 _BYTE_TABLE_MAX_ORDER = 32
 
 
@@ -182,40 +157,35 @@ def _checked_budget(group: FiniteGroup, budget: SearchBudget | None,
     return budget or SearchBudget()
 
 
-def _longest_free(group: FiniteGroup, start, extend, alphabet,
-                  budget: SearchBudget, key, room=None) -> SearchResult:
-    """Longest walk from start along steps extend(state, g) that are not None,
-    found by refuting one length at a time.
-
-    With w the length of the best walk found so far, an explicit-stack DFS
-    asks whether a walk of length w+1 exists. On success the walk is
-    extended greedily, by the first live letter at each step, w becomes its
-    length and the next length is asked for; on failure the result is w+1,
-    exact. When the budget trips, the longest walk verified so far is a
-    lower bound and the result is flagged exact=False.
+def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
+                  key, room=None) -> SearchResult:
+    """Longest walk from start along the steps (g, next state) that
+    children(state) yields in increasing g, next None for a dead g (which a
+    lazy children yields so that the clock is read every 64 letters), found
+    by refuting one length at a time: with w the length of the best walk
+    found so far, an explicit-stack DFS asks whether a walk of length w+1
+    exists. On success the walk is extended greedily, by the first live
+    letter at each step; on failure the result is w+1, exact. When the
+    budget trips, the longest walk verified so far is a lower bound and the
+    result is flagged exact=False.
 
     dead[key(state)] = b means that no state of that key has a walk of
-    length b (and so of any length above b). A frame that fails stores the
-    largest child bound plus one, and 1 when it has no live child; a child
-    whose bound is at most the length it still needs is not entered. A bound
-    is a fact about the state, not about the asked length, so it holds
-    across iterations; with no cut, b is one more than the longest walk.
-    room(state), when given, is an upper bound on the length of a walk from
-    state: a child with room below the length it needs is cut with bound
-    room + 1 before its key is computed, and never enters dead.
+    length b, or longer. A frame that fails stores the largest child bound
+    plus one, and 1 when it has no live child; a child whose bound is at
+    most the length it still needs is not entered. A bound is a fact about
+    the state, so it holds as the asked length grows. room(state), when
+    given, bounds the length of a walk from state: a child with room below
+    the length it needs is cut with bound room + 1 before its key is
+    computed, and never enters dead. Live steps strictly grow the state, so
+    the walk graph is acyclic. key is used for dead only; steps and paths
+    stay on raw states. States of one key must have the same walks up to
+    relabelling, as orbit keys do (_mask_key), and the same room.
 
-    Live steps strictly grow the state, so the walk graph is acyclic. key is
-    used for dead only (lookups, stores and the state budget); steps and
-    paths stay on raw states. States of one key must have the same walks up
-    to relabelling, which orbit keys under a group of automorphisms
-    (_mask_key) satisfy, and room must agree on them.
-
-    The witness is the lexicographically least longest walk. The last
+    The witness is the lexicographically least longest walk: the last
     successful DFS finds the least walk of its length w+1, since it enters
     letters in order and skips only subtrees without a walk that long, and
-    every longest walk extends a walk of that length. From its end, the
-    least live letter leads on to a longest walk, as the greedy descent
-    from it reached the final length.
+    from its end the least live letter leads on to a longest walk, as the
+    greedy descent from it reached the final length.
     """
     clock = _Clock(budget)
     dead: dict = {}
@@ -224,15 +194,13 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
         """(path, end state) of the least walk of length target, or None
         once the bounds stored in dead refute it."""
         path: list[int] = []
-        stack = [(start, key(start), iter(alphabet))]
+        stack = [(key(start), iter(children(start)))]
         bounds = [1]  # per stacked state: no walk of this length from it
         while stack:
-            state, _, letters = stack[-1]
             need = target - len(path) - 1  # length a child still needs
-            for g in letters:
+            for g, nxt in stack[-1][1]:
                 if not g & 63:
                     clock.tick(len(dead))
-                nxt = extend(state, g)
                 if nxt is None:
                     continue
                 if need == 0:
@@ -250,11 +218,11 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
                     continue
                 clock.tick(len(dead))
                 path.append(g)
-                stack.append((nxt, k, iter(alphabet)))
+                stack.append((k, iter(children(nxt))))
                 bounds.append(1)
                 break
             else:
-                b = dead[stack.pop()[1]] = bounds.pop()
+                b = dead[stack.pop()[0]] = bounds.pop()
                 if stack:
                     clock.tick(len(dead))
                     path.pop()
@@ -266,10 +234,9 @@ def _longest_free(group: FiniteGroup, start, extend, alphabet,
         while (found := least_walk(len(best) + 1)) is not None:
             best, state = found  # verified, and grown in place by the descent
             while True:
-                for g in alphabet:
+                for g, nxt in children(state):
                     if not g & 63:
                         clock.tick(len(dead))
-                    nxt = extend(state, g)
                     if nxt is not None:
                         best.append(g)
                         state = nxt
@@ -349,18 +316,21 @@ class _ColumnSteps(dict):
         return step
 
 
-def _right_maps(group: FiniteGroup, A: tuple[int, ...] = (1,)) -> list:
-    """maps[g](S) is the union of the reach masks S*g^a over a in A, S*g
-    for the default A = (1,): one per-byte lookup over the OR of the columns
-    of the powers of g up to _BYTE_TABLE_MAX_ORDER, so a letter costs one map
-    call, the union of the set-bit column steps above it (_column_maps)."""
-    if group.order > _BYTE_TABLE_MAX_ORDER:
-        return _column_maps(group, A)
-    # bits[x, h] = 1 << x*h fits in int64 here; in one row the columns of
-    # distinct powers share no bit, so their sum is their OR
-    bits = np.int64(1) << group.array.astype(np.int64)
-    return [_byte_map(_byte_tables(bits[:, hs].sum(axis=1).tolist()))
-            for hs in _weighted_rows(group, A)]
+def _packed_step(group: FiniteGroup, A: tuple[int, ...] = (1,), width: int = 0):
+    """step(S) holds M_g(S), the union of the S*g^a over a in A, at bit
+    g*width (n by default) for every letter g: one lookup per byte of S
+    (_byte_map) over P[x] = sum over g of (OR over the powers h of g of
+    1 << x*h) << g*width, the sum of the column steps above the cutoff."""
+    n = group.order
+    width = width or n
+    if n > _BYTE_TABLE_MAX_ORDER:
+        maps = _column_maps(group, A)
+        return lambda mask: sum(maps[g](mask) << g * width for g in range(n))
+    rows = _weighted_rows(group, A)
+    # in one row of the table distinct powers give distinct bits: sum is OR
+    return _byte_map(_byte_tables([sum(1 << g * width + row[h] for g in range(n)
+                                       for h in rows[g])
+                                   for row in group.array.tolist()]))
 
 
 def _column_maps(group: FiniteGroup, A: tuple[int, ...]):
@@ -382,7 +352,7 @@ def _column_maps(group: FiniteGroup, A: tuple[int, ...]):
 def _orbit_images(group: FiniteGroup):
     """images(mask) -> the images of mask under every automorphism that
     automorphisms() finds, as a numpy array; None when it finds only the
-    identity. Like _right_maps: byte tables of uint32 arrays up to
+    identity. Like _packed_step: byte tables of uint32 arrays up to
     _BYTE_TABLE_MAX_ORDER, the set-bit loop over arrays of ints above it."""
     auts = automorphisms(group)
     if len(auts) == 1:
@@ -396,10 +366,6 @@ def _orbit_images(group: FiniteGroup):
     return _byte_map([np.array(tab) for tab in _byte_tables(cols)])
 
 
-def _same(state):
-    return state
-
-
 def _mask_key(group: FiniteGroup):
     """The memo key of reach masks: the least image of the mask under the
     automorphisms found, one representative per orbit, cached per raw mask.
@@ -407,29 +373,34 @@ def _mask_key(group: FiniteGroup):
     D_A, since a(g^w) = a(g)^w."""
     images = _orbit_images(group)
     if images is None:
-        return _same
+        return int  # the mask itself
     return functools.cache(lambda mask: int(images(mask).min()))
 
 
 def _room(group: FiniteGroup):
     """room(mask) bounds the free walks from a reach mask S, for D and D_A:
     a free step grows S, since S | S*h | {h} = S would put every power of h
-    in S and so 1, and 1 is never in S, so no walk from S is longer than
-    |G| - 1 - |S|."""
+    in S and so 1, and 1 is never in S, so no walk is longer than |G|-1-|S|."""
     top = group.order - 1
     return lambda mask: top - mask.bit_count()
 
 
 def _tuple_key(group: FiniteGroup):
     """The memo key of tuples of masks: the least of their images under one
-    automorphism applied to every component, compared as tuples, cached per
-    raw state and per component (states share most of their components)."""
+    automorphism applied to every component, compared as tuples, with the
+    images cached per component (states share most of their components)."""
     images = _orbit_images(group)
     if images is None:
-        return _same
-    component = functools.cache(images)
-    return functools.cache(
-        lambda state: min(zip(*(component(c).tolist() for c in state)), default=()))
+        return tuple
+    component = functools.cache(lambda mask: images(mask).tolist())
+    return lambda state: min(zip(*map(component, state)), default=())
+
+
+def _packed_key(group: FiniteGroup, width: int, count: int):
+    """_tuple_key of count masks packed width bits apart (E), cached per state."""
+    tuple_key, full = _tuple_key(group), (1 << width) - 1
+    shifts = range(0, width * count, width)
+    return functools.cache(lambda state: tuple_key([state >> s & full for s in shifts]))
 
 
 def _layers(ms: tuple[int, ...]) -> tuple[int, ...]:
@@ -627,9 +598,16 @@ def _submultiset_products(group: FiniteGroup):
     distinct elements h of V: P(V) is the union of P(V-h)*h (arrangements
     ending in h), and R(V) is P(V) with the union of the R(V-h). Both are
     kept per sorted multiset, and filled in with an explicit stack, as a
-    multiset of |G| - 1 terms is |G| - 1 removals deep.
+    multiset of |G| - 1 terms is |G| - 1 removals deep. P*h is slot h of the
+    packed step, or the column step of h above the cutoff.
     """
-    maps = _right_maps(group)
+    n = group.order
+    if n > _BYTE_TABLE_MAX_ORDER:
+        steps = _ColumnSteps(group)
+        right = lambda mask, h: steps[h](mask)
+    else:
+        step, full = _packed_step(group), (1 << n) - 1
+        right = lambda mask, h: step(mask) >> h * n & full
     memo: dict[tuple, tuple[int, int]] = {(): (1, 1)}  # V -> (P(V), R(V))
 
     def smaller(ms):
@@ -655,7 +633,7 @@ def _submultiset_products(group: FiniteGroup):
             p = r = 0
             for h, s in subs:
                 ps, rs = memo[s]
-                p |= maps[h](ps)
+                p |= right(ps, h)
                 r |= rs
             memo[v] = (p, r | p)
         return memo[ms][1]
@@ -670,31 +648,23 @@ def davenport_unordered(group: FiniteGroup,
     A step adds any element g != 1. For a free multiset M, M + g is free iff
     g^-1 is not in R(M) (_submultiset_products): an arrangement of a sub-multiset
     of M + g with product 1 that uses g can be rotated to end in g, and
-    rotating conjugates the product, so it stays 1. The longest free
-    extension of M is that of every image of M under automorphisms, which
-    keys the memo (_tuple_key of its _layers); the least longest walk is
-    sorted.
+    rotating conjugates the product, so it stays 1. The memo is keyed by
+    _tuple_key of the _layers of M; the least longest walk is sorted.
     """
     budget = _checked_budget(group, budget, DEFAULT_UNORDERED_CAP, "unordered")
     reach = _submultiset_products(group)
     inv = group.inverse
-    # R of the state last stepped from: the engine tries every letter on one
-    # state object in turn, so R(ms) is looked up, and ms hashed, once per
-    # state rather than once per letter
-    last: tuple = (None, 0)
 
-    def extend(ms: tuple[int, ...], g: int) -> tuple[int, ...] | None:
-        nonlocal last
-        if last[0] is not ms:
-            last = (ms, reach(ms))
-        if last[1] >> inv[g] & 1:
-            return None
-        i = bisect.bisect_right(ms, g)
-        return ms[:i] + (g,) + ms[i:]
+    def children(ms: tuple[int, ...]):
+        r = reach(ms)
+        for g in range(1, group.order):
+            if not r >> inv[g] & 1:
+                i = bisect.bisect_right(ms, g)
+                yield g, ms[:i] + (g,) + ms[i:]
 
     layer_key = _tuple_key(group)
-    return _longest_free(group, (), extend, range(1, group.order), budget,
-                         lambda ms: layer_key(_layers(ms)))
+    return _longest_free(group, (), children, budget,
+                         functools.cache(lambda ms: layer_key(_layers(ms))))
 
 
 # --- E(G): product-one subsequences of length exactly |G| ------------------------
@@ -718,27 +688,37 @@ def has_group_length_product_one(seq: Sequence) -> bool:
     return group_length_reach(seq.group, seq.terms)[seq.group.order - 1] & 1 == 1
 
 
-def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:
-    """Exact E(G) over length-stratified reach states.
+def _eg_children(group: FiniteGroup):
+    """children(state) -> the live (g, next state) of the E search. Component
+    m of a state, n bits at bit m*n, holds the products of the subsequences
+    of length m+1 (group_length_reach). Each component, and the empty
+    product 1 below component 0, is stepped by every letter at once in slots
+    of n*n bits (_packed_step) into the component above it."""
+    n = group.order
+    size, full = n * n, (1 << n) - 1
+    step = _packed_step(group, width=size)
+    rep = sum(1 << g * size for g in range(n))
+    top, keep = (n - 1) * n, (1 << size) - 1
 
-    Identity terms stay legal: extremal E witnesses are identity-padded.
-    """
+    def children(state: int) -> list:
+        grown, shorter = state * rep, state << n | 1
+        for m in range(n):
+            prev = shorter >> m * n & full
+            if prev:
+                grown |= step(prev) << m * n
+        return [(g, grown >> g * size & keep) for g in range(n)
+                if not grown >> g * size + top & 1]
+
+    return children
+
+
+def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:
+    """Exact E(G) over length-stratified reach states (_eg_children).
+    Identity terms stay legal: extremal E witnesses are identity-padded."""
     budget = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
     n = group.order
-    maps = _right_maps(group)
-
-    def extend(state: tuple, g: int) -> tuple | None:
-        right = maps[g]
-        new = list(state)
-        for m in range(n - 1, 0, -1):
-            prev = state[m - 1]
-            if prev:
-                new[m] |= right(prev)
-        new[0] |= 1 << g
-        return None if new[n - 1] & 1 else tuple(new)
-
     # automorphisms fix the identity, so a(state) is the state of a(terms)
-    return _longest_free(group, (0,) * n, extend, range(n), budget, _tuple_key(group))
+    return _longest_free(group, 0, _eg_children(group), budget, _packed_key(group, n, n))
 
 
 def eg_lower_witness(group: FiniteGroup, ordered_witness: Sequence) -> Sequence:
@@ -765,10 +745,11 @@ def _validate_weights(group: FiniteGroup, weights) -> tuple[int, ...]:
     return A
 
 
-def _weighted_extend(group: FiniteGroup, A: tuple[int, ...], maps):
+def _weighted_extend(group: FiniteGroup, A: tuple[int, ...]):
     """The reach-mask step extend(S, g) = S | B_g | M_g(S), None on product
-    one: B_g is the mask of the distinct powers g^a over a in A, and
-    maps[g] is M_g, the union of the S*g^a (_right_maps, _column_maps)."""
+    one: B_g is the mask of the distinct powers g^a over a in A, and M_g is
+    the union of the S*g^a, by the column steps (_column_maps)."""
+    maps = _column_maps(group, A)
     power_masks = [sum(1 << h for h in hs) for hs in _weighted_rows(group, A)]
 
     def extend(mask: int, g: int) -> int | None:
@@ -778,13 +759,34 @@ def _weighted_extend(group: FiniteGroup, A: tuple[int, ...], maps):
     return extend
 
 
+def _weighted_children(group: FiniteGroup, A: tuple[int, ...]):
+    """children(S) -> the live (g, extend(S, g)): up to the cutoff, slot g
+    of S*REP | step(S | {1}) (_packed_step) in slots of w = 8, 16 or 32 >= n
+    bits, REP copying S into every slot and step({1}) holding B_g in slot g,
+    read as one array of words; above it a lazy walk of _weighted_extend,
+    (g, None) for a dead g. The identity letter is never live."""
+    n = group.order
+    if n > _BYTE_TABLE_MAX_ORDER:
+        extend = _weighted_extend(group, A)
+        return lambda mask: ((g, extend(mask, g)) for g in range(1, n))
+    fmt, width = ("B", 8) if n <= 8 else ("H", 16) if n <= 16 else ("I", 32)
+    step, size = _packed_step(group, A, width), n * width // 8
+    rep = sum(1 << g * width for g in range(n))
+
+    def children(mask: int) -> list:
+        grown = mask * rep | step(mask | 1)
+        slots = memoryview(grown.to_bytes(size, sys.byteorder)).cast(fmt).tolist()
+        return [(g, slot) for g, slot in enumerate(slots) if not slot & 1]
+
+    return children
+
+
 def _weighted_search(group: FiniteGroup, A: tuple[int, ...],
                      budget: SearchBudget | None) -> SearchResult:
-    """D_A(G) by reach-mask search (_longest_free), for weights A that are
-    valid or (1,). The identity letter is never live, as 1^a = 1."""
+    """D_A(G) by reach-mask search, for weights A that are valid or (1,)."""
     budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
-    return _longest_free(group, 0, _weighted_extend(group, A, _right_maps(group, A)),
-                         range(1, group.order), budget, _mask_key(group), _room(group))
+    return _longest_free(group, 0, _weighted_children(group, A), budget,
+                         _mask_key(group), _room(group))
 
 
 def davenport_weighted(group: FiniteGroup, weights,
@@ -798,7 +800,7 @@ def is_weighted_free(seq: Sequence, weights) -> bool:
     """No index-increasing subsequence with per-term weight choices hits 1."""
     group = seq.group
     A = _validate_weights(group, weights)
-    extend = _weighted_extend(group, A, _column_maps(group, A))
+    extend = _weighted_extend(group, A)
     mask = 0
     for g in seq.terms:
         mask = extend(mask, g)

@@ -239,6 +239,15 @@ def test_witness_oracle_agreement_reported(capsys):
     assert doc["ordered_free"] is True and doc["oracle"] is True
 
 
+def test_witness_reads_the_clock(capsys, monkeypatch):
+    """elapsed_ms is the time from after the imports to the verdict: with a
+    clock that moves 0.25 s per reading it is 250."""
+    ticks = iter(range(100))
+    monkeypatch.setattr("davlab.cli.time.perf_counter", lambda: 0.25 * next(ticks))
+    code, doc = run_json(capsys, "witness", "q[12]", "--theorem=1", "--verify", "--json")
+    assert code == 0 and doc["elapsed_ms"] == 250
+
+
 def test_witness_scope_error_and_override(capsys):
     assert main(["witness", "g1[3,2,2,2]", "--theorem=6"]) == 1
     # the gamma=2 exploration is a finding, not an assertion: this sequence

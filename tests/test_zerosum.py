@@ -185,10 +185,10 @@ def test_witness_is_lexicographically_least(grp):
 
 
 def test_group_too_large_without_budget(grp, monkeypatch):
-    def no_tables(group):
+    def no_tables(group, *args):
         raise AssertionError("the cap is checked before any table is built")
 
-    for name in ("_ColumnSteps", "_right_maps", "automorphisms"):
+    for name in ("_ColumnSteps", "_packed_step", "automorphisms"):
         monkeypatch.setattr(zerosum, name, no_tables)
     with pytest.raises(GroupTooLargeError):
         davenport_ordered(grp("g1[3,2,1,1]"))  # order 81 > default cap 64
@@ -253,9 +253,13 @@ MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "d[36]"]
 
 
 @functools.lru_cache(maxsize=None)
-def _group_and_right_maps(text, A):
-    G = build(parse_descriptor(text))
-    return G, zerosum._right_maps(G, A)
+def _map_group(text):
+    return build(parse_descriptor(text))
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_step(text, A, width):
+    return zerosum._packed_step(_map_group(text), A, width)
 
 
 def _literal_step(G, mask, g):
@@ -264,26 +268,76 @@ def _literal_step(G, mask, g):
                                            if mask >> x & 1), 0)
 
 
+def _weights_and_masks(G, data):
+    """A drawn weight set, and a drawn mask of G with its complement."""
+    A = tuple(sorted(data.draw(st.sets(st.integers(1, max(1, G.exponent() - 1)),
+                                       min_size=1, max_size=3))))
+    sparse = sum(1 << x for x in data.draw(st.sets(st.integers(0, G.order - 1))))
+    return A, (sparse, sparse ^ ((1 << G.order) - 1))
+
+
 @settings(derandomize=True, deadline=None)
 @given(st.sampled_from(MAP_GRID), st.data())
-def test_right_maps_match_bit_loop(text, data):
-    """For a weight set A, the search maps (byte tables, or the set-bit loop
-    above the cutoff) and the checkers' column union both give the union of
-    the S*g^a over a in A; A = (1,) is S*g."""
-    exponent = build(parse_descriptor(text)).exponent()
-    A = tuple(sorted(data.draw(st.sets(st.integers(1, max(1, exponent - 1)),
-                                       min_size=1, max_size=3))))
-    G, maps = _group_and_right_maps(text, A)
-    columns = zerosum._column_maps(G, A)
+def test_packed_step_matches_bit_loop(text, data):
+    """For a weight set A, slot g of the packed search step (byte tables, or
+    the column steps above the cutoff), at a slot width of n or 2n, and the
+    checkers' column union both give the union of the S*g^a over a in A;
+    A = (1,) is S*g."""
+    G = _map_group(text)
+    A, masks = _weights_and_masks(G, data)
     n = G.order
-    elements = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    sparse = sum(1 << x for x in elements)
-    for mask in (sparse, sparse ^ ((1 << n) - 1)):
+    width = n * data.draw(st.integers(1, 2))
+    step, columns = _packed_step(text, A, width), zerosum._column_maps(G, A)
+    for mask in masks:
+        packed = step(mask)
+        assert packed >> n * width == 0
         for g in range(n):
             expected = functools.reduce(
                 operator.or_, (_literal_step(G, mask, G.pow(g, a)) for a in A))
-            assert maps[g](mask) == expected, (text, A, g, mask)
+            assert packed >> g * width & ((1 << width) - 1) == expected, (text, A, g, mask)
             assert columns[g](mask) == expected, (text, A, g, mask)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(MAP_GRID), st.data())
+def test_weighted_children_match_the_column_step(text, data):
+    """The children of a reach mask, all letters stepped at once up to the
+    cutoff and lazily above it, are the live letters of _weighted_extend
+    over the column steps, letter by letter."""
+    G = _map_group(text)
+    A, masks = _weights_and_masks(G, data)
+    children = zerosum._weighted_children(G, A)
+    extend = zerosum._weighted_extend(G, A)
+    for mask in masks + (0,):
+        expected = [(g, extend(mask, g)) for g in range(1, G.order)]
+        assert [c for c in children(mask) if c[1] is not None] == \
+            [c for c in expected if c[1] is not None], (text, A, mask)
+
+
+def _unpacked(state, n):
+    return tuple(state >> m * n & ((1 << n) - 1) for m in range(n))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from([f"c[{n}]" for n in range(1, 9)] + ["d[6]", "q[8]"]), st.data())
+def test_packed_eg_state_is_the_group_length_reach(text, data):
+    """Along a random sequence, the packed E state decodes to
+    group_length_reach of the prefix, and a letter is live exactly when the
+    prefix it ends has no product-one subsequence of length |G|."""
+    G = build(parse_descriptor(text))
+    n = G.order
+    children = zerosum._eg_children(G)
+    terms = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+    state = 0
+    for i, g in enumerate(terms):
+        live = dict(children(state))
+        reach = zerosum.group_length_reach(G, terms[:i + 1])
+        assert (g in live) == (reach[n - 1] & 1 == 0), (text, terms[:i + 1])
+        if g not in live:
+            break
+        state = live[g]
+        assert _unpacked(state, n) == reach, (text, terms[:i + 1])
+        assert list(live) == sorted(live)
 
 
 def test_checkers_stay_small_on_a_large_group(grp):
@@ -682,9 +736,17 @@ def test_orbit_keys_are_canonical(text, data):
     images = [tuple(_image(m, phi) for m in state) for phi in auts]
     assert mask_key(state[0]) in {image[0] for image in images}
     assert tuple_key(state) in images
+    # the E key: the components packed n bits apart
+    packed_key = zerosum._packed_key(G, G.order, len(state))
+
+    def packed(components):
+        return sum(m << i * G.order for i, m in enumerate(components))
+
+    assert packed_key(packed(state)) in images
     for image in images:
         assert mask_key(image[0]) == mask_key(state[0])
         assert tuple_key(image) == tuple_key(state)
+        assert packed_key(packed(image)) == packed_key(packed(state))
     # the D' key: tuple_key of the multiplicity layers of a sorted multiset
     ms = tuple(sorted(data.draw(st.lists(st.integers(0, G.order - 1), max_size=G.order))))
     layers = zerosum._layers(ms)
@@ -769,7 +831,7 @@ def test_unordered_search_equals_the_reference_walk(text, grp, monkeypatch):
     assert (keyed.states_explored < nodes) == (len(automorphisms(G)) > 1)
 
 
-def _longest_free_reference(group, start, extend, alphabet, budget, key, room=None):
+def _longest_free_reference(group, start, children, budget, key, room=None):
     """The engine before it refuted lengths: a memoized DFS for the longest
     walk, memo[key(state)] being the longest walk from state, with the
     witness rebuilt from the memo. It takes no cut, so room is ignored."""
@@ -777,13 +839,11 @@ def _longest_free_reference(group, start, extend, alphabet, budget, key, room=No
     memo = {}
     path = []
     best_path = []
-    stack = [(start, key(start), iter(alphabet))]
+    stack = [(key(start), iter(children(start)))]
     bests = [0]  # longest walk found so far from each stacked state
     try:
         while stack:
-            state, _, letters = stack[-1]
-            for g in letters:
-                nxt = extend(state, g)
+            for g, nxt in stack[-1][1]:
                 if nxt is None:
                     continue
                 path.append(g)
@@ -793,14 +853,14 @@ def _longest_free_reference(group, start, extend, alphabet, budget, key, room=No
                 v = memo.get(k)
                 if v is None:
                     clock.tick(len(memo))
-                    stack.append((nxt, k, iter(alphabet)))
+                    stack.append((k, iter(children(nxt))))
                     bests.append(0)
                     break
                 path.pop()
                 if v >= bests[-1]:
                     bests[-1] = v + 1
             else:
-                v = memo[stack.pop()[1]] = bests.pop()
+                v = memo[stack.pop()[0]] = bests.pop()
                 if stack:
                     clock.tick(len(memo))
                     path.pop()
@@ -813,8 +873,7 @@ def _longest_free_reference(group, start, extend, alphabet, budget, key, room=No
     state = start
     remaining = memo[key(start)]
     while remaining > 0:
-        for g in alphabet:
-            nxt = extend(state, g)
+        for g, nxt in children(state):
             if nxt is not None and memo[key(nxt)] == remaining - 1:
                 terms.append(g)
                 state = nxt
@@ -869,14 +928,20 @@ def test_extension_step_matches_the_verifier(text, data):
 # D and D_A as they were searched before D became D_A at A = {1}: D by its
 # own step S | {g} | S*g, D_A by a loop over the powers of each letter with
 # the identity letter in its alphabet, both over the S*g maps of the parent
-# (byte tables of one column, column steps above the cutoff); and the two
-# brute-force walkers the one naive oracle replaced.
+# (byte tables of one column, column steps above the cutoff), one letter at
+# a time (_letter_children); and the two brute-force walkers the one naive
+# oracle replaced.
 
 def _reference_right_maps(G):
     if G.order > zerosum._BYTE_TABLE_MAX_ORDER:
         return zerosum._ColumnSteps(G)
     return [zerosum._byte_map(zerosum._byte_tables([1 << y for y in col]))
             for col in G.array.T.tolist()]
+
+
+def _letter_children(extend, alphabet):
+    """children over extend(state, g) for each letter g of alphabet in turn."""
+    return lambda state: ((g, extend(state, g)) for g in alphabet)
 
 
 def reference_ordered(G, budget=None):
@@ -886,8 +951,9 @@ def reference_ordered(G, budget=None):
         new = mask | (1 << g) | maps[g](mask)
         return None if new & 1 else new
 
-    return zerosum._longest_free(G, 0, extend, range(1, G.order), budget or SearchBudget(),
-                                 zerosum._mask_key(G), zerosum._room(G))
+    return zerosum._longest_free(G, 0, _letter_children(extend, range(1, G.order)),
+                                 budget or SearchBudget(), zerosum._mask_key(G),
+                                 zerosum._room(G))
 
 
 def reference_weighted(G, A, budget=None):
@@ -900,8 +966,9 @@ def reference_weighted(G, A, budget=None):
             new |= (1 << h) | maps[h](mask)
         return None if new & 1 else new
 
-    return zerosum._longest_free(G, 0, extend, range(G.order), budget or SearchBudget(),
-                                 zerosum._mask_key(G), zerosum._room(G))
+    return zerosum._longest_free(G, 0, _letter_children(extend, range(G.order)),
+                                 budget or SearchBudget(), zerosum._mask_key(G),
+                                 zerosum._room(G))
 
 
 def reference_ordered_naive(G):
