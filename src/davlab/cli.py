@@ -30,8 +30,8 @@ from .descriptors import (GRAMMAR_HINT, GroupDescriptor, make_descriptor,
                           parse_descriptor, validate_descriptor)
 from .errors import DavlabError, DescriptorError
 from .numtheory import is_prime, prime_power
-from .theory import (DEFAULT_ORDERED_CAP, ORDER_CAP, expected_davenport, loewy_formula,
-                     olson_white, witness_plan)
+from .theory import (DEFAULT_ORDERED_CAP, ORDER_CAP, loewy_formula, olson_white,
+                     witness_plan)
 from .version import __version__
 
 ENV_THREADS = "DAVLAB_THREADS"
@@ -80,7 +80,7 @@ def _odd_primes(text: str) -> list[int]:
     if not primes or not all(2 < p <= ORDER_CAP and is_prime(p) for p in primes):
         raise argparse.ArgumentTypeError(
             f"expected a comma list of odd primes up to {ORDER_CAP}, got {text!r}")
-    return primes
+    return list(dict.fromkeys(primes))
 
 
 def _max_order(text: str) -> int:
@@ -369,17 +369,13 @@ def _grid(families: list[str], primes: list[int], max_order: int, ranges):
                 out.extend(_p_family_descs(family, p, max_order))
         else:
             raise DescriptorError(f"scan does not cover family {family!r}")
-    seen = set()
     grid = []
     for desc in out:
         try:
             validate_descriptor(desc)
         except DavlabError:
             continue
-        key = desc.canonical()
-        if (key not in seen and desc.theoretical_order() <= max_order
-                and _range_ok(desc, ranges)):
-            seen.add(key)
+        if desc.theoretical_order() <= max_order and _range_ok(desc, ranges):
             grid.append(desc)
     return grid
 
@@ -405,38 +401,14 @@ def _p_family_descs(family: str, p: int, max_order: int):
                 yield make_descriptor("g3", p, a, b, g, s)
 
 
-def _proven_claim(desc: GroupDescriptor) -> int | None:
-    """The D(G) value the covered results pin for this descriptor, if any."""
-    plan = witness_plan(desc)
-    if plan is None or not plan[1]:
-        return None
-    return expected_davenport(desc)
-
-
-def _row_status(desc: GroupDescriptor, is_p: bool, lower: int, upper: int,
-                exact_D: int | None) -> str:
-    claim = _proven_claim(desc)
-    if exact_D is not None:
-        if exact_D == upper:
-            return "CONFIRMED"
-        if claim is not None and exact_D != claim:
-            return "REFUTED"
-        if is_p and exact_D != upper:
-            return "REFUTED"  # an exact value off the Loewy length refutes the row
-        return "CONSISTENT"
-    if lower > upper:
-        return "REFUTED"
-    return "CONFIRMED" if lower == upper else "CONSISTENT"
-
-
 def _is_p_group(order: int) -> bool:
     return prime_power(order) is not None and order > 1
 
 
 def _needed(desc: GroupDescriptor, search_max_order: int) -> tuple[str, ...]:
-    """The invariants a scan row uses: the Loewy length bounds a p-group
-    from above, a witness check bounds D from below where a construction is
-    known, and D itself is searched at or below search_max_order."""
+    """The invariants scan_row reads: the Loewy length bounds a p-group from
+    above, a witness check bounds D from below where a construction is known,
+    and D itself is searched at or below search_max_order."""
     order = desc.theoretical_order()
     needed = []
     if _is_p_group(order):
@@ -450,20 +422,18 @@ def _needed(desc: GroupDescriptor, search_max_order: int) -> tuple[str, ...]:
 
 def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
              cached: bool, elapsed_ms: int = 0) -> dict:
-    """Bounds, their sources and the verdict of one scan row from the
-    records of its needed invariants, whether read from the cache or fresh.
-
-    Rows off p-group orders are dicyclic or semidihedral (Olson-White
-    bound), never cyclic, so they need no Loewy length.
-    """
+    """One scan row from the records of its needed invariants (_needed),
+    each read from the cache or computed for this row. The upper bound is
+    the Loewy length of a p-group; the other rows are dicyclic or
+    semidihedral, never cyclic, and take Olson-White. The lower bound is the
+    larger of a verified witness and an exact D. The verdict reads the bounds
+    alone: REFUTED when they cross or an exact D misses the upper bound,
+    CONFIRMED when they meet, CONSISTENT otherwise."""
     order = desc.theoretical_order()
-    is_p = _is_p_group(order)
-    if is_p:
+    if _is_p_group(order):
         upper, upper_source = int(records["L"].value), "loewy_length"
-    elif desc.family in ("q", "sd"):
-        upper, upper_source = olson_white(order), "olson_white"
     else:
-        upper, upper_source = order, "order"
+        upper, upper_source = olson_white(order), "olson_white"
 
     lower, lower_source = 1, "trivial"
     witness = records.get("witness_check")
@@ -478,6 +448,10 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
         if exact_D > lower:
             lower, lower_source = exact_D, "search"
 
+    if lower > upper or exact_D not in (None, upper):
+        status = "REFUTED"
+    else:
+        status = "CONFIRMED" if lower == upper else "CONSISTENT"
     return {
         "descriptor": desc.canonical(),
         "order": order,
@@ -486,41 +460,39 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
         "upper": upper,
         "upper_source": upper_source,
         "exact_value": exact_D,
-        "status": _row_status(desc, is_p, lower, upper, exact_D),
+        "status": status,
         "cached": cached,
         "elapsed_ms": elapsed_ms,
     }
 
 
-def _scan_worker(payload) -> tuple[dict, list[ResultRecord]]:
-    """Compute the needed records of one scan row: (row, records to persist)."""
+def _scan_worker(job) -> tuple[list[ResultRecord], int]:
+    """Compute the missing records of one scan row: (records, elapsed ms)."""
     from . import groups, jennings, witnesses, zerosum
-    text, needed, states, seconds = payload
+    desc, missing, states, seconds = job
     t0 = time.perf_counter()
-    desc = parse_descriptor(text)
     canonical = desc.canonical()
     group = groups.build(desc)
-    records: dict[str, ResultRecord] = {}
-    if "L" in needed:
-        records["L"] = ResultRecord(canonical, "L", jennings.loewy_length(group), True)
-    if "witness_check" in needed:
+    records = []
+    if "L" in missing:
+        records.append(ResultRecord(canonical, "L", jennings.loewy_length(group), True))
+    if "witness_check" in missing:
         spec = witnesses.witness_for_theorem(desc, witness_plan(desc)[0],
                                              allow_unverified=True)
         free = zerosum.is_ordered_free(spec.sequence(group))
-        records["witness_check"] = ResultRecord(
+        records.append(ResultRecord(
             canonical, "witness_check", spec.length + 1 if free else 1, free,
-            witness=spec.block_labels(group))
-    if "D" in needed:
+            witness=spec.block_labels(group)))
+    if "D" in missing:
         result = zerosum.davenport_ordered(group, _budget_from(states, seconds))
-        records["D"] = ResultRecord(
+        records.append(ResultRecord(
             canonical, "D", result.value, result.exact,
-            witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
-    row = scan_row(desc, records, False, int(1000 * (time.perf_counter() - t0)))
-    return row, list(records.values())
+            witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed)))
+    return records, int(1000 * (time.perf_counter() - t0))
 
 
 def _cmd_scan(args) -> int:
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
+    families = list(dict.fromkeys(f.strip() for f in args.families.split(",") if f.strip()))
     ranges = _parse_param_ranges(args.param_ranges)
     grid = _grid(families, args.primes, args.max_order, ranges)
     needs = [_needed(desc, args.search_max_order) for desc in grid]
@@ -539,32 +511,29 @@ def _cmd_scan(args) -> int:
         threads = 1
     threads = min(threads, os.cpu_count() or 1)
 
-    keys = [{inv: record_key(desc.canonical(), inv) for inv in needed}
+    keys = [[record_key(desc.canonical(), inv) for inv in needed]
             for desc, needed in zip(grid, needs)]
-    found = {} if args.no_cache else cache_records(
-        path, [key for row_keys in keys for key in row_keys.values()])
-    rows: list[dict | None] = [None] * len(grid)
-    misses: list[int] = []
-    for i, desc in enumerate(grid):
-        records = {inv: found[key] for inv, key in keys[i].items() if key in found}
-        if len(records) == len(keys[i]) and ("D" not in records or records["D"].exact):
-            rows[i] = scan_row(desc, records, True)
-        else:
-            misses.append(i)
-
-    payloads = [(grid[i].canonical(), needs[i], args.budget_states, args.budget_seconds)
-                for i in misses]
+    found = {} if args.no_cache else cache_records(path, [k for ks in keys for k in ks])
+    # a cached D serves only when exact; every other cached record serves as is
+    known = [{r.invariant: r for r in map(found.get, ks)
+              if r is not None and (r.exact or r.invariant != "D")} for ks in keys]
+    jobs = {i: (desc, [inv for inv in needs[i] if inv not in known[i]],
+                args.budget_states, args.budget_seconds)
+            for i, desc in enumerate(grid) if len(known[i]) < len(needs[i])}
+    spent: dict[int, int] = {}
     with contextlib.ExitStack() as stack:
         run = map
-        if threads > 1 and len(misses) > 1:
+        if threads > 1 and len(jobs) > 1:
             import concurrent.futures
             run = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(threads, len(misses)))).map
-        for i, (row, records) in zip(misses, run(_scan_worker, payloads)):
-            rows[i] = row
-            if not args.no_cache:
-                for record in records:
+                max_workers=min(threads, len(jobs)))).map
+        for i, (records, spent[i]) in zip(jobs, run(_scan_worker, jobs.values())):
+            for record in records:
+                known[i][record.invariant] = record
+                if not args.no_cache:
                     cache_put(path, record)
+    rows = [scan_row(desc, known[i], i not in spent, spent.get(i, 0))
+            for i, desc in enumerate(grid)]
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
     counts = collections.Counter(r["status"] for r in rows)
 

@@ -24,18 +24,20 @@ witness stay on raw states. D and D_A key one mask (_mask_key), E its packed
 masks componentwise (_packed_key), and D' the multiplicity layers of its
 multiset (_layers), which determine the multiset.
 
-The searches step every letter at once (_packed_step): slot g of one int
-holds the union of the S*g^a, from one lookup per byte of S. Above
-_BYTE_TABLE_MAX_ORDER (32) steps loop over the set bits of S instead, and
-the orbit keys follow the same cutoff (_orbit_images). The checkers
-(reach_extend, is_weighted_free, is_unordered_free, group_length_reach)
-never build byte tables: they walk the set-bit loop over the column of each
-letter or power they meet (_ColumnSteps, _column_maps).
+The searches of D, D_A and E step every letter at once (_packed_step):
+slot g of one int holds the union of the S*g^a, from one lookup per byte of
+S. Above _BYTE_TABLE_MAX_ORDER (32) steps loop over the set bits of S
+instead, and the orbit keys follow the same cutoff (_orbit_images). The D'
+search needs one letter per step, so like the checkers (reach_extend,
+is_weighted_free, is_unordered_free, group_length_reach) it never builds
+byte tables: they walk the set-bit loop over the column of each letter or
+power they meet (_ColumnSteps, _column_maps).
 
 Some computations are written twice on purpose, one copy checking the
 other, and must stay apart: the packed search steps and the
 column-step checkers; _submultiset_products (the D' search) and
-_UnorderedChecker (is_unordered_free, is_product_one); the E search step
+_UnorderedChecker (is_unordered_free, is_product_one), which share the
+column step but not their recursion over sub-multisets; the E search step
 and group_length_reach; davenport_ordered, is_ordered_free and the naive
 oracles; groups._relations and the family presentations; theory.loewy_formula
 and the Jennings M-series. Every other product-one computation is written
@@ -316,13 +318,12 @@ class _ColumnSteps(dict):
         return step
 
 
-def _packed_step(group: FiniteGroup, A: tuple[int, ...] = (1,), width: int = 0):
+def _packed_step(group: FiniteGroup, A: tuple[int, ...], width: int):
     """step(S) holds M_g(S), the union of the S*g^a over a in A, at bit
-    g*width (n by default) for every letter g: one lookup per byte of S
-    (_byte_map) over P[x] = sum over g of (OR over the powers h of g of
-    1 << x*h) << g*width, the sum of the column steps above the cutoff."""
+    g*width for every letter g: one lookup per byte of S (_byte_map) over
+    P[x] = sum over g of (OR over the powers h of g of 1 << x*h) << g*width,
+    the sum of the column steps above the cutoff."""
     n = group.order
-    width = width or n
     if n > _BYTE_TABLE_MAX_ORDER:
         maps = _column_maps(group, A)
         return lambda mask: sum(maps[g](mask) << g * width for g in range(n))
@@ -598,16 +599,10 @@ def _submultiset_products(group: FiniteGroup):
     distinct elements h of V: P(V) is the union of P(V-h)*h (arrangements
     ending in h), and R(V) is P(V) with the union of the R(V-h). Both are
     kept per sorted multiset, and filled in with an explicit stack, as a
-    multiset of |G| - 1 terms is |G| - 1 removals deep. P*h is slot h of the
-    packed step, or the column step of h above the cutoff.
+    multiset of |G| - 1 terms is |G| - 1 removals deep. P*h is the column
+    step of h: each (multiset, removed element) pair reads one letter.
     """
-    n = group.order
-    if n > _BYTE_TABLE_MAX_ORDER:
-        steps = _ColumnSteps(group)
-        right = lambda mask, h: steps[h](mask)
-    else:
-        step, full = _packed_step(group), (1 << n) - 1
-        right = lambda mask, h: step(mask) >> h * n & full
+    steps = _ColumnSteps(group)
     memo: dict[tuple, tuple[int, int]] = {(): (1, 1)}  # V -> (P(V), R(V))
 
     def smaller(ms):
@@ -633,7 +628,7 @@ def _submultiset_products(group: FiniteGroup):
             p = r = 0
             for h, s in subs:
                 ps, rs = memo[s]
-                p |= right(ps, h)
+                p |= steps[h](ps)
                 r |= rs
             memo[v] = (p, r | p)
         return memo[ms][1]
@@ -696,7 +691,7 @@ def _eg_children(group: FiniteGroup):
     of n*n bits (_packed_step) into the component above it."""
     n = group.order
     size, full = n * n, (1 << n) - 1
-    step = _packed_step(group, width=size)
+    step = _packed_step(group, (1,), size)
     rep = sum(1 << g * size for g in range(n))
     top, keep = (n - 1) * n, (1 << size) - 1
 

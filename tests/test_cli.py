@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import schema_errors
-from davlab.cli import main
+from davlab.cache import ResultRecord
+from davlab.cli import _grid, main, scan_row
+from davlab.numtheory import prime_power
+from davlab.theory import expected_davenport, loewy_formula, olson_white, witness_plan
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -617,6 +620,19 @@ def test_scan_recomputes_rows_with_inexact_or_missing_records(capsys, tmp_path):
     assert _strip(warm["rows"]) == _strip(cold["rows"])
     recomputed = {r["descriptor"] for r in warm["rows"] if not r["cached"]}
     assert recomputed == {"q[8]", "d[8]", "d[16]", "q[12]"}
+    # only the missing records are computed and appended, the others reused
+    appended = [json.loads(line) for line in cache.read_text().splitlines()[len(kept):]]
+    assert sorted((r["descriptor"], r["invariant"]) for r in appended) == sorted(
+        dropped | {("q[8]", "D")})
+    assert all(r["exact"] for r in appended)
+
+
+def test_scan_drops_repeated_families_and_primes(capsys):
+    grid = ("--max-order=243", "--json", "--no-cache")
+    _, once = run_json(capsys, "scan", "--families=g2", "--primes=3", *grid)
+    _, twice = run_json(capsys, "scan", "--families=g2,g2", "--primes=3,3", *grid)
+    assert len(once["rows"]) == 6
+    assert _strip(twice["rows"]) == _strip(once["rows"])
 
 
 def test_scan_refuted_row_exits_1(capsys, tmp_path):
@@ -686,14 +702,75 @@ def test_nonpositive_budget_is_a_usage_error(flag, value, capsys):
         assert "must be positive" in capsys.readouterr().err
 
 
+# The verdict scan rows had before it read the bounds alone, kept as the
+# reference: it consulted the D value the covered results pin, and decided
+# an exact D before looking at the bounds.
+
+def _reference_claim(desc):
+    plan = witness_plan(desc)
+    if plan is None or not plan[1]:
+        return None
+    return expected_davenport(desc)
+
+
+def _reference_status(desc, is_p, lower, upper, exact_D):
+    claim = _reference_claim(desc)
+    if exact_D is not None:
+        if exact_D == upper:
+            return "CONFIRMED"
+        if claim is not None and exact_D != claim:
+            return "REFUTED"
+        if is_p and exact_D != upper:
+            return "REFUTED"
+        return "CONSISTENT"
+    if lower > upper:
+        return "REFUTED"
+    return "CONFIRMED" if lower == upper else "CONSISTENT"
+
+
 def test_scan_status_logic_marks_refutations():
-    from davlab.cli import _row_status
-    from davlab import parse_descriptor
-    desc = parse_descriptor("q[8]")  # proven family instance, claim 5
-    assert _row_status(desc, True, 5, 5, 5) == "CONFIRMED"
-    assert _row_status(desc, True, 4, 5, 4) == "REFUTED"    # exact off the claim
-    assert _row_status(desc, True, 4, 5, None) == "CONSISTENT"
-    assert _row_status(desc, True, 6, 5, None) == "REFUTED"  # bounds crossed
+    """On every row of a seven-family grid, over synthesized records around
+    the upper bound, the verdict of scan_row is the reference's, except that
+    crossed bounds with an exact D at the upper bound are REFUTED."""
+    crossed = 0
+    for desc in _grid(["d", "q", "sd", "m2", "g1", "g2", "g3"], [3, 5, 7], 729, []):
+        name, order = desc.canonical(), desc.theoretical_order()
+        is_p = prime_power(order) is not None
+        L = loewy_formula(desc) if is_p else None
+        for upper in ((L - 1, L, L + 1) if is_p else (olson_white(order),)):
+            records = {"L": ResultRecord(name, "L", upper, True)} if is_p else {}
+            for w in (1, upper - 1, upper, upper + 1):
+                records["witness_check"] = ResultRecord(name, "witness_check", w, w > 1)
+                for d in (None, upper - 1, upper, upper + 1):
+                    # no exact D: an inexact record, which the row ignores
+                    records["D"] = ResultRecord(name, "D", d or upper + 1, d is not None)
+                    row = scan_row(desc, records, True)
+                    lower = max(w, d or 1)
+                    assert (row["lower"], row["upper"], row["exact_value"]) == (lower, upper, d)
+                    want = _reference_status(desc, is_p, lower, upper, d)
+                    if lower > upper == d:
+                        crossed += 1
+                        assert (want, row["status"]) == ("CONFIRMED", "REFUTED"), name
+                    else:
+                        assert row["status"] == want, (name, upper, w, d)
+    assert crossed > 0
+
+
+def test_scan_crossed_bounds_are_refuted(capsys, tmp_path):
+    cache = tmp_path / "scan.jsonl"
+    args = ("scan", "--families=q", "--max-order=8", "--json", "--cache", str(cache))
+    assert main(list(args)) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    for record in records:
+        if (record["descriptor"], record["invariant"]) == ("q[8]", "witness_check"):
+            record["value"] = 6  # a verified witness above L = 5, with exact D = 5
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, doc = run_json(capsys, *args)
+    assert code == 1
+    [row] = doc["rows"]
+    assert (row["lower"], row["upper"], row["exact_value"]) == (6, 5, 5)
+    assert row["status"] == "REFUTED"
 
 
 def test_version_flag(capsys):
