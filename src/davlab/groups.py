@@ -12,19 +12,24 @@ of h. The table is stored once, as one read-only n x n int16 array (2 bytes
 a cell: every index lies below ORDER_CAP <= 2^15), and all later work is
 table lookups: rows are slices of one flat memoryview over the array, and
 whole-group sweeps are numpy gathers on it. Element 0 is always the identity
-and labels are the normal-form words. Every built table is proven a group
-(entries in range, identity, right inverses, generation and Light's
-associativity test, O(|gens| n^2) at every order; a monoid with right
-inverses is a group, hence Latin), and every relation of the family's own
-presentation is checked, so the presentations and the row fill are
-verified, not trusted.
+and labels are the normal-form words, spelled from the index when one is
+read. Every built table is proven a group (entries in range, identity,
+right inverses, generation and Light's associativity test on the shortest
+prefix of the named generators that generates the group, O(|gens| n^2) at
+every order; a monoid with right inverses is a group, hence Latin), and
+every relation of the family's own presentation is checked, so the
+presentations and the row fill are verified, not trusted. ``build`` shares
+a group among its callers while one of them holds it, and keeps no table
+that none of them holds.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
+import weakref
+from collections import abc
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -40,13 +45,18 @@ from .theory import ORDER_CAP
 class FiniteGroup:
     """A finite group as a complete multiplication table on 0..order-1.
 
-    Immutable after construction; instances are safe to share. ``array`` is
-    the table as a read-only n x n int16 numpy array, its only store, for
+    Immutable after construction; instances are safe to share, and ``build``
+    hands one instance to every caller while some caller holds it (it keeps
+    a weak reference, so a group nobody holds is freed). ``array`` is the
+    table as a read-only n x n int16 numpy array, its only store, for
     whole-group sweeps by gathers. ``table[x]`` is row x, a read-only slice
     of one flat memoryview over the array (format 'h'), so ``table[x][y]``,
     the product x*y, is an int: index a row, slice it or take ``list(row)``
     for a list copy, but do not compare it with a list. Index 0 is the
-    identity, ``prime`` is set when the order is a prime power.
+    identity, ``prime`` is set when the order is a prime power. ``labels[x]``
+    names element x: a built group spells its normal word on demand from a
+    read-only sequence (``list(labels)`` lists them all), a hand-made group
+    takes any sequence of strings.
 
     The table may be given as that array (``build``) or as rows of ints
     (lists, arrays, memoryviews); either way it is stored as int16 once every
@@ -59,10 +69,10 @@ class FiniteGroup:
     """
 
     __slots__ = ("name", "order", "array", "table", "inverse", "labels",
-                 "generators", "prime", "_orders")
+                 "generators", "prime", "_orders", "__weakref__")
 
     def __init__(self, name: str, table: np.ndarray | Sequence[Sequence[int]],
-                 labels: list[str], generators: dict[str, int],
+                 labels: Sequence[str], generators: dict[str, int],
                  prime: int | None = None):
         T = np.asarray(table)
         n = len(T)
@@ -191,13 +201,31 @@ class FiniteGroup:
         return result
 
 
-def _word_label(parts: list[tuple[str, int]]) -> str:
-    bits = []
-    for name, e in parts:
-        if e == 0:
-            continue
-        bits.append(name if e == 1 else f"{name}^{e}")
-    return " ".join(bits) if bits else "1"
+class _WordLabels(abc.Sequence):
+    """The normal words of a presentation, entry x the word of element x,
+    spelled when it is read: only a few labels of a group are ever shown."""
+
+    __slots__ = ("_names", "_radices", "_order")
+
+    def __init__(self, names: tuple[str, ...], radices: tuple[int, ...]):
+        self._names, self._radices = names, radices
+        self._order = math.prod(radices)
+
+    def __len__(self) -> int:
+        return self._order
+
+    def __getitem__(self, x) -> str:
+        x = operator.index(x)
+        if x < 0:
+            x += self._order
+        if not 0 <= x < self._order:
+            raise IndexError("label index out of range")
+        bits = []
+        for name, r in zip(reversed(self._names), reversed(self._radices)):
+            x, e = divmod(x, r)
+            if e:
+                bits.append(name if e == 1 else f"{name}^{e}")
+        return " ".join(reversed(bits)) if bits else "1"
 
 
 # --- polycyclic presentations --------------------------------------------------
@@ -265,10 +293,11 @@ def check_group_axioms(group: FiniteGroup) -> None:
     Five premises are checked: (1) every entry lies in 0..n-1 and (3) every
     row holds a 0, a right inverse (``FiniteGroup`` refuses a table
     otherwise, "out of range" or "has no inverse"); (2) row 0 and column 0
-    are the identity; (4) right products of the generators reach every
-    element from 0; (5) each generator a passes Light's test, (x a) y =
-    x (a y) for all x, y. The elements that pass it are closed under products
-    and include 0 by (2), so (4) and (5) prove associativity in
+    are the identity; (4) right products from 0 of a prefix of the
+    generators, the shortest one found by the walk, reach every element;
+    (5) each generator a of that prefix passes Light's test, (x a) y =
+    x (a y) for all x, y. The elements that pass it are closed under
+    products and include 0 by (2), so (4) and (5) prove associativity in
     O(|gens| n^2), not the O(n^3) of all triples. A monoid in which every
     element has a right inverse is a group, and a group table is a Latin
     square, so that needs no test of its own.
@@ -278,18 +307,25 @@ def check_group_axioms(group: FiniteGroup) -> None:
     rng = np.arange(n)
     if not (np.array_equal(T[0], rng) and np.array_equal(T[:, 0], rng)):
         raise InternalConsistencyError(f"{group.name}: identity row/column broken")
-    gens = group.generating_set()
     table = group.table
     reached = [False] * n
     reached[0] = True
     queue = [0]
-    for x in queue:
-        row = table[x]
-        for g in gens:
-            y = row[g]
-            if not reached[y]:
-                reached[y] = True
-                queue.append(y)
+    gens = []  # the prefix of the generators walked so far
+    for g in group.generating_set():
+        if len(queue) == n:
+            break
+        gens.append(g)
+        # the elements queued before g are walked by the earlier generators
+        # already, so they take only g; later ones take the whole prefix
+        walked = len(queue)
+        for i, x in enumerate(queue):
+            row = table[x]
+            for h in (gens if i >= walked else (g,)):
+                y = row[h]
+                if not reached[y]:
+                    reached[y] = True
+                    queue.append(y)
     if len(queue) != n:
         raise InternalConsistencyError(
             f"{group.name}: generators {sorted(group.generators)} do not generate it")
@@ -313,9 +349,10 @@ def check_group_axioms(group: FiniteGroup) -> None:
                     f"{group.name}: associativity fails at generator {g}")
 
 
-def _fill(T: np.ndarray, radices: tuple[int, ...], row_of) -> None:
+def _fill(T: np.ndarray, radices: tuple[int, ...], row_of, done: int = 0) -> None:
     """Fill T, whose row 0 is the identity row, with the table of the normal
-    words over `radices`.
+    words over `radices`; rows below `done` are filled already in their
+    first `done` columns.
 
     row_of(k) returns row(g_k) as an intp array; it is called once per
     generator, when every row of a word in g_0..g_{k-1} is filled. Every
@@ -323,11 +360,15 @@ def _fill(T: np.ndarray, radices: tuple[int, ...], row_of) -> None:
     Coordinate by coordinate, the rows whose k-th exponent lies in [d, 2d)
     and whose later exponents are 0 are the rows of exponent [0, d) gathered
     at row(g_k^d), for d = 1, 2, 4, ...; the next step is
-    row(g_k^2d) = row(g_k^d)[row(g_k^d)].
+    row(g_k^2d) = row(g_k^d)[row(g_k^d)]. Each block of rows x, x + s, ...
+    (s the stride of coordinate k) is one gather. A block of rows below
+    `done` gathers only the columns from `done` on: the first `done`
+    elements form a normal subgroup, left multiplication by them keeps each
+    of its cosets, and the columns of the first coset are the filled ones.
     """
-    # each row is gathered straight into T, so the fill makes no temporary
-    # of more than n cells; every index is in range, so mode="clip" clips
-    # none (mode="raise" would buffer the output)
+    # every index is in range, so mode="clip" clips none (mode="raise"
+    # would buffer the output); numpy gathers a block that is one piece of
+    # memory straight into T, any other through temporaries of its size
     filled = [0]  # rows whose exponents past coordinate k are 0
     stride = len(T)
     for k, r in enumerate(radices):
@@ -335,9 +376,12 @@ def _fill(T: np.ndarray, radices: tuple[int, ...], row_of) -> None:
         step = row_of(k)
         d = 1
         while d < r:
+            rows = min(d, r - d) * stride
             for x in filled:
-                for y in range(x, x + min(d, r - d) * stride, stride):
-                    np.take(T[y], step, out=T[y + d * stride], mode="clip")
+                y = x + d * stride
+                start = done if y < done else 0
+                np.take(T[x:x + rows:stride], step[start:], axis=1,
+                        out=T[y:y + rows:stride, start:], mode="clip")
             step = step[step]
             d *= 2
         filled = [y for x in filled for y in range(x, x + r * stride, stride)]
@@ -368,8 +412,8 @@ def _pc_table(name: str, pc: _Presentation) -> np.ndarray:
     Top-down, G_k = <g_k, ..., g_{K-1}> is the leading block T[:n_k, :n_k],
     filled from the bottom level up. With phi the conjugation by g_k on
     G_{k+1}, g_j g_k^e h = g_k^e phi^e(g_j) h for j > k, and g_k g_k^e h is
-    g_k^(e+1) h, or g_k^(r_k) h at the radix: rows of G_{k+1}. Refilling G_k
-    rewrites the block of G_{k+1} with the same rows. Mirror, for x in
+    g_k^(e+1) h, or g_k^(r_k) h at the radix: rows of G_{k+1}. Filling G_k
+    leaves the finished block of G_{k+1} as it is. Mirror, for x in
     H_{k-1} = <g_0, ..., g_{k-1}>, g_k x g_k^e = psi(x) g_k^(e+1) with psi
     the inverse of the conjugation by g_k, and the row of g_k is its row on
     H_k repeated over the later coordinates.
@@ -439,7 +483,7 @@ def _pc_table(name: str, pc: _Presentation) -> np.ndarray:
     else:
         for k in reversed(range(K)):
             size = radices[k] * strides[k]
-            _fill(T[:size, :size], radices[k:], top_down_rows(k).__getitem__)
+            _fill(T[:size, :size], radices[k:], top_down_rows(k).__getitem__, strides[k])
     return T
 
 
@@ -448,11 +492,10 @@ def _pc_group(name: str, pc: _Presentation) -> FiniteGroup:
     generators generate it and it passes check_group_axioms, or
     InternalConsistencyError is raised."""
     T = _pc_table(name, pc)
-    labels = [_word_label(list(zip(pc.names, e)))
-              for e in itertools.product(*map(range, pc.radices))]
     generators = dict(zip(pc.names, _generator_indices(pc.radices)))
     pp = prime_power(len(T))
-    group = FiniteGroup(name, T, labels, generators, prime=pp[0] if pp else None)
+    group = FiniteGroup(name, T, _WordLabels(pc.names, pc.radices), generators,
+                        prime=pp[0] if pp else None)
     check_group_axioms(group)
     return group
 
@@ -468,13 +511,31 @@ def _inverses(name: str, T: np.ndarray) -> list[int]:
     return inverse.tolist()
 
 
-@functools.lru_cache(maxsize=32)
+def _shared_while_held(builder):
+    """builder, with each group it made handed to later callers while some
+    caller still holds it: a group nobody holds is freed, not kept.
+    ``__wrapped__`` is the builder itself."""
+    held: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    @functools.wraps(builder)
+    def shared(desc):
+        group = held.get(desc)
+        if group is None:
+            group = held[desc] = builder(desc)
+        return group
+
+    return shared
+
+
+@_shared_while_held
 def build(desc: GroupDescriptor) -> FiniteGroup:
     """Construct the group for a validated descriptor.
 
     Refuses orders above ORDER_CAP. The named generators generate the built
     table, which passes the group axioms and every relation of the
-    presentation; otherwise an InternalConsistencyError is raised.
+    presentation; otherwise an InternalConsistencyError is raised. A group
+    is shared: while some caller holds the group of a descriptor, building
+    it again returns that group.
     """
     validate_descriptor(desc)
     order = desc.theoretical_order()

@@ -4,7 +4,10 @@ The M-series is the Brauer-Jennings-Zassenhaus chain
 
     M_1 = G,   M_n = [M_{n-1}, G] * M_{ceil(n/p)}^(p)   for n >= 2,
 
-computed literally from the multiplication table. The sizes of consecutive
+computed from the multiplication table. A term whose two inputs repeat the
+previous term's, M_{n-1} = M_{n-2} and M_{ceil(n/p)} = M_{ceil((n-1)/p)}, is
+the previous term and is carried without a commutator, power or product:
+long chains such as M_2048's repeat most of their terms. The sizes of consecutive
 quotients give exponents e_i with |M_i / M_{i+1}| = p^{e_i}; the Loewy
 length of the modular group algebra is L = 1 + (p-1) * sum(i * e_i), and the
 radical layer dimensions are the coefficients of
@@ -38,14 +41,21 @@ def _check_p_group(group: FiniteGroup, p: int | None) -> int:
 
 
 def m_series(group: FiniteGroup, p: int | None = None) -> list[Subgroup]:
-    """The chain M_1, M_2, ... down to and including the first trivial term."""
+    """The chain M_1, M_2, ... down to and including the first trivial term.
+
+    M_n = [M_{n-1}, G] M_{ceil(n/p)}^(p) is the previous term, carried
+    without computing it, when both of its inputs equal those of M_{n-1}."""
     p = _check_p_group(group, p)
     G = whole_subgroup(group)
     series = [G]
     while not series[-1].is_trivial:
         n = len(series) + 1
+        source = series[(n + p - 1) // p - 1]
+        if n > 2 and series[-1] == series[-2] and source == series[(n + p - 2) // p - 1]:
+            series.append(series[-1])
+            continue
         lower = commutator_subgroup(group, series[-1], G)
-        upper = power_subgroup(group, series[(n + p - 1) // p - 1], p)
+        upper = power_subgroup(group, source, p)
         series.append(product_subgroup(group, lower, upper))
     return series
 

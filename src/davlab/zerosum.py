@@ -441,14 +441,26 @@ def is_ordered_free(seq: Sequence) -> bool:
 
     The products S of the nonempty subsequences of each prefix are kept as
     their inverses, a bool vector R = S^-1: appending g makes S | S*g | {g},
-    so R becomes R | g^-1 R | {g^-1}, and y lies in g^-1 R exactly when
-    g y does, one gather of R at row g of the table."""
+    so R becomes R | g^-1 R^ with R^ = R | {1}, and y lies in g^-1 R^
+    exactly when g y lies in R^, one gather of R^ at row g of the table. A
+    run g^m makes R | g^-1 U_m with U_m the union of g^-j R^ over j < m,
+    doubled as U_2k = U_k | g^-k U_k (and U_2k+1 = U_2k | g^-2k R^): O(log m)
+    gathers a run. R only grows, so testing 1 in R once a run is exact."""
     group = seq.group
-    T, inverse = group.array, group.inverse
+    T, table = group.array, group.table
     R = np.zeros(group.order, dtype=bool)
-    for g in seq.terms:
-        R |= R[T[g]]
-        R[inverse[g]] = True
+    for g, run in itertools.groupby(seq.terms):
+        m = sum(1 for _ in run)
+        hat = R.copy()
+        hat[0] = True
+        U, gk = hat, g  # U_k and g^k, from k = 1 by the bits of m
+        for bit in bin(m)[3:]:
+            U = U | U[T[gk]]
+            gk = table[gk][gk]
+            if bit == "1":
+                U |= hat[T[gk]]
+                gk = table[gk][g]
+        R |= U[T[g]]
         if R[0]:
             return False
     return True

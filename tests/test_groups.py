@@ -3,6 +3,7 @@ import hashlib
 import functools
 import itertools
 import math
+import weakref
 from array import array
 
 import numpy as np
@@ -168,7 +169,7 @@ def _with_cells(G, cells, generators=None):
     table = [list(row) for row in G.table]
     for (x, y), value in cells.items():
         table[x][y] = value
-    return FiniteGroup("edited", table, list(G.labels), generators or {})
+    return FiniteGroup("edited", table, G.labels, generators or {})
 
 
 @pytest.mark.parametrize("edit", ["row", "column", "above", "negative", "int16", "int64"])
@@ -508,6 +509,75 @@ def test_table_equals_the_full_product(text):
     assert digest == {**FILL_DIGESTS, **GOLDEN_TABLES}[text]
 
 
+def _fill_per_row(T, radices, row_of, done=0):
+    """groups._fill as first written, the reference for the block gathers:
+    one gather per row, every cell of every row, the finished block of a
+    top-down level (the rows and columns below `done`) refilled with the
+    same entries."""
+    filled = [0]
+    stride = len(T)
+    for k, r in enumerate(radices):
+        stride //= r
+        step = row_of(k)
+        d = 1
+        while d < r:
+            for x in filled:
+                for y in range(x, x + min(d, r - d) * stride, stride):
+                    np.take(T[y], step, out=T[y + d * stride], mode="clip")
+            step = step[step]
+            d *= 2
+        filled = [y for x in filled for y in range(x, x + r * stride, stride)]
+
+
+@pytest.mark.parametrize("text", FILL_GRID)
+def test_block_fill_equals_the_per_row_fill(text, monkeypatch):
+    pc = groups._presentation(parse_descriptor(text))
+    T = groups._pc_table(text, pc)
+    monkeypatch.setattr(groups, "_fill", _fill_per_row)
+    assert groups._pc_table(text, pc).tobytes() == T.tobytes()
+
+
+def _eager_labels(pc) -> list[str]:
+    """Every label of a presentation's group, spelled up front as build did
+    before labels were spelled on demand: the reference for _WordLabels."""
+    out = []
+    for exponents in itertools.product(*map(range, pc.radices)):
+        bits = [name if e == 1 else f"{name}^{e}"
+                for name, e in zip(pc.names, exponents) if e]
+        out.append(" ".join(bits) if bits else "1")
+    return out
+
+
+def test_labels_spelled_on_demand_equal_the_eager_list():
+    for text in FILL_GRID:
+        pc = groups._presentation(parse_descriptor(text))
+        labels, eager = groups._WordLabels(pc.names, pc.radices), _eager_labels(pc)
+        assert len(labels) == len(eager) and list(labels) == eager, text
+        assert [labels[-x] for x in range(1, len(eager) + 1)] == eager[::-1], text
+        for bad in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                labels[bad]
+    G = build_from_string("g1[3,2,1,1]")
+    assert isinstance(G.labels, groups._WordLabels)
+    assert list(G.labels) == _eager_labels(groups._presentation(parse_descriptor("g1[3,2,1,1]")))
+    with pytest.raises(TypeError):
+        G.labels[0] = "a"
+
+
+def test_build_shares_a_group_only_while_it_is_held():
+    desc = parse_descriptor("ab[3,7]")
+    G = build(desc)
+    assert build(desc) is G and build_from_string("ab[3,7]") is G
+    dead = weakref.ref(G)
+    del G
+    gc.collect()
+    assert dead() is None
+    H = build(desc)
+    again = groups.build.__wrapped__(desc)
+    assert again is not H and build(desc) is H
+    assert np.array_equal(again.array, H.array) and list(again.labels) == list(H.labels)
+
+
 @pytest.mark.parametrize("text", ["g1[13,1,1,1]", "g1[3,2,2,2]", "g3[3,3,2,2,1]"])
 def test_table_rows_hold_no_gc_references(text, grp):
     # a garbage collection walks every reference a tracked row holds: a
@@ -644,24 +714,64 @@ def _edited_cells(T):
             yield {(b, a): T[c][a], (c, a): T[b][a]}
 
 
+def _light_on_every_generator(group) -> None:
+    """check_group_axioms as it was before Light's test ran on the shortest
+    generating prefix only: generation by all the named generators, then
+    Light's test on each of them, one row at a time."""
+    n = group.order
+    T = np.asarray(group.array, dtype=np.intp)
+    if not (np.array_equal(T[0], np.arange(n)) and np.array_equal(T[:, 0], np.arange(n))):
+        raise InternalConsistencyError(f"{group.name}: identity row/column broken")
+    gens = group.generating_set()
+    rows = T.tolist()
+    reached = {0}
+    queue = [0]
+    for x in queue:
+        for g in gens:
+            if rows[x][g] not in reached:
+                reached.add(rows[x][g])
+                queue.append(rows[x][g])
+    if len(queue) != n:
+        raise InternalConsistencyError(
+            f"{group.name}: generators {sorted(group.generators)} do not generate it")
+    for g in gens:
+        # (x g) y against x (g y), for all x and y at once
+        if not np.array_equal(T[T[:, g]], T[:, T[g]]):
+            raise InternalConsistencyError(
+                f"{group.name}: associativity fails at generator {g}")
+
+
+def _verdict(check, group) -> str | None:
+    try:
+        check(group)
+    except InternalConsistencyError as err:
+        return str(err)
+    return None
+
+
 @pytest.mark.parametrize("text", ["c[6]", "c[7]", "d[6]", "d[8]", "q[8]", "ab[2,2,2]",
                                   "q[12]", "sd[16]"])
 def test_axiom_check_accepts_only_latin_associative_edits(text, grp):
     # the check has no Latin test: in range, identity, right inverses,
-    # generation and Light's test must imply it on every edit of the grid
+    # generation and Light's test must imply it on every edit of the grid,
+    # and its verdict is the one of Light's test on every named generator;
+    # the third generator set names one more, never needed, generator
     G = grp(text)
     accepted = 0
-    for generators in (dict(G.generators), {}):
+    for generators in (dict(G.generators), dict(G.generators, w=G.product(G.generators.values())),
+                       {}):
         for cells in _edited_cells(G.table):
             try:
                 edited = _with_cells(G, cells, generators)
-                check_group_axioms(edited)
             except InternalConsistencyError:
                 continue
-            assert _latin_literal(edited.table) and _associative_literal(edited.table)
-            accepted += 1
+            verdict = _verdict(check_group_axioms, edited)
+            assert verdict == _verdict(_light_on_every_generator, edited), cells
+            if verdict is None:
+                assert _latin_literal(edited.table) and _associative_literal(edited.table)
+                accepted += 1
     # the edits that leave a cell as it was
-    assert accepted == 2 * G.order ** 2
+    assert accepted == 3 * G.order ** 2
 
 
 def _symmetric(k):
@@ -711,7 +821,7 @@ def test_non_associative_loop_is_rejected():
     loop = FiniteGroup("loop5", LOOP5, list("12345"), {"g": 1})
     with pytest.raises(InternalConsistencyError, match="associativity fails"):
         check_group_axioms(loop)
-    # with no named generators, every element is tested
+    # with no named generators, the elements 0 and 1 generate it and are tested
     with pytest.raises(InternalConsistencyError, match="associativity fails"):
         check_group_axioms(FiniteGroup("loop5", LOOP5, list("12345"), {}))
 

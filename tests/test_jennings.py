@@ -254,3 +254,39 @@ def literal_m_series(G, p):
 def test_m_series_matches_literal_definition(text, grp):
     G = grp(text)
     assert [s.mask for s in m_series(G)] == literal_m_series(G, G.prime)
+
+
+def _m_series_uncarried(G, p):
+    """m_series before repeated terms were carried: every term from its
+    commutator, power and product subgroups; the reference for the carry."""
+    from davlab.subgroups import commutator_subgroup, power_subgroup, product_subgroup
+    W = whole_subgroup(G)
+    series = [W]
+    while not series[-1].is_trivial:
+        n = len(series) + 1
+        lower = commutator_subgroup(G, series[-1], W)
+        upper = power_subgroup(G, series[(n + p - 1) // p - 1], p)
+        series.append(product_subgroup(G, lower, upper))
+    return series
+
+
+@pytest.mark.parametrize("text", P_GRID + ["m2[2048]", "m2[4096]", "g2[3,5,1,1]"])
+def test_carried_m_series_equals_the_uncarried_loop(text, grp, monkeypatch):
+    from davlab import jennings
+    G = grp(text)
+    calls = []
+    real = jennings.commutator_subgroup
+    monkeypatch.setattr(jennings, "commutator_subgroup",
+                        lambda *args: calls.append(1) or real(*args))
+    carried = m_series(G)
+    reference = _m_series_uncarried(G, G.prime)
+    assert [s.mask for s in carried] == [s.mask for s in reference]
+    # a term is computed only where an input of it changed
+    p = G.prime
+
+    def source(n):
+        return carried[(n + p - 1) // p - 1]  # M_ceil(n/p)
+
+    computed = [n for n in range(2, len(carried) + 1)
+                if n == 2 or carried[n - 2] != carried[n - 3] or source(n) != source(n - 1)]
+    assert len(calls) == len(computed)

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,70 @@ def test_is_ordered_free_equals_the_bitmask_walk_at_large_order(text, theorem, g
     # the inverse of the whole product closes a product-one sequence
     closed = Sequence(G, seq.terms + (G.inv(G.product(list(seq.terms))),))
     assert not is_ordered_free(closed) and not _ordered_free_by_bitmask(closed)
+
+
+def _ordered_free_per_term(seq) -> bool:
+    """is_ordered_free before runs were doubled: R |= g^-1 R and g^-1 added,
+    one gather per term, 1 tested after every term. The reference for the
+    run-doubled walk."""
+    group = seq.group
+    T, inverse = group.array, group.inverse
+    R = np.zeros(group.order, dtype=bool)
+    for g in seq.terms:
+        R |= R[T[g]]
+        R[inverse[g]] = True
+        if R[0]:
+            return False
+    return True
+
+
+def test_run_doubling_equals_the_per_term_walk_on_theorem_witnesses(grp):
+    """Every theorem witness of the acceptance scans and of the pin groups,
+    and each of them with one more term: the closing inverse, the identity,
+    each of its own terms (one run grows by one) and four random elements."""
+    from davlab.theory import witness_plan
+    from test_groups import LARGE_FILLS, SCAN_GROUPS
+    rng = random.Random(26)
+    outcomes = {True: 0, False: 0}
+    witnesses = 0
+    for text in sorted(set(SCAN_GROUPS) | set(LARGE_FILLS)):
+        desc = parse_descriptor(text)
+        plan = witness_plan(desc)
+        if plan is None:
+            continue
+        G = grp(text)
+        seq = witness_for_theorem(desc, plan[0], allow_unverified=True).sequence(G)
+        witnesses += 1
+        extra = {G.inv(G.product(seq.terms)), 0, *seq.terms,
+                 *(rng.randrange(G.order) for _ in range(4))}
+        for terms in [seq.terms] + [seq.terms + (g,) for g in sorted(extra)]:
+            free = is_ordered_free(Sequence(G, terms))
+            assert free == _ordered_free_per_term(Sequence(G, terms)), (text, terms[-1])
+            outcomes[free] += 1
+    # each witness is free and of length D(G) - 1, so every extension is not
+    assert outcomes[True] == witnesses == 42 and outcomes[False] > 300, outcomes
+
+
+@pytest.mark.parametrize("text", ["c[12]", "q[8]", "d[16]", "m2[64]", "g1[3,1,1,1]",
+                                  "g2[3,2,1,1]", "g2[3,4,2,2]"])
+def test_run_doubling_equals_the_per_term_walk_on_random_runs(text, grp):
+    """Sequences of one to five runs drawn from one to three elements, so
+    that runs of one element also meet; a run is at most as long as the
+    order of its element, or four times in five up to 2|G| terms."""
+    G = grp(text)
+    rng = random.Random(text)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        pool = rng.sample(range(G.order), rng.randint(1, 3))
+        terms = ()
+        for _ in range(rng.randint(1, 5)):
+            g = rng.choice(pool)
+            longest = G.element_order(g) if rng.random() < 0.8 else 2 * G.order
+            terms += (g,) * rng.randint(1, longest)
+        free = is_ordered_free(Sequence(G, terms))
+        assert free == _ordered_free_per_term(Sequence(G, terms)), terms
+        outcomes[free] += 1
+    assert min(outcomes.values()) > 10, outcomes
 
 
 def test_davenport_q8(grp):
