@@ -717,7 +717,7 @@ def _edited_cells(T):
 def _light_on_every_generator(group) -> None:
     """check_group_axioms as it was before Light's test ran on the shortest
     generating prefix only: generation by all the named generators, then
-    Light's test on each of them, one row at a time."""
+    Light's test on each of them, over the whole table at once."""
     n = group.order
     T = np.asarray(group.array, dtype=np.intp)
     if not (np.array_equal(T[0], np.arange(n)) and np.array_equal(T[:, 0], np.arange(n))):
@@ -755,7 +755,7 @@ def test_axiom_check_accepts_only_latin_associative_edits(text, grp):
     # the check has no Latin test: in range, identity, right inverses,
     # generation and Light's test must imply it on every edit of the grid,
     # and its verdict is the one of Light's test on every named generator;
-    # the third generator set names one more, never needed, generator
+    # the second generator set adds a redundant one, the product of the others
     G = grp(text)
     accepted = 0
     for generators in (dict(G.generators), dict(G.generators, w=G.product(G.generators.values())),
