@@ -69,7 +69,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("name", "order", "array", "table", "inverse", "labels",
-                 "generators", "prime", "_orders", "__weakref__")
+                 "generators", "prime", "_orders", "_automorphisms", "__weakref__")
 
     def __init__(self, name: str, table: np.ndarray | Sequence[Sequence[int]],
                  labels: Sequence[str], generators: dict[str, int],
@@ -95,6 +95,7 @@ class FiniteGroup:
         self.generators = generators
         self.prime = prime
         self._orders: list[int] | None = None
+        self._automorphisms: list[list[int]] | None = None  # subgroups.automorphisms
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"

@@ -263,8 +263,11 @@ def automorphisms(group: FiniteGroup) -> list[list[int]]:
     homomorphism. The automorphisms found are closed under composition. At
     most _AUT_MAX_CANDIDATES candidates are tried, and the enumeration ends
     when a closure would hold more than _AUT_MAX_ENTRIES / |G| maps, so A
-    may be a proper subgroup of Aut(G).
+    may be a proper subgroup of Aut(G). A is found once per group and kept
+    on it, so the searches of several invariants share it: do not mutate it.
     """
+    if group._automorphisms is not None:
+        return group._automorphisms
     n = group.order
     table = group.table
     gens = subgroup_closure(group, group.generating_set()).gens
@@ -310,7 +313,9 @@ def automorphisms(group: FiniteGroup) -> list[list[int]]:
             break
         closed = grown
         found.append(phi)
-    return [list(range(n))] + [extended(im) for im in sorted(closed - {identity})]
+    group._automorphisms = [list(range(n))] + [extended(im) for im in
+                                                sorted(closed - {identity})]
+    return group._automorphisms
 
 
 def _close(members: set, maps: list[list[int]], limit: int) -> set | None:

@@ -20,18 +20,25 @@ the search stays an independent check of both. It keys its memo by orbits:
 an automorphism a maps a free sequence to a free one, and the state of the
 image sequence is a(S), so the key of a state is its least image under the
 automorphisms that subgroups.automorphisms finds, while steps, paths and the
-witness stay on raw states. D and D_A key one mask (_mask_key), E its packed
-masks componentwise (_packed_key), and D' the multiplicity layers of its
-multiset (_layers), which determine the multiset.
+witness stay on raw states. D and D_A key one mask (_mask_key); E the image
+of its whole state, each component mapped by a (_mask_key, lifted), or above
+the table width its masks componentwise (_packed_key); and D' the
+multiplicity layers of its multiset (_layers), which determine the multiset.
 
-The searches of D, D_A and E step every letter at once (_packed_step):
-slot g of one int holds the union of the S*g^a, from one lookup per byte of
-S. Above _BYTE_TABLE_MAX_ORDER (32) steps loop over the set bits of S
-instead, and the orbit keys follow the same cutoff (_orbit_images). The D'
-search needs one letter per step, so like the checkers (reach_extend,
-is_weighted_free, is_unordered_free, group_length_reach) it never builds
-byte tables: they walk the set-bit loop over the column of each letter or
-power they meet (_ColumnSteps, _column_maps).
+Every reach state of at most _BYTE_TABLE_MAX_ORDER = 64 bits is stepped by
+every letter at once, with one lookup per byte of the state (_byte_map, one
+to eight bytes): for D and D_A up to order 64, slot g of one int holds the
+union of the S*g^a (_packed_step); for E up to order 8, whose state has n^2
+bits, slot g of a lifted table's entry holds the whole next state
+(_eg_children). The orbit keys of such states read the image under every
+automorphism from tables of the same kind (_orbit_images). Above the cutoff
+D and D_A step one letter at a time by the set-bit loop over the column of
+each power, E steps each component, with D's tables up to order 64, and the
+keys loop over the set bits of the state. The D' search needs one letter
+per step, so like the checkers (reach_extend, is_weighted_free,
+is_unordered_free, group_length_reach) it never builds byte tables: they
+walk the set-bit loop over the column of each letter or power they meet
+(_ColumnSteps, _column_maps).
 
 Some computations are written twice on purpose, one copy checking the
 other, and must stay apart: the packed search steps and the
@@ -68,10 +75,14 @@ DEFAULT_EG_CAP = 8
 DEFAULT_ARRANGE_CAP = 16
 WEIGHT_SET_CAP = 16
 
-# Largest order whose reach-mask step uses per-byte lookup tables: four
-# bytes, the widest lookup _byte_map unrolls. The ceil(n/8) * 256 entries
-# pack n images of n bits: 128 KB for D at order 32, 5 GB at order 1100.
-_BYTE_TABLE_MAX_ORDER = 32
+# Widest reach state, in bits, whose steps and orbit keys use per-byte lookup
+# tables: eight bytes, the widest lookup _byte_map unrolls. That is order 64
+# for D and D_A and order 8 for E (n^2 bits). The ceil(n/8) * 256 entries of
+# D's step pack n images of n bits in 64-bit slots, 1 MB at order 64 (5 GB
+# at order 1100); E's lifted step at order 8 takes 128 KB. The orbit tables
+# hold one image per automorphism, at most 2^15/n of them (subgroups), in
+# slots of 8 to 64 bits: 8 MB at any order from 33 to 64, 4 MB up to 32.
+_BYTE_TABLE_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -127,22 +138,33 @@ class _BudgetHit(Exception):
 
 
 class _Clock:
-    """Cooperative budget checks, both limits at every search state and
-    every 64 letters tried, as one state of a large group can try thousands;
-    stop_reason names the limit that tripped."""
+    """Cooperative budget checks. tick(states) tests the state budget, and
+    the time budget at every 64th call; the engine ticks at every stored
+    state. read() tests the time budget alone: at every 64 letters a lazy
+    state tries, as one state of a large group can try thousands, and at
+    each step of the greedy descent. stop_reason names the limit that
+    tripped."""
 
     def __init__(self, budget: SearchBudget):
-        self.budget = budget
+        self.max_states = budget.max_states
+        self.max_seconds = budget.max_seconds
         self.start = time.perf_counter()
         self.stop_reason = "done"
+        self.ticks = 0
 
     def tick(self, states: int) -> None:
-        if states > self.budget.max_states:
-            self.stop_reason = "states"
-        elif self.elapsed() > self.budget.max_seconds:
-            self.stop_reason = "seconds"
-        else:
-            return
+        if states > self.max_states:
+            self.stop("states")
+        self.ticks += 1
+        if not self.ticks & 63:
+            self.read()
+
+    def read(self) -> None:
+        if self.elapsed() > self.max_seconds:
+            self.stop("seconds")
+
+    def stop(self, reason: str):
+        self.stop_reason = reason
         raise _BudgetHit
 
     def elapsed(self) -> float:
@@ -160,28 +182,32 @@ def _checked_budget(group: FiniteGroup, budget: SearchBudget | None,
 
 
 def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
-                  key, room=None) -> SearchResult:
+                  key, top: int | None = None) -> SearchResult:
     """Longest walk from start along the steps (g, next state) that
-    children(state) yields in increasing g, next None for a dead g (which a
-    lazy children yields so that the clock is read every 64 letters), found
-    by refuting one length at a time: with w the length of the best walk
-    found so far, an explicit-stack DFS asks whether a walk of length w+1
-    exists. On success the walk is extended greedily, by the first live
-    letter at each step; on failure the result is w+1, exact. When the
-    budget trips, the longest walk verified so far is a lower bound and the
-    result is flagged exact=False.
+    children(state) yields in increasing g, found by refuting one length at
+    a time: with w the length of the best walk found so far, an
+    explicit-stack DFS asks whether a walk of length w+1 exists. On success
+    the walk is extended greedily, by the first step at each state; on
+    failure the result is w+1, exact. When the budget trips, the longest
+    walk verified so far is a lower bound and the result is flagged
+    exact=False. children yields live steps only, and a lazy children also
+    yields (g, None) every 64 letters it tries, on which the clock is read.
 
     dead[key(state)] = b means that no state of that key has a walk of
     length b, or longer. A frame that fails stores the largest child bound
     plus one, and 1 when it has no live child; a child whose bound is at
     most the length it still needs is not entered. A bound is a fact about
-    the state, so it holds as the asked length grows. room(state), when
-    given, bounds the length of a walk from state: a child with room below
-    the length it needs is cut with bound room + 1 before its key is
-    computed, and never enters dead. Live steps strictly grow the state, so
-    the walk graph is acyclic. key is used for dead only; steps and paths
-    stay on raw states. States of one key must have the same walks up to
-    relabelling, as orbit keys do (_mask_key), and the same room.
+    the state, so it holds as the asked length grows. top, when given (D and
+    D_A, _room), bounds the length of a walk from a state S by top - |S|: a
+    child with that room below the length it needs is cut with bound room +
+    2 before its key is computed, and never enters dead. Live steps strictly
+    grow the state, so the walk graph is acyclic. key is used for dead only;
+    steps and paths stay on raw states. States of one key must have the same
+    walks up to relabelling, as orbit keys do (_mask_key), and the same
+    room. The keys of raw states are cached in two generations: a state
+    missing from the current one is looked up in the one before, and the
+    current one is retired once it holds more states than dead, so the
+    cache holds at most twice as many states as the memo holds keys.
 
     The witness is the lexicographically least longest walk: the last
     successful DFS finds the least walk of its length w+1, since it enters
@@ -191,45 +217,64 @@ def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
     """
     clock = _Clock(budget)
     dead: dict = {}
+    bound_of = dead.get
+    keys: dict = {}  # raw state -> key, and the generation before it
+    retired: dict = {}
 
     def least_walk(target: int):
         """(path, end state) of the least walk of length target, or None
         once the bounds stored in dead refute it."""
+        nonlocal keys, retired
         path: list[int] = []
-        stack = [(key(start), iter(children(start)))]
-        bounds = [1]  # per stacked state: no walk of this length from it
-        while stack:
+        frames = []  # (key, children, bound) of each state below the top one
+        k, steps, bound = key(start), iter(children(start)), 1
+        while True:
             need = target - len(path) - 1  # length a child still needs
-            for g, nxt in stack[-1][1]:
-                if not g & 63:
-                    clock.tick(len(dead))
-                if nxt is None:
-                    continue
-                if need == 0:
-                    path.append(g)
-                    return path, nxt
-                if room is not None:
-                    r = room(nxt)
-                    if r < need:
-                        bounds[-1] = max(bounds[-1], r + 2)
-                        continue
-                k = key(nxt)
-                b = dead.get(k)
-                if b is not None and b <= need:
-                    bounds[-1] = max(bounds[-1], b + 1)
-                    continue
-                clock.tick(len(dead))
-                path.append(g)
-                stack.append((k, iter(children(nxt))))
-                bounds.append(1)
-                break
+            if not need:
+                for g, nxt in steps:
+                    if nxt is not None:
+                        path.append(g)
+                        return path, nxt
+                    clock.read()
             else:
-                b = dead[stack.pop()[0]] = bounds.pop()
-                if stack:
-                    clock.tick(len(dead))
-                    path.pop()
-                    bounds[-1] = max(bounds[-1], b + 1)
-        return None
+                for g, nxt in steps:
+                    if nxt is None:
+                        clock.read()
+                        continue
+                    if top is not None:
+                        room = top - nxt.bit_count()
+                        if room < need:
+                            if room + 2 > bound:
+                                bound = room + 2
+                            continue
+                    kn = keys.get(nxt)
+                    if kn is None:
+                        kn = retired.get(nxt)
+                        keys[nxt] = kn = key(nxt) if kn is None else kn
+                    b = bound_of(kn)
+                    if b is not None and b <= need:
+                        if b >= bound:
+                            bound = b + 1
+                        continue
+                    path.append(g)
+                    frames.append((k, steps, bound))
+                    k, steps, bound = kn, iter(children(nxt)), 1
+                    break
+                else:
+                    steps = None  # every child tried
+                if steps is not None:
+                    continue
+            dead[k] = bound
+            if not frames:
+                return None
+            if len(keys) > len(dead):
+                retired, keys = keys, {}
+            clock.tick(len(dead))
+            path.pop()
+            b = bound
+            k, steps, bound = frames.pop()
+            if b >= bound:
+                bound = b + 1
 
     best: list[int] = []
     try:
@@ -237,15 +282,14 @@ def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
             best, state = found  # verified, and grown in place by the descent
             while True:
                 for g, nxt in children(state):
-                    if not g & 63:
-                        clock.tick(len(dead))
                     if nxt is not None:
                         best.append(g)
                         state = nxt
                         break
+                    clock.read()
                 else:
                     break
-                clock.tick(len(dead))
+                clock.read()
     except _BudgetHit:
         pass  # clock.stop_reason names the limit; best is a verified lower bound
     return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
@@ -262,14 +306,14 @@ def _mapped(mask: int, row: list) -> int:
     return out
 
 
-def _byte_tables(row: list) -> list[list]:
-    """tabs[k][b] is the image under row of the bits b << 8k; the last table
-    covers only the bits below the group order. The entries of row may also
-    be numpy arrays, one image per automorphism (_orbit_images)."""
+def _byte_tables(row: list[int]) -> list[list[int]]:
+    """tabs[k][b] is the image under row of the bits b << 8k, the OR of the
+    row[8k + i] over the set bits i of b; the last table covers only the
+    bits of row."""
     tabs = []
     for lo in range(0, len(row), 8):
         bits = row[lo:lo + 8]
-        tab = [bits[0] & 0] * (1 << len(bits))  # 0, or an array of zeros
+        tab = [0] * (1 << len(bits))
         for b in range(1, len(tab)):
             low = b & -b
             tab[b] = tab[b ^ low] | bits[low.bit_length() - 1]
@@ -278,20 +322,33 @@ def _byte_tables(row: list) -> list[list]:
 
 
 def _byte_map(tabs: list[list[int]]):
-    """mask -> OR of one table entry per byte of mask, for one to four bytes.
-    The lookups are unrolled, which is where the speed of the tables comes
-    from."""
-    if len(tabs) == 1:
-        return tabs[0].__getitem__
-    if len(tabs) == 2:
-        t0, t1 = tabs
-        return lambda m: t0[m & 255] | t1[m >> 8]
-    if len(tabs) == 3:
-        t0, t1, t2 = tabs
-        return lambda m: t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]
-    t0, t1, t2, t3 = tabs
-    return lambda m: (t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
-                      | t3[m >> 24])
+    """mask -> OR of one table entry per byte of mask, for one to eight
+    bytes, so for every reach state of at most 64 bits. The lookups are
+    unrolled, which is where the speed of the tables comes from."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = tabs + [None] * (8 - len(tabs))
+    return [
+        t0.__getitem__,
+        lambda m: t0[m & 255] | t1[m >> 8],
+        lambda m: t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16],
+        lambda m: t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] | t3[m >> 24],
+        lambda m: (t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+                   | t3[m >> 24 & 255] | t4[m >> 32]),
+        lambda m: (t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+                   | t3[m >> 24 & 255] | t4[m >> 32 & 255] | t5[m >> 40]),
+        lambda m: (t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+                   | t3[m >> 24 & 255] | t4[m >> 32 & 255] | t5[m >> 40 & 255]
+                   | t6[m >> 48]),
+        lambda m: (t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+                   | t3[m >> 24 & 255] | t4[m >> 32 & 255] | t5[m >> 40 & 255]
+                   | t6[m >> 48 & 255] | t7[m >> 56]),
+    ][len(tabs) - 1]
+
+
+def _slot_format(bits: int) -> tuple[str, int]:
+    """The memoryview format and width of the narrowest slot of 8 to 64 bits
+    that holds bits bits."""
+    return next((fmt, width) for fmt, width in (("B", 8), ("H", 16), ("I", 32), ("Q", 64))
+                if bits <= width)
 
 
 def _shifted(mask: int, col) -> int:
@@ -350,40 +407,58 @@ def _column_maps(group: FiniteGroup, A: tuple[int, ...]):
     return [functools.partial(union, powers=hs) for hs in _weighted_rows(group, A)]
 
 
-def _orbit_images(group: FiniteGroup):
-    """images(mask) -> the images of mask under every automorphism that
+def _orbit_images(group: FiniteGroup, lift: int = 1):
+    """images(state) -> the images of state under every automorphism a that
     automorphisms() finds, as a numpy array; None when it finds only the
-    identity. Like _packed_step: byte tables of uint32 arrays up to
-    _BYTE_TABLE_MAX_ORDER, the set-bit loop over arrays of ints above it."""
+    identity. A state is lift components of n bits, and a maps bit m*n + x
+    to m*n + a(x): lift = 1 for a reach mask, n for the E state. Up to
+    _BYTE_TABLE_MAX_ORDER bits, like the search steps: one lookup per byte
+    of the state (_byte_map) gives one int whose slot k, of the narrowest
+    width that holds the state, is the image under the k-th automorphism,
+    read as one array of words; above it, the set-bit loop over arrays of
+    ints."""
     auts = automorphisms(group)
     if len(auts) == 1:
         return None
-    perms = np.array(auts, dtype=np.int64).T  # perms[x] lists the images of x
-    if group.order > _BYTE_TABLE_MAX_ORDER:
-        cols = [np.array([1 << int(y) for y in images], dtype=object) for images in perms]
+    n = group.order
+    # targets[m*n + x] lists the images of bit m*n + x
+    targets = (np.array(auts, dtype=np.int64).T
+               + np.arange(0, lift * n, n)[:, None, None]).reshape(lift * n, len(auts))
+    if lift * n > _BYTE_TABLE_MAX_ORDER:
+        cols = [np.array([1 << y for y in row], dtype=object) for row in targets.tolist()]
         zero = np.zeros(len(auts), dtype=object)
-        return lambda mask: zero | _mapped(mask, cols)
-    cols = list(np.uint32(1) << perms.astype(np.uint32))
-    return _byte_map([np.array(tab) for tab in _byte_tables(cols)])
+        return lambda state: zero | _mapped(state, cols)
+    dtype = np.dtype(_slot_format(lift * n)[0])
+    words = dtype.type(1) << targets.astype(dtype)
+    step = _byte_map(_byte_tables([int.from_bytes(row.tobytes(), sys.byteorder)
+                                   for row in words]))
+    size = words.shape[1] * dtype.itemsize
+    return lambda state: np.frombuffer(step(state).to_bytes(size, sys.byteorder), dtype)
 
 
-def _mask_key(group: FiniteGroup):
-    """The memo key of reach masks: the least image of the mask under the
-    automorphisms found, one representative per orbit, cached per raw mask.
-    Sound for every step that commutes with automorphisms: that of D, and of
-    D_A, since a(g^w) = a(g)^w."""
-    images = _orbit_images(group)
+def _mask_key(group: FiniteGroup, lift: int = 1):
+    """The memo key of states of lift components (_orbit_images): the least
+    image of the state under the automorphisms found, one representative per
+    orbit. Sound for every step that commutes with automorphisms: that of D,
+    and of D_A, since a(g^w) = a(g)^w, and of E, whose components each map
+    by a. Reach masks take the least image in one numpy reduce, as groups
+    of order n have up to 2^15/n automorphisms; the E states of order at
+    most 8 have few, and Python's min over them is quicker."""
+    images = _orbit_images(group, lift)
     if images is None:
-        return int  # the mask itself
-    return functools.cache(lambda mask: int(images(mask).min()))
+        return int  # the state itself
+    if lift > 1:
+        return lambda state: min(images(state).tolist())
+    least = np.minimum.reduce
+    return lambda state: int(least(images(state)))
 
 
-def _room(group: FiniteGroup):
-    """room(mask) bounds the free walks from a reach mask S, for D and D_A:
-    a free step grows S, since S | S*h | {h} = S would put every power of h
-    in S and so 1, and 1 is never in S, so no walk is longer than |G|-1-|S|."""
-    top = group.order - 1
-    return lambda mask: top - mask.bit_count()
+def _room(group: FiniteGroup) -> int:
+    """top such that top - |S| bounds the free walks from a reach mask S,
+    for D and D_A: a free step grows S, since S | S*h | {h} = S would put
+    every power of h in S and so 1, and 1 is never in S, so no walk is
+    longer than |G|-1-|S|."""
+    return group.order - 1
 
 
 def _tuple_key(group: FiniteGroup):
@@ -398,10 +473,11 @@ def _tuple_key(group: FiniteGroup):
 
 
 def _packed_key(group: FiniteGroup, width: int, count: int):
-    """_tuple_key of count masks packed width bits apart (E), cached per state."""
+    """_tuple_key of count masks packed width bits apart: the key of E states
+    wider than the lifted tables, whose components share the image cache."""
     tuple_key, full = _tuple_key(group), (1 << width) - 1
     shifts = range(0, width * count, width)
-    return functools.cache(lambda state: tuple_key([state >> s & full for s in shifts]))
+    return lambda state: tuple_key([state >> s & full for s in shifts])
 
 
 def _layers(ms: tuple[int, ...]) -> tuple[int, ...]:
@@ -670,8 +746,7 @@ def davenport_unordered(group: FiniteGroup,
                 yield g, ms[:i] + (g,) + ms[i:]
 
     layer_key = _tuple_key(group)
-    return _longest_free(group, (), children, budget,
-                         functools.cache(lambda ms: layer_key(_layers(ms))))
+    return _longest_free(group, (), children, budget, lambda ms: layer_key(_layers(ms)))
 
 
 # --- E(G): product-one subsequences of length exactly |G| ------------------------
@@ -698,23 +773,54 @@ def has_group_length_product_one(seq: Sequence) -> bool:
 def _eg_children(group: FiniteGroup):
     """children(state) -> the live (g, next state) of the E search. Component
     m of a state, n bits at bit m*n, holds the products of the subsequences
-    of length m+1 (group_length_reach). Each component, and the empty
-    product 1 below component 0, is stepped by every letter at once in slots
-    of n*n bits (_packed_step) into the component above it."""
+    of length m+1 (group_length_reach), and g is live while component n-1 of
+    its next state lacks 1. Up to _BYTE_TABLE_MAX_ORDER bits (n <= 8) one
+    lookup per byte of a lifted table (_byte_map) steps every letter at once
+    into 64-bit slots: bit m*n+x goes to bit m*n+x, and for m < n-1 to bit
+    (m+1)*n + x*g, of slot g, which also gains bit g, the empty product
+    times g. Wider states step each component by every letter at once, with
+    D's tables up to the cutoff order and by the column steps above it, and
+    shift the products of each letter into place: no table wider than D's
+    step of the same order."""
     n = group.order
-    size, full = n * n, (1 << n) - 1
-    step = _packed_step(group, (1,), size)
-    rep = sum(1 << g * size for g in range(n))
-    top, keep = (n - 1) * n, (1 << size) - 1
+    top, full = (n - 1) * n, (1 << n) - 1
+    if n * n > _BYTE_TABLE_MAX_ORDER:
+        if n > _BYTE_TABLE_MAX_ORDER:
+            steps = _ColumnSteps(group)
+
+            def letters(part: int) -> list:
+                return [steps[g](part) for g in range(n)]
+        else:
+            fmt, width = _slot_format(n)
+            step, size = _packed_step(group, (1,), width), n * width // 8
+
+            def letters(part: int) -> list:
+                return memoryview(step(part).to_bytes(size, sys.byteorder)).cast(fmt).tolist()
+
+        def wide(state: int) -> list:
+            grown = [state | 1 << g for g in range(n)]
+            for m in range(n - 1):
+                part = state >> m * n & full
+                if part:
+                    shift = m * n + n
+                    grown = [s | p << shift for s, p in zip(grown, letters(part))]
+            return [(g, s) for g, s in enumerate(grown) if not s >> top & 1]
+
+        return wide
+    cols = group.array.T.tolist()  # cols[g][x] = x*g
+    rows = []  # rows[m*n + x]: the lifted image of bit m*n + x
+    for m in range(n):
+        up = 1 << m * n + n if m < n - 1 else 0  # bit 0 of component m+1
+        rows += [sum((1 << m * n + x | up << col[x]) << g * 64 for g, col in enumerate(cols))
+                 for x in range(n)]
+    tabs = _byte_tables(rows)
+    base = sum(1 << g * 65 for g in range(n))  # bit g of slot g
+    tabs[0] = [entry | base for entry in tabs[0]]
+    step, size = _byte_map(tabs), n * 8
 
     def children(state: int) -> list:
-        grown, shorter = state * rep, state << n | 1
-        for m in range(n):
-            prev = shorter >> m * n & full
-            if prev:
-                grown |= step(prev) << m * n
-        return [(g, grown >> g * size & keep) for g in range(n)
-                if not grown >> g * size + top & 1]
+        slots = memoryview(step(state).to_bytes(size, sys.byteorder)).cast("Q").tolist()
+        return [(g, slot) for g, slot in enumerate(slots) if not slot >> top & 1]
 
     return children
 
@@ -725,7 +831,8 @@ def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> Sear
     budget = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
     n = group.order
     # automorphisms fix the identity, so a(state) is the state of a(terms)
-    return _longest_free(group, 0, _eg_children(group), budget, _packed_key(group, n, n))
+    key = _mask_key(group, n) if n * n <= _BYTE_TABLE_MAX_ORDER else _packed_key(group, n, n)
+    return _longest_free(group, 0, _eg_children(group), budget, key)
 
 
 def eg_lower_witness(group: FiniteGroup, ordered_witness: Sequence) -> Sequence:
@@ -768,15 +875,25 @@ def _weighted_extend(group: FiniteGroup, A: tuple[int, ...]):
 
 def _weighted_children(group: FiniteGroup, A: tuple[int, ...]):
     """children(S) -> the live (g, extend(S, g)): up to the cutoff, slot g
-    of S*REP | step(S | {1}) (_packed_step) in slots of w = 8, 16 or 32 >= n
-    bits, REP copying S into every slot and step({1}) holding B_g in slot g,
-    read as one array of words; above it a lazy walk of _weighted_extend,
-    (g, None) for a dead g. The identity letter is never live."""
+    of S*REP | step(S | {1}) (_packed_step) in slots of w = 8, 16, 32 or
+    64 >= n bits, REP copying S into every slot and step({1}) holding B_g in
+    slot g, read as one array of words; above it a lazy walk of
+    _weighted_extend, with (g, None) every 64 letters. The identity letter
+    is never live."""
     n = group.order
     if n > _BYTE_TABLE_MAX_ORDER:
         extend = _weighted_extend(group, A)
-        return lambda mask: ((g, extend(mask, g)) for g in range(1, n))
-    fmt, width = ("B", 8) if n <= 8 else ("H", 16) if n <= 16 else ("I", 32)
+
+        def lazy(mask: int):
+            for g in range(1, n):
+                if not g & 63:
+                    yield g, None
+                nxt = extend(mask, g)
+                if nxt is not None:
+                    yield g, nxt
+
+        return lazy
+    fmt, width = _slot_format(n)
     step, size = _packed_step(group, A, width), n * width // 8
     rep = sum(1 << g * width for g in range(n))
 

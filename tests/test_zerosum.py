@@ -312,9 +312,11 @@ def test_room_cut_refutes_a_deep_cyclic_search(grp, monkeypatch):
     assert res.witness.terms == (1,) * 1099
 
 
-# Orders 1, 2, 6 and 12 end in a partial byte; 12, 24 and 32 take the two-,
-# three- and four-byte unrolled lookups, and d[36] lies above the table cutoff.
-MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "d[36]"]
+# Orders 1, 2, 6, 12 and 56 end in a partial byte; 12 to 64 take the two- to
+# eight-byte unrolled lookups, and d[72] lies above the table cutoff, where
+# the lazy children also yield the clock-read entry (64, None).
+MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "q[40]", "d[48]", "q[56]",
+            "m2[64]", "d[72]"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -760,6 +762,106 @@ def test_orbit_keys_make_the_frontier_rung_exact(grp):
     assert is_ordered_free(res.witness) and len(res.witness) == 16
 
 
+# Every item of the benchmark's search workload, and E on every family group
+# of order at most 8, pinned: (search, group, args, value, states_explored,
+# witness), each exact. A change to the steps, the orbit keys, the key cache or
+# the engine that moves one of these changes the search, not only its speed.
+ONES = (1,) * 15
+SEARCH_PINS = [
+    (davenport_ordered, "q[16]", (), 9, 78, ONES[:7] + (8,)),
+    (davenport_ordered, "sd[16]", (), 9, 147, ONES[:7] + (8,)),
+    (davenport_ordered, "m2[16]", (), 9, 159, ONES[:7] + (8,)),
+    (davenport_ordered, "q[24]", (), 13, 516, ONES[:11] + (12,)),
+    (davenport_ordered, "d[32]", (), 17, 316, ONES + (16,)),
+    (davenport_ordered, "q[32]", (SearchBudget(max_states=20_000),), 17, 1594, ONES + (16,)),
+    (davenport_unordered, "m2[16]", (), 9, 282, ONES[:7] + (8,)),
+    (davenport_unordered, "q[16]", (), 9, 139, ONES[:7] + (8,)),
+    (davenport_weighted, "q[24]", ((1, 5),), 9, 532, (12, 12, 12, 13, 14, 15, 16, 17)),
+] + [(eg_invariant, text, (), value, states, witness) for text, value, states, witness in [
+    ("c[1]", 1, 1, ()),
+    ("c[2]", 3, 4, (0, 1)),
+    ("c[3]", 5, 12, (0, 0, 1, 1)),
+    ("c[4]", 7, 46, (0, 0, 0, 1, 1, 1)),
+    ("c[5]", 9, 96, (0,) * 4 + (1,) * 4),
+    ("c[6]", 11, 542, (0,) * 5 + (1,) * 5),
+    ("c[7]", 13, 818, (0,) * 6 + (1,) * 6),
+    ("c[8]", 15, 3501, (0,) * 7 + (1,) * 7),
+    ("d[4]", 6, 21, (0, 0, 0, 1, 2)),
+    ("d[6]", 11, 2336, (1, 1, 1, 1, 1, 3, 2, 3, 2, 3)),
+    ("d[8]", 12, 36162, (0,) * 7 + (1, 1, 1, 4)),
+    ("q[8]", 12, 11143, (0,) * 7 + (1, 1, 1, 4)),
+    ("ab[2,2]", 6, 21, (0, 0, 0, 1, 2)),
+    ("ab[2,3]", 11, 542, (0,) * 5 + (4,) * 5),
+    ("ab[2,4]", 12, 1508, (0,) * 7 + (1, 1, 1, 4)),
+    ("ab[2,2,2]", 11, 170, (0,) * 7 + (1, 2, 4)),
+]]
+
+
+@pytest.mark.parametrize("search,text,args,value,states,witness", SEARCH_PINS,
+                         ids=[f"{s.__name__}-{t}" for s, t, *_ in SEARCH_PINS])
+def test_searches_are_pinned(search, text, args, value, states, witness, grp):
+    res = search(grp(text), *args)
+    assert (res.value, res.exact, res.stop_reason, res.states_explored, res.witness.terms) \
+        == (value, True, "done", states, witness)
+
+
+@pytest.mark.parametrize("max_states", [1, 50, 1000])
+@pytest.mark.parametrize("search,text,args", [
+    (davenport_ordered, "q[32]", ()), (davenport_weighted, "q[32]", ((1, 5),)),
+    (eg_invariant, "c[8]", ()), (davenport_unordered, "q[32]", ())],
+    ids=["D", "D_A", "E", "Dprime"])
+def test_state_budget_trips_one_state_past_its_limit(search, text, args, max_states, grp):
+    """The state budget is checked at every stored state, however seldom the
+    clock is read."""
+    res = search(grp(text), *args, SearchBudget(max_states=max_states))
+    assert res.stop_reason == "states" and res.states_explored == max_states + 1
+    assert len(res.witness) == res.value - 1
+
+
+def test_e_above_the_table_width_builds_small_tables(grp, monkeypatch):
+    """E of order 16 has states of 256 bits: lifted tables would be 32 of 256
+    entries of 1 KB, and per-component tables in slots of 256 bits 256 KB.
+    It steps each component with D's tables of 16-bit slots (16 KB) and keys
+    componentwise through the orbit tables of one component (32 KB)."""
+    def counted(row):
+        tabs = tables(row)
+        built.extend(entry for tab in tabs for entry in tab)
+        return tabs
+
+    tables, built = zerosum._byte_tables, []
+    monkeypatch.setattr(zerosum, "_byte_tables", counted)
+    res = eg_invariant(grp("q[16]"), SearchBudget(max_states=500))
+    assert sum(entry.bit_length() for entry in built) <= 8 * (48 << 10)
+    assert (res.value, res.stop_reason, res.states_explored) == (24, "states", 501)
+    assert res.witness.terms == (0,) * 15 + (1,) * 7 + (8,)
+    assert not has_group_length_product_one(res.witness)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from([text for _, text, *_ in SEARCH_PINS[9:]]), st.data())
+def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
+    """On E states reached along random sequences, and their images under
+    the automorphisms, two states get equal lifted keys exactly when they
+    get equal componentwise keys: both keys split the states into the same
+    orbits, so the search is the same."""
+    G, auts = _group_and_automorphisms(text)
+    n = G.order
+    children = zerosum._eg_children(G)
+    states = set()
+    for letters in data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n),
+                                      min_size=1, max_size=4)):
+        state = 0
+        for g in letters:
+            state = dict(children(state)).get(g)
+            if state is None:
+                break
+            states |= {sum(1 << m * n + phi[x] for m in range(n) for x in range(n)
+                           if state >> m * n + x & 1) for phi in auts[:8]}
+    lifted, componentwise = zerosum._mask_key(G, n), zerosum._packed_key(G, n, n)
+    pairs = {(lifted(state), componentwise(state)) for state in states}
+    assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
 INVARIANCE_GRID = ["c[8]", "ab[2,2]", "d[6]", "q[8]", "d[8]", "q[12]", "m2[16]"]
 
 
@@ -801,17 +903,21 @@ def test_orbit_keys_are_canonical(text, data):
     images = [tuple(_image(m, phi) for m in state) for phi in auts]
     assert mask_key(state[0]) in {image[0] for image in images}
     assert tuple_key(state) in images
-    # the E key: the components packed n bits apart
+    # the E keys: the components packed n bits apart, keyed componentwise and
+    # by their least lifted image
     packed_key = zerosum._packed_key(G, G.order, len(state))
+    lifted_key = zerosum._mask_key(G, len(state))
 
     def packed(components):
         return sum(m << i * G.order for i, m in enumerate(components))
 
     assert packed_key(packed(state)) in images
+    assert lifted_key(packed(state)) in {packed(image) for image in images}
     for image in images:
         assert mask_key(image[0]) == mask_key(state[0])
         assert tuple_key(image) == tuple_key(state)
         assert packed_key(packed(image)) == packed_key(packed(state))
+        assert lifted_key(packed(image)) == lifted_key(packed(state))
     # the D' key: tuple_key of the multiplicity layers of a sorted multiset
     ms = tuple(sorted(data.draw(st.lists(st.integers(0, G.order - 1), max_size=G.order))))
     layers = zerosum._layers(ms)
@@ -1121,6 +1227,16 @@ def test_budgeted_searches_equal_their_former_steps(text, A, grp):
     else:
         new, old = davenport_weighted(G, A, budget), reference_weighted(G, A, budget)
     assert outcome(new) == outcome(old)
+
+
+@pytest.mark.parametrize("text,A", [("d[36]", (1, 5)), ("q[48]", (1, 5, 7))])
+def test_budgeted_column_step_searches_equal_their_former_steps(text, A, grp, monkeypatch):
+    """D_A on the column steps, with the cutoff patched below the order: the
+    lazy children and the set-bit orbit keys."""
+    monkeypatch.setattr(zerosum, "_BYTE_TABLE_MAX_ORDER", 32)
+    monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
+    G, budget = grp(text), SearchBudget(max_states=3_000)
+    assert outcome(davenport_weighted(G, A, budget)) == outcome(reference_weighted(G, A, budget))
 
 
 @pytest.mark.parametrize("text", _family_groups(8))
