@@ -200,7 +200,7 @@ def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
     the state, so it holds as the asked length grows. top, when given (D and
     D_A, _room), bounds the length of a walk from a state S by top - |S|: a
     child with that room below the length it needs is cut with bound room +
-    2 before its key is computed, and never enters dead. Live steps strictly
+    1 before its key is computed, and never enters dead. Live steps strictly
     grow the state, so the walk graph is acyclic. key is used for dead only;
     steps and paths stay on raw states. States of one key must have the same
     walks up to relabelling, as orbit keys do (_mask_key), and the same

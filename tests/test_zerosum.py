@@ -838,7 +838,8 @@ def test_e_above_the_table_width_builds_small_tables(grp, monkeypatch):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.sampled_from([text for _, text, *_ in SEARCH_PINS[9:]]), st.data())
+@given(st.sampled_from([text for search, text, *_ in SEARCH_PINS if search is eg_invariant]),
+       st.data())
 def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
     """On E states reached along random sequences, and their images under
     the automorphisms, two states get equal lifted keys exactly when they
