@@ -3,14 +3,13 @@
 Every family is a polycyclic presentation, given as data: relative orders,
 power words g_k^(r_k) and conjugate words g_k^-1 g_j g_k. Its elements are
 the normal-form words, listed in row-major mixed-radix order. One function
-makes the table of any such presentation: it computes each generator's row
-from rows already in the table, in the top-down form (<g_{k+1}, ...> normal
-in <g_k, ...>: c, ab, d, q, sd, m2, g1) or the mirror form (<g_0, ...,
-g_{k-1}> normal in <g_0, ..., g_k>: g2, g3), and gathers every other row,
-since the row of a word w h is the row of w read at the entries of the row
-of h. The table is stored once, as one read-only n x n int16 array (2 bytes
-a cell: every index lies below ORDER_CAP <= 2^15), and all later work is
-table lookups: rows are slices of one flat memoryview over the array, and
+makes the table of any such presentation, in one form for every family:
+the top-down series, each <g_{k+1}, ...> normal in <g_k, ...>. It computes
+each generator's row from rows already in the table and gathers every other
+row, since the row of a word w h is the row of w read at the entries of the
+row of h. The table is stored once, as one read-only n x n int16 array (2
+bytes a cell: every index lies below ORDER_CAP <= 2^15), and all later work
+is table lookups: rows are slices of one flat memoryview over the array, and
 whole-group sweeps are numpy gathers on it. Element 0 is always the identity
 and labels are the normal-form words, spelled from the index when one is
 read. Every built table is proven a group (entries in range, identity,
@@ -242,12 +241,10 @@ class _Presentation(NamedTuple):
     g_k^(r_k) = powers[k] and g_k^-1 g_j g_k = conjugates[j, k].
 
     Words are exponent tuples, read modulo the radices; a missing power is
-    the identity and a missing conjugate is g_j. Either every conjugate has
-    j > k and every word of g_k lies in <g_{k+1}, ..., g_{K-1}> (top-down:
-    each such subgroup is normal in the next larger one), or every conjugate
-    has j < k and every word of g_k lies in <g_0, ..., g_{k-1}> (mirror:
-    <g_0, ..., g_{k-1}> is normal in <g_0, ..., g_k>). A generator of
-    radix 1 is the identity and takes no word.
+    the identity and a missing conjugate is g_j. Every conjugate has j > k
+    and every word of g_k lies in <g_{k+1}, ..., g_{K-1}>, so each such
+    subgroup is normal in the next larger one (the top-down series). A
+    generator of radix 1 is the identity and takes no word.
     """
     names: tuple[str, ...]
     radices: tuple[int, ...]
@@ -275,11 +272,11 @@ def _presentation(d: GroupDescriptor) -> _Presentation:
         # [a,b] = c central on the words a^i b^j c^t, so a^-1 b a = b c^-1
         return _Presentation(("a", "b", "c"), (pa, pb, pg), {}, {(1, 0): (0, 1, -1)})
     if f == "g2":
-        # mirror form: <a> is normal, on the words a^i b^j
-        return _Presentation(("a", "b"), (pa, pb), {}, {(0, 1): (1 + e, 0)})
-    # g3, mirror form: b acts on the abelian normal <a, c>, words a^i c^t b^j
-    return _Presentation(("a", "c", "b"), (pa, p ** d["sigma"], pb), {},
-                         {(0, 2): (1 + e, 1, 0), (1, 2): (-e * e, 1 - e, 0)})
+        # b acts on the cyclic normal <a>: b^-1 a b = a^(1+e), words b^j a^i
+        return _Presentation(("b", "a"), (pb, pa), {}, {(1, 0): (0, 1 + e)})
+    # g3: b acts on the abelian normal <a, c>, on the words b^j a^i c^t
+    return _Presentation(("b", "a", "c"), (pb, pa, p ** d["sigma"]), {},
+                         {(1, 0): (0, 1 + e, 1), (2, 0): (0, -e * e, 1 - e)})
 
 
 # Rows per block of the associativity test: its buffers, a few 128 x n
@@ -350,7 +347,7 @@ def check_group_axioms(group: FiniteGroup) -> None:
                     f"{group.name}: associativity fails at generator {g}")
 
 
-def _fill(T: np.ndarray, radices: tuple[int, ...], row_of, done: int = 0) -> None:
+def _fill(T: np.ndarray, radices: tuple[int, ...], row_of, done: int) -> None:
     """Fill T, whose row 0 is the identity row, with the table of the normal
     words over `radices`; rows below `done` are filled already in their
     first `done` columns.
@@ -407,33 +404,27 @@ def _pc_table(name: str, pc: _Presentation) -> np.ndarray:
     Every generator row is made of rows already in the table and _fill
     gathers the rest, so every entry lies in 0..n-1 whatever the words say:
     an inconsistent presentation fails check_group_axioms. A word out of its
-    place, or a mirror conjugation that is no bijection, raises
-    InternalConsistencyError.
+    place raises InternalConsistencyError.
 
-    Top-down, G_k = <g_k, ..., g_{K-1}> is the leading block T[:n_k, :n_k],
-    filled from the bottom level up. With phi the conjugation by g_k on
-    G_{k+1}, g_j g_k^e h = g_k^e phi^e(g_j) h for j > k, and g_k g_k^e h is
+    G_k = <g_k, ..., g_{K-1}> is the leading block T[:n_k, :n_k], filled
+    from the bottom level up. With phi the conjugation by g_k on G_{k+1},
+    g_j g_k^e h = g_k^e phi^e(g_j) h for j > k, and g_k g_k^e h is
     g_k^(e+1) h, or g_k^(r_k) h at the radix: rows of G_{k+1}. Filling G_k
-    leaves the finished block of G_{k+1} as it is. Mirror, for x in
-    H_{k-1} = <g_0, ..., g_{k-1}>, g_k x g_k^e = psi(x) g_k^(e+1) with psi
-    the inverse of the conjugation by g_k, and the row of g_k is its row on
-    H_k repeated over the later coordinates.
+    leaves the finished block of G_{k+1} as it is.
     """
     radices = pc.radices
     K, n = len(radices), math.prod(radices)
     strides = [math.prod(radices[k + 1:]) for k in range(K)]
     gens = _generator_indices(radices)
-    mirror = any(j < k for j, k in pc.conjugates)
     power = [0] * K
     conj = {}
     words = [((k, k), w) for k, w in pc.powers.items()] + list(pc.conjugates.items())
     for (j, k), word in words:
         w = int(np.ravel_multi_index(word, radices, mode="wrap"))
-        # top-down: w in G_{k+1}, the indices below strides[k]; mirror: w in
-        # H_{k-1}, the multiples of radices[k] * strides[k]
-        if not (0 <= j < K and 0 <= k < K and radices[j] > 1 and radices[k] > 1
-                and (j == k or (j < k) == mirror)
-                and (w % (radices[k] * strides[k]) == 0 if mirror else w < strides[k])):
+        # w in G_{k+1}: the indices below strides[k]; g_k conjugated by
+        # itself is g_k and takes no word
+        if not (0 <= k <= j < K and (k, k) not in pc.conjugates and radices[j] > 1
+                and radices[k] > 1 and w < strides[k]):
             raise InternalConsistencyError(f"{name}: word of g_{k} out of its place")
         if j == k:
             power[k] = w
@@ -460,31 +451,9 @@ def _pc_table(name: str, pc: _Presentation) -> np.ndarray:
             rows.append((T[images, :m] + offsets).ravel())
         return rows
 
-    def mirror_row(k: int) -> np.ndarray:
-        """The row of g_k on the whole group, from the rows of H_{k-1}."""
-        r, later = radices[k], strides[k]
-        S = r * later  # element x of H_{k-1} is x S
-        m = n // S
-        phi = np.zeros(1, dtype=np.intp)
-        for i in range(k):
-            # phi(x g_i^a) = phi(x) phi(g_i)^a for x in H_{i-1}
-            pw = _powers((T[conj.get((i, k), gens[i]), ::S] // S).tolist(), radices[i])
-            phi = (T[phi[:, None] * S, np.array(pw) * S] // S).ravel().astype(np.intp)
-        psi = np.full(m, -1, dtype=np.intp)
-        psi[phi] = np.arange(m)
-        if psi.min() < 0:
-            raise InternalConsistencyError(
-                f"{name}: conjugation by g_{k} is not a bijection")
-        on_h = psi[:, None] * r + np.arange(1, r + 1)
-        on_h[:, -1] = T[psi * S, power[k]] // S * r
-        return (on_h.reshape(-1, 1) * later + np.arange(later)).ravel()
-
-    if mirror:
-        _fill(T, radices, mirror_row)
-    else:
-        for k in reversed(range(K)):
-            size = radices[k] * strides[k]
-            _fill(T[:size, :size], radices[k:], top_down_rows(k).__getitem__, strides[k])
+    for k in reversed(range(K)):
+        size = radices[k] * strides[k]
+        _fill(T[:size, :size], radices[k:], top_down_rows(k).__getitem__, strides[k])
     return T
 
 

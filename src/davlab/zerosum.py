@@ -22,8 +22,9 @@ image sequence is a(S), so the key of a state is its least image under the
 automorphisms that subgroups.automorphisms finds, while steps, paths and the
 witness stay on raw states. D and D_A key one mask (_mask_key); E the image
 of its whole state, each component mapped by a (_mask_key, lifted), or above
-the table width its masks componentwise (_packed_key); and D' the
-multiplicity layers of its multiset (_layers), which determine the multiset.
+the table width the tuple of its masks componentwise (_tuple_key); and D'
+the multiplicity layers of its multiset (_layers), which determine the
+multiset.
 
 Every reach state of at most _BYTE_TABLE_MAX_ORDER = 64 bits is stepped by
 every letter at once, with one lookup per byte of the state (_byte_map, one
@@ -33,12 +34,12 @@ bits, slot g of a lifted table's entry holds the whole next state
 (_eg_children). The orbit keys of such states read the image under every
 automorphism from tables of the same kind (_orbit_images). Above the cutoff
 D and D_A step one letter at a time by the set-bit loop over the column of
-each power, E steps each component, with D's tables up to order 64, and the
-keys loop over the set bits of the state. The D' search needs one letter
-per step, so like the checkers (reach_extend, is_weighted_free,
-is_unordered_free, group_length_reach) it never builds byte tables: they
-walk the set-bit loop over the column of each letter or power they meet
-(_ColumnSteps, _column_maps).
+each power, E steps each component of a state held as a tuple of masks,
+with D's tables up to order 64, and the keys loop over the set bits of the
+state. The D' search needs one letter per step, so like the checkers
+(reach_extend, is_weighted_free, is_unordered_free, group_length_reach) it
+never builds byte tables: they walk the set-bit loop over the column of
+each letter or power they meet (_ColumnSteps, _column_maps).
 
 Some computations are written twice on purpose, one copy checking the
 other, and must stay apart: the packed search steps and the
@@ -57,6 +58,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 import sys
 import time
 from collections import Counter
@@ -379,11 +381,8 @@ def _packed_step(group: FiniteGroup, A: tuple[int, ...], width: int):
     """step(S) holds M_g(S), the union of the S*g^a over a in A, at bit
     g*width for every letter g: one lookup per byte of S (_byte_map) over
     P[x] = sum over g of (OR over the powers h of g of 1 << x*h) << g*width,
-    the sum of the column steps above the cutoff."""
+    for groups of order at most _BYTE_TABLE_MAX_ORDER."""
     n = group.order
-    if n > _BYTE_TABLE_MAX_ORDER:
-        maps = _column_maps(group, A)
-        return lambda mask: sum(maps[g](mask) << g * width for g in range(n))
     rows = _weighted_rows(group, A)
     # in one row of the table distinct powers give distinct bits: sum is OR
     return _byte_map(_byte_tables([sum(1 << g * width + row[h] for g in range(n)
@@ -470,14 +469,6 @@ def _tuple_key(group: FiniteGroup):
         return tuple
     component = functools.cache(lambda mask: images(mask).tolist())
     return lambda state: min(zip(*map(component, state)), default=())
-
-
-def _packed_key(group: FiniteGroup, width: int, count: int):
-    """_tuple_key of count masks packed width bits apart: the key of E states
-    wider than the lifted tables, whose components share the image cache."""
-    tuple_key, full = _tuple_key(group), (1 << width) - 1
-    shifts = range(0, width * count, width)
-    return lambda state: tuple_key([state >> s & full for s in shifts])
 
 
 def _layers(ms: tuple[int, ...]) -> tuple[int, ...]:
@@ -772,18 +763,17 @@ def has_group_length_product_one(seq: Sequence) -> bool:
 
 def _eg_children(group: FiniteGroup):
     """children(state) -> the live (g, next state) of the E search. Component
-    m of a state, n bits at bit m*n, holds the products of the subsequences
-    of length m+1 (group_length_reach), and g is live while component n-1 of
-    its next state lacks 1. Up to _BYTE_TABLE_MAX_ORDER bits (n <= 8) one
-    lookup per byte of a lifted table (_byte_map) steps every letter at once
-    into 64-bit slots: bit m*n+x goes to bit m*n+x, and for m < n-1 to bit
-    (m+1)*n + x*g, of slot g, which also gains bit g, the empty product
-    times g. Wider states step each component by every letter at once, with
-    D's tables up to the cutoff order and by the column steps above it, and
-    shift the products of each letter into place: no table wider than D's
-    step of the same order."""
+    m of a state, the products of the subsequences of length m+1
+    (group_length_reach), is an n-bit mask, and g is live while component
+    n-1 of its next state lacks 1. Up to _BYTE_TABLE_MAX_ORDER bits (n <= 8)
+    a state is one int, component m at bit m*n, and one lookup per byte of
+    a lifted table (_byte_map) steps every letter at once into 64-bit slots:
+    bit m*n+x goes to bit m*n+x, and for m < n-1 to bit (m+1)*n + x*g, of
+    slot g, which also gains bit g, the empty product times g. A wider state
+    is the tuple of its n components, each stepped by every letter at once,
+    with D's tables up to the cutoff order and by the column steps above
+    it: no table wider than D's step of the same order."""
     n = group.order
-    top, full = (n - 1) * n, (1 << n) - 1
     if n * n > _BYTE_TABLE_MAX_ORDER:
         if n > _BYTE_TABLE_MAX_ORDER:
             steps = _ColumnSteps(group)
@@ -797,16 +787,20 @@ def _eg_children(group: FiniteGroup):
             def letters(part: int) -> list:
                 return memoryview(step(part).to_bytes(size, sys.byteorder)).cast(fmt).tolist()
 
-        def wide(state: int) -> list:
-            grown = [state | 1 << g for g in range(n)]
-            for m in range(n - 1):
-                part = state >> m * n & full
-                if part:
-                    shift = m * n + n
-                    grown = [s | p << shift for s, p in zip(grown, letters(part))]
-            return [(g, s) for g, s in enumerate(grown) if not s >> top & 1]
+        none = [0] * n
+
+        def wide(state: tuple[int, ...]) -> list:
+            # moved[m][g]: the products of length m+2 that letter g adds
+            moved = [letters(part) if part else none for part in state[:-1]]
+            out = []
+            for g, grown in enumerate(zip(*moved)):
+                nxt = (state[0] | 1 << g, *map(operator.or_, state[1:], grown))
+                if not nxt[-1] & 1:
+                    out.append((g, nxt))
+            return out
 
         return wide
+    top = (n - 1) * n
     cols = group.array.T.tolist()  # cols[g][x] = x*g
     rows = []  # rows[m*n + x]: the lifted image of bit m*n + x
     for m in range(n):
@@ -831,8 +825,9 @@ def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> Sear
     budget = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
     n = group.order
     # automorphisms fix the identity, so a(state) is the state of a(terms)
-    key = _mask_key(group, n) if n * n <= _BYTE_TABLE_MAX_ORDER else _packed_key(group, n, n)
-    return _longest_free(group, 0, _eg_children(group), budget, key)
+    if n * n <= _BYTE_TABLE_MAX_ORDER:
+        return _longest_free(group, 0, _eg_children(group), budget, _mask_key(group, n))
+    return _longest_free(group, (0,) * n, _eg_children(group), budget, _tuple_key(group))
 
 
 def eg_lower_witness(group: FiniteGroup, ordered_witness: Sequence) -> Sequence:

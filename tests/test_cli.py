@@ -179,42 +179,50 @@ def test_davenport_inexact_cache_record_is_not_served(capsys, tmp_path):
     assert doc["cached"] is False and doc["exact"] is True and doc["value"] == 13
 
 
-def _drop_algo(cache, invariant, value):
-    """Rewrite the cache as written before records carried algo, with a
-    wrong value on every record of invariant, so that serving one shows."""
+def _drop_algo(cache, invariant, value, algo=None):
+    """Rewrite the cache with a wrong value on every record of invariant, so
+    that serving one shows, and those records marked as of search version
+    algo; with algo None, as written before records carried algo."""
     lines = [json.loads(line) for line in open(cache, encoding="utf-8")]
     with open(cache, "w", encoding="utf-8") as fh:
         for line in lines:
-            del line["algo"]
+            if algo is None:
+                del line["algo"]
             if line["invariant"] == invariant:
                 line["value"] = value
+                if algo is not None:
+                    line["algo"] = algo
             fh.write(json.dumps(line) + "\n")
 
 
 def test_davenport_recomputes_records_without_algo(capsys, tmp_path):
+    """Records without algo, and D records of search version 2, whose
+    witnesses on g2 and g3 were spelled in the former words, are recomputed."""
     cache = str(tmp_path / "c.jsonl")
     code, doc = run_json(capsys, "davenport", "q[8]", "--json", "--cache", cache)
     assert code == 0 and doc["cached"] is False
-    code, doc = run_json(capsys, "davenport", "q[8]", "--json", "--cache", cache)
-    assert doc["cached"] is True and doc["value"] == 5
-    _drop_algo(cache, "D", 4)
-    code, doc = run_json(capsys, "davenport", "q[8]", "--json", "--cache", cache)
-    assert code == 0 and doc["cached"] is False and doc["value"] == 5
+    for algo in (None, 2):
+        code, doc = run_json(capsys, "davenport", "q[8]", "--json", "--cache", cache)
+        assert doc["cached"] is True and doc["value"] == 5
+        _drop_algo(cache, "D", 4, algo)
+        code, doc = run_json(capsys, "davenport", "q[8]", "--json", "--cache", cache)
+        assert code == 0 and doc["cached"] is False and doc["value"] == 5, algo
 
 
 def test_scan_recomputes_records_without_algo(capsys, tmp_path):
     cache = str(tmp_path / "scan.jsonl")
     args = ("scan", "--families=d,q", "--max-order=16", "--json", "--cache", cache)
     code, first = run_json(capsys, *args)
-    _drop_algo(cache, "D", 2)
-    code, again = run_json(capsys, *args)
-    assert code == 0
-    assert not any(r["cached"] for r in again["rows"])
     strip = lambda rows: [{k: v for k, v in r.items()
                            if k not in ("elapsed_ms", "cached")} for r in rows]
-    assert strip(again["rows"]) == strip(first["rows"])
-    code, third = run_json(capsys, *args)
-    assert all(r["cached"] for r in third["rows"])
+    for algo in (None, 2):
+        _drop_algo(cache, "D", 2, algo)
+        code, again = run_json(capsys, *args)
+        assert code == 0
+        assert not any(r["cached"] for r in again["rows"]), algo
+        assert strip(again["rows"]) == strip(first["rows"])
+        code, third = run_json(capsys, *args)
+        assert all(r["cached"] for r in third["rows"])
 
 
 def test_witness_verify(capsys):

@@ -144,7 +144,8 @@ def test_word_evaluation(grp):
 def test_labels_are_normal_form_words(grp):
     G = grp("g2[3,2,1,1]")
     a, b = G.generators["a"], G.generators["b"]
-    assert G.labels[G.mul(G.pow(a, 2), b)] == "a^2 b"
+    # a^2 b = b (b^-1 a b)^2 = b a^(2(1+3)) on the words b^j a^i
+    assert G.labels[G.mul(G.pow(a, 2), b)] == "b a^8"
     assert G.labels[0] == "1"
 
 
@@ -249,9 +250,10 @@ def test_abelian_product_matches_componentwise(grp):
 # sha256 of np.asarray(table, int32).tobytes() as built by the per-pair loop
 # over the element list (index[mult(x, y)] for every x, y) before tables were
 # built from coordinate arrays; a reordered encoding or a wrong cocycle sign
-# changes the digest. build() keeps _pc_table's int16 array as the group's
-# only store, and its rows read from it; test_table_array_mirrors_the_list
-# pins it.
+# changes the digest. g2 and g3 tables are hashed in the words they were
+# pinned on (_in_former_words). build() keeps _pc_table's int16 array as the
+# group's only store, and its rows read from it;
+# test_table_array_mirrors_the_list pins it.
 GOLDEN_TABLES = {
     "c[1]": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
     "c[12]": "95e853c042436f11d7eda0d1883c5880debefaefde06702c2d26b1cecdf395bb",
@@ -279,10 +281,41 @@ GOLDEN_TABLES = {
 }
 
 
+def _in_former_words(text: str, T) -> np.ndarray:
+    """The table T of a family group, read in the words its digest was
+    pinned on. g2 and g3 were built on the words a^i b^j and a^i c^t b^j
+    before they took the top-down form b^j a^i (c^t): pi sends the former
+    index of each word to the index of the same element in T, so the former
+    table is pi^-1[T[pi][:, pi]], a relabelling that keeps every word in
+    place. Every other family keeps its words and T is returned as it is."""
+    T = np.asarray(T, dtype=np.intp)
+    desc = parse_descriptor(text)
+    former = {"g2": "ab", "g3": "acb"}.get(desc.family)
+    if former is None:
+        return T
+    pc = groups._presentation(desc)
+    gens = dict(zip(pc.names, groups._generator_indices(pc.radices)))
+    radix = dict(zip(pc.names, pc.radices))
+    pi = np.zeros(1, dtype=np.intp)
+    for name in former:
+        powers = [0]
+        for _ in range(radix[name] - 1):
+            powers.append(T[powers[-1], gens[name]])
+        pi = T[pi[:, None], powers].ravel()
+    assert sorted(pi.tolist()) == list(range(len(T))), text
+    back = np.empty_like(pi)
+    back[pi] = np.arange(len(pi))
+    return back[T[pi][:, pi]]
+
+
+def _digest(text: str, T) -> str:
+    former = np.asarray(_in_former_words(text, T), dtype=np.int32)
+    return hashlib.sha256(former.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("text", sorted(GOLDEN_TABLES))
 def test_table_matches_golden_digest(text, grp):
-    table = np.asarray(grp(text).table, dtype=np.int32)
-    assert hashlib.sha256(table.tobytes()).hexdigest() == GOLDEN_TABLES[text]
+    assert _digest(text, grp(text).table) == GOLDEN_TABLES[text]
 
 
 @pytest.mark.parametrize("text", sorted(GOLDEN_TABLES))
@@ -290,7 +323,7 @@ def test_table_array_mirrors_the_list(text, grp):
     T = groups._pc_table(text, groups._presentation(parse_descriptor(text)))
     assert T.dtype == np.int16
     wide = np.asarray(T, dtype=np.int32)
-    assert hashlib.sha256(wide.tobytes()).hexdigest() == GOLDEN_TABLES[text]
+    assert _digest(text, T) == GOLDEN_TABLES[text]
     G = grp(text)
     assert G.array.dtype == np.int16 and not G.array.flags.writeable
     assert np.array_equal(G.array, T)
@@ -309,21 +342,6 @@ def test_build_rejects_generators_that_do_not_generate(monkeypatch):
         groups.build.__wrapped__(parse_descriptor("d[8]"))
 
 
-def test_metacyclic_words_with_a_carrying_last_exponent_are_filled():
-    # Q_8 in the mirror form, on the words y^j x^i: x^2 = y^2 is not
-    # trivial, so a wrapped x exponent leaves y^2 behind in the first
-    # coordinate and the last coordinate of a product carries
-    pc = groups._Presentation(("y", "x"), (4, 2), {1: (2, 0)}, {(0, 1): (-1, 0)})
-    G = groups._pc_group("Q8", pc)
-    check_group_axioms(G)
-    x, y = G.generators["x"], G.generators["y"]
-    assert (x, y) == (1, 2) and G.labels[7] == "y^3 x"
-    assert G.pow(y, 4) == 0
-    assert G.pow(x, 2) == G.pow(y, 2) != 0
-    assert G.mul(G.inv(x), G.mul(y, x)) == G.inv(y)
-    assert sorted(G.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
-
-
 def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
     """A cyclic-by-C_2 presentation needs s(r-1) = 0 (mod m) for x^2 = y^s;
     build() must refuse a q presentation that breaks it (x^2 = y with
@@ -339,22 +357,19 @@ def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
 def test_an_inconsistent_presentation_cannot_crash_the_table_fill(data):
-    """Random words, each in the subgroup its form puts it in: _pc_group
-    returns a group that satisfies the presentation or raises
+    """Random words of g_k, each in <g_{k+1}, ...>: _pc_group returns a
+    group that satisfies the presentation or raises
     InternalConsistencyError, and reads no cell it has not written (two
     different fills of the fresh table give the same outcome)."""
     K = data.draw(st.integers(1, 3))
     radices = tuple(data.draw(st.lists(st.integers(2, 4), min_size=K, max_size=K)))
-    mirror = data.draw(st.booleans())
 
     def word(k):
-        inside = range(k) if mirror else range(k + 1, K)
-        return tuple(data.draw(st.integers(0, r - 1)) if i in inside else 0
+        return tuple(data.draw(st.integers(0, r - 1)) if i > k else 0
                      for i, r in enumerate(radices))
 
     powers = {k: word(k) for k in range(K)}
-    conjugates = {(j, k): word(k) for j in range(K) for k in range(K)
-                  if (j < k if mirror else j > k)}
+    conjugates = {(j, k): word(k) for j in range(K) for k in range(j)}
     pc = groups._Presentation(("a", "b", "c")[:K], radices, powers, conjugates)
     outcomes = []
     for junk in (-1, 7):
@@ -379,6 +394,23 @@ def test_an_inconsistent_presentation_cannot_crash_the_table_fill(data):
         assert G.pow(g[k], radices[k]) == element(powers[k])
     for (j, k), w in conjugates.items():
         assert G.mul(G.inv(g[k]), G.mul(g[j], g[k])) == element(w)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_a_conjugate_word_out_of_its_place_is_refused(data):
+    """Only the top-down form is built: a conjugate g_k^-1 g_j g_k with
+    j < k, whatever its word, is out of its place, and so is one with
+    j = k, which would otherwise stand in for the power word of g_k."""
+    K = data.draw(st.integers(2, 3))
+    radices = tuple(data.draw(st.lists(st.integers(2, 4), min_size=K, max_size=K)))
+    k = data.draw(st.integers(1, K - 1))
+    j = data.draw(st.integers(0, k))
+    word = tuple(data.draw(st.integers(0, r - 1)) for r in radices)
+    powers = {k: (0,) * K} if data.draw(st.booleans()) else {}
+    pc = groups._Presentation(("a", "b", "c")[:K], radices, powers, {(j, k): word})
+    with pytest.raises(InternalConsistencyError, match=f"word of g_{k} out of its place"):
+        groups._pc_table("pc", pc)
 
 
 def test_missing_inverse_is_an_internal_error():
@@ -446,10 +478,10 @@ def test_fill_grid_covers_the_acceptance_scans():
     assert len(SCAN_GROUPS) == 38 and {"m2[1024]", "d[1000]"} <= set(FILL_GRID)
 
 
-# sha256 of np.asarray(table, int32).tobytes(), as GOLDEN_TABLES, for the
-# rest of FILL_GRID: tables built by the per-family product formulas that
-# the presentations replaced, each checked then against the formula
-# evaluated on every cell
+# sha256 of np.asarray(table, int32).tobytes(), as GOLDEN_TABLES (g2 and g3
+# in their former words), for the rest of FILL_GRID: tables built by the
+# per-family product formulas that the presentations replaced, each checked
+# then against the formula evaluated on every cell
 FILL_DIGESTS = {
     "ab[2,2]": "ae6755f9e0f25932512eebd6b9c03ace2bfaf6ddcfab511694411edcb84a6a1c",
     "c[2]": "8bd2fa7c6873c97e24da3767da43702d8c85aadb7136ed816c324b1ebc6b26d2",
@@ -505,8 +537,7 @@ def test_fill_digests_cover_the_fill_grid():
 def test_table_equals_the_full_product(text):
     T = groups._pc_table(text, groups._presentation(parse_descriptor(text)))
     assert T.dtype == np.int16
-    digest = hashlib.sha256(np.asarray(T, dtype=np.int32).tobytes()).hexdigest()
-    assert digest == {**FILL_DIGESTS, **GOLDEN_TABLES}[text]
+    assert _digest(text, T) == {**FILL_DIGESTS, **GOLDEN_TABLES}[text]
 
 
 def _fill_per_row(T, radices, row_of, done=0):

@@ -346,23 +346,25 @@ def _weights_and_masks(G, data):
 @settings(derandomize=True, deadline=None)
 @given(st.sampled_from(MAP_GRID), st.data())
 def test_packed_step_matches_bit_loop(text, data):
-    """For a weight set A, slot g of the packed search step (byte tables, or
-    the column steps above the cutoff), at a slot width of n or 2n, and the
-    checkers' column union both give the union of the S*g^a over a in A;
+    """For a weight set A, slot g of the packed search step (byte tables, up
+    to the cutoff), at a slot width of n or 2n, and the checkers' column
+    union (at every order) both give the union of the S*g^a over a in A;
     A = (1,) is S*g."""
     G = _map_group(text)
     A, masks = _weights_and_masks(G, data)
     n = G.order
     width = n * data.draw(st.integers(1, 2))
-    step, columns = _packed_step(text, A, width), zerosum._column_maps(G, A)
+    columns = zerosum._column_maps(G, A)
+    step = _packed_step(text, A, width) if n <= zerosum._BYTE_TABLE_MAX_ORDER else None
     for mask in masks:
-        packed = step(mask)
-        assert packed >> n * width == 0
-        for g in range(n):
-            expected = functools.reduce(
-                operator.or_, (_literal_step(G, mask, G.pow(g, a)) for a in A))
-            assert packed >> g * width & ((1 << width) - 1) == expected, (text, A, g, mask)
-            assert columns[g](mask) == expected, (text, A, g, mask)
+        expected = [functools.reduce(operator.or_, (_literal_step(G, mask, G.pow(g, a))
+                                                    for a in A)) for g in range(n)]
+        assert [columns[g](mask) for g in range(n)] == expected, (text, A, mask)
+        if step is not None:
+            packed = step(mask)
+            assert packed >> n * width == 0
+            assert [packed >> g * width & ((1 << width) - 1) for g in range(n)] == expected, \
+                (text, A, mask)
 
 
 @settings(derandomize=True, deadline=None)
@@ -381,21 +383,25 @@ def test_weighted_children_match_the_column_step(text, data):
             [c for c in expected if c[1] is not None], (text, A, mask)
 
 
-def _unpacked(state, n):
-    return tuple(state >> m * n & ((1 << n) - 1) for m in range(n))
+def _unpacked(state, n, count=None):
+    """The components of an int state, n bits each: n of them, or count."""
+    return tuple(state >> m * n & ((1 << n) - 1) for m in range(n if count is None else count))
 
 
 @settings(derandomize=True, deadline=None)
-@given(st.sampled_from([f"c[{n}]" for n in range(1, 9)] + ["d[6]", "q[8]"]), st.data())
+@given(st.sampled_from([f"c[{n}]" for n in range(1, 9)] + ["d[6]", "q[8]", "c[9]", "q[12]"]),
+       st.data())
 def test_packed_eg_state_is_the_group_length_reach(text, data):
-    """Along a random sequence, the packed E state decodes to
-    group_length_reach of the prefix, and a letter is live exactly when the
-    prefix it ends has no product-one subsequence of length |G|."""
+    """Along a random sequence, the E state, packed in one int up to order 8
+    and a tuple of components above, decodes to group_length_reach of the
+    prefix, and a letter is live exactly when the prefix it ends has no
+    product-one subsequence of length |G|."""
     G = build(parse_descriptor(text))
     n = G.order
     children = zerosum._eg_children(G)
     terms = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
-    state = 0
+    wide = n * n > zerosum._BYTE_TABLE_MAX_ORDER
+    state = (0,) * n if wide else 0
     for i, g in enumerate(terms):
         live = dict(children(state))
         reach = zerosum.group_length_reach(G, terms[:i + 1])
@@ -403,7 +409,7 @@ def test_packed_eg_state_is_the_group_length_reach(text, data):
         if g not in live:
             break
         state = live[g]
-        assert _unpacked(state, n) == reach, (text, terms[:i + 1])
+        assert (state if wide else _unpacked(state, n)) == reach, (text, terms[:i + 1])
         assert list(live) == sorted(live)
 
 
@@ -805,6 +811,17 @@ def test_searches_are_pinned(search, text, args, value, states, witness, grp):
         == (value, True, "done", states, witness)
 
 
+def test_d_of_g2_is_pinned_with_the_theorem_6_block_witness(grp):
+    """D(g2[3,2,1,1]) = 11 = L. The least longest walk follows the element
+    indices, so on the words b^j a^i (a = 1, b = 9) it is a^8 b^2, theorem
+    6's block order."""
+    G = grp("g2[3,2,1,1]")
+    a, b = G.generators["a"], G.generators["b"]
+    res = davenport_ordered(G)
+    assert (res.value, res.exact, res.stop_reason, res.states_explored) == (11, True, "done", 12485)
+    assert res.witness.terms == (a,) * 8 + (b,) * 2 and res.witness.compact() == "(a)^8 (b)^2"
+
+
 @pytest.mark.parametrize("max_states", [1, 50, 1000])
 @pytest.mark.parametrize("search,text,args", [
     (davenport_ordered, "q[32]", ()), (davenport_weighted, "q[32]", ((1, 5),)),
@@ -858,8 +875,8 @@ def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
                 break
             states |= {sum(1 << m * n + phi[x] for m in range(n) for x in range(n)
                            if state >> m * n + x & 1) for phi in auts[:8]}
-    lifted, componentwise = zerosum._mask_key(G, n), zerosum._packed_key(G, n, n)
-    pairs = {(lifted(state), componentwise(state)) for state in states}
+    lifted, componentwise = zerosum._mask_key(G, n), zerosum._tuple_key(G)
+    pairs = {(lifted(state), componentwise(_unpacked(state, n))) for state in states}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
@@ -904,20 +921,19 @@ def test_orbit_keys_are_canonical(text, data):
     images = [tuple(_image(m, phi) for m in state) for phi in auts]
     assert mask_key(state[0]) in {image[0] for image in images}
     assert tuple_key(state) in images
-    # the E keys: the components packed n bits apart, keyed componentwise and
-    # by their least lifted image
-    packed_key = zerosum._packed_key(G, G.order, len(state))
+    # the E keys: the components packed n bits apart, keyed by their least
+    # lifted image, and unpacked into the tuple that keys a wider E state
     lifted_key = zerosum._mask_key(G, len(state))
 
     def packed(components):
         return sum(m << i * G.order for i, m in enumerate(components))
 
-    assert packed_key(packed(state)) in images
+    assert _unpacked(packed(state), G.order, len(state)) == state
     assert lifted_key(packed(state)) in {packed(image) for image in images}
     for image in images:
         assert mask_key(image[0]) == mask_key(state[0])
         assert tuple_key(image) == tuple_key(state)
-        assert packed_key(packed(image)) == packed_key(packed(state))
+        assert tuple_key(_unpacked(packed(image), G.order, len(state))) == tuple_key(state)
         assert lifted_key(packed(image)) == lifted_key(packed(state))
     # the D' key: tuple_key of the multiplicity layers of a sorted multiset
     ms = tuple(sorted(data.draw(st.lists(st.integers(0, G.order - 1), max_size=G.order))))
