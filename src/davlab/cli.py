@@ -242,8 +242,8 @@ def _cmd_witness(args) -> int:
     from . import groups, witnesses, zerosum
     t0 = time.perf_counter()
     desc = parse_descriptor(args.descriptor)
+    group = groups.build(desc)  # held, so the witness construction shares it
     spec = witnesses.witness_for_theorem(desc, args.theorem, args.unverified_explore)
-    group = groups.build(desc)
     seq = spec.sequence(group)
     in_scope = witness_plan(desc)[1]
     free = oracle = None
@@ -402,7 +402,7 @@ def _p_family_descs(family: str, p: int, max_order: int):
 
 
 def _is_p_group(order: int) -> bool:
-    return prime_power(order) is not None and order > 1
+    return prime_power(order) is not None
 
 
 def _needed(desc: GroupDescriptor, search_max_order: int) -> tuple[str, ...]:
@@ -509,7 +509,10 @@ def _cmd_scan(args) -> int:
         threads = int(os.environ.get(ENV_THREADS, "1") or "1")
     except ValueError:
         threads = 1
-    threads = min(threads, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        threads = min(threads, len(os.sched_getaffinity(0)))
+    else:
+        threads = min(threads, os.cpu_count() or 1)
 
     keys = [[record_key(desc.canonical(), inv) for inv in needed]
             for desc, needed in zip(grid, needs)]

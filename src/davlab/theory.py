@@ -75,9 +75,7 @@ def loewy_formula(desc: GroupDescriptor) -> int:
             raise NoFormulaError(
                 f"{desc}: no closed form, order is not a power of 2")
         r = order.bit_length() - 1
-        if f in ("d", "q") and r < 3:
+        if f == "d" and r < 3:
             raise NoFormulaError(f"{desc}: closed form needs r >= 3")
-        if f in ("sd", "m2") and r < 4:
-            raise NoFormulaError(f"{desc}: closed form needs r >= 4")
         return 2 ** (r - 1) + 1
     raise NoFormulaError(f"{desc}: no closed-form Loewy length known here")

@@ -63,7 +63,8 @@ def _require_proven(desc: GroupDescriptor, allow_unverified: bool) -> None:
     if not allow_unverified and not witness_plan(desc)[1]:
         raise DavlabError(
             f"{desc}: verified construction needs "
-            f"{_PROVEN_SCOPE[desc.family]} = 1 (pass allow_unverified to explore)")
+            f"{_PROVEN_SCOPE[desc.family]} = 1 (pass allow_unverified, or "
+            "--unverified-explore on the command line, to explore)")
 
 
 def _metacyclic_witness(desc: GroupDescriptor, tag: str, normal: str,

@@ -8,11 +8,11 @@ S | S*g | {g}. The search is over walks on reach states, which are finite
 because an identity-free extension strictly grows the state.
 
 One engine, _longest_free, runs that search with an explicit stack, owns the
-memo, the budget and the witness. Each invariant supplies its start state
-and the live steps of a state in letter order: weighted reach masks for
-D_A(G), S -> S | {g^a} | S*g^a over the weights a in A, of which D(G) is
-the case A = {1}; per-length product sets packed into one int for E(G); and
-sorted multisets for the unordered constant D'(G).
+memo and the witness, and stops on the budget's clock. Each invariant
+supplies its start state and the live steps of a state in letter order:
+weighted reach masks for D_A(G), S -> S | {g^a} | S*g^a over the weights a
+in A, of which D(G) is the case A = {1}; per-length product sets packed into
+one int for E(G); and sorted multisets for the unordered constant D'(G).
 
 The engine refutes lengths rather than maximizing, with a counting cut for
 D and D_A (_room) that is neither the Loewy nor the Olson-White bound, so
@@ -174,16 +174,19 @@ class _Clock:
 
 
 def _checked_budget(group: FiniteGroup, budget: SearchBudget | None,
-                    max_order: int, cap: str) -> SearchBudget:
-    """The budget to search with; groups above max_order need an explicit one."""
+                    max_order: int, cap: str) -> _Clock:
+    """The started clock of the budget to search with (the default budget
+    when None); groups above max_order need an explicit one. The clock
+    starts before the search builds its steps and keys, so elapsed and the
+    time budget count that setup."""
     if group.order > max_order and budget is None:
         raise GroupTooLargeError(
             f"{group.name}: order {group.order} above {cap} cap {max_order}; "
             "pass an explicit budget to attempt anyway")
-    return budget or SearchBudget()
+    return _Clock(budget or SearchBudget())
 
 
-def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
+def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
                   key, top: int | None = None) -> SearchResult:
     """Longest walk from start along the steps (g, next state) that
     children(state) yields in increasing g, found by refuting one length at
@@ -192,8 +195,8 @@ def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
     the walk is extended greedily, by the first step at each state; on
     failure the result is w+1, exact. When the budget trips, the longest
     walk verified so far is a lower bound and the result is flagged
-    exact=False. children yields live steps only, and a lazy children also
-    yields (g, None) every 64 letters it tries, on which the clock is read.
+    exact=False. children yields live steps only; a lazy children reads the
+    clock itself as it tries letters.
 
     dead[key(state)] = b means that no state of that key has a walk of
     length b, or longer. A frame that fails stores the largest child bound
@@ -217,7 +220,6 @@ def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
     from its end the least live letter leads on to a longest walk, as the
     greedy descent from it reached the final length.
     """
-    clock = _Clock(budget)
     dead: dict = {}
     bound_of = dead.get
     keys: dict = {}  # raw state -> key, and the generation before it
@@ -234,15 +236,10 @@ def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
             need = target - len(path) - 1  # length a child still needs
             if not need:
                 for g, nxt in steps:
-                    if nxt is not None:
-                        path.append(g)
-                        return path, nxt
-                    clock.read()
+                    path.append(g)
+                    return path, nxt
             else:
                 for g, nxt in steps:
-                    if nxt is None:
-                        clock.read()
-                        continue
                     if top is not None:
                         room = top - nxt.bit_count()
                         if room < need:
@@ -282,15 +279,9 @@ def _longest_free(group: FiniteGroup, start, children, budget: SearchBudget,
     try:
         while (found := least_walk(len(best) + 1)) is not None:
             best, state = found  # verified, and grown in place by the descent
-            while True:
-                for g, nxt in children(state):
-                    if nxt is not None:
-                        best.append(g)
-                        state = nxt
-                        break
-                    clock.read()
-                else:
-                    break
+            while (step := next(iter(children(state)), None)) is not None:
+                g, state = step
+                best.append(g)
                 clock.read()
     except _BudgetHit:
         pass  # clock.stop_reason names the limit; best is a verified lower bound
@@ -725,7 +716,7 @@ def davenport_unordered(group: FiniteGroup,
     rotating conjugates the product, so it stays 1. The memo is keyed by
     _tuple_key of the _layers of M; the least longest walk is sorted.
     """
-    budget = _checked_budget(group, budget, DEFAULT_UNORDERED_CAP, "unordered")
+    clock = _checked_budget(group, budget, DEFAULT_UNORDERED_CAP, "unordered")
     reach = _submultiset_products(group)
     inv = group.inverse
 
@@ -737,7 +728,7 @@ def davenport_unordered(group: FiniteGroup,
                 yield g, ms[:i] + (g,) + ms[i:]
 
     layer_key = _tuple_key(group)
-    return _longest_free(group, (), children, budget, lambda ms: layer_key(_layers(ms)))
+    return _longest_free(group, (), children, clock, lambda ms: layer_key(_layers(ms)))
 
 
 # --- E(G): product-one subsequences of length exactly |G| ------------------------
@@ -822,12 +813,12 @@ def _eg_children(group: FiniteGroup):
 def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:
     """Exact E(G) over length-stratified reach states (_eg_children).
     Identity terms stay legal: extremal E witnesses are identity-padded."""
-    budget = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
+    clock = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
     n = group.order
     # automorphisms fix the identity, so a(state) is the state of a(terms)
     if n * n <= _BYTE_TABLE_MAX_ORDER:
-        return _longest_free(group, 0, _eg_children(group), budget, _mask_key(group, n))
-    return _longest_free(group, (0,) * n, _eg_children(group), budget, _tuple_key(group))
+        return _longest_free(group, 0, _eg_children(group), clock, _mask_key(group, n))
+    return _longest_free(group, (0,) * n, _eg_children(group), clock, _tuple_key(group))
 
 
 def eg_lower_witness(group: FiniteGroup, ordered_witness: Sequence) -> Sequence:
@@ -868,13 +859,13 @@ def _weighted_extend(group: FiniteGroup, A: tuple[int, ...]):
     return extend
 
 
-def _weighted_children(group: FiniteGroup, A: tuple[int, ...]):
+def _weighted_children(group: FiniteGroup, A: tuple[int, ...], clock: _Clock):
     """children(S) -> the live (g, extend(S, g)): up to the cutoff, slot g
     of S*REP | step(S | {1}) (_packed_step) in slots of w = 8, 16, 32 or
     64 >= n bits, REP copying S into every slot and step({1}) holding B_g in
     slot g, read as one array of words; above it a lazy walk of
-    _weighted_extend, with (g, None) every 64 letters. The identity letter
-    is never live."""
+    _weighted_extend that reads the clock every 64 letters, as one state of
+    a large group can try thousands. The identity letter is never live."""
     n = group.order
     if n > _BYTE_TABLE_MAX_ORDER:
         extend = _weighted_extend(group, A)
@@ -882,7 +873,7 @@ def _weighted_children(group: FiniteGroup, A: tuple[int, ...]):
         def lazy(mask: int):
             for g in range(1, n):
                 if not g & 63:
-                    yield g, None
+                    clock.read()
                 nxt = extend(mask, g)
                 if nxt is not None:
                     yield g, nxt
@@ -903,8 +894,8 @@ def _weighted_children(group: FiniteGroup, A: tuple[int, ...]):
 def _weighted_search(group: FiniteGroup, A: tuple[int, ...],
                      budget: SearchBudget | None) -> SearchResult:
     """D_A(G) by reach-mask search, for weights A that are valid or (1,)."""
-    budget = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
-    return _longest_free(group, 0, _weighted_children(group, A), budget,
+    clock = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
+    return _longest_free(group, 0, _weighted_children(group, A, clock), clock,
                          _mask_key(group), _room(group))
 
 

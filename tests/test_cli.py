@@ -259,8 +259,27 @@ def test_witness_reads_the_clock(capsys, monkeypatch):
     assert code == 0 and doc["elapsed_ms"] == 250
 
 
+@pytest.mark.parametrize("text, theorem", [("m2[2048]", "7"), ("g1[3,2,2,1]", "6")])
+def test_witness_builds_the_group_once(text, theorem, capsys, monkeypatch):
+    """The construction and the check share one table: the command holds the
+    group while the witness is built on it."""
+    from davlab import groups
+    calls = []
+
+    def counted(name, pc):
+        calls.append(name)
+        return pc_group(name, pc)
+
+    pc_group = groups._pc_group
+    monkeypatch.setattr(groups, "_pc_group", counted)
+    code, doc = run_json(capsys, "witness", text, f"--theorem={theorem}", "--verify", "--json")
+    assert code == 0 and doc["ordered_free"] is True
+    assert len(calls) == 1
+
+
 def test_witness_scope_error_and_override(capsys):
     assert main(["witness", "g1[3,2,2,2]", "--theorem=6"]) == 1
+    assert "--unverified-explore" in capsys.readouterr().err
     # the gamma=2 exploration is a finding, not an assertion: this sequence
     # is in fact not free, and the command must report that with exit 0
     code, out = run(capsys, "witness", "g1[3,2,2,2]", "--theorem=6",
@@ -671,8 +690,13 @@ def test_scan_search_above_cap_needs_a_budget(capsys, tmp_path):
     assert [r["exact_value"] for r in doc["rows"]] == [5, 9, 17]
 
 
-@pytest.mark.parametrize("threads, cpus, workers", [("64", 2, [2]), ("64", None, [])])
+@pytest.mark.parametrize("threads, cpus, workers",
+                         [("64", 2, [2]), ("64", None, []), ("2", {1}, [])])
 def test_scan_threads_clamped_to_cpu_count(threads, cpus, workers, capsys, monkeypatch):
+    """N is clamped to the CPUs this process may run on: cpus is its
+    affinity set on a machine of two CPUs, or else, on a platform without
+    sched_getaffinity, what os.cpu_count() says. Pinned to one CPU of two,
+    the scan runs serially."""
     started = []
 
     class RecordingPool:
@@ -692,7 +716,12 @@ def test_scan_threads_clamped_to_cpu_count(threads, cpus, workers, capsys, monke
             return map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if isinstance(cpus, set):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setenv("DAVLAB_THREADS", threads)
     code, doc = run_json(capsys, "scan", "--families=d,q", "--max-order=16",
                          "--json", "--no-cache")

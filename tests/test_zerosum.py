@@ -372,15 +372,15 @@ def test_packed_step_matches_bit_loop(text, data):
 def test_weighted_children_match_the_column_step(text, data):
     """The children of a reach mask, all letters stepped at once up to the
     cutoff and lazily above it, are the live letters of _weighted_extend
-    over the column steps, letter by letter."""
+    over the column steps, letter by letter, and nothing else."""
     G = _map_group(text)
     A, masks = _weights_and_masks(G, data)
-    children = zerosum._weighted_children(G, A)
+    children = zerosum._weighted_children(G, A, zerosum._Clock(SearchBudget()))
     extend = zerosum._weighted_extend(G, A)
     for mask in masks + (0,):
         expected = [(g, extend(mask, g)) for g in range(1, G.order)]
-        assert [c for c in children(mask) if c[1] is not None] == \
-            [c for c in expected if c[1] is not None], (text, A, mask)
+        assert list(children(mask)) == [c for c in expected if c[1] is not None], \
+            (text, A, mask)
 
 
 def _unpacked(state, n, count=None):
@@ -1019,11 +1019,10 @@ def test_unordered_search_equals_the_reference_walk(text, grp, monkeypatch):
     assert (keyed.states_explored < nodes) == (len(automorphisms(G)) > 1)
 
 
-def _longest_free_reference(group, start, children, budget, key, room=None):
+def _longest_free_reference(group, start, children, clock, key, room=None):
     """The engine before it refuted lengths: a memoized DFS for the longest
     walk, memo[key(state)] being the longest walk from state, with the
     witness rebuilt from the memo. It takes no cut, so room is ignored."""
-    clock = zerosum._Clock(budget)
     memo = {}
     path = []
     best_path = []
@@ -1128,8 +1127,8 @@ def _reference_right_maps(G):
 
 
 def _letter_children(extend, alphabet):
-    """children over extend(state, g) for each letter g of alphabet in turn."""
-    return lambda state: ((g, extend(state, g)) for g in alphabet)
+    """children over extend(state, g) for each live letter g of alphabet in turn."""
+    return lambda state: ((g, nxt) for g in alphabet if (nxt := extend(state, g)) is not None)
 
 
 def reference_ordered(G, budget=None):
@@ -1140,7 +1139,7 @@ def reference_ordered(G, budget=None):
         return None if new & 1 else new
 
     return zerosum._longest_free(G, 0, _letter_children(extend, range(1, G.order)),
-                                 budget or SearchBudget(), zerosum._mask_key(G),
+                                 zerosum._Clock(budget or SearchBudget()), zerosum._mask_key(G),
                                  zerosum._room(G))
 
 
@@ -1155,7 +1154,7 @@ def reference_weighted(G, A, budget=None):
         return None if new & 1 else new
 
     return zerosum._longest_free(G, 0, _letter_children(extend, range(G.order)),
-                                 budget or SearchBudget(), zerosum._mask_key(G),
+                                 zerosum._Clock(budget or SearchBudget()), zerosum._mask_key(G),
                                  zerosum._room(G))
 
 
