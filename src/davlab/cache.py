@@ -20,7 +20,6 @@ import json
 import os
 import re
 import warnings
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import CacheFileError
@@ -44,19 +43,38 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-@dataclass
+_NOW = object()  # the timestamp default: the time the record is made
+
+
 class ResultRecord:
-    descriptor: str
-    invariant: str
-    value: int | bool
-    exact: bool
-    weight_set: list[int] | None = None
-    witness: list[str] | None = None
-    tool_version: str = __version__
-    elapsed_ms: int = 0
-    timestamp: str = field(default_factory=_now)
-    v: int = SCHEMA_VERSION
-    algo: int | None = SEARCH_ALGO
+    """One cached result. Its fields are its instance dict, in this order;
+    `cache_put` writes them as they are."""
+
+    def __init__(self, descriptor: str, invariant: str, value: int | bool, exact: bool,
+                 weight_set: list[int] | None = None, witness: list[str] | None = None,
+                 tool_version: str = __version__, elapsed_ms: int = 0,
+                 timestamp: str | None = _NOW, v: int = SCHEMA_VERSION,
+                 algo: int | None = SEARCH_ALGO):
+        self.descriptor = descriptor
+        self.invariant = invariant
+        self.value = value
+        self.exact = exact
+        self.weight_set = weight_set
+        self.witness = witness
+        self.tool_version = tool_version
+        self.elapsed_ms = elapsed_ms
+        self.timestamp = _now() if timestamp is _NOW else timestamp
+        self.v = v
+        self.algo = algo
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"ResultRecord({fields})"
 
     def key(self) -> tuple:
         return record_key(self.descriptor, self.invariant, self.weight_set)
@@ -80,7 +98,7 @@ def cache_put(path: Path, record: ResultRecord) -> None:
     """Append one record as a single JSON line."""
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(record), sort_keys=True) + "\n")
     except OSError as exc:
         raise CacheFileError(f"cache file {path} is not writable: {exc}") from exc
 

@@ -3,11 +3,11 @@
 Every command accepts --json and then emits exactly one JSON document on
 stdout. Exit code 0 means no assertion failed; parse errors exit 2.
 
-At module level this imports only the numpy-free modules (descriptors,
-cache, errors, numtheory, theory, version). The table-building modules are
-imported inside the code that builds or searches, and looked up there at
-call time, so a warm scan, a cached davenport and loewy --method formula
-never load numpy.
+At module level this imports only the modules that load neither numpy nor
+dataclasses (descriptors, cache, errors, numtheory, theory, version). The
+table-building modules are imported inside the code that builds or
+searches, and looked up there at call time, so a warm scan, a cached
+davenport, loewy --method formula and --help load neither.
 """
 
 from __future__ import annotations
@@ -242,6 +242,7 @@ def _cmd_witness(args) -> int:
     from . import groups, witnesses, zerosum
     t0 = time.perf_counter()
     desc = parse_descriptor(args.descriptor)
+    witnesses.check_theorem(desc, args.theorem, args.unverified_explore)  # no table to refuse
     group = groups.build(desc)  # held, so the witness construction shares it
     spec = witnesses.witness_for_theorem(desc, args.theorem, args.unverified_explore)
     seq = spec.sequence(group)

@@ -10,7 +10,6 @@ Grammar (whitespace-free, decimal integers):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ConstraintError, DescriptorError
 from .numtheory import is_prime
@@ -46,12 +45,38 @@ def _shown(value: int) -> str:
 _DESCRIPTOR_RE = re.compile(r"^([a-z][a-z0-9]*)\[(\d+(?:,\d+)*)\]$")
 
 
-@dataclass(frozen=True)
 class GroupDescriptor:
-    """Parsed family-plus-parameters identifier."""
+    """Parsed family-plus-parameters identifier: an immutable value, equal
+    and hashed by (family, params)."""
 
+    __slots__ = ("family", "params")
     family: str
     params: tuple[tuple[str, int], ...]
+
+    def __init__(self, family: str, params: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle's default restores slots by setattr, which this class refuses
+        return (GroupDescriptor, (self.family, self.params))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.params) == (other.family, other.params)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.params))
+
+    def __repr__(self) -> str:
+        return f"GroupDescriptor(family={self.family!r}, params={self.params!r})"
 
     def __getitem__(self, name: str) -> int:
         for key, value in self.params:

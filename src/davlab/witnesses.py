@@ -78,25 +78,45 @@ def _metacyclic_witness(desc: GroupDescriptor, tag: str, normal: str,
                        {normal: order - 1, other: group.order // order - 1})
 
 
-def witness_dicyclic_sd(desc: GroupDescriptor) -> WitnessSpec:
-    """y^(2n-1) x over the dicyclic group of order 4n, y^(4n-1) x over the
-    semidihedral group of order 8n; length is ceil((|G|+1)/2) - 1."""
+def _dicyclic_sd_tag(desc: GroupDescriptor) -> str:
+    """The case tag of witness_dicyclic_sd, or its refusal."""
     validate_descriptor(desc)
     tags = {"q": "dicyclic", "sd": "semidihedral"}
     if desc.family not in tags:
         raise DavlabError(f"{desc}: construction covers q and sd only")
-    return _metacyclic_witness(desc, tags[desc.family], "y", "x")
+    return tags[desc.family]
 
 
-def witness_two_power(desc: GroupDescriptor) -> WitnessSpec:
-    """y^(2^(r-1)-1) x over the order-2^r dihedral, dicyclic, semidihedral and
-    modular maximal-cyclic families; length 2^(r-1)."""
+def _check_two_power(desc: GroupDescriptor) -> None:
+    """The refusals of witness_two_power."""
     validate_descriptor(desc)
     if desc.family not in ("d", "q", "sd", "m2"):
         raise DavlabError(f"{desc}: construction covers d, q, sd, m2")
     order = desc["order"]
     if order & (order - 1) != 0 or order < 8:
         raise DavlabError(f"{desc}: needs order 2^r with r >= 3")
+
+
+def _check_class_two(desc: GroupDescriptor, family: str,
+                     allow_unverified: bool = False) -> None:
+    """The refusals of witness_g1, witness_g2 and witness_g3 (g2 is proven
+    throughout)."""
+    validate_descriptor(desc)
+    if desc.family != family:
+        raise DavlabError(f"{desc}: {family} construction only")
+    _require_proven(desc, allow_unverified)
+
+
+def witness_dicyclic_sd(desc: GroupDescriptor) -> WitnessSpec:
+    """y^(2n-1) x over the dicyclic group of order 4n, y^(4n-1) x over the
+    semidihedral group of order 8n; length is ceil((|G|+1)/2) - 1."""
+    return _metacyclic_witness(desc, _dicyclic_sd_tag(desc), "y", "x")
+
+
+def witness_two_power(desc: GroupDescriptor) -> WitnessSpec:
+    """y^(2^(r-1)-1) x over the order-2^r dihedral, dicyclic, semidihedral and
+    modular maximal-cyclic families; length 2^(r-1)."""
+    _check_two_power(desc)
     return _metacyclic_witness(desc, "two_group", "y", "x")
 
 
@@ -108,10 +128,7 @@ def witness_g1(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
     and n = a. Only gamma = 1 is a verified extremal case; larger gamma needs
     allow_unverified and the result carries no length guarantee.
     """
-    validate_descriptor(desc)
-    if desc.family != "g1":
-        raise DavlabError(f"{desc}: g1 construction only")
-    _require_proven(desc, allow_unverified)
+    _check_class_two(desc, "g1", allow_unverified)
     p = desc["p"]
     group = build(desc)
     a, b, c = group.generators["a"], group.generators["b"], group.generators["c"]
@@ -137,9 +154,7 @@ def witness_g1(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
 
 def witness_g2(desc: GroupDescriptor) -> WitnessSpec:
     """a^(p^a - 1) b^(p^b - 1) over the g2 family; length L - 1."""
-    validate_descriptor(desc)
-    if desc.family != "g2":
-        raise DavlabError(f"{desc}: g2 construction only")
+    _check_class_two(desc, "g2")
     return _metacyclic_witness(desc, "g2", "a", "b")
 
 
@@ -150,10 +165,7 @@ def witness_g3(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
     w = [a, b]. For p = 1 mod 4: m = a b^(q+1) w^(-(q+1)/2), n = a b w^(-1/2).
     Only sigma = 1 is a verified extremal case.
     """
-    validate_descriptor(desc)
-    if desc.family != "g3":
-        raise DavlabError(f"{desc}: g3 construction only")
-    _require_proven(desc, allow_unverified)
+    _check_class_two(desc, "g3", allow_unverified)
     p = desc["p"]
     group = build(desc)
     a, b = group.generators["a"], group.generators["b"]
@@ -177,23 +189,38 @@ def witness_g3(desc: GroupDescriptor, allow_unverified: bool = False) -> Witness
                         "m": ps - 1, "n": ps - 1})
 
 
+def check_theorem(desc: GroupDescriptor, theorem: int,
+                  allow_unverified: bool = False) -> None:
+    """Raise the refusal witness_for_theorem gives this request, if any,
+    building no table: an invalid descriptor first, then a theorem that does
+    not cover it."""
+    validate_descriptor(desc)
+    if theorem == 1:
+        _dicyclic_sd_tag(desc)
+    elif theorem == 7:
+        _check_two_power(desc)
+    elif theorem == 6 and desc.family in ("g1", "g2", "g3"):
+        _check_class_two(desc, desc.family, allow_unverified)
+    elif theorem == 6:
+        raise DavlabError(f"{desc}: theorem 6 covers g1, g2, g3")
+    else:
+        raise DavlabError(f"no witness construction labeled {theorem} (use 1, 6 or 7)")
+
+
 def witness_for_theorem(desc: GroupDescriptor, theorem: int,
                         allow_unverified: bool = False) -> WitnessSpec:
     """Dispatch for the CLI: 1 covers q/sd at any admissible order, 6 covers
     the odd-prime class-two families, 7 the order-2^r families."""
+    check_theorem(desc, theorem, allow_unverified)
     if theorem == 1:
         return witness_dicyclic_sd(desc)
     if theorem == 7:
         return witness_two_power(desc)
-    if theorem == 6:
-        if desc.family == "g1":
-            return witness_g1(desc, allow_unverified)
-        if desc.family == "g2":
-            return witness_g2(desc)
-        if desc.family == "g3":
-            return witness_g3(desc, allow_unverified)
-        raise DavlabError(f"{desc}: theorem 6 covers g1, g2, g3")
-    raise DavlabError(f"no witness construction labeled {theorem} (use 1, 6 or 7)")
+    if desc.family == "g1":
+        return witness_g1(desc, allow_unverified)
+    if desc.family == "g2":
+        return witness_g2(desc)
+    return witness_g3(desc, allow_unverified)
 
 
 # --- congruence systems ---------------------------------------------------------

@@ -1,7 +1,6 @@
 import json
 import random
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,57 @@ def test_roundtrip(tmp_path):
     assert got is not None
     assert (got.descriptor, got.value, got.exact, got.witness, got.elapsed_ms) == \
         ("q[8]", 5, True, ["y", "y", "y", "x"], 12)
+
+
+def test_record_takes_the_davbench_filler_fields():
+    """`ResultRecord(**fields)` as davbench fills its caches; a key that is no
+    field raises TypeError, which cache_records reads as a corrupted line."""
+    fields = {"descriptor": "c[7]", "invariant": "DA", "value": 3, "exact": True,
+              "weight_set": [1, 4], "witness": ["y^2", "y^5"], "elapsed_ms": 40}
+    record = ResultRecord(**fields)
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert (record.tool_version, record.v, record.algo) == (__version__, 1, SEARCH_ALGO)
+    assert isinstance(record.timestamp, str)
+    with pytest.raises(TypeError):
+        ResultRecord(**fields, colour="red")
+    with pytest.raises(TypeError):
+        ResultRecord("c[7]", "D")
+
+
+def test_record_keeps_an_explicit_null_timestamp(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps({"descriptor": "q[8]", "invariant": "L", "value": 4,
+                                "exact": True, "timestamp": None}) + "\n")
+    assert cache_get(path, "q[8]", "L").timestamp is None
+    assert ResultRecord("q[8]", "L", 4, True, timestamp=None).timestamp is None
+
+
+def test_record_equality_repr_and_pickle():
+    import pickle
+    record = ResultRecord("q[8]", "D", 5, True, witness=["y", "x"],
+                          timestamp="2026-01-01T00:00:00+00:00")
+    same = ResultRecord("q[8]", "D", 5, True, witness=["y", "x"],
+                        timestamp="2026-01-01T00:00:00+00:00")
+    assert record == same and record != ResultRecord("q[8]", "D", 4, True)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(record) == (
+        "ResultRecord(descriptor='q[8]', invariant='D', value=5, exact=True, "
+        "weight_set=None, witness=['y', 'x'], tool_version='" + __version__ + "', "
+        "elapsed_ms=0, timestamp='2026-01-01T00:00:00+00:00', v=1, "
+        f"algo={SEARCH_ALGO})")
+
+
+def test_put_line_is_pinned(tmp_path):
+    """One cache_put line, byte for byte, as the dataclass record wrote it."""
+    path = tmp_path / "cache.jsonl"
+    cache_put(path, ResultRecord("g1[3,1,1,1]", "DA", 7, False, weight_set=[1, 4],
+                                 witness=["a", "b^2"], tool_version="0.1.0", elapsed_ms=12,
+                                 timestamp="2026-01-01T00:00:00+00:00", algo=3))
+    assert path.read_bytes() == (
+        b'{"algo": 3, "descriptor": "g1[3,1,1,1]", "elapsed_ms": 12, "exact": false, '
+        b'"invariant": "DA", "timestamp": "2026-01-01T00:00:00+00:00", '
+        b'"tool_version": "0.1.0", "v": 1, "value": 7, "weight_set": [1, 4], '
+        b'"witness": ["a", "b^2"]}\n')
 
 
 def test_get_on_missing_file(tmp_path):
@@ -143,8 +193,8 @@ def test_cache_records_keeps_only_wanted_keys(tmp_path):
     with pytest.warns(UserWarning, match="corrupted"):
         for key in wanted:
             one = cache_get(path, *key)
-            assert (asdict(one) if one else None) == \
-                (asdict(got[key]) if key in got else None)
+            assert (vars(one) if one else None) == \
+                (vars(got[key]) if key in got else None)
 
 
 def test_search_records_need_the_current_algo(tmp_path):
@@ -199,7 +249,7 @@ def _lookup(lookup, path, keys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         hits = lookup(path, keys)
-    return {k: asdict(r) for k, r in hits.items()}, [str(w.message) for w in caught]
+    return {k: vars(r) for k, r in hits.items()}, [str(w.message) for w in caught]
 
 
 # Descriptors of the mixed file: plain ones, one JSON escapes (a quote) and
@@ -221,7 +271,7 @@ def _mixed_record(rng) -> ResultRecord:
 
 
 def _canonical(record: ResultRecord) -> bytes:
-    return json.dumps(asdict(record), sort_keys=True).encode()
+    return json.dumps(vars(record), sort_keys=True).encode()
 
 
 def _write_mixed_cache(path, seed: int, lines: int = 400) -> None:
@@ -234,7 +284,7 @@ def _write_mixed_cache(path, seed: int, lines: int = 400) -> None:
         if kind == "put":
             cache_put(path, record)
             continue
-        fields = asdict(record)
+        fields = dict(vars(record))
         desc = record.descriptor
         if kind == "unsorted":
             line = json.dumps(fields).encode()
@@ -335,7 +385,7 @@ def test_a_lookup_parses_only_lines_that_can_hold_a_wanted_key(tmp_path, monkeyp
         if roll > 0.95:  # no cache_put head: compact separators
             expected += 1
             with open(path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(record), sort_keys=True,
+                fh.write(json.dumps(vars(record), sort_keys=True,
                                     separators=(",", ":")) + "\n")
         else:
             cache_put(path, record)

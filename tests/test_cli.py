@@ -259,22 +259,41 @@ def test_witness_reads_the_clock(capsys, monkeypatch):
     assert code == 0 and doc["elapsed_ms"] == 250
 
 
-@pytest.mark.parametrize("text, theorem", [("m2[2048]", "7"), ("g1[3,2,2,1]", "6")])
-def test_witness_builds_the_group_once(text, theorem, capsys, monkeypatch):
-    """The construction and the check share one table: the command holds the
-    group while the witness is built on it."""
+def _count_builds(monkeypatch) -> list[str]:
+    """The names groups._pc_group builds from now on, one entry a call."""
     from davlab import groups
     calls = []
+    pc_group = groups._pc_group
 
     def counted(name, pc):
         calls.append(name)
         return pc_group(name, pc)
 
-    pc_group = groups._pc_group
     monkeypatch.setattr(groups, "_pc_group", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, theorem", [("m2[2048]", "7"), ("g1[3,2,2,1]", "6")])
+def test_witness_builds_the_group_once(text, theorem, capsys, monkeypatch):
+    """The construction and the check share one table: the command holds the
+    group while the witness is built on it."""
+    calls = _count_builds(monkeypatch)
     code, doc = run_json(capsys, "witness", text, f"--theorem={theorem}", "--verify", "--json")
     assert code == 0 and doc["ordered_free"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, err", [
+    ("m2[2048]", "error: m2[2048]: theorem 6 covers g1, g2, g3\n"),
+    ("g1[3,2,2,2]", "error: g1[3,2,2,2]: verified construction needs gamma = 1 (pass "
+                    "allow_unverified, or --unverified-explore on the command line, "
+                    "to explore)\n"),
+], ids=["wrong_family", "out_of_scope"])
+def test_witness_refusal_builds_no_table(text, err, capsys, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    assert main(["witness", text, "--theorem=6"]) == 1
+    assert capsys.readouterr().err == err
+    assert calls == []
 
 
 def test_witness_scope_error_and_override(capsys):
@@ -416,7 +435,8 @@ def test_import_cli_leaves_out_jsonschema():
 
 # Runs `davlab <argv>` in this interpreter, then prints as the last line of
 # stderr which of the modules a warm run does without it imported: numpy and
-# the table builder, and datetime, which only a new cache record needs.
+# the table builder; datetime, which only a new cache record needs; and
+# dataclasses with the inspect it loads, which only the table modules use.
 _WARM_FREE_MODULES_PROBE = """
 import json, sys
 from davlab.cli import main
@@ -424,16 +444,17 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps(sorted({"numpy", "davlab.groups", "datetime"} & set(sys.modules))),
+print(json.dumps(sorted({"numpy", "davlab.groups", "datetime", "dataclasses", "inspect"}
+                        & set(sys.modules))),
       file=sys.stderr)
 sys.exit(code)
 """
-_COLD = ["datetime", "davlab.groups", "numpy"]
+_COLD = ["dataclasses", "datetime", "davlab.groups", "inspect", "numpy"]
 
 
 def _warm_free_modules_after(*argv) -> list[str]:
-    """numpy, davlab.groups and datetime, as far as a fresh `davlab argv`
-    imported them."""
+    """numpy, davlab.groups, datetime, dataclasses and inspect, as far as a
+    fresh `davlab argv` imported them."""
     done = _python("-c", _WARM_FREE_MODULES_PROBE, *argv)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stderr.splitlines()[-1])
@@ -441,7 +462,8 @@ def _warm_free_modules_after(*argv) -> list[str]:
 
 def test_import_davlab_and_cli_leave_out_numpy():
     done = _python("-c", "import sys, davlab, davlab.cli; "
-                         "loaded = {'numpy', 'davlab.groups', 'datetime'} & set(sys.modules); "
+                         "loaded = {'numpy', 'davlab.groups', 'datetime', 'dataclasses', "
+                         "'inspect'} & set(sys.modules); "
                          "sys.exit(f'imported {sorted(loaded)}' if loaded else 0)")
     assert done.returncode == 0, done.stderr
 

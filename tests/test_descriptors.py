@@ -136,3 +136,32 @@ def test_str_shortens_long_parameters_and_canonical_stays_exact():
     with pytest.raises(ConstraintError) as err:
         validate_descriptor(make_descriptor("sd", huge))
     assert str(err.value) == "sd[999...998 (3001 digits)]: requires order 8n with n >= 2"
+
+
+def test_descriptor_is_a_value():
+    a, b = parse_descriptor("g1[3,2,1,1]"), make_descriptor("g1", 3, 2, 1, 1)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, parse_descriptor("g1[3,1,1,1]")}) == 2
+    assert a != parse_descriptor("g2[3,2,1,1]") and a != ("g1", a.params)
+    assert hash(a) == hash(("g1", (("p", 3), ("alpha", 2), ("beta", 1), ("gamma", 1))))
+
+
+def test_descriptor_fields_cannot_be_assigned():
+    d = parse_descriptor("q[8]")
+    for name in ("family", "params", "other"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, "c")
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    assert d.canonical() == "q[8]"
+
+
+def test_descriptor_repr_is_unchanged():
+    assert repr(parse_descriptor("q[8]")) == "GroupDescriptor(family='q', params=(('order', 8),))"
+
+
+def test_descriptor_survives_pickle():
+    import pickle
+    d = parse_descriptor("g3[3,3,2,2,1]")
+    got = pickle.loads(pickle.dumps(d))
+    assert got == d and hash(got) == hash(d) and repr(got) == repr(d)
