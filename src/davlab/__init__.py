@@ -32,11 +32,9 @@ _EXPORTS = {
                 "is_ordered_free", "is_product_one", "is_unordered_free", "is_weighted_free",
                 "min_weight_set", "olson_white_bound", "reach_extend"),
     "numtheory": ("half_exponent", "is_prime", "least_qnr", "legendre_symbol"),
-    "theory": ("expected_davenport", "loewy_formula", "witness_plan"),
+    "theory": ("constructions", "expected_davenport", "loewy_formula", "witness_plan"),
     "witnesses": ("CongruenceSystem", "WitnessSpec", "congruence_oracle",
-                  "congruence_system", "discriminant_check", "witness_dicyclic_sd",
-                  "witness_for_theorem", "witness_g1", "witness_g2", "witness_g3",
-                  "witness_two_power"),
+                  "congruence_system", "discriminant_check", "witness_for_theorem"),
     "cache": ("ResultRecord", "cache_get", "cache_path", "cache_put"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

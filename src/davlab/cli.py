@@ -242,11 +242,10 @@ def _cmd_witness(args) -> int:
     from . import groups, witnesses, zerosum
     t0 = time.perf_counter()
     desc = parse_descriptor(args.descriptor)
-    witnesses.check_theorem(desc, args.theorem, args.unverified_explore)  # no table to refuse
-    group = groups.build(desc)  # held, so the witness construction shares it
     spec = witnesses.witness_for_theorem(desc, args.theorem, args.unverified_explore)
+    group = groups.build(desc)
     seq = spec.sequence(group)
-    in_scope = witness_plan(desc)[1]
+    in_scope = spec.proven
     free = oracle = None
     if args.verify:
         free = zerosum.is_ordered_free(seq)

@@ -1,5 +1,6 @@
-"""Closed forms over descriptor parameters: size caps, witness plans, proven
-Davenport values and Loewy lengths.
+"""Closed forms over descriptor parameters: size caps, which witness
+construction covers each descriptor, proven Davenport values and Loewy
+lengths.
 
 Nothing here builds a table. Like descriptors, cache and numtheory, this
 module imports neither numpy nor dataclasses, so a command that only reads
@@ -22,21 +23,32 @@ DEFAULT_ORDERED_CAP = 64
 # extremal; g2 is proven throughout.
 _PROVEN_SCOPE = {"g1": "gamma", "g3": "sigma"}
 
+# What each witness construction covers, as its refusals name it.
+COVERAGE = {1: "q and sd", 6: "g1, g2, g3", 7: "d, q, sd, m2 of order 2^r with r >= 3"}
 
-def witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
-    """(theorem, proven) of the construction covering a valid descriptor, or
-    None when there is none: theorem 7 for the order-2^r d, q, sd and m2
-    groups of order at least 8, theorem 1 for the other q and sd orders,
-    theorem 6 for g1, g2 and g3, proven only inside _PROVEN_SCOPE."""
+
+def constructions(desc: GroupDescriptor) -> dict[int, bool]:
+    """theorem -> proven for every construction covering a valid descriptor,
+    the preferred one first: theorem 7 for the order-2^r d, q, sd and m2
+    groups of order at least 8, theorem 1 for every q and sd order, theorem 6
+    for g1, g2 and g3, proven only inside _PROVEN_SCOPE."""
     f = desc.family
+    covers = {}
     if f in ("d", "q", "sd", "m2"):
         order = desc["order"]
         if order & (order - 1) == 0 and order >= 8:
-            return (7, True)
-        return (1, True) if f in ("q", "sd") else None
-    if f in ("g1", "g2", "g3"):
-        return (6, f not in _PROVEN_SCOPE or desc[_PROVEN_SCOPE[f]] == 1)
-    return None
+            covers[7] = True
+        if f in ("q", "sd"):
+            covers[1] = True
+    elif f in ("g1", "g2", "g3"):
+        covers[6] = f not in _PROVEN_SCOPE or desc[_PROVEN_SCOPE[f]] == 1
+    return covers
+
+
+def witness_plan(desc: GroupDescriptor) -> tuple[int, bool] | None:
+    """(theorem, proven) of the preferred construction covering a valid
+    descriptor (the first of constructions), or None when there is none."""
+    return next(iter(constructions(desc).items()), None)
 
 
 def olson_white(order: int) -> int:

@@ -1,10 +1,16 @@
 """Extremal product-one-free sequences and their number-theoretic cross-checks.
 
-Each family below has a block sequence k^(x_max) l^(y_max) m^(z_max) n^(w_max)
-whose freeness is equivalent to a small congruence system having only the
-all-zero solution inside the block ranges. Both routes are implemented: the
-group-table route (fold the reach set) and the arithmetic route (exhaustive
-enumeration of the system), and they must agree wherever both run.
+witness_for_theorem plans the sequence of a construction over a descriptor
+without building anything: it refuses what theory.constructions does not
+cover, then fixes the case tag and the block multiplicities from the
+parameters. The plan's methods find each block's element on the group the
+caller passes in, which must be the descriptor's own.
+
+The g1 and g3 block sequences k^(x_max) l^(y_max) m^(z_max) n^(w_max) are
+free exactly when a small congruence system has only the all-zero solution
+inside the block ranges. Both routes are implemented: the group-table route
+(fold the reach set) and the arithmetic route (exhaustive enumeration of the
+system), and they must agree wherever both run.
 
 Exponents written over 2 (like c^(1/2)) resolve through the inverse of 2
 modulo the order of the base element.
@@ -18,10 +24,9 @@ import numpy as np
 
 from .descriptors import GroupDescriptor, validate_descriptor
 from .errors import BudgetExceededError, DavlabError
-from .groups import FiniteGroup, build
+from .groups import FiniteGroup
 from .numtheory import half_exponent, least_qnr, legendre_symbol
-# expected_davenport is kept importable from here
-from .theory import _PROVEN_SCOPE, expected_davenport, witness_plan
+from .theory import _PROVEN_SCOPE, COVERAGE, constructions
 from .zerosum import Sequence
 
 RANGE_CAP = 10_000
@@ -33,20 +38,30 @@ _BLOCK_TUPLES = 1 << 17
 
 @dataclass
 class WitnessSpec:
-    """A block sequence over a built group, kept in block order."""
+    """A block sequence planned over a descriptor, kept in block order."""
 
     descriptor: GroupDescriptor
     case_tag: str
-    elements: dict[str, int]        # block name -> element index
+    proven: bool
     multiplicities: dict[str, int]  # block name -> repeat count
 
     @property
     def length(self) -> int:
         return sum(self.multiplicities.values())
 
+    def elements(self, group: FiniteGroup) -> dict[str, int]:
+        """Block name -> element index on the descriptor's group; a group of
+        another descriptor is refused."""
+        desc = self.descriptor
+        if group.name != desc.canonical():
+            raise DavlabError(f"{desc}: witness asked on the group {group.name}")
+        if desc.family in _BLOCKS:
+            return _BLOCKS[desc.family](group, desc["p"])
+        return {name: group.generators[name] for name in self.multiplicities}
+
     def sequence(self, group: FiniteGroup) -> Sequence:
         terms: list[int] = []
-        for name, element in self.elements.items():
+        for name, element in self.elements(group).items():
             terms.extend([element] * self.multiplicities[name])
         return Sequence(group, tuple(terms))
 
@@ -56,171 +71,84 @@ class WitnessSpec:
     def block_labels(self, group: FiniteGroup) -> list[str]:
         """One 'label ^count' entry per block, e.g. ['y ^3', 'x ^1']."""
         return [f"{group.labels[el]} ^{self.multiplicities[name]}"
-                for name, el in self.elements.items()]
+                for name, el in self.elements(group).items()]
 
 
-def _require_proven(desc: GroupDescriptor, allow_unverified: bool) -> None:
-    if not allow_unverified and not witness_plan(desc)[1]:
-        raise DavlabError(
-            f"{desc}: verified construction needs "
-            f"{_PROVEN_SCOPE[desc.family]} = 1 (pass allow_unverified, or "
-            "--unverified-explore on the command line, to explore)")
+def witness_for_theorem(desc: GroupDescriptor, theorem: int,
+                        allow_unverified: bool = False) -> WitnessSpec:
+    """The plan of a construction over a descriptor, building no table.
 
-
-def _metacyclic_witness(desc: GroupDescriptor, tag: str, normal: str,
-                        other: str) -> WitnessSpec:
-    """normal^(o(normal)-1) other^(index-1) over a metacyclic family, where
-    the normal generator spans a cyclic normal subgroup of that index."""
-    group = build(desc)
-    y, x = group.generators[normal], group.generators[other]
-    order = group.element_order(y)
-    return WitnessSpec(desc, tag, {normal: y, other: x},
-                       {normal: order - 1, other: group.order // order - 1})
-
-
-def _dicyclic_sd_tag(desc: GroupDescriptor) -> str:
-    """The case tag of witness_dicyclic_sd, or its refusal."""
-    validate_descriptor(desc)
-    tags = {"q": "dicyclic", "sd": "semidihedral"}
-    if desc.family not in tags:
-        raise DavlabError(f"{desc}: construction covers q and sd only")
-    return tags[desc.family]
-
-
-def _check_two_power(desc: GroupDescriptor) -> None:
-    """The refusals of witness_two_power."""
-    validate_descriptor(desc)
-    if desc.family not in ("d", "q", "sd", "m2"):
-        raise DavlabError(f"{desc}: construction covers d, q, sd, m2")
-    order = desc["order"]
-    if order & (order - 1) != 0 or order < 8:
-        raise DavlabError(f"{desc}: needs order 2^r with r >= 3")
-
-
-def _check_class_two(desc: GroupDescriptor, family: str,
-                     allow_unverified: bool = False) -> None:
-    """The refusals of witness_g1, witness_g2 and witness_g3 (g2 is proven
-    throughout)."""
-    validate_descriptor(desc)
-    if desc.family != family:
-        raise DavlabError(f"{desc}: {family} construction only")
-    _require_proven(desc, allow_unverified)
-
-
-def witness_dicyclic_sd(desc: GroupDescriptor) -> WitnessSpec:
-    """y^(2n-1) x over the dicyclic group of order 4n, y^(4n-1) x over the
-    semidihedral group of order 8n; length is ceil((|G|+1)/2) - 1."""
-    return _metacyclic_witness(desc, _dicyclic_sd_tag(desc), "y", "x")
-
-
-def witness_two_power(desc: GroupDescriptor) -> WitnessSpec:
-    """y^(2^(r-1)-1) x over the order-2^r dihedral, dicyclic, semidihedral and
-    modular maximal-cyclic families; length 2^(r-1)."""
-    _check_two_power(desc)
-    return _metacyclic_witness(desc, "two_group", "y", "x")
-
-
-def witness_g1(desc: GroupDescriptor, allow_unverified: bool = False) -> WitnessSpec:
-    """k^(p^a-1) l^(p^b-1) m^(p^g-1) n^(p^g-1) over the g1 family.
-
-    For p = 3 mod 4: k = a^-1 b c^(1/2), l = b^-1, m = a, n = a^2 b^-1 c.
-    For p = 1 mod 4 with q the least non-residue: m becomes a b^q c^(-q/2)
-    and n = a. Only gamma = 1 is a verified extremal case; larger gamma needs
-    allow_unverified and the result carries no length guarantee.
+    Theorem 1: y^(|G|/2-1) x over the dicyclic and semidihedral groups of any
+    order, length ceil((|G|+1)/2) - 1. Theorem 7: the same blocks over the
+    order-2^r d, q, sd and m2 groups, length 2^(r-1). Theorem 6: a^(p^a-1)
+    b^(p^b-1) over g2, and k^(p^a-1) l^(p^b-1) m^(p^e-1) n^(p^e-1) over g1
+    (e = gamma) and g3 (e = sigma), their elements given by _g1_blocks and
+    _g3_blocks. Raises DavlabError for an invalid descriptor, a theorem that
+    does not cover it, or a construction outside its proven scope unless
+    allow_unverified; an unproven plan carries no length guarantee.
     """
-    _check_class_two(desc, "g1", allow_unverified)
+    validate_descriptor(desc)
+    if theorem not in COVERAGE:
+        raise DavlabError(f"no witness construction labeled {theorem} (use 1, 6 or 7)")
+    proven = constructions(desc).get(theorem)
+    if proven is None:
+        raise DavlabError(f"{desc}: theorem {theorem} covers {COVERAGE[theorem]}")
+    f = desc.family
+    if not (proven or allow_unverified):
+        raise DavlabError(
+            f"{desc}: verified construction needs {_PROVEN_SCOPE[f]} = 1 (pass "
+            "allow_unverified, or --unverified-explore on the command line, to explore)")
+    if theorem in (1, 7):
+        tag = "two_group" if theorem == 7 else {"q": "dicyclic", "sd": "semidihedral"}[f]
+        return WitnessSpec(desc, tag, proven, {"y": desc["order"] // 2 - 1, "x": 1})
     p = desc["p"]
-    group = build(desc)
+    pa, pb = p ** desc["alpha"], p ** desc["beta"]
+    if f == "g2":
+        return WitnessSpec(desc, "g2", proven, {"a": pa - 1, "b": pb - 1})
+    pe = p ** desc["gamma" if f == "g1" else "sigma"]
+    tag = f"{f}_3mod4" if p % 4 == 3 else f"{f}_1mod4"
+    return WitnessSpec(desc, tag, proven, {"k": pa - 1, "l": pb - 1, "m": pe - 1, "n": pe - 1})
+
+
+def _g1_blocks(group: FiniteGroup, p: int) -> dict[str, int]:
+    """For p = 3 mod 4: k = a^-1 b c^(1/2), l = b^-1, m = a, n = a^2 b^-1 c.
+    For p = 1 mod 4 with q the least non-residue: m becomes a b^q c^(-q/2)
+    and n = a."""
     a, b, c = group.generators["a"], group.generators["b"], group.generators["c"]
     oc = group.element_order(c)
     half = half_exponent(1, oc)
     k = group.product([group.inv(a), b, group.pow(c, half)])
     l = group.inv(b)
     if p % 4 == 3:
-        tag = "g1_3mod4"
         m = a
         n = group.product([group.pow(a, 2), group.inv(b), c])
     else:
-        tag = "g1_1mod4"
         q = least_qnr(p)
         m = group.product([a, group.pow(b, q),
                            group.pow(c, half_exponent(-q % oc, oc))])
         n = a
-    pg = p ** desc["gamma"]
-    return WitnessSpec(desc, tag, {"k": k, "l": l, "m": m, "n": n},
-                       {"k": p ** desc["alpha"] - 1, "l": p ** desc["beta"] - 1,
-                        "m": pg - 1, "n": pg - 1})
+    return {"k": k, "l": l, "m": m, "n": n}
 
 
-def witness_g2(desc: GroupDescriptor) -> WitnessSpec:
-    """a^(p^a - 1) b^(p^b - 1) over the g2 family; length L - 1."""
-    _check_class_two(desc, "g2")
-    return _metacyclic_witness(desc, "g2", "a", "b")
-
-
-def witness_g3(desc: GroupDescriptor, allow_unverified: bool = False) -> WitnessSpec:
-    """k^(p^a-1) l^(p^b-1) m^(p^s-1) n^(p^s-1) over the g3 family.
-
-    For p = 3 mod 4: k = a^-1, l = b, m = a b w^(-1/2), n = a^2 b w^-1 with
-    w = [a, b]. For p = 1 mod 4: m = a b^(q+1) w^(-(q+1)/2), n = a b w^(-1/2).
-    Only sigma = 1 is a verified extremal case.
-    """
-    _check_class_two(desc, "g3", allow_unverified)
-    p = desc["p"]
-    group = build(desc)
+def _g3_blocks(group: FiniteGroup, p: int) -> dict[str, int]:
+    """For p = 3 mod 4: k = a^-1, l = b, m = a b w^(-1/2), n = a^2 b w^-1 with
+    w = [a, b]. For p = 1 mod 4: m = a b^(q+1) w^(-(q+1)/2), n = a b w^(-1/2)."""
     a, b = group.generators["a"], group.generators["b"]
     w = group.commutator(a, b)
     ow = group.element_order(w)
-    k = group.inv(a)
-    l = b
     if p % 4 == 3:
-        tag = "g3_3mod4"
         m = group.product([a, b, group.pow(w, half_exponent(-1 % ow, ow))])
         n = group.product([group.pow(a, 2), b, group.inv(w)])
     else:
-        tag = "g3_1mod4"
         q = least_qnr(p)
         m = group.product([a, group.pow(b, q + 1),
                            group.pow(w, half_exponent(-(q + 1) % ow, ow))])
         n = group.product([a, b, group.pow(w, half_exponent(-1 % ow, ow))])
-    ps = p ** desc["sigma"]
-    return WitnessSpec(desc, tag, {"k": k, "l": l, "m": m, "n": n},
-                       {"k": p ** desc["alpha"] - 1, "l": p ** desc["beta"] - 1,
-                        "m": ps - 1, "n": ps - 1})
+    return {"k": group.inv(a), "l": b, "m": m, "n": n}
 
 
-def check_theorem(desc: GroupDescriptor, theorem: int,
-                  allow_unverified: bool = False) -> None:
-    """Raise the refusal witness_for_theorem gives this request, if any,
-    building no table: an invalid descriptor first, then a theorem that does
-    not cover it."""
-    validate_descriptor(desc)
-    if theorem == 1:
-        _dicyclic_sd_tag(desc)
-    elif theorem == 7:
-        _check_two_power(desc)
-    elif theorem == 6 and desc.family in ("g1", "g2", "g3"):
-        _check_class_two(desc, desc.family, allow_unverified)
-    elif theorem == 6:
-        raise DavlabError(f"{desc}: theorem 6 covers g1, g2, g3")
-    else:
-        raise DavlabError(f"no witness construction labeled {theorem} (use 1, 6 or 7)")
-
-
-def witness_for_theorem(desc: GroupDescriptor, theorem: int,
-                        allow_unverified: bool = False) -> WitnessSpec:
-    """Dispatch for the CLI: 1 covers q/sd at any admissible order, 6 covers
-    the odd-prime class-two families, 7 the order-2^r families."""
-    check_theorem(desc, theorem, allow_unverified)
-    if theorem == 1:
-        return witness_dicyclic_sd(desc)
-    if theorem == 7:
-        return witness_two_power(desc)
-    if desc.family == "g1":
-        return witness_g1(desc, allow_unverified)
-    if desc.family == "g2":
-        return witness_g2(desc)
-    return witness_g3(desc, allow_unverified)
+# The families whose blocks are not named generators.
+_BLOCKS = {"g1": _g1_blocks, "g3": _g3_blocks}
 
 
 # --- congruence systems ---------------------------------------------------------

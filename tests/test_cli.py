@@ -275,8 +275,8 @@ def _count_builds(monkeypatch) -> list[str]:
 
 @pytest.mark.parametrize("text, theorem", [("m2[2048]", "7"), ("g1[3,2,2,1]", "6")])
 def test_witness_builds_the_group_once(text, theorem, capsys, monkeypatch):
-    """The construction and the check share one table: the command holds the
-    group while the witness is built on it."""
+    """The witness plan builds nothing; the command builds the table once
+    and finds the witness's elements on it."""
     calls = _count_builds(monkeypatch)
     code, doc = run_json(capsys, "witness", text, f"--theorem={theorem}", "--verify", "--json")
     assert code == 0 and doc["ordered_free"] is True

@@ -1,13 +1,14 @@
 import dataclasses
+import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from davlab import (build, congruence_oracle, congruence_system, discriminant_check,
+from davlab import (build, congruence_oracle, constructions, congruence_system, discriminant_check,
                     expected_davenport, is_ordered_free, is_prime, loewy_formula,
-                    parse_descriptor, witness_dicyclic_sd, witness_for_theorem,
-                    witness_g1, witness_g2, witness_g3, witness_plan, witness_two_power)
+                    parse_descriptor, witness_for_theorem, witness_plan)
 from davlab.descriptors import validate_descriptor
 from davlab.errors import BudgetExceededError, DavlabError
 from davlab.numtheory import least_qnr
@@ -15,13 +16,13 @@ from davlab.witnesses import RANGE_CAP, CongruenceSystem, _solution_count
 
 
 def labels_of(spec, G):
-    return {name: G.labels[el] for name, el in spec.elements.items()}
+    return {name: G.labels[el] for name, el in spec.elements(G).items()}
 
 
 def _describe_by_blocks(spec, G) -> str:
     """WitnessSpec.describe as first written: one piece per block."""
     parts = []
-    for name, el in spec.elements.items():
+    for name, el in spec.elements(G).items():
         count = spec.multiplicities[name]
         label = G.labels[el]
         parts.append(label if count == 1 else f"({label})^{count}")
@@ -31,7 +32,7 @@ def _describe_by_blocks(spec, G) -> str:
 def test_dicyclic_witnesses(grp):
     for text, length in (("q[8]", 4), ("q[12]", 6), ("q[20]", 10)):
         desc = parse_descriptor(text)
-        spec = witness_dicyclic_sd(desc)
+        spec = witness_for_theorem(desc, 1)
         G = grp(text)
         assert spec.length == length
         seq = spec.sequence(G)
@@ -42,7 +43,7 @@ def test_dicyclic_witnesses(grp):
 
 def test_semidihedral_witness(grp):
     desc = parse_descriptor("sd[16]")
-    spec = witness_dicyclic_sd(desc)
+    spec = witness_for_theorem(desc, 1)
     assert spec.length == 8
     assert is_ordered_free(spec.sequence(grp("sd[16]")))
 
@@ -50,7 +51,7 @@ def test_semidihedral_witness(grp):
 def test_two_power_witnesses(grp):
     for text, length in (("d[8]", 4), ("q[16]", 8), ("sd[32]", 16), ("m2[16]", 8)):
         desc = parse_descriptor(text)
-        spec = witness_two_power(desc)
+        spec = witness_for_theorem(desc, 7)
         G = grp(text)
         assert spec.length == length
         assert is_ordered_free(spec.sequence(G))
@@ -60,22 +61,22 @@ def test_two_power_witnesses(grp):
 def test_sd16_same_sequence_under_both_constructions(grp):
     desc = parse_descriptor("sd[16]")
     G = grp("sd[16]")
-    s1 = witness_dicyclic_sd(desc).sequence(G)
-    s7 = witness_two_power(desc).sequence(G)
+    s1 = witness_for_theorem(desc, 1).sequence(G)
+    s7 = witness_for_theorem(desc, 7).sequence(G)
     assert s1.terms == s7.terms
 
 
 def test_two_power_rejects_non_power(grp):
     with pytest.raises(DavlabError):
-        witness_two_power(parse_descriptor("q[12]"))
+        witness_for_theorem(parse_descriptor("q[12]"), 7)
     with pytest.raises(DavlabError):
-        witness_dicyclic_sd(parse_descriptor("d[8]"))
+        witness_for_theorem(parse_descriptor("d[8]"), 1)
 
 
 def test_witness_g1_p3_elements(grp):
     desc = parse_descriptor("g1[3,1,1,1]")
     G = grp("g1[3,1,1,1]")
-    spec = witness_g1(desc)
+    spec = witness_for_theorem(desc, 6)
     assert spec.case_tag == "g1_3mod4"
     words = labels_of(spec, G)
     # a^-1 b c^(1/2) = a^2 b c^2, b^-1 = b^2, m = a, n = a^2 b^-1 c
@@ -88,7 +89,7 @@ def test_witness_g1_p3_elements(grp):
 def test_witness_g1_p5_uses_non_residue(grp):
     desc = parse_descriptor("g1[5,1,1,1]")
     G = grp("g1[5,1,1,1]")
-    spec = witness_g1(desc)
+    spec = witness_for_theorem(desc, 6)
     assert spec.case_tag == "g1_1mod4"
     words = labels_of(spec, G)
     # q = 2: m = a b^2 c^(-q/2) with -1 = 4 mod 5
@@ -101,27 +102,27 @@ def test_witness_g1_p5_uses_non_residue(grp):
 def test_witness_g1_gamma_scope(grp):
     desc = parse_descriptor("g1[3,2,2,2]")
     with pytest.raises(DavlabError, match="gamma = 1"):
-        witness_g1(desc)
-    spec = witness_g1(desc, allow_unverified=True)
+        witness_for_theorem(desc, 6)
+    spec = witness_for_theorem(desc, 6, allow_unverified=True)
     assert spec.length == 3 ** 2 + 3 ** 2 + 2 * 3 ** 2 - 4
 
 
 def test_witness_g2(grp):
     desc = parse_descriptor("g2[3,2,1,1]")
     G = grp("g2[3,2,1,1]")
-    spec = witness_g2(desc)
+    spec = witness_for_theorem(desc, 6)
     seq = spec.sequence(G)
     assert spec.length == 10 == loewy_formula(desc) - 1
     assert seq.terms == (G.generators["a"],) * 8 + (G.generators["b"],) * 2
     assert is_ordered_free(seq)
-    bigger = witness_g2(parse_descriptor("g2[3,2,2,1]"))
+    bigger = witness_for_theorem(parse_descriptor("g2[3,2,2,1]"), 6)
     assert bigger.length == 16
 
 
 def test_witness_g3(grp):
     desc = parse_descriptor("g3[3,3,2,2,1]")
     G = grp("g3[3,3,2,2,1]")
-    spec = witness_g3(desc)
+    spec = witness_for_theorem(desc, 6)
     assert spec.case_tag == "g3_3mod4"
     assert spec.length == 38 == loewy_formula(desc) - 1
     assert is_ordered_free(spec.sequence(G))
@@ -135,7 +136,7 @@ def test_witness_g3(grp):
 
 def test_witness_g3_sigma_scope():
     with pytest.raises(DavlabError, match="sigma = 1"):
-        witness_g3(parse_descriptor("g3[3,4,3,3,2]"))
+        witness_for_theorem(parse_descriptor("g3[3,4,3,3,2]"), 6)
 
 
 def test_witness_length_plus_one_is_formula():
@@ -197,9 +198,87 @@ def test_witness_plan_scope():
     assert witness_plan(parse_descriptor("g3[3,4,3,3,2]")) == (6, False)  # above ORDER_CAP
 
 
+def test_constructions_are_what_witness_for_theorem_accepts():
+    assert list(constructions(parse_descriptor("q[16]")).items()) == [(7, True), (1, True)]
+    assert constructions(parse_descriptor("d[12]")) == {}
+    for text in PLAN_GRID:
+        desc = parse_descriptor(text)
+        covers = constructions(desc)
+        for theorem, allow in itertools.product((1, 2, 6, 7), (False, True)):
+            try:
+                proven = witness_for_theorem(desc, theorem, allow).proven
+            except DavlabError:
+                proven = None
+            if theorem in covers and (covers[theorem] or allow):
+                assert proven == covers[theorem], (text, theorem, allow)
+            else:
+                assert proven is None, (text, theorem, allow)
+
+
 def test_block_labels(grp):
     G = grp("d[8]")
-    assert witness_two_power(parse_descriptor("d[8]")).block_labels(G) == ["y ^3", "x ^1"]
+    assert witness_for_theorem(parse_descriptor("d[8]"), 7).block_labels(G) == ["y ^3", "x ^1"]
+
+
+@pytest.mark.parametrize("text, theorem, allow", [
+    ("m2[2048]", 7, False), ("g1[3,2,2,1]", 6, False), ("g1[3,2,2,2]", 6, True),
+    ("m2[2048]", 6, False), ("g1[3,2,2,2]", 6, False), ("q[12]", 7, False),
+    ("g3[3,4,3,3,2]", 6, True), ("d[6]", 2, False)])
+def test_witness_for_theorem_builds_no_table(text, theorem, allow, monkeypatch):
+    """Accepted or refused, the plan is made from the descriptor alone."""
+    from test_cli import _count_builds
+    calls = _count_builds(monkeypatch)
+    try:
+        witness_for_theorem(parse_descriptor(text), theorem, allow)
+    except DavlabError:
+        pass
+    assert calls == []
+
+
+def test_witness_refuses_the_group_of_another_descriptor(grp):
+    spec = witness_for_theorem(parse_descriptor("g1[3,1,1,1]"), 6)
+    for other in ("q[8]", "g1[5,1,1,1]"):
+        G = grp(other)
+        for method in (spec.sequence, spec.describe, spec.block_labels):
+            with pytest.raises(DavlabError, match=rf"g1\[3,1,1,1\]: .*{re.escape(other)}"):
+                method(G)
+
+
+def _digest_grid() -> list[str]:
+    """The four acceptance scans and every family at primes 3, 5, 7 up to
+    order 729."""
+    from davlab import cli
+    from test_groups import SCAN_GROUPS
+    everything = cli._grid(["d", "q", "sd", "m2", "g1", "g2", "g3"], [3, 5, 7], 729, [])
+    return sorted({*SCAN_GROUPS, *(d.canonical() for d in everything)})
+
+
+# Per family: the accepted (descriptor, theorem, allow_unverified) requests
+# over _digest_grid, and the digest of their case tags, lengths and block
+# labels, as the per-construction builders gave them.
+WITNESS_DIGESTS = {
+    "d": (14, "b223554501a38747"), "g1": (19, "3d98d8fa08cf5d82"),
+    "g2": (30, "c15f62ca5a951f8e"), "g3": (2, "0dd9a39917b5833b"),
+    "m2": (12, "25bebb657bf10f7f"), "q": (376, "6091d90cc7d51966"),
+    "sd": (192, "b68cc7d4d0c8e661"),
+}
+
+
+def test_witnesses_match_the_pinned_digests():
+    lines: dict[str, list[str]] = {}
+    for text in _digest_grid():
+        desc = parse_descriptor(text)
+        for theorem, allow in itertools.product((1, 2, 6, 7), (False, True)):
+            try:
+                spec = witness_for_theorem(desc, theorem, allow)
+            except DavlabError:
+                continue
+            labels = spec.block_labels(build(desc))
+            lines.setdefault(desc.family, []).append(
+                f"{text} {theorem} {allow} {spec.case_tag} {spec.length} {labels}")
+    digests = {family: (len(found), hashlib.sha256("\n".join(found).encode()).hexdigest()[:16])
+               for family, found in lines.items()}
+    assert digests == WITNESS_DIGESTS
 
 
 def test_congruence_system_selection():
