@@ -116,7 +116,8 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     Only lines that can hold a wanted key are parsed: a line with the
     `cache_put` head (`_HEAD`) whose descriptor no wanted key names, and
     which ends in `}`, is skipped unread. Corrupted parsed lines, such as
-    one that is not UTF-8 or not JSON, are skipped with a warning; so a
+    one that is not UTF-8 or not JSON, or whose `value` is not an int (a
+    bool counts) or `exact` not a bool, are skipped with a warning; so a
     truncated line always warns, and one corrupted after an unwanted head
     does not. A missing file has no records, and one that cannot be read
     raises CacheFileError. Records of other keys are dropped as they are
@@ -146,6 +147,9 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
                 record = ResultRecord(**{"algo": None, **json.loads(text)})
                 key = record.key()
                 # a field of the wrong type raises here too
+                if not isinstance(record.value, int) or not isinstance(record.exact, bool):
+                    raise TypeError(f"value {record.value!r} is not an int "
+                                    f"or exact {record.exact!r} not a bool")
                 if key not in wanted or _major(record.tool_version) != major:
                     continue
                 if record.invariant in _SEARCH_INVARIANTS and record.algo != SEARCH_ALGO:

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import functools
 import json
 import math
 import operator
-import os
 import re
 import sys
 import time
@@ -33,8 +31,6 @@ from .numtheory import is_prime, prime_power
 from .theory import (DEFAULT_ORDERED_CAP, ORDER_CAP, loewy_formula, olson_white,
                      witness_plan)
 from .version import __version__
-
-ENV_THREADS = "DAVLAB_THREADS"
 
 _VARIANT_INVARIANT = {"ordered": "D", "unordered": "Dprime", "E": "E", "weighted": "DA"}
 
@@ -466,10 +462,10 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
     }
 
 
-def _scan_worker(job) -> tuple[list[ResultRecord], int]:
+def _row_records(desc: GroupDescriptor, missing: list[str],
+                 budget) -> tuple[list[ResultRecord], int]:
     """Compute the missing records of one scan row: (records, elapsed ms)."""
     from . import groups, jennings, witnesses, zerosum
-    desc, missing, states, seconds = job
     t0 = time.perf_counter()
     canonical = desc.canonical()
     group = groups.build(desc)
@@ -484,7 +480,7 @@ def _scan_worker(job) -> tuple[list[ResultRecord], int]:
             canonical, "witness_check", spec.length + 1 if free else 1, free,
             witness=spec.block_labels(group)))
     if "D" in missing:
-        result = zerosum.davenport_ordered(group, _budget_from(states, seconds))
+        result = zerosum.davenport_ordered(group, budget)
         records.append(ResultRecord(
             canonical, "D", result.value, result.exact,
             witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed)))
@@ -505,38 +501,28 @@ def _cmd_scan(args) -> int:
                     "or pass --budget-states/--budget-seconds")
     path = cache_path(args.cache)
     t0 = time.perf_counter()
-    try:
-        threads = int(os.environ.get(ENV_THREADS, "1") or "1")
-    except ValueError:
-        threads = 1
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        threads = min(threads, len(os.sched_getaffinity(0)))
-    else:
-        threads = min(threads, os.cpu_count() or 1)
-
     keys = [[record_key(desc.canonical(), inv) for inv in needed]
             for desc, needed in zip(grid, needs)]
     found = {} if args.no_cache else cache_records(path, [k for ks in keys for k in ks])
     # a cached D serves only when exact; every other cached record serves as is
     known = [{r.invariant: r for r in map(found.get, ks)
               if r is not None and (r.exact or r.invariant != "D")} for ks in keys]
-    jobs = {i: (desc, [inv for inv in needs[i] if inv not in known[i]],
-                args.budget_states, args.budget_seconds)
-            for i, desc in enumerate(grid) if len(known[i]) < len(needs[i])}
-    spent: dict[int, int] = {}
-    with contextlib.ExitStack() as stack:
-        run = map
-        if threads > 1 and len(jobs) > 1:
-            import concurrent.futures
-            run = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(threads, len(jobs)))).map
-        for i, (records, spent[i]) in zip(jobs, run(_scan_worker, jobs.values())):
+    missing = [[inv for inv in needed if inv not in have]
+               for needed, have in zip(needs, known)]
+    # a set budget imports zerosum, and so numpy, which a warm scan never loads
+    budget = (_budget_from(args.budget_states, args.budget_seconds)
+              if any(missing) else None)
+    rows = []
+    for desc, need, have in zip(grid, missing, known):
+        spent = 0
+        if need:
+            records, spent = _row_records(desc, need, budget)
+            # put as each row finishes, so an interrupted scan keeps its rows
             for record in records:
-                known[i][record.invariant] = record
+                have[record.invariant] = record
                 if not args.no_cache:
                     cache_put(path, record)
-    rows = [scan_row(desc, known[i], i not in spent, spent.get(i, 0))
-            for i, desc in enumerate(grid)]
+        rows.append(scan_row(desc, have, not need, spent))
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
     counts = collections.Counter(r["status"] for r in rows)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import schema_errors
-from davlab.cache import ResultRecord
+from davlab.cache import ResultRecord, cache_records
 from davlab.cli import _grid, main, scan_row
 from davlab.numtheory import prime_power
 from davlab.theory import expected_davenport, loewy_formula, olson_white, witness_plan
@@ -593,18 +593,22 @@ def test_scan_cache_round_trip_identical(capsys, tmp_path):
     assert all(r["cached"] for r in doc2["rows"])
 
 
-def test_scan_parallel_matches_sequential(capsys, tmp_path, monkeypatch):
-    cache1 = str(tmp_path / "a.jsonl")
-    cache2 = str(tmp_path / "b.jsonl")
-    code1, doc1 = run_json(capsys, "scan", "--families=d,q", "--max-order=16",
-                           "--json", "--cache", cache1)
+def test_scan_ignores_davlab_threads(capsys, monkeypatch):
+    """scan computes its rows in its own process: DAVLAB_THREADS, once the
+    switch to a process pool, is not read."""
+    args = ("scan", "--families=d,q", "--max-order=16", "--json", "--no-cache")
+    monkeypatch.delenv("DAVLAB_THREADS", raising=False)
+    code1, doc1 = run_json(capsys, *args)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("scan started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setenv("DAVLAB_THREADS", "3")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # parallel even on one CPU
-    code2, doc2 = run_json(capsys, "scan", "--families=d,q", "--max-order=16",
-                           "--json", "--cache", cache2)
-    strip = lambda rows: [{k: v for k, v in r.items()
-                           if k not in ("elapsed_ms", "cached")} for r in rows]
-    assert strip(doc1["rows"]) == strip(doc2["rows"])
+    code2, doc2 = run_json(capsys, *args)
+    assert code1 == code2 == 0 and len(doc1["rows"]) > 3
+    assert _strip(doc2["rows"]) == _strip(doc1["rows"])
 
 
 def _strip(rows):
@@ -627,6 +631,38 @@ def test_a_cache_line_that_is_not_utf8_is_skipped(argv, tmp_path):
     assert cache.read_bytes().startswith(b"\xff\xfe garbage\n")
     rows = json.loads(done.stdout).get("rows", [json.loads(done.stdout)])
     assert all(r["cached"] for r in rows)
+
+
+@pytest.mark.parametrize("invariant, field, bad", [
+    ("L", "value", "x"), ("L", "value", None), ("L", "value", [1]),
+    ("D", "exact", "false")], ids=["L-str", "L-null", "L-list", "D-exact-str"])
+def test_a_cache_line_of_the_wrong_type_is_skipped(invariant, field, bad, capsys,
+                                                   tmp_path):
+    """A line whose value is not an int or whose exact is not a bool is a
+    corrupted line: it is skipped with a warning, never served (nor read as
+    exact), and the record is computed again."""
+    line = json.dumps({**vars(ResultRecord("q[8]", invariant, 4, True)), field: bad},
+                      sort_keys=True)
+
+    def bad_cache(name):
+        path = tmp_path / name
+        path.write_text(line + "\n")
+        return path
+
+    path = bad_cache("lookup.jsonl")
+    with pytest.warns(UserWarning, match=f"{path}:1: skipping corrupted cache line"):
+        assert cache_records(path, [("q[8]", invariant, None)]) == {}
+    with pytest.warns(UserWarning, match="corrupted"):
+        code, doc = run_json(capsys, "scan", "--families=q", "--max-order=8", "--json",
+                             "--cache", str(bad_cache("scan.jsonl")))
+    assert code == 0
+    assert [(r["descriptor"], r["status"], r["cached"]) for r in doc["rows"]] == [
+        ("q[8]", "CONFIRMED", False)]
+    with pytest.warns(UserWarning, match="corrupted"):
+        code, doc = run_json(capsys, "davenport", "q[8]", "--json",
+                             "--cache", str(bad_cache("davenport.jsonl")))
+    assert code == 0
+    assert (doc["value"], doc["exact"], doc["cached"]) == (5, True, False)
 
 
 def test_warm_scan_reads_cache_once(capsys, tmp_path, monkeypatch):
@@ -710,45 +746,6 @@ def test_scan_search_above_cap_needs_a_budget(capsys, tmp_path):
                          "--search-max-order=128", "--json", "--cache", str(cache))
     assert code == 0
     assert [r["exact_value"] for r in doc["rows"]] == [5, 9, 17]
-
-
-@pytest.mark.parametrize("threads, cpus, workers",
-                         [("64", 2, [2]), ("64", None, []), ("2", {1}, [])])
-def test_scan_threads_clamped_to_cpu_count(threads, cpus, workers, capsys, monkeypatch):
-    """N is clamped to the CPUs this process may run on: cpus is its
-    affinity set on a machine of two CPUs, or else, on a platform without
-    sched_getaffinity, what os.cpu_count() says. Pinned to one CPU of two,
-    the scan runs serially."""
-    started = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and runs
-        the rows in this process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    if isinstance(cpus, set):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    else:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setenv("DAVLAB_THREADS", threads)
-    code, doc = run_json(capsys, "scan", "--families=d,q", "--max-order=16",
-                         "--json", "--no-cache")
-    assert code == 0 and len(doc["rows"]) > 3
-    assert started == workers
 
 
 @pytest.mark.parametrize("flag", ["--budget-states", "--budget-seconds"])
