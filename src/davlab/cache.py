@@ -117,11 +117,12 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     `cache_put` head (`_HEAD`) whose descriptor no wanted key names, and
     which ends in `}`, is skipped unread. Corrupted parsed lines, such as
     one that is not UTF-8 or not JSON, or whose `value` is not an int (a
-    bool counts) or `exact` not a bool, are skipped with a warning; so a
-    truncated line always warns, and one corrupted after an unwanted head
-    does not. A missing file has no records, and one that cannot be read
-    raises CacheFileError. Records of other keys are dropped as they are
-    read, so memory grows with the keys asked for, not with the file.
+    bool counts), `exact` not a bool or `witness` not null or a list of
+    strings, are skipped with a warning; so a truncated line always warns,
+    and one corrupted after an unwanted head does not. A missing file has no
+    records, one that cannot be read raises CacheFileError. Records of other
+    keys are dropped as they are read, so memory grows with the keys asked
+    for, not with the file.
     """
     wanted = set(keys)
     wanted_heads = {key[0].encode() for key in wanted}
@@ -147,9 +148,10 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
                 record = ResultRecord(**{"algo": None, **json.loads(text)})
                 key = record.key()
                 # a field of the wrong type raises here too
-                if not isinstance(record.value, int) or not isinstance(record.exact, bool):
-                    raise TypeError(f"value {record.value!r} is not an int "
-                                    f"or exact {record.exact!r} not a bool")
+                if (not isinstance(record.value, int) or not isinstance(record.exact, bool)
+                        or not isinstance(record.witness, (list, type(None)))
+                        or not all(isinstance(w, str) for w in record.witness or ())):
+                    raise TypeError("value, exact or witness of the wrong type")
                 if key not in wanted or _major(record.tool_version) != major:
                     continue
                 if record.invariant in _SEARCH_INVARIANTS and record.algo != SEARCH_ALGO:

@@ -27,10 +27,9 @@ _PARAM_NAMES = {
     "g3": ("p", "alpha", "beta", "gamma", "sigma"),
 }
 
-GRAMMAR_HINT = (
-    "descriptors: c[n], ab[n1,n2,...], d[order], q[order], sd[order], m2[order], "
-    "g1[p,alpha,beta,gamma], g2[p,alpha,beta,gamma], g3[p,alpha,beta,gamma,sigma]"
-)
+GRAMMAR_HINT = "descriptors: " + ", ".join(
+    f"{family}[{','.join(names or ('n1', 'n2', '...'))}]"
+    for family, names in _PARAM_NAMES.items())
 
 _SHOWN_DIGITS = 40
 

@@ -52,10 +52,10 @@ class FiniteGroup:
     of one flat memoryview over the array (format 'h'), so ``table[x][y]``,
     the product x*y, is an int: index a row, slice it or take ``list(row)``
     for a list copy, but do not compare it with a list. Index 0 is the
-    identity, ``prime`` is set when the order is a prime power. ``labels[x]``
-    names element x: a built group spells its normal word on demand from a
-    read-only sequence (``list(labels)`` lists them all), a hand-made group
-    takes any sequence of strings.
+    identity, ``prime`` is p when the order is a power of p, else None.
+    ``labels[x]`` names element x: a built group spells its normal word on
+    demand from a read-only sequence (``list(labels)`` lists them all), a
+    hand-made group takes any sequence of strings.
 
     The table may be given as that array (``build``) or as rows of ints
     (lists, arrays, memoryviews); either way it is stored as int16 once every
@@ -71,8 +71,7 @@ class FiniteGroup:
                  "generators", "prime", "_orders", "_automorphisms", "__weakref__")
 
     def __init__(self, name: str, table: np.ndarray | Sequence[Sequence[int]],
-                 labels: Sequence[str], generators: dict[str, int],
-                 prime: int | None = None):
+                 labels: Sequence[str], generators: dict[str, int]):
         T = np.asarray(table)
         n = len(T)
         if n > ORDER_CAP:
@@ -92,7 +91,8 @@ class FiniteGroup:
         self.table = [flat[x * n:x * n + n] for x in range(n)]
         self.labels = labels
         self.generators = generators
-        self.prime = prime
+        pp = prime_power(n)
+        self.prime = pp[0] if pp else None
         self._orders: list[int] | None = None
         self._automorphisms: list[list[int]] | None = None  # subgroups.automorphisms
 
@@ -463,9 +463,7 @@ def _pc_group(name: str, pc: _Presentation) -> FiniteGroup:
     InternalConsistencyError is raised."""
     T = _pc_table(name, pc)
     generators = dict(zip(pc.names, _generator_indices(pc.radices)))
-    pp = prime_power(len(T))
-    group = FiniteGroup(name, T, _WordLabels(pc.names, pc.radices), generators,
-                        prime=pp[0] if pp else None)
+    group = FiniteGroup(name, T, _WordLabels(pc.names, pc.radices), generators)
     check_group_axioms(group)
     return group
 
@@ -631,7 +629,7 @@ def group_info(group: FiniteGroup) -> GroupInfo:
     """Summary invariants used by the CLI info command."""
     from .subgroups import commutator_subgroup, nilpotency_class, whole_subgroup
     G = whole_subgroup(group)
-    gamma2 = commutator_subgroup(group, G, G)
+    gamma2 = commutator_subgroup(G, G)
     return GroupInfo(
         descriptor=group.name,
         order=group.order,

@@ -31,21 +31,19 @@ from .subgroups import (Subgroup, _normalized_by, commutator_subgroup, power_set
 from .theory import loewy_formula  # the closed form, kept importable from here
 
 
-def _check_p_group(group: FiniteGroup, p: int | None) -> int:
-    pp = prime_power(group.order)
-    if pp is None:
+def _prime(group: FiniteGroup) -> int:
+    """The prime p of a p-group; raises NotAPGroupError for any other group."""
+    if group.prime is None:
         raise NotAPGroupError(f"{group.name}: order {group.order} is not a prime power")
-    if p is not None and p != pp[0]:
-        raise NotAPGroupError(f"{group.name}: order {group.order} is not a power of {p}")
-    return pp[0]
+    return group.prime
 
 
-def m_series(group: FiniteGroup, p: int | None = None) -> list[Subgroup]:
+def m_series(group: FiniteGroup) -> list[Subgroup]:
     """The chain M_1, M_2, ... down to and including the first trivial term.
 
     M_n = [M_{n-1}, G] M_{ceil(n/p)}^(p) is the previous term, carried
     without computing it, when both of its inputs equal those of M_{n-1}."""
-    p = _check_p_group(group, p)
+    p = _prime(group)
     G = whole_subgroup(group)
     series = [G]
     while not series[-1].is_trivial:
@@ -54,14 +52,15 @@ def m_series(group: FiniteGroup, p: int | None = None) -> list[Subgroup]:
         if n > 2 and series[-1] == series[-2] and source == series[(n + p - 2) // p - 1]:
             series.append(series[-1])
             continue
-        lower = commutator_subgroup(group, series[-1], G)
-        upper = power_subgroup(group, source, p)
-        series.append(product_subgroup(group, lower, upper))
+        lower = commutator_subgroup(series[-1], G)
+        upper = power_subgroup(source, p)
+        series.append(product_subgroup(lower, upper))
     return series
 
 
-def jennings_exponents(series: list[Subgroup], p: int) -> list[int]:
+def jennings_exponents(series: list[Subgroup]) -> list[int]:
     """e_i with |M_i / M_{i+1}| = p^{e_i}; zeros where the chain repeats."""
+    p = _prime(series[0].group)
     exponents = []
     for i in range(len(series) - 1):
         quotient = len(series[i]) // len(series[i + 1])
@@ -97,10 +96,9 @@ def _loewy_from(exponents: list[int], p: int) -> int:
     return 1 + (p - 1) * sum(i * e for i, e in enumerate(exponents, start=1))
 
 
-def loewy_length(group: FiniteGroup, p: int | None = None) -> int:
+def loewy_length(group: FiniteGroup) -> int:
     """1 + (p-1) * sum(i * e_i) over the computed chain."""
-    p = _check_p_group(group, p)
-    return _loewy_from(jennings_exponents(m_series(group, p), p), p)
+    return _loewy_from(jennings_exponents(m_series(group)), group.prime)
 
 
 @dataclass
@@ -116,20 +114,20 @@ class JenningsData:
         return [len(s) for s in self.series]
 
 
-def jennings_data(group: FiniteGroup, p: int | None = None) -> JenningsData:
-    p = _check_p_group(group, p)
-    series = m_series(group, p)
-    exps = jennings_exponents(series, p)
+def jennings_data(group: FiniteGroup) -> JenningsData:
+    series = m_series(group)
+    exps, p = jennings_exponents(series), group.prime
     return JenningsData(p, series, exps, loewy_polynomial(exps, p), _loewy_from(exps, p))
 
 
-def quotient_elementary_abelian_report(group: FiniteGroup,
-                                       series: list[Subgroup], p: int) -> Report:
+def quotient_elementary_abelian_report(series: list[Subgroup]) -> Report:
     """Each M_i / M_{i+1} must be elementary abelian. With M_{i+1} inside
     M_i and normalized by the generators of M_i, the quotient is generated
     by the images of those generators, so it is elementary abelian exactly
     when their p-th powers and pairwise commutators land in M_{i+1}
-    (membership, no cosets)."""
+    (membership, no cosets). The group and its prime are the chain's."""
+    group = series[0].group
+    p = _prime(group)
     report = Report(f"elementary abelian quotients of {group.name}")
     for i in range(len(series) - 1):
         upper, lower = series[i], series[i + 1]
@@ -160,30 +158,26 @@ def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> Repo
         raise NotAPGroupError(
             f"{desc}: closed-form chain applies to g1..g3 only")
     p = desc["p"]
-    series = m_series(group, p)
+    series = m_series(group)
     G = whole_subgroup(group)
-    gamma2 = commutator_subgroup(group, G, G)
+    gamma2 = commutator_subgroup(G, G)
     report = Report(f"M-series closed form for {desc.canonical()}")
     for i in range(1, len(series) + 1):
         computed = series[i - 1]
         if i == 1:
             predicted = G
         elif i == 2:
-            predicted = product_subgroup(group, gamma2, power_subgroup(group, G, p))
+            predicted = product_subgroup(gamma2, power_subgroup(G, p))
         else:
             s = 1
             while True:
                 if 2 * p ** (s - 1) + 1 <= i <= p ** s:
-                    predicted = product_subgroup(
-                        group,
-                        power_subgroup(group, gamma2, p ** s),
-                        power_subgroup(group, G, p ** s))
+                    predicted = product_subgroup(power_subgroup(gamma2, p ** s),
+                                                 power_subgroup(G, p ** s))
                     break
                 if p ** s + 1 <= i <= 2 * p ** s:
-                    predicted = product_subgroup(
-                        group,
-                        power_subgroup(group, gamma2, p ** s),
-                        power_subgroup(group, G, p ** (s + 1)))
+                    predicted = product_subgroup(power_subgroup(gamma2, p ** s),
+                                                 power_subgroup(G, p ** (s + 1)))
                     break
                 s += 1
         report.add(f"M_{i}", predicted.mask == computed.mask,
@@ -205,9 +199,9 @@ def power_generators_check(group: FiniteGroup, desc: GroupDescriptor) -> Report:
     s = 1
     while True:
         q = p ** s
-        full = power_subgroup(group, G, q)
+        full = power_subgroup(G, q)
         gens = subgroup_closure(group, {group.pow(a, q), group.pow(b, q), group.pow(c, q)})
-        raw = power_set(group, G, q)
+        raw = power_set(G, q)
         report.add(f"G^({q}) = <a^{q}, b^{q}, [a,b]^{q}>", full.mask == gens.mask,
                    f"sizes {len(full)} vs {len(gens)}")
         report.add(f"G^({q}) equals the set of {q}-th powers",

@@ -74,7 +74,7 @@ class Subgroup:
         return hash((id(self.group), self.mask))
 
     def __le__(self, other: "Subgroup") -> bool:
-        return self.mask & ~other.mask == 0
+        return other.group is self.group and self.mask & ~other.mask == 0
 
     def elements(self) -> list[int]:
         return _members(self.mask)
@@ -144,7 +144,13 @@ def subgroup_closure(group: FiniteGroup, gens) -> Subgroup:
     return Subgroup(group, *_grow(group, 1, [], sorted(set(gens))))
 
 
-def commutator_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
+def _common_group(H: Subgroup, K: Subgroup) -> FiniteGroup:
+    if K.group is not H.group:
+        raise DavlabError(f"{H!r} and {K!r} are subgroups of two groups")
+    return H.group
+
+
+def commutator_subgroup(H: Subgroup, K: Subgroup) -> Subgroup:
     """[H, K], generated by all pairwise commutators [h, k], h in H, k in K.
 
     Computed as the same subgroup: the normal closure in <H, K> of the
@@ -153,6 +159,7 @@ def commutator_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgrou
     outside; N^c <= N implies N^c = N in a finite group, so the result is
     normal in <H, K>.
     """
+    group = _common_group(H, K)
     table, inv = group.table, group.inverse
     seeds = [group.commutator(x, y) for x in H.gens for y in K.gens]
     conjugators = H.gens + K.gens
@@ -166,14 +173,14 @@ def commutator_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgrou
     return Subgroup(group, mask, gens)
 
 
-def _powers(group: FiniteGroup, H: Subgroup, k: int) -> np.ndarray:
+def _powers(H: Subgroup, k: int) -> np.ndarray:
     """h^k for every member h of H, in ascending order of h, by square and
     multiply with one gather of the table per step over all members."""
-    T = group.array
-    bits = np.frombuffer(H.mask.to_bytes((group.order + 7) // 8, "little"), dtype=np.uint8)
+    T = H.group.array
+    bits = np.frombuffer(H.mask.to_bytes((len(T) + 7) // 8, "little"), dtype=np.uint8)
     base = np.flatnonzero(np.unpackbits(bits, bitorder="little"))
     if k < 0:
-        base = np.asarray(group.inverse)[base]
+        base = np.asarray(H.group.inverse)[base]
         k = -k
     result = np.zeros_like(base)
     while k:
@@ -185,7 +192,7 @@ def _powers(group: FiniteGroup, H: Subgroup, k: int) -> np.ndarray:
     return result
 
 
-def power_subgroup(group: FiniteGroup, H: Subgroup, k: int) -> Subgroup:
+def power_subgroup(H: Subgroup, k: int) -> Subgroup:
     """Subgroup generated by the k-th powers of the members of H.
 
     The candidates are the distinct powers in the order of their first
@@ -193,17 +200,18 @@ def power_subgroup(group: FiniteGroup, H: Subgroup, k: int) -> Subgroup:
     powers taken one member at a time."""
     if k < 1:
         raise DavlabError(f"power_subgroup needs k >= 1, got {k}")
-    candidates = dict.fromkeys(_powers(group, H, k).tolist())
-    return Subgroup(group, *_grow(group, 1, [], candidates))
+    candidates = dict.fromkeys(_powers(H, k).tolist())
+    return Subgroup(H.group, *_grow(H.group, 1, [], candidates))
 
 
-def power_set(group: FiniteGroup, H: Subgroup, k: int) -> set[int]:
+def power_set(H: Subgroup, k: int) -> set[int]:
     """The raw set of k-th powers (not necessarily a subgroup in general)."""
-    return set(_powers(group, H, k).tolist())
+    return set(_powers(H, k).tolist())
 
 
-def product_subgroup(group: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
+def product_subgroup(H: Subgroup, K: Subgroup) -> Subgroup:
     """<H, K>: H grown by the generators of K."""
+    group = _common_group(H, K)
     return Subgroup(group, *_grow(group, H.mask, H.gens, K.gens))
 
 
@@ -216,8 +224,8 @@ def _normalized_by(H: Subgroup, conjugators) -> bool:
                for c in conjugators for x in H.gens)
 
 
-def is_normal(group: FiniteGroup, H: Subgroup) -> bool:
-    return _normalized_by(H, group.generating_set())
+def is_normal(H: Subgroup) -> bool:
+    return _normalized_by(H, H.group.generating_set())
 
 
 def quotient_order(H: Subgroup, K: Subgroup) -> int:
@@ -234,7 +242,7 @@ def lower_central_series(group: FiniteGroup) -> list[Subgroup]:
     G = whole_subgroup(group)
     series = [G]
     while True:
-        nxt = commutator_subgroup(group, series[-1], G)
+        nxt = commutator_subgroup(series[-1], G)
         if nxt == series[-1]:
             break
         series.append(nxt)

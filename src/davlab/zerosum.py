@@ -821,11 +821,12 @@ def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> Sear
     return _longest_free(group, (0,) * n, _eg_children(group), clock, _tuple_key(group))
 
 
-def eg_lower_witness(group: FiniteGroup, ordered_witness: Sequence) -> Sequence:
+def eg_lower_witness(ordered_witness: Sequence) -> Sequence:
     """A free sequence of length D-1 padded with |G|-1 identities has no
     index-ordered product-one subsequence of length exactly |G|."""
     if not is_ordered_free(ordered_witness):
         raise DavlabError("eg_lower_witness needs an ordered-product-one-free input")
+    group = ordered_witness.group
     return Sequence(group, ordered_witness.terms + (0,) * (group.order - 1))
 
 

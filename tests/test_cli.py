@@ -635,12 +635,14 @@ def test_a_cache_line_that_is_not_utf8_is_skipped(argv, tmp_path):
 
 @pytest.mark.parametrize("invariant, field, bad", [
     ("L", "value", "x"), ("L", "value", None), ("L", "value", [1]),
-    ("D", "exact", "false")], ids=["L-str", "L-null", "L-list", "D-exact-str"])
+    ("D", "exact", "false"), ("D", "witness", 5), ("D", "witness", [1, 2])],
+    ids=["L-str", "L-null", "L-list", "D-exact-str", "D-witness-int", "D-witness-ints"])
 def test_a_cache_line_of_the_wrong_type_is_skipped(invariant, field, bad, capsys,
                                                    tmp_path):
-    """A line whose value is not an int or whose exact is not a bool is a
-    corrupted line: it is skipped with a warning, never served (nor read as
-    exact), and the record is computed again."""
+    """A line whose value is not an int, whose exact is not a bool or whose
+    witness is neither null nor a list of strings is a corrupted line: it is
+    skipped with a warning, never served (nor read as exact), and the record
+    is computed again."""
     line = json.dumps({**vars(ResultRecord("q[8]", invariant, 4, True)), field: bad},
                       sort_keys=True)
 

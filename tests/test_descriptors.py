@@ -17,6 +17,15 @@ def test_parse_errors_carry_grammar_hint():
         assert "descriptors:" in str(err.value) or "parameters" in str(err.value)
 
 
+def test_grammar_hint_names_each_family_with_its_parameters():
+    with pytest.raises(DescriptorError) as err:
+        parse_descriptor("zz[3]")
+    assert str(err.value) == (
+        "unknown family 'zz'; descriptors: c[n], ab[n1,n2,...], d[order], q[order], "
+        "sd[order], m2[order], g1[p,alpha,beta,gamma], g2[p,alpha,beta,gamma], "
+        "g3[p,alpha,beta,gamma,sigma]")
+
+
 def test_param_access():
     d = parse_descriptor("g3[3,3,2,2,1]")
     assert d["p"] == 3 and d["alpha"] == 3 and d["sigma"] == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,7 +8,9 @@ from davlab import (jennings_data, jennings_exponents, loewy_formula,
                     mseries_closed_form_check, parse_descriptor,
                     power_generators_check)
 from davlab.errors import NoFormulaError, NotAPGroupError
+from davlab.groups import FiniteGroup
 from davlab.jennings import quotient_elementary_abelian_report
+from davlab.numtheory import prime_power
 from davlab.subgroups import subgroup_closure, whole_subgroup
 
 P_GRID = [
@@ -32,21 +35,21 @@ def test_chain_cyclic_p(grp):
     for text, p in (("c[3]", 3), ("c[5]", 5)):
         series = m_series(grp(text))
         assert [len(s) for s in series] == [p, 1]
-        assert jennings_exponents(series, p) == [1]
+        assert jennings_exponents(series) == [1]
 
 
 def test_chain_heisenberg_27(grp):
     # exponent 3 kills all cubes, so M_2 = gamma_2 and M_3 = 1: chain [27, 3, 1]
     series = m_series(grp("g1[3,1,1,1]"))
     assert [len(s) for s in series] == [27, 3, 1]
-    assert jennings_exponents(series, 3) == [2, 1]
+    assert jennings_exponents(series) == [2, 1]
 
 
 def test_chain_g2_27_has_repeat(grp):
     # o(a) = 9: M_2 = M_3 = <a^3>, zeros must be kept in the exponent list
     series = m_series(grp("g2[3,2,1,1]"))
     assert [len(s) for s in series] == [27, 3, 3, 1]
-    assert jennings_exponents(series, 3) == [2, 0, 1]
+    assert jennings_exponents(series) == [2, 0, 1]
 
 
 def test_not_a_p_group(grp):
@@ -54,8 +57,25 @@ def test_not_a_p_group(grp):
         m_series(grp("c[12]"))
     with pytest.raises(NotAPGroupError):
         loewy_length(grp("d[6]"))
+
+
+def test_the_prime_is_read_off_the_table(grp):
+    """A hand-made group gets its prime from its order, as a built one does."""
+    Q8 = grp("q[8]")
+    rows = [list(row) for row in Q8.table]
+    hand = FiniteGroup("hand-made q[8]", rows, list(Q8.labels), dict(Q8.generators))
+    assert hand.prime == 2 and loewy_length(hand) == 5
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
+    S3 = FiniteGroup("S3", table, [str(p) for p in perms], {})
+    assert S3.prime is None
     with pytest.raises(NotAPGroupError):
-        m_series(grp("q[8]"), p=3)
+        m_series(S3)
+    for text in ("c[2]", "c[12]", "d[6]", "q[8]", "sd[24]", "g1[3,1,1,1]"):
+        G = grp(text)
+        pp = prime_power(G.order)
+        assert G.prime == (pp[0] if pp else None), text
 
 
 def _loewy_polynomial_by_lists(exponents, p):
@@ -135,7 +155,7 @@ def test_jennings_invariants(text, grp):
     assert data.loewy_length == m + 1
     assert sum(data.exponents) == round(math.log(G.order, p))
     assert data.chain_sizes[-1] == 1
-    report = quotient_elementary_abelian_report(G, data.series, p)
+    report = quotient_elementary_abelian_report(data.series)
     assert report.ok, str(report)
 
 
@@ -158,11 +178,11 @@ def test_quotient_report_equals_the_element_sweep(text, grp):
     G = grp(text)
     data = jennings_data(G)
     series, p = data.series, data.prime
-    assert quotient_elementary_abelian_report(G, series, p).ok
+    assert quotient_elementary_abelian_report(series).ok
     assert _element_sweep_ok(G, series, p)
     for i in range(1, len(series) - 1):
         chain = series[:i] + series[i + 1:]
-        assert quotient_elementary_abelian_report(G, chain, p).ok == \
+        assert quotient_elementary_abelian_report(chain).ok == \
             _element_sweep_ok(G, chain, p), (text, i)
 
 
@@ -170,13 +190,13 @@ def test_quotient_report_rejects_broken_series(grp):
     # the lower term is not normal: the reflection subgroup <x> of D_8
     G = grp("d[8]")
     chain = [whole_subgroup(G), subgroup_closure(G, [G.generators["x"]])]
-    report = quotient_elementary_abelian_report(G, chain, 2)
+    report = quotient_elementary_abelian_report(chain)
     assert not _element_sweep_ok(G, chain, 2)
     assert "M_2 normal in M_1" in [e.name for e in report.failures()]
     # the lower term is too small: Q_8 / 1 is not elementary abelian
     G = grp("q[8]")
     chain = [whole_subgroup(G), subgroup_closure(G, [])]
-    report = quotient_elementary_abelian_report(G, chain, 2)
+    report = quotient_elementary_abelian_report(chain)
     assert not _element_sweep_ok(G, chain, 2)
     assert [e.name for e in report.failures()] == [
         "M_1^(p) <= M_2", "[M_1, M_1] <= M_2"]
@@ -225,7 +245,7 @@ def test_series_members_normal_in_g(text, grp):
     from davlab import is_normal
     G = grp(text)
     for M in m_series(G):
-        assert is_normal(G, M)
+        assert is_normal(M)
 
 
 def literal_m_series(G, p):
@@ -264,9 +284,9 @@ def _m_series_uncarried(G, p):
     series = [W]
     while not series[-1].is_trivial:
         n = len(series) + 1
-        lower = commutator_subgroup(G, series[-1], W)
-        upper = power_subgroup(G, series[(n + p - 1) // p - 1], p)
-        series.append(product_subgroup(G, lower, upper))
+        lower = commutator_subgroup(series[-1], W)
+        upper = power_subgroup(series[(n + p - 1) // p - 1], p)
+        series.append(product_subgroup(lower, upper))
     return series
 
 

@@ -20,6 +20,20 @@ def test_closure_empty_is_trivial(grp):
     assert subgroup_closure(G, set()).elements() == [0]
 
 
+
+def test_operations_on_two_groups_are_refused(grp):
+    """A subgroup carries its group, so one of another group is an error."""
+    Q8, C8 = whole_subgroup(grp("q[8]")), whole_subgroup(grp("c[8]"))
+    with pytest.raises(DavlabError, match="two groups"):
+        commutator_subgroup(Q8, C8)
+    with pytest.raises(DavlabError, match="two groups"):
+        product_subgroup(Q8, C8)
+    assert not C8 <= Q8 and Q8 <= Q8
+    with pytest.raises(DavlabError, match="not contained"):
+        quotient_order(Q8, C8)
+    # the k-th powers are taken in the subgroup's own group
+    assert len(power_subgroup(C8, 2)) == 4 and len(power_subgroup(Q8, 2)) == 2
+
 def test_closure_of_a_is_cyclic_of_order_p_alpha(grp):
     G = grp("g1[3,2,1,1]")
     H = subgroup_closure(G, {G.generators["a"]})
@@ -64,7 +78,7 @@ def test_lagrange_on_random_closures(grp):
 def test_commutator_subgroup_g1(grp):
     G = grp("g1[3,1,1,1]")
     whole = whole_subgroup(G)
-    gamma2 = commutator_subgroup(G, whole, whole)
+    gamma2 = commutator_subgroup(whole, whole)
     c = G.generators["c"]
     assert sorted(gamma2.elements()) == sorted(G.pow(c, k) for k in range(3))
 
@@ -72,7 +86,7 @@ def test_commutator_subgroup_g1(grp):
 def test_commutator_subgroup_g2_is_a_cubed(grp):
     G = grp("g2[3,2,1,1]")
     whole = whole_subgroup(G)
-    gamma2 = commutator_subgroup(G, whole, whole)
+    gamma2 = commutator_subgroup(whole, whole)
     a3 = G.pow(G.generators["a"], 3)
     assert sorted(gamma2.elements()) == sorted(G.pow(a3, k) for k in range(3))
 
@@ -80,24 +94,24 @@ def test_commutator_subgroup_g2_is_a_cubed(grp):
 def test_commutator_subgroup_abelian_trivial(grp):
     G = grp("ab[3,3]")
     whole = whole_subgroup(G)
-    assert commutator_subgroup(G, whole, whole).is_trivial
+    assert commutator_subgroup(whole, whole).is_trivial
 
 
 def test_power_subgroup_examples(grp):
     C9 = grp("c[9]")
-    assert len(power_subgroup(C9, whole_subgroup(C9), 3)) == 3
+    assert len(power_subgroup(whole_subgroup(C9), 3)) == 3
     G = grp("g1[3,1,1,1]")
     whole = whole_subgroup(G)
-    cubes = power_subgroup(G, whole, 3)
+    cubes = power_subgroup(whole, 3)
     assert cubes.is_trivial  # exponent 3 kills every cube
-    assert power_subgroup(G, whole, 1).mask == whole.mask
+    assert power_subgroup(whole, 1).mask == whole.mask
 
 
 def test_power_set_equals_power_subgroup_in_class_two(grp):
     # in class two with p odd the set of p-th powers is already the subgroup
     G = grp("g2[3,2,1,1]")
     whole = whole_subgroup(G)
-    assert power_set(G, whole, 3) == set(power_subgroup(G, whole, 3).elements())
+    assert power_set(whole, 3) == set(power_subgroup(whole, 3).elements())
 
 
 def test_product_subgroup_g2(grp):
@@ -105,16 +119,16 @@ def test_product_subgroup_g2(grp):
     a, b = G.generators["a"], G.generators["b"]
     Ha = subgroup_closure(G, {G.pow(a, 3)})
     Hb = subgroup_closure(G, {G.pow(b, 3)})
-    prod = product_subgroup(G, Ha, Hb)
-    assert prod.mask == power_subgroup(G, whole_subgroup(G), 3).mask
+    prod = product_subgroup(Ha, Hb)
+    assert prod.mask == power_subgroup(whole_subgroup(G), 3).mask
 
 
 def test_quotient_order_frattini(grp):
     G = grp("g1[3,1,1,1]")
     whole = whole_subgroup(G)
-    gamma2 = commutator_subgroup(G, whole, whole)
-    cubes = power_subgroup(G, whole, 3)
-    frattini = product_subgroup(G, gamma2, cubes)
+    gamma2 = commutator_subgroup(whole, whole)
+    cubes = power_subgroup(whole, 3)
+    frattini = product_subgroup(gamma2, cubes)
     assert quotient_order(whole, frattini) == 9
     assert quotient_order(frattini, frattini) == 1
 
@@ -131,7 +145,7 @@ def test_quotient_order_rejects_non_normal(grp):
     G = grp("d[6]")
     whole = whole_subgroup(G)
     flip = subgroup_closure(G, {G.generators["x"]})
-    assert not is_normal(G, flip)
+    assert not is_normal(flip)
     with pytest.raises(DavlabError, match="not normal"):
         quotient_order(whole, flip)
 
@@ -139,9 +153,9 @@ def test_quotient_order_rejects_non_normal(grp):
 def test_is_normal_center_and_rotations(grp):
     G = grp("d[8]")
     rot = subgroup_closure(G, {G.generators["y"]})
-    assert is_normal(G, rot)
-    assert is_normal(G, trivial_subgroup(G))
-    assert is_normal(G, whole_subgroup(G))
+    assert is_normal(rot)
+    assert is_normal(trivial_subgroup(G))
+    assert is_normal(whole_subgroup(G))
 
 
 def literally_normal(G, H, K) -> bool:
@@ -166,7 +180,7 @@ def test_normality_by_generators_matches_the_definition(grp):
                 K = subgroup_closure(G, {x, y})
                 if K.mask not in subs:
                     subs[K.mask] = literally_normal(G, whole, K)
-                assert is_normal(G, K) == subs[K.mask], (text, K.gens)
+                assert is_normal(K) == subs[K.mask], (text, K.gens)
         subgroups_seen += len(subs)
         normal += sum(subs.values())
         subs = [Subgroup(G, mask) for mask in subs]
@@ -199,7 +213,7 @@ def test_commutator_order_matches_gamma_parameter(grp):
         assert G.element_order(G.commutator(G.generators["a"], G.generators["b"])) == expect
     G = grp("g3[3,3,2,2,1]")
     whole = whole_subgroup(G)
-    assert len(commutator_subgroup(G, whole, whole)) == 9  # p^gamma = 3^2
+    assert len(commutator_subgroup(whole, whole)) == 9  # p^gamma = 3^2
 
 
 def test_dihedral_class_grows(grp):
@@ -274,11 +288,11 @@ def test_subgroup_operations_match_literal_definitions(text, data):
     assert H.mask == literal_closure(G, h_seeds)
     K = Subgroup(G, literal_closure(G, k_seeds))  # generators derived from the mask
     assert subgroup_closure(G, K.gens) == K
-    assert commutator_subgroup(G, H, K).mask == literal_commutator(G, H, K)
-    assert commutator_subgroup(G, K, H).mask == literal_commutator(G, K, H)
-    assert power_subgroup(G, H, k).mask == literal_closure(G, power_set(G, H, k))
-    assert power_subgroup(G, K, k).mask == literal_closure(G, power_set(G, K, k))
-    assert product_subgroup(G, H, K).mask == literal_closure(
+    assert commutator_subgroup(H, K).mask == literal_commutator(G, H, K)
+    assert commutator_subgroup(K, H).mask == literal_commutator(G, K, H)
+    assert power_subgroup(H, k).mask == literal_closure(G, power_set(H, k))
+    assert power_subgroup(K, k).mask == literal_closure(G, power_set(K, k))
+    assert product_subgroup(H, K).mask == literal_closure(
         G, set(H.elements()) | set(K.elements()))
 
 
@@ -298,7 +312,7 @@ def _kernel_subgroups(G):
     rng = random.Random(G.name)
     W = whole_subgroup(G)
     closures = [subgroup_closure(G, rng.sample(range(G.order), k)) for k in (1, 2)]
-    return [W, commutator_subgroup(G, W, W), trivial_subgroup(G), closures[0],
+    return [W, commutator_subgroup(W, W), trivial_subgroup(G), closures[0],
             Subgroup(G, closures[1].mask)]
 
 
@@ -325,11 +339,11 @@ def test_power_gathers_equal_the_element_loop(text):
     for H in _kernel_subgroups(G):
         for k in sorted({1, 2, 3, 5, e - 1, e, e + 1, -1, -2}):
             loop = [G.pow(h, k) for h in H.elements()]
-            assert subgroups._powers(G, H, k).tolist() == loop, (H, k)
-            assert power_set(G, H, k) == set(loop)
+            assert subgroups._powers(H, k).tolist() == loop, (H, k)
+            assert power_set(H, k) == set(loop)
             if k >= 1:
                 old = Subgroup(G, *subgroups._grow(G, 1, [], loop))
-                new = power_subgroup(G, H, k)
+                new = power_subgroup(H, k)
                 assert (new.mask, new.gens) == (old.mask, old.gens), (H, k)
 
 

@@ -640,13 +640,13 @@ def test_eg_klein(grp):
 def test_eg_lower_witness(grp):
     G = grp("q[8]")
     witness = davenport_ordered(G).witness
-    padded = eg_lower_witness(G, witness)
+    padded = eg_lower_witness(witness)
     assert len(padded) == len(witness) + G.order - 1 == 11
     assert not has_group_length_product_one(padded)
 
     C3 = grp("c[3]")
     g = C3.generators["g"]
-    padded3 = eg_lower_witness(C3, Sequence(C3, (g, g)))
+    padded3 = eg_lower_witness(Sequence(C3, (g, g)))
     assert len(padded3) == 4
     assert not has_group_length_product_one(padded3)
     assert eg_invariant(C3).value == 5
@@ -656,7 +656,7 @@ def test_eg_lower_witness_rejects_unfree(grp):
     G = grp("c[3]")
     g = G.generators["g"]
     with pytest.raises(DavlabError):
-        eg_lower_witness(G, Sequence(G, (g, g, g)))
+        eg_lower_witness(Sequence(G, (g, g, g)))
 
 
 def test_weighted_identity_weight_matches_ordered(grp):
