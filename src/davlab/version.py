@@ -4,4 +4,4 @@ __version__ = "0.1.0"
 # of those invariants carry it; a record of another version, or of none, is
 # recomputed rather than served. Raise it when a search change could change
 # a stored value, exact flag or witness.
-SEARCH_ALGO = 3
+SEARCH_ALGO = 4

@@ -20,11 +20,16 @@ the search stays an independent check of both. It keys its memo by orbits:
 an automorphism a maps a free sequence to a free one, and the state of the
 image sequence is a(S), so the key of a state is its least image under the
 automorphisms that subgroups.automorphisms finds, while steps, paths and the
-witness stay on raw states. D and D_A key one mask (_mask_key); E the image
-of its whole state, each component mapped by a (_mask_key, lifted), or above
-the table width the tuple of its masks componentwise (_tuple_key); and D'
-the multiplicity layers of its multiset (_layers), which determine the
-multiset.
+witness stay on raw states. D and D_A key one mask (_mask_key), and D' the
+multiplicity layers of its multiset (_layers), which determine the
+multiset, each layer mapped by the same a (_tuple_key). E keys by central
+translations too: multiplying every term by a central z moves a product of
+m+1 terms by z^(m+1), so the key of an E state is its least image under the
+maps phi(a, z) that send each x of component m to a(x)*z^(m+1) (_eg_center),
+read from lifted tables up to the table width (_eg_mask_key) and
+componentwise above it (_eg_tuple_key). They keep E's freeness because
+z^|G| = 1; a shorter product moves by z^k, which need not be 1, so D, D_A
+and D' take the automorphisms alone.
 
 Every reach state of at most _BYTE_TABLE_MAX_ORDER = 64 bits is stepped by
 every letter at once, with one lookup per byte of the state (_byte_map, one
@@ -32,7 +37,7 @@ to eight bytes): for D and D_A up to order 64, slot g of one int holds the
 union of the S*g^a (_packed_step); for E up to order 8, whose state has n^2
 bits, slot g of a lifted table's entry holds the whole next state
 (_eg_children). The orbit keys of such states read the image under every
-automorphism from tables of the same kind (_orbit_images). Above the cutoff
+map of the key from tables of the same kind (_orbit_images). Above the cutoff
 D and D_A step one letter at a time by the set-bit loop over the column of
 each power, E steps each component of a state held as a tuple of masks,
 with D's tables up to order 64, and the keys loop over the set bits of the
@@ -84,7 +89,12 @@ WEIGHT_SET_CAP = 16
 # at order 1100); E's lifted step at order 8 takes 128 KB. The orbit tables
 # hold one image per automorphism, at most 2^15/n of them (subgroups), in
 # slots of 8 to 64 bits: 8 MB at any order from 33 to 64, 4 MB up to 32.
+# E's hold one image per map phi(a, z), |A||Z| of them, within the same 8 MB
+# (_eg_center).
 _BYTE_TABLE_MAX_ORDER = 64
+_ORBIT_TABLE_BYTES = 8 << 20
+# Fewest maps whose least image numpy's reduce finds quicker than Python's min.
+_NUMPY_MIN_MAPS = 32
 
 
 @dataclass(frozen=True)
@@ -397,50 +407,61 @@ def _column_maps(group: FiniteGroup, A: tuple[int, ...]):
     return [functools.partial(union, powers=hs) for hs in _weighted_rows(group, A)]
 
 
-def _orbit_images(group: FiniteGroup, lift: int = 1):
-    """images(state) -> the images of state under every automorphism a that
-    automorphisms() finds, as a numpy array; None when it finds only the
-    identity. A state is lift components of n bits, and a maps bit m*n + x
-    to m*n + a(x): lift = 1 for a reach mask, n for the E state. Up to
-    _BYTE_TABLE_MAX_ORDER bits, like the search steps: one lookup per byte
-    of the state (_byte_map) gives one int whose slot k, of the narrowest
-    width that holds the state, is the image under the k-th automorphism,
-    read as one array of words; above it, the set-bit loop over arrays of
-    ints."""
-    auts = automorphisms(group)
-    if len(auts) == 1:
+def _right_step(group: FiniteGroup, g: int):
+    """S -> S*g: one lookup per byte of S (_byte_map) up to
+    _BYTE_TABLE_MAX_ORDER, the column step of g (_ColumnSteps) above it."""
+    if group.order > _BYTE_TABLE_MAX_ORDER:
+        return _ColumnSteps(group)[g]
+    return _byte_map(_byte_tables([1 << y for y in group.array[:, g].tolist()]))
+
+
+def _orbit_images(targets: np.ndarray):
+    """images(state) -> the images of state under every map of targets, as
+    a numpy array; None for the identity alone. The k-th map sends bit i of
+    a state to bit targets[i, k]. Up to _BYTE_TABLE_MAX_ORDER bits, like the
+    search steps: one lookup per byte of the state (_byte_map) gives one int
+    whose slot k, of the narrowest width that holds the state, is the image
+    under the k-th map, read as one array of words; above it, the set-bit
+    loop over arrays of ints."""
+    bits, count = targets.shape
+    if count == 1:
         return None
-    n = group.order
-    # targets[m*n + x] lists the images of bit m*n + x
-    targets = (np.array(auts, dtype=np.int64).T
-               + np.arange(0, lift * n, n)[:, None, None]).reshape(lift * n, len(auts))
-    if lift * n > _BYTE_TABLE_MAX_ORDER:
+    if bits > _BYTE_TABLE_MAX_ORDER:
         cols = [np.array([1 << y for y in row], dtype=object) for row in targets.tolist()]
-        zero = np.zeros(len(auts), dtype=object)
+        zero = np.zeros(count, dtype=object)
         return lambda state: zero | _mapped(state, cols)
-    dtype = np.dtype(_slot_format(lift * n)[0])
+    dtype = np.dtype(_slot_format(bits)[0])
     words = dtype.type(1) << targets.astype(dtype)
     step = _byte_map(_byte_tables([int.from_bytes(row.tobytes(), sys.byteorder)
                                    for row in words]))
-    size = words.shape[1] * dtype.itemsize
+    size = count * dtype.itemsize
     return lambda state: np.frombuffer(step(state).to_bytes(size, sys.byteorder), dtype)
 
 
-def _mask_key(group: FiniteGroup, lift: int = 1):
-    """The memo key of states of lift components (_orbit_images): the least
-    image of the state under the automorphisms found, one representative per
-    orbit. Sound for every step that commutes with automorphisms: that of D,
-    and of D_A, since a(g^w) = a(g)^w, and of E, whose components each map
-    by a. Reach masks take the least image in one numpy reduce, as groups
-    of order n have up to 2^15/n automorphisms; the E states of order at
-    most 8 have few, and Python's min over them is quicker."""
-    images = _orbit_images(group, lift)
+def _least_image(targets: np.ndarray):
+    """key(state) -> the least image of state under the maps of targets
+    (_orbit_images), one representative per orbit: by Python's min over few
+    maps, numpy's reduce over many."""
+    images = _orbit_images(targets)
     if images is None:
         return int  # the state itself
-    if lift > 1:
+    if targets.shape[1] < _NUMPY_MIN_MAPS:
         return lambda state: min(images(state).tolist())
     least = np.minimum.reduce
     return lambda state: int(least(images(state)))
+
+
+def _automorphism_targets(group: FiniteGroup) -> np.ndarray:
+    """targets[x, k] = a_k(x) over the automorphisms that automorphisms()
+    finds, as _orbit_images reads them."""
+    return np.array(automorphisms(group), dtype=np.int64).T
+
+
+def _mask_key(group: FiniteGroup):
+    """The memo key of a reach mask: its least image under the automorphisms
+    found (_least_image). Sound for every step that commutes with
+    automorphisms: that of D, and of D_A, since a(g^w) = a(g)^w."""
+    return _least_image(_automorphism_targets(group))
 
 
 def _room(group: FiniteGroup) -> int:
@@ -455,7 +476,7 @@ def _tuple_key(group: FiniteGroup):
     """The memo key of tuples of masks: the least of their images under one
     automorphism applied to every component, compared as tuples, with the
     images cached per component (states share most of their components)."""
-    images = _orbit_images(group)
+    images = _orbit_images(_automorphism_targets(group))
     if images is None:
         return tuple
     component = functools.cache(lambda mask: images(mask).tolist())
@@ -810,15 +831,75 @@ def _eg_children(group: FiniteGroup):
     return children
 
 
+def _eg_center(group: FiniteGroup) -> list[int]:
+    """The central elements z of the maps phi(a, z) that key E states: phi
+    sends each product x of m+1 terms, in component m, to a(x)*z^(m+1), for a
+    an automorphism found and z central. That is the state of the sequence
+    of the a(g)*z, z commuting with every term, and phi keeps the identity
+    in component n-1, as z^n = 1: it maps free walks to free walks. The maps
+    form a group, Z(G) semidirect A, as each a maps the centre onto itself.
+    They are E's alone: a product of k < n terms moves by z^k, which need
+    not be 1, so D, D_A and D' key by automorphisms only. The centre is {1}
+    where the lifted tables of the |A||Z| maps (_eg_mask_key) would pass
+    _ORBIT_TABLE_BYTES; as both E keys read it, they take the same maps."""
+    center = group.center()
+    bits = group.order ** 2
+    if bits <= _BYTE_TABLE_MAX_ORDER:
+        # a table of 256 entries per byte of the state, each a slot per map
+        slots = len(automorphisms(group)) * len(center)
+        if -(-bits // 8) * 256 * slots * _slot_format(bits)[1] // 8 > _ORBIT_TABLE_BYTES:
+            return [0]
+    return center
+
+
+def _eg_mask_key(group: FiniteGroup):
+    """The memo key of an E state of at most _BYTE_TABLE_MAX_ORDER bits: its
+    least image under the maps phi(a, z) (_eg_center), which send bit
+    m*n + x to bit m*n + a(x)*z^(m+1) (_least_image)."""
+    center = _eg_center(group)
+    n = group.order
+    auts = _automorphism_targets(group)
+    powers = np.array([[group.pow(z, m + 1) for z in center] for m in range(n)])
+    # targets[m, x, z, a] = m*n + a(x)*z^(m+1)
+    targets = (group.array[auts[None, :, None, :], powers[:, None, :, None]]
+               + np.arange(0, n * n, n)[:, None, None, None])
+    return _least_image(targets.reshape(n * n, len(center) * auts.shape[1]))
+
+
+def _eg_tuple_key(group: FiniteGroup):
+    """The memo key of an E state held as the tuple of its n components: the
+    least of its images under the maps phi(a, z) (_eg_center), compared as
+    tuples. As a(x*u) = a(x)*a(u), component m is multiplied by u^(m+1) for
+    each central u, by one small table per central element (_right_step),
+    and each product is mapped under the automorphisms by the orbit tables
+    of one mask: image (u, a) is phi(a, a(u)), the same map in every
+    component. Those images are cached per mask, and their concatenation
+    per component and m."""
+    center = _eg_center(group)
+    n = group.order
+    images = _orbit_images(_automorphism_targets(group))
+    steps = {u: _right_step(group, u) for u in center[1:]}
+    steps[0] = int  # u^(m+1) = 1
+    shifts = [[steps[group.pow(u, m + 1)] for u in center] for m in range(n)]
+    automorphic = (functools.cache(lambda mask: images(mask).tolist())
+                   if images is not None else lambda mask: [mask])
+
+    @functools.cache
+    def component(mask: int, m: int) -> list[int]:
+        return [y for shift in shifts[m] for y in automorphic(shift(mask))]
+
+    return lambda state: min(zip(*map(component, state, range(n))))
+
+
 def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:
-    """Exact E(G) over length-stratified reach states (_eg_children).
-    Identity terms stay legal: extremal E witnesses are identity-padded."""
+    """Exact E(G) over length-stratified reach states (_eg_children), keyed
+    by the maps phi(a, z) (_eg_center). Identity terms stay legal: extremal E
+    witnesses are identity-padded."""
     clock = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
     n = group.order
-    # automorphisms fix the identity, so a(state) is the state of a(terms)
     if n * n <= _BYTE_TABLE_MAX_ORDER:
-        return _longest_free(group, 0, _eg_children(group), clock, _mask_key(group, n))
-    return _longest_free(group, (0,) * n, _eg_children(group), clock, _tuple_key(group))
+        return _longest_free(group, 0, _eg_children(group), clock, _eg_mask_key(group))
+    return _longest_free(group, (0,) * n, _eg_children(group), clock, _eg_tuple_key(group))
 
 
 def eg_lower_witness(ordered_witness: Sequence) -> Sequence:

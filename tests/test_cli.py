@@ -209,6 +209,20 @@ def test_davenport_recomputes_records_without_algo(capsys, tmp_path):
         assert code == 0 and doc["cached"] is False and doc["value"] == 5, algo
 
 
+def test_davenport_recomputes_e_records_of_search_version_3(capsys, tmp_path):
+    """E records of search version 3 were keyed by automorphisms alone, and a
+    budget-tripped E may now stop at another walk: they are recomputed."""
+    cache = str(tmp_path / "c.jsonl")
+    args = ("davenport", "c[4]", "--variant=E", "--json", "--cache", cache)
+    code, doc = run_json(capsys, *args)
+    assert code == 0 and doc["cached"] is False and doc["value"] == 7
+    code, doc = run_json(capsys, *args)
+    assert doc["cached"] is True and doc["value"] == 7
+    _drop_algo(cache, "E", 6, 3)
+    code, doc = run_json(capsys, *args)
+    assert code == 0 and doc["cached"] is False and doc["value"] == 7
+
+
 def test_scan_recomputes_records_without_algo(capsys, tmp_path):
     cache = str(tmp_path / "scan.jsonl")
     args = ("scan", "--families=d,q", "--max-order=16", "--json", "--cache", cache)

@@ -20,6 +20,7 @@ from davlab import (SearchBudget, Sequence, build, davenport_ordered,
                     make_descriptor, parse_descriptor, reach_extend, validate_descriptor,
                     witness_for_theorem, zerosum)
 from davlab.errors import DavlabError, GroupTooLargeError, InvalidWeightsError
+from davlab.groups import FiniteGroup
 from davlab.subgroups import automorphisms
 from davlab.zerosum import ReachState
 
@@ -785,20 +786,20 @@ SEARCH_PINS = [
     (davenport_weighted, "q[24]", ((1, 5),), 9, 532, (12, 12, 12, 13, 14, 15, 16, 17)),
 ] + [(eg_invariant, text, (), value, states, witness) for text, value, states, witness in [
     ("c[1]", 1, 1, ()),
-    ("c[2]", 3, 4, (0, 1)),
-    ("c[3]", 5, 12, (0, 0, 1, 1)),
-    ("c[4]", 7, 46, (0, 0, 0, 1, 1, 1)),
-    ("c[5]", 9, 96, (0,) * 4 + (1,) * 4),
-    ("c[6]", 11, 542, (0,) * 5 + (1,) * 5),
-    ("c[7]", 13, 818, (0,) * 6 + (1,) * 6),
-    ("c[8]", 15, 3501, (0,) * 7 + (1,) * 7),
-    ("d[4]", 6, 21, (0, 0, 0, 1, 2)),
+    ("c[2]", 3, 3, (0, 1)),
+    ("c[3]", 5, 6, (0, 0, 1, 1)),
+    ("c[4]", 7, 17, (0, 0, 0, 1, 1, 1)),
+    ("c[5]", 9, 26, (0,) * 4 + (1,) * 4),
+    ("c[6]", 11, 111, (0,) * 5 + (1,) * 5),
+    ("c[7]", 13, 136, (0,) * 6 + (1,) * 6),
+    ("c[8]", 15, 535, (0,) * 7 + (1,) * 7),
+    ("d[4]", 6, 10, (0, 0, 0, 1, 2)),
     ("d[6]", 11, 2336, (1, 1, 1, 1, 1, 3, 2, 3, 2, 3)),
-    ("d[8]", 12, 36162, (0,) * 7 + (1, 1, 1, 4)),
-    ("q[8]", 12, 11143, (0,) * 7 + (1, 1, 1, 4)),
-    ("ab[2,2]", 6, 21, (0, 0, 0, 1, 2)),
-    ("ab[2,3]", 11, 542, (0,) * 5 + (4,) * 5),
-    ("ab[2,4]", 12, 1508, (0,) * 7 + (1, 1, 1, 4)),
+    ("d[8]", 12, 19387, (0,) * 7 + (1, 1, 1, 4)),
+    ("q[8]", 12, 6012, (0,) * 7 + (1, 1, 1, 4)),
+    ("ab[2,2]", 6, 10, (0, 0, 0, 1, 2)),
+    ("ab[2,3]", 11, 111, (0,) * 5 + (4,) * 5),
+    ("ab[2,4]", 12, 291, (0,) * 7 + (1, 1, 1, 4)),
     ("ab[2,2,2]", 11, 170, (0,) * 7 + (1, 2, 4)),
 ]]
 
@@ -809,6 +810,27 @@ def test_searches_are_pinned(search, text, args, value, states, witness, grp):
     res = search(grp(text), *args)
     assert (res.value, res.exact, res.stop_reason, res.states_explored, res.witness.terms) \
         == (value, True, "done", states, witness)
+
+
+def test_central_translations_give_the_same_e_search(grp, monkeypatch):
+    """E keyed by the maps phi(a, z) and by automorphisms alone (the centre
+    forced to {1}) agrees on value, exactness and witness, on every pinned E
+    group and on c[9], c[10] and ab[3,3], in no more states on any group
+    and in fewer in all."""
+    runs = ([(text, ()) for search, text, *_ in SEARCH_PINS if search is eg_invariant]
+            + [(text, (SearchBudget(max_states=50_000),)) for text in ("c[9]", "c[10]", "ab[3,3]")])
+
+    def run_all():
+        return [eg_invariant(grp(text), *args) for text, args in runs]
+
+    translated = run_all()
+    monkeypatch.setattr(FiniteGroup, "center", lambda group: [0])
+    untranslated = run_all()
+    for (text, _), t, u in zip(runs, translated, untranslated):
+        assert (t.value, t.exact, t.witness.terms) == (u.value, True, u.witness.terms), text
+        assert t.states_explored <= u.states_explored, text
+    assert sum(t.states_explored for t in translated) < \
+        sum(u.states_explored for u in untranslated)
 
 
 def test_d_of_g2_is_pinned_with_the_theorem_6_block_witness(grp):
@@ -825,7 +847,7 @@ def test_d_of_g2_is_pinned_with_the_theorem_6_block_witness(grp):
 @pytest.mark.parametrize("max_states", [1, 50, 1000])
 @pytest.mark.parametrize("search,text,args", [
     (davenport_ordered, "q[32]", ()), (davenport_weighted, "q[32]", ((1, 5),)),
-    (eg_invariant, "c[8]", ()), (davenport_unordered, "q[32]", ())],
+    (eg_invariant, "d[6]", ()), (davenport_unordered, "q[32]", ())],
     ids=["D", "D_A", "E", "Dprime"])
 def test_state_budget_trips_one_state_past_its_limit(search, text, args, max_states, grp):
     """The state budget is checked at every stored state, however seldom the
@@ -839,7 +861,9 @@ def test_e_above_the_table_width_builds_small_tables(grp, monkeypatch):
     """E of order 16 has states of 256 bits: lifted tables would be 32 of 256
     entries of 1 KB, and per-component tables in slots of 256 bits 256 KB.
     It steps each component with D's tables of 16-bit slots (16 KB) and keys
-    componentwise through the orbit tables of one component (32 KB)."""
+    componentwise through the orbit tables of one component (32 KB), and
+    the right step of its one central element but 1 (1 KB): no table set
+    per central element."""
     def counted(row):
         tabs = tables(row)
         built.extend(entry for tab in tabs for entry in tab)
@@ -854,15 +878,25 @@ def test_e_above_the_table_width_builds_small_tables(grp, monkeypatch):
     assert not has_group_length_product_one(res.witness)
 
 
+def test_e_keys_by_the_whole_centre_within_the_table_budget(grp):
+    """The lifted orbit tables of the |A||Z| maps phi(a, z) stay within 8 MB
+    on every pinned E group but ab[2,2,2], whose 168 * 8 maps would take
+    21 MB: it keys by its automorphisms alone."""
+    capped = [text for search, text, *_ in SEARCH_PINS if search is eg_invariant
+              and zerosum._eg_center(grp(text)) != grp(text).center()]
+    assert capped == ["ab[2,2,2]"] and zerosum._eg_center(grp("ab[2,2,2]")) == [0]
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.sampled_from([text for search, text, *_ in SEARCH_PINS if search is eg_invariant]),
        st.data())
 def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
     """On E states reached along random sequences, and their images under
-    the automorphisms, two states get equal lifted keys exactly when they
-    get equal componentwise keys: both keys split the states into the same
+    maps phi(a, z), two states get equal lifted keys exactly when they get
+    equal componentwise keys: both keys split the states into the same
     orbits, so the search is the same."""
     G, auts = _group_and_automorphisms(text)
+    center = zerosum._eg_center(G)
     n = G.order
     children = zerosum._eg_children(G)
     states = set()
@@ -873,9 +907,9 @@ def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
             state = dict(children(state)).get(g)
             if state is None:
                 break
-            states |= {sum(1 << m * n + phi[x] for m in range(n) for x in range(n)
-                           if state >> m * n + x & 1) for phi in auts[:8]}
-    lifted, componentwise = zerosum._mask_key(G, n), zerosum._tuple_key(G)
+            states |= {_packed(G, _eg_image(G, _unpacked(state, n), phi, z))
+                       for phi in auts[:4] for z in center[:4]}
+    lifted, componentwise = zerosum._eg_mask_key(G), zerosum._eg_tuple_key(G)
     pairs = {(lifted(state), componentwise(_unpacked(state, n))) for state in states}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
@@ -906,8 +940,49 @@ def test_freeness_is_invariant_under_automorphisms(text, data):
                 is_unordered_free(image)) == expected, (text, phi, terms)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(INVARIANCE_GRID), st.data())
+def test_group_length_product_one_is_invariant_under_central_translations(text, data):
+    """x -> a(x)*z with z central moves a product of |G| terms by z^|G| = 1,
+    so the E predicate keeps its answer under every such map."""
+    G, auts = _group_and_automorphisms(text)
+    terms = data.draw(st.lists(st.integers(0, G.order - 1), max_size=G.order + 2))
+    expected = has_group_length_product_one(Sequence(G, tuple(terms)))
+    for phi in auts:
+        for z in G.center():
+            image = Sequence(G, tuple(G.mul(phi[x], z) for x in terms))
+            assert has_group_length_product_one(image) == expected, (text, phi, z, terms)
+
+
+def test_central_translations_keep_only_e(grp):
+    """A product of k terms moves by z^k, which is 1 at k = |G| but not below:
+    in c[2] the sequence (g) is ordered-free, and its translate by z = g is
+    (1), which is not. So D, D_A and D' key by automorphisms alone."""
+    G = grp("c[2]")
+    g = G.generators["g"]
+    assert G.center() == [0, g] and G.mul(g, g) == 0
+    free, translate = Sequence(G, (g,)), Sequence(G, (G.mul(g, g),))
+    for check in (is_ordered_free, is_unordered_free, lambda seq: is_weighted_free(seq, (1,))):
+        assert check(free) and not check(translate)
+    # both (g, g) and its translate (1, 1) have a product one of length 2
+    assert has_group_length_product_one(Sequence(G, (g, g)))
+    assert has_group_length_product_one(Sequence(G, (0, 0)))
+
+
 def _image(mask, phi):
     return sum(1 << y for x, y in enumerate(phi) if mask >> x & 1)
+
+
+def _eg_image(G, components, phi, z):
+    """The image of E components under phi(a, z): x in component m, a
+    product of m+1 terms, goes to a(x)*z^(m+1)."""
+    return tuple(_image(mask, [G.mul(y, G.pow(z, m + 1)) for y in phi])
+                 for m, mask in enumerate(components))
+
+
+def _packed(G, components):
+    """The int E state of components, packed n bits apart."""
+    return sum(mask << m * G.order for m, mask in enumerate(components))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -921,20 +996,24 @@ def test_orbit_keys_are_canonical(text, data):
     images = [tuple(_image(m, phi) for m in state) for phi in auts]
     assert mask_key(state[0]) in {image[0] for image in images}
     assert tuple_key(state) in images
-    # the E keys: the components packed n bits apart, keyed by their least
-    # lifted image, and unpacked into the tuple that keys a wider E state
-    lifted_key = zerosum._mask_key(G, len(state))
-
-    def packed(components):
-        return sum(m << i * G.order for i, m in enumerate(components))
-
-    assert _unpacked(packed(state), G.order, len(state)) == state
-    assert lifted_key(packed(state)) in {packed(image) for image in images}
     for image in images:
         assert mask_key(image[0]) == mask_key(state[0])
         assert tuple_key(image) == tuple_key(state)
-        assert tuple_key(_unpacked(packed(image), G.order, len(state))) == tuple_key(state)
-        assert lifted_key(packed(image)) == lifted_key(packed(state))
+    # the E keys, under the maps phi(a, z) over the whole centre: the
+    # componentwise key of a tuple and, where the state fits the tables,
+    # the lifted key of the components packed n bits apart
+    center = zerosum._eg_center(G)
+    assert center == G.center()
+    e_images = [_eg_image(G, state, phi, z) for phi in auts for z in center]
+    eg_key = zerosum._eg_tuple_key(G)
+    assert eg_key(state) in e_images
+    assert {eg_key(image) for image in e_images} == {eg_key(state)}
+    assert _unpacked(_packed(G, state), G.order, len(state)) == state
+    if G.order ** 2 <= zerosum._BYTE_TABLE_MAX_ORDER:
+        lifted_key = zerosum._eg_mask_key(G)
+        packed_images = {_packed(G, image) for image in e_images}
+        assert lifted_key(_packed(G, state)) in packed_images
+        assert {lifted_key(image) for image in packed_images} == {lifted_key(_packed(G, state))}
     # the D' key: tuple_key of the multiplicity layers of a sorted multiset
     ms = tuple(sorted(data.draw(st.lists(st.integers(0, G.order - 1), max_size=G.order))))
     layers = zerosum._layers(ms)
