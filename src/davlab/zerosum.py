@@ -93,8 +93,18 @@ WEIGHT_SET_CAP = 16
 # (_eg_center).
 _BYTE_TABLE_MAX_ORDER = 64
 _ORBIT_TABLE_BYTES = 8 << 20
-# Fewest maps whose least image numpy's reduce finds quicker than Python's min.
+# Fewest maps whose least image numpy's reduce finds quicker than Python's
+# min, per key call on the states the pinned searches key (one CPU): 6 maps
+# (E of d[6]) 1.2 us by min, 1.9 by reduce; 16 (D of sd[16], E of d[8])
+# 1.2-2.0 against 1.5-2.3; 32 (D of q[16], E of c[8]) even, 1.6-2.6 both;
+# 48 (D of q[24], E of q[8]) 2.3-3.4 against 1.8-2.6; 128 (D of d[32]) 5.6
+# against 2.3.
 _NUMPY_MIN_MAPS = 32
+# Entries of one generation of the caches of E's componentwise key
+# (_Generations): at most twice as many are held. E of q[16] keeps the
+# memory of keying by automorphisms alone at 200,000 states, and E of c[12]
+# the time of unbounded caches.
+_EG_CACHE_GENERATION = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -866,6 +876,27 @@ def _eg_mask_key(group: FiniteGroup):
     return _least_image(targets.reshape(n * n, len(center) * auts.shape[1]))
 
 
+class _Generations(dict):
+    """self[x] = compute(x), cached in two generations, like the engine's
+    keys (_longest_free): an x missing from this one is looked up in the one
+    before, and this one is retired once it holds _EG_CACHE_GENERATION
+    entries, so at most twice that many are held."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.retired: dict = {}
+
+    def __missing__(self, x):
+        value = self.retired.get(x)
+        if value is None:
+            value = self.compute(x)
+        if len(self) >= _EG_CACHE_GENERATION:
+            self.retired = dict(self)
+            self.clear()
+        self[x] = value
+        return value
+
+
 def _eg_tuple_key(group: FiniteGroup):
     """The memo key of an E state held as the tuple of its n components: the
     least of its images under the maps phi(a, z) (_eg_center), compared as
@@ -874,21 +905,19 @@ def _eg_tuple_key(group: FiniteGroup):
     and each product is mapped under the automorphisms by the orbit tables
     of one mask: image (u, a) is phi(a, a(u)), the same map in every
     component. Those images are cached per mask, and their concatenation
-    per component and m."""
+    per component and m, each in two bounded generations (_Generations)."""
     center = _eg_center(group)
     n = group.order
     images = _orbit_images(_automorphism_targets(group))
     steps = {u: _right_step(group, u) for u in center[1:]}
     steps[0] = int  # u^(m+1) = 1
     shifts = [[steps[group.pow(u, m + 1)] for u in center] for m in range(n)]
-    automorphic = (functools.cache(lambda mask: images(mask).tolist())
-                   if images is not None else lambda mask: [mask])
-
-    @functools.cache
-    def component(mask: int, m: int) -> list[int]:
-        return [y for shift in shifts[m] for y in automorphic(shift(mask))]
-
-    return lambda state: min(zip(*map(component, state, range(n))))
+    automorphic = _Generations(lambda mask: [mask] if images is None
+                               else images(mask).tolist())
+    component = _Generations(lambda mask_m: [
+        y for shift in shifts[mask_m[1]] for y in automorphic[shift(mask_m[0])]])
+    ms = range(n)
+    return lambda state: min(zip(*map(component.__getitem__, zip(state, ms))))
 
 
 def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:

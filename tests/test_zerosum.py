@@ -847,14 +847,37 @@ def test_d_of_g2_is_pinned_with_the_theorem_6_block_witness(grp):
 @pytest.mark.parametrize("max_states", [1, 50, 1000])
 @pytest.mark.parametrize("search,text,args", [
     (davenport_ordered, "q[32]", ()), (davenport_weighted, "q[32]", ((1, 5),)),
-    (eg_invariant, "d[6]", ()), (davenport_unordered, "q[32]", ())],
-    ids=["D", "D_A", "E", "Dprime"])
+    (eg_invariant, "d[6]", ()), (eg_invariant, "q[8]", ()), (davenport_unordered, "q[32]", ())],
+    ids=["D", "D_A", "E", "E_central", "Dprime"])
 def test_state_budget_trips_one_state_past_its_limit(search, text, args, max_states, grp):
     """The state budget is checked at every stored state, however seldom the
-    clock is read."""
+    clock is read. E runs on d[6], whose centre is {1}, and on q[8], whose
+    centre of order 2 keys it by central translations too."""
     res = search(grp(text), *args, SearchBudget(max_states=max_states))
     assert res.stop_reason == "states" and res.states_explored == max_states + 1
     assert len(res.witness) == res.value - 1
+
+
+def test_e_componentwise_key_caches_stay_bounded(grp, monkeypatch):
+    """E above the table width caches its component images in two
+    generations: with generations of 4 entries no cache holds more than 8,
+    and E(c[10]) keeps its value, exact flag, witness and state count."""
+    G, budget = grp("c[10]"), SearchBudget(max_states=50_000)
+    expected = eg_invariant(G, budget)
+    caches = []
+
+    class Spied(zerosum._Generations):
+        def __init__(self, compute):
+            super().__init__(compute)
+            caches.append(self)
+
+    monkeypatch.setattr(zerosum, "_Generations", Spied)
+    monkeypatch.setattr(zerosum, "_EG_CACHE_GENERATION", 4)
+    res = eg_invariant(G, budget)
+    assert (res.value, res.exact, res.witness.terms, res.states_explored) == \
+        (expected.value, True, expected.witness.terms, expected.states_explored)
+    assert len(caches) == 2
+    assert all(len(cache) + len(cache.retired) <= 8 for cache in caches)
 
 
 def test_e_above_the_table_width_builds_small_tables(grp, monkeypatch):
@@ -908,7 +931,7 @@ def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
             if state is None:
                 break
             states |= {_packed(G, _eg_image(G, _unpacked(state, n), phi, z))
-                       for phi in auts[:4] for z in center[:4]}
+                       for phi in auts[:8] for z in center[:4]}
     lifted, componentwise = zerosum._eg_mask_key(G), zerosum._eg_tuple_key(G)
     pairs = {(lifted(state), componentwise(_unpacked(state, n))) for state in states}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
