@@ -81,9 +81,10 @@ class ResultRecord:
 
 
 def record_key(descriptor: str, invariant: str, weight_set=None) -> tuple:
-    """The cache key of a result; the weights are an unordered set."""
+    """The cache key of a result; the weights are a set, keyed by their
+    sorted distinct members."""
     return (descriptor, invariant,
-            tuple(sorted(weight_set)) if weight_set else None)
+            tuple(sorted(set(weight_set))) if weight_set else None)
 
 
 def cache_path(explicit: str | os.PathLike | None = None) -> Path:

@@ -20,16 +20,20 @@ the search stays an independent check of both. It keys its memo by orbits:
 an automorphism a maps a free sequence to a free one, and the state of the
 image sequence is a(S), so the key of a state is its least image under the
 automorphisms that subgroups.automorphisms finds, while steps, paths and the
-witness stay on raw states. D and D_A key one mask (_mask_key), and D' the
-multiplicity layers of its multiset (_layers), which determine the
-multiset, each layer mapped by the same a (_tuple_key). E keys by central
-translations too: multiplying every term by a central z moves a product of
-m+1 terms by z^(m+1), so the key of an E state is its least image under the
-maps phi(a, z) that send each x of component m to a(x)*z^(m+1) (_eg_center),
-read from lifted tables up to the table width (_eg_mask_key) and
-componentwise above it (_eg_tuple_key). They keep E's freeness because
-z^|G| = 1; a shorter product moves by z^k, which need not be 1, so D, D_A
-and D' take the automorphisms alone.
+witness stay on raw states. E keys by central translations too:
+multiplying every term by a central z moves a product of m+1 terms by
+z^(m+1), so the key of an E state is its least image under the maps
+phi(a, z) that send each x of component m to a(x)*z^(m+1) (_eg_center).
+They keep E's freeness because z^|G| = 1; a shorter product moves by z^k,
+which need not be 1, so D, D_A and D' take the automorphisms alone, the
+maps phi(a, 1). One builder, _phi_targets, gives the maps of every key.
+D and D_A key one mask, and E up to the table width its lifted state, by
+the least image under those maps (_least_image). D' keys the multiplicity
+layers of its multiset (_layers), which determine the multiset, and E above
+the table width the tuple of its components, both componentwise
+(_tuple_key). Every cache of keys and images, the engine's and the
+componentwise key's, holds at most two generations of
+_KEY_CACHE_GENERATION entries (_Generations).
 
 Every reach state of at most _BYTE_TABLE_MAX_ORDER = 64 bits is stepped by
 every letter at once, with one lookup per byte of the state (_byte_map, one
@@ -100,11 +104,12 @@ _ORBIT_TABLE_BYTES = 8 << 20
 # 48 (D of q[24], E of q[8]) 2.3-3.4 against 1.8-2.6; 128 (D of d[32]) 5.6
 # against 2.3.
 _NUMPY_MIN_MAPS = 32
-# Entries of one generation of the caches of E's componentwise key
-# (_Generations): at most twice as many are held. E of q[16] keeps the
-# memory of keying by automorphisms alone at 200,000 states, and E of c[12]
-# the time of unbounded caches.
-_EG_CACHE_GENERATION = 1 << 13
+# Entries of one generation of every cache of raw states' keys and of their
+# components' images (_Generations): at most twice as many are held, at any
+# state budget. A state met again after its key has left both generations
+# is keyed again: D(q[64]) computes 627,342 keys, against 604,351 with a
+# cache as large as its memo of 202,047 states, which took 38 MB more.
+_KEY_CACHE_GENERATION = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,27 @@ def _checked_budget(group: FiniteGroup, budget: SearchBudget | None,
     return _Clock(budget or SearchBudget())
 
 
+class _Generations(dict):
+    """self[x] = compute(x), cached in two generations: an x missing from this
+    one is looked up in the one before, and this one is retired once it
+    holds _KEY_CACHE_GENERATION entries, so at most twice that many are
+    held."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.retired: dict = {}
+
+    def __missing__(self, x):
+        value = self.retired.get(x)
+        if value is None:
+            value = self.compute(x)
+        if len(self) >= _KEY_CACHE_GENERATION:
+            self.retired = dict(self)
+            self.clear()
+        self[x] = value
+        return value
+
+
 def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
                   key, top: int | None = None) -> SearchResult:
     """Longest walk from start along the steps (g, next state) that
@@ -228,11 +254,11 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
     1 before its key is computed, and never enters dead. Live steps strictly
     grow the state, so the walk graph is acyclic. key is used for dead only;
     steps and paths stay on raw states. States of one key must have the same
-    walks up to relabelling, as orbit keys do (_mask_key), and the same
-    room. The keys of raw states are cached in two generations: a state
-    missing from the current one is looked up in the one before, and the
-    current one is retired once it holds more states than dead, so the
-    cache holds at most twice as many states as the memo holds keys.
+    walks up to relabelling, as orbit keys do (_least_image), and the same
+    room. The keys of raw states are cached in two generations of
+    _KEY_CACHE_GENERATION states (_Generations), so at any budget only dead
+    grows with the search; a state met again after its key was retired is
+    keyed again.
 
     The witness is the lexicographically least longest walk: the last
     successful DFS finds the least walk of its length w+1, since it enters
@@ -242,13 +268,11 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
     """
     dead: dict = {}
     bound_of = dead.get
-    keys: dict = {}  # raw state -> key, and the generation before it
-    retired: dict = {}
+    keys = _Generations(key)  # raw state -> key
 
     def least_walk(target: int):
         """(path, end state) of the least walk of length target, or None
         once the bounds stored in dead refute it."""
-        nonlocal keys, retired
         path: list[int] = []
         frames = []  # (key, children, bound) of each state below the top one
         k, steps, bound = key(start), iter(children(start)), 1
@@ -266,10 +290,7 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
                             if room + 2 > bound:
                                 bound = room + 2
                             continue
-                    kn = keys.get(nxt)
-                    if kn is None:
-                        kn = retired.get(nxt)
-                        keys[nxt] = kn = key(nxt) if kn is None else kn
+                    kn = keys[nxt]
                     b = bound_of(kn)
                     if b is not None and b <= need:
                         if b >= bound:
@@ -286,8 +307,6 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
             dead[k] = bound
             if not frames:
                 return None
-            if len(keys) > len(dead):
-                retired, keys = keys, {}
             clock.tick(len(dead))
             path.pop()
             b = bound
@@ -461,17 +480,19 @@ def _least_image(targets: np.ndarray):
     return lambda state: int(least(images(state)))
 
 
-def _automorphism_targets(group: FiniteGroup) -> np.ndarray:
-    """targets[x, k] = a_k(x) over the automorphisms that automorphisms()
-    finds, as _orbit_images reads them."""
-    return np.array(automorphisms(group), dtype=np.int64).T
-
-
-def _mask_key(group: FiniteGroup):
-    """The memo key of a reach mask: its least image under the automorphisms
-    found (_least_image). Sound for every step that commutes with
-    automorphisms: that of D, and of D_A, since a(g^w) = a(g)^w."""
-    return _least_image(_automorphism_targets(group))
+def _phi_targets(group: FiniteGroup, center, parts: int) -> np.ndarray:
+    """targets[m*n + x, (z, a)] = m*n + a(x)*z^(m+1) for m < parts, as
+    _orbit_images reads them: the maps phi(a, z) over the automorphisms a
+    that automorphisms() finds and the central z in center. One part and
+    center (0,) give the automorphisms alone, the maps of the keys of D and
+    D_A, sound for every step that commutes with automorphisms, as a(g^w) =
+    a(g)^w; n parts and _eg_center give the maps of E's key."""
+    n = group.order
+    auts = np.array(automorphisms(group), dtype=np.int64).T  # auts[x, a] = a(x)
+    powers = np.array([[group.pow(z, m + 1) for z in center] for m in range(parts)])
+    targets = (group.array[auts[None, :, None, :], powers[:, None, :, None]]
+               + np.arange(0, parts * n, n)[:, None, None, None])
+    return targets.reshape(parts * n, len(center) * auts.shape[1])
 
 
 def _room(group: FiniteGroup) -> int:
@@ -482,15 +503,30 @@ def _room(group: FiniteGroup) -> int:
     return group.order - 1
 
 
-def _tuple_key(group: FiniteGroup):
-    """The memo key of tuples of masks: the least of their images under one
-    automorphism applied to every component, compared as tuples, with the
-    images cached per component (states share most of their components)."""
-    images = _orbit_images(_automorphism_targets(group))
-    if images is None:
-        return tuple
-    component = functools.cache(lambda mask: images(mask).tolist())
-    return lambda state: min(zip(*map(component, state)), default=())
+def _tuple_key(group: FiniteGroup, center=(0,)):
+    """The memo key of tuples of masks, component m a set of products of m+1
+    terms: the least of their images under the maps phi(a, z) over the z in
+    center (_phi_targets), compared as tuples. The images of each mask under
+    the automorphisms are read from the orbit tables of one mask and cached
+    (_Generations), as states share most of their components; with center
+    (0,), the key of D' layers, those images are the components' own. With
+    more central elements, E's key above the table width, component m is
+    first multiplied by u^(m+1) for each central u, by one small table per
+    central element (_right_step), since a(x*u) = a(x)*a(u): image (u, a) is
+    phi(a, a(u)), the same map in every component, and the concatenated
+    images of each (mask, m) are cached too."""
+    images = _orbit_images(_phi_targets(group, (0,), 1))
+    automorphic = _Generations(lambda mask: [mask] if images is None
+                               else images(mask).tolist())
+    if len(center) == 1:
+        return lambda state: min(zip(*map(automorphic.__getitem__, state)), default=())
+    steps = {u: _right_step(group, u) for u in center[1:]}
+    steps[0] = int  # u^(m+1) = 1
+    shifts = [[steps[group.pow(u, m + 1)] for u in center] for m in range(group.order)]
+    component = _Generations(lambda mask_m: [
+        y for shift in shifts[mask_m[1]] for y in automorphic[shift(mask_m[0])]])
+    ms = range(group.order)
+    return lambda state: min(zip(*map(component.__getitem__, zip(state, ms))))
 
 
 def _layers(ms: tuple[int, ...]) -> tuple[int, ...]:
@@ -850,7 +886,7 @@ def _eg_center(group: FiniteGroup) -> list[int]:
     form a group, Z(G) semidirect A, as each a maps the centre onto itself.
     They are E's alone: a product of k < n terms moves by z^k, which need
     not be 1, so D, D_A and D' key by automorphisms only. The centre is {1}
-    where the lifted tables of the |A||Z| maps (_eg_mask_key) would pass
+    where the lifted tables of the |A||Z| maps (_phi_targets) would pass
     _ORBIT_TABLE_BYTES; as both E keys read it, they take the same maps."""
     center = group.center()
     bits = group.order ** 2
@@ -862,73 +898,16 @@ def _eg_center(group: FiniteGroup) -> list[int]:
     return center
 
 
-def _eg_mask_key(group: FiniteGroup):
-    """The memo key of an E state of at most _BYTE_TABLE_MAX_ORDER bits: its
-    least image under the maps phi(a, z) (_eg_center), which send bit
-    m*n + x to bit m*n + a(x)*z^(m+1) (_least_image)."""
-    center = _eg_center(group)
-    n = group.order
-    auts = _automorphism_targets(group)
-    powers = np.array([[group.pow(z, m + 1) for z in center] for m in range(n)])
-    # targets[m, x, z, a] = m*n + a(x)*z^(m+1)
-    targets = (group.array[auts[None, :, None, :], powers[:, None, :, None]]
-               + np.arange(0, n * n, n)[:, None, None, None])
-    return _least_image(targets.reshape(n * n, len(center) * auts.shape[1]))
-
-
-class _Generations(dict):
-    """self[x] = compute(x), cached in two generations, like the engine's
-    keys (_longest_free): an x missing from this one is looked up in the one
-    before, and this one is retired once it holds _EG_CACHE_GENERATION
-    entries, so at most twice that many are held."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.retired: dict = {}
-
-    def __missing__(self, x):
-        value = self.retired.get(x)
-        if value is None:
-            value = self.compute(x)
-        if len(self) >= _EG_CACHE_GENERATION:
-            self.retired = dict(self)
-            self.clear()
-        self[x] = value
-        return value
-
-
-def _eg_tuple_key(group: FiniteGroup):
-    """The memo key of an E state held as the tuple of its n components: the
-    least of its images under the maps phi(a, z) (_eg_center), compared as
-    tuples. As a(x*u) = a(x)*a(u), component m is multiplied by u^(m+1) for
-    each central u, by one small table per central element (_right_step),
-    and each product is mapped under the automorphisms by the orbit tables
-    of one mask: image (u, a) is phi(a, a(u)), the same map in every
-    component. Those images are cached per mask, and their concatenation
-    per component and m, each in two bounded generations (_Generations)."""
-    center = _eg_center(group)
-    n = group.order
-    images = _orbit_images(_automorphism_targets(group))
-    steps = {u: _right_step(group, u) for u in center[1:]}
-    steps[0] = int  # u^(m+1) = 1
-    shifts = [[steps[group.pow(u, m + 1)] for u in center] for m in range(n)]
-    automorphic = _Generations(lambda mask: [mask] if images is None
-                               else images(mask).tolist())
-    component = _Generations(lambda mask_m: [
-        y for shift in shifts[mask_m[1]] for y in automorphic[shift(mask_m[0])]])
-    ms = range(n)
-    return lambda state: min(zip(*map(component.__getitem__, zip(state, ms))))
-
-
 def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:
     """Exact E(G) over length-stratified reach states (_eg_children), keyed
     by the maps phi(a, z) (_eg_center). Identity terms stay legal: extremal E
     witnesses are identity-padded."""
     clock = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
-    n = group.order
+    n, center = group.order, _eg_center(group)
     if n * n <= _BYTE_TABLE_MAX_ORDER:
-        return _longest_free(group, 0, _eg_children(group), clock, _eg_mask_key(group))
-    return _longest_free(group, (0,) * n, _eg_children(group), clock, _eg_tuple_key(group))
+        return _longest_free(group, 0, _eg_children(group), clock,
+                             _least_image(_phi_targets(group, center, n)))
+    return _longest_free(group, (0,) * n, _eg_children(group), clock, _tuple_key(group, center))
 
 
 def eg_lower_witness(ordered_witness: Sequence) -> Sequence:
@@ -1007,7 +986,7 @@ def _weighted_search(group: FiniteGroup, A: tuple[int, ...],
     """D_A(G) by reach-mask search, for weights A that are valid or (1,)."""
     clock = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
     return _longest_free(group, 0, _weighted_children(group, A, clock), clock,
-                         _mask_key(group), _room(group))
+                         _least_image(_phi_targets(group, (0,), 1)), _room(group))
 
 
 def davenport_weighted(group: FiniteGroup, weights,

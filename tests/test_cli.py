@@ -126,6 +126,17 @@ def test_davenport_weighted(capsys, tmp_path):
     assert doc["value"] == 5 and doc["cached"] is False
 
 
+def test_davenport_weights_are_a_set_in_the_cache(capsys, tmp_path):
+    """A repeated weight names the same set: the second command is a cache
+    hit, and the file holds one record."""
+    cache = tmp_path / "c.jsonl"
+    for weights, cached in (("1,3", False), ("1,3,3", True)):
+        code, doc = run_json(capsys, "davenport", "q[8]", "--variant=weighted",
+                             f"--weights={weights}", "--json", "--cache", str(cache))
+        assert (code, doc["cached"]) == (0, cached)
+    assert len(cache.read_text().splitlines()) == 1
+
+
 def test_davenport_weighted_needs_weights(capsys):
     assert main(["davenport", "c[5]", "--variant=weighted", "--no-cache"]) == 2
 

@@ -858,12 +858,18 @@ def test_state_budget_trips_one_state_past_its_limit(search, text, args, max_sta
     assert len(res.witness) == res.value - 1
 
 
-def test_e_componentwise_key_caches_stay_bounded(grp, monkeypatch):
-    """E above the table width caches its component images in two
-    generations: with generations of 4 entries no cache holds more than 8,
-    and E(c[10]) keeps its value, exact flag, witness and state count."""
-    G, budget = grp("c[10]"), SearchBudget(max_states=50_000)
-    expected = eg_invariant(G, budget)
+@pytest.mark.parametrize("search,text", [(eg_invariant, "c[10]"), (davenport_unordered, "q[16]"),
+                                         (davenport_ordered, "q[32]")],
+                         ids=["E", "Dprime", "D"])
+def test_key_caches_stay_bounded(search, text, grp, monkeypatch):
+    """Every cache of keys and images holds two generations: with
+    generations of 4 entries none holds more than 8, and each search keeps
+    its value, exact flag, witness and state count. E above the table width
+    caches the engine's keys, the components' automorphic images and their
+    translated concatenations, D' the engine's keys and its layers' images,
+    D the engine's keys."""
+    G, budget = grp(text), SearchBudget(max_states=20_000)
+    expected = search(G, budget)
     caches = []
 
     class Spied(zerosum._Generations):
@@ -872,11 +878,11 @@ def test_e_componentwise_key_caches_stay_bounded(grp, monkeypatch):
             caches.append(self)
 
     monkeypatch.setattr(zerosum, "_Generations", Spied)
-    monkeypatch.setattr(zerosum, "_EG_CACHE_GENERATION", 4)
-    res = eg_invariant(G, budget)
+    monkeypatch.setattr(zerosum, "_KEY_CACHE_GENERATION", 4)
+    res = search(G, budget)
     assert (res.value, res.exact, res.witness.terms, res.states_explored) == \
         (expected.value, True, expected.witness.terms, expected.states_explored)
-    assert len(caches) == 2
+    assert len(caches) == {"c[10]": 3, "q[16]": 2, "q[32]": 1}[text]
     assert all(len(cache) + len(cache.retired) <= 8 for cache in caches)
 
 
@@ -932,7 +938,8 @@ def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
                 break
             states |= {_packed(G, _eg_image(G, _unpacked(state, n), phi, z))
                        for phi in auts[:8] for z in center[:4]}
-    lifted, componentwise = zerosum._eg_mask_key(G), zerosum._eg_tuple_key(G)
+    lifted = zerosum._least_image(zerosum._phi_targets(G, center, n))
+    componentwise = zerosum._tuple_key(G, center)
     pairs = {(lifted(state), componentwise(_unpacked(state, n))) for state in states}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
@@ -1013,7 +1020,8 @@ def _packed(G, components):
 def test_orbit_keys_are_canonical(text, data):
     """A key is an image of the state, and every image has the same key."""
     G, auts = _group_and_automorphisms(text)
-    mask_key, tuple_key = zerosum._mask_key(G), zerosum._tuple_key(G)
+    mask_key = zerosum._least_image(zerosum._phi_targets(G, (0,), 1))
+    tuple_key = zerosum._tuple_key(G)
     state = tuple(data.draw(st.lists(st.integers(0, (1 << G.order) - 1),
                                      min_size=1, max_size=4)))
     images = [tuple(_image(m, phi) for m in state) for phi in auts]
@@ -1028,12 +1036,12 @@ def test_orbit_keys_are_canonical(text, data):
     center = zerosum._eg_center(G)
     assert center == G.center()
     e_images = [_eg_image(G, state, phi, z) for phi in auts for z in center]
-    eg_key = zerosum._eg_tuple_key(G)
+    eg_key = zerosum._tuple_key(G, center)
     assert eg_key(state) in e_images
     assert {eg_key(image) for image in e_images} == {eg_key(state)}
     assert _unpacked(_packed(G, state), G.order, len(state)) == state
     if G.order ** 2 <= zerosum._BYTE_TABLE_MAX_ORDER:
-        lifted_key = zerosum._eg_mask_key(G)
+        lifted_key = zerosum._least_image(zerosum._phi_targets(G, center, G.order))
         packed_images = {_packed(G, image) for image in e_images}
         assert lifted_key(_packed(G, state)) in packed_images
         assert {lifted_key(image) for image in packed_images} == {lifted_key(_packed(G, state))}
@@ -1241,7 +1249,8 @@ def reference_ordered(G, budget=None):
         return None if new & 1 else new
 
     return zerosum._longest_free(G, 0, _letter_children(extend, range(1, G.order)),
-                                 zerosum._Clock(budget or SearchBudget()), zerosum._mask_key(G),
+                                 zerosum._Clock(budget or SearchBudget()),
+                                 zerosum._least_image(zerosum._phi_targets(G, (0,), 1)),
                                  zerosum._room(G))
 
 
@@ -1256,7 +1265,8 @@ def reference_weighted(G, A, budget=None):
         return None if new & 1 else new
 
     return zerosum._longest_free(G, 0, _letter_children(extend, range(G.order)),
-                                 zerosum._Clock(budget or SearchBudget()), zerosum._mask_key(G),
+                                 zerosum._Clock(budget or SearchBudget()),
+                                 zerosum._least_image(zerosum._phi_targets(G, (0,), 1)),
                                  zerosum._room(G))
 
 
