@@ -198,7 +198,7 @@ def _cmd_davenport(args) -> int:
         record = ResultRecord(
             descriptor=canonical, invariant=invariant, value=result.value,
             exact=result.exact, weight_set=list(weights) if weights else None,
-            witness=result.witness.labels())
+            witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
     doc = {
         "descriptor": canonical,
@@ -219,7 +219,6 @@ def _cmd_davenport(args) -> int:
         f"exact: {str(record.exact).lower()}",
     ]
     if fresh:
-        record.elapsed_ms = elapsed_ms
         if not args.no_cache:
             cache_put(path, record)
         doc["states"] = result.states_explored

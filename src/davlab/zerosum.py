@@ -23,7 +23,7 @@ automorphisms that subgroups.automorphisms finds, while steps, paths and the
 witness stay on raw states. E keys by central translations too:
 multiplying every term by a central z moves a product of m+1 terms by
 z^(m+1), so the key of an E state is its least image under the maps
-phi(a, z) that send each x of component m to a(x)*z^(m+1) (_eg_center).
+phi(a, z) that send each x of component m to a(x)*z^(m+1), at every order.
 They keep E's freeness because z^|G| = 1; a shorter product moves by z^k,
 which need not be 1, so D, D_A and D' take the automorphisms alone, the
 maps phi(a, 1). One builder, _phi_targets, gives the maps of every key.
@@ -90,13 +90,12 @@ WEIGHT_SET_CAP = 16
 # tables: eight bytes, the widest lookup _byte_map unrolls. That is order 64
 # for D and D_A and order 8 for E (n^2 bits). The ceil(n/8) * 256 entries of
 # D's step pack n images of n bits in 64-bit slots, 1 MB at order 64 (5 GB
-# at order 1100); E's lifted step at order 8 takes 128 KB. The orbit tables
-# hold one image per automorphism, at most 2^15/n of them (subgroups), in
-# slots of 8 to 64 bits: 8 MB at any order from 33 to 64, 4 MB up to 32.
-# E's hold one image per map phi(a, z), |A||Z| of them, within the same 8 MB
-# (_eg_center).
+# at order 1100); E's lifted step at order 8 takes 128 KB. D's orbit tables
+# hold ceil(n/8) * 256 * floor(2^15/n) slots of the state's width, one per
+# automorphism (subgroups): 5.6 MiB at order 17, 9.7 MiB at 33, 8 MiB at 64.
+# E's hold ceil(n^2/8) * 256 * |A||Z| slots of up to 64 bits, one per map
+# phi(a, z): 21 MiB for the 1,344 of ab[2,2,2], at most 1 MiB for the rest.
 _BYTE_TABLE_MAX_ORDER = 64
-_ORBIT_TABLE_BYTES = 8 << 20
 # Fewest maps whose least image numpy's reduce finds quicker than Python's
 # min, per key call on the states the pinned searches key (one CPU): 6 maps
 # (E of d[6]) 1.2 us by min, 1.9 by reduce; 16 (D of sd[16], E of d[8])
@@ -486,7 +485,7 @@ def _phi_targets(group: FiniteGroup, center, parts: int) -> np.ndarray:
     that automorphisms() finds and the central z in center. One part and
     center (0,) give the automorphisms alone, the maps of the keys of D and
     D_A, sound for every step that commutes with automorphisms, as a(g^w) =
-    a(g)^w; n parts and _eg_center give the maps of E's key."""
+    a(g)^w; n parts and the centre give the maps of E's key."""
     n = group.order
     auts = np.array(automorphisms(group), dtype=np.int64).T  # auts[x, a] = a(x)
     powers = np.array([[group.pow(z, m + 1) for z in center] for m in range(parts)])
@@ -877,33 +876,12 @@ def _eg_children(group: FiniteGroup):
     return children
 
 
-def _eg_center(group: FiniteGroup) -> list[int]:
-    """The central elements z of the maps phi(a, z) that key E states: phi
-    sends each product x of m+1 terms, in component m, to a(x)*z^(m+1), for a
-    an automorphism found and z central. That is the state of the sequence
-    of the a(g)*z, z commuting with every term, and phi keeps the identity
-    in component n-1, as z^n = 1: it maps free walks to free walks. The maps
-    form a group, Z(G) semidirect A, as each a maps the centre onto itself.
-    They are E's alone: a product of k < n terms moves by z^k, which need
-    not be 1, so D, D_A and D' key by automorphisms only. The centre is {1}
-    where the lifted tables of the |A||Z| maps (_phi_targets) would pass
-    _ORBIT_TABLE_BYTES; as both E keys read it, they take the same maps."""
-    center = group.center()
-    bits = group.order ** 2
-    if bits <= _BYTE_TABLE_MAX_ORDER:
-        # a table of 256 entries per byte of the state, each a slot per map
-        slots = len(automorphisms(group)) * len(center)
-        if -(-bits // 8) * 256 * slots * _slot_format(bits)[1] // 8 > _ORBIT_TABLE_BYTES:
-            return [0]
-    return center
-
-
 def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> SearchResult:
     """Exact E(G) over length-stratified reach states (_eg_children), keyed
-    by the maps phi(a, z) (_eg_center). Identity terms stay legal: extremal E
-    witnesses are identity-padded."""
+    by the maps phi(a, z) over the whole centre, a group, Z(G) semidirect A.
+    Identity terms stay legal: extremal E witnesses are identity-padded."""
     clock = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
-    n, center = group.order, _eg_center(group)
+    n, center = group.order, group.center()
     if n * n <= _BYTE_TABLE_MAX_ORDER:
         return _longest_free(group, 0, _eg_children(group), clock,
                              _least_image(_phi_targets(group, center, n)))

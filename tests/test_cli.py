@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import schema_errors
-from davlab.cache import ResultRecord, cache_records
+from davlab import zerosum
+from davlab.cache import ResultRecord, cache_get, cache_records
 from davlab.cli import _grid, main, scan_row
 from davlab.numtheory import prime_power
 from davlab.theory import expected_davenport, loewy_formula, olson_white, witness_plan
@@ -248,6 +250,20 @@ def test_scan_recomputes_records_without_algo(capsys, tmp_path):
         assert strip(again["rows"]) == strip(first["rows"])
         code, third = run_json(capsys, *args)
         assert all(r["cached"] for r in third["rows"])
+
+
+@pytest.mark.parametrize("argv", [("davenport", "q[8]"), ("scan", "--families=q", "--max-order=8")],
+                         ids=["davenport", "scan"])
+def test_cached_d_records_store_the_search_time(argv, capsys, monkeypatch, tmp_path):
+    """Both writers of D records store the search's own elapsed time, not
+    the command's: with a search that reports 0.25 s, elapsed_ms is 250."""
+    search = zerosum.davenport_ordered
+    monkeypatch.setattr(zerosum, "davenport_ordered", lambda group, budget=None:
+                        dataclasses.replace(search(group, budget), elapsed=0.25))
+    cache = tmp_path / "c.jsonl"
+    code, _ = run(capsys, *argv, "--cache", str(cache))
+    record = cache_get(cache, "q[8]", "D")
+    assert code == 0 and (record.value, record.exact, record.elapsed_ms) == (5, True, 250)
 
 
 def test_witness_verify(capsys):

@@ -800,7 +800,7 @@ SEARCH_PINS = [
     ("ab[2,2]", 6, 10, (0, 0, 0, 1, 2)),
     ("ab[2,3]", 11, 111, (0,) * 5 + (4,) * 5),
     ("ab[2,4]", 12, 291, (0,) * 7 + (1, 1, 1, 4)),
-    ("ab[2,2,2]", 11, 170, (0,) * 7 + (1, 2, 4)),
+    ("ab[2,2,2]", 11, 60, (0,) * 7 + (1, 2, 4)),
 ]]
 
 
@@ -907,13 +907,30 @@ def test_e_above_the_table_width_builds_small_tables(grp, monkeypatch):
     assert not has_group_length_product_one(res.witness)
 
 
-def test_e_keys_by_the_whole_centre_within_the_table_budget(grp):
-    """The lifted orbit tables of the |A||Z| maps phi(a, z) stay within 8 MB
-    on every pinned E group but ab[2,2,2], whose 168 * 8 maps would take
-    21 MB: it keys by its automorphisms alone."""
-    capped = [text for search, text, *_ in SEARCH_PINS if search is eg_invariant
-              and zerosum._eg_center(grp(text)) != grp(text).center()]
-    assert capped == ["ab[2,2,2]"] and zerosum._eg_center(grp("ab[2,2,2]")) == [0]
+def test_lifted_e_key_tables_are_largest_on_ab222(grp):
+    """E keys by every map phi(a, z) over the whole centre. Its lifted key
+    tables, ceil(n^2/8) tables of 256 entries of one slot of at most 64 bits
+    per map, take at most 1 MiB on every family group of order at most 8
+    but ab[2,2,2], whose 168 * 8 maps take 21 MiB; its search peaks below
+    32 MB of Python allocations."""
+    table_bytes = {}
+    for search, text, *_ in SEARCH_PINS:
+        if search is eg_invariant:
+            G = grp(text)
+            maps = zerosum._phi_targets(G, G.center(), G.order).shape[1]
+            assert maps == len(automorphisms(G)) * len(G.center())
+            table_bytes[text] = -(-G.order ** 2 // 8) * 256 * maps * 8
+    largest = max(table_bytes, key=table_bytes.get)
+    assert largest == "ab[2,2,2]" and table_bytes[largest] == 21 << 20
+    assert max(b for text, b in table_bytes.items() if text != largest) <= 1 << 20
+    tracemalloc.start()
+    try:
+        res = eg_invariant(grp("ab[2,2,2]"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.exact, res.states_explored) == (11, True, 60)
+    assert peak < 32 << 20, peak
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -925,7 +942,7 @@ def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
     equal componentwise keys: both keys split the states into the same
     orbits, so the search is the same."""
     G, auts = _group_and_automorphisms(text)
-    center = zerosum._eg_center(G)
+    center = G.center()
     n = G.order
     children = zerosum._eg_children(G)
     states = set()
@@ -1033,8 +1050,7 @@ def test_orbit_keys_are_canonical(text, data):
     # the E keys, under the maps phi(a, z) over the whole centre: the
     # componentwise key of a tuple and, where the state fits the tables,
     # the lifted key of the components packed n bits apart
-    center = zerosum._eg_center(G)
-    assert center == G.center()
+    center = G.center()
     e_images = [_eg_image(G, state, phi, z) for phi in auts for z in center]
     eg_key = zerosum._tuple_key(G, center)
     assert eg_key(state) in e_images
