@@ -33,7 +33,12 @@ layers of its multiset (_layers), which determine the multiset, and E above
 the table width the tuple of its components, both componentwise
 (_tuple_key). Every cache of keys and images, the engine's and the
 componentwise key's, holds at most two generations of
-_KEY_CACHE_GENERATION entries (_Generations).
+_KEY_CACHE_GENERATION entries (_Generations). A map of the key that fixes
+every letter of a path fixes the state of the path, a function of its
+letters, so it sends the child by a letter h to an orbit-mate, the child by
+the image of h. The engine tries only the least letter of each orbit of
+the path's stabilizer: that one comes first and leaves the bound each
+orbit-mate would get, so walks, bounds and states stay, and keys are saved.
 
 Every reach state of at most _BYTE_TABLE_MAX_ORDER = 64 bits is stepped by
 every letter at once, with one lookup per byte of the state (_byte_map, one
@@ -144,15 +149,16 @@ class SearchBudget:
 @dataclass
 class SearchResult:
     """states_explored is the number of memo entries of the search, one per
-    orbit representative, for all four invariants. stop_reason is "done"
-    for an exact result, else the budget limit that tripped: "states" or
-    "seconds"."""
+    orbit representative, for all four invariants, and keys the number of
+    orbit keys it computed. stop_reason is "done" for an exact result, else
+    the budget limit that tripped: "states" or "seconds"."""
 
     value: int
     witness: Sequence
     states_explored: int
     elapsed: float
     stop_reason: str = "done"
+    keys: int = 0
 
     @property
     def exact(self) -> bool:
@@ -214,16 +220,18 @@ class _Generations(dict):
     """self[x] = compute(x), cached in two generations: an x missing from this
     one is looked up in the one before, and this one is retired once it
     holds _KEY_CACHE_GENERATION entries, so at most twice that many are
-    held."""
+    held. computed counts the calls of compute."""
 
     def __init__(self, compute):
         self.compute = compute
         self.retired: dict = {}
+        self.computed = 0
 
     def __missing__(self, x):
         value = self.retired.get(x)
         if value is None:
             value = self.compute(x)
+            self.computed += 1
         if len(self) >= _KEY_CACHE_GENERATION:
             self.retired = dict(self)
             self.clear()
@@ -232,7 +240,7 @@ class _Generations(dict):
 
 
 def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
-                  key, top: int | None = None) -> SearchResult:
+                  key, top: int | None = None, targets=None) -> SearchResult:
     """Longest walk from start along the steps (g, next state) that
     children(state) yields in increasing g, found by refuting one length at
     a time: with w the length of the best walk found so far, an
@@ -259,6 +267,18 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
     grows with the search; a state met again after its key was retired is
     keyed again.
 
+    targets holds the maps of key (_phi_targets; the identity alone when
+    None): row h < |G| is the image of letter h under each map. A frame's
+    mask H holds the maps that fix every letter of its path: all of them at
+    start, H & stab[g] past letter g. Such a map fixes the state, so the
+    children by h and by an image of h under H are orbit-mates, and a frame
+    tries only the letters least in their H-orbit (least). The least comes
+    first, and whatever became of its child (not live, cut by its room,
+    skipped by its bound, or entered and refuted, leaving its bound in
+    dead) becomes of every orbit-mate's, while a walk it finds ends the
+    frame. So the least walk, dead, states_explored and budget trips are
+    those of trying every letter; only keys are saved.
+
     The witness is the lexicographically least longest walk: the last
     successful DFS finds the least walk of its length w+1, since it enters
     letters in order and skips only subtrees without a walk that long, and
@@ -268,13 +288,24 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
     dead: dict = {}
     bound_of = dead.get
     keys = _Generations(key)  # raw state -> key
+    n = group.order
+    letters = np.arange(n)[:, None] if targets is None else targets[:n]
+    fixed = np.packbits(letters == np.arange(n)[:, None], axis=1, bitorder="little")
+    stab = [int.from_bytes(row.tobytes(), "little") for row in fixed]  # maps fixing g
+
+    @functools.lru_cache(maxsize=None)
+    def least(H: int) -> tuple[bool, ...]:
+        """least(H)[g]: whether letter g is the least of its H-orbit."""
+        maps = [i for i in range(letters.shape[1]) if H >> i & 1]
+        return tuple((letters[:, maps].min(axis=1) == np.arange(n)).tolist())
 
     def least_walk(target: int):
         """(path, end state) of the least walk of length target, or None
         once the bounds stored in dead refute it."""
         path: list[int] = []
-        frames = []  # (key, children, bound) of each state below the top one
-        k, steps, bound = key(start), iter(children(start)), 1
+        frames = []  # (key, children, bound, H, tried) of each state below the top one
+        H = (1 << letters.shape[1]) - 1
+        k, steps, bound, tried = keys[start], iter(children(start)), 1, least(H)
         while True:
             need = target - len(path) - 1  # length a child still needs
             if not need:
@@ -283,6 +314,8 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
                     return path, nxt
             else:
                 for g, nxt in steps:
+                    if not tried[g]:
+                        continue
                     if top is not None:
                         room = top - nxt.bit_count()
                         if room < need:
@@ -296,7 +329,10 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
                             bound = b + 1
                         continue
                     path.append(g)
-                    frames.append((k, steps, bound))
+                    frames.append((k, steps, bound, H, tried))
+                    if H & stab[g] != H:
+                        H &= stab[g]
+                        tried = least(H)
                     k, steps, bound = kn, iter(children(nxt)), 1
                     break
                 else:
@@ -309,7 +345,7 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
             clock.tick(len(dead))
             path.pop()
             b = bound
-            k, steps, bound = frames.pop()
+            k, steps, bound, H, tried = frames.pop()
             if b >= bound:
                 bound = b + 1
 
@@ -324,7 +360,7 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
     except _BudgetHit:
         pass  # clock.stop_reason names the limit; best is a verified lower bound
     return SearchResult(1 + len(best), Sequence(group, tuple(best)), len(dead),
-                        clock.elapsed(), clock.stop_reason)
+                        clock.elapsed(), clock.stop_reason, keys.computed)
 
 
 def _mapped(mask: int, row: list) -> int:
@@ -794,7 +830,8 @@ def davenport_unordered(group: FiniteGroup,
                 yield g, ms[:i] + (g,) + ms[i:]
 
     layer_key = _tuple_key(group)
-    return _longest_free(group, (), children, clock, lambda ms: layer_key(_layers(ms)))
+    return _longest_free(group, (), children, clock, lambda ms: layer_key(_layers(ms)),
+                         targets=_phi_targets(group, (0,), 1))
 
 
 # --- E(G): product-one subsequences of length exactly |G| ------------------------
@@ -883,9 +920,11 @@ def eg_invariant(group: FiniteGroup, budget: SearchBudget | None = None) -> Sear
     clock = _checked_budget(group, budget, DEFAULT_EG_CAP, "E")
     n, center = group.order, group.center()
     if n * n <= _BYTE_TABLE_MAX_ORDER:
-        return _longest_free(group, 0, _eg_children(group), clock,
-                             _least_image(_phi_targets(group, center, n)))
-    return _longest_free(group, (0,) * n, _eg_children(group), clock, _tuple_key(group, center))
+        targets = _phi_targets(group, center, n)
+        return _longest_free(group, 0, _eg_children(group), clock, _least_image(targets),
+                             targets=targets)
+    return _longest_free(group, (0,) * n, _eg_children(group), clock, _tuple_key(group, center),
+                         targets=_phi_targets(group, center, 1))
 
 
 def eg_lower_witness(ordered_witness: Sequence) -> Sequence:
@@ -963,8 +1002,9 @@ def _weighted_search(group: FiniteGroup, A: tuple[int, ...],
                      budget: SearchBudget | None) -> SearchResult:
     """D_A(G) by reach-mask search, for weights A that are valid or (1,)."""
     clock = _checked_budget(group, budget, DEFAULT_ORDERED_CAP, "search")
+    targets = _phi_targets(group, (0,), 1)
     return _longest_free(group, 0, _weighted_children(group, A, clock), clock,
-                         _least_image(_phi_targets(group, (0,), 1)), _room(group))
+                         _least_image(targets), _room(group), targets=targets)
 
 
 def davenport_weighted(group: FiniteGroup, weights,

@@ -1145,10 +1145,11 @@ def test_unordered_search_equals_the_reference_walk(text, grp, monkeypatch):
     assert (keyed.states_explored < nodes) == (len(automorphisms(G)) > 1)
 
 
-def _longest_free_reference(group, start, children, clock, key, room=None):
+def _longest_free_reference(group, start, children, clock, key, room=None, targets=None):
     """The engine before it refuted lengths: a memoized DFS for the longest
     walk, memo[key(state)] being the longest walk from state, with the
-    witness rebuilt from the memo. It takes no cut, so room is ignored."""
+    witness rebuilt from the memo. It takes no cut and tries every letter,
+    so room and the maps of the key, targets, are ignored."""
     memo = {}
     path = []
     best_path = []
@@ -1389,3 +1390,111 @@ def test_naive_oracle_equals_the_former_walkers(text, grp):
     assert davenport_ordered_naive(G) == reference_ordered_naive(G), text
     for A in weight_sets(G):
         assert davenport_weighted_naive(G, A) == reference_weighted_naive(G, A), (text, A)
+
+
+# The engine tries one letter per orbit of the path's stabilizer, the maps of
+# the key that fix every letter of the path. PRUNING_SEARCHES runs every
+# invariant on the family grid (D to order 32, E to order 8, D' to order 16),
+# D_A on eight weight sets, and seven searches under a state budget.
+STATE_BUDGETS = [
+    (davenport_ordered, "q[32]", 50), (davenport_ordered, "q[32]", 2_000),
+    (davenport_ordered, "m2[32]", 3_000), (davenport_ordered, "q[48]", 5_000),
+    (eg_invariant, "q[12]", 5_000), (eg_invariant, "d[10]", 3_000),
+    (davenport_unordered, "q[48]", 1_000)]
+PRUNING_SEARCHES = (
+    [(davenport_ordered, text, ()) for text in _family_groups(32)]
+    + [(davenport_weighted, text, (weights,)) for text, weights in
+       [("q[12]", (1, 5)), ("q[24]", (1, 5)), ("d[16]", (1, 3)), ("c[9]", (2, 4)),
+        ("ab[2,4]", (1, 3)), ("sd[16]", (1, 3)), ("d[24]", (1, 11)), ("m2[16]", (3, 5))]]
+    + [(eg_invariant, text, ()) for text in _family_groups(8)]
+    + [(davenport_unordered, text, ()) for text in _family_groups(16)]
+    + [(search, text, (SearchBudget(max_states=states),))
+       for search, text, states in STATE_BUDGETS])
+
+
+def test_path_stabilizer_pruning_saves_only_keys(grp, monkeypatch):
+    """With the maps of the key withheld from the engine, every path's
+    stabilizer is the identity alone and every letter is tried: each search
+    keeps its value, exact flag, stop reason, state count and witness, and
+    computes no fewer keys."""
+    def run_all():
+        return [search(grp(text), *args) for search, text, args in PRUNING_SEARCHES]
+
+    pruned = run_all()
+    engine = zerosum._longest_free
+    monkeypatch.setattr(zerosum, "_longest_free", lambda *args, targets: engine(*args))
+    unpruned = run_all()
+    for (search, text, _), p, u in zip(PRUNING_SEARCHES, pruned, unpruned):
+        assert outcome(p) == outcome(u), (search.__name__, text)
+        assert p.keys <= u.keys, (search.__name__, text)
+    # D(q[32]) is exact in 1,594 states; the six other budgets trip
+    assert [p.stop_reason for p in pruned[-len(STATE_BUDGETS):]].count("states") == 6
+    assert sum(p.keys for p in pruned) < sum(u.keys for u in unpruned)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(INVARIANCE_GRID), st.data())
+def test_path_stabilizer_fixes_the_state_and_pairs_the_children(text, data):
+    """A map of the key fixing every letter of a sequence fixes its state,
+    and the children by h and by the image of h get equal keys: D's reach
+    mask of the longest free prefix and the multiset of that prefix under
+    automorphisms, and E's state of the whole sequence under x -> a(x)*z,
+    the action on letters of the first |G| rows of E's maps."""
+    G, auts = _group_and_automorphisms(text)
+    n, center = G.order, G.center()
+    # terms from at most three letters, so that maps often fix them all
+    pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    terms = data.draw(st.lists(st.sampled_from(pool), max_size=n))
+    extend = zerosum._weighted_extend(G, (1,))
+    prefix, mask = [], 0
+    for g in terms:
+        if (nxt := extend(mask, g)) is None:
+            break
+        prefix, mask = prefix + [g], nxt
+    mask_key = zerosum._least_image(zerosum._phi_targets(G, (0,), 1))
+    layer_key = zerosum._tuple_key(G)
+    ms = tuple(sorted(prefix))
+    for phi in auts:
+        if any(phi[g] != g for g in prefix):
+            continue
+        assert _image(mask, phi) == mask
+        for h in range(n):
+            a, b = extend(mask, h), extend(mask, phi[h])
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert mask_key(a) == mask_key(b), (text, prefix, phi, h)
+            assert layer_key(zerosum._layers(tuple(sorted(ms + (h,))))) == \
+                layer_key(zerosum._layers(tuple(sorted(ms + (phi[h],)))))
+    letters = zerosum._phi_targets(G, center, n)[:n].T.tolist()
+    assert sorted(letters) == sorted([G.mul(phi[x], z) for x in range(n)]
+                                     for z in center for phi in auts)
+    eg_key = zerosum._tuple_key(G, center)
+    state = zerosum.group_length_reach(G, terms)
+    for act in letters:
+        if any(act[g] != g for g in terms):
+            continue
+        z = act[0]  # a(1)*z
+        phi = next(phi for phi in auts if [G.mul(y, z) for y in phi] == act)
+        assert _eg_image(G, state, phi, z) == state
+        for h in range(n):
+            assert eg_key(zerosum.group_length_reach(G, terms + [h])) == \
+                eg_key(zerosum.group_length_reach(G, terms + [act[h]])), (text, terms, h)
+
+
+# Orbit keys each search computes with the pruning, at most; the searches
+# that tried every letter computed the counts in the comments.
+KEY_COUNT_BOUNDS = [
+    (davenport_ordered, "d[32]", (), 813),  # 2,477
+    (davenport_ordered, "q[32]", (SearchBudget(max_states=20_000),), 4_030),  # 5,954
+    (davenport_unordered, "q[24]", (), 1_485),  # 5,202
+    (davenport_unordered, "q[32]", (), 4_672),  # 20,223
+    (davenport_weighted, "q[24]", ((1, 5),), 1_128),  # 1,394
+    (eg_invariant, "d[8]", (), 35_720),  # 37,593
+]
+
+
+@pytest.mark.parametrize("search,text,args,bound", KEY_COUNT_BOUNDS,
+                         ids=[f"{s.__name__}-{t}" for s, t, *_ in KEY_COUNT_BOUNDS])
+def test_pruned_searches_compute_few_keys(search, text, args, bound, grp):
+    res = search(grp(text), *args)
+    assert res.exact and 0 < res.keys <= bound, res.keys
