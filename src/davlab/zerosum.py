@@ -240,7 +240,7 @@ class _Generations(dict):
 
 
 def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
-                  key, top: int | None = None, targets=None) -> SearchResult:
+                  key, top: int | None = None, *, targets: np.ndarray) -> SearchResult:
     """Longest walk from start along the steps (g, next state) that
     children(state) yields in increasing g, found by refuting one length at
     a time: with w the length of the best walk found so far, an
@@ -267,17 +267,17 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
     grows with the search; a state met again after its key was retired is
     keyed again.
 
-    targets holds the maps of key (_phi_targets; the identity alone when
-    None): row h < |G| is the image of letter h under each map. A frame's
-    mask H holds the maps that fix every letter of its path: all of them at
-    start, H & stab[g] past letter g. Such a map fixes the state, so the
-    children by h and by an image of h under H are orbit-mates, and a frame
-    tries only the letters least in their H-orbit (least). The least comes
-    first, and whatever became of its child (not live, cut by its room,
-    skipped by its bound, or entered and refuted, leaving its bound in
-    dead) becomes of every orbit-mate's, while a walk it finds ends the
-    frame. So the least walk, dead, states_explored and budget trips are
-    those of trying every letter; only keys are saved.
+    targets holds the maps of key (_phi_targets; np.arange(|G|)[:, None]
+    for the identity alone): row h < |G| is the image of letter h under
+    each map. A frame's mask H holds the maps that fix every letter of its
+    path: all of them at start, H & stab[g] past letter g. Such a map fixes
+    the state, so the children by h and by an image of h under H are
+    orbit-mates, and a frame tries only the letters least in their H-orbit
+    (least). The least comes first, and whatever became of its child (not
+    live, cut by its room, skipped by its bound, or entered and refuted,
+    leaving its bound in dead) becomes of every orbit-mate's, while a walk
+    it finds ends the frame. So the least walk, dead, states_explored and
+    budget trips are those of trying every letter; only keys are saved.
 
     The witness is the lexicographically least longest walk: the last
     successful DFS finds the least walk of its length w+1, since it enters
@@ -289,7 +289,7 @@ def _longest_free(group: FiniteGroup, start, children, clock: _Clock,
     bound_of = dead.get
     keys = _Generations(key)  # raw state -> key
     n = group.order
-    letters = np.arange(n)[:, None] if targets is None else targets[:n]
+    letters = targets[:n]
     fixed = np.packbits(letters == np.arange(n)[:, None], axis=1, bitorder="little")
     stab = [int.from_bytes(row.tobytes(), "little") for row in fixed]  # maps fixing g
 

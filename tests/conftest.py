@@ -28,7 +28,9 @@ def schema_errors(doc) -> list[str]:
 
 @pytest.fixture
 def grp():
-    """Build (and memoize) a group from its descriptor string."""
+    """Build a group from its descriptor string. Nothing is memoized: build
+    shares a group only while some caller holds it, so a group no test holds
+    is built again."""
     def _build(text: str):
         return build(parse_descriptor(text))
     return _build

@@ -5,6 +5,7 @@ import operator
 import random
 import time
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -103,12 +104,13 @@ def _ordered_free_by_bitmask(seq) -> bool:
     return True
 
 
-def _family_groups(max_order: int) -> list[str]:
+def family_groups(max_order: int) -> list[str]:
     """Every valid descriptor of every family with order at most max_order;
-    ab factors are listed in nondecreasing order."""
+    ab has two or more factors, in nondecreasing order, as ab[n] builds the
+    table of c[n] with the same automorphisms (SINGLE_AB)."""
     candidates = [make_descriptor(f, n) for f in ("c", "d", "q", "sd", "m2")
                   for n in range(1, max_order + 1)]
-    for k in range(1, max_order.bit_length()):
+    for k in range(2, max_order.bit_length()):
         candidates += [make_descriptor("ab", *t) for t in
                        itertools.combinations_with_replacement(range(2, max_order + 1), k)
                        if math.prod(t) <= max_order]
@@ -126,6 +128,11 @@ def _family_groups(max_order: int) -> list[str]:
     return out
 
 
+# The single-factor ab[n] build the table of c[n], with the same
+# automorphisms: test_d_and_d_a_equal_their_former_steps asserts it on each.
+SINGLE_AB = [f"ab[{n}]" for n in range(2, 33)]
+
+
 def _random_sequences(G, rng: random.Random, count: int):
     """Sequences of length 0 to |G|, half of them drawn from one to three
     elements so that terms repeat; the identity is an element like any other."""
@@ -139,7 +146,7 @@ def _random_sequences(G, rng: random.Random, count: int):
 
 
 def test_is_ordered_free_equals_the_bitmask_walk(grp):
-    texts = _family_groups(32)
+    texts = family_groups(32)
     assert {"c[32]", "ab[2,2,2,2,2]", "q[32]", "g1[3,1,1,1]", "g2[3,2,1,1]"} <= set(texts)
     outcomes = {True: 0, False: 0}
     for text in texts:
@@ -315,7 +322,7 @@ def test_room_cut_refutes_a_deep_cyclic_search(grp, monkeypatch):
 
 # Orders 1, 2, 6, 12 and 56 end in a partial byte; 12 to 64 take the two- to
 # eight-byte unrolled lookups, and d[72] lies above the table cutoff, where
-# the lazy children also yield the clock-read entry (64, None).
+# the children are a lazy walk that reads the clock every 64 letters.
 MAP_GRID = ["c[1]", "c[2]", "d[6]", "q[12]", "q[24]", "q[32]", "q[40]", "d[48]", "q[56]",
             "m2[64]", "d[72]"]
 
@@ -446,24 +453,6 @@ def test_checkers_stay_small_on_a_large_group(grp):
     free = is_ordered_free(seq)
     assert is_weighted_free(seq, (1,)) == free
     assert answers["is_weighted_free"] <= free and answers["is_unordered_free"] <= free
-
-
-def test_bit_loop_path_gives_the_same_search(grp, monkeypatch):
-    searches = [(davenport_ordered, "q[16]", ()), (eg_invariant, "d[6]", ()),
-                (davenport_weighted, "q[12]", ((1, 5),)),
-                (davenport_unordered, "q[16]", ())]
-
-    def run_all():
-        out = []
-        for search, text, args in searches:
-            res = search(grp(text), *args)
-            out.append((res.value, res.exact, res.states_explored, res.witness.terms))
-        return out
-
-    with_tables = run_all()
-    monkeypatch.setattr(zerosum, "_BYTE_TABLE_MAX_ORDER", 0)
-    monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
-    assert run_all() == with_tables
 
 
 def test_olson_white(grp):
@@ -711,40 +700,6 @@ def test_search_results_report_state_counts(grp):
     assert res.stop_reason == "done"
 
 
-# Ordered items of the benchmark's search workload, except the q[32] rung,
-# whose unkeyed search takes about 20 s.
-KEYED_GRID = NAIVE_GRID + ["q[16]", "sd[16]", "m2[16]", "q[24]", "d[32]"]
-KEYED_SEARCHES = ([(davenport_ordered, text, ()) for text in KEYED_GRID]
-                  + [(eg_invariant, text, ()) for text in ("c[8]", "d[6]", "q[8]")]
-                  + [(davenport_weighted, "q[12]", ((1, 5),)),
-                     (davenport_weighted, "q[24]", ((1, 5),)),
-                     (davenport_weighted, "d[16]", ((1, 3),)),
-                     (davenport_unordered, "q[16]", ()),
-                     (davenport_unordered, "m2[16]", ())])
-
-
-def only_the_identity(group):
-    return [list(range(group.order))]
-
-
-def test_orbit_keys_give_the_same_search(grp, monkeypatch):
-    """Keyed and unkeyed searches agree on value, exactness and witness."""
-    def run_all():
-        out = []
-        for search, text, args in KEYED_SEARCHES:
-            res = search(grp(text), *args)
-            out.append(((search.__name__, text), res.value, res.exact,
-                        res.witness.terms, res.states_explored))
-        return out
-
-    keyed = run_all()
-    monkeypatch.setattr(zerosum, "automorphisms", only_the_identity)
-    unkeyed = run_all()
-    assert [k[:4] for k in keyed] == [u[:4] for u in unkeyed]
-    assert all(k[4] <= u[4] for k, u in zip(keyed, unkeyed))
-    assert sum(k[4] for k in keyed) < sum(u[4] for u in unkeyed)
-
-
 @pytest.mark.parametrize("max_states", [1, 50, 1000])
 def test_keyed_budget_trip_is_a_valid_lower_bound(max_states, grp):
     res = davenport_ordered(grp("q[32]"), SearchBudget(max_states=max_states))
@@ -767,70 +722,6 @@ def test_orbit_keys_make_the_frontier_rung_exact(grp):
     res = davenport_ordered(grp("q[32]"), SearchBudget(max_states=20_000))
     assert res.exact and res.value == 17
     assert is_ordered_free(res.witness) and len(res.witness) == 16
-
-
-# Every item of the benchmark's search workload, and E on every family group
-# of order at most 8, pinned: (search, group, args, value, states_explored,
-# witness), each exact. A change to the steps, the orbit keys, the key cache or
-# the engine that moves one of these changes the search, not only its speed.
-ONES = (1,) * 15
-SEARCH_PINS = [
-    (davenport_ordered, "q[16]", (), 9, 78, ONES[:7] + (8,)),
-    (davenport_ordered, "sd[16]", (), 9, 147, ONES[:7] + (8,)),
-    (davenport_ordered, "m2[16]", (), 9, 159, ONES[:7] + (8,)),
-    (davenport_ordered, "q[24]", (), 13, 516, ONES[:11] + (12,)),
-    (davenport_ordered, "d[32]", (), 17, 316, ONES + (16,)),
-    (davenport_ordered, "q[32]", (SearchBudget(max_states=20_000),), 17, 1594, ONES + (16,)),
-    (davenport_unordered, "m2[16]", (), 9, 282, ONES[:7] + (8,)),
-    (davenport_unordered, "q[16]", (), 9, 139, ONES[:7] + (8,)),
-    (davenport_weighted, "q[24]", ((1, 5),), 9, 532, (12, 12, 12, 13, 14, 15, 16, 17)),
-] + [(eg_invariant, text, (), value, states, witness) for text, value, states, witness in [
-    ("c[1]", 1, 1, ()),
-    ("c[2]", 3, 3, (0, 1)),
-    ("c[3]", 5, 6, (0, 0, 1, 1)),
-    ("c[4]", 7, 17, (0, 0, 0, 1, 1, 1)),
-    ("c[5]", 9, 26, (0,) * 4 + (1,) * 4),
-    ("c[6]", 11, 111, (0,) * 5 + (1,) * 5),
-    ("c[7]", 13, 136, (0,) * 6 + (1,) * 6),
-    ("c[8]", 15, 535, (0,) * 7 + (1,) * 7),
-    ("d[4]", 6, 10, (0, 0, 0, 1, 2)),
-    ("d[6]", 11, 2336, (1, 1, 1, 1, 1, 3, 2, 3, 2, 3)),
-    ("d[8]", 12, 19387, (0,) * 7 + (1, 1, 1, 4)),
-    ("q[8]", 12, 6012, (0,) * 7 + (1, 1, 1, 4)),
-    ("ab[2,2]", 6, 10, (0, 0, 0, 1, 2)),
-    ("ab[2,3]", 11, 111, (0,) * 5 + (4,) * 5),
-    ("ab[2,4]", 12, 291, (0,) * 7 + (1, 1, 1, 4)),
-    ("ab[2,2,2]", 11, 60, (0,) * 7 + (1, 2, 4)),
-]]
-
-
-@pytest.mark.parametrize("search,text,args,value,states,witness", SEARCH_PINS,
-                         ids=[f"{s.__name__}-{t}" for s, t, *_ in SEARCH_PINS])
-def test_searches_are_pinned(search, text, args, value, states, witness, grp):
-    res = search(grp(text), *args)
-    assert (res.value, res.exact, res.stop_reason, res.states_explored, res.witness.terms) \
-        == (value, True, "done", states, witness)
-
-
-def test_central_translations_give_the_same_e_search(grp, monkeypatch):
-    """E keyed by the maps phi(a, z) and by automorphisms alone (the centre
-    forced to {1}) agrees on value, exactness and witness, on every pinned E
-    group and on c[9], c[10] and ab[3,3], in no more states on any group
-    and in fewer in all."""
-    runs = ([(text, ()) for search, text, *_ in SEARCH_PINS if search is eg_invariant]
-            + [(text, (SearchBudget(max_states=50_000),)) for text in ("c[9]", "c[10]", "ab[3,3]")])
-
-    def run_all():
-        return [eg_invariant(grp(text), *args) for text, args in runs]
-
-    translated = run_all()
-    monkeypatch.setattr(FiniteGroup, "center", lambda group: [0])
-    untranslated = run_all()
-    for (text, _), t, u in zip(runs, translated, untranslated):
-        assert (t.value, t.exact, t.witness.terms) == (u.value, True, u.witness.terms), text
-        assert t.states_explored <= u.states_explored, text
-    assert sum(t.states_explored for t in translated) < \
-        sum(u.states_explored for u in untranslated)
 
 
 def test_d_of_g2_is_pinned_with_the_theorem_6_block_witness(grp):
@@ -856,34 +747,6 @@ def test_state_budget_trips_one_state_past_its_limit(search, text, args, max_sta
     res = search(grp(text), *args, SearchBudget(max_states=max_states))
     assert res.stop_reason == "states" and res.states_explored == max_states + 1
     assert len(res.witness) == res.value - 1
-
-
-@pytest.mark.parametrize("search,text", [(eg_invariant, "c[10]"), (davenport_unordered, "q[16]"),
-                                         (davenport_ordered, "q[32]")],
-                         ids=["E", "Dprime", "D"])
-def test_key_caches_stay_bounded(search, text, grp, monkeypatch):
-    """Every cache of keys and images holds two generations: with
-    generations of 4 entries none holds more than 8, and each search keeps
-    its value, exact flag, witness and state count. E above the table width
-    caches the engine's keys, the components' automorphic images and their
-    translated concatenations, D' the engine's keys and its layers' images,
-    D the engine's keys."""
-    G, budget = grp(text), SearchBudget(max_states=20_000)
-    expected = search(G, budget)
-    caches = []
-
-    class Spied(zerosum._Generations):
-        def __init__(self, compute):
-            super().__init__(compute)
-            caches.append(self)
-
-    monkeypatch.setattr(zerosum, "_Generations", Spied)
-    monkeypatch.setattr(zerosum, "_KEY_CACHE_GENERATION", 4)
-    res = search(G, budget)
-    assert (res.value, res.exact, res.witness.terms, res.states_explored) == \
-        (expected.value, True, expected.witness.terms, expected.states_explored)
-    assert len(caches) == {"c[10]": 3, "q[16]": 2, "q[32]": 1}[text]
-    assert all(len(cache) + len(cache.retired) <= 8 for cache in caches)
 
 
 def test_e_above_the_table_width_builds_small_tables(grp, monkeypatch):
@@ -914,12 +777,11 @@ def test_lifted_e_key_tables_are_largest_on_ab222(grp):
     but ab[2,2,2], whose 168 * 8 maps take 21 MiB; its search peaks below
     32 MB of Python allocations."""
     table_bytes = {}
-    for search, text, *_ in SEARCH_PINS:
-        if search is eg_invariant:
-            G = grp(text)
-            maps = zerosum._phi_targets(G, G.center(), G.order).shape[1]
-            assert maps == len(automorphisms(G)) * len(G.center())
-            table_bytes[text] = -(-G.order ** 2 // 8) * 256 * maps * 8
+    for text in family_groups(8):
+        G = grp(text)
+        maps = zerosum._phi_targets(G, G.center(), G.order).shape[1]
+        assert maps == len(automorphisms(G)) * len(G.center())
+        table_bytes[text] = -(-G.order ** 2 // 8) * 256 * maps * 8
     largest = max(table_bytes, key=table_bytes.get)
     assert largest == "ab[2,2,2]" and table_bytes[largest] == 21 << 20
     assert max(b for text, b in table_bytes.items() if text != largest) <= 1 << 20
@@ -934,8 +796,7 @@ def test_lifted_e_key_tables_are_largest_on_ab222(grp):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.sampled_from([text for search, text, *_ in SEARCH_PINS if search is eg_invariant]),
-       st.data())
+@given(st.sampled_from(family_groups(8)), st.data())
 def test_lifted_e_key_splits_states_as_the_componentwise_key(text, data):
     """On E states reached along random sequences, and their images under
     maps phi(a, z), two states get equal lifted keys exactly when they get
@@ -1108,44 +969,7 @@ def reference_unordered(G):
     return 1 + len(best), tuple(best), nodes
 
 
-def family_groups(max_order):
-    """Every valid descriptor of order <= max_order in the families c, ab
-    (two to four nondecreasing factors), d, q, sd and m2."""
-    texts = [f"{f}[{n}]" for f in ("c", "d", "q", "sd", "m2")
-             for n in range(1, max_order + 1)]
-    for k in (2, 3, 4):
-        texts += [f"ab[{','.join(map(str, t))}]" for t in
-                  itertools.combinations_with_replacement(range(2, max_order // 2 + 1), k)]
-    out = []
-    for text in texts:
-        try:
-            desc = parse_descriptor(text)
-            validate_descriptor(desc)
-        except DavlabError:
-            continue
-        if desc.theoretical_order() <= max_order:
-            out.append(text)
-    return out
-
-
-UNORDERED_GRID = sorted(set(NAIVE_GRID + family_groups(16)))
-
-
-@pytest.mark.parametrize("text", UNORDERED_GRID)
-def test_unordered_search_equals_the_reference_walk(text, grp, monkeypatch):
-    G = grp(text)
-    value, witness, nodes = reference_unordered(G)
-    keyed = davenport_unordered(G)
-    monkeypatch.setattr(zerosum, "automorphisms", only_the_identity)
-    unkeyed = davenport_unordered(G)
-    for res in (keyed, unkeyed):
-        assert (res.value, res.exact, res.witness.terms) == (value, True, witness)
-    assert unkeyed.states_explored == nodes
-    # an automorphism a moving x merges the states (x,) and (a(x),)
-    assert (keyed.states_explored < nodes) == (len(automorphisms(G)) > 1)
-
-
-def _longest_free_reference(group, start, children, clock, key, room=None, targets=None):
+def _longest_free_reference(group, start, children, clock, key, room=None, *, targets):
     """The engine before it refuted lengths: a memoized DFS for the longest
     walk, memo[key(state)] being the longest walk from state, with the
     witness rebuilt from the memo. It takes no cut and tries every letter,
@@ -1197,33 +1021,6 @@ def _longest_free_reference(group, start, children, clock, key, room=None, targe
                                 len(memo), clock.elapsed())
 
 
-REFERENCE_SEARCHES = (
-    KEYED_SEARCHES
-    + [(davenport_ordered, text, ()) for text in family_groups(24) if text not in KEYED_GRID]
-    + [(davenport_weighted, text, (weights,)) for text, weights in
-       [("c[8]", (1, 7)), ("c[9]", (2, 4)), ("ab[2,4]", (1, 3)), ("d[12]", (1, 5)),
-        ("q[16]", (1, 7)), ("sd[16]", (1, 3)), ("d[24]", (1, 11)), ("m2[16]", (3, 5))]])
-
-
-def test_refutation_equals_the_longest_walk(grp, monkeypatch):
-    """The refuting engine gives the values, exactness and witnesses of the
-    longest-walk DFS; without a cut (E, D') it keeps the same states, with
-    the cut (D, D_A) no more."""
-    def run_all():
-        return [search(grp(text), *args) for search, text, args in REFERENCE_SEARCHES]
-
-    new = run_all()
-    monkeypatch.setattr(zerosum, "_longest_free", _longest_free_reference)
-    old = run_all()
-    for (search, text, _), n, o in zip(REFERENCE_SEARCHES, new, old):
-        item = (search.__name__, text)
-        assert (n.value, n.exact, n.witness.terms) == (o.value, o.exact, o.witness.terms), item
-        if search in (eg_invariant, davenport_unordered):
-            assert n.states_explored == o.states_explored, item
-        else:
-            assert n.states_explored <= o.states_explored, item
-
-
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(st.sampled_from(INVARIANCE_GRID), st.data())
 def test_extension_step_matches_the_verifier(text, data):
@@ -1268,7 +1065,7 @@ def reference_ordered(G, budget=None):
     return zerosum._longest_free(G, 0, _letter_children(extend, range(1, G.order)),
                                  zerosum._Clock(budget or SearchBudget()),
                                  zerosum._least_image(zerosum._phi_targets(G, (0,), 1)),
-                                 zerosum._room(G))
+                                 zerosum._room(G), targets=np.arange(G.order)[:, None])
 
 
 def reference_weighted(G, A, budget=None):
@@ -1284,7 +1081,7 @@ def reference_weighted(G, A, budget=None):
     return zerosum._longest_free(G, 0, _letter_children(extend, range(G.order)),
                                  zerosum._Clock(budget or SearchBudget()),
                                  zerosum._least_image(zerosum._phi_targets(G, (0,), 1)),
-                                 zerosum._room(G))
+                                 zerosum._room(G), targets=np.arange(G.order)[:, None])
 
 
 def reference_ordered_naive(G):
@@ -1349,87 +1146,13 @@ def weight_sets(G):
     return sets
 
 
-def outcome(res):
-    return res.value, res.exact, res.stop_reason, res.witness.terms, res.states_explored
-
-
-@pytest.mark.parametrize("text", _family_groups(32))
-def test_d_and_d_a_equal_their_former_steps(text, grp):
-    G = grp(text)
-    assert outcome(davenport_ordered(G)) == outcome(reference_ordered(G)), text
-    for A in weight_sets(G):
-        assert outcome(davenport_weighted(G, A)) == outcome(reference_weighted(G, A)), (text, A)
-
-
-@pytest.mark.parametrize("text,A", [("q[32]", None), ("d[36]", (1, 5)), ("q[48]", (1, 5, 7))])
-def test_budgeted_searches_equal_their_former_steps(text, A, grp):
-    """The q[32] frontier rung, and D_A above the byte-table cutoff, where
-    M_g is the union of the column steps."""
-    G = grp(text)
-    budget = SearchBudget(max_states=20_000 if A is None else 3_000)
-    if A is None:
-        new, old = davenport_ordered(G, budget), reference_ordered(G, budget)
-    else:
-        new, old = davenport_weighted(G, A, budget), reference_weighted(G, A, budget)
-    assert outcome(new) == outcome(old)
-
-
-@pytest.mark.parametrize("text,A", [("d[36]", (1, 5)), ("q[48]", (1, 5, 7))])
-def test_budgeted_column_step_searches_equal_their_former_steps(text, A, grp, monkeypatch):
-    """D_A on the column steps, with the cutoff patched below the order: the
-    lazy children and the set-bit orbit keys."""
-    monkeypatch.setattr(zerosum, "_BYTE_TABLE_MAX_ORDER", 32)
-    monkeypatch.setattr(zerosum, "_byte_tables", no_byte_tables)
-    G, budget = grp(text), SearchBudget(max_states=3_000)
-    assert outcome(davenport_weighted(G, A, budget)) == outcome(reference_weighted(G, A, budget))
-
-
-@pytest.mark.parametrize("text", _family_groups(8))
+# The oracles are no engine searches; they keep the ab[n] the grid leaves out.
+@pytest.mark.parametrize("text", family_groups(8) + SINGLE_AB[:7])
 def test_naive_oracle_equals_the_former_walkers(text, grp):
     G = grp(text)
     assert davenport_ordered_naive(G) == reference_ordered_naive(G), text
     for A in weight_sets(G):
         assert davenport_weighted_naive(G, A) == reference_weighted_naive(G, A), (text, A)
-
-
-# The engine tries one letter per orbit of the path's stabilizer, the maps of
-# the key that fix every letter of the path. PRUNING_SEARCHES runs every
-# invariant on the family grid (D to order 32, E to order 8, D' to order 16),
-# D_A on eight weight sets, and seven searches under a state budget.
-STATE_BUDGETS = [
-    (davenport_ordered, "q[32]", 50), (davenport_ordered, "q[32]", 2_000),
-    (davenport_ordered, "m2[32]", 3_000), (davenport_ordered, "q[48]", 5_000),
-    (eg_invariant, "q[12]", 5_000), (eg_invariant, "d[10]", 3_000),
-    (davenport_unordered, "q[48]", 1_000)]
-PRUNING_SEARCHES = (
-    [(davenport_ordered, text, ()) for text in _family_groups(32)]
-    + [(davenport_weighted, text, (weights,)) for text, weights in
-       [("q[12]", (1, 5)), ("q[24]", (1, 5)), ("d[16]", (1, 3)), ("c[9]", (2, 4)),
-        ("ab[2,4]", (1, 3)), ("sd[16]", (1, 3)), ("d[24]", (1, 11)), ("m2[16]", (3, 5))]]
-    + [(eg_invariant, text, ()) for text in _family_groups(8)]
-    + [(davenport_unordered, text, ()) for text in _family_groups(16)]
-    + [(search, text, (SearchBudget(max_states=states),))
-       for search, text, states in STATE_BUDGETS])
-
-
-def test_path_stabilizer_pruning_saves_only_keys(grp, monkeypatch):
-    """With the maps of the key withheld from the engine, every path's
-    stabilizer is the identity alone and every letter is tried: each search
-    keeps its value, exact flag, stop reason, state count and witness, and
-    computes no fewer keys."""
-    def run_all():
-        return [search(grp(text), *args) for search, text, args in PRUNING_SEARCHES]
-
-    pruned = run_all()
-    engine = zerosum._longest_free
-    monkeypatch.setattr(zerosum, "_longest_free", lambda *args, targets: engine(*args))
-    unpruned = run_all()
-    for (search, text, _), p, u in zip(PRUNING_SEARCHES, pruned, unpruned):
-        assert outcome(p) == outcome(u), (search.__name__, text)
-        assert p.keys <= u.keys, (search.__name__, text)
-    # D(q[32]) is exact in 1,594 states; the six other budgets trip
-    assert [p.stop_reason for p in pruned[-len(STATE_BUDGETS):]].count("states") == 6
-    assert sum(p.keys for p in pruned) < sum(u.keys for u in unpruned)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -1481,20 +1204,328 @@ def test_path_stabilizer_fixes_the_state_and_pairs_the_children(text, data):
                 eg_key(zerosum.group_length_reach(G, terms + [act[h]])), (text, terms, h)
 
 
+# --- Engine equivalence ------------------------------------------------------
+# D, D_A, E and D' share one engine, _longest_free, whose features must not
+# change an answer. Each case of one table is searched once by the shipped
+# engine (shipped); each of VARIANTS switches one feature off, searches its
+# cases again and relates each result to that outcome.
+
+# search(G, *args, budget) on the group text, budget holding max_states =
+# states (None: the default budget). No case has a time budget, whose trips
+# depend on the machine. An Outcome holds no group, so the memo keeps none
+# alive.
+Case = namedtuple("Case", "search text args states", defaults=((), None))
+Outcome = namedtuple("Outcome", "value exact stop_reason witness states keys")
+
+
+def run(case) -> Outcome:
+    budget = None if case.states is None else SearchBudget(max_states=case.states)
+    res = case.search(build(parse_descriptor(case.text)), *case.args, budget)
+    return Outcome(res.value, res.exact, res.stop_reason, res.witness.terms,
+                   res.states_explored, res.keys)
+
+
+@functools.lru_cache(maxsize=None)
+def shipped(case) -> Outcome:
+    """case under the shipped engine, searched once: switch_off asks for it
+    before its patch, or a variant would be compared with itself."""
+    return run(case)
+
+
+def _cases(search, texts, states=None):
+    return [Case(search, text, (), states) for text in texts]
+
+
+# The table: D and D_A (weight_sets) on every family group of order at most
+# 32, E to order 8, D' to order 16, and the searches added to them.
+FAMILY = family_groups(32)
+FAMILY_D, FAMILY_E = _cases(davenport_ordered, FAMILY), _cases(eg_invariant, family_groups(8))
+FAMILY_D_PRIME = _cases(davenport_unordered, family_groups(16))
+FAMILY_D_A = [Case(davenport_weighted, text, (A,)) for text in FAMILY
+              for A in weight_sets(build(parse_descriptor(text)))]
+WEIGHTED = [Case(davenport_weighted, text, (A,)) for text, A in [
+    ("q[12]", (1, 5)), ("q[24]", (1, 5)), ("d[16]", (1, 3)), ("c[8]", (1, 7)),
+    ("c[9]", (2, 4)), ("ab[2,4]", (1, 3)), ("d[12]", (1, 5)), ("q[16]", (1, 7)),
+    ("sd[16]", (1, 3)), ("d[24]", (1, 11)), ("m2[16]", (3, 5))]]
+# the ordered items of the benchmark's search workload but the q[32] rung,
+# whose unkeyed search takes about 20 s
+KEYED_GRID = NAIVE_GRID + ["q[16]", "sd[16]", "m2[16]", "q[24]", "d[32]"]
+KEYED = (_cases(davenport_ordered, KEYED_GRID) + _cases(eg_invariant, ["c[8]", "d[6]", "q[8]"])
+         + WEIGHTED[:3] + _cases(davenport_unordered, ["q[16]", "m2[16]"]))
+STATE_BUDGETS = [Case(search, text, (), states) for search, text, states in [
+    (davenport_ordered, "q[32]", 50), (davenport_ordered, "q[32]", 2_000),
+    (davenport_ordered, "m2[32]", 3_000), (davenport_ordered, "q[48]", 5_000),
+    (eg_invariant, "q[12]", 5_000), (eg_invariant, "d[10]", 3_000),
+    (davenport_unordered, "q[48]", 1_000)]]
+# the q[32] frontier rung, and D_A above the byte-table cutoff
+BUDGETED_FORMER = {("q[32]", None): Case(davenport_ordered, "q[32]", (), 20_000)} | {
+    (text, A): Case(davenport_weighted, text, (A,), 3_000)
+    for text, A in [("d[36]", (1, 5)), ("q[48]", (1, 5, 7))]}
+
+
+# Relations of a result with a feature off (after) to the shipped outcome.
+
+def same_search(case, before, after):  # value, exact flag, stop reason, witness, states
+    assert before[:5] == after[:5]
+
+
+def same_walk(case, before, after):  # value, exact flag, witness
+    assert (before.value, before.exact, before.witness) == (after.value, after.exact, after.witness)
+
+
+def same_walk_as_the_dfs(case, before, after):
+    """Without a room cut (E, D') in the states of the longest-walk DFS,
+    with it (D, D_A) in no more."""
+    same_walk(case, before, after)
+    if case.search in (davenport_ordered, davenport_weighted):
+        assert before.states <= after.states
+    else:
+        assert before.states == after.states
+
+
+def same_searches(case, before, after):
+    for res in after:
+        same_search(case, before, res)
+
+
+def same_search_in_small_caches(case, before, after):
+    """E above the table width caches the engine's keys, the components'
+    automorphic images and their translated concatenations, D' the engine's
+    keys and its layers' images, D the engine's keys: each in two
+    generations of 4, so at most 8 entries."""
+    res, sizes = after
+    assert before[:5] == res[:5] and before.exact and max(sizes) <= 8
+    assert len(sizes) == {eg_invariant: 3, davenport_unordered: 2, davenport_ordered: 1}[case.search]
+
+
+def same_search_as_the_walk(case, before, after):
+    """Keyed and unkeyed, D' has the value and witness of the reference
+    walk; unkeyed it keeps the walk's multisets, keyed fewer when some
+    automorphism a moves some x, merging the states (x,) and (a(x),)."""
+    unkeyed, (value, witness, nodes), automorphism_count = after
+    for res in (before, unkeyed):
+        assert (res.value, res.exact, res.witness) == (value, True, witness)
+    assert unkeyed.states == nodes and (before.states < nodes) == (automorphism_count > 1)
+
+
+# The patches and runners that switch a feature off.
+
+def _patch(*changes):
+    """patch(m), which sets each (owner, name, value) of changes through m."""
+    def patch(m):
+        for change in changes:
+            m.setattr(*change)
+    return patch
+
+
+def only_the_identity(group):
+    return [list(range(group.order))]
+
+
+def _unpruned(group, *args, targets, engine=zerosum._longest_free):
+    """The shipped engine, bound at import, given the identity map alone:
+    every letter is tried."""
+    return engine(group, *args, targets=np.arange(group.order)[:, None])
+
+
+def _in_small_caches(case):
+    """The outcome of case, and the entries each cache it made holds."""
+    caches, made = [], zerosum._Generations
+
+    def recorded(compute):
+        caches.append(made(compute))
+        return caches[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(zerosum, "_Generations", recorded)
+        res = run(case)
+    return res, [len(cache) + len(cache.retired) for cache in caches]
+
+
+def former_steps(case):
+    former = {davenport_ordered: reference_ordered, davenport_weighted: reference_weighted}
+    return run(case._replace(search=former[case.search]))
+
+
+def _unkeyed_and_the_walk(case):
+    G = build(parse_descriptor(case.text))
+    return run(case), reference_unordered(G), len(automorphisms(G))
+
+
+# patch(m) switches the feature off through the monkeypatch m, run(case)
+# searches a case with it off, and check relates each result to the shipped
+# outcome. The field grows, when given, is no smaller in each result and
+# larger in all of them.
+Variant = namedtuple("Variant", "patch cases check run grows", defaults=(run, None))
+NO_ORBIT_KEYS = _patch((zerosum, "automorphisms", only_the_identity))
+VARIANTS = {
+    "orbit keys": Variant(NO_ORBIT_KEYS, KEYED, same_walk, grows="states"),
+    # E keyed by automorphisms alone, the centre forced to {1}
+    "central translations": Variant(
+        _patch((FiniteGroup, "center", lambda group: [0])),
+        FAMILY_E + _cases(eg_invariant, ["c[9]", "c[10]", "ab[3,3]"], 50_000),
+        same_walk, grows="states"),
+    "path-stabilizer pruning": Variant(
+        _patch((zerosum, "_longest_free", _unpruned)),
+        FAMILY_D + WEIGHTED + FAMILY_E + FAMILY_D_PRIME + STATE_BUDGETS, same_search, grows="keys"),
+    "length refutation": Variant(
+        _patch((zerosum, "_longest_free", _longest_free_reference)),
+        KEYED + [case for case in _cases(davenport_ordered, family_groups(24))
+                 if case.text not in KEYED_GRID] + WEIGHTED[3:], same_walk_as_the_dfs),
+    "packed steps": Variant(_patch(), FAMILY_D + FAMILY_D_A + list(BUDGETED_FORMER.values()),
+                            same_search, former_steps),
+    # the cutoff below the order, for the lazy children and the set-bit orbit
+    # keys: the shipped search and the former steps alike
+    "packed steps on column steps": Variant(
+        _patch((zerosum, "_BYTE_TABLE_MAX_ORDER", 32), (zerosum, "_byte_tables", no_byte_tables)),
+        list(BUDGETED_FORMER.values())[1:],
+        same_searches, lambda case: (run(case), former_steps(case))),
+    "byte tables": Variant(
+        _patch((zerosum, "_BYTE_TABLE_MAX_ORDER", 0), (zerosum, "_byte_tables", no_byte_tables)),
+        [Case(davenport_ordered, "q[16]"), Case(eg_invariant, "d[6]"), WEIGHTED[0],
+         Case(davenport_unordered, "q[16]")], same_search),
+    "key cache": Variant(
+        _patch((zerosum, "_KEY_CACHE_GENERATION", 4)),
+        [Case(search, text, (), 20_000) for search, text in [
+            (eg_invariant, "c[10]"), (davenport_unordered, "q[16]"), (davenport_ordered, "q[32]")]],
+        same_search_in_small_caches, _in_small_caches),
+    "D' orbit keys, against the walk": Variant(NO_ORBIT_KEYS, FAMILY_D_PRIME,
+                                               same_search_as_the_walk, _unkeyed_and_the_walk),
+}
+
+
+def switch_off(name, monkeypatch, cases=None):
+    """Check VARIANTS[name] on cases, all of its own by default, naming
+    every case that fails."""
+    variant = VARIANTS[name]
+    cases = variant.cases if cases is None else cases
+    before = [shipped(case) for case in cases]  # before the patch
+    with monkeypatch.context() as m:
+        variant.patch(m)
+        after = [variant.run(case) for case in cases]
+    failures = []
+    for case, b, a in zip(cases, before, after):
+        try:
+            variant.check(case, b, a)
+            assert variant.grows is None or getattr(b, variant.grows) <= getattr(a, variant.grows)
+        except AssertionError as error:
+            failures.append(f"{case.search.__name__}{case[1:]}: {error}")
+    assert not failures, "\n".join(failures)
+    if variant.grows:
+        assert sum(getattr(b, variant.grows) for b in before) < \
+            sum(getattr(a, variant.grows) for a in after)
+
+
+def test_orbit_keys_give_the_same_search(monkeypatch):
+    switch_off("orbit keys", monkeypatch)
+
+
+def test_central_translations_give_the_same_e_search(monkeypatch):
+    switch_off("central translations", monkeypatch)
+
+
+def test_path_stabilizer_pruning_saves_only_keys(monkeypatch):
+    switch_off("path-stabilizer pruning", monkeypatch)
+    # D(q[32]) is exact in 1,594 states; the six other budgets trip
+    assert [shipped(case).stop_reason for case in STATE_BUDGETS].count("states") == 6
+
+
+def test_refutation_equals_the_longest_walk(monkeypatch):
+    switch_off("length refutation", monkeypatch)
+
+
+@pytest.mark.parametrize("text", FAMILY + SINGLE_AB)
+def test_d_and_d_a_equal_their_former_steps(text, grp, monkeypatch):
+    """ab[n] builds the table of c[n] with the same automorphisms, so its
+    searches are those of c[n], checked under the id of c[n]."""
+    if text in SINGLE_AB:
+        G, C = grp(text), grp(text.replace("ab", "c"))
+        assert np.array_equal(G.array, C.array) and automorphisms(G) == automorphisms(C)
+        return
+    switch_off("packed steps", monkeypatch, [case for case in FAMILY_D + FAMILY_D_A
+                                             if case.text == text])
+
+
+@pytest.mark.parametrize("text,A", list(BUDGETED_FORMER))
+def test_budgeted_searches_equal_their_former_steps(text, A, monkeypatch):
+    switch_off("packed steps", monkeypatch, [BUDGETED_FORMER[text, A]])
+
+
+@pytest.mark.parametrize("text,A", list(BUDGETED_FORMER)[1:])
+def test_budgeted_column_step_searches_equal_their_former_steps(text, A, monkeypatch):
+    switch_off("packed steps on column steps", monkeypatch, [BUDGETED_FORMER[text, A]])
+
+
+def test_bit_loop_path_gives_the_same_search(monkeypatch):
+    switch_off("byte tables", monkeypatch)
+
+
+@pytest.mark.parametrize("case", VARIANTS["key cache"].cases, ids=["E", "Dprime", "D"])
+def test_key_caches_stay_bounded(case, monkeypatch):
+    switch_off("key cache", monkeypatch, [case])
+
+
+@pytest.mark.parametrize("case", FAMILY_D_PRIME, ids=[case.text for case in FAMILY_D_PRIME])
+def test_unordered_search_equals_the_reference_walk(case, monkeypatch):
+    switch_off("D' orbit keys, against the walk", monkeypatch, [case])
+
+
+# Every item of the benchmark's search workload, and E on every family group
+# of order at most 8, pinned: (case, value, states_explored, witness), each
+# exact. A change to the steps, the orbit keys, the key cache or the engine
+# that moves one of these changes the search, not only its speed.
+ONES = (1,) * 15
+SEARCH_PINS = [
+    (Case(davenport_ordered, "q[16]"), 9, 78, ONES[:7] + (8,)),
+    (Case(davenport_ordered, "sd[16]"), 9, 147, ONES[:7] + (8,)),
+    (Case(davenport_ordered, "m2[16]"), 9, 159, ONES[:7] + (8,)),
+    (Case(davenport_ordered, "q[24]"), 13, 516, ONES[:11] + (12,)),
+    (Case(davenport_ordered, "d[32]"), 17, 316, ONES + (16,)),
+    (Case(davenport_ordered, "q[32]", (), 20_000), 17, 1594, ONES + (16,)),
+    (Case(davenport_unordered, "m2[16]"), 9, 282, ONES[:7] + (8,)),
+    (Case(davenport_unordered, "q[16]"), 9, 139, ONES[:7] + (8,)),
+    (Case(davenport_weighted, "q[24]", ((1, 5),)), 9, 532, (12, 12, 12, 13, 14, 15, 16, 17)),
+] + [(Case(eg_invariant, text), value, states, witness)
+      for text, value, states, witness in [
+    ("c[1]", 1, 1, ()),
+    ("c[2]", 3, 3, (0, 1)),
+    ("c[3]", 5, 6, (0, 0, 1, 1)),
+    ("c[4]", 7, 17, (0, 0, 0, 1, 1, 1)),
+    ("c[5]", 9, 26, (0,) * 4 + (1,) * 4),
+    ("c[6]", 11, 111, (0,) * 5 + (1,) * 5),
+    ("c[7]", 13, 136, (0,) * 6 + (1,) * 6),
+    ("c[8]", 15, 535, (0,) * 7 + (1,) * 7),
+    ("d[4]", 6, 10, (0, 0, 0, 1, 2)),
+    ("d[6]", 11, 2336, (1, 1, 1, 1, 1, 3, 2, 3, 2, 3)),
+    ("d[8]", 12, 19387, (0,) * 7 + (1, 1, 1, 4)),
+    ("q[8]", 12, 6012, (0,) * 7 + (1, 1, 1, 4)),
+    ("ab[2,2]", 6, 10, (0, 0, 0, 1, 2)),
+    ("ab[2,3]", 11, 111, (0,) * 5 + (4,) * 5),
+    ("ab[2,4]", 12, 291, (0,) * 7 + (1, 1, 1, 4)),
+    ("ab[2,2,2]", 11, 60, (0,) * 7 + (1, 2, 4)),
+]]
+
+
+@pytest.mark.parametrize("case,value,states,witness", SEARCH_PINS,
+                         ids=[f"{case.search.__name__}-{case.text}" for case, *_ in SEARCH_PINS])
+def test_searches_are_pinned(case, value, states, witness):
+    assert shipped(case)[:5] == (value, True, "done", witness, states)
+
+
 # Orbit keys each search computes with the pruning, at most; the searches
 # that tried every letter computed the counts in the comments.
 KEY_COUNT_BOUNDS = [
-    (davenport_ordered, "d[32]", (), 813),  # 2,477
-    (davenport_ordered, "q[32]", (SearchBudget(max_states=20_000),), 4_030),  # 5,954
-    (davenport_unordered, "q[24]", (), 1_485),  # 5,202
-    (davenport_unordered, "q[32]", (), 4_672),  # 20,223
-    (davenport_weighted, "q[24]", ((1, 5),), 1_128),  # 1,394
-    (eg_invariant, "d[8]", (), 35_720),  # 37,593
+    (Case(davenport_ordered, "d[32]"), 813),  # 2,477
+    (Case(davenport_ordered, "q[32]", (), 20_000), 4_030),  # 5,954
+    (Case(davenport_unordered, "q[24]"), 1_485),  # 5,202
+    (Case(davenport_unordered, "q[32]"), 4_672),  # 20,223
+    (Case(davenport_weighted, "q[24]", ((1, 5),)), 1_128),  # 1,394
+    (Case(eg_invariant, "d[8]"), 35_720),  # 37,593
 ]
 
 
-@pytest.mark.parametrize("search,text,args,bound", KEY_COUNT_BOUNDS,
-                         ids=[f"{s.__name__}-{t}" for s, t, *_ in KEY_COUNT_BOUNDS])
-def test_pruned_searches_compute_few_keys(search, text, args, bound, grp):
-    res = search(grp(text), *args)
+@pytest.mark.parametrize("case,bound", KEY_COUNT_BOUNDS,
+                         ids=[f"{case.search.__name__}-{case.text}" for case, _ in KEY_COUNT_BOUNDS])
+def test_pruned_searches_compute_few_keys(case, bound):
+    res = shipped(case)
     assert res.exact and 0 < res.keys <= bound, res.keys
