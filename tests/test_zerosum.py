@@ -1207,7 +1207,7 @@ def test_path_stabilizer_fixes_the_state_and_pairs_the_children(text, data):
 # --- Engine equivalence ------------------------------------------------------
 # D, D_A, E and D' share one engine, _longest_free, whose features must not
 # change an answer. Each case of one table is searched once by the shipped
-# engine (shipped); each of VARIANTS switches one feature off, searches its
+# engine (shipped); each test below switches one feature off, searches its
 # cases again and relates each result to that outcome.
 
 # search(G, *args, budget) on the group text, budget holding max_states =
@@ -1227,9 +1227,23 @@ def run(case) -> Outcome:
 
 @functools.lru_cache(maxsize=None)
 def shipped(case) -> Outcome:
-    """case under the shipped engine, searched once: switch_off asks for it
-    before its patch, or a variant would be compared with itself."""
+    """case under the shipped engine, searched once."""
     return run(case)
+
+
+def switch_off(cases, monkeypatch, *changes, off=run):
+    """The shipped outcomes of cases, then the results of off on them with
+    each (owner, name, value) of changes set: in that order, so that no
+    shipped search runs patched and no feature is compared with itself."""
+    before = [shipped(case) for case in cases]
+    with monkeypatch.context() as m:
+        for change in changes:
+            m.setattr(*change)
+        return before, [off(case) for case in cases]
+
+
+def walk(res):
+    return res.value, res.exact, res.witness
 
 
 def _cases(search, texts, states=None):
@@ -1261,177 +1275,64 @@ STATE_BUDGETS = [Case(search, text, (), states) for search, text, states in [
 BUDGETED_FORMER = {("q[32]", None): Case(davenport_ordered, "q[32]", (), 20_000)} | {
     (text, A): Case(davenport_weighted, text, (A,), 3_000)
     for text, A in [("d[36]", (1, 5)), ("q[48]", (1, 5, 7))]}
-
-
-# Relations of a result with a feature off (after) to the shipped outcome.
-
-def same_search(case, before, after):  # value, exact flag, stop reason, witness, states
-    assert before[:5] == after[:5]
-
-
-def same_walk(case, before, after):  # value, exact flag, witness
-    assert (before.value, before.exact, before.witness) == (after.value, after.exact, after.witness)
-
-
-def same_walk_as_the_dfs(case, before, after):
-    """Without a room cut (E, D') in the states of the longest-walk DFS,
-    with it (D, D_A) in no more."""
-    same_walk(case, before, after)
-    if case.search in (davenport_ordered, davenport_weighted):
-        assert before.states <= after.states
-    else:
-        assert before.states == after.states
-
-
-def same_searches(case, before, after):
-    for res in after:
-        same_search(case, before, res)
-
-
-def same_search_in_small_caches(case, before, after):
-    """E above the table width caches the engine's keys, the components'
-    automorphic images and their translated concatenations, D' the engine's
-    keys and its layers' images, D the engine's keys: each in two
-    generations of 4, so at most 8 entries."""
-    res, sizes = after
-    assert before[:5] == res[:5] and before.exact and max(sizes) <= 8
-    assert len(sizes) == {eg_invariant: 3, davenport_unordered: 2, davenport_ordered: 1}[case.search]
-
-
-def same_search_as_the_walk(case, before, after):
-    """Keyed and unkeyed, D' has the value and witness of the reference
-    walk; unkeyed it keeps the walk's multisets, keyed fewer when some
-    automorphism a moves some x, merging the states (x,) and (a(x),)."""
-    unkeyed, (value, witness, nodes), automorphism_count = after
-    for res in (before, unkeyed):
-        assert (res.value, res.exact, res.witness) == (value, True, witness)
-    assert unkeyed.states == nodes and (before.states < nodes) == (automorphism_count > 1)
-
-
-# The patches and runners that switch a feature off.
-
-def _patch(*changes):
-    """patch(m), which sets each (owner, name, value) of changes through m."""
-    def patch(m):
-        for change in changes:
-            m.setattr(*change)
-    return patch
-
-
-def only_the_identity(group):
-    return [list(range(group.order))]
-
-
-def _unpruned(group, *args, targets, engine=zerosum._longest_free):
-    """The shipped engine, bound at import, given the identity map alone:
-    every letter is tried."""
-    return engine(group, *args, targets=np.arange(group.order)[:, None])
-
-
-def _in_small_caches(case):
-    """The outcome of case, and the entries each cache it made holds."""
-    caches, made = [], zerosum._Generations
-
-    def recorded(compute):
-        caches.append(made(compute))
-        return caches[-1]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(zerosum, "_Generations", recorded)
-        res = run(case)
-    return res, [len(cache) + len(cache.retired) for cache in caches]
-
-
-def former_steps(case):
-    former = {davenport_ordered: reference_ordered, davenport_weighted: reference_weighted}
-    return run(case._replace(search=former[case.search]))
-
-
-def _unkeyed_and_the_walk(case):
-    G = build(parse_descriptor(case.text))
-    return run(case), reference_unordered(G), len(automorphisms(G))
-
-
-# patch(m) switches the feature off through the monkeypatch m, run(case)
-# searches a case with it off, and check relates each result to the shipped
-# outcome. The field grows, when given, is no smaller in each result and
-# larger in all of them.
-Variant = namedtuple("Variant", "patch cases check run grows", defaults=(run, None))
-NO_ORBIT_KEYS = _patch((zerosum, "automorphisms", only_the_identity))
-VARIANTS = {
-    "orbit keys": Variant(NO_ORBIT_KEYS, KEYED, same_walk, grows="states"),
-    # E keyed by automorphisms alone, the centre forced to {1}
-    "central translations": Variant(
-        _patch((FiniteGroup, "center", lambda group: [0])),
-        FAMILY_E + _cases(eg_invariant, ["c[9]", "c[10]", "ab[3,3]"], 50_000),
-        same_walk, grows="states"),
-    "path-stabilizer pruning": Variant(
-        _patch((zerosum, "_longest_free", _unpruned)),
-        FAMILY_D + WEIGHTED + FAMILY_E + FAMILY_D_PRIME + STATE_BUDGETS, same_search, grows="keys"),
-    "length refutation": Variant(
-        _patch((zerosum, "_longest_free", _longest_free_reference)),
-        KEYED + [case for case in _cases(davenport_ordered, family_groups(24))
-                 if case.text not in KEYED_GRID] + WEIGHTED[3:], same_walk_as_the_dfs),
-    "packed steps": Variant(_patch(), FAMILY_D + FAMILY_D_A + list(BUDGETED_FORMER.values()),
-                            same_search, former_steps),
-    # the cutoff below the order, for the lazy children and the set-bit orbit
-    # keys: the shipped search and the former steps alike
-    "packed steps on column steps": Variant(
-        _patch((zerosum, "_BYTE_TABLE_MAX_ORDER", 32), (zerosum, "_byte_tables", no_byte_tables)),
-        list(BUDGETED_FORMER.values())[1:],
-        same_searches, lambda case: (run(case), former_steps(case))),
-    "byte tables": Variant(
-        _patch((zerosum, "_BYTE_TABLE_MAX_ORDER", 0), (zerosum, "_byte_tables", no_byte_tables)),
-        [Case(davenport_ordered, "q[16]"), Case(eg_invariant, "d[6]"), WEIGHTED[0],
-         Case(davenport_unordered, "q[16]")], same_search),
-    "key cache": Variant(
-        _patch((zerosum, "_KEY_CACHE_GENERATION", 4)),
-        [Case(search, text, (), 20_000) for search, text in [
-            (eg_invariant, "c[10]"), (davenport_unordered, "q[16]"), (davenport_ordered, "q[32]")]],
-        same_search_in_small_caches, _in_small_caches),
-    "D' orbit keys, against the walk": Variant(NO_ORBIT_KEYS, FAMILY_D_PRIME,
-                                               same_search_as_the_walk, _unkeyed_and_the_walk),
-}
-
-
-def switch_off(name, monkeypatch, cases=None):
-    """Check VARIANTS[name] on cases, all of its own by default, naming
-    every case that fails."""
-    variant = VARIANTS[name]
-    cases = variant.cases if cases is None else cases
-    before = [shipped(case) for case in cases]  # before the patch
-    with monkeypatch.context() as m:
-        variant.patch(m)
-        after = [variant.run(case) for case in cases]
-    failures = []
-    for case, b, a in zip(cases, before, after):
-        try:
-            variant.check(case, b, a)
-            assert variant.grows is None or getattr(b, variant.grows) <= getattr(a, variant.grows)
-        except AssertionError as error:
-            failures.append(f"{case.search.__name__}{case[1:]}: {error}")
-    assert not failures, "\n".join(failures)
-    if variant.grows:
-        assert sum(getattr(b, variant.grows) for b in before) < \
-            sum(getattr(a, variant.grows) for a in after)
+NO_ORBIT_KEYS = (zerosum, "automorphisms", lambda group: [list(range(group.order))])
+NO_BYTE_TABLES = (zerosum, "_byte_tables", no_byte_tables)
 
 
 def test_orbit_keys_give_the_same_search(monkeypatch):
-    switch_off("orbit keys", monkeypatch)
+    """Keyed and unkeyed searches agree on value, exactness and witness."""
+    before, after = switch_off(KEYED, monkeypatch, NO_ORBIT_KEYS)
+    for case, b, a in zip(KEYED, before, after):
+        assert walk(b) == walk(a) and b.states <= a.states, case
+    assert sum(b.states for b in before) < sum(a.states for a in after)
 
 
 def test_central_translations_give_the_same_e_search(monkeypatch):
-    switch_off("central translations", monkeypatch)
+    """E keyed by the maps phi(a, z) and by automorphisms alone (the centre
+    forced to {1}) is exact and agrees on value and witness, on every family
+    group of order at most 8 and on c[9], c[10] and ab[3,3], in no more
+    states on any group and in fewer in all."""
+    cases = FAMILY_E + _cases(eg_invariant, ["c[9]", "c[10]", "ab[3,3]"], 50_000)
+    before, after = switch_off(cases, monkeypatch, (FiniteGroup, "center", lambda group: [0]))
+    for case, b, a in zip(cases, before, after):
+        assert b.exact and walk(b) == walk(a) and b.states <= a.states, case
+    assert sum(b.states for b in before) < sum(a.states for a in after)
+
+
+def _unpruned(group, *args, targets, engine=zerosum._longest_free):
+    """The shipped engine, bound at import, given the identity map alone."""
+    return engine(group, *args, targets=np.arange(group.order)[:, None])
 
 
 def test_path_stabilizer_pruning_saves_only_keys(monkeypatch):
-    switch_off("path-stabilizer pruning", monkeypatch)
+    """Given the identity map alone, the engine tries every letter: each
+    search keeps its value, exact flag, stop reason, witness and state
+    count, and computes no fewer keys."""
+    cases = FAMILY_D + WEIGHTED + FAMILY_E + FAMILY_D_PRIME + STATE_BUDGETS
+    before, after = switch_off(cases, monkeypatch, (zerosum, "_longest_free", _unpruned))
+    for case, b, a in zip(cases, before, after):
+        assert b[:5] == a[:5] and b.keys <= a.keys, case
+    assert sum(b.keys for b in before) < sum(a.keys for a in after)
     # D(q[32]) is exact in 1,594 states; the six other budgets trip
     assert [shipped(case).stop_reason for case in STATE_BUDGETS].count("states") == 6
 
 
 def test_refutation_equals_the_longest_walk(monkeypatch):
-    switch_off("length refutation", monkeypatch)
+    """The refuting engine gives the values, exactness and witnesses of the
+    longest-walk DFS; without a cut (E, D') it keeps the same states, with
+    the cut (D, D_A) no more."""
+    cases = (KEYED + [case for case in _cases(davenport_ordered, family_groups(24))
+                      if case.text not in KEYED_GRID] + WEIGHTED[3:])
+    before, after = switch_off(cases, monkeypatch,
+                               (zerosum, "_longest_free", _longest_free_reference))
+    for case, b, a in zip(cases, before, after):
+        cut = case.search in (davenport_ordered, davenport_weighted)
+        assert walk(b) == walk(a) and (b.states <= a.states if cut else b.states == a.states), case
+
+
+def former_steps(case):
+    former = {davenport_ordered: reference_ordered, davenport_weighted: reference_weighted}
+    return run(case._replace(search=former[case.search]))
 
 
 @pytest.mark.parametrize("text", FAMILY + SINGLE_AB)
@@ -1442,32 +1343,69 @@ def test_d_and_d_a_equal_their_former_steps(text, grp, monkeypatch):
         G, C = grp(text), grp(text.replace("ab", "c"))
         assert np.array_equal(G.array, C.array) and automorphisms(G) == automorphisms(C)
         return
-    switch_off("packed steps", monkeypatch, [case for case in FAMILY_D + FAMILY_D_A
-                                             if case.text == text])
+    cases = [case for case in FAMILY_D + FAMILY_D_A if case.text == text]
+    before, after = switch_off(cases, monkeypatch, off=former_steps)
+    assert [b[:5] for b in before] == [a[:5] for a in after]
 
 
 @pytest.mark.parametrize("text,A", list(BUDGETED_FORMER))
 def test_budgeted_searches_equal_their_former_steps(text, A, monkeypatch):
-    switch_off("packed steps", monkeypatch, [BUDGETED_FORMER[text, A]])
+    [before], [after] = switch_off([BUDGETED_FORMER[text, A]], monkeypatch, off=former_steps)
+    assert before[:5] == after[:5]
 
 
 @pytest.mark.parametrize("text,A", list(BUDGETED_FORMER)[1:])
 def test_budgeted_column_step_searches_equal_their_former_steps(text, A, monkeypatch):
-    switch_off("packed steps on column steps", monkeypatch, [BUDGETED_FORMER[text, A]])
+    """D_A on the column steps, with the cutoff patched below the order (the
+    lazy children and the set-bit orbit keys): the shipped search and the
+    former steps alike."""
+    [before], [(res, former)] = switch_off(
+        [BUDGETED_FORMER[text, A]], monkeypatch, (zerosum, "_BYTE_TABLE_MAX_ORDER", 32),
+        NO_BYTE_TABLES, off=lambda case: (run(case), former_steps(case)))
+    assert before[:5] == res[:5] == former[:5]
 
 
 def test_bit_loop_path_gives_the_same_search(monkeypatch):
-    switch_off("byte tables", monkeypatch)
+    cases = [Case(davenport_ordered, "q[16]"), Case(eg_invariant, "d[6]"), WEIGHTED[0],
+             Case(davenport_unordered, "q[16]")]
+    before, after = switch_off(cases, monkeypatch, (zerosum, "_BYTE_TABLE_MAX_ORDER", 0),
+                               NO_BYTE_TABLES)
+    assert [b[:5] for b in before] == [a[:5] for a in after]
 
 
-@pytest.mark.parametrize("case", VARIANTS["key cache"].cases, ids=["E", "Dprime", "D"])
+@pytest.mark.parametrize("case", [Case(search, text, (), 20_000) for search, text in [
+    (eg_invariant, "c[10]"), (davenport_unordered, "q[16]"), (davenport_ordered, "q[32]")]],
+    ids=["E", "Dprime", "D"])
 def test_key_caches_stay_bounded(case, monkeypatch):
-    switch_off("key cache", monkeypatch, [case])
+    """Every cache of keys and images holds two generations: with
+    generations of 4 entries none holds more than 8, and each search keeps
+    its value, exact flag, stop reason, witness and state count. E above the
+    table width caches the engine's keys, the components' automorphic
+    images and their translated concatenations, D' the engine's keys and
+    its layers' images, D the engine's keys."""
+    caches, made = [], zerosum._Generations
+
+    def recorded(compute):
+        caches.append(made(compute))
+        return caches[-1]
+
+    [before], [after] = switch_off([case], monkeypatch, (zerosum, "_Generations", recorded),
+                                   (zerosum, "_KEY_CACHE_GENERATION", 4))
+    assert before.exact and before[:5] == after[:5]
+    assert len(caches) == {eg_invariant: 3, davenport_unordered: 2, davenport_ordered: 1}[case.search]
+    assert all(len(cache) + len(cache.retired) <= 8 for cache in caches)
 
 
 @pytest.mark.parametrize("case", FAMILY_D_PRIME, ids=[case.text for case in FAMILY_D_PRIME])
-def test_unordered_search_equals_the_reference_walk(case, monkeypatch):
-    switch_off("D' orbit keys, against the walk", monkeypatch, [case])
+def test_unordered_search_equals_the_reference_walk(case, grp, monkeypatch):
+    G = grp(case.text)
+    value, witness, nodes = reference_unordered(G)
+    [keyed], [unkeyed] = switch_off([case], monkeypatch, NO_ORBIT_KEYS)
+    for res in (keyed, unkeyed):
+        assert (res.value, res.exact, res.witness) == (value, True, witness)
+    assert unkeyed.states == nodes
+    # an automorphism a moving x merges the states (x,) and (a(x),)
+    assert (keyed.states < nodes) == (len(automorphisms(G)) > 1)
 
 
 # Every item of the benchmark's search workload, and E on every family group
