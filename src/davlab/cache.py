@@ -3,7 +3,8 @@
 One read loop, `cache_records`, serves every lookup. `cache_get` is its
 one-key case; `scan` asks for the keys of its whole grid at once, so it
 reads the file once per invocation. Search results (D, Dprime, E, DA) are
-served only from records of the current SEARCH_ALGO.
+served only from exact records of the current SEARCH_ALGO: an inexact one is
+a lower bound, never the answer.
 
 A lookup parses only the lines that can hold a wanted key. A line that
 begins with the head `cache_put` writes, `{"algo": <null|int>,
@@ -16,6 +17,7 @@ a hit into a miss, which is recomputed, never a wrong answer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -80,6 +82,16 @@ class ResultRecord:
         return record_key(self.descriptor, self.invariant, self.weight_set)
 
 
+def compact_labels(labels) -> str:
+    """Run-length display of a witness's labels, e.g. '(y)^3 x' for
+    ['y', 'y', 'y', 'x']."""
+    out = []
+    for label, run in itertools.groupby(labels):
+        n = len(list(run))
+        out.append(label if n == 1 else f"({label})^{n}")
+    return " ".join(out) if out else "(empty)"
+
+
 def record_key(descriptor: str, invariant: str, weight_set=None) -> tuple:
     """The cache key of a result; the weights are a set, keyed by their
     sorted distinct members."""
@@ -111,8 +123,8 @@ def _major(version: str) -> str:
 def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     """Stream the file once and return, for each given key that has records
     of this tool's major version, the exact one if any, else the latest.
-    Search records whose algo is not SEARCH_ALGO (a line without the field
-    predates it) are stale and skipped.
+    Search records that are inexact, or whose algo is not SEARCH_ALGO (a line
+    without the field predates it), are never served and are skipped.
 
     Only lines that can hold a wanted key are parsed: a line with the
     `cache_put` head (`_HEAD`) whose descriptor no wanted key names, and
@@ -155,7 +167,8 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
                     raise TypeError("value, exact or witness of the wrong type")
                 if key not in wanted or _major(record.tool_version) != major:
                     continue
-                if record.invariant in _SEARCH_INVARIANTS and record.algo != SEARCH_ALGO:
+                if record.invariant in _SEARCH_INVARIANTS and (
+                        record.algo != SEARCH_ALGO or not record.exact):
                     continue
             except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
                     AttributeError) as exc:

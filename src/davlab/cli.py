@@ -23,7 +23,7 @@ import sys
 import time
 
 from .cache import (ResultRecord, cache_get, cache_path, cache_put, cache_records,
-                    record_key)
+                    compact_labels, record_key)
 from .descriptors import (GRAMMAR_HINT, GroupDescriptor, make_descriptor,
                           parse_descriptor, validate_descriptor)
 from .errors import DavlabError, DescriptorError
@@ -85,6 +85,13 @@ def _max_order(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer from 1 to {ORDER_CAP}, got {text!r}")
     return int(text)
+
+
+def _search_record(canonical: str, invariant: str, result, weights=None) -> ResultRecord:
+    """The cache record of one search result."""
+    return ResultRecord(canonical, invariant, result.value, result.exact,
+                        weight_set=list(weights) if weights else None,
+                        witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -184,7 +191,7 @@ def _cmd_davenport(args) -> int:
     path = cache_path(args.cache)
     t0 = time.perf_counter()
     record = None if args.no_cache else cache_get(path, canonical, invariant, weights)
-    fresh = record is None or not record.exact
+    fresh = record is None
     if fresh:
         imported = time.perf_counter()
         from . import groups, zerosum
@@ -195,10 +202,7 @@ def _cmd_davenport(args) -> int:
                   "weighted": functools.partial(zerosum.davenport_weighted, weights=weights)}
         result = search[args.variant](groups.build(desc), budget=_budget_from(
             args.budget_states, args.budget_seconds))
-        record = ResultRecord(
-            descriptor=canonical, invariant=invariant, value=result.value,
-            exact=result.exact, weight_set=list(weights) if weights else None,
-            witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
+        record = _search_record(canonical, invariant, result, weights)
     elapsed_ms = int(1000 * (time.perf_counter() - t0))
     doc = {
         "descriptor": canonical,
@@ -217,18 +221,18 @@ def _cmd_davenport(args) -> int:
         f"invariant: {invariant}",
         f"value: {record.value}",
         f"exact: {str(record.exact).lower()}",
+        "witness: " + (compact_labels(record.witness) if record.witness is not None
+                       else "(none)"),
     ]
     if fresh:
         if not args.no_cache:
             cache_put(path, record)
         doc["states"] = result.states_explored
-        lines += [f"witness: {result.witness.compact()}",
-                  f"states: {result.states_explored}",
+        lines += [f"states: {result.states_explored}",
                   f"stop_reason: {result.stop_reason}",
                   f"elapsed_ms: {elapsed_ms}"]
     else:
-        lines += [f"witness: {' '.join(record.witness) if record.witness else '(none)'}",
-                  f"cache: hit ({elapsed_ms} ms)"]
+        lines.append(f"cache: hit ({elapsed_ms} ms)")
     _emit(doc, args.json, lines)
     return 0
 
@@ -479,10 +483,7 @@ def _row_records(desc: GroupDescriptor, missing: list[str],
             canonical, "witness_check", spec.length + 1 if free else 1, free,
             witness=spec.block_labels(group)))
     if "D" in missing:
-        result = zerosum.davenport_ordered(group, budget)
-        records.append(ResultRecord(
-            canonical, "D", result.value, result.exact,
-            witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed)))
+        records.append(_search_record(canonical, "D", zerosum.davenport_ordered(group, budget)))
     return records, int(1000 * (time.perf_counter() - t0))
 
 
@@ -503,9 +504,7 @@ def _cmd_scan(args) -> int:
     keys = [[record_key(desc.canonical(), inv) for inv in needed]
             for desc, needed in zip(grid, needs)]
     found = {} if args.no_cache else cache_records(path, [k for ks in keys for k in ks])
-    # a cached D serves only when exact; every other cached record serves as is
-    known = [{r.invariant: r for r in map(found.get, ks)
-              if r is not None and (r.exact or r.invariant != "D")} for ks in keys]
+    known = [{r.invariant: r for r in map(found.get, ks) if r is not None} for ks in keys]
     missing = [[inv for inv in needed if inv not in have]
                for needed, have in zip(needs, known)]
     # a set budget imports zerosum, and so numpy, which a warm scan never loads
@@ -552,8 +551,12 @@ def _cmd_scan(args) -> int:
 
 # --- entry point ------------------------------------------------------------------
 
-def _add_common(sub, cache_flags: bool = False, budget_flags: bool = False):
-    sub.add_argument("--json", action="store_true", help="emit one JSON document")
+def _add_common(sub, cache_flags: bool = False, budget_flags: bool = False,
+                csv_flag: bool = False):
+    output = sub.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit one JSON document")
+    if csv_flag:
+        output.add_argument("--csv", action="store_true", help="CSV table output")
     if cache_flags:
         sub.add_argument("--cache", default=None,
                          help="cache file (default $DAVLAB_CACHE or ./davlab-cache.jsonl)")
@@ -623,8 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-ranges", default=None,
                    help="comma list of filters, e.g. gamma=1,alpha<=3 "
                         "(ignored by families lacking the parameter)")
-    p.add_argument("--csv", action="store_true", help="CSV table output")
-    _add_common(p, cache_flags=True, budget_flags=True)
+    _add_common(p, cache_flags=True, budget_flags=True, csv_flag=True)
     p.set_defaults(func=_cmd_scan)
     return parser
 

@@ -80,6 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import compact_labels
 from .errors import (BudgetExceededError, DavlabError, GroupTooLargeError,
                      InvalidWeightsError)
 from .groups import FiniteGroup
@@ -130,14 +131,8 @@ class Sequence:
         return [self.group.labels[g] for g in self.terms]
 
     def compact(self) -> str:
-        """Run-length display, e.g. 'y^3 x' for (y, y, y, x)."""
-        out = []
-        for g, run in itertools.groupby(self.terms):
-            n = len(list(run))
-            lab = self.group.labels[g]
-            piece = lab if n == 1 else f"({lab})^{n}"
-            out.append(piece)
-        return " ".join(out) if out else "(empty)"
+        """Run-length display, e.g. '(y)^3 x' for (y, y, y, x)."""
+        return compact_labels(self.labels())
 
 
 @dataclass

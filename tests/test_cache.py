@@ -96,9 +96,10 @@ def test_exact_record_beats_later_inexact(tmp_path):
     cache_put(path, ResultRecord("q[8]", "D", 4, False))
     got = cache_get(path, "q[8]", "D")
     assert got.value == 5 and got.exact
+    # an inexact search record is a lower bound, never served as the answer
     cache_put(path, ResultRecord("q[16]", "D", 7, False))
     cache_put(path, ResultRecord("q[16]", "D", 8, False))
-    assert cache_get(path, "q[16]", "D").value == 8
+    assert cache_get(path, "q[16]", "D") is None
 
 
 def test_key_includes_weights(tmp_path):
@@ -232,7 +233,7 @@ def _parse_every_line(path, keys):
                 if key not in wanted or record.tool_version.split(".", 1)[0] != major:
                     continue
                 if record.invariant in ("D", "Dprime", "E", "DA") \
-                        and record.algo != SEARCH_ALGO:
+                        and (record.algo != SEARCH_ALGO or not record.exact):
                     continue
             except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
                     AttributeError) as exc:
@@ -339,7 +340,8 @@ def test_lookup_equals_parsing_every_line(tmp_path, seed):
         warned += len(messages)
         for hit in hits.values():
             assert hit["tool_version"] == __version__
-            assert hit["invariant"] not in ("D", "DA") or hit["algo"] == SEARCH_ALGO
+            assert hit["invariant"] not in ("D", "DA") or (
+                hit["algo"] == SEARCH_ALGO and hit["exact"])
     assert served and warned
 
 

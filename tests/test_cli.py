@@ -192,6 +192,15 @@ def test_davenport_inexact_cache_record_is_not_served(capsys, tmp_path):
     assert doc["cached"] is False and doc["exact"] is True and doc["value"] == 13
 
 
+def test_cached_davenport_prints_the_fresh_text(capsys, tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    _, fresh = run(capsys, "davenport", "q[12]", "--cache", cache)
+    _, cached = run(capsys, "davenport", "q[12]", "--cache", cache)
+    fresh, cached = fresh.splitlines(), cached.splitlines()
+    assert fresh[4] == "witness: (y)^5 x" and cached[-1].startswith("cache: hit")
+    assert cached[:-1] == fresh[:5]
+
+
 def _drop_algo(cache, invariant, value, algo=None):
     """Rewrite the cache with a wrong value on every record of invariant, so
     that serving one shows, and those records marked as of search version
@@ -606,6 +615,12 @@ def test_scan_csv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0].startswith("descriptor,")
     assert any(line.startswith("q[8],") for line in lines[1:])
+
+
+def test_scan_json_and_csv_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--families=q", "--max-order=8", "--json", "--csv", "--no-cache"])
+    assert exc.value.code == 2
 
 
 def test_scan_param_ranges(capsys, tmp_path):

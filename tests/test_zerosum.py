@@ -702,19 +702,19 @@ def test_search_results_report_state_counts(grp):
 
 @pytest.mark.parametrize("max_states", [1, 50, 1000])
 def test_keyed_budget_trip_is_a_valid_lower_bound(max_states, grp):
-    res = davenport_ordered(grp("q[32]"), SearchBudget(max_states=max_states))
+    res = shipped(Case(davenport_ordered, "q[32]", (), max_states))
     assert not res.exact and res.stop_reason == "states"
     assert len(res.witness) == res.value - 1
-    assert is_ordered_free(res.witness)
+    assert is_ordered_free(Sequence(grp("q[32]"), res.witness))
     assert res.value <= 17
 
 
 @pytest.mark.parametrize("max_states", [1, 50])
 def test_unordered_budget_trip_is_a_valid_lower_bound(max_states, grp):
-    res = davenport_unordered(grp("q[32]"), SearchBudget(max_states=max_states))
+    res = shipped(Case(davenport_unordered, "q[32]", (), max_states))
     assert not res.exact
     assert len(res.witness) == res.value - 1
-    assert is_unordered_free(res.witness)
+    assert is_unordered_free(Sequence(grp("q[32]"), res.witness))
     assert res.value <= 17
 
 
@@ -740,12 +740,12 @@ def test_d_of_g2_is_pinned_with_the_theorem_6_block_witness(grp):
     (davenport_ordered, "q[32]", ()), (davenport_weighted, "q[32]", ((1, 5),)),
     (eg_invariant, "d[6]", ()), (eg_invariant, "q[8]", ()), (davenport_unordered, "q[32]", ())],
     ids=["D", "D_A", "E", "E_central", "Dprime"])
-def test_state_budget_trips_one_state_past_its_limit(search, text, args, max_states, grp):
+def test_state_budget_trips_one_state_past_its_limit(search, text, args, max_states):
     """The state budget is checked at every stored state, however seldom the
     clock is read. E runs on d[6], whose centre is {1}, and on q[8], whose
     centre of order 2 keys it by central translations too."""
-    res = search(grp(text), *args, SearchBudget(max_states=max_states))
-    assert res.stop_reason == "states" and res.states_explored == max_states + 1
+    res = shipped(Case(search, text, args, max_states))
+    assert res.stop_reason == "states" and res.states == max_states + 1
     assert len(res.witness) == res.value - 1
 
 
