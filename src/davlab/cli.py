@@ -380,6 +380,10 @@ def _grid(families: list[str], primes: list[int], max_order: int, ranges):
 
 
 def _p_family_descs(family: str, p: int, max_order: int):
+    # validate_descriptor's inequalities, repeated so that the grid builds no
+    # invalid descriptor (validating every exponent tuple within the order
+    # bound takes each warm g-family scan about 1 ms longer); a test checks
+    # that the two agree
     import itertools
     max_e = 1
     while p ** (max_e + 1) <= max_order:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -24,6 +28,16 @@ def schema_errors(doc) -> list[str]:
         error = jsonschema.exceptions.best_match([error])  # inside the oneOf
         out.append("/".join(map(str, error.absolute_path)) + ": " + error.message)
     return out
+
+
+def run_python(*argv, timeout=30):
+    """`python argv` in a fresh interpreter on this checkout's davlab, so that
+    imports start from nothing, under `timeout`, so that a hang exits 124. A
+    child exec'd from this process would count this process's peak RSS as its
+    own; one started by `timeout` counts only timeout's small image."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(["timeout", str(timeout), sys.executable, *argv], env=env,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture

@@ -29,23 +29,6 @@ def search(argv, value, seconds=SECONDS, mb=None, **fields):
                seconds, mb)
 
 
-def quick_error(doc, err):
-    """An error line, no traceback, and no error line over 200 characters:
-    a long parameter is shortened in messages, not repeated in full."""
-    lines = [line for line in err.splitlines() if "error:" in line]
-    return bool(lines) and "Traceback" not in err and max(map(len, lines)) <= 200
-
-
-QUICK_ERRORS = [
-    "info g1[1000000000000000003,1,1,1]", "info g1[3,1000000000,1,1]",
-    "loewy g1[3,1000000000,1,1] --method formula", "oracle g1[3,1000000000,1,1]",
-    "info g2[3,200000,1,1]", "info g4[3,4,2,2,1,0]", f"info ab[{'9' * 4000},{'9' * 4000}]",
-    f"info c[{'9' * 5000}]", f"loewy d[{'9' * 2999}8] --method formula",
-    "scan --families=d --max-order=8192 --no-cache"]
-SCANS = [("--families=d,q,sd,m2 --max-order=32", 15),
-         ("--families=g1 --max-order=729 --param-ranges=gamma=1", 8),
-         ("--families=g2 --max-order=729", 14),
-         ("--families=g3 --max-order=729 --param-ranges=sigma=1", 1)]
 Q24_WITNESS = ["y"] * 11 + ["x"]
 
 PINS = [
@@ -54,7 +37,6 @@ PINS = [
           lambda doc, err, order=order: (sum(doc["coefficients"]), len(doc["coefficients"]))
           == (order, doc["value"]))
       for desc, value, order in [("g1[3,3,3,1]", 57, 2187), ("m2[4096]", 2049, 4096)]),
-    *(Pin(probe, seconds=10, check=quick_error, codes=(1, 2)) for probe in QUICK_ERRORS),
     search("q[32] --budget-states 20000", 17),
     # the least longest walk on the words b^j a^i: theorem 6's blocks a^8 b^2
     search("g2[3,2,1,1]", 11, witness=["a"] * 8 + ["b"] * 2),
@@ -82,11 +64,6 @@ PINS = [
     search("q[24]", 13, states=516, witness=Q24_WITNESS),
     search("q[24] --variant=weighted --weights=1", 13, states=516, witness=Q24_WITNESS),
     Pin("oracle g3[17,3,2,2,1] --json", {"value": True}, 10),
-    *(Pin(f"scan {grid} --no-cache --json", check=lambda doc, err, count=count: len(
-        doc["rows"]) == count and all(r["status"] == "CONFIRMED" for r in doc["rows"]))
-      for grid, count in SCANS),
-    Pin("scan --families=d,q,sd,m2 --max-order=16 --json --no-cache"),
-    Pin("davenport q[8] --json --no-cache"),
 ]
 
 

@@ -243,6 +243,7 @@ def test_criterion_9_scan_integrity(tmp_path, capsys):
         return docs, total
 
     first_docs, first_time = run_all()
+    assert [len(doc["rows"]) for doc in first_docs] == [15, 8, 14, 1]
     rows = [r for doc in first_docs for r in doc["rows"]]
     assert rows
     assert all(r["status"] != "REFUTED" for r in rows)

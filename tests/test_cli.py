@@ -1,17 +1,16 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import schema_errors
+from conftest import run_python, schema_errors
 from davlab import zerosum
-from davlab.cache import ResultRecord, cache_get, cache_records
+from davlab.cache import ResultRecord, cache_get, cache_put, cache_records
 from davlab.cli import _grid, main, scan_row
+from davlab.descriptors import make_descriptor, validate_descriptor
+from davlab.errors import DavlabError
 from davlab.numtheory import prime_power
 from davlab.theory import expected_davenport, loewy_formula, olson_white, witness_plan
 
@@ -405,19 +404,32 @@ def test_scan_grid_of_the_two_power_families(capsys):
         "q[24]", "q[28]", "sd[16]", "sd[32]", "sd[24]", "m2[16]", "m2[32]"]
 
 
-def _python(*argv, timeout=30):
-    """A fresh interpreter on this checkout's davlab, so that a hang fails on
-    the timeout and imports start from nothing."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+@pytest.mark.parametrize("family", ["g1", "g2", "g3"])
+def test_scan_grid_of_a_p_family_is_every_valid_descriptor_in_order(family):
+    """At p = 3 and 5, the grid holds each descriptor with exponents from 1 to
+    8 (3^8 > 4096) that validates and has order at most max_order, in the
+    lexicographic order of its exponents."""
+    for p in (3, 5):
+        valid = []
+        for exps in itertools.product(range(1, 9), repeat=4 if family == "g3" else 3):
+            desc = make_descriptor(family, p, *exps)
+            try:
+                validate_descriptor(desc)
+            except DavlabError:
+                continue
+            valid.append(desc)
+        for max_order in (27, 81, 100, 125, 243, 625, 729, 1000, 2187, 3125, 4096):
+            want = [d.canonical() for d in valid if d.theoretical_order() <= max_order]
+            got = [d.canonical() for d in _grid([family], [p], max_order, [])]
+            assert got == want, (p, max_order)
 
 
 @pytest.mark.parametrize("p", ["1000000000000000003", str(2 ** 64 + 13)])
 def test_info_with_a_huge_prime_p_is_a_quick_error(p):
-    done = _python("-m", "davlab.cli", "info", f"g1[{p},1,1,1]", timeout=10)
+    done = run_python("-m", "davlab.cli", "info", f"g1[{p},1,1,1]", timeout=10)
     assert done.returncode in (1, 2)
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert max(map(len, done.stderr.splitlines())) <= 200
 
 
 @pytest.mark.parametrize("argv", [
@@ -435,7 +447,7 @@ def test_info_with_a_huge_prime_p_is_a_quick_error(p):
 def test_descriptor_with_huge_parameters_is_a_quick_error(argv):
     # p ** e hangs for e near 10^9, and str() and int() refuse ints past the
     # interpreter's digit limit; messages shorten a long parameter
-    done = _python("-m", "davlab.cli", *argv, timeout=10)
+    done = run_python("-m", "davlab.cli", *argv, timeout=10)
     assert done.returncode in (1, 2)
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
     assert max(map(len, done.stderr.splitlines())) <= 200
@@ -445,26 +457,29 @@ def test_g4_is_an_unknown_family():
     # the carry family g4 had order >= 3^8 above the order cap at every
     # admissible parameter, so no command computed anything for it
     for argv in (("info", "g4[3,4,2,2,1,0]"), ("scan", "--families=g4", "--no-cache")):
-        done = _python("-m", "davlab.cli", *argv, timeout=10)
+        done = run_python("-m", "davlab.cli", *argv, timeout=10)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
         assert "family 'g4'" in done.stderr
+        assert max(map(len, done.stderr.splitlines())) <= 200
 
 
 @pytest.mark.parametrize("max_order", ["8192", "0", "x"])
 def test_scan_max_order_stays_within_the_order_cap(max_order):
     # refused before any row of the grid is built
-    done = _python("-m", "davlab.cli", "scan", "--families=d",
-                   f"--max-order={max_order}", "--no-cache", timeout=10)
+    done = run_python("-m", "davlab.cli", "scan", "--families=d",
+                      f"--max-order={max_order}", "--no-cache", timeout=10)
     assert done.returncode == 2
     assert "--max-order: expected an integer from 1 to 4096" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert max(map(len, done.stderr.splitlines())) <= 200
     assert done.stdout == ""
 
 
 @pytest.mark.parametrize("primes", ["1", "0", "-3", "2", "9", "3,x", "", "4099"])
 def test_scan_primes_takes_odd_primes_only(primes):
-    done = _python("-m", "davlab.cli", "scan", "--families=g1", f"--primes={primes}",
-                   "--no-cache")
+    done = run_python("-m", "davlab.cli", "scan", "--families=g1", f"--primes={primes}",
+                      "--no-cache")
     assert done.returncode == 2
     assert "--primes: expected a comma list of odd primes" in done.stderr
     assert done.stdout == ""
@@ -479,7 +494,7 @@ def test_scan_primes_list(capsys):
 
 
 def test_import_cli_leaves_out_jsonschema():
-    done = _python("-c", "import sys, davlab.cli; sys.exit('jsonschema' in sys.modules)")
+    done = run_python("-c", "import sys, davlab.cli; sys.exit('jsonschema' in sys.modules)")
     assert done.returncode == 0
 
 
@@ -505,16 +520,16 @@ _COLD = ["dataclasses", "datetime", "davlab.groups", "inspect", "numpy"]
 def _warm_free_modules_after(*argv) -> list[str]:
     """numpy, davlab.groups, datetime, dataclasses and inspect, as far as a
     fresh `davlab argv` imported them."""
-    done = _python("-c", _WARM_FREE_MODULES_PROBE, *argv)
+    done = run_python("-c", _WARM_FREE_MODULES_PROBE, *argv)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stderr.splitlines()[-1])
 
 
 def test_import_davlab_and_cli_leave_out_numpy():
-    done = _python("-c", "import sys, davlab, davlab.cli; "
-                         "loaded = {'numpy', 'davlab.groups', 'datetime', 'dataclasses', "
-                         "'inspect'} & set(sys.modules); "
-                         "sys.exit(f'imported {sorted(loaded)}' if loaded else 0)")
+    done = run_python("-c", "import sys, davlab, davlab.cli; "
+                            "loaded = {'numpy', 'davlab.groups', 'datetime', 'dataclasses', "
+                            "'inspect'} & set(sys.modules); "
+                            "sys.exit(f'imported {sorted(loaded)}' if loaded else 0)")
     assert done.returncode == 0, done.stderr
 
 
@@ -551,7 +566,7 @@ for _ in range(2):
 def test_elapsed_ms_leaves_out_the_first_imports(argv):
     """The first run of a fresh process imports numpy and the table modules;
     its elapsed_ms counts the computation only, like the second run's."""
-    done = _python("-c", _ELAPSED_TWICE_PROBE, *argv, "--json")
+    done = run_python("-c", _ELAPSED_TWICE_PROBE, *argv, "--json")
     assert done.returncode == 0, done.stderr
     first, second = map(int, done.stdout.split())
     assert abs(first - second) <= 30, (first, second)
@@ -678,7 +693,7 @@ def test_a_cache_line_that_is_not_utf8_is_skipped(argv, tmp_path):
     cache = tmp_path / "bad.jsonl"
     cache.write_bytes(b"\xff\xfe garbage\n")
     for _ in range(2):  # against the bad line alone, then with the records added
-        done = _python("-m", "davlab.cli", *argv, "--json", "--cache", str(cache))
+        done = run_python("-m", "davlab.cli", *argv, "--json", "--cache", str(cache))
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
         assert f"{cache}:1: skipping corrupted cache line" in done.stderr
@@ -740,6 +755,28 @@ def test_warm_scan_reads_cache_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and len(doc["rows"]) > 5
     assert all(r["cached"] for r in doc["rows"])
     assert opens == [(cache, "rb")]  # one read, nothing appended
+
+
+def test_a_warm_scan_reads_past_20000_filler_records_and_a_truncated_line(capsys, tmp_path):
+    """The grid's records, 20,000 filler records and a truncated filler line:
+    a fresh warm scan warns on the last line and serves every row from the
+    cache within 10 s."""
+    cache = tmp_path / "warm.jsonl"
+    args = ("scan", "--families=d,q,sd,m2", "--max-order=32", "--json", "--cache", str(cache))
+    assert main(list(args)) == 0
+    capsys.readouterr()
+    for n in range(20000):
+        cache_put(cache, ResultRecord(f"c[{2 + n % 4000}]", "D", 5, n % 5 > 0,
+                                      witness=["g"] * 4, elapsed_ms=n))
+    lines = cache.read_text().splitlines()
+    with open(cache, "a") as fh:
+        fh.write(lines[-1][:len(lines[-1]) // 2] + "\n")
+    done = run_python("-m", "davlab.cli", *args, timeout=10)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
+    assert f"{cache}:{len(lines) + 1}: skipping corrupted cache line" in done.stderr
+    rows = json.loads(done.stdout)["rows"]
+    assert rows and all(r["cached"] is True for r in rows)
 
 
 def test_scan_recomputes_rows_with_inexact_or_missing_records(capsys, tmp_path):

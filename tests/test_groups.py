@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from davlab import build, build_from_string, parse_descriptor, verify_presentation
 from davlab.errors import GroupTooLargeError, InternalConsistencyError
 from davlab import groups
@@ -577,6 +578,29 @@ def _eager_labels(pc) -> list[str]:
                 for name, e in zip(pc.names, exponents) if e]
         out.append(" ".join(bits) if bits else "1")
     return out
+
+
+# The pin_large groups of davbench, built in turn as its passes build them;
+# the last line is this process's peak RSS in MB (ru_maxrss is in KiB on Linux).
+_PIN_ROUTE = """
+import resource
+from davlab import build, is_ordered_free, loewy_length, parse_descriptor, witness_for_theorem
+for text, theorem in [("m2[2048]", 7), ("g1[3,3,3,1]", 6), ("g2[3,4,3,2]", 6)]:
+    desc = parse_descriptor(text)
+    G = build(desc)
+    print(text, loewy_length(G), is_ordered_free(witness_for_theorem(desc, theorem).sequence(G)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_the_pin_route_runs_in_one_process_within_30_s_and_55_mb():
+    """A table kept after its last holder let go, or a whole-block temporary
+    in the fill, lifts the peak past the bound."""
+    done = run_python("-c", _PIN_ROUTE, timeout=30)
+    assert done.returncode == 0, done.stderr[-2000:]
+    *values, peak_mb = done.stdout.splitlines()
+    assert values == ["m2[2048] 1025 True", "g1[3,3,3,1] 57 True", "g2[3,4,3,2] 107 True"]
+    assert float(peak_mb) <= 55
 
 
 def test_labels_spelled_on_demand_equal_the_eager_list():
