@@ -279,32 +279,23 @@ def _presentation(d: GroupDescriptor) -> _Presentation:
                          {(1, 0): (0, 1 + e, 1), (2, 0): (0, -e * e, 1 - e)})
 
 
-# Rows per block of the associativity test: its buffers, a few 128 x n
-# arrays, stay a few MB at the order cap, where one n x n int64 array alone
-# would take 134 MB.
+# Rows per block of the associativity test and of _fill's batched gathers:
+# their buffers, a few 128 x n arrays, stay a few MB at the order cap, where
+# one n x n int64 array alone would take 134 MB.
 _BLOCK_ROWS = 128
+# Fewest columns a run of a generator's row spans on average for Light's
+# test to copy the table's columns run by run instead of gathering them,
+# per generator on one CPU, copies against np.take: m2[2048] x and y (2 and
+# 4 runs) 1.9 and 1.6 ms against 4.4 and 4.3; g2[3,4,3,2] a (54) 3.2
+# against 4.8; ab[2^12] 64 runs 14.5 against 19.3, 128 runs (n/32) 18.9
+# against 19.6, 256 runs 26 against 21; g1[3,3,3,1] b (990) 38 against 6.6.
+_RUN_COPY_MIN_WIDTH = 32
 
 
-def check_group_axioms(group: FiniteGroup) -> None:
-    """Prove that the table is a group generated by its named generators.
-
-    Five premises are checked: (1) every entry lies in 0..n-1 and (3) every
-    row holds a 0, a right inverse (``FiniteGroup`` refuses a table
-    otherwise, "out of range" or "has no inverse"); (2) row 0 and column 0
-    are the identity; (4) right products from 0 of a prefix of the
-    generators, the shortest one found by the walk, reach every element;
-    (5) each generator a of that prefix passes Light's test, (x a) y =
-    x (a y) for all x, y. The elements that pass it are closed under
-    products and include 0 by (2), so (4) and (5) prove associativity in
-    O(|gens| n^2), not the O(n^3) of all triples. A monoid in which every
-    element has a right inverse is a group, and a group table is a Latin
-    square, so that needs no test of its own.
-    """
+def _generating_prefix(group: FiniteGroup) -> list[int]:
+    """The shortest prefix of the generating set whose right products from 0
+    reach every element; InternalConsistencyError if the whole set does not."""
     n = group.order
-    T = group.array
-    rng = np.arange(n)
-    if not (np.array_equal(T[0], rng) and np.array_equal(T[:, 0], rng)):
-        raise InternalConsistencyError(f"{group.name}: identity row/column broken")
     table = group.table
     reached = [False] * n
     reached[0] = True
@@ -327,6 +318,47 @@ def check_group_axioms(group: FiniteGroup) -> None:
     if len(queue) != n:
         raise InternalConsistencyError(
             f"{group.name}: generators {sorted(group.generators)} do not generate it")
+    return gens
+
+
+def _runs(row: np.ndarray) -> list[tuple[int, int, int]] | None:
+    """row cut into its runs of consecutive indices, each as (a, b, c) with
+    row[a:b] = c, c + 1, ..., c + b - a - 1; None when the runs span fewer
+    than _RUN_COPY_MIN_WIDTH columns on average."""
+    cuts = (np.flatnonzero(np.diff(row) != 1) + 1).tolist()
+    if (len(cuts) + 1) * _RUN_COPY_MIN_WIDTH > len(row):
+        return None
+    starts = [0, *cuts]
+    return list(zip(starts, [*cuts, len(row)], row[starts].tolist()))
+
+
+def check_group_axioms(group: FiniteGroup) -> None:
+    """Prove that the table is a group generated by its named generators.
+
+    Five premises are checked: (1) every entry lies in 0..n-1 and (3) every
+    row holds a 0, a right inverse (``FiniteGroup`` refuses a table
+    otherwise, "out of range" or "has no inverse"); (2) row 0 and column 0
+    are the identity; (4) right products from 0 of a prefix of the
+    generators, the shortest one found by the walk, reach every element;
+    (5) each generator a of that prefix passes Light's test, (x a) y =
+    x (a y) for all x, y. The elements that pass it are closed under
+    products and include 0 by (2), so (4) and (5) prove associativity in
+    O(|gens| n^2), not the O(n^3) of all triples. A monoid in which every
+    element has a right inverse is a group, and a group table is a Latin
+    square, so that needs no test of its own.
+
+    The right side x (a y) is the table's columns taken in the order of
+    row(a). Where that row is a few runs of consecutive indices (the top
+    generator of a presentation, or the cyclic normal one of a
+    two-generator family), each run is one slice copy of columns; any
+    other row is one gather per block of rows.
+    """
+    n = group.order
+    T = group.array
+    rng = np.arange(n)
+    if not (np.array_equal(T[0], rng) and np.array_equal(T[:, 0], rng)):
+        raise InternalConsistencyError(f"{group.name}: identity row/column broken")
+    gens = _generating_prefix(group)
     # (x a) y and x (a y) of each row block go into buffers made once: a
     # fresh MB-sized temporary per block is mapped and faulted in anew
     # whenever the allocator hands blocks of that size back to the system.
@@ -337,11 +369,16 @@ def check_group_axioms(group: FiniteGroup) -> None:
     same = np.empty(left.shape, dtype=bool)
     for g in gens:
         gy = T[g].astype(np.intp)  # converted once, not on every block
+        runs = _runs(gy)
         for start in range(0, n, _BLOCK_ROWS):
             X = T[start:start + _BLOCK_ROWS]
             k = len(X)
             np.take(T, X[:, g], axis=0, out=left[:k], mode="clip")
-            np.take(X, gy, axis=1, out=right[:k], mode="clip")
+            if runs is None:
+                np.take(X, gy, axis=1, out=right[:k], mode="clip")
+            else:
+                for a, b, c in runs:
+                    right[:k, a:b] = X[:, c:c + b - a]
             if not np.equal(left[:k], right[:k], out=same[:k]).all():
                 raise InternalConsistencyError(
                     f"{group.name}: associativity fails at generator {g}")
@@ -358,31 +395,49 @@ def _fill(T: np.ndarray, radices: tuple[int, ...], row_of, done: int) -> None:
     Coordinate by coordinate, the rows whose k-th exponent lies in [d, 2d)
     and whose later exponents are 0 are the rows of exponent [0, d) gathered
     at row(g_k^d), for d = 1, 2, 4, ...; the next step is
-    row(g_k^2d) = row(g_k^d)[row(g_k^d)]. Each block of rows x, x + s, ...
-    (s the stride of coordinate k) is one gather. A block of rows below
-    `done` gathers only the columns from `done` on: the first `done`
-    elements form a normal subgroup, left multiplication by them keeps each
-    of its cosets, and the columns of the first coset are the filled ones.
+    row(g_k^2d) = row(g_k^d)[row(g_k^d)]. The rows whose exponents past
+    coordinate k are 0 are the multiples x of span = r_k s (s the stride of
+    coordinate k), and each block of rows x, x + s, ... is one gather. Where
+    a block is one row (d or r_k - d is 1: every block at radix 2 or 3), the
+    rows x of up to _BLOCK_ROWS blocks are gathered at once. A row below `done` gathers
+    only the columns from `done` on: the first `done` elements form a
+    normal subgroup, left multiplication by them keeps each of its cosets,
+    and the columns of the first coset are the filled ones.
     """
     # every index is in range, so mode="clip" clips none (mode="raise"
     # would buffer the output); numpy gathers a block that is one piece of
     # memory straight into T, any other through temporaries of its size
-    filled = [0]  # rows whose exponents past coordinate k are 0
-    stride = len(T)
+    n = stride = len(T)
     for k, r in enumerate(radices):
         stride //= r
+        span = r * stride
         step = row_of(k)
         d = 1
         while d < r:
             rows = min(d, r - d) * stride
-            for x in filled:
-                y = x + d * stride
-                start = done if y < done else 0
-                np.take(T[x:x + rows:stride], step[start:], axis=1,
-                        out=T[y:y + rows:stride, start:], mode="clip")
+            shift = d * stride
+            if rows == stride:
+                # the rows x whose targets x + shift lie below done, then
+                # the rest, in chunks of up to _BLOCK_ROWS rows gathered into
+                # one buffer: a fresh temporary per chunk, MB-sized at the
+                # order cap, is faulted in anew whenever the allocator hands
+                # it back to the system
+                cut = len(range(shift, done, span)) * span
+                gathered = np.empty(min(n // span, _BLOCK_ROWS) * n, dtype=T.dtype)
+                for lo, hi, start in ((0, cut, done), (cut, n, 0)):
+                    for x in range(lo, hi, _BLOCK_ROWS * span):
+                        end = min(x + _BLOCK_ROWS * span, hi)
+                        shape = len(range(x, end, span)), n - start
+                        out = gathered[:math.prod(shape)].reshape(shape)
+                        np.take(T[x:end:span], step[start:], axis=1, out=out, mode="clip")
+                        T[x + shift:end + shift:span, start:] = out
+            else:
+                for x in range(0, n, span):
+                    start = done if x + shift < done else 0
+                    np.take(T[x:x + rows:stride], step[start:], axis=1,
+                            out=T[x + shift:x + shift + rows:stride, start:], mode="clip")
             step = step[step]
             d *= 2
-        filled = [y for x in filled for y in range(x, x + r * stride, stride)]
 
 
 def _powers(row: list[int], r: int) -> list[int]:

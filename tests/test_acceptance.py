@@ -224,10 +224,11 @@ SCAN_INVOCATIONS = [
 def test_criterion_9_scan_integrity(tmp_path, capsys):
     """Every proven-family scan exits 0 with no REFUTED row, and a second
     identical scan runs at least ten times faster from cache with the same
-    values."""
-    cache = str(tmp_path / "scan.jsonl")
+    values. Each pass is timed as the best of three, every cold one against
+    a fresh cache: a single cold pass of about 0.1 s in-process left the
+    ratio to the noise of one run."""
 
-    def run_all():
+    def run_all(cache):
         docs = []
         total = 0.0
         for extra in SCAN_INVOCATIONS:
@@ -242,19 +243,25 @@ def test_criterion_9_scan_integrity(tmp_path, capsys):
             docs.append(doc)
         return docs, total
 
-    first_docs, first_time = run_all()
+    strip = lambda docs: [[{k: v for k, v in r.items()
+                            if k not in ("elapsed_ms", "cached")}
+                           for r in doc["rows"]] for doc in docs]
+    caches = [str(tmp_path / f"scan{i}.jsonl") for i in range(3)]
+    cold = [run_all(cache) for cache in caches]
+    first_docs = cold[0][0]
     assert [len(doc["rows"]) for doc in first_docs] == [15, 8, 14, 1]
     rows = [r for doc in first_docs for r in doc["rows"]]
     assert rows
     assert all(r["status"] != "REFUTED" for r in rows)
     assert sum(r["status"] == "CONFIRMED" for r in rows) == len(rows)
+    assert all(strip(docs) == strip(first_docs) for docs, _ in cold)
 
-    second_docs, second_time = run_all()
-    strip = lambda docs: [[{k: v for k, v in r.items()
-                            if k not in ("elapsed_ms", "cached")}
-                           for r in doc["rows"]] for doc in docs]
-    assert strip(first_docs) == strip(second_docs)
-    assert all(r["cached"] for doc in second_docs for r in doc["rows"])
+    warm = [run_all(caches[-1]) for _ in range(3)]
+    for second_docs, _ in warm:
+        assert strip(first_docs) == strip(second_docs)
+        assert all(r["cached"] for doc in second_docs for r in doc["rows"])
+    first_time = min(t for _, t in cold)
+    second_time = min(t for _, t in warm)
     assert second_time * 10 <= first_time, \
         f"first {first_time:.2f}s, second {second_time:.2f}s"
     _pass(9, f"{len(rows)} scan rows CONFIRMED, cache speedup "

@@ -561,10 +561,20 @@ def _fill_per_row(T, radices, row_of, done=0):
         filled = [y for x in filled for y in range(x, x + r * stride, stride)]
 
 
-@pytest.mark.parametrize("text", FILL_GRID)
+# groups whose one-row blocks (radix 2 or 3) fill rows on both sides of a
+# top-down level's `done`, beside FILL_GRID's g3[3,3,2,2,1]; their tables
+# have no digest, so the per-row fill alone is their reference
+ONE_ROW_FILLS = ["ab[2,2,2,2,2,2]", "ab[3,3,3,3]"]
+
+
+@pytest.mark.parametrize("text", FILL_GRID + ONE_ROW_FILLS)
 def test_block_fill_equals_the_per_row_fill(text, monkeypatch):
     pc = groups._presentation(parse_descriptor(text))
     T = groups._pc_table(text, pc)
+    # one-row blocks gathered 3 source rows at a time: chunks end on both
+    # sides of `done` and inside each side
+    monkeypatch.setattr(groups, "_BLOCK_ROWS", 3)
+    assert groups._pc_table(text, pc).tobytes() == T.tobytes()
     monkeypatch.setattr(groups, "_fill", _fill_per_row)
     assert groups._pc_table(text, pc).tobytes() == T.tobytes()
 
@@ -804,13 +814,20 @@ def _verdict(check, group) -> str | None:
     return None
 
 
+# the least mean run width at which Light's test copies a generator row's
+# runs: 0 copies every row, one past the order cap gathers every row
+RUN_RULES = (0, ORDER_CAP + 1)
+
+
 @pytest.mark.parametrize("text", ["c[6]", "c[7]", "d[6]", "d[8]", "q[8]", "ab[2,2,2]",
                                   "q[12]", "sd[16]"])
-def test_axiom_check_accepts_only_latin_associative_edits(text, grp):
+def test_axiom_check_accepts_only_latin_associative_edits(text, grp, monkeypatch):
     # the check has no Latin test: in range, identity, right inverses,
     # generation and Light's test must imply it on every edit of the grid,
-    # and its verdict is the one of Light's test on every named generator;
-    # the second generator set adds a redundant one, the product of the others
+    # and its verdict is the one of Light's test on every named generator,
+    # with every row copied by runs and with every row gathered (no group of
+    # the grid is large enough to copy runs by itself); the second generator
+    # set adds a redundant one, the product of the others
     G = grp(text)
     accepted = 0
     for generators in (dict(G.generators), dict(G.generators, w=G.product(G.generators.values())),
@@ -820,8 +837,10 @@ def test_axiom_check_accepts_only_latin_associative_edits(text, grp):
                 edited = _with_cells(G, cells, generators)
             except InternalConsistencyError:
                 continue
-            verdict = _verdict(check_group_axioms, edited)
-            assert verdict == _verdict(_light_on_every_generator, edited), cells
+            verdict = _verdict(_light_on_every_generator, edited)
+            for width in RUN_RULES:
+                monkeypatch.setattr(groups, "_RUN_COPY_MIN_WIDTH", width)
+                assert _verdict(check_group_axioms, edited) == verdict, (cells, width)
             if verdict is None:
                 assert _latin_literal(edited.table) and _associative_literal(edited.table)
                 accepted += 1
@@ -896,6 +915,33 @@ def test_intercalate_swap_is_rejected(text, a, c, grp):
     bad = _intercalate_swap(grp(text), a, c)
     if bad.order <= 32:
         assert not _associative_literal(bad.table)
+    with pytest.raises(InternalConsistencyError, match="associativity fails"):
+        check_group_axioms(bad)
+
+
+def _copies_runs(G, g) -> bool:
+    """Whether Light's test copies the runs of row(g), which then rebuild it."""
+    row = G.array[g].astype(np.intp)
+    runs = groups._runs(row)
+    if runs is not None:
+        assert np.array_equal(np.concatenate([np.arange(c, c + b - a) for a, b, c in runs]),
+                              row)
+    return runs is not None
+
+
+def test_light_copies_the_runs_of_the_pin_route_generators(grp):
+    for text in ("m2[2048]", "g2[3,4,3,2]"):
+        G = grp(text)
+        prefix = groups._generating_prefix(G)
+        assert sorted(prefix) == sorted(G.generators.values())
+        assert all(_copies_runs(G, g) for g in prefix), text
+    # b's row of g1[3,3,3,1] is 990 runs, fewer than 32 columns each
+    G = grp("g1[3,3,3,1]")
+    assert G.generators["b"] in groups._generating_prefix(G)
+    assert not _copies_runs(G, G.generators["b"])
+    # an edit the run copies must see
+    bad = _intercalate_swap(grp("m2[256]"), 200, 3)
+    assert all(_copies_runs(bad, g) for g in groups._generating_prefix(bad))
     with pytest.raises(InternalConsistencyError, match="associativity fails"):
         check_group_axioms(bad)
 
