@@ -279,7 +279,7 @@ def _presentation(d: GroupDescriptor) -> _Presentation:
                          {(1, 0): (0, 1 + e, 1), (2, 0): (0, -e * e, 1 - e)})
 
 
-# Rows per block of the associativity test and of _fill's batched gathers:
+# Rows per block of the associativity test and per chunk of _fill's gathers:
 # their buffers, a few 128 x n arrays, stay a few MB at the order cap, where
 # one n x n int64 array alone would take 134 MB.
 _BLOCK_ROWS = 128
@@ -395,49 +395,44 @@ def _fill(T: np.ndarray, radices: tuple[int, ...], row_of, done: int) -> None:
     Coordinate by coordinate, the rows whose k-th exponent lies in [d, 2d)
     and whose later exponents are 0 are the rows of exponent [0, d) gathered
     at row(g_k^d), for d = 1, 2, 4, ...; the next step is
-    row(g_k^2d) = row(g_k^d)[row(g_k^d)]. The rows whose exponents past
-    coordinate k are 0 are the multiples x of span = r_k s (s the stride of
-    coordinate k), and each block of rows x, x + s, ... is one gather. Where
-    a block is one row (d or r_k - d is 1: every block at radix 2 or 3), the
-    rows x of up to _BLOCK_ROWS blocks are gathered at once. A row below `done` gathers
-    only the columns from `done` on: the first `done` elements form a
-    normal subgroup, left multiplication by them keeps each of its cosets,
-    and the columns of the first coset are the filled ones.
+    row(g_k^2d) = row(g_k^d)[row(g_k^d)]. Those rows are words[b, e], the
+    row b span + e s (span = r_k s, s the stride of coordinate k), and each
+    step gathers them in chunks of up to _BLOCK_ROWS rows, of several blocks
+    b or of part of one, through one buffer per coordinate. A row below
+    `done` gathers only the columns from `done` on: the first `done`
+    elements form a normal subgroup, left multiplication by them keeps each
+    of its cosets, and the columns of the first coset are the filled ones.
     """
     # every index is in range, so mode="clip" clips none (mode="raise"
-    # would buffer the output); numpy gathers a block that is one piece of
-    # memory straight into T, any other through temporaries of its size
+    # would buffer the output)
     n = stride = len(T)
     for k, r in enumerate(radices):
         stride //= r
         span = r * stride
+        # a view of T, also where T is a column slice of the whole table
+        words = T.reshape(n // span, r, stride, n)[:, :, 0]
         step = row_of(k)
-        d = 1
-        while d < r:
-            rows = min(d, r - d) * stride
-            shift = d * stride
-            if rows == stride:
-                # the rows x whose targets x + shift lie below done, then
-                # the rest, in chunks of up to _BLOCK_ROWS rows gathered into
-                # one buffer: a fresh temporary per chunk, MB-sized at the
-                # order cap, is faulted in anew whenever the allocator hands
-                # it back to the system
-                cut = len(range(shift, done, span)) * span
-                gathered = np.empty(min(n // span, _BLOCK_ROWS) * n, dtype=T.dtype)
-                for lo, hi, start in ((0, cut, done), (cut, n, 0)):
-                    for x in range(lo, hi, _BLOCK_ROWS * span):
-                        end = min(x + _BLOCK_ROWS * span, hi)
-                        shape = len(range(x, end, span)), n - start
+        ds = [1 << i for i in range((r - 1).bit_length())]  # d = 1, 2, 4, ... below r
+        # one buffer for the whole coordinate, of its largest chunk: a fresh
+        # one per step raised the peak RSS of the pin_large groups
+        rows = max([min(n // span * min(d, r - d), _BLOCK_ROWS) for d in ds], default=0)
+        gathered = np.empty(rows * n, dtype=T.dtype)
+        for d in ds:
+            # exponents [0, m) go to [d, d + m); a chunk is per blocks by cols exponents
+            m = min(d, r - d)
+            per, cols = max(1, _BLOCK_ROWS // m), min(m, _BLOCK_ROWS)
+            # the blocks whose targets lie below done, then the rest; the
+            # sources are whole rows, as step[start:] reads any column
+            cut = len(range(d * stride, done, span))
+            for lo, hi, start in ((0, cut, done), (cut, n // span, 0)):
+                for b in range(lo, hi, per):
+                    for e in range(0, m, cols):
+                        source = words[b:min(b + per, hi), e:min(e + cols, m)]
+                        shape = (*source.shape[:2], n - start)
                         out = gathered[:math.prod(shape)].reshape(shape)
-                        np.take(T[x:end:span], step[start:], axis=1, out=out, mode="clip")
-                        T[x + shift:end + shift:span, start:] = out
-            else:
-                for x in range(0, n, span):
-                    start = done if x + shift < done else 0
-                    np.take(T[x:x + rows:stride], step[start:], axis=1,
-                            out=T[x + shift:x + shift + rows:stride, start:], mode="clip")
+                        np.take(source, step[start:], axis=2, out=out, mode="clip")
+                        words[b:b + shape[0], d + e:d + e + shape[1], start:] = out
             step = step[step]
-            d *= 2
 
 
 def _powers(row: list[int], r: int) -> list[int]:

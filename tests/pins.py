@@ -32,11 +32,12 @@ def search(argv, value, seconds=SECONDS, mb=None, **fields):
 Q24_WITNESS = ["y"] * 11 + ["x"]
 
 PINS = [
-    # the radical layer dimensions: one per layer, summing to |G|
-    *(Pin(f"loewy {desc} --method both --json", {"value": value, "agreement": True}, 30, 90,
+    # the radical layer dimensions: one per layer, summing to |G|; m2[4096]
+    # peaks at 65 MB, its 32 MiB table and 1 MiB of fill chunks included
+    *(Pin(f"loewy {desc} --method both --json", {"value": value, "agreement": True}, 30, mb,
           lambda doc, err, order=order: (sum(doc["coefficients"]), len(doc["coefficients"]))
           == (order, doc["value"]))
-      for desc, value, order in [("g1[3,3,3,1]", 57, 2187), ("m2[4096]", 2049, 4096)]),
+      for desc, value, order, mb in [("g1[3,3,3,1]", 57, 2187, 90), ("m2[4096]", 2049, 4096, 75)]),
     search("q[32] --budget-states 20000", 17),
     # the least longest walk on the words b^j a^i: theorem 6's blocks a^8 b^2
     search("g2[3,2,1,1]", 11, witness=["a"] * 8 + ["b"] * 2),

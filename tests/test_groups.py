@@ -3,6 +3,7 @@ import hashlib
 import functools
 import itertools
 import math
+import tracemalloc
 import weakref
 from array import array
 
@@ -577,6 +578,21 @@ def test_block_fill_equals_the_per_row_fill(text, monkeypatch):
     assert groups._pc_table(text, pc).tobytes() == T.tobytes()
     monkeypatch.setattr(groups, "_fill", _fill_per_row)
     assert groups._pc_table(text, pc).tobytes() == T.tobytes()
+
+
+@pytest.mark.parametrize("text", ["m2[4096]", "d[4096]", "m2[2048]", "g1[3,3,3,1]",
+                                  "g2[3,4,3,2]"])
+def test_the_fill_allocates_a_few_chunks_beside_the_table(text):
+    """A gather into a strided view of the table goes through a temporary of
+    the whole block: 8 MiB beside m2[4096]'s 32 MiB table."""
+    pc = groups._presentation(parse_descriptor(text))
+    tracemalloc.start()
+    try:
+        T = groups._pc_table(text, pc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - T.nbytes <= 3 * groups._BLOCK_ROWS * len(T) * 2
 
 
 def _eager_labels(pc) -> list[str]:
