@@ -1,7 +1,11 @@
 """Command-line surface: info, loewy, davenport, witness, oracle, scan.
 
 Every command accepts --json and then emits exactly one JSON document on
-stdout. Exit code 0 means no assertion failed; parse errors exit 2.
+stdout. Every command but scan prints through `_emit`, which writes both
+forms of a result: the six fields that schema.json requires of every result
+document (descriptor, invariant, value, exact, elapsed_ms, version) beside
+the command's own, and the `descriptor: <canonical>` line that starts its
+text output. Exit code 0 means no assertion failed; parse errors exit 2.
 
 At module level this imports only the modules that load neither numpy nor
 dataclasses (descriptors, cache, errors, numtheory, theory, version). The
@@ -35,10 +39,22 @@ from .version import __version__
 _VARIANT_INVARIANT = {"ordered": "D", "unordered": "Dprime", "E": "E", "weighted": "DA"}
 
 
-def _emit(doc: dict, json_mode: bool, lines: list[str]) -> None:
-    if json_mode:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+def _ms(t0: float) -> int:
+    """Whole milliseconds since the perf_counter reading t0."""
+    return int(1000 * (time.perf_counter() - t0))
+
+
+def _emit(args, desc: GroupDescriptor, invariant: str, value, exact: bool,
+          elapsed_ms: int, lines: list[str], **fields) -> None:
+    """Print a command's result: under --json one document of the six fields
+    that schema.json requires of every result and the command's own fields,
+    else `descriptor: <canonical>` and then the command's text lines."""
+    if args.json:
+        print(json.dumps({"descriptor": desc.canonical(), "invariant": invariant,
+                          "value": value, "exact": exact, "elapsed_ms": elapsed_ms,
+                          "version": __version__, **fields}, indent=2, sort_keys=True))
     else:
+        print(f"descriptor: {desc.canonical()}")
         for line in lines:
             print(line)
 
@@ -108,74 +124,48 @@ def _cmd_info(args) -> int:
     desc = parse_descriptor(args.descriptor)
     t0 = time.perf_counter()
     info = groups.group_info(groups.build(desc))
-    elapsed_ms = int(1000 * (time.perf_counter() - t0))
-    doc = {
-        "descriptor": desc.canonical(),
-        "invariant": "info",
-        "value": info.order,
-        "exact": True,
-        "exponent": info.exponent,
-        "center_size": info.center_size,
-        "commutator_size": info.commutator_size,
-        "nilpotency_class": info.nilpotency_class,
-        "generator_orders": info.generator_orders,
-        "prime": info.prime,
-        "elapsed_ms": elapsed_ms,
-        "version": __version__,
-    }
+    elapsed_ms = _ms(t0)
     gens = " ".join(f"{k}={v}" for k, v in info.generator_orders.items())
-    _emit(doc, args.json, [
-        f"descriptor: {desc.canonical()}",
+    _emit(args, desc, "info", info.order, True, elapsed_ms, [
         f"order: {info.order}",
         f"exponent: {info.exponent}",
         f"center: {info.center_size}",
         f"commutator_subgroup: {info.commutator_size}",
         f"nilpotency_class: {info.nilpotency_class}",
         f"generator_orders: {gens}",
-    ])
+    ], exponent=info.exponent, center_size=info.center_size,
+        commutator_size=info.commutator_size, nilpotency_class=info.nilpotency_class,
+        generator_orders=info.generator_orders, prime=info.prime)
     return 0
 
 
 def _cmd_loewy(args) -> int:
     desc = parse_descriptor(args.descriptor)
     t0 = time.perf_counter()
-    direct = formula = None
-    chain = coeffs = None
+    data = formula = None
     if args.method in ("direct", "both"):
         from . import groups, jennings
         t0 = time.perf_counter()  # a first import, numpy's, is not computation time
         data = jennings.jennings_data(groups.build(desc))
-        direct = data.loewy_length
-        chain = data.chain_sizes
-        coeffs = data.coefficients
     if args.method in ("formula", "both"):
         formula = loewy_formula(desc)
-    elapsed_ms = int(1000 * (time.perf_counter() - t0))
-    agree = direct == formula if args.method == "both" else True
-    value = direct if direct is not None else formula
-    doc = {
-        "descriptor": desc.canonical(),
-        "invariant": "L" if direct is not None else "L_formula",
-        "value": value,
-        "exact": True,
-        "method": args.method,
-        "agreement": agree,
-        "elapsed_ms": elapsed_ms,
-        "version": __version__,
-    }
-    lines = [f"descriptor: {desc.canonical()}"]
-    if direct is not None:
-        doc["chain_sizes"] = chain
-        doc["coefficients"] = coeffs
-        lines.append(f"loewy_length(direct): {direct}")
+    elapsed_ms = _ms(t0)
+    agree = args.method != "both" or data.loewy_length == formula
+    lines, fields = [], {}
+    if data is not None:
+        fields.update(chain_sizes=data.chain_sizes, coefficients=data.coefficients)
+        lines.append(f"loewy_length(direct): {data.loewy_length}")
     if formula is not None:
-        doc["formula_value"] = formula
+        fields["formula_value"] = formula
         lines.append(f"loewy_length(formula): {formula}")
     if args.method == "both":
-        lines.append(f"agreement: {'yes' if agree else 'NO'}")
-        lines.append("chain_sizes: " + " ".join(map(str, chain)))
-        lines.append("coefficients: " + " ".join(map(str, coeffs)))
-    _emit(doc, args.json, lines)
+        lines += [f"agreement: {'yes' if agree else 'NO'}",
+                  "chain_sizes: " + " ".join(map(str, data.chain_sizes)),
+                  "coefficients: " + " ".join(map(str, data.coefficients))]
+    direct = data is not None
+    _emit(args, desc, "L" if direct else "L_formula",
+          data.loewy_length if direct else formula, True, elapsed_ms, lines,
+          method=args.method, agreement=agree, **fields)
     return 0 if agree else 1
 
 
@@ -203,37 +193,26 @@ def _cmd_davenport(args) -> int:
         result = search[args.variant](groups.build(desc), budget=_budget_from(
             args.budget_states, args.budget_seconds))
         record = _search_record(canonical, invariant, result, weights)
-    elapsed_ms = int(1000 * (time.perf_counter() - t0))
-    doc = {
-        "descriptor": canonical,
-        "invariant": invariant,
-        "value": record.value,
-        "exact": record.exact,
-        "witness": record.witness,
-        "cached": not fresh,
-        # a served record is exact, so its search ran to the end
-        "stop_reason": result.stop_reason if fresh else "done",
-        "elapsed_ms": elapsed_ms,
-        "version": __version__,
-    }
+    elapsed_ms = _ms(t0)
     lines = [
-        f"descriptor: {canonical}",
         f"invariant: {invariant}",
         f"value: {record.value}",
         f"exact: {str(record.exact).lower()}",
         "witness: " + (compact_labels(record.witness) if record.witness is not None
                        else "(none)"),
     ]
+    # a served record is exact, so its search ran to the end
+    fields = {"witness": record.witness, "cached": not fresh, "stop_reason": "done"}
     if fresh:
         if not args.no_cache:
             cache_put(path, record)
-        doc["states"] = result.states_explored
+        fields.update(states=result.states_explored, stop_reason=result.stop_reason)
         lines += [f"states: {result.states_explored}",
                   f"stop_reason: {result.stop_reason}",
                   f"elapsed_ms: {elapsed_ms}"]
     else:
         lines.append(f"cache: hit ({elapsed_ms} ms)")
-    _emit(doc, args.json, lines)
+    _emit(args, desc, invariant, record.value, record.exact, elapsed_ms, lines, **fields)
     return 0
 
 
@@ -250,30 +229,10 @@ def _cmd_witness(args) -> int:
         free = zerosum.is_ordered_free(seq)
         if desc.family in ("g1", "g3") and in_scope:
             oracle = witnesses.congruence_oracle(witnesses.congruence_system(desc))
-    elapsed_ms = int(1000 * (time.perf_counter() - t0))
+    elapsed_ms = _ms(t0)
     verified = bool(args.verify and free and (oracle is None or oracle == free))
-    # outside the proven parameter scope a non-free sequence is a finding,
-    # not a failure
-    failed = bool(args.verify and in_scope and not verified)
     lower = spec.length + 1 if free is not False else 1
-    doc = {
-        "descriptor": desc.canonical(),
-        "invariant": "witness_check",
-        "value": lower,
-        "exact": verified,
-        "witness": spec.block_labels(group),
-        "case": spec.case_tag,
-        "length": spec.length,
-        "ordered_free": free,
-        "oracle": oracle,
-        "in_proven_scope": in_scope,
-        "bounds": {"lower": lower, "upper": None,
-                   "lower_source": "witness", "upper_source": None},
-        "elapsed_ms": elapsed_ms,
-        "version": __version__,
-    }
     lines = [
-        f"descriptor: {desc.canonical()}",
         f"construction: {args.theorem} ({spec.case_tag})",
         f"witness: {spec.describe(group)}",
         f"length: {spec.length}",
@@ -284,8 +243,14 @@ def _cmd_witness(args) -> int:
         lines.append(f"implied: D >= {lower}" if free else "implied: nothing (not free)")
         if not in_scope:
             lines.append("note: outside the proven parameter scope, reported only")
-    _emit(doc, args.json, lines)
-    return 1 if failed else 0
+    _emit(args, desc, "witness_check", lower, verified, elapsed_ms, lines,
+          witness=spec.block_labels(group), case=spec.case_tag, length=spec.length,
+          ordered_free=free, oracle=oracle, in_proven_scope=in_scope,
+          bounds={"lower": lower, "upper": None,
+                  "lower_source": "witness", "upper_source": None})
+    # outside the proven parameter scope a non-free sequence is a finding,
+    # not a failure
+    return 1 if args.verify and in_scope and not verified else 0
 
 
 def _cmd_oracle(args) -> int:
@@ -295,29 +260,17 @@ def _cmd_oracle(args) -> int:
     system = witnesses.congruence_system(desc)
     verdict = witnesses.congruence_oracle(system)
     disc = witnesses.discriminant_check(system.prime, system.case_tag)
-    elapsed_ms = int(1000 * (time.perf_counter() - t0))
+    elapsed_ms = _ms(t0)
     tuples = math.prod(system.ranges)
-    doc = {
-        "descriptor": desc.canonical(),
-        "invariant": "oracle_check",
-        "value": verdict,
-        "exact": True,
-        "case": system.case_tag,
-        "least_non_residue": system.q,
-        "discriminant_check": disc,
-        "tuples": tuples,
-        "elapsed_ms": elapsed_ms,
-        "version": __version__,
-    }
-    _emit(doc, args.json, [
-        f"descriptor: {desc.canonical()}",
+    _emit(args, desc, "oracle_check", verdict, True, elapsed_ms, [
         f"case: {system.case_tag}",
         f"least_non_residue: {system.q if system.q is not None else 'n/a'}",
         f"discriminant_check: {str(disc).lower()}",
         f"only_trivial_solution: {str(verdict).lower()}",
         f"tuples: {tuples}",
         f"elapsed_ms: {elapsed_ms}",
-    ])
+    ], case=system.case_tag, least_non_residue=system.q, discriminant_check=disc,
+        tuples=tuples)
     return 0 if verdict and disc else 1
 
 
@@ -488,7 +441,7 @@ def _row_records(desc: GroupDescriptor, missing: list[str],
             witness=spec.block_labels(group)))
     if "D" in missing:
         records.append(_search_record(canonical, "D", zerosum.davenport_ordered(group, budget)))
-    return records, int(1000 * (time.perf_counter() - t0))
+    return records, _ms(t0)
 
 
 def _cmd_scan(args) -> int:
@@ -525,7 +478,7 @@ def _cmd_scan(args) -> int:
                 if not args.no_cache:
                     cache_put(path, record)
         rows.append(scan_row(desc, have, not need, spent))
-    elapsed_ms = int(1000 * (time.perf_counter() - t0))
+    elapsed_ms = _ms(t0)
     counts = collections.Counter(r["status"] for r in rows)
 
     if args.json:

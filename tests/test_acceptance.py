@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every test also asserts its stated wall-clock budget.
 """
 
-import itertools
 import json
 import time
 
@@ -12,11 +11,11 @@ from davlab import (SearchBudget, build, congruence_oracle, congruence_system,
                     davenport_ordered, davenport_ordered_naive, davenport_unordered,
                     davenport_weighted, discriminant_check, eg_invariant,
                     has_group_length_product_one, is_ordered_free, is_prime,
-                    jennings_data, loewy_formula, loewy_length, make_descriptor,
+                    jennings_data, loewy_formula, loewy_length,
                     mseries_closed_form_check, olson_white_bound, parse_descriptor,
                     power_generators_check, witness_for_theorem)
 from conftest import schema_errors
-from davlab.cli import main
+from davlab.cli import _grid, main
 from davlab.jennings import quotient_elementary_abelian_report
 
 
@@ -24,23 +23,8 @@ def _pass(n: int, message: str) -> None:
     print(f"criterion {n}: PASS  {message}")
 
 
-def _g_family_grid(max_order: int = 729, primes=(3, 5)):
-    """Every valid g1/g2/g3 descriptor with order at most max_order."""
-    out = []
-    for p in primes:
-        top = 1
-        while p ** (top + 1) <= max_order:
-            top += 1
-        exps = range(1, top + 1)
-        for a, b, g in itertools.product(exps, repeat=3):
-            if a >= b >= g and p ** (a + b + g) <= max_order:
-                out.append(make_descriptor("g1", p, a, b, g))
-            if a >= 2 * g and b >= g and p ** (a + b) <= max_order:
-                out.append(make_descriptor("g2", p, a, b, g))
-        for a, b, g, s in itertools.product(exps, repeat=4):
-            if b >= g > s >= 1 and a + s >= 2 * g and p ** (a + b + s) <= max_order:
-                out.append(make_descriptor("g3", p, a, b, g, s))
-    return out
+# every valid g1/g2/g3 descriptor of order at most 729 at p = 3 and 5
+G_FAMILY_GRID = _grid(["g1", "g2", "g3"], [3, 5], 729, [])
 
 
 TWO_GROUPS_R5 = ["d[8]", "d[16]", "d[32]", "q[8]", "q[16]", "q[32]",
@@ -102,7 +86,7 @@ def test_criterion_4_jennings_consistency_suite():
     """Dimension sum, palindrome, L = m + 1, elementary abelian quotients, and
     the two closed-form reports, over the full desk grid."""
     t0 = time.perf_counter()
-    grid = [parse_descriptor(t) for t in TWO_GROUPS_R5] + _g_family_grid()
+    grid = [parse_descriptor(t) for t in TWO_GROUPS_R5] + G_FAMILY_GRID
     checked = 0
     for desc in grid:
         G = build(desc)
@@ -128,7 +112,7 @@ def test_criterion_4_jennings_consistency_suite():
 def test_criterion_5_formula_vs_direct():
     """Closed-form Loewy lengths equal the chain computation on the g grids."""
     t0 = time.perf_counter()
-    grid = [d for d in _g_family_grid() if d.family in ("g1", "g2", "g3")]
+    grid = G_FAMILY_GRID
     assert len(grid) >= 15
     for desc in grid:
         assert loewy_formula(desc) == loewy_length(build(desc)), desc.canonical()

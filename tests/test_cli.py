@@ -1,16 +1,18 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
 from conftest import run_python, schema_errors
-from davlab import zerosum
+from davlab import groups, zerosum
 from davlab.cache import ResultRecord, cache_get, cache_put, cache_records
 from davlab.cli import _grid, main, scan_row
 from davlab.descriptors import make_descriptor, validate_descriptor
-from davlab.errors import DavlabError
+from davlab.errors import DavlabError, InternalConsistencyError
 from davlab.numtheory import prime_power
 from davlab.theory import expected_davenport, loewy_formula, olson_white, witness_plan
 
@@ -372,6 +374,124 @@ def test_oracle_json(capsys):
 
 def test_oracle_rejects_g2(capsys):
     assert main(["oracle", "g2[3,2,1,1]"]) == 1
+
+
+def _stdout_digest(capsys, argv) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) of `davlab argv`, with every elapsed_ms
+    number and the "(N ms)" of a cache hit read as 0."""
+    code, out = run(capsys, *argv)
+    out = re.sub(r'(elapsed_ms"?: )\d+', r"\g<1>0", out)
+    out = re.sub(r"\(\d+ ms\)", "(0 ms)", out)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+# The whole stdout of every command but scan: (exit code, then the sha256 of
+# stdout as _stdout_digest reads it, in text and with --json). {cache} is a
+# fresh cache file of the test; a command ending in " again" runs a second
+# time, on the cache that its first run filled.
+STDOUT_DIGESTS = {
+    "davenport c[4] --variant=E --cache={cache}": (0,
+        "32705559546fb7501607d57dcbcd59cca2ba53a82c4df0da6a6a94aa8f13aa61",
+        "443d080ba2e71f55601bf6cf84574d8a3f85b15f6cd8bec6cfd947680ee24f3b"),
+    "davenport c[4] --variant=E --cache={cache} again": (0,
+        "255bd0014e3a3b6357125bb1f7561a2e9dfdf7c356d50f97aae72d932d08c479",
+        "a9c234b88aa21acc1a990588d31f3d0196d741d45fc541ee7417a542b894aa07"),
+    "davenport c[5] --variant=weighted --weights=1,4 --cache={cache}": (0,
+        "d87d1aef83c3fff0d358849a92de0c41fc10c508995f83969b8409519b27b8ae",
+        "bef41b3dadafc2df029009ba43eec0d02aa2c0691865586d7744a8044cf9e6ee"),
+    "davenport c[5] --variant=weighted --weights=1,4 --cache={cache} again": (0,
+        "6a630ce8fb41b3978a61a4083dccb72b427c322dfe4548058b44a91b5592fabf",
+        "ba83b147824a2d3ebe819105f38b4220366e7adceb4667761cd1c1401ff4f523"),
+    "davenport g1[3,1,1,1] --no-cache --budget-states=500": (0,
+        "8a6a449a899a8e0d58c3b5920986a05028eb69d1fd02a5e37c116763e3026a53",
+        "8b65f8b0ba7a6bb07028711d0ec0ae7b67468db74b36a97e87cdd949e43c0566"),
+    "davenport q[8] --cache={cache}": (0,
+        "fc8a9d0c2394179187d646320bb65c99ea0fcc03c39ec4ebaf66a8363041bfbd",
+        "47f755262550961cf8f4a96ece3921c3c6231648c516a408982e95055b8b7e50"),
+    "davenport q[8] --cache={cache} again": (0,
+        "db6e8d645aecda0fc5e765e276d7ad9c5d2894fa64cd3309e40df245073df4dc",
+        "73a13a5da6e5e6c83034de199041cf4ecdb5ba8992eab7de70694822a40a56a2"),
+    "davenport q[8] --variant=unordered --cache={cache}": (0,
+        "f64e2acd9208bb56c965e8ed36e810b7eafd1a623ddb7c5daa6f7ccfebf0d2d6",
+        "c80f508dd7425c5ae64e79e3885de84de22c668051bbb3f5685f6ff8fbe33d53"),
+    "davenport q[8] --variant=unordered --cache={cache} again": (0,
+        "20a40d8816410970599117ec7734e6e06943dc24f7c2391a6baae3883eeda15f",
+        "5fb3221e4cc78152484aed52692cbe7e13b644f7c35df0edbd8afab3f7b5336a"),
+    "info c[1]": (0,
+        "9c192abe84bcd2ca8a03bd05702ba478a30d21ff1b74f1d7e8d41ed4777b942d",
+        "f8daba28251bf196f635aad186b07b72da54d691bfd6f0324236d1243ad41158"),
+    "info g1[3,1,1,1]": (0,
+        "cf4bb8100a0050511a5e7d4fd55250f185d0857234cc04f755643d503f2486aa",
+        "0722dc8d0efefca31da8184a1e7974836b686a35d8237261f85d3f54b3adba5b"),
+    "loewy c[6]": (1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "loewy g2[3,2,1,1]": (0,
+        "bd890a12558e70a4676cf87e1be750713625adcdb6cce5c03bb8360e9dd4c6d4",
+        "919793be2e74911ff4a2ed8a8b933c607e9f6dcb110547e04b7adf118d24da85"),
+    "loewy g2[3,2,1,1] --method=both": (0,
+        "9d01f1324127f37c6b865f94922d2001c8986c53dfbf8be991cddeba4cdda0b7",
+        "bdcefad69794b1b97cf1ccfe3b76c5c3051032f58503c1cf7a95203130d35976"),
+    "loewy g2[3,2,1,1] --method=formula": (0,
+        "19cacb9ecf9a55c951aaa62d6b7f19565b57062dda510572cf3c16215dea474c",
+        "f4242902c1f32356c546af9a064811aab5f89570c2b00eb0e4245be680937b86"),
+    "oracle g1[5,1,1,1]": (0,
+        "ad92ae67150b640870c31376824fc4a379b1fb6f57a382071b45fd4c0624f5a3",
+        "0759eade9d8d092c80c19ba7e0e2168cb73fc3775f1529b71fddc973c1daa558"),
+    "oracle g3[3,3,2,2,1]": (0,
+        "d342bd2b03c0a6a47f41926d5a4c5b6a6f1d48043e161dddee8d46c458c327a6",
+        "1cf7450890408f623a6f03a20eaf19439dcc6fd1e55d1150ba1f0e56eb43551a"),
+    "witness d[8] --theorem=7": (0,
+        "5d09ed01719d9f2a1462ef51c1d5a7e3809b2978dfb6b5fd0dc88fd62d0fa459",
+        "648c8267ebfd87118bd2e0660155d3067cc7bde78b32d2c90d9919dd7d069fd7"),
+    "witness g1[3,2,1,1] --theorem=6 --verify --unverified-explore": (0,
+        "a0caf31d43593027526e84c9f2c942dbbb404f9a32e177e577c703eb525fe0af",
+        "4d3fa4c05e3d4e6e0d9787b22c863c599ace26790ebaa992ab31fc0c727b2cb5"),
+    "witness q[12] --theorem=1 --verify": (0,
+        "f7bebd24d5cfa405a7a75c461259ad923b9816843105ae1a3b5d87b7080fbf34",
+        "956ef8603661f2bd1f494ac37cd742ea4e78416bbbb34bd3acacb0108681e6bd"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_DIGESTS))
+def test_stdout_matches_its_digest(command, capsys, tmp_path):
+    code, *digests = STDOUT_DIGESTS[command]
+    base = command.removesuffix(" again")
+    for flags, digest in zip(([], ["--json"]), digests):
+        argv = base.format(cache=tmp_path / f"{len(flags)}.jsonl").split() + flags
+        if base != command:
+            run(capsys, *argv)
+        assert _stdout_digest(capsys, argv) == (code, digest), flags
+
+
+@pytest.mark.parametrize("command", [
+    "scan --families=q --max-order=16 --cache={cache}",
+    "scan --families=q --max-order=16 --cache={cache} --json",
+    "info q[16]",
+    "loewy q[16]",
+    "davenport q[16] --no-cache",
+    "witness q[16] --theorem=1 --verify",
+])
+def test_a_failing_build_is_one_error_line(command, capsys, monkeypatch, tmp_path):
+    """A build that fails its checks ends every command with exit 1, one
+    error line naming the group and nothing on stdout; a scan has put the
+    records of the rows before it."""
+    real = groups.build
+
+    def build(desc):
+        if desc.canonical() == "q[16]":
+            raise InternalConsistencyError(f"{desc}: identity row/column broken")
+        return real(desc)
+
+    monkeypatch.setattr(groups, "build", build)
+    cache = tmp_path / "c.jsonl"
+    assert main(command.format(cache=cache).split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: q[16]: identity row/column broken\n"
+    if command.startswith("scan"):
+        records = [json.loads(line) for line in cache.read_text().splitlines()]
+        assert [(r["descriptor"], r["invariant"]) for r in records] == [
+            ("q[8]", "L"), ("q[8]", "witness_check"), ("q[8]", "D")]
 
 
 def test_scan_text_and_exit(capsys, tmp_path):
