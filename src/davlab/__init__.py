@@ -25,12 +25,13 @@ _EXPORTS = {
     "jennings": ("JenningsData", "jennings_data", "jennings_exponents", "loewy_length",
                  "loewy_polynomial", "m_series", "mseries_closed_form_check",
                  "power_generators_check"),
-    "zerosum": ("ReachState", "SearchBudget", "SearchResult", "Sequence",
-                "davenport_ordered", "davenport_ordered_naive", "davenport_unordered",
-                "davenport_weighted", "davenport_weighted_naive", "eg_invariant",
-                "eg_lower_witness", "has_group_length_product_one", "is_minimal_product_one",
-                "is_ordered_free", "is_product_one", "is_unordered_free", "is_weighted_free",
-                "min_weight_set", "olson_white_bound", "reach_extend"),
+    "sequences": ("Sequence", "is_ordered_free"),
+    "zerosum": ("ReachState", "SearchBudget", "SearchResult", "davenport_ordered",
+                "davenport_ordered_naive", "davenport_unordered", "davenport_weighted",
+                "davenport_weighted_naive", "eg_invariant", "eg_lower_witness",
+                "has_group_length_product_one", "is_minimal_product_one", "is_product_one",
+                "is_unordered_free", "is_weighted_free", "min_weight_set",
+                "olson_white_bound", "reach_extend"),
     "numtheory": ("half_exponent", "is_prime", "least_qnr", "legendre_symbol"),
     "theory": ("constructions", "expected_davenport", "loewy_formula", "witness_plan"),
     "witnesses": ("CongruenceSystem", "WitnessSpec", "congruence_oracle",

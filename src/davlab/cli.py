@@ -7,11 +7,15 @@ document (descriptor, invariant, value, exact, elapsed_ms, version) beside
 the command's own, and the `descriptor: <canonical>` line that starts its
 text output. Exit code 0 means no assertion failed; parse errors exit 2.
 
-At module level this imports only the modules that load neither numpy nor
-dataclasses (descriptors, cache, errors, numtheory, theory, version). The
-table-building modules are imported inside the code that builds or
-searches, and looked up there at call time, so a warm scan, a cached
-davenport, loewy --method formula and --help load neither.
+At module level this imports only the modules that load no numpy
+(descriptors, cache, errors, numtheory, theory, version). The others are
+imported inside the code that needs them, and looked up there at call time:
+- a warm scan, a cached davenport, loewy --method formula and --help load
+  none of them;
+- info, loewy, witness, oracle and a scan row that needs no exact D load
+  numpy and the table modules they use (groups and, as needed, subgroups,
+  jennings, sequences, witnesses), but not the search engine zerosum;
+- davenport and a scan row that needs an exact D load zerosum too.
 """
 
 from __future__ import annotations
@@ -80,6 +84,14 @@ def _positive(kind):
         return value
     parse.__name__ = kind.__name__  # argparse says 'invalid int value' with it
     return parse
+
+
+def _families(text: str) -> str:
+    """argparse type of --families: a comma list that names at least one
+    family, so that a scan of nothing is a usage error."""
+    if not text.replace(",", "").strip():
+        raise argparse.ArgumentTypeError(f"expected a comma list of families, got {text!r}")
+    return text
 
 
 def _odd_primes(text: str) -> list[int]:
@@ -217,7 +229,7 @@ def _cmd_davenport(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from . import groups, witnesses, zerosum
+    from . import groups, sequences, witnesses
     t0 = time.perf_counter()
     desc = parse_descriptor(args.descriptor)
     spec = witnesses.witness_for_theorem(desc, args.theorem, args.unverified_explore)
@@ -226,7 +238,7 @@ def _cmd_witness(args) -> int:
     in_scope = spec.proven
     free = oracle = None
     if args.verify:
-        free = zerosum.is_ordered_free(seq)
+        free = sequences.is_ordered_free(seq)
         if desc.family in ("g1", "g3") and in_scope:
             oracle = witnesses.congruence_oracle(witnesses.congruence_system(desc))
     elapsed_ms = _ms(t0)
@@ -425,7 +437,9 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
 def _row_records(desc: GroupDescriptor, missing: list[str],
                  budget) -> tuple[list[ResultRecord], int]:
     """Compute the missing records of one scan row: (records, elapsed ms)."""
-    from . import groups, jennings, witnesses, zerosum
+    from . import groups, jennings, sequences, witnesses
+    if "D" in missing:
+        from . import zerosum  # the search engine, which only a row with D loads
     t0 = time.perf_counter()
     canonical = desc.canonical()
     group = groups.build(desc)
@@ -435,7 +449,7 @@ def _row_records(desc: GroupDescriptor, missing: list[str],
     if "witness_check" in missing:
         spec = witnesses.witness_for_theorem(desc, witness_plan(desc)[0],
                                              allow_unverified=True)
-        free = zerosum.is_ordered_free(spec.sequence(group))
+        free = sequences.is_ordered_free(spec.sequence(group))
         records.append(ResultRecord(
             canonical, "witness_check", spec.length + 1 if free else 1, free,
             witness=spec.block_labels(group)))
@@ -464,9 +478,9 @@ def _cmd_scan(args) -> int:
     known = [{r.invariant: r for r in map(found.get, ks) if r is not None} for ks in keys]
     missing = [[inv for inv in needed if inv not in have]
                for needed, have in zip(needs, known)]
-    # a set budget imports zerosum, and so numpy, which a warm scan never loads
+    # a set budget imports zerosum, which only a row that searches D needs
     budget = (_budget_from(args.budget_states, args.budget_seconds)
-              if any(missing) else None)
+              if any("D" in need for need in missing) else None)
     rows = []
     for desc, need, have in zip(grid, missing, known):
         spent = 0
@@ -574,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("scan", help="conjecture scan over descriptor grids")
-    p.add_argument("--families", default="d,q,sd,m2,g1,g2,g3")
+    p.add_argument("--families", type=_families, default="d,q,sd,m2,g1,g2,g3")
     p.add_argument("--primes", type=_odd_primes, default="3,5",
                    help="comma list of odd primes for the g families")
     p.add_argument("--max-order", type=_max_order, default=32)

@@ -29,7 +29,6 @@ import math
 import operator
 import weakref
 from collections import abc
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -663,8 +662,7 @@ def verify_presentation(group: FiniteGroup, desc: GroupDescriptor) -> Report:
     return report
 
 
-@dataclass
-class GroupInfo:
+class GroupInfo(NamedTuple):
     descriptor: str
     order: int
     exponent: int

@@ -16,7 +16,7 @@ prod_i (1 + x^i + ... + x^((p-1) i))^{e_i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def loewy_length(group: FiniteGroup) -> int:
     return _loewy_from(jennings_exponents(m_series(group)), group.prime)
 
 
-@dataclass
-class JenningsData:
+class JenningsData(NamedTuple):
     prime: int
     series: list[Subgroup]
     exponents: list[int]

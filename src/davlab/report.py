@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
 class Report:
-    title: str
-    entries: list[ReportEntry] = field(default_factory=list)
+    """A titled list of entries; each report starts with a list of its own."""
+
+    def __init__(self, title: str, entries: list[ReportEntry] | None = None):
+        self.title = title
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.title, self.entries) == (other.title, other.entries)
+
+    def __repr__(self) -> str:
+        return f"Report(title={self.title!r}, entries={self.entries!r})"
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.entries.append(ReportEntry(name, bool(ok), detail))

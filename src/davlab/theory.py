@@ -3,9 +3,9 @@ construction covers each descriptor, proven Davenport values and Loewy
 lengths.
 
 Nothing here builds a table. Like descriptors, cache and numtheory, this
-module imports neither numpy nor dataclasses, so a command that only reads
-the cache (a warm scan, a cached davenport) or asks for a closed form
-(loewy --method formula) never loads the table-building modules.
+module imports no numpy, so a command that only reads the cache (a warm
+scan, a cached davenport) or asks for a closed form (loewy --method
+formula) never loads the table-building modules.
 """
 
 from __future__ import annotations

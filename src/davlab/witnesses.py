@@ -18,7 +18,7 @@ modulo the order of the base element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .descriptors import GroupDescriptor, validate_descriptor
 from .errors import BudgetExceededError, DavlabError
 from .groups import FiniteGroup
 from .numtheory import half_exponent, least_qnr, legendre_symbol
+from .sequences import Sequence
 from .theory import _PROVEN_SCOPE, COVERAGE, constructions
-from .zerosum import Sequence
 
 RANGE_CAP = 10_000
 PRODUCT_CAP = 2_000_000_000
@@ -36,8 +36,7 @@ PRODUCT_CAP = 2_000_000_000
 _BLOCK_TUPLES = 1 << 17
 
 
-@dataclass
-class WitnessSpec:
+class WitnessSpec(NamedTuple):
     """A block sequence planned over a descriptor, kept in block order."""
 
     descriptor: GroupDescriptor
@@ -153,8 +152,7 @@ _BLOCKS = {"g1": _g1_blocks, "g3": _g3_blocks}
 
 # --- congruence systems ---------------------------------------------------------
 
-@dataclass
-class CongruenceSystem:
+class CongruenceSystem(NamedTuple):
     """One of the four displayed systems, with its enumeration box."""
 
     prime: int

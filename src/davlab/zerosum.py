@@ -60,11 +60,13 @@ other, and must stay apart: the packed search steps and the
 column-step checkers; _submultiset_products (the D' search) and
 _UnorderedChecker (is_unordered_free, is_product_one), which share the
 column step but not their recursion over sub-multisets; the E search step
-and group_length_reach; davenport_ordered, is_ordered_free and the naive
-oracles; groups._relations and the family presentations; theory.loewy_formula
-and the Jennings M-series. Every other product-one computation is written
-once: the subset-mask walk of the naive oracle of D and D_A (_naive) and
-of has_proper_ordered_product_one is _subsequence_products.
+and group_length_reach; davenport_ordered, the naive oracles and
+sequences.is_ordered_free, which lives apart from this engine, with
+Sequence, so that checking a witness never imports it; groups._relations and
+the family presentations; theory.loewy_formula and the Jennings M-series.
+Every other product-one computation is written once: the subset-mask walk
+of the naive oracle of D and D_A (_naive) and of
+has_proper_ordered_product_one is _subsequence_products.
 """
 
 from __future__ import annotations
@@ -76,14 +78,14 @@ import operator
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cache import compact_labels
 from .errors import (BudgetExceededError, DavlabError, GroupTooLargeError,
                      InvalidWeightsError)
 from .groups import FiniteGroup
+from .sequences import Sequence, is_ordered_free
 from .subgroups import _members, automorphisms
 from .theory import DEFAULT_ORDERED_CAP, olson_white
 
@@ -117,32 +119,12 @@ _NUMPY_MIN_MAPS = 32
 _KEY_CACHE_GENERATION = 1 << 13
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """An ordered sequence of group elements (repetition allowed)."""
-
-    group: FiniteGroup
-    terms: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def labels(self) -> list[str]:
-        return [self.group.labels[g] for g in self.terms]
-
-    def compact(self) -> str:
-        """Run-length display, e.g. '(y)^3 x' for (y, y, y, x)."""
-        return compact_labels(self.labels())
-
-
-@dataclass
-class SearchBudget:
+class SearchBudget(NamedTuple):
     max_states: int = 10_000_000
     max_seconds: float = 60.0
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """states_explored is the number of memo entries of the search, one per
     orbit representative, for all four invariants, and keys the number of
     orbit keys it computed. stop_reason is "done" for an exact result, else
@@ -574,8 +556,7 @@ def _layers(ms: tuple[int, ...]) -> tuple[int, ...]:
 
 # --- reach states -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReachState:
+class ReachState(NamedTuple):
     """Products of all nonempty index-increasing subsequences of a prefix."""
 
     group: FiniteGroup
@@ -589,36 +570,6 @@ def reach_extend(state: ReachState, g: int) -> ReachState:
     """State after appending g: products become S | S*g | {g}."""
     mask = state.mask
     return ReachState(state.group, mask | _ColumnSteps(state.group)[g](mask) | (1 << g))
-
-
-def is_ordered_free(seq: Sequence) -> bool:
-    """True when no nonempty index-increasing subsequence multiplies to 1.
-
-    The products S of the nonempty subsequences of each prefix are kept as
-    their inverses, a bool vector R = S^-1: appending g makes S | S*g | {g},
-    so R becomes R | g^-1 R^ with R^ = R | {1}, and y lies in g^-1 R^
-    exactly when g y lies in R^, one gather of R^ at row g of the table. A
-    run g^m makes R | g^-1 U_m with U_m the union of g^-j R^ over j < m,
-    doubled as U_2k = U_k | g^-k U_k (and U_2k+1 = U_2k | g^-2k R^): O(log m)
-    gathers a run. R only grows, so testing 1 in R once a run is exact."""
-    group = seq.group
-    T, table = group.array, group.table
-    R = np.zeros(group.order, dtype=bool)
-    for g, run in itertools.groupby(seq.terms):
-        m = sum(1 for _ in run)
-        hat = R.copy()
-        hat[0] = True
-        U, gk = hat, g  # U_k and g^k, from k = 1 by the bits of m
-        for bit in bin(m)[3:]:
-            U = U | U[T[gk]]
-            gk = table[gk][gk]
-            if bit == "1":
-                U |= hat[T[gk]]
-                gk = table[gk][g]
-        R |= U[T[g]]
-        if R[0]:
-            return False
-    return True
 
 
 # --- ordered Davenport constant -----------------------------------------------

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -269,7 +268,7 @@ def test_cached_d_records_store_the_search_time(argv, capsys, monkeypatch, tmp_p
     the command's: with a search that reports 0.25 s, elapsed_ms is 250."""
     search = zerosum.davenport_ordered
     monkeypatch.setattr(zerosum, "davenport_ordered", lambda group, budget=None:
-                        dataclasses.replace(search(group, budget), elapsed=0.25))
+                        search(group, budget)._replace(elapsed=0.25))
     cache = tmp_path / "c.jsonl"
     code, _ = run(capsys, *argv, "--cache", str(cache))
     record = cache_get(cache, "q[8]", "D")
@@ -618,31 +617,35 @@ def test_import_cli_leaves_out_jsonschema():
     assert done.returncode == 0
 
 
-# Runs `davlab <argv>` in this interpreter, then prints as the last line of
-# stderr which of the modules a warm run does without it imported: numpy and
-# the table builder; datetime, which only a new cache record needs; and
-# dataclasses with the inspect it loads, which only the table modules use.
-_WARM_FREE_MODULES_PROBE = """
+# Runs `davlab <argv[1:]>` in this interpreter, then prints as the last line
+# of stderr which of the modules named by argv[0], a JSON list, it imported.
+_MODULES_PROBE = """
 import json, sys
 from davlab.cli import main
+watched = set(json.loads(sys.argv.pop(1)))
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps(sorted({"numpy", "davlab.groups", "datetime", "dataclasses", "inspect"}
-                        & set(sys.modules))),
-      file=sys.stderr)
+print(json.dumps(sorted(watched & set(sys.modules))), file=sys.stderr)
 sys.exit(code)
 """
-_COLD = ["dataclasses", "datetime", "davlab.groups", "inspect", "numpy"]
+# The modules a warm run does without: numpy and the table builder; datetime,
+# which only a new cache record needs; inspect, which numpy loads; and
+# dataclasses, which no davlab module imports.
+_WARM_FREE = ["numpy", "davlab.groups", "datetime", "dataclasses", "inspect"]
+_COLD = ["datetime", "davlab.groups", "inspect", "numpy"]
+
+
+def _modules_after(watched, *argv) -> list[str]:
+    """The modules of watched that a fresh `davlab argv` imported, sorted."""
+    done = run_python("-c", _MODULES_PROBE, json.dumps(list(watched)), *argv)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr.splitlines()[-1])
 
 
 def _warm_free_modules_after(*argv) -> list[str]:
-    """numpy, davlab.groups, datetime, dataclasses and inspect, as far as a
-    fresh `davlab argv` imported them."""
-    done = run_python("-c", _WARM_FREE_MODULES_PROBE, *argv)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stderr.splitlines()[-1])
+    return _modules_after(_WARM_FREE, *argv)
 
 
 def test_import_davlab_and_cli_leave_out_numpy():
@@ -668,6 +671,49 @@ def test_cached_davenport_leaves_out_numpy(tmp_path):
     args = ("davenport", "q[8]", "--cache", str(tmp_path / "c.jsonl"))
     assert _warm_free_modules_after(*args) == _COLD
     assert _warm_free_modules_after(*args) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--families=g1", "--max-order=729", "--param-ranges=gamma=1"),
+    ("scan", "--families=g2", "--max-order=729"),
+    ("scan", "--families=g3", "--max-order=729", "--param-ranges=sigma=1"),
+    ("scan", "--families=g2", "--max-order=243", "--budget-states=100"),
+    ("witness", "g1[3,1,1,1]", "--theorem=6", "--verify"),
+    ("oracle", "g1[5,1,1,1]"),
+    ("loewy", "g1[3,1,1,1]"),
+    ("info", "g1[3,1,1,1]"),
+], ids=["scan-g1", "scan-g2", "scan-g3", "scan-budget", "witness", "oracle", "loewy", "info"])
+def test_commands_that_search_nothing_leave_out_the_engine(argv, tmp_path):
+    """A cold g-family scan builds tables and checks witnesses but searches
+    nothing, also under a set budget, so neither it nor witness, oracle,
+    loewy or info compiles the search engine."""
+    cache = ("--cache", str(tmp_path / "c.jsonl")) if argv[0] == "scan" else ()
+    assert _modules_after(["davlab.zerosum", "dataclasses"], *argv, *cache) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--families=d,q,sd,m2", "--max-order=32"),  # exact D up to order 16
+    ("davenport", "q[8]", "--no-cache"),
+], ids=["scan", "davenport"])
+def test_commands_that_search_load_the_engine(argv, tmp_path):
+    cache = ("--cache", str(tmp_path / "c.jsonl")) if argv[0] == "scan" else ()
+    assert _modules_after(["davlab.zerosum", "dataclasses"], *argv, *cache) == ["davlab.zerosum"]
+
+
+def test_no_davlab_module_imports_dataclasses():
+    done = run_python("-c", "import importlib, pkgutil, sys, davlab\n"
+                            "names = [m.name for m in pkgutil.iter_modules(davlab.__path__)]\n"
+                            "for name in names: importlib.import_module('davlab.' + name)\n"
+                            "print(' '.join(names), 'dataclasses' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    *names, loaded = done.stdout.split()
+    assert {"cli", "groups", "sequences", "zerosum"} <= set(names) and loaded == "False"
+
+
+def test_sequence_and_its_check_load_without_the_engine():
+    done = run_python("-c", "import sys, davlab; davlab.Sequence, davlab.is_ordered_free; "
+                            "sys.exit('davlab.zerosum' in sys.modules)")
+    assert done.returncode == 0, done.stderr
 
 
 # Runs `davlab <argv>` twice in this interpreter and prints each elapsed_ms.
@@ -750,6 +796,24 @@ def test_scan_csv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0].startswith("descriptor,")
     assert any(line.startswith("q[8],") for line in lines[1:])
+
+
+@pytest.mark.parametrize("families", ["", ","])
+def test_scan_of_no_family_is_a_usage_error(families, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", f"--families={families}", "--no-cache"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"davlab scan: error: argument --families: expected a comma list of families, "
+        f"got {families!r}"]
+
+
+def test_scan_of_an_empty_grid_is_a_valid_empty_scan(capsys):
+    code, doc = run_json(capsys, "scan", "--families=d", "--max-order=7", "--json",
+                         "--no-cache")
+    assert code == 0 and doc["rows"] == []
 
 
 def test_scan_json_and_csv_is_a_usage_error():

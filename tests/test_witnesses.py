@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import re
@@ -422,11 +421,10 @@ def _wrong_systems():
         family, case = system.case_tag.split("_")
         if case == "3mod4":
             # -1 is a non-residue, so -4q is a residue for a non-residue q
-            yield dataclasses.replace(system, case_tag=f"{family}_1mod4",
-                                      q=least_qnr(system.prime))
+            yield system._replace(case_tag=f"{family}_1mod4", q=least_qnr(system.prime))
         else:
-            yield dataclasses.replace(system, case_tag=f"{family}_3mod4", q=None)
-            yield dataclasses.replace(system, q=4)  # 4 = 2^2 is a residue
+            yield system._replace(case_tag=f"{family}_3mod4", q=None)
+            yield system._replace(q=4)  # 4 = 2^2 is a residue
 
 
 def test_solution_count_equals_the_x_loop_on_wrong_systems():
