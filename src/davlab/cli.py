@@ -6,6 +6,8 @@ forms of a result: the six fields that schema.json requires of every result
 document (descriptor, invariant, value, exact, elapsed_ms, version) beside
 the command's own, and the `descriptor: <canonical>` line that starts its
 text output. Exit code 0 means no assertion failed; parse errors exit 2.
+A process runs `run`, which ends it with os._exit once the output is
+flushed; in-process callers use `main(argv)`.
 
 At module level this imports only the modules that load no numpy
 (descriptors, cache, errors, numtheory, theory, version). The others are
@@ -26,6 +28,7 @@ import functools
 import json
 import math
 import operator
+import os
 import re
 import sys
 import time
@@ -615,5 +618,33 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry point of `python -m davlab.cli` and the installed
+    `davlab` script: main(), then flush stdout and stderr and end the process
+    with os._exit, so that it ends as soon as its output is written, without
+    interpreter or numpy teardown. A BrokenPipeError (the reader closed
+    stdout) exits 1 quietly; any other OSError that escapes main or the
+    flush, such as a full disk, prints one `error:` line and exits 1.
+    argparse's SystemExit (usage errors, --help, --version) and every other
+    exception leave by the normal exit. In-process callers use main(argv).
+
+    The fast exit is safe while nothing in davlab needs interpreter shutdown:
+    every cache write is a `with open(...)` block, closed before cache_put
+    returns, and davlab registers no atexit handler, starts no thread or
+    process and uses no temporary file. Code that adds one must revisit this.
+    """
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -1,13 +1,17 @@
 import concurrent.futures
+import csv
 import hashlib
+import io
 import itertools
 import json
+import os
 import re
+import sys
 
 import pytest
 
 from conftest import run_python, schema_errors
-from davlab import groups, zerosum
+from davlab import cli, groups, zerosum
 from davlab.cache import ResultRecord, cache_get, cache_put, cache_records
 from davlab.cli import _grid, main, scan_row
 from davlab.descriptors import make_descriptor, validate_descriptor
@@ -1112,3 +1116,87 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- the process entry point -------------------------------------------------------
+
+@pytest.mark.parametrize("argv, code", [
+    (["info", "q[8]"], 0), (["loewy", "c[6]"], 1), (["info", "zz[3]"], 2)])
+def test_run_flushes_and_exits_with_the_code_of_main(argv, code, monkeypatch):
+    """run() hands main's code to os._exit, after its output is flushed:
+    nothing that os._exit skips may hold any of it."""
+    out, err = io.BytesIO(), io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8"))
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(err, encoding="utf-8"))
+    monkeypatch.setattr(sys, "argv", ["davlab", *argv])
+    exits = []
+    monkeypatch.setattr(cli.os, "_exit",
+                        lambda n: exits.append((n, out.getvalue(), err.getvalue())))
+    cli.run()
+    [(n, written, errors)] = exits
+    assert n == code
+    if code == 0:
+        assert written.startswith(b"descriptor: q[8]\n") and b"order: 8\n" in written
+    else:
+        assert written == b"" and errors.startswith(b"error: ") and errors.endswith(b"\n")
+
+
+_SCAN_16 = ("-m", "davlab.cli", "scan", "--families=d,q,sd,m2", "--max-order=16")
+_SCAN_16_ROWS = ["d[8]", "d[16]", "q[8]", "q[16]", "q[12]", "sd[16]", "m2[16]"]
+
+
+def test_a_scan_process_prints_all_its_json_and_caches_every_record(tmp_path):
+    cache = tmp_path / "scan.jsonl"
+    cold = run_python(*_SCAN_16, "--json", "--cache", str(cache))
+    assert cold.returncode == 0, cold.stderr[-2000:]
+    doc = json.loads(cold.stdout)
+    assert schema_errors(doc) == []
+    assert [r["descriptor"] for r in doc["rows"]] == _SCAN_16_ROWS
+    assert not any(r["cached"] for r in doc["rows"])
+    records = cache.read_bytes()
+    warm = run_python(*_SCAN_16, "--json", "--cache", str(cache))
+    assert warm.returncode == 0, warm.stderr[-2000:]
+    assert all(r["cached"] for r in json.loads(warm.stdout)["rows"])
+    assert cache.read_bytes() == records
+
+
+def test_a_scan_process_prints_every_csv_row():
+    done = run_python(*_SCAN_16, "--csv", "--no-cache")
+    assert done.returncode == 0, done.stderr[-2000:]
+    rows = list(csv.DictReader(io.StringIO(done.stdout)))
+    assert [r["descriptor"] for r in rows] == _SCAN_16_ROWS
+    assert all(r["status"] == "CONFIRMED" for r in rows)
+
+
+# `python -m davlab.cli ARGS` with its stdout moved onto TARGET: a pipe whose
+# read end is closed before the command writes, or a file opened for writing.
+_STDOUT_ON = """
+import os, runpy, sys
+target, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if target == "closed-pipe":
+    read, fd = os.pipe()
+    os.close(read)
+else:
+    fd = os.open(target, os.O_WRONLY)
+os.dup2(fd, 1)
+runpy.run_module("davlab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "q[8]"],  # the pipe breaks at the final flush
+    # 15 kB of JSON, more than stdout buffers: the pipe breaks inside main
+    ["scan", "--families=d,q,sd,m2", "--max-order=128", "--search-max-order=0",
+     "--json", "--no-cache"]])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(argv):
+    done = run_python("-c", _STDOUT_ON, "closed-pipe", *argv)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_disk_on_stdout_is_one_error_line():
+    done = run_python("-c", _STDOUT_ON, "/dev/full", "info", "q[8]")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["error: [Errno 28] No space left on device"]

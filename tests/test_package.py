@@ -33,3 +33,12 @@ def test_the_readme_library_example_prints_5_5_and_true():
     done = run_python("-c", re.search(r"## Library\s+```python\n(.*?)```", readme, re.S)[1])
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.splitlines() == ["5", "5", "True"]
+
+
+def test_the_installed_script_takes_the_fast_exit():
+    """pyproject's `davlab` script is cli.run, which ends the process with
+    os._exit once the output is flushed (a regex: Python 3.10 has no tomllib)."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert re.findall(r'^davlab\s*=\s*"([^"]*)"', scripts[1], re.M) == ["davlab.cli:run"]
