@@ -31,7 +31,9 @@ SCHEMA_VERSION = 1
 DEFAULT_CACHE_FILE = "davlab-cache.jsonl"
 ENV_CACHE = "DAVLAB_CACHE"
 
-_SEARCH_INVARIANTS = {"D", "Dprime", "E", "DA"}
+# The invariant each search variant of `davenport --variant` computes.
+VARIANT_INVARIANT = {"ordered": "D", "unordered": "Dprime", "E": "E", "weighted": "DA"}
+_SEARCH_INVARIANTS = set(VARIANT_INVARIANT.values())
 _INVARIANTS = _SEARCH_INVARIANTS | {"L", "L_formula", "witness_check", "oracle_check"}
 
 
@@ -80,6 +82,13 @@ class ResultRecord:
 
     def key(self) -> tuple:
         return record_key(self.descriptor, self.invariant, self.weight_set)
+
+
+def search_record(descriptor: str, invariant: str, result, weights=None) -> ResultRecord:
+    """The record of one zerosum.SearchResult."""
+    return ResultRecord(descriptor, invariant, result.value, result.exact,
+                        weight_set=list(weights) if weights else None,
+                        witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
 
 
 def compact_labels(labels) -> str:

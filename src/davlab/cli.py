@@ -1,23 +1,26 @@
 """Command-line surface: info, loewy, davenport, witness, oracle, scan.
 
 Every command accepts --json and then emits exactly one JSON document on
-stdout. Every command but scan prints through `_emit`, which writes both
-forms of a result: the six fields that schema.json requires of every result
-document (descriptor, invariant, value, exact, elapsed_ms, version) beside
-the command's own, and the `descriptor: <canonical>` line that starts its
-text output. Exit code 0 means no assertion failed; parse errors exit 2.
-A process runs `run`, which ends it with os._exit once the output is
-flushed; in-process callers use `main(argv)`.
+stdout. Exit code 0 means no assertion failed; parse errors exit 2. A
+process runs `run`, which ends it with os._exit once the output is flushed;
+in-process callers use `main(argv)`.
+
+This module holds the dispatcher and scan. The five one-group commands live
+in `onegroup`, which `main` imports only when one of them runs, and
+`build_parser` builds the subparser of the command being run alone, so a
+process compiles and parses only its own command.
 
 At module level this imports only the modules that load no numpy
 (descriptors, cache, errors, numtheory, theory, version). The others are
 imported inside the code that needs them, and looked up there at call time:
-- a warm scan, a cached davenport, loewy --method formula and --help load
-  none of them;
-- info, loewy, witness, oracle and a scan row that needs no exact D load
-  numpy and the table modules they use (groups and, as needed, subgroups,
-  jennings, sequences, witnesses), but not the search engine zerosum;
-- davenport and a scan row that needs an exact D load zerosum too.
+- --help and a warm scan load none of them, nor onegroup;
+- a cached davenport and loewy --method formula load onegroup alone;
+- info, loewy, witness and oracle load onegroup, numpy and the table modules
+  they use (groups and, as needed, subgroups, jennings, sequences,
+  witnesses), but not the search engine zerosum;
+- davenport loads onegroup, groups and zerosum;
+- a cold scan loads the table modules of its rows, and zerosum only for a
+  row that needs an exact D.
 """
 
 from __future__ import annotations
@@ -26,56 +29,27 @@ import argparse
 import collections
 import functools
 import json
-import math
 import operator
 import os
 import re
 import sys
 import time
 
-from .cache import (ResultRecord, cache_get, cache_path, cache_put, cache_records,
-                    compact_labels, record_key)
-from .descriptors import (GRAMMAR_HINT, GroupDescriptor, make_descriptor,
-                          parse_descriptor, validate_descriptor)
+from .cache import (VARIANT_INVARIANT, ResultRecord, cache_path, cache_put, cache_records,
+                    record_key, search_record)
+# no code here calls cache_get: it stays a name of this module because
+# davbench's trace mode wraps cli.cache_get and cli.cache_put
+from .cache import cache_get  # noqa: F401
+from .descriptors import GRAMMAR_HINT, GroupDescriptor, make_descriptor, validate_descriptor
 from .errors import DavlabError, DescriptorError
 from .numtheory import is_prime, prime_power
-from .theory import (DEFAULT_ORDERED_CAP, ORDER_CAP, loewy_formula, olson_white,
-                     witness_plan)
+from .theory import DEFAULT_ORDERED_CAP, ORDER_CAP, olson_white, witness_plan
 from .version import __version__
-
-_VARIANT_INVARIANT = {"ordered": "D", "unordered": "Dprime", "E": "E", "weighted": "DA"}
 
 
 def _ms(t0: float) -> int:
     """Whole milliseconds since the perf_counter reading t0."""
     return int(1000 * (time.perf_counter() - t0))
-
-
-def _emit(args, desc: GroupDescriptor, invariant: str, value, exact: bool,
-          elapsed_ms: int, lines: list[str], **fields) -> None:
-    """Print a command's result: under --json one document of the six fields
-    that schema.json requires of every result and the command's own fields,
-    else `descriptor: <canonical>` and then the command's text lines."""
-    if args.json:
-        print(json.dumps({"descriptor": desc.canonical(), "invariant": invariant,
-                          "value": value, "exact": exact, "elapsed_ms": elapsed_ms,
-                          "version": __version__, **fields}, indent=2, sort_keys=True))
-    else:
-        print(f"descriptor: {desc.canonical()}")
-        for line in lines:
-            print(line)
-
-
-def _budget_from(states: int | None, seconds: float | None):
-    """The zerosum.SearchBudget of --budget-states/--budget-seconds; an
-    unset one keeps its default, and None when neither is set."""
-    if states is None and seconds is None:
-        return None
-    from . import zerosum
-    default = zerosum.SearchBudget()
-    return zerosum.SearchBudget(
-        max_states=default.max_states if states is None else states,
-        max_seconds=default.max_seconds if seconds is None else seconds)
 
 
 def _positive(kind):
@@ -110,183 +84,15 @@ def _odd_primes(text: str) -> list[int]:
     return list(dict.fromkeys(primes))
 
 
-def _max_order(text: str) -> int:
-    """argparse type of --max-order: 1 to ORDER_CAP, as no larger group builds."""
-    if not (text.isdigit() and 1 <= int(text) <= ORDER_CAP):
-        raise argparse.ArgumentTypeError(
-            f"expected an integer from 1 to {ORDER_CAP}, got {text!r}")
-    return int(text)
-
-
-def _search_record(canonical: str, invariant: str, result, weights=None) -> ResultRecord:
-    """The cache record of one search result."""
-    return ResultRecord(canonical, invariant, result.value, result.exact,
-                        weight_set=list(weights) if weights else None,
-                        witness=result.witness.labels(), elapsed_ms=int(1000 * result.elapsed))
-
-
-def _parse_weights(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise DescriptorError(f"bad weight list {text!r}; expected e.g. --weights=1,4")
-
-
-# --- subcommand bodies ----------------------------------------------------------
-
-def _cmd_info(args) -> int:
-    from . import groups
-    desc = parse_descriptor(args.descriptor)
-    t0 = time.perf_counter()
-    info = groups.group_info(groups.build(desc))
-    elapsed_ms = _ms(t0)
-    gens = " ".join(f"{k}={v}" for k, v in info.generator_orders.items())
-    _emit(args, desc, "info", info.order, True, elapsed_ms, [
-        f"order: {info.order}",
-        f"exponent: {info.exponent}",
-        f"center: {info.center_size}",
-        f"commutator_subgroup: {info.commutator_size}",
-        f"nilpotency_class: {info.nilpotency_class}",
-        f"generator_orders: {gens}",
-    ], exponent=info.exponent, center_size=info.center_size,
-        commutator_size=info.commutator_size, nilpotency_class=info.nilpotency_class,
-        generator_orders=info.generator_orders, prime=info.prime)
-    return 0
-
-
-def _cmd_loewy(args) -> int:
-    desc = parse_descriptor(args.descriptor)
-    t0 = time.perf_counter()
-    data = formula = None
-    if args.method in ("direct", "both"):
-        from . import groups, jennings
-        t0 = time.perf_counter()  # a first import, numpy's, is not computation time
-        data = jennings.jennings_data(groups.build(desc))
-    if args.method in ("formula", "both"):
-        formula = loewy_formula(desc)
-    elapsed_ms = _ms(t0)
-    agree = args.method != "both" or data.loewy_length == formula
-    lines, fields = [], {}
-    if data is not None:
-        fields.update(chain_sizes=data.chain_sizes, coefficients=data.coefficients)
-        lines.append(f"loewy_length(direct): {data.loewy_length}")
-    if formula is not None:
-        fields["formula_value"] = formula
-        lines.append(f"loewy_length(formula): {formula}")
-    if args.method == "both":
-        lines += [f"agreement: {'yes' if agree else 'NO'}",
-                  "chain_sizes: " + " ".join(map(str, data.chain_sizes)),
-                  "coefficients: " + " ".join(map(str, data.coefficients))]
-    direct = data is not None
-    _emit(args, desc, "L" if direct else "L_formula",
-          data.loewy_length if direct else formula, True, elapsed_ms, lines,
-          method=args.method, agreement=agree, **fields)
-    return 0 if agree else 1
-
-
-def _cmd_davenport(args) -> int:
-    desc = parse_descriptor(args.descriptor)
-    canonical = desc.canonical()
-    invariant = _VARIANT_INVARIANT[args.variant]
-    weights = None if args.weights is None else _parse_weights(args.weights)
-    if args.variant == "weighted" and weights is None:
-        raise DescriptorError("--variant=weighted needs --weights=a1,a2,...")
-    if args.variant != "weighted" and weights is not None:
-        raise DescriptorError(f"--weights needs --variant=weighted, not {args.variant}")
-    path = cache_path(args.cache)
-    t0 = time.perf_counter()
-    record = None if args.no_cache else cache_get(path, canonical, invariant, weights)
-    fresh = record is None
-    if fresh:
-        imported = time.perf_counter()
-        from . import groups, zerosum
-        t0 += time.perf_counter() - imported  # a first import, numpy's, is not search time
-        search = {"ordered": zerosum.davenport_ordered,
-                  "unordered": zerosum.davenport_unordered,
-                  "E": zerosum.eg_invariant,
-                  "weighted": functools.partial(zerosum.davenport_weighted, weights=weights)}
-        result = search[args.variant](groups.build(desc), budget=_budget_from(
-            args.budget_states, args.budget_seconds))
-        record = _search_record(canonical, invariant, result, weights)
-    elapsed_ms = _ms(t0)
-    lines = [
-        f"invariant: {invariant}",
-        f"value: {record.value}",
-        f"exact: {str(record.exact).lower()}",
-        "witness: " + (compact_labels(record.witness) if record.witness is not None
-                       else "(none)"),
-    ]
-    # a served record is exact, so its search ran to the end
-    fields = {"witness": record.witness, "cached": not fresh, "stop_reason": "done"}
-    if fresh:
-        if not args.no_cache:
-            cache_put(path, record)
-        fields.update(states=result.states_explored, stop_reason=result.stop_reason)
-        lines += [f"states: {result.states_explored}",
-                  f"stop_reason: {result.stop_reason}",
-                  f"elapsed_ms: {elapsed_ms}"]
-    else:
-        lines.append(f"cache: hit ({elapsed_ms} ms)")
-    _emit(args, desc, invariant, record.value, record.exact, elapsed_ms, lines, **fields)
-    return 0
-
-
-def _cmd_witness(args) -> int:
-    from . import groups, sequences, witnesses
-    t0 = time.perf_counter()
-    desc = parse_descriptor(args.descriptor)
-    spec = witnesses.witness_for_theorem(desc, args.theorem, args.unverified_explore)
-    group = groups.build(desc)
-    seq = spec.sequence(group)
-    in_scope = spec.proven
-    free = oracle = None
-    if args.verify:
-        free = sequences.is_ordered_free(seq)
-        if desc.family in ("g1", "g3") and in_scope:
-            oracle = witnesses.congruence_oracle(witnesses.congruence_system(desc))
-    elapsed_ms = _ms(t0)
-    verified = bool(args.verify and free and (oracle is None or oracle == free))
-    lower = spec.length + 1 if free is not False else 1
-    lines = [
-        f"construction: {args.theorem} ({spec.case_tag})",
-        f"witness: {spec.describe(group)}",
-        f"length: {spec.length}",
-    ]
-    if args.verify:
-        lines.append(f"ordered_free: {str(free).lower()}")
-        lines.append(f"oracle: {str(oracle).lower() if oracle is not None else 'n/a'}")
-        lines.append(f"implied: D >= {lower}" if free else "implied: nothing (not free)")
-        if not in_scope:
-            lines.append("note: outside the proven parameter scope, reported only")
-    _emit(args, desc, "witness_check", lower, verified, elapsed_ms, lines,
-          witness=spec.block_labels(group), case=spec.case_tag, length=spec.length,
-          ordered_free=free, oracle=oracle, in_proven_scope=in_scope,
-          bounds={"lower": lower, "upper": None,
-                  "lower_source": "witness", "upper_source": None})
-    # outside the proven parameter scope a non-free sequence is a finding,
-    # not a failure
-    return 1 if args.verify and in_scope and not verified else 0
-
-
-def _cmd_oracle(args) -> int:
-    from . import witnesses
-    desc = parse_descriptor(args.descriptor)
-    t0 = time.perf_counter()
-    system = witnesses.congruence_system(desc)
-    verdict = witnesses.congruence_oracle(system)
-    disc = witnesses.discriminant_check(system.prime, system.case_tag)
-    elapsed_ms = _ms(t0)
-    tuples = math.prod(system.ranges)
-    _emit(args, desc, "oracle_check", verdict, True, elapsed_ms, [
-        f"case: {system.case_tag}",
-        f"least_non_residue: {system.q if system.q is not None else 'n/a'}",
-        f"discriminant_check: {str(disc).lower()}",
-        f"only_trivial_solution: {str(verdict).lower()}",
-        f"tuples: {tuples}",
-        f"elapsed_ms: {elapsed_ms}",
-    ], case=system.case_tag, least_non_residue=system.q, discriminant_check=disc,
-        tuples=tuples)
-    return 0 if verdict and disc else 1
+def _order_from(lowest: int):
+    """argparse type of --max-order and --search-max-order: an integer from
+    lowest to ORDER_CAP, as no larger group builds."""
+    def parse(text: str) -> int:
+        if not (text.isdecimal() and lowest <= int(text) <= ORDER_CAP):
+            raise argparse.ArgumentTypeError(
+                f"expected an integer from {lowest} to {ORDER_CAP}, got {text!r}")
+        return int(text)
+    return parse
 
 
 # --- scan ------------------------------------------------------------------------
@@ -457,7 +263,7 @@ def _row_records(desc: GroupDescriptor, missing: list[str],
             canonical, "witness_check", spec.length + 1 if free else 1, free,
             witness=spec.block_labels(group)))
     if "D" in missing:
-        records.append(_search_record(canonical, "D", zerosum.davenport_ordered(group, budget)))
+        records.append(search_record(canonical, "D", zerosum.davenport_ordered(group, budget)))
     return records, _ms(t0)
 
 
@@ -481,9 +287,10 @@ def _cmd_scan(args) -> int:
     known = [{r.invariant: r for r in map(found.get, ks) if r is not None} for ks in keys]
     missing = [[inv for inv in needed if inv not in have]
                for needed, have in zip(needs, known)]
-    # a set budget imports zerosum, which only a row that searches D needs
-    budget = (_budget_from(args.budget_states, args.budget_seconds)
-              if any("D" in need for need in missing) else None)
+    budget = None
+    if any("D" in need for need in missing):
+        from . import zerosum  # the search engine, which only a row with D loads
+        budget = zerosum.budget_from(args.budget_states, args.budget_seconds)
     rows = []
     for desc, need, have in zip(grid, missing, known):
         spent = 0
@@ -544,72 +351,88 @@ def _add_common(sub, cache_flags: bool = False, budget_flags: bool = False,
                          help="search time budget in seconds")
 
 
-# Built once per process: main() may run many times in one process (tests,
-# library callers), and every fresh parser leaves cyclic garbage behind.
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
+# One parser per command, built on first use: main() may run many times in one
+# process (tests, library callers), and every fresh parser leaves cyclic
+# garbage behind.
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `davlab command ...`: the top-level parser with the
+    subparser of command alone, so that a process builds only the command it
+    runs, or with all six when command is None or names none of them (no
+    arguments, --help, --version, an unknown command). A parser of one command
+    lists all six in its usage line, so every message reads as from the
+    parser of all six."""
     parser = argparse.ArgumentParser(
         prog="davlab",
         description="Zero-sum invariants and Loewy lengths of small finite groups.",
         epilog=GRAMMAR_HINT)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    names = []
 
-    p = subs.add_parser("info", help="order, exponent, center, class of a group")
-    p.add_argument("descriptor")
-    _add_common(p)
-    p.set_defaults(func=_cmd_info)
+    def add(name: str, summary: str):
+        """The subparser of name, or None when this parser leaves it out."""
+        names.append(name)
+        return subs.add_parser(name, help=summary) if command in (None, name) else None
 
-    p = subs.add_parser("loewy", help="Loewy length, by chain and/or closed form")
-    p.add_argument("descriptor")
-    p.add_argument("--method", choices=("direct", "formula", "both"), default="direct")
-    _add_common(p)
-    p.set_defaults(func=_cmd_loewy)
+    if p := add("info", "order, exponent, center, class of a group"):
+        p.add_argument("descriptor")
+        _add_common(p)
 
-    p = subs.add_parser("davenport", help="Davenport-type constants by exact search")
-    p.add_argument("descriptor")
-    p.add_argument("--variant", choices=tuple(_VARIANT_INVARIANT), default="ordered")
-    p.add_argument("--weights", default=None, help="weight set for --variant=weighted")
-    _add_common(p, cache_flags=True, budget_flags=True)
-    p.set_defaults(func=_cmd_davenport)
+    if p := add("loewy", "Loewy length, by chain and/or closed form"):
+        p.add_argument("descriptor")
+        p.add_argument("--method", choices=("direct", "formula", "both"), default="direct")
+        _add_common(p)
 
-    p = subs.add_parser("witness", help="extremal product-one-free constructions")
-    p.add_argument("descriptor")
-    p.add_argument("--theorem", type=int, choices=(1, 6, 7), required=True,
-                   help="construction family: 1 dicyclic/semidihedral, "
-                        "6 odd-prime class two, 7 order 2^r")
-    p.add_argument("--verify", action="store_true",
-                   help="check freeness (and the congruence oracle where it applies)")
-    p.add_argument("--unverified-explore", action="store_true",
-                   help="allow g1 gamma>1 / g3 sigma>1 exploration")
-    _add_common(p)
-    p.set_defaults(func=_cmd_witness)
+    if p := add("davenport", "Davenport-type constants by exact search"):
+        p.add_argument("descriptor")
+        p.add_argument("--variant", choices=tuple(VARIANT_INVARIANT), default="ordered")
+        p.add_argument("--weights", default=None, help="weight set for --variant=weighted")
+        _add_common(p, cache_flags=True, budget_flags=True)
 
-    p = subs.add_parser("oracle", help="congruence-system enumeration for g1/g3")
-    p.add_argument("descriptor")
-    _add_common(p)
-    p.set_defaults(func=_cmd_oracle)
+    if p := add("witness", "extremal product-one-free constructions"):
+        p.add_argument("descriptor")
+        p.add_argument("--theorem", type=int, choices=(1, 6, 7), required=True,
+                       help="construction family: 1 dicyclic/semidihedral, "
+                            "6 odd-prime class two, 7 order 2^r")
+        p.add_argument("--verify", action="store_true",
+                       help="check freeness (and the congruence oracle where it applies)")
+        p.add_argument("--unverified-explore", action="store_true",
+                       help="allow g1 gamma>1 / g3 sigma>1 exploration")
+        _add_common(p)
 
-    p = subs.add_parser("scan", help="conjecture scan over descriptor grids")
-    p.add_argument("--families", type=_families, default="d,q,sd,m2,g1,g2,g3")
-    p.add_argument("--primes", type=_odd_primes, default="3,5",
-                   help="comma list of odd primes for the g families")
-    p.add_argument("--max-order", type=_max_order, default=32)
-    p.add_argument("--search-max-order", type=int, default=16,
-                   help="exact search only at or below this order")
-    p.add_argument("--param-ranges", default=None,
-                   help="comma list of filters, e.g. gamma=1,alpha<=3 "
-                        "(ignored by families lacking the parameter)")
-    _add_common(p, cache_flags=True, budget_flags=True, csv_flag=True)
-    p.set_defaults(func=_cmd_scan)
+    if p := add("oracle", "congruence-system enumeration for g1/g3"):
+        p.add_argument("descriptor")
+        _add_common(p)
+
+    if p := add("scan", "conjecture scan over descriptor grids"):
+        p.add_argument("--families", type=_families, default="d,q,sd,m2,g1,g2,g3")
+        p.add_argument("--primes", type=_odd_primes, default="3,5",
+                       help="comma list of odd primes for the g families")
+        p.add_argument("--max-order", type=_order_from(1), default=32)
+        p.add_argument("--search-max-order", type=_order_from(0), default=16,
+                       help="exact search only at or below this order")
+        p.add_argument("--param-ranges", default=None,
+                       help="comma list of filters, e.g. gamma=1,alpha<=3 "
+                            "(ignored by families lacking the parameter)")
+        _add_common(p, cache_flags=True, budget_flags=True, csv_flag=True)
+
+    if command is None:
+        return parser
+    if command not in names:
+        return build_parser()
+    subs.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "scan":
+            return _cmd_scan(args)
+        from . import onegroup  # the other five commands; a scan never loads them
+        return getattr(onegroup, args.command)(args)
     except DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

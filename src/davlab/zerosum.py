@@ -124,6 +124,18 @@ class SearchBudget(NamedTuple):
     max_seconds: float = 60.0
 
 
+def budget_from(max_states: int | None, max_seconds: float | None) -> SearchBudget | None:
+    """The budget of the command line's --budget-states and --budget-seconds:
+    None, the default budget with its order caps, when neither is set, else a
+    SearchBudget whose unset limit keeps its default."""
+    if max_states is None and max_seconds is None:
+        return None
+    default = SearchBudget()
+    return SearchBudget(
+        max_states=default.max_states if max_states is None else max_states,
+        max_seconds=default.max_seconds if max_seconds is None else max_seconds)
+
+
 class SearchResult(NamedTuple):
     """states_explored is the number of memo entries of the search, one per
     orbit representative, for all four invariants, and keys the number of

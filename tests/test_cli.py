@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import hashlib
@@ -7,6 +8,7 @@ import json
 import os
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -467,6 +469,130 @@ def test_stdout_matches_its_digest(command, capsys, tmp_path):
         assert _stdout_digest(capsys, argv) == (code, digest), flags
 
 
+# Every usage output: (exit code, sha256 of stdout, sha256 of stderr) of
+# `davlab <key>` at 80 columns, "" being no arguments. argparse words its
+# help and errors differently from one Python version to the next, so the
+# digests hold on 3.11, the version they were read on.
+USAGE_DIGESTS = {
+    "": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6abf3a39489be44b7f9f58bde56ea94b629f55eb12b96c4209da94cf57ee1a06"),
+    "--help": (0,
+        "74af458f6c94efe9ab04fbfa60557f1fbee24d1821ce33a3567099712d66a58b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "--version": (0,
+        "e9dd8507f4bf0c6f42458e41aea833ad0bd3f6127272335eee9bf4d58541ed67",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "831a4eac228efd11cf75e319547344aabed89e11ade4c3ce669d7c70520bea85"),
+    "info --help": (0,
+        "069afe5821590f2bdbabe9a13c0f18dc32b0e1840917825f3cab91d17cf2322c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "loewy --help": (0,
+        "6aeda3e607fbef1801348a10a2659843f31d89d97c945795004ad6b7adf92553",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "davenport --help": (0,
+        "efebb3863772ae16b1ec6c3631ce3c1d66e9403b3235857432955d1bd213d794",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "witness --help": (0,
+        "5ac15c2c3f170f8de6dfc7b909036fd4191cbc2d081915d4ec75bd5a0b88b757",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "oracle --help": (0,
+        "e2f30ef569d4ddc0de59c6422fb059d8d79dd62d17977ae439aeb45f2a51a455",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "scan --help": (0,
+        "f33d19bacff7c7feb3b3ef883ebcb4ae3d0c914200b5de3e2b944b08fd90942e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "info q[8] --bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "84ad8fca3b4d0330a967c90ffdccff311ca007ea6f787bd7c579aa3b8560afc6"),
+    "loewy q[8] --bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "84ad8fca3b4d0330a967c90ffdccff311ca007ea6f787bd7c579aa3b8560afc6"),
+    "davenport q[8] --bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "84ad8fca3b4d0330a967c90ffdccff311ca007ea6f787bd7c579aa3b8560afc6"),
+    "witness q[8] --theorem=1 --bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "84ad8fca3b4d0330a967c90ffdccff311ca007ea6f787bd7c579aa3b8560afc6"),
+    "oracle g1[5,1,1,1] --bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "84ad8fca3b4d0330a967c90ffdccff311ca007ea6f787bd7c579aa3b8560afc6"),
+    "scan --bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "84ad8fca3b4d0330a967c90ffdccff311ca007ea6f787bd7c579aa3b8560afc6"),
+    "info": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ff168c50f236e21bf8491e5db3ad200e87cc85b3b6d497435b93807894c3a15b"),
+    "info zz[3]": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "b28832b236cbd0333b8a00d3f2f7490b286c0f855e134ec802ab077e71372506"),
+    "loewy q[8] --method=bogus": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "75af0e6642d5e53ca95147eefeec9abcab37339e10db2e5b43c2c4123cef41e6"),
+    "davenport q[8] --budget-states=0": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e507e6a9616868003a647ce5e440fd152ea69903fec1daa471af29093cc5884d"),
+    "witness q[8]": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0718b6e654f509b20b891ed3d700c83858aa4edec3bb743586f3882c7f4d7e2d"),
+    "oracle": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cba034ef81e2f1940e64a562a8b73aaea5b848a671df84ed0765b8fd280a78c5"),
+    "oracle q[8]": (1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "449062ecf59ac9651859f554bdac2e85efe98b535c98cb2aa418db1ca3b6b015"),
+    "scan --max-order=0": (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "76654688bd927140affea1e29277cc60f554d11fb69125237e6a538bbed9e3cf"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests read on Python 3.11")
+@pytest.mark.parametrize("command", list(USAGE_DIGESTS))
+def test_usage_output_matches_its_digest(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == USAGE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", [c for c in USAGE_DIGESTS if c.endswith(" --bogus")])
+def test_a_usage_error_lists_every_command(command, capsys):
+    """The parser of one command still names all six in the usage line of
+    an error that the top-level parser reports, on every Python version."""
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: davlab [-h] [--version] {info,loewy,davenport,witness,oracle,scan} ...",
+        "davlab: error: unrecognized arguments: --bogus"]
+
+
+def test_repeated_main_calls_reuse_one_parser_per_command(capsys, monkeypatch):
+    """Each command has one parser per process, which holds that command
+    alone: a fresh parser per call would leave cyclic garbage behind."""
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: used.append(self) or parse_args(self, *a, **k))
+    for _ in range(2):
+        assert main(["info", "c[2]"]) == 0
+        assert main(["scan", "--families=q", "--max-order=8", "--search-max-order=0",
+                     "--no-cache"]) == 0
+    info, scan, *again = used
+    assert again == [info, scan] and info is not scan
+    assert info is cli.build_parser("info") and scan is cli.build_parser("scan")
+    with pytest.raises(SystemExit):
+        scan.parse_args(["info", "c[2]"])
+    assert "invalid choice: 'info'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     "scan --families=q --max-order=16 --cache={cache}",
     "scan --families=q --max-order=16 --cache={cache} --json",
@@ -599,6 +725,19 @@ def test_scan_max_order_stays_within_the_order_cap(max_order):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("value", ["-5", "4097", "x", "", "1.5"])
+def test_scan_search_max_order_stays_within_the_order_cap(value, capsys):
+    # 0, which searches nothing, is the least order it takes
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--families=q", "--max-order=24", f"--search-max-order={value}",
+              "--no-cache"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    [error] = [line for line in err.splitlines() if "error:" in line]
+    assert error.endswith(f"--search-max-order: expected an integer from 0 to 4096, "
+                          f"got {value!r}")
+
+
 @pytest.mark.parametrize("primes", ["1", "0", "-3", "2", "9", "3,x", "", "4099"])
 def test_scan_primes_takes_odd_primes_only(primes):
     done = run_python("-m", "davlab.cli", "scan", "--families=g1", f"--primes={primes}",
@@ -665,10 +804,13 @@ def test_help_leaves_out_numpy():
 
 
 def test_warm_scan_leaves_out_numpy(tmp_path):
+    """A cold scan builds tables and a warm one does not; neither loads the
+    module of the one-group commands."""
     args = ("scan", "--families=d,q,sd,m2", "--max-order=32", "--cache",
             str(tmp_path / "c.jsonl"))
-    assert _warm_free_modules_after(*args) == _COLD  # builds, writes records
-    assert _warm_free_modules_after(*args) == []
+    watched = [*_WARM_FREE, "davlab.onegroup"]
+    assert _modules_after(watched, *args) == _COLD  # builds, writes records
+    assert _modules_after(watched, *args) == []
 
 
 def test_cached_davenport_leaves_out_numpy(tmp_path):
@@ -690,9 +832,12 @@ def test_cached_davenport_leaves_out_numpy(tmp_path):
 def test_commands_that_search_nothing_leave_out_the_engine(argv, tmp_path):
     """A cold g-family scan builds tables and checks witnesses but searches
     nothing, also under a set budget, so neither it nor witness, oracle,
-    loewy or info compiles the search engine."""
-    cache = ("--cache", str(tmp_path / "c.jsonl")) if argv[0] == "scan" else ()
-    assert _modules_after(["davlab.zerosum", "dataclasses"], *argv, *cache) == []
+    loewy or info compiles the search engine. The four one-group commands
+    load their module, which no scan loads."""
+    scan = argv[0] == "scan"
+    cache = ("--cache", str(tmp_path / "c.jsonl")) if scan else ()
+    assert _modules_after(["davlab.onegroup", "davlab.zerosum", "dataclasses"],
+                          *argv, *cache) == ([] if scan else ["davlab.onegroup"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -700,8 +845,11 @@ def test_commands_that_search_nothing_leave_out_the_engine(argv, tmp_path):
     ("davenport", "q[8]", "--no-cache"),
 ], ids=["scan", "davenport"])
 def test_commands_that_search_load_the_engine(argv, tmp_path):
-    cache = ("--cache", str(tmp_path / "c.jsonl")) if argv[0] == "scan" else ()
-    assert _modules_after(["davlab.zerosum", "dataclasses"], *argv, *cache) == ["davlab.zerosum"]
+    scan = argv[0] == "scan"
+    cache = ("--cache", str(tmp_path / "c.jsonl")) if scan else ()
+    assert _modules_after(["davlab.onegroup", "davlab.zerosum", "dataclasses"],
+                          *argv, *cache) == (["davlab.zerosum"] if scan else
+                                             ["davlab.onegroup", "davlab.zerosum"])
 
 
 def test_no_davlab_module_imports_dataclasses():
@@ -718,6 +866,34 @@ def test_sequence_and_its_check_load_without_the_engine():
     done = run_python("-c", "import sys, davlab; davlab.Sequence, davlab.is_ordered_free; "
                             "sys.exit('davlab.zerosum' in sys.modules)")
     assert done.returncode == 0, done.stderr
+
+
+# davbench's trace mode in this interpreter: wraps davlab's functions where
+# davlab looks them up, runs `davlab <argv[2:]>` and prints the number of
+# spans of each name as the last line of stderr. argv[1] is davbench's folder.
+_TRACE_PROBE = """
+import collections, json, sys
+sys.path.insert(0, sys.argv.pop(1))
+import spans
+from davlab.cli import main
+tracer = spans.Tracer()
+spans.install(tracer)
+code = main(sys.argv[1:])
+print(json.dumps(collections.Counter(s["name"] for s in tracer.spans)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_davbench_trace_mode_wraps_the_cache_functions_of_cli(tmp_path):
+    """davbench's spans.install rebinds cli.cache_get and cli.cache_put, so a
+    cold scan under it records a span per record it puts."""
+    davbench = Path(__file__).resolve().parents[1] / "davbench"
+    done = run_python("-c", _TRACE_PROBE, str(davbench), "scan", "--families=g2",
+                      "--max-order=243", "--json", "--cache", str(tmp_path / "c.jsonl"))
+    assert done.returncode == 0, done.stderr[-2000:]
+    counts = json.loads(done.stderr.splitlines()[-1])
+    records = (tmp_path / "c.jsonl").read_text().splitlines()
+    assert counts["cache.cache_put"] == len(records) > 0
 
 
 # Runs `davlab <argv>` twice in this interpreter and prints each elapsed_ms.
