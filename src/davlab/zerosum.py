@@ -48,25 +48,14 @@ bits, slot g of a lifted table's entry holds the whole next state
 (_eg_children). The orbit keys of such states read the image under every
 map of the key from tables of the same kind (_orbit_images). Above the cutoff
 D and D_A step one letter at a time by the set-bit loop over the column of
-each power, E steps each component of a state held as a tuple of masks,
-with D's tables up to order 64, and the keys loop over the set bits of the
-state. The D' search needs one letter per step, so like the checkers
-(reach_extend, is_weighted_free, is_unordered_free, group_length_reach) it
-never builds byte tables: they walk the set-bit loop over the column of
-each letter or power they meet (_ColumnSteps, _column_maps).
+each power (checkers._weighted_extend), E steps each component of a state
+held as a tuple of masks, with D's tables up to order 64, and the keys loop
+over the set bits of the state. The D' search needs one letter per step, so
+like the checkers it never builds byte tables: it walks the set-bit loop
+over the column of each letter it meets (checkers._ColumnSteps).
 
-Some computations are written twice on purpose, one copy checking the
-other, and must stay apart: the packed search steps and the
-column-step checkers; _submultiset_products (the D' search) and
-_UnorderedChecker (is_unordered_free, is_product_one), which share the
-column step but not their recursion over sub-multisets; the E search step
-and group_length_reach; davenport_ordered, the naive oracles and
-sequences.is_ordered_free, which lives apart from this engine, with
-Sequence, so that checking a witness never imports it; groups._relations and
-the family presentations; theory.loewy_formula and the Jennings M-series.
-Every other product-one computation is written once: the subset-mask walk
-of the naive oracle of D and D_A (_naive) and of
-has_proper_ordered_product_one is _subsequence_products.
+The checkers and the naive oracles live in checkers, which imports nothing
+from here; its docstring lists the computations written twice on purpose.
 """
 
 from __future__ import annotations
@@ -77,21 +66,21 @@ import itertools
 import operator
 import sys
 import time
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BudgetExceededError, DavlabError, GroupTooLargeError,
-                     InvalidWeightsError)
+from .checkers import _ColumnSteps, _validate_weights, _weighted_extend, _weighted_rows
+# not called here: davbench's worker checks its witnesses through zerosum.<name>
+from .checkers import has_group_length_product_one, is_unordered_free, is_weighted_free  # noqa
+from .errors import DavlabError, GroupTooLargeError
 from .groups import FiniteGroup
 from .sequences import Sequence, is_ordered_free
-from .subgroups import _members, automorphisms
-from .theory import DEFAULT_ORDERED_CAP, olson_white
+from .subgroups import automorphisms
+from .theory import DEFAULT_ORDERED_CAP
 
 DEFAULT_UNORDERED_CAP = 32
 DEFAULT_EG_CAP = 8
-DEFAULT_ARRANGE_CAP = 16
 WEIGHT_SET_CAP = 16
 
 # Widest reach state, in bits, whose steps and orbit keys use per-byte lookup
@@ -407,30 +396,6 @@ def _slot_format(bits: int) -> tuple[str, int]:
                 if bits <= width)
 
 
-def _shifted(mask: int, col) -> int:
-    """The set-bit loop over col[x] = x*g, each bit of S*g shifted on the
-    fly: it holds no n-bit int per table cell."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << col[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-class _ColumnSteps(dict):
-    """steps[g](S) is S*g by the set-bit loop over the column x -> x*g,
-    read as one slice of the table on the first use of g: all n columns are
-    n^2 cells."""
-
-    def __init__(self, group: FiniteGroup):
-        self.array = group.array
-
-    def __missing__(self, g: int):
-        step = self[g] = functools.partial(_shifted, col=self.array[:, g].tolist())
-        return step
-
-
 def _packed_step(group: FiniteGroup, A: tuple[int, ...], width: int):
     """step(S) holds M_g(S), the union of the S*g^a over a in A, at bit
     g*width for every letter g: one lookup per byte of S (_byte_map) over
@@ -442,22 +407,6 @@ def _packed_step(group: FiniteGroup, A: tuple[int, ...], width: int):
     return _byte_map(_byte_tables([sum(1 << g * width + row[h] for g in range(n)
                                        for h in rows[g])
                                    for row in group.array.tolist()]))
-
-
-def _column_maps(group: FiniteGroup, A: tuple[int, ...]):
-    """maps[g](S) is the union of S*g^a over a in A by the column steps of
-    the powers (_ColumnSteps), which are the maps themselves for A = (1,)."""
-    steps = _ColumnSteps(group)
-    if A == (1,):
-        return steps
-
-    def union(mask: int, powers: list[int]) -> int:
-        out = 0
-        for h in powers:
-            out |= steps[h](mask)
-        return out
-
-    return [functools.partial(union, powers=hs) for hs in _weighted_rows(group, A)]
 
 
 def _right_step(group: FiniteGroup, g: int):
@@ -566,24 +515,6 @@ def _layers(ms: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(layers)
 
 
-# --- reach states -------------------------------------------------------------
-
-class ReachState(NamedTuple):
-    """Products of all nonempty index-increasing subsequences of a prefix."""
-
-    group: FiniteGroup
-    mask: int = 0
-
-    def products(self) -> set[int]:
-        return set(_members(self.mask))
-
-
-def reach_extend(state: ReachState, g: int) -> ReachState:
-    """State after appending g: products become S | S*g | {g}."""
-    mask = state.mask
-    return ReachState(state.group, mask | _ColumnSteps(state.group)[g](mask) | (1 << g))
-
-
 # --- ordered Davenport constant -----------------------------------------------
 
 def davenport_ordered(group: FiniteGroup,
@@ -598,128 +529,7 @@ def davenport_ordered(group: FiniteGroup,
     return _weighted_search(group, (1,), budget)
 
 
-def _subsequence_products(table, terms):
-    """(mask, product) of every nonempty index-increasing subsequence of
-    terms, the subsequence being the terms at the set bits of mask, in
-    increasing mask order: the product of a mask is its lowest term times
-    the product of the rest, which comes earlier."""
-    prods = [0] * (1 << len(terms))
-    for m in range(1, len(prods)):
-        low = m & -m
-        i = low.bit_length() - 1
-        rest = m ^ low
-        p = prods[m] = table[terms[i]][prods[rest]] if rest else terms[i]
-        yield m, p
-
-
-def davenport_ordered_naive(group: FiniteGroup) -> int:
-    """Brute-force D(G): the naive oracle (_naive) at A = {1}."""
-    return _naive(group, (1,))
-
-
-def _naive(group: FiniteGroup, A: tuple[int, ...]) -> int:
-    """Brute-force D_A(G): walk every sequence, testing each prefix for a
-    product-one subsequence by direct enumeration of every choice of powers
-    g^a of its terms and of all 2^len - 1 subsequences of each choice.
-    Prefixes that already contain one are not extended, since every
-    extension keeps it. No reach sets, no memoization: the oracle for the
-    searches."""
-    table = group.table
-    powers = [sorted({group.pow(g, a) for a in A}) for g in group.elements()]
-    best = 0
-
-    def walk(seq: list[int]) -> None:
-        nonlocal best
-        best = max(best, len(seq))
-        for g in group.elements():
-            seq.append(g)
-            if all(p != 0 for choice in itertools.product(*(powers[x] for x in seq))
-                   for _, p in _subsequence_products(table, choice)):
-                walk(seq)
-            seq.pop()
-
-    walk([])
-    return best + 1
-
-
-def olson_white_bound(group: FiniteGroup) -> int:
-    """ceil((|G| + 1) / 2), valid for non-cyclic groups only."""
-    if group.is_cyclic():
-        raise DavlabError(f"{group.name}: bound applies to non-cyclic groups only")
-    return olson_white(group.order)
-
-
-# --- product-one predicates -----------------------------------------------------
-
-def is_product_one(seq: Sequence) -> bool:
-    """Some arrangement of all terms multiplies to the identity: bit 0 of
-    the arrangement products of the multiset (the empty one gives 1)."""
-    if len(seq) > DEFAULT_ARRANGE_CAP:
-        raise BudgetExceededError(
-            f"arrangement search capped at {DEFAULT_ARRANGE_CAP} terms")
-    ms = tuple(sorted(seq.terms))
-    return _UnorderedChecker(seq.group).arrangement_products(ms) & 1 == 1
-
-
-def has_proper_ordered_product_one(seq: Sequence) -> bool:
-    """Any proper nonempty index-increasing subsequence with product 1?"""
-    length = len(seq)
-    if length > DEFAULT_ARRANGE_CAP:
-        raise BudgetExceededError(f"subsequence scan capped at {DEFAULT_ARRANGE_CAP}")
-    full = (1 << length) - 1
-    return any(p == 0 and m != full
-               for m, p in _subsequence_products(seq.group.table, seq.terms))
-
-
-def is_minimal_product_one(seq: Sequence) -> bool:
-    """Product-one with no proper nonempty ordered product-one subsequence."""
-    return is_product_one(seq) and not has_proper_ordered_product_one(seq)
-
-
 # --- unordered Davenport constant ----------------------------------------------
-
-def is_unordered_free(seq: Sequence) -> bool:
-    """No nonempty sub-multiset admits an arrangement with product 1."""
-    checker = _UnorderedChecker(seq.group)
-    ms = tuple(sorted(seq.terms))
-    return checker.multiset_free(ms)
-
-
-class _UnorderedChecker:
-    """Arrangement products of multisets, memoized over sub-multisets."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.right = _ColumnSteps(group)
-        self.arr: dict[tuple, int] = {(): 1}
-
-    def arrangement_products(self, ms: tuple[int, ...]) -> int:
-        """Bit mask of products over all arrangements of the full multiset."""
-        cached = self.arr.get(ms)
-        if cached is not None:
-            return cached
-        out = 0
-        prev = None
-        for i, g in enumerate(ms):
-            if g == prev:
-                continue
-            prev = g
-            out |= self.right[g](self.arrangement_products(ms[:i] + ms[i + 1:]))
-        self.arr[ms] = out
-        return out
-
-    def submultisets(self, ms: tuple[int, ...]):
-        """Every sub-multiset of ms, sorted, the empty one included."""
-        items = sorted(Counter(ms).items())
-        for ks in itertools.product(*(range(c + 1) for _, c in items)):
-            yield tuple(g for (g, _), k in zip(items, ks) for _ in range(k))
-
-    def multiset_free(self, ms: tuple[int, ...]) -> bool:
-        for sub in self.submultisets(ms):
-            if sub and self.arrangement_products(sub) & 1:
-                return False
-        return True
-
 
 def _submultiset_products(group: FiniteGroup):
     """reach(ms) -> the mask R(ms) of the products of all arrangements of all
@@ -794,29 +604,10 @@ def davenport_unordered(group: FiniteGroup,
 
 # --- E(G): product-one subsequences of length exactly |G| ------------------------
 
-def group_length_reach(group: FiniteGroup, terms) -> tuple[int, ...]:
-    """Per-length reach: position m holds products of ordered subsequences of
-    length exactly m+1, truncated at |G| (longer ones are never needed)."""
-    n = group.order
-    steps = _ColumnSteps(group)
-    state = [0] * n
-    for g in terms:
-        right = steps[g]
-        for m in range(n - 1, 0, -1):
-            state[m] |= right(state[m - 1])
-        state[0] |= 1 << g
-    return tuple(state)
-
-
-def has_group_length_product_one(seq: Sequence) -> bool:
-    """Some index-increasing subsequence of length exactly |G| multiplies to 1."""
-    return group_length_reach(seq.group, seq.terms)[seq.group.order - 1] & 1 == 1
-
-
 def _eg_children(group: FiniteGroup):
     """children(state) -> the live (g, next state) of the E search. Component
     m of a state, the products of the subsequences of length m+1
-    (group_length_reach), is an n-bit mask, and g is live while component
+    (checkers.group_length_reach), is an n-bit mask, and g is live while component
     n-1 of its next state lacks 1. Up to _BYTE_TABLE_MAX_ORDER bits (n <= 8)
     a state is one int, component m at bit m*n, and one lookup per byte of
     a lifted table (_byte_map) steps every letter at once into 64-bit slots:
@@ -896,34 +687,6 @@ def eg_lower_witness(ordered_witness: Sequence) -> Sequence:
 
 # --- weighted Davenport constant -------------------------------------------------
 
-def _weighted_rows(group: FiniteGroup, weights) -> list[list[int]]:
-    """Distinct powers g^a over the weight set, one list per element."""
-    return [sorted({group.pow(g, a) for a in weights}) for g in group.elements()]
-
-
-def _validate_weights(group: FiniteGroup, weights) -> tuple[int, ...]:
-    A = tuple(sorted(set(weights)))
-    n = group.exponent()
-    if not A or any(a < 1 or a > n - 1 for a in A):
-        raise InvalidWeightsError(
-            f"weights must be a nonempty subset of [1, exp(G)-1] = [1, {n-1}], got {A}")
-    return A
-
-
-def _weighted_extend(group: FiniteGroup, A: tuple[int, ...]):
-    """The reach-mask step extend(S, g) = S | B_g | M_g(S), None on product
-    one: B_g is the mask of the distinct powers g^a over a in A, and M_g is
-    the union of the S*g^a, by the column steps (_column_maps)."""
-    maps = _column_maps(group, A)
-    power_masks = [sum(1 << h for h in hs) for hs in _weighted_rows(group, A)]
-
-    def extend(mask: int, g: int) -> int | None:
-        new = mask | power_masks[g] | maps[g](mask)
-        return None if new & 1 else new
-
-    return extend
-
-
 def _weighted_children(group: FiniteGroup, A: tuple[int, ...], clock: _Clock):
     """children(S) -> the live (g, extend(S, g)): up to the cutoff, slot g
     of S*REP | step(S | {1}) (_packed_step) in slots of w = 8, 16, 32 or
@@ -970,24 +733,6 @@ def davenport_weighted(group: FiniteGroup, weights,
     """Exact D_A(G): the reach extension also ranges over the weight powers,
     S -> S | {s * g^a} | {g^a}. D(G) is the case A = {1}."""
     return _weighted_search(group, _validate_weights(group, weights), budget)
-
-
-def is_weighted_free(seq: Sequence, weights) -> bool:
-    """No index-increasing subsequence with per-term weight choices hits 1."""
-    group = seq.group
-    A = _validate_weights(group, weights)
-    extend = _weighted_extend(group, A)
-    mask = 0
-    for g in seq.terms:
-        mask = extend(mask, g)
-        if mask is None:
-            return False
-    return True
-
-
-def davenport_weighted_naive(group: FiniteGroup, weights) -> int:
-    """Brute-force D_A(G) by the naive oracle (_naive)."""
-    return _naive(group, _validate_weights(group, weights))
 
 
 def min_weight_set(group: FiniteGroup, k: int) -> int | None:

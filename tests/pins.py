@@ -5,8 +5,9 @@ Each row of PINS runs once as `timeout SECONDS davlab ARGV` in a fresh child
 exits with one of the row's codes, its JSON document holds the row's fields,
 check(doc, stderr) holds and the child's own peak RSS (os.wait4) is at most
 the row's MB. After the last row every JSON document is validated against
-schema.json; davlab and jsonschema are imported only then, as a child's peak
-starts at the image of this process. Exits 1 if anything fails.
+schema.json; davlab, from this checkout's src, and jsonschema are imported
+only then, as a child's peak starts at the image of this process. Exits 1 if
+anything fails.
 """
 
 import collections
@@ -101,7 +102,9 @@ def run(pin):
 
 def main():
     results = [(pin.argv, *run(pin)) for pin in PINS]
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    # this checkout's davlab, as conftest.run_python gives its children, and conftest
+    sys.path[:0] = [tests, os.path.join(os.path.dirname(tests), "src")]
     from conftest import schema_errors  # imports davlab and jsonschema
     failures = [argv for argv, wrong, _ in results if wrong]
     for argv, _, doc in results:

@@ -12,11 +12,12 @@ from davlab import (SearchBudget, build, congruence_oracle, congruence_system,
                     davenport_weighted, discriminant_check, eg_invariant,
                     has_group_length_product_one, is_ordered_free, is_prime,
                     jennings_data, loewy_formula, loewy_length,
-                    mseries_closed_form_check, olson_white_bound, parse_descriptor,
+                    mseries_closed_form_check, parse_descriptor,
                     power_generators_check, witness_for_theorem)
 from conftest import schema_errors
 from davlab.cli import _grid, main
 from davlab.jennings import quotient_elementary_abelian_report
+from davlab.theory import olson_white
 
 
 def _pass(n: int, message: str) -> None:
@@ -39,7 +40,7 @@ def test_criterion_1_theorem1_exact():
         result = davenport_ordered(G)
         elapsed = time.perf_counter() - t0
         assert result.exact, text
-        assert result.value == expected == olson_white_bound(G), text
+        assert result.value == expected == olson_white(G.order), text
         assert elapsed < 10.0, f"{text} took {elapsed:.1f}s"
     _pass(1, "D(Q_8)=5, D(Q_12)=7, D(SD_16)=9, each = ceil((|G|+1)/2)")
 

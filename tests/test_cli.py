@@ -868,6 +868,44 @@ def test_sequence_and_its_check_load_without_the_engine():
     assert done.returncode == 0, done.stderr
 
 
+_CHECKERS_PROBE = """
+import sys
+from davlab import checkers
+from davlab.descriptors import parse_descriptor
+from davlab.groups import build
+from davlab.sequences import Sequence
+G = build(parse_descriptor("q[8]"))
+x, y = G.generators["x"], G.generators["y"]
+terms = (y, y, y, x)
+free, closed = Sequence(G, terms), Sequence(G, terms + (G.inv(G.product(terms)),))
+print(checkers.is_weighted_free(free, (1,)), checkers.is_unordered_free(free),
+      checkers.is_product_one(closed), checkers.has_proper_ordered_product_one(closed),
+      checkers.has_group_length_product_one(free), checkers.group_length_reach(G, free.terms)[0],
+      checkers.davenport_ordered_naive(G), checkers.davenport_weighted_naive(G, (1, 3)),
+      *(name in sys.modules for name in ("davlab.zerosum", "davlab.subgroups")))
+"""
+
+
+def test_the_checkers_load_without_the_engine():
+    """Each checker and naive oracle of checkers runs on q[8] with neither
+    the search engine nor subgroups imported."""
+    done = run_python("-c", _CHECKERS_PROBE)
+    assert done.returncode == 0, done.stderr
+    # y^3 x is free both ways, and closing it gives a minimal product-one
+    # sequence; its letters are y = 1 and x = 4, the mask 18 of its 1-term products
+    assert done.stdout.split() == ["True", "True", "True", "False", "False", "18", "5", "4",
+                                   "False", "False"]
+
+
+def test_every_zerosum_name_davbench_calls_is_a_name_of_zerosum():
+    """davbench's worker checks witnesses through zerosum.<name>, also for
+    the checkers that zerosum only imports."""
+    worker = (Path(__file__).resolve().parents[1] / "davbench" / "worker.py").read_text()
+    names = set(re.findall(r"\bzerosum\.(\w+)", worker))
+    assert {"is_unordered_free", "is_weighted_free", "has_group_length_product_one"} <= names
+    assert [name for name in sorted(names) if not hasattr(zerosum, name)] == []
+
+
 # davbench's trace mode in this interpreter: wraps davlab's functions where
 # davlab looks them up, runs `davlab <argv[2:]>` and prints the number of
 # spans of each name as the last line of stderr. argv[1] is davbench's folder.

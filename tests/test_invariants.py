@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from davlab import (Sequence, build, davenport_ordered, davenport_unordered,
-                    is_product_one, loewy_length, olson_white_bound, parse_descriptor,
+                    is_product_one, loewy_length, parse_descriptor,
                     validate_descriptor)
 from davlab.errors import BudgetExceededError, DavlabError
 from davlab.numtheory import prime_power
+from davlab.theory import olson_white
 from davlab.zerosum import SearchBudget
 
 P_GROUPS = ["c[2]", "c[4]", "c[8]", "c[9]", "ab[2,2]", "ab[3,3]",
@@ -28,7 +29,7 @@ def test_davenport_at_most_loewy(text, grp):
                                   "q[12]", "d[16]", "sd[16]", "m2[16]"])
 def test_davenport_at_most_olson_white(text, grp):
     G = grp(text)
-    assert davenport_ordered(G).value <= olson_white_bound(G), text
+    assert davenport_ordered(G).value <= olson_white(G.order), text
 
 
 @pytest.mark.parametrize("text", P_GROUPS + ["c[5]", "c[7]", "d[6]", "q[12]"])

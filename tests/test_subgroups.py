@@ -371,7 +371,7 @@ def test_ordered_freeness_equals_the_reach_list_walk(text):
 
 @pytest.mark.parametrize("text", KERNEL_GRID)
 def test_column_steps_read_the_table_columns(text):
-    from davlab.zerosum import _ColumnSteps
+    from davlab.checkers import _ColumnSteps
     G = _kernel_group(text)
     steps = _ColumnSteps(G)
     rng = random.Random(text)

@@ -12,18 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from davlab import (SearchBudget, Sequence, build, davenport_ordered,
+from davlab import (SearchBudget, Sequence, build, checkers, davenport_ordered,
                     davenport_ordered_naive, davenport_unordered, davenport_weighted,
                     davenport_weighted_naive, eg_invariant, eg_lower_witness,
-                    has_group_length_product_one, is_minimal_product_one,
-                    is_ordered_free, is_product_one, is_unordered_free,
-                    is_weighted_free, min_weight_set, olson_white_bound,
-                    make_descriptor, parse_descriptor, reach_extend, validate_descriptor,
-                    witness_for_theorem, zerosum)
+                    has_group_length_product_one, is_ordered_free, is_product_one,
+                    is_unordered_free, is_weighted_free, min_weight_set, make_descriptor,
+                    parse_descriptor, validate_descriptor, witness_for_theorem, zerosum)
+from davlab.checkers import has_proper_ordered_product_one
 from davlab.errors import DavlabError, GroupTooLargeError, InvalidWeightsError
 from davlab.groups import FiniteGroup
 from davlab.subgroups import automorphisms
-from davlab.zerosum import ReachState
+from davlab.theory import olson_white
 
 
 def subsequence_products(G, terms):
@@ -35,41 +34,18 @@ def subsequence_products(G, terms):
     return out
 
 
-def test_reach_extend_from_empty(grp):
-    G = grp("q[8]")
-    s = ReachState(G)
-    y = G.generators["y"]
-    assert reach_extend(s, y).products() == {y}
-
-
-def test_reach_extend_two_steps(grp):
-    G = grp("c[5]")
-    g = G.generators["g"]
-    g2 = G.pow(g, 2)
-    state = reach_extend(reach_extend(ReachState(G), g), g2)
-    # {a} + b -> {a, ab, b}
-    assert state.products() == {g, G.mul(g, g2), g2}
-
-
 def test_reach_matches_direct_enumeration_q8(grp):
     G = grp("q[8]")
     x, y = G.generators["x"], G.generators["y"]
     terms = [y, y, y, x]
-    state = ReachState(G)
-    for t in terms:
-        state = reach_extend(state, t)
+    extend = checkers._weighted_extend(G, (1,))
+    mask = 0
+    for i, t in enumerate(terms):
+        mask = extend(mask, t)
+        assert {h for h in range(G.order) if mask >> h & 1} == \
+            subsequence_products(G, terms[:i + 1])
     expected = subsequence_products(G, terms)
-    assert state.products() == expected
     assert len(expected) == 7 and 0 not in expected
-
-
-def test_reach_monotone(grp):
-    G = grp("d[8]")
-    state = ReachState(G)
-    for g in (1, 3, 2, 5):
-        nxt = reach_extend(state, g)
-        assert state.mask & ~nxt.mask == 0
-        state = nxt
 
 
 def test_is_ordered_free_witnesses(grp):
@@ -263,6 +239,7 @@ def test_group_too_large_without_budget(grp, monkeypatch):
 
     for name in ("_ColumnSteps", "_packed_step", "automorphisms"):
         monkeypatch.setattr(zerosum, name, no_tables)
+    monkeypatch.setattr(checkers, "_ColumnSteps", no_tables)  # the lazy D_A step's
     with pytest.raises(GroupTooLargeError):
         davenport_ordered(grp("g1[3,2,1,1]"))  # order 81 > default cap 64
     with pytest.raises(GroupTooLargeError):
@@ -362,7 +339,7 @@ def test_packed_step_matches_bit_loop(text, data):
     A, masks = _weights_and_masks(G, data)
     n = G.order
     width = n * data.draw(st.integers(1, 2))
-    columns = zerosum._column_maps(G, A)
+    columns = checkers._column_maps(G, A)
     step = _packed_step(text, A, width) if n <= zerosum._BYTE_TABLE_MAX_ORDER else None
     for mask in masks:
         expected = [functools.reduce(operator.or_, (_literal_step(G, mask, G.pow(g, a))
@@ -384,7 +361,7 @@ def test_weighted_children_match_the_column_step(text, data):
     G = _map_group(text)
     A, masks = _weights_and_masks(G, data)
     children = zerosum._weighted_children(G, A, zerosum._Clock(SearchBudget()))
-    extend = zerosum._weighted_extend(G, A)
+    extend = checkers._weighted_extend(G, A)
     for mask in masks + (0,):
         expected = [(g, extend(mask, g)) for g in range(1, G.order)]
         assert list(children(mask)) == [c for c in expected if c[1] is not None], \
@@ -412,7 +389,7 @@ def test_packed_eg_state_is_the_group_length_reach(text, data):
     state = (0,) * n if wide else 0
     for i, g in enumerate(terms):
         live = dict(children(state))
-        reach = zerosum.group_length_reach(G, terms[:i + 1])
+        reach = checkers.group_length_reach(G, terms[:i + 1])
         assert (g in live) == (reach[n - 1] & 1 == 0), (text, terms[:i + 1])
         if g not in live:
             break
@@ -426,17 +403,9 @@ def test_checkers_stay_small_on_a_large_group(grp):
     group of order 2048 a 3-term check builds no n^2 structure."""
     G = grp("m2[2048]")
     seq = Sequence(G, (1, 2, 3))
-
-    def extended():
-        state = ReachState(G)
-        for g in seq.terms:
-            state = reach_extend(state, g)
-        return state
-
     checks = {"is_weighted_free": lambda: is_weighted_free(seq, (1, 3)),
               "is_unordered_free": lambda: is_unordered_free(seq),
-              "has_group_length_product_one": lambda: has_group_length_product_one(seq),
-              "reach_extend": extended}
+              "has_group_length_product_one": lambda: has_group_length_product_one(seq)}
     answers = {}
     for name, check in checks.items():
         tracemalloc.start()
@@ -448,19 +417,16 @@ def test_checkers_stay_small_on_a_large_group(grp):
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20 and seconds < 0.5, (name, peak, seconds)
-    assert answers["reach_extend"].products() == subsequence_products(G, seq.terms)
     assert not answers["has_group_length_product_one"]
     free = is_ordered_free(seq)
     assert is_weighted_free(seq, (1,)) == free
     assert answers["is_weighted_free"] <= free and answers["is_unordered_free"] <= free
 
 
-def test_olson_white(grp):
-    assert olson_white_bound(grp("sd[16]")) == 9
-    assert olson_white_bound(grp("q[12]")) == 7
-    assert olson_white_bound(grp("d[6]")) == 4
-    with pytest.raises(DavlabError):
-        olson_white_bound(grp("c[4]"))
+def test_olson_white():
+    assert olson_white(16) == 9  # sd[16]
+    assert olson_white(12) == 7  # q[12]
+    assert olson_white(6) == 4  # d[6]
 
 
 NAIVE_GRID = ["c[1]", "c[2]", "c[3]", "c[4]", "c[5]", "c[6]", "c[7]", "c[8]",
@@ -488,7 +454,8 @@ def test_product_one_pair(grp):
     G = grp("d[8]")
     y = G.generators["y"]
     assert is_product_one(Sequence(G, (y, G.inv(y))))
-    assert is_minimal_product_one(Sequence(G, (y, G.inv(y))))
+    pair = Sequence(G, (y, G.inv(y)))
+    assert is_product_one(pair) and not has_proper_ordered_product_one(pair)
 
 
 def test_product_one_needs_arrangement(grp):
@@ -511,7 +478,7 @@ def test_minimal_rejects_inner_product_one(grp):
     # (g^2)^4 closes to 1 but so does the proper prefix (g^2)^2
     seq = Sequence(G, (h, h, h, h))
     assert is_product_one(seq)
-    assert not is_minimal_product_one(seq)
+    assert not (is_product_one(seq) and not has_proper_ordered_product_one(seq))
 
 
 def _product_one_by_memo_walk(seq) -> bool:
@@ -557,7 +524,7 @@ def test_witness_plus_inverse_is_minimal_product_one(text, grp):
     closing = G.inv(G.product(witness.terms))
     closed = Sequence(G, witness.terms + (closing,))
     assert len(closed) == davenport_ordered(G).value
-    assert is_minimal_product_one(closed)
+    assert is_product_one(closed) and not has_proper_ordered_product_one(closed)
     rng = random.Random(text)
     if G.order <= 8:
         samples = [list(ms) for k in range(7)
@@ -569,7 +536,7 @@ def test_witness_plus_inverse_is_minimal_product_one(text, grp):
     for terms in samples:
         seq = Sequence(G, tuple(terms))
         assert is_product_one(seq) == _product_one_by_memo_walk(seq), terms
-        assert (zerosum.has_proper_ordered_product_one(seq)
+        assert (has_proper_ordered_product_one(seq)
                 == _proper_product_one_by_subset_loop(seq)), terms
 
 
@@ -948,7 +915,7 @@ def reference_unordered(G):
     where ms + g is free when no sub-multiset of ms has an arrangement with
     g of product 1. Returns the value, the witness and the multisets
     visited."""
-    checker = zerosum._UnorderedChecker(G)
+    checker = checkers._UnorderedChecker(G)
     best = []
     nodes = 0
 
@@ -1045,7 +1012,7 @@ def test_extension_step_matches_the_verifier(text, data):
 
 def _reference_right_maps(G):
     if G.order > zerosum._BYTE_TABLE_MAX_ORDER:
-        return zerosum._ColumnSteps(G)
+        return checkers._ColumnSteps(G)
     return [zerosum._byte_map(zerosum._byte_tables([1 << y for y in col]))
             for col in G.array.T.tolist()]
 
@@ -1094,7 +1061,7 @@ def reference_ordered_naive(G):
             best = len(seq)
         for g in range(G.order):
             seq.append(g)
-            if all(p != 0 for _, p in zerosum._subsequence_products(table, seq)):
+            if all(p != 0 for _, p in checkers._subsequence_products(table, seq)):
                 walk(seq)
             seq.pop()
 
@@ -1168,7 +1135,7 @@ def test_path_stabilizer_fixes_the_state_and_pairs_the_children(text, data):
     # terms from at most three letters, so that maps often fix them all
     pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
     terms = data.draw(st.lists(st.sampled_from(pool), max_size=n))
-    extend = zerosum._weighted_extend(G, (1,))
+    extend = checkers._weighted_extend(G, (1,))
     prefix, mask = [], 0
     for g in terms:
         if (nxt := extend(mask, g)) is None:
@@ -1192,7 +1159,7 @@ def test_path_stabilizer_fixes_the_state_and_pairs_the_children(text, data):
     assert sorted(letters) == sorted([G.mul(phi[x], z) for x in range(n)]
                                      for z in center for phi in auts)
     eg_key = zerosum._tuple_key(G, center)
-    state = zerosum.group_length_reach(G, terms)
+    state = checkers.group_length_reach(G, terms)
     for act in letters:
         if any(act[g] != g for g in terms):
             continue
@@ -1200,8 +1167,8 @@ def test_path_stabilizer_fixes_the_state_and_pairs_the_children(text, data):
         phi = next(phi for phi in auts if [G.mul(y, z) for y in phi] == act)
         assert _eg_image(G, state, phi, z) == state
         for h in range(n):
-            assert eg_key(zerosum.group_length_reach(G, terms + [h])) == \
-                eg_key(zerosum.group_length_reach(G, terms + [act[h]])), (text, terms, h)
+            assert eg_key(checkers.group_length_reach(G, terms + [h])) == \
+                eg_key(checkers.group_length_reach(G, terms + [act[h]])), (text, terms, h)
 
 
 # --- Engine equivalence ------------------------------------------------------
