@@ -17,11 +17,9 @@ from .version import __version__
 _EXPORTS = {
     "descriptors": ("GroupDescriptor", "make_descriptor", "parse_descriptor",
                     "validate_descriptor"),
-    "groups": ("FiniteGroup", "build", "build_from_string", "group_info",
-               "verify_presentation"),
+    "groups": ("FiniteGroup", "build", "group_info", "verify_presentation"),
     "subgroups": ("Subgroup", "subgroup_closure", "commutator_subgroup", "power_subgroup",
-                  "product_subgroup", "quotient_order", "is_normal", "nilpotency_class",
-                  "trivial_subgroup", "whole_subgroup"),
+                  "product_subgroup", "is_normal", "nilpotency_class", "whole_subgroup"),
     "jennings": ("JenningsData", "jennings_data", "jennings_exponents", "loewy_length",
                  "loewy_polynomial", "m_series", "mseries_closed_form_check",
                  "power_generators_check"),
@@ -32,7 +30,7 @@ _EXPORTS = {
     "zerosum": ("SearchBudget", "SearchResult", "davenport_ordered", "davenport_unordered",
                 "davenport_weighted", "eg_invariant", "eg_lower_witness", "min_weight_set"),
     "numtheory": ("half_exponent", "is_prime", "least_qnr", "legendre_symbol"),
-    "theory": ("constructions", "expected_davenport", "loewy_formula", "witness_plan"),
+    "theory": ("constructions", "loewy_formula", "witness_plan"),
     "witnesses": ("CongruenceSystem", "WitnessSpec", "congruence_oracle",
                   "congruence_system", "discriminant_check", "witness_for_theorem"),
     "cache": ("ResultRecord", "cache_get", "cache_path", "cache_put"),

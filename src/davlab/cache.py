@@ -116,6 +116,15 @@ def cache_path(explicit: str | os.PathLike | None = None) -> Path:
     return Path(env) if env else Path(DEFAULT_CACHE_FILE)
 
 
+def check_writable(path: Path) -> None:
+    """Raise cache_put's error now, before any work, if path cannot be
+    appended to; a missing file is created empty."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise CacheFileError(f"cache file {path} is not writable: {exc}") from exc
+
+
 def cache_put(path: Path, record: ResultRecord) -> None:
     """Append one record as a single JSON line."""
     try:

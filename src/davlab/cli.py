@@ -36,14 +36,15 @@ import sys
 import time
 
 from .cache import (VARIANT_INVARIANT, ResultRecord, cache_path, cache_put, cache_records,
-                    record_key, search_record)
+                    check_writable, record_key, search_record)
 # no code here calls cache_get: it stays a name of this module because
 # davbench's trace mode wraps cli.cache_get and cli.cache_put
 from .cache import cache_get  # noqa: F401
-from .descriptors import GRAMMAR_HINT, GroupDescriptor, make_descriptor, validate_descriptor
+from .descriptors import (_PARAM_NAMES, GRAMMAR_HINT, GroupDescriptor, make_descriptor,
+                          validate_descriptor)
 from .errors import DavlabError, DescriptorError
 from .numtheory import is_prime, prime_power
-from .theory import DEFAULT_ORDERED_CAP, ORDER_CAP, olson_white, witness_plan
+from .theory import COVERAGE, DEFAULT_ORDERED_CAP, ORDER_CAP, olson_white, witness_plan
 from .version import __version__
 
 
@@ -124,7 +125,8 @@ def _range_ok(desc: GroupDescriptor, ranges) -> bool:
 
 
 def _grid(families: list[str], primes: list[int], max_order: int, ranges):
-    """All valid descriptors of the requested families up to max_order."""
+    """All valid descriptors of the requested families up to max_order that
+    meet the ranges, each of which some requested family must carry."""
     out: list[GroupDescriptor] = []
     for family in families:
         if family in ("d", "q", "sd", "m2"):
@@ -142,6 +144,11 @@ def _grid(families: list[str], primes: list[int], max_order: int, ranges):
                 out.extend(_p_family_descs(family, p, max_order))
         else:
             raise DescriptorError(f"scan does not cover family {family!r}")
+    for name, op, value in ranges:
+        if all(name not in _PARAM_NAMES[f] for f in families):
+            carried = "; ".join(f"{f}: {', '.join(_PARAM_NAMES[f])}" for f in families)
+            raise DescriptorError(f"param range {name}{op}{value} names no parameter of "
+                                  f"the requested families ({carried})")
     grid = []
     for desc in out:
         try:
@@ -287,6 +294,8 @@ def _cmd_scan(args) -> int:
     known = [{r.invariant: r for r in map(found.get, ks) if r is not None} for ks in keys]
     missing = [[inv for inv in needed if inv not in have]
                for needed, have in zip(needs, known)]
+    if any(missing) and not args.no_cache:
+        check_writable(path)  # before the first row is computed, not after it
     budget = None
     if any("D" in need for need in missing):
         from . import zerosum  # the search engine, which only a row with D loads
@@ -392,7 +401,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if p := add("witness", "extremal product-one-free constructions"):
         p.add_argument("descriptor")
-        p.add_argument("--theorem", type=int, choices=(1, 6, 7), required=True,
+        p.add_argument("--theorem", type=int, choices=tuple(COVERAGE), required=True,
                        help="construction family: 1 dicyclic/semidihedral, "
                             "6 odd-prime class two, 7 order 2^r")
         p.add_argument("--verify", action="store_true",

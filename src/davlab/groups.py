@@ -40,6 +40,12 @@ from .report import Report
 from .theory import ORDER_CAP
 
 
+@functools.cache
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    """The primes dividing n, found once per order, not once per element."""
+    return tuple(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))
+
+
 class FiniteGroup:
     """A finite group as a complete multiplication table on 0..order-1.
 
@@ -61,9 +67,9 @@ class FiniteGroup:
     entry is known to lie in 0..n-1, and InternalConsistencyError is raised
     otherwise, or when a row holds no 0 (no right inverse). A C-contiguous
     int16 array is kept without a copy and made read-only. The named
-    ``generators`` generate the whole group (``build`` checks this); centers,
-    abelianness and whole-group subgroups rely on it. A group made with no
-    named generators counts as generated by all of its elements.
+    ``generators`` generate the whole group (``build`` checks this); centers
+    and whole-group subgroups rely on it. A group made with no named
+    generators counts as generated by all of its elements.
     """
 
     __slots__ = ("name", "order", "array", "table", "inverse", "labels",
@@ -116,14 +122,14 @@ class FiniteGroup:
             x = self.inverse[x]
             k = -k
         result = 0
-        base = x
         table = self.table
-        while k:
+        while k > 1:
             if k & 1:
-                result = table[result][base]
-            base = table[base][base]
+                result = table[result][x]
+            x = table[x][x]
             k >>= 1
-        return result
+        # the top bit multiplies without squaring past it
+        return table[result][x] if k else result
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y (left-normed convention)."""
@@ -139,65 +145,34 @@ class FiniteGroup:
         return result
 
     def element_order(self, x: int) -> int:
-        k = 1
-        y = x
-        while y != 0:
-            y = self.table[y][x]
-            k += 1
-        return k
+        """The least divisor d of |G| with x^d = 1: starting from d = |G|,
+        each prime p of |G| is divided out of d while x^(d/p) = 1, one power
+        by squaring per test."""
+        d = self.order
+        power = self.pow
+        for p in _prime_divisors(d):
+            while d % p == 0 and power(x, d // p) == 0:
+                d //= p
+        return d
 
     def element_orders(self) -> list[int]:
-        """The order of every element, by index; do not mutate the list.
-
-        The order of x is the least divisor d of |G| with x^d = 1: starting
-        from d = |G|, each prime p of |G| is divided out of d while
-        x^(d/p) = 1, one power by squaring per test.
-        """
+        """The order of every element, by index; do not mutate the list."""
         if self._orders is None:
-            n = self.order
-            primes = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
-            orders = []
-            for x in range(n):
-                d = n
-                for p in primes:
-                    while d % p == 0 and self.pow(x, d // p) == 0:
-                        d //= p
-                orders.append(d)
-            self._orders = orders
+            self._orders = list(map(self.element_order, range(self.order)))
         return self._orders
 
     def exponent(self) -> int:
         return math.lcm(*self.element_orders())
 
-    def max_element_order(self) -> int:
-        return max(self.element_orders())
-
-    def is_cyclic(self) -> bool:
-        # exponent == order is not enough outside abelian groups (S_3 has
-        # exponent 6), so test for an element of full order.
-        return self.max_element_order() == self.order
-
     def generating_set(self) -> list[int]:
         """The named generators, or every element when none are named."""
         return list(self.generators.values()) or list(self.elements())
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        gens = self.generating_set()
-        return all(t[x][y] == t[y][x] for x in gens for y in gens)
 
     def center(self) -> list[int]:
         """Elements commuting with every generator, hence with every element."""
         t = self.table
         gens = self.generating_set()
         return [z for z in range(self.order) if all(t[z][g] == t[g][z] for g in gens)]
-
-    def word(self, spec: list[tuple[str, int]]) -> int:
-        """Evaluate a word in the named generators, e.g. [("a",-1),("b",1)]."""
-        result = 0
-        for name, exp in spec:
-            result = self.table[result][self.pow(self.generators[name], exp)]
-        return result
 
 
 class _WordLabels(abc.Sequence):
@@ -570,11 +545,6 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
         raise InternalConsistencyError(
             f"{desc}: presentation check failed: {report.failures()}")
     return group
-
-
-def build_from_string(text: str) -> FiniteGroup:
-    from .descriptors import parse_descriptor
-    return build(parse_descriptor(text))
 
 
 # --- presentation verification -----------------------------------------------

@@ -19,8 +19,8 @@ import json
 import math
 import time
 
-from .cache import (VARIANT_INVARIANT, cache_get, cache_path, cache_put, compact_labels,
-                    search_record)
+from .cache import (VARIANT_INVARIANT, cache_get, cache_path, cache_put, check_writable,
+                    compact_labels, search_record)
 from .descriptors import GroupDescriptor, parse_descriptor
 from .errors import DescriptorError
 from .theory import loewy_formula
@@ -118,6 +118,8 @@ def davenport(args) -> int:
     record = None if args.no_cache else cache_get(path, canonical, invariant, weights)
     fresh = record is None
     if fresh:
+        if not args.no_cache:
+            check_writable(path)  # before the search, not after it
         imported = time.perf_counter()
         from . import groups, zerosum
         t0 += time.perf_counter() - imported  # a first import, numpy's, is not search time
@@ -169,7 +171,7 @@ def witness(args) -> int:
     lower = spec.length + 1 if free is not False else 1
     lines = [
         f"construction: {args.theorem} ({spec.case_tag})",
-        f"witness: {spec.describe(group)}",
+        f"witness: {seq.compact()}",
         f"length: {spec.length}",
     ]
     if args.verify:
@@ -194,7 +196,7 @@ def oracle(args) -> int:
     t0 = time.perf_counter()
     system = witnesses.congruence_system(desc)
     verdict = witnesses.congruence_oracle(system)
-    disc = witnesses.discriminant_check(system.prime, system.case_tag)
+    disc = witnesses.discriminant_check(system.prime, system.case_tag.split("_")[1])
     elapsed_ms = _ms(t0)
     tuples = math.prod(system.ranges)
     _emit(args, desc, "oracle_check", verdict, True, elapsed_ms, [

@@ -46,13 +46,6 @@ class Subgroup:
         self.mask = mask
         self._gens = gens
 
-    @classmethod
-    def from_elements(cls, group: FiniteGroup, elements) -> "Subgroup":
-        mask = 0
-        for x in elements:
-            mask |= 1 << x
-        return cls(group, mask)
-
     @property
     def gens(self) -> list[int]:
         """Elements generating the subgroup; do not mutate the list."""
@@ -124,10 +117,6 @@ def _grow(group: FiniteGroup, mask: int, gens: list[int], candidates):
                         mask |= 1 << table[k][z]
                     reps.append(z)
     return mask, gens
-
-
-def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, 1, [])
 
 
 def whole_subgroup(group: FiniteGroup) -> Subgroup:
@@ -226,15 +215,6 @@ def _normalized_by(H: Subgroup, conjugators) -> bool:
 
 def is_normal(H: Subgroup) -> bool:
     return _normalized_by(H, H.group.generating_set())
-
-
-def quotient_order(H: Subgroup, K: Subgroup) -> int:
-    """|H| / |K| for K a normal subgroup of H; raises otherwise."""
-    if not K <= H:
-        raise DavlabError("quotient_order: K is not contained in H")
-    if not _normalized_by(K, H.gens):
-        raise DavlabError("quotient_order: K is not normal in H")
-    return len(H) // len(K)
 
 
 def lower_central_series(group: FiniteGroup) -> list[Subgroup]:

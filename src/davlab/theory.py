@@ -57,14 +57,6 @@ def olson_white(order: int) -> int:
     return (order + 2) // 2
 
 
-def expected_davenport(desc: GroupDescriptor) -> int:
-    """The proven D(G) value for the witness families: the Olson-White bound
-    for dicyclic/semidihedral, the closed-form Loewy length for the rest."""
-    if desc.family in ("q", "sd") and desc["order"] & (desc["order"] - 1) != 0:
-        return olson_white(desc["order"])
-    return loewy_formula(desc)
-
-
 def loewy_formula(desc: GroupDescriptor) -> int:
     """Closed-form Loewy length for the families that have one.
 

@@ -64,9 +64,6 @@ class WitnessSpec(NamedTuple):
             terms.extend([element] * self.multiplicities[name])
         return Sequence(group, tuple(terms))
 
-    def describe(self, group: FiniteGroup) -> str:
-        return self.sequence(group).compact()
-
     def block_labels(self, group: FiniteGroup) -> list[str]:
         """One 'label ^count' entry per block, e.g. ['y ^3', 'x ^1']."""
         return [f"{group.labels[el]} ^{self.multiplicities[name]}"
@@ -267,11 +264,11 @@ def _solution_count(system: CongruenceSystem) -> int:
 
 
 def discriminant_check(p: int, case: str) -> bool:
-    """Non-residue test for the quadratic form discriminant of each case:
-    -4 for the 3 mod 4 construction, -4q for the 1 mod 4 construction."""
-    if case in ("3mod4", "g1_3mod4", "g3_3mod4"):
+    """Non-residue test for the quadratic form discriminant of each case,
+    named by the residue class of p: -4 for "3mod4", -4q for "1mod4"."""
+    if case == "3mod4":
         disc = -4
-    elif case in ("1mod4", "g1_1mod4", "g3_1mod4"):
+    elif case == "1mod4":
         disc = -4 * least_qnr(p)
     else:
         raise DavlabError(f"unknown discriminant case {case!r}")

@@ -19,7 +19,7 @@ from davlab.cli import _grid, main, scan_row
 from davlab.descriptors import make_descriptor, validate_descriptor
 from davlab.errors import DavlabError, InternalConsistencyError
 from davlab.numtheory import prime_power
-from davlab.theory import expected_davenport, loewy_formula, olson_white, witness_plan
+from davlab.theory import loewy_formula, olson_white, witness_plan
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -963,12 +963,48 @@ def test_loewy_formula_leaves_out_numpy():
         _warm_free_modules_after("loewy", "q[16]", "--method", "direct"))
 
 
-def test_unwritable_cache_is_an_error_line(capsys, tmp_path):
+def _computing_fails(monkeypatch):
+    """Make every table build and scan row fail, so a command that gets as
+    far as computing anything raises."""
+    def refuse(*args):
+        raise AssertionError("computed before the cache path was checked")
+    monkeypatch.setattr(groups, "build", refuse)
+    monkeypatch.setattr(cli, "_row_records", refuse)
+
+
+def test_unwritable_cache_is_an_error_line(capsys, tmp_path, monkeypatch):
+    """Found before the first computation, so no work is thrown away."""
     cache = tmp_path / "missing-dir" / "c.jsonl"
-    assert main(["davenport", "q[8]", "--cache", str(cache)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cache file {cache} is not writable: ")
-    assert len(err.splitlines()) == 1
+    _computing_fails(monkeypatch)
+    for argv in (["davenport", "q[8]"], ["scan", "--families=q", "--max-order=8"]):
+        assert main([*argv, "--cache", str(cache)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cache file {cache} is not writable: ")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_commands_that_write_no_record_never_open_the_cache_for_writing(
+        capsys, tmp_path, monkeypatch):
+    """A cache hit, a fully warm scan and --no-cache open no file to write."""
+    cache = tmp_path / "c.jsonl"
+    for argv in (["davenport", "q[8]"], ["scan", "--families=q", "--max-order=8"]):
+        assert main([*argv, "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    opened = []
+    real_open = open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert main(["davenport", "q[8]", "--no-cache", "--cache", str(tmp_path / "no")]) == 0
+    assert opened == [] and not (tmp_path / "no").exists()
+    _computing_fails(monkeypatch)
+    for argv in (["davenport", "q[8]"], ["scan", "--families=q", "--max-order=8"]):
+        assert main([*argv, "--cache", str(cache)]) == 0, argv
+    assert opened and all(mode == "rb" for _, mode in opened), opened
 
 
 def test_unreadable_cache_is_an_error_line(capsys, tmp_path):
@@ -1051,6 +1087,30 @@ def test_scan_param_ranges(capsys, tmp_path):
     assert all("gamma" not in n or True for n in names)
     for row in doc["rows"]:
         assert row["status"] == "CONFIRMED"
+
+
+def test_a_param_range_no_requested_family_carries_is_a_usage_error(capsys):
+    code = main(["scan", "--families=g1", "--max-order=81", "--param-ranges=gamm=1",
+                 "--no-cache"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: param range gamm=1 names no parameter of the requested families "
+        "(g1: p, alpha, beta, gamma)"]
+    # a parameter of a family left out of the scan is no parameter of the scan
+    assert main(["scan", "--families=d,q", "--max-order=16", "--param-ranges=gamma=1",
+                 "--no-cache"]) == 2
+    assert "(d: order; q: order)" in capsys.readouterr().err
+
+
+def test_a_param_range_some_requested_family_carries_filters_only_that_family(capsys):
+    code, doc = run_json(capsys, "scan", "--families=d,g1", "--max-order=81",
+                         "--param-ranges=alpha<=1", "--json", "--no-cache")
+    assert code == 0
+    # g1[3,2,1,1] goes; the d rows, which carry no alpha, all stay
+    names = [r["descriptor"] for r in doc["rows"]]
+    assert names == ["d[8]", "d[16]", "d[32]", "d[64]", "g1[3,1,1,1]"]
 
 
 def test_scan_cache_round_trip_identical(capsys, tmp_path):
@@ -1260,10 +1320,16 @@ def test_nonpositive_budget_is_a_usage_error(flag, value, capsys):
 # an exact D before looking at the bounds.
 
 def _reference_claim(desc):
+    """The proven D(G) of a row a proven construction covers: Olson-White
+    for the dicyclic and semidihedral groups whose order is not a power of 2,
+    the closed-form Loewy length for the rest."""
     plan = witness_plan(desc)
     if plan is None or not plan[1]:
         return None
-    return expected_davenport(desc)
+    order = desc.theoretical_order()
+    if desc.family in ("q", "sd") and order & (order - 1):
+        return olson_white(order)
+    return loewy_formula(desc)
 
 
 def _reference_status(desc, is_p, lower, upper, exact_D):

@@ -17,6 +17,43 @@ def test_public_names_are_the_objects_of_their_defining_modules():
         assert getattr(module, name) is value, name
 
 
+# Public names that no other davlab module, no davbench file and not the
+# README refers to, each with the reason it stays public.
+KEPT_UNREFERENCED = {
+    "JenningsData": "the type jennings_data returns",
+    "jennings_exponents": "a step of the Jennings chain: the e_i of each M_i / M_{i+1}",
+    "loewy_polynomial": "a step of the Jennings chain: the coefficients loewy prints",
+    "mseries_closed_form_check": "a paper check: the M-series against its closed form",
+    "power_generators_check": "a paper check: G^(p^s) from the powers of the generators",
+    "davenport_ordered_naive": "the naive oracle of D",
+    "davenport_weighted_naive": "the naive oracle of D_A",
+    "is_product_one": "a checker: some arrangement of a whole sequence is 1",
+    "eg_lower_witness": "a computation: the E lower-bound witness from a D witness",
+    "min_weight_set": "a computation: the least weight set with D_A <= k",
+    "CongruenceSystem": "the type congruence_system returns",
+    "WitnessSpec": "the type witness_for_theorem returns",
+}
+
+
+def test_every_public_name_is_referenced_or_kept_for_a_reason():
+    """A name only tests call is a wrapper the library need not carry."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in (root / "src" / "davlab").glob("*.py")}
+    outside = "\n".join([(root / "README.md").read_text(encoding="utf-8"),
+                         *(path.read_text(encoding="utf-8")
+                           for path in (root / "davbench").glob("*.py"))])
+    unreferenced = set()
+    for name in set(davlab.__all__) - {"__version__"}:
+        word = re.compile(rf"\b{name}\b")
+        own = davlab._MODULE_OF[name]
+        if not (word.search(outside) or any(word.search(text) for module, text in modules.items()
+                                            if module not in (own, "__init__"))):
+            unreferenced.add(name)
+    assert sorted(unreferenced - set(KEPT_UNREFERENCED)) == []
+    assert set(KEPT_UNREFERENCED) <= set(davlab.__all__)
+
+
 def test_dir_lists_every_public_name():
     assert set(davlab.__all__) <= set(dir(davlab))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from davlab import (build, congruence_oracle, constructions, congruence_system, discriminant_check,
-                    expected_davenport, is_ordered_free, is_prime, loewy_formula,
+                    is_ordered_free, is_prime, loewy_formula,
                     parse_descriptor, witness_for_theorem, witness_plan)
 from davlab.descriptors import validate_descriptor
 from davlab.errors import BudgetExceededError, DavlabError
@@ -19,7 +19,7 @@ def labels_of(spec, G):
 
 
 def _describe_by_blocks(spec, G) -> str:
-    """WitnessSpec.describe as first written: one piece per block."""
+    """The run-length display of a witness as first written: one piece per block."""
     parts = []
     for name, el in spec.elements(G).items():
         count = spec.multiplicities[name]
@@ -37,7 +37,7 @@ def test_dicyclic_witnesses(grp):
         seq = spec.sequence(G)
         assert seq.terms == (G.generators["y"],) * (length - 1) + (G.generators["x"],)
         assert is_ordered_free(seq)
-        assert spec.length + 1 == expected_davenport(desc) == (G.order + 2) // 2
+        assert spec.length + 1 == (G.order + 2) // 2
 
 
 def test_semidihedral_witness(grp):
@@ -173,7 +173,7 @@ def test_witness_plan_names_what_witness_for_theorem_builds(text):
             continue
         accepted.append(theorem)
         G = build(desc)
-        assert spec.describe(G) == _describe_by_blocks(spec, G), (text, theorem)
+        assert spec.sequence(G).compact() == _describe_by_blocks(spec, G), (text, theorem)
     assert (plan is None) == (not accepted)
     if plan is not None:
         theorem, proven = plan
@@ -238,7 +238,7 @@ def test_witness_refuses_the_group_of_another_descriptor(grp):
     spec = witness_for_theorem(parse_descriptor("g1[3,1,1,1]"), 6)
     for other in ("q[8]", "g1[5,1,1,1]"):
         G = grp(other)
-        for method in (spec.sequence, spec.describe, spec.block_labels):
+        for method in (spec.sequence, spec.block_labels):
             with pytest.raises(DavlabError, match=rf"g1\[3,1,1,1\]: .*{re.escape(other)}"):
                 method(G)
 
@@ -441,6 +441,10 @@ def test_discriminant_check_examples():
     assert discriminant_check(7, "3mod4")
     assert not discriminant_check(5, "3mod4")
     assert discriminant_check(5, "1mod4")
+    # the case is named by the residue class of p alone, not by a case tag
+    for tag in ("g1_3mod4", "g3_1mod4"):
+        with pytest.raises(DavlabError, match="unknown discriminant case"):
+            discriminant_check(5, tag)
 
 
 def test_discriminant_check_all_primes_to_100():
