@@ -17,7 +17,7 @@ from .version import __version__
 _EXPORTS = {
     "descriptors": ("GroupDescriptor", "make_descriptor", "parse_descriptor",
                     "validate_descriptor"),
-    "groups": ("FiniteGroup", "build", "group_info", "verify_presentation"),
+    "groups": ("FiniteGroup", "build", "verify_presentation"),
     "subgroups": ("Subgroup", "subgroup_closure", "commutator_subgroup", "power_subgroup",
                   "product_subgroup", "is_normal", "nilpotency_class", "whole_subgroup"),
     "jennings": ("JenningsData", "jennings_data", "jennings_exponents", "loewy_length",

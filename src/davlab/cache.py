@@ -2,9 +2,9 @@
 
 One read loop, `cache_records`, serves every lookup. `cache_get` is its
 one-key case; `scan` asks for the keys of its whole grid at once, so it
-reads the file once per invocation. Search results (D, Dprime, E, DA) are
-served only from exact records of the current SEARCH_ALGO: an inexact one is
-a lower bound, never the answer.
+reads the file once per invocation. A record is served only under the
+current SEARCH_ALGO, and a search result (D, Dprime, E, DA) only when exact:
+an inexact one is a lower bound, never the answer.
 
 A lookup parses only the lines that can hold a wanted key. A line that
 begins with the head `cache_put` writes, `{"algo": <null|int>,
@@ -141,8 +141,8 @@ def _major(version: str) -> str:
 def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
     """Stream the file once and return, for each given key that has records
     of this tool's major version, the exact one if any, else the latest.
-    Search records that are inexact, or whose algo is not SEARCH_ALGO (a line
-    without the field predates it), are never served and are skipped.
+    Records of an algo other than SEARCH_ALGO (a line without the field
+    predates it) and inexact search records are never served, and are skipped.
 
     Only lines that can hold a wanted key are parsed: a line with the
     `cache_put` head (`_HEAD`) whose descriptor no wanted key names, and
@@ -185,8 +185,8 @@ def cache_records(path: Path, keys) -> dict[tuple, ResultRecord]:
                     raise TypeError("value, exact or witness of the wrong type")
                 if key not in wanted or _major(record.tool_version) != major:
                     continue
-                if record.invariant in _SEARCH_INVARIANTS and (
-                        record.algo != SEARCH_ALGO or not record.exact):
+                if record.algo != SEARCH_ALGO or (
+                        record.invariant in _SEARCH_INVARIANTS and not record.exact):
                     continue
             except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
                     AttributeError) as exc:

@@ -402,8 +402,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("witness", "extremal product-one-free constructions"):
         p.add_argument("descriptor")
         p.add_argument("--theorem", type=int, choices=tuple(COVERAGE), required=True,
-                       help="construction family: 1 dicyclic/semidihedral, "
-                            "6 odd-prime class two, 7 order 2^r")
+                       help="construction family: " + ", ".join(
+                           f"{t} {summary}" for t, (_, summary) in COVERAGE.items()))
         p.add_argument("--verify", action="store_true",
                        help="check freeness (and the congruence oracle where it applies)")
         p.add_argument("--unverified-explore", action="store_true",

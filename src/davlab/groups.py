@@ -36,7 +36,6 @@ import numpy as np
 from .descriptors import GroupDescriptor, validate_descriptor
 from .errors import GroupTooLargeError, InternalConsistencyError
 from .numtheory import is_prime, prime_power
-from .report import Report
 from .theory import ORDER_CAP
 
 
@@ -540,10 +539,9 @@ def build(desc: GroupDescriptor) -> FiniteGroup:
     if group.order != order:
         raise InternalConsistencyError(
             f"{desc}: built order {group.order} != expected {order}")
-    report = verify_presentation(group, desc)
-    if not report.ok:
-        raise InternalConsistencyError(
-            f"{desc}: presentation check failed: {report.failures()}")
+    failures = verify_presentation(group, desc)
+    if failures:
+        raise InternalConsistencyError(f"{desc}: presentation check failed: {failures}")
     return group
 
 
@@ -624,37 +622,8 @@ def _relations(group: FiniteGroup, desc: GroupDescriptor):
         yield (f"o(c) = {ps}", G.element_order(c), ps)
 
 
-def verify_presentation(group: FiniteGroup, desc: GroupDescriptor) -> Report:
-    """Check every displayed relation of the descriptor's presentation."""
-    report = Report(f"presentation of {desc.canonical()}")
-    for name, lhs, rhs in _relations(group, desc):
-        report.add(name, lhs == rhs, f"lhs={lhs} rhs={rhs}")
-    return report
-
-
-class GroupInfo(NamedTuple):
-    descriptor: str
-    order: int
-    exponent: int
-    center_size: int
-    commutator_size: int
-    nilpotency_class: int | None
-    generator_orders: dict[str, int]
-    prime: int | None
-
-
-def group_info(group: FiniteGroup) -> GroupInfo:
-    """Summary invariants used by the CLI info command."""
-    from .subgroups import commutator_subgroup, nilpotency_class, whole_subgroup
-    G = whole_subgroup(group)
-    gamma2 = commutator_subgroup(G, G)
-    return GroupInfo(
-        descriptor=group.name,
-        order=group.order,
-        exponent=group.exponent(),
-        center_size=len(group.center()),
-        commutator_size=len(gamma2),
-        nilpotency_class=nilpotency_class(group),
-        generator_orders={n: group.element_order(g) for n, g in group.generators.items()},
-        prime=group.prime,
-    )
+def verify_presentation(group: FiniteGroup, desc: GroupDescriptor) -> dict[str, str]:
+    """Check every displayed relation of the descriptor's presentation: the
+    failed ones, name -> detail, empty when every relation holds."""
+    return {name: f"lhs={lhs} rhs={rhs}"
+            for name, lhs, rhs in _relations(group, desc) if lhs != rhs}

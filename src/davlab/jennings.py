@@ -24,7 +24,6 @@ from .descriptors import GroupDescriptor
 from .errors import DavlabError, InternalConsistencyError, NotAPGroupError
 from .groups import FiniteGroup
 from .numtheory import prime_power
-from .report import Report
 from .subgroups import (Subgroup, _normalized_by, commutator_subgroup, power_set,
                         power_subgroup, product_subgroup, subgroup_closure,
                         whole_subgroup)
@@ -119,39 +118,42 @@ def jennings_data(group: FiniteGroup) -> JenningsData:
     return JenningsData(p, series, exps, loewy_polynomial(exps, p), _loewy_from(exps, p))
 
 
-def quotient_elementary_abelian_report(series: list[Subgroup]) -> Report:
+def quotient_elementary_abelian_report(series: list[Subgroup]) -> dict[str, str]:
     """Each M_i / M_{i+1} must be elementary abelian. With M_{i+1} inside
     M_i and normalized by the generators of M_i, the quotient is generated
     by the images of those generators, so it is elementary abelian exactly
     when their p-th powers and pairwise commutators land in M_{i+1}
-    (membership, no cosets). The group and its prime are the chain's."""
+    (membership, no cosets). The group and its prime are the chain's. Returns
+    the failed conditions, name -> "", so an empty dict when all hold."""
     group = series[0].group
     p = _prime(group)
-    report = Report(f"elementary abelian quotients of {group.name}")
+    failures = {}
     for i in range(len(series) - 1):
         upper, lower = series[i], series[i + 1]
         gens = upper.gens
-        report.add(f"M_{i+2} normal in M_{i+1}",
-                   lower <= upper and _normalized_by(lower, gens))
-        report.add(f"M_{i+1}^(p) <= M_{i+2}",
-                   all(group.pow(h, p) in lower for h in gens))
-        report.add(f"[M_{i+1}, M_{i+1}] <= M_{i+2}",
-                   all(group.commutator(h, k) in lower
-                       for j, h in enumerate(gens) for k in gens[j + 1:]))
-    return report
+        checks = {
+            f"M_{i+2} normal in M_{i+1}": lower <= upper and _normalized_by(lower, gens),
+            f"M_{i+1}^(p) <= M_{i+2}": all(group.pow(h, p) in lower for h in gens),
+            f"[M_{i+1}, M_{i+1}] <= M_{i+2}": all(
+                group.commutator(h, k) in lower
+                for j, h in enumerate(gens) for k in gens[j + 1:]),
+        }
+        failures.update((name, "") for name, ok in checks.items() if not ok)
+    return failures
 
 
 _CLASS_TWO_FAMILIES = ("g1", "g2", "g3")
 
 
-def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> Report:
+def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> dict[str, str]:
     """Compare the computed chain with the closed form for two-generator
     class-two p-groups:
 
         M_i = gamma2^(p^s) G^(p^s)      for 2 p^(s-1) + 1 <= i <= p^s,
         M_i = gamma2^(p^s) G^(p^(s+1))  for p^s + 1 <= i <= 2 p^s,
 
-    with M_1 = G and M_2 = gamma2 * G^(p).
+    with M_1 = G and M_2 = gamma2 * G^(p). Returns the terms that differ,
+    name -> detail (empty when all agree).
     """
     if desc.family not in _CLASS_TWO_FAMILIES:
         raise NotAPGroupError(
@@ -160,7 +162,7 @@ def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> Repo
     series = m_series(group)
     G = whole_subgroup(group)
     gamma2 = commutator_subgroup(G, G)
-    report = Report(f"M-series closed form for {desc.canonical()}")
+    failures = {}
     for i in range(1, len(series) + 1):
         computed = series[i - 1]
         if i == 1:
@@ -179,14 +181,15 @@ def mseries_closed_form_check(group: FiniteGroup, desc: GroupDescriptor) -> Repo
                                                  power_subgroup(G, p ** (s + 1)))
                     break
                 s += 1
-        report.add(f"M_{i}", predicted.mask == computed.mask,
-                   f"predicted size {len(predicted)}, computed {len(computed)}")
-    return report
+        if predicted.mask != computed.mask:
+            failures[f"M_{i}"] = f"predicted size {len(predicted)}, computed {len(computed)}"
+    return failures
 
 
-def power_generators_check(group: FiniteGroup, desc: GroupDescriptor) -> Report:
+def power_generators_check(group: FiniteGroup, desc: GroupDescriptor) -> dict[str, str]:
     """For G = <a, b> of class two: G^(p^s) = <a^(p^s), b^(p^s), [a,b]^(p^s)>,
-    and that subgroup must equal the raw set of p^s-th powers."""
+    and that subgroup must equal the raw set of p^s-th powers. Returns the
+    failed equalities, name -> detail (empty when all hold)."""
     if desc.family not in _CLASS_TWO_FAMILIES:
         raise NotAPGroupError(
             f"{desc}: power-generator form applies to g1..g3 only")
@@ -194,19 +197,20 @@ def power_generators_check(group: FiniteGroup, desc: GroupDescriptor) -> Report:
     G = whole_subgroup(group)
     a, b = group.generators["a"], group.generators["b"]
     c = group.commutator(a, b)
-    report = Report(f"power subgroup generators for {desc.canonical()}")
+    failures = {}
     s = 1
     while True:
         q = p ** s
         full = power_subgroup(G, q)
         gens = subgroup_closure(group, {group.pow(a, q), group.pow(b, q), group.pow(c, q)})
         raw = power_set(G, q)
-        report.add(f"G^({q}) = <a^{q}, b^{q}, [a,b]^{q}>", full.mask == gens.mask,
-                   f"sizes {len(full)} vs {len(gens)}")
-        report.add(f"G^({q}) equals the set of {q}-th powers",
-                   raw == set(full.elements()),
-                   f"set size {len(raw)} vs subgroup size {len(full)}")
+        if full.mask != gens.mask:
+            failures[f"G^({q}) = <a^{q}, b^{q}, [a,b]^{q}>"] = \
+                f"sizes {len(full)} vs {len(gens)}"
+        if raw != set(full.elements()):
+            failures[f"G^({q}) equals the set of {q}-th powers"] = \
+                f"set size {len(raw)} vs subgroup size {len(full)}"
         if full.is_trivial:
             break
         s += 1
-    return report
+    return failures

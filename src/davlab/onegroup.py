@@ -55,22 +55,26 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def info(args) -> int:
-    from . import groups
+    from . import groups, subgroups
     desc = parse_descriptor(args.descriptor)
     t0 = time.perf_counter()
-    summary = groups.group_info(groups.build(desc))
+    group = groups.build(desc)
+    G = subgroups.whole_subgroup(group)
+    exponent, center = group.exponent(), len(group.center())
+    commutator = len(subgroups.commutator_subgroup(G, G))
+    nil_class = subgroups.nilpotency_class(group)
+    orders = {name: group.element_order(g) for name, g in group.generators.items()}
     elapsed_ms = _ms(t0)
-    gens = " ".join(f"{k}={v}" for k, v in summary.generator_orders.items())
-    _emit(args, desc, "info", summary.order, True, elapsed_ms, [
-        f"order: {summary.order}",
-        f"exponent: {summary.exponent}",
-        f"center: {summary.center_size}",
-        f"commutator_subgroup: {summary.commutator_size}",
-        f"nilpotency_class: {summary.nilpotency_class}",
+    gens = " ".join(f"{k}={v}" for k, v in orders.items())
+    _emit(args, desc, "info", group.order, True, elapsed_ms, [
+        f"order: {group.order}",
+        f"exponent: {exponent}",
+        f"center: {center}",
+        f"commutator_subgroup: {commutator}",
+        f"nilpotency_class: {nil_class}",
         f"generator_orders: {gens}",
-    ], exponent=summary.exponent, center_size=summary.center_size,
-        commutator_size=summary.commutator_size, nilpotency_class=summary.nilpotency_class,
-        generator_orders=summary.generator_orders, prime=summary.prime)
+    ], exponent=exponent, center_size=center, commutator_size=commutator,
+        nilpotency_class=nil_class, generator_orders=orders, prime=group.prime)
     return 0
 
 
@@ -164,7 +168,7 @@ def witness(args) -> int:
     free = oracle = None
     if args.verify:
         free = sequences.is_ordered_free(seq)
-        if desc.family in ("g1", "g3") and in_scope:
+        if desc.family in witnesses._BLOCKS and in_scope:
             oracle = witnesses.congruence_oracle(witnesses.congruence_system(desc))
     elapsed_ms = _ms(t0)
     verified = bool(args.verify and free and (oracle is None or oracle == free))

@@ -1,5 +1,5 @@
 """Closed forms over descriptor parameters: size caps, which witness
-construction covers each descriptor, proven Davenport values and Loewy
+construction covers each descriptor, the Olson-White bound and Loewy
 lengths.
 
 Nothing here builds a table. Like descriptors, cache and numtheory, this
@@ -23,8 +23,11 @@ DEFAULT_ORDERED_CAP = 64
 # extremal; g2 is proven throughout.
 _PROVEN_SCOPE = {"g1": "gamma", "g3": "sigma"}
 
-# What each witness construction covers, as its refusals name it.
-COVERAGE = {1: "q and sd", 6: "g1, g2, g3", 7: "d, q, sd, m2 of order 2^r with r >= 3"}
+# Each witness construction: what it covers, as its refusals name it, and
+# its summary in the help of `witness --theorem`.
+COVERAGE = {1: ("q and sd", "dicyclic/semidihedral"),
+            6: ("g1, g2, g3", "odd-prime class two"),
+            7: ("d, q, sd, m2 of order 2^r with r >= 3", "order 2^r")}
 
 
 def constructions(desc: GroupDescriptor) -> dict[int, bool]:

@@ -85,10 +85,12 @@ def witness_for_theorem(desc: GroupDescriptor, theorem: int,
     """
     validate_descriptor(desc)
     if theorem not in COVERAGE:
-        raise DavlabError(f"no witness construction labeled {theorem} (use 1, 6 or 7)")
+        *rest, last = COVERAGE
+        raise DavlabError(f"no witness construction labeled {theorem} "
+                          f"(use {', '.join(map(str, rest))} or {last})")
     proven = constructions(desc).get(theorem)
     if proven is None:
-        raise DavlabError(f"{desc}: theorem {theorem} covers {COVERAGE[theorem]}")
+        raise DavlabError(f"{desc}: theorem {theorem} covers {COVERAGE[theorem][0]}")
     f = desc.family
     if not (proven or allow_unverified):
         raise DavlabError(
@@ -143,7 +145,8 @@ def _g3_blocks(group: FiniteGroup, p: int) -> dict[str, int]:
     return {"k": group.inv(a), "l": b, "m": m, "n": n}
 
 
-# The families whose blocks are not named generators.
+# The families whose blocks are not named generators, and so the families
+# whose block sequences the congruence systems test.
 _BLOCKS = {"g1": _g1_blocks, "g3": _g3_blocks}
 
 
@@ -175,8 +178,8 @@ class CongruenceSystem(NamedTuple):
 def congruence_system(desc: GroupDescriptor) -> CongruenceSystem:
     """The system matching the g1/g3 witness for the prime's residue class."""
     validate_descriptor(desc)
-    if desc.family not in ("g1", "g3"):
-        raise DavlabError(f"{desc}: congruence systems exist for g1, g3")
+    if desc.family not in _BLOCKS:
+        raise DavlabError(f"{desc}: congruence systems exist for {', '.join(_BLOCKS)}")
     p = desc["p"]
     case = "3mod4" if p % 4 == 3 else "1mod4"
     return CongruenceSystem(

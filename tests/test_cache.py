@@ -39,7 +39,8 @@ def test_record_takes_the_davbench_filler_fields():
 def test_record_keeps_an_explicit_null_timestamp(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps({"descriptor": "q[8]", "invariant": "L", "value": 4,
-                                "exact": True, "timestamp": None}) + "\n")
+                                "exact": True, "timestamp": None,
+                                "algo": SEARCH_ALGO}) + "\n")
     assert cache_get(path, "q[8]", "L").timestamp is None
     assert ResultRecord("q[8]", "L", 4, True, timestamp=None).timestamp is None
 
@@ -130,11 +131,12 @@ def test_lines_that_are_not_utf8_warn_and_skip(tmp_path):
         fh.write(b"\xff\xfe garbage\n")
         # valid JSON around an invalid byte: no repair may serve it
         fh.write(json.dumps({"descriptor": "q[8]", "invariant": "L", "value": 4,
-                             "exact": True}).encode().replace(b"q[8]", b"q[8\xff]") + b"\n")
+                             "exact": True, "algo": SEARCH_ALGO}).encode().replace(
+                                 b"q[8]", b"q[8\xff]") + b"\n")
     cache_put(path, ResultRecord("q[8]", "D", 5, True))
     # UTF-8 outside ASCII is text like any other
     line = {"descriptor": "q[8]", "invariant": "L", "value": 5, "exact": True,
-            "witness": ["\u03c9"], "tool_version": __version__}
+            "witness": ["\u03c9"], "tool_version": __version__, "algo": SEARCH_ALGO}
     with open(path, "ab") as fh:
         fh.write(json.dumps(line, ensure_ascii=False).encode("utf-8") + b"\n")
     with pytest.warns(UserWarning) as caught:
@@ -198,7 +200,7 @@ def test_cache_records_keeps_only_wanted_keys(tmp_path):
                 (vars(got[key]) if key in got else None)
 
 
-def test_search_records_need_the_current_algo(tmp_path):
+def test_every_record_needs_the_current_algo(tmp_path):
     path = tmp_path / "cache.jsonl"
     line = {"descriptor": "q[8]", "invariant": "D", "value": 5, "exact": True,
             "tool_version": __version__}
@@ -207,7 +209,7 @@ def test_search_records_need_the_current_algo(tmp_path):
         fh.write(json.dumps({**line, "algo": SEARCH_ALGO + 1}) + "\n")
         fh.write(json.dumps({**line, "invariant": "L"}) + "\n")     # not a search
     assert cache_get(path, "q[8]", "D") is None
-    assert cache_get(path, "q[8]", "L").value == 5
+    assert cache_get(path, "q[8]", "L") is None
     cache_put(path, ResultRecord("q[8]", "D", 5, True))
     got = cache_get(path, "q[8]", "D")
     assert got.value == 5 and got.algo == SEARCH_ALGO
@@ -232,8 +234,8 @@ def _parse_every_line(path, keys):
                 key = record.key()
                 if key not in wanted or record.tool_version.split(".", 1)[0] != major:
                     continue
-                if record.invariant in ("D", "Dprime", "E", "DA") \
-                        and (record.algo != SEARCH_ALGO or not record.exact):
+                if record.algo != SEARCH_ALGO or (
+                        record.invariant in ("D", "Dprime", "E", "DA") and not record.exact):
                     continue
             except (UnicodeDecodeError, json.JSONDecodeError, TypeError,
                     AttributeError) as exc:
@@ -340,8 +342,8 @@ def test_lookup_equals_parsing_every_line(tmp_path, seed):
         warned += len(messages)
         for hit in hits.values():
             assert hit["tool_version"] == __version__
-            assert hit["invariant"] not in ("D", "DA") or (
-                hit["algo"] == SEARCH_ALGO and hit["exact"])
+            assert hit["algo"] == SEARCH_ALGO
+            assert hit["invariant"] not in ("D", "DA") or hit["exact"]
     assert served and warned
 
 

@@ -19,7 +19,9 @@ from davlab.cli import _grid, main, scan_row
 from davlab.descriptors import make_descriptor, validate_descriptor
 from davlab.errors import DavlabError, InternalConsistencyError
 from davlab.numtheory import prime_power
-from davlab.theory import loewy_formula, olson_white, witness_plan
+from davlab.theory import COVERAGE, loewy_formula, olson_white, witness_plan
+from davlab.version import SEARCH_ALGO
+from davlab.witnesses import witness_for_theorem
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -364,6 +366,37 @@ def test_witness_scope_error_and_override(capsys):
     assert "outside the proven parameter scope" in out
 
 
+def test_a_coverage_entry_reaches_the_help_the_choices_and_the_refusals(capsys,
+                                                                        monkeypatch):
+    """theory.COVERAGE is the one list of witness constructions: an entry added
+    there shows in the --theorem help and choices and in the library's
+    refusals."""
+    q8 = make_descriptor("q", 8)
+    with pytest.raises(DavlabError) as exc:
+        witness_for_theorem(q8, 5)
+    assert str(exc.value) == "no witness construction labeled 5 (use 1, 6 or 7)"
+    monkeypatch.setitem(COVERAGE, 9, ("e and f", "an extra entry"))
+    monkeypatch.setenv("COLUMNS", "200")
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit):
+            main(["witness", "--help"])
+        out = capsys.readouterr().out
+        assert "--theorem {1,6,7,9}" in out
+        assert ("construction family: 1 dicyclic/semidihedral, 6 odd-prime class two, "
+                "7 order 2^r, 9 an extra entry\n") in out
+        with pytest.raises(SystemExit):
+            main(["witness", "q[8]", "--theorem=5"])
+        assert "invalid choice: 5 (choose from 1, 6, 7, 9)" in capsys.readouterr().err
+        assert main(["witness", "q[8]", "--theorem=9"]) == 1
+        assert capsys.readouterr().err == "error: q[8]: theorem 9 covers e and f\n"
+        with pytest.raises(DavlabError) as exc:
+            witness_for_theorem(q8, 5)
+        assert str(exc.value) == "no witness construction labeled 5 (use 1, 6, 7 or 9)"
+    finally:
+        cli.build_parser.cache_clear()  # the next test builds without the entry
+
+
 def test_oracle_command(capsys):
     code, out = run(capsys, "oracle", "g1[5,1,1,1]")
     assert code == 0
@@ -422,12 +455,21 @@ STDOUT_DIGESTS = {
     "davenport q[8] --variant=unordered --cache={cache} again": (0,
         "20a40d8816410970599117ec7734e6e06943dc24f7c2391a6baae3883eeda15f",
         "5fb3221e4cc78152484aed52692cbe7e13b644f7c35df0edbd8afab3f7b5336a"),
+    "info ab[2,4]": (0,
+        "3b3573ba0ca0ccee879ebb49f349db5f5171bc24e1caaba5d2118dcbeab85195",
+        "8785a51306f6abbde992a440becc7d5737eb47755fc169a7911ef3f0f8b79870"),
     "info c[1]": (0,
         "9c192abe84bcd2ca8a03bd05702ba478a30d21ff1b74f1d7e8d41ed4777b942d",
         "f8daba28251bf196f635aad186b07b72da54d691bfd6f0324236d1243ad41158"),
+    "info d[6]": (0,
+        "d7187bf3fac35fc42471c63e91f0c24c4efbdfc23641fbd7bac560cf766e63e0",
+        "a122d0d3d03d47028a42e6e088f198cb2f4b3a48d19df5c8401dcdf239268e88"),
     "info g1[3,1,1,1]": (0,
         "cf4bb8100a0050511a5e7d4fd55250f185d0857234cc04f755643d503f2486aa",
         "0722dc8d0efefca31da8184a1e7974836b686a35d8237261f85d3f54b3adba5b"),
+    "info sd[16]": (0,
+        "58a693d5814bc4b34d1437b2885e1d91adb9a5df37da699de594eec88d55ea79",
+        "1237de9ea4b6e2334f6c85e012e36ef98d4b4e6586cc924612cfcd4f38991808"),
     "loewy c[6]": (1,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -1266,6 +1308,31 @@ def test_scan_recomputes_rows_with_inexact_or_missing_records(capsys, tmp_path):
     appended = [json.loads(line) for line in cache.read_text().splitlines()[len(kept):]]
     assert sorted((r["descriptor"], r["invariant"]) for r in appended) == sorted(
         dropped | {("q[8]", "D")})
+
+
+def test_scan_recomputes_an_l_record_of_another_algo(capsys, tmp_path):
+    """A cached L is served only under the current SEARCH_ALGO: the L record
+    of g1[3,1,1,1] rewritten to 12 under algo 1 is recomputed, so the row is
+    CONFIRMED at 9 and the fresh record is appended."""
+    cache = tmp_path / "scan.jsonl"
+    args = ("scan", "--families=g1", "--max-order=81", "--json", "--cache", str(cache))
+    run_json(capsys, *args)
+    lines = []
+    for line in cache.read_text().splitlines():
+        record = json.loads(line)
+        if (record["descriptor"], record["invariant"]) == ("g1[3,1,1,1]", "L"):
+            record.update(value=12, algo=1)
+        lines.append(json.dumps(record, sort_keys=True))
+    cache.write_text("\n".join(lines) + "\n")
+    code, warm = run_json(capsys, *args)
+    assert code == 0
+    row = warm["rows"][0]
+    assert (row["descriptor"], row["status"], row["lower"], row["upper"], row["cached"]) == (
+        "g1[3,1,1,1]", "CONFIRMED", 9, 9, False)
+    assert all(r["cached"] for r in warm["rows"][1:])
+    appended = [json.loads(line) for line in cache.read_text().splitlines()[len(lines):]]
+    assert [(r["descriptor"], r["invariant"], r["value"], r["algo"]) for r in appended] == [
+        ("g1[3,1,1,1]", "L", 9, SEARCH_ALGO)]
     assert all(r["exact"] for r in appended)
 
 

@@ -155,8 +155,7 @@ def test_jennings_invariants(text, grp):
     assert data.loewy_length == m + 1
     assert sum(data.exponents) == round(math.log(G.order, p))
     assert data.chain_sizes[-1] == 1
-    report = quotient_elementary_abelian_report(data.series)
-    assert report.ok, str(report)
+    assert quotient_elementary_abelian_report(data.series) == {}
 
 
 def _element_sweep_ok(group, series, p) -> bool:
@@ -178,11 +177,11 @@ def test_quotient_report_equals_the_element_sweep(text, grp):
     G = grp(text)
     data = jennings_data(G)
     series, p = data.series, data.prime
-    assert quotient_elementary_abelian_report(series).ok
+    assert quotient_elementary_abelian_report(series) == {}
     assert _element_sweep_ok(G, series, p)
     for i in range(1, len(series) - 1):
         chain = series[:i] + series[i + 1:]
-        assert quotient_elementary_abelian_report(chain).ok == \
+        assert (quotient_elementary_abelian_report(chain) == {}) == \
             _element_sweep_ok(G, chain, p), (text, i)
 
 
@@ -192,24 +191,21 @@ def test_quotient_report_rejects_broken_series(grp):
     chain = [whole_subgroup(G), subgroup_closure(G, [G.generators["x"]])]
     report = quotient_elementary_abelian_report(chain)
     assert not _element_sweep_ok(G, chain, 2)
-    assert "M_2 normal in M_1" in [e.name for e in report.failures()]
+    assert "M_2 normal in M_1" in report
     # the lower term is too small: Q_8 / 1 is not elementary abelian
     G = grp("q[8]")
     chain = [whole_subgroup(G), subgroup_closure(G, [])]
     report = quotient_elementary_abelian_report(chain)
     assert not _element_sweep_ok(G, chain, 2)
-    assert [e.name for e in report.failures()] == [
-        "M_1^(p) <= M_2", "[M_1, M_1] <= M_2"]
+    assert list(report) == ["M_1^(p) <= M_2", "[M_1, M_1] <= M_2"]
 
 
 @pytest.mark.parametrize("text", [t for t in P_GRID if t[0] == "g"])
 def test_closed_form_checks_on_class_two_grid(text, grp):
     desc = parse_descriptor(text)
     G = grp(text)
-    r1 = mseries_closed_form_check(G, desc)
-    assert r1.ok, str(r1)
-    r2 = power_generators_check(G, desc)
-    assert r2.ok, str(r2)
+    assert mseries_closed_form_check(G, desc) == {}
+    assert power_generators_check(G, desc) == {}
 
 
 def test_closed_form_check_rejects_other_families(grp):

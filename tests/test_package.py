@@ -64,6 +64,17 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(davlab, "no_such_name")
 
 
+def test_the_readme_layout_names_every_module():
+    """Each module of src/davlab but __init__.py has its line in the README's
+    Layout block, and the block names no other module."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = re.search(r"## Layout\s+```\n(.*?)```", readme, re.S)[1]
+    named = re.findall(r"^  (\w+\.py) ", layout, re.M)
+    modules = {path.name for path in (root / "src" / "davlab").glob("*.py")}
+    assert sorted(named) == sorted(modules - {"__init__.py"})
+
+
 def test_the_readme_library_example_prints_5_5_and_true():
     """The python block of the README's Library section, run as it is written."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
