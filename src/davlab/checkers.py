@@ -18,7 +18,8 @@ order 64 the engine steps D and D_A by _weighted_extend, and wide E states
 by _ColumnSteps, as the checkers do; there is_ordered_free's numpy gathers
 stay the independent check. Every other product-one computation is written
 once: the subset-mask walk of the naive oracles (_naive) and of
-has_proper_ordered_product_one is _subsequence_products.
+has_proper_ordered_product_one is _subsequence_products, and the powers
+g^a of each element over a weight set are _weighted_rows.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def _naive(group: FiniteGroup, A: tuple[int, ...]) -> int:
     extension keeps it. No reach sets, no memoization: the oracle for the
     searches."""
     table = group.table
-    powers = [sorted({group.pow(g, a) for a in A}) for g in group.elements()]
+    powers = _weighted_rows(group, A)
     best = 0
 
     def walk(seq: list[int]) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import itertools
 import json
 import operator
 import os
@@ -40,11 +41,12 @@ from .cache import (VARIANT_INVARIANT, ResultRecord, cache_path, cache_put, cach
 # no code here calls cache_get: it stays a name of this module because
 # davbench's trace mode wraps cli.cache_get and cli.cache_put
 from .cache import cache_get  # noqa: F401
-from .descriptors import (_PARAM_NAMES, GRAMMAR_HINT, GroupDescriptor, make_descriptor,
-                          validate_descriptor)
+from .descriptors import (_PARAM_NAMES, _RULES, GRAMMAR_HINT, GroupDescriptor,
+                          make_descriptor, validate_descriptor)
 from .errors import DavlabError, DescriptorError
 from .numtheory import is_prime, prime_power
-from .theory import COVERAGE, DEFAULT_ORDERED_CAP, ORDER_CAP, olson_white, witness_plan
+from .theory import (COVERAGE, DEFAULT_ORDERED_CAP, ORDER_CAP, constructions, olson_white,
+                     witness_plan)
 from .version import __version__
 
 
@@ -124,65 +126,45 @@ def _range_ok(desc: GroupDescriptor, ranges) -> bool:
                for name, op, value in ranges)
 
 
+def _candidates(family: str, primes: list[int], max_order: int) -> list[tuple[int, ...]]:
+    """The raw parameter values scan tries for family, in row order: each
+    order up to max_order, the 2-powers first, or each prime with its
+    exponent tuples in lexicographic order, each exponent e with p^e at most
+    max_order."""
+    names = _PARAM_NAMES.get(family)
+    if names == ("order",):
+        twos = [1 << k for k in range(max_order.bit_length())]
+        return [(n,) for n in twos + [n for n in range(1, max_order + 1) if n & (n - 1)]]
+    if names and names[0] == "p":
+        return [(p, *exps) for p in primes for exps in itertools.product(
+            [e for e in range(1, max_order.bit_length()) if p ** e <= max_order],
+            repeat=len(names) - 1)]
+    raise DescriptorError(f"scan does not cover family {family!r}")
+
+
 def _grid(families: list[str], primes: list[int], max_order: int, ranges):
-    """All valid descriptors of the requested families up to max_order that
-    meet the ranges, each of which some requested family must carry."""
-    out: list[GroupDescriptor] = []
+    """Every valid descriptor of the requested families up to max_order that
+    a witness construction covers and that meets the ranges, each of which
+    some requested family must carry. A candidate is tested against its
+    family's rules on its raw values before any descriptor is built; the few
+    that pass and fit max_order are validated in full."""
+    grid: list[GroupDescriptor] = []
     for family in families:
-        if family in ("d", "q", "sd", "m2"):
-            order = 8
-            while order <= max_order:
-                out.append(make_descriptor(family, order))
-                order *= 2
-            if family in ("q", "sd"):
-                # non-2-power orders covered by the dicyclic/semidihedral result
-                step = 4 if family == "q" else 8
-                out.extend(make_descriptor(family, n)
-                           for n in range(2 * step, max_order + 1, step) if n & (n - 1))
-        elif family in ("g1", "g2", "g3"):
-            for p in primes:
-                out.extend(_p_family_descs(family, p, max_order))
-        else:
-            raise DescriptorError(f"scan does not cover family {family!r}")
+        candidates = _candidates(family, primes, max_order)
+        for _, holds in _RULES[family]:
+            candidates = [values for values in candidates if holds(*values)]
+        for values in candidates:
+            desc = make_descriptor(family, *values)
+            if desc.theoretical_order() <= max_order:
+                validate_descriptor(desc)
+                if constructions(desc):
+                    grid.append(desc)
     for name, op, value in ranges:
         if all(name not in _PARAM_NAMES[f] for f in families):
             carried = "; ".join(f"{f}: {', '.join(_PARAM_NAMES[f])}" for f in families)
             raise DescriptorError(f"param range {name}{op}{value} names no parameter of "
                                   f"the requested families ({carried})")
-    grid = []
-    for desc in out:
-        try:
-            validate_descriptor(desc)
-        except DavlabError:
-            continue
-        if desc.theoretical_order() <= max_order and _range_ok(desc, ranges):
-            grid.append(desc)
-    return grid
-
-
-def _p_family_descs(family: str, p: int, max_order: int):
-    # validate_descriptor's inequalities, repeated so that the grid builds no
-    # invalid descriptor (validating every exponent tuple within the order
-    # bound takes each warm g-family scan about 1 ms longer); a test checks
-    # that the two agree
-    import itertools
-    max_e = 1
-    while p ** (max_e + 1) <= max_order:
-        max_e += 1
-    exps = range(1, max_e + 1)
-    if family == "g1":
-        for a, b, g in itertools.product(exps, repeat=3):
-            if a >= b >= g >= 1 and p ** (a + b + g) <= max_order:
-                yield make_descriptor("g1", p, a, b, g)
-    elif family == "g2":
-        for a, b, g in itertools.product(exps, repeat=3):
-            if a >= 2 * g and b >= g >= 1 and p ** (a + b) <= max_order:
-                yield make_descriptor("g2", p, a, b, g)
-    elif family == "g3":
-        for a, b, g, s in itertools.product(exps, repeat=4):
-            if (b >= g > s >= 1 and a + s >= 2 * g
-                    and p ** (a + b + s) <= max_order):
-                yield make_descriptor("g3", p, a, b, g, s)
+    return [desc for desc in grid if _range_ok(desc, ranges)]
 
 
 def _is_p_group(order: int) -> bool:
@@ -191,14 +173,10 @@ def _is_p_group(order: int) -> bool:
 
 def _needed(desc: GroupDescriptor, search_max_order: int) -> tuple[str, ...]:
     """The invariants scan_row reads: the Loewy length bounds a p-group from
-    above, a witness check bounds D from below where a construction is known,
-    and D itself is searched at or below search_max_order."""
+    above, a witness check bounds D from below (a construction covers every
+    grid row), and D itself is searched at or below search_max_order."""
     order = desc.theoretical_order()
-    needed = []
-    if _is_p_group(order):
-        needed.append("L")
-    if witness_plan(desc) is not None:
-        needed.append("witness_check")
+    needed = ["L", "witness_check"] if _is_p_group(order) else ["witness_check"]
     if order <= search_max_order:
         needed.append("D")
     return tuple(needed)
@@ -208,11 +186,12 @@ def scan_row(desc: GroupDescriptor, records: dict[str, ResultRecord],
              cached: bool, elapsed_ms: int = 0) -> dict:
     """One scan row from the records of its needed invariants (_needed),
     each read from the cache or computed for this row. The upper bound is
-    the Loewy length of a p-group; the other rows are dicyclic or
-    semidihedral, never cyclic, and take Olson-White. The lower bound is the
-    larger of a verified witness and an exact D. The verdict reads the bounds
-    alone: REFUTED when they cross or an exact D misses the upper bound,
-    CONFIRMED when they meet, CONSISTENT otherwise."""
+    the Loewy length of a p-group; every other row is dicyclic or
+    semidihedral, never cyclic, as the grid holds only the descriptors a
+    witness construction covers, and takes Olson-White. The lower bound is
+    the larger of a verified witness and an exact D. The verdict reads the
+    bounds alone: REFUTED when they cross or an exact D misses the upper
+    bound, CONFIRMED when they meet, CONSISTENT otherwise."""
     order = desc.theoretical_order()
     if _is_p_group(order):
         upper, upper_source = int(records["L"].value), "loewy_length"

@@ -150,51 +150,41 @@ def parse_descriptor(text: str) -> GroupDescriptor:
     return make_descriptor(family, *values)
 
 
+# Each family's parameter rules, in the order validate_descriptor checks
+# them: (constraint, predicate on the parameter values in _PARAM_NAMES order).
+# scan tests its candidates on raw values with these before it builds any.
+_RULES = {
+    "c": (("n >= 1", lambda n: n >= 1),),
+    "ab": (("every factor >= 1", lambda *factors: all(v >= 1 for v in factors)),),
+    "d": (("even order >= 4", lambda n: n % 2 == 0 and n >= 4),),
+    "q": (("order 4n with n >= 2", lambda n: n % 4 == 0 and n >= 8),),
+    "sd": (("order 8n with n >= 2", lambda n: n % 8 == 0 and n >= 16),),
+    "m2": (("order 2^r with r >= 4", lambda n: n >= 16 and n & (n - 1) == 0),),
+    "g1": (("alpha >= beta >= gamma >= 1", lambda p, a, b, g: a >= b >= g >= 1),),
+    "g2": (("alpha >= 2*gamma", lambda p, a, b, g: a >= 2 * g),
+           ("beta >= gamma >= 1", lambda p, a, b, g: b >= g >= 1)),
+    "g3": (("beta >= gamma > sigma >= 1", lambda p, a, b, g, s: b >= g > s >= 1),
+           ("alpha + sigma >= 2*gamma", lambda p, a, b, g, s: a + s >= 2 * g)),
+}
+
+
 def _require(ok: bool, desc: GroupDescriptor, constraint: str) -> None:
     if not ok:
         raise ConstraintError(f"{desc}: requires {constraint}")
 
 
 def validate_descriptor(desc: GroupDescriptor) -> None:
-    """Check the family-specific parameter constraints; raise ConstraintError."""
-    f = desc.family
-    if f == "c":
-        _require(desc["n"] >= 1, desc, "n >= 1")
-        return
-    if f == "ab":
-        _require(all(v >= 1 for v in desc.values()), desc, "every factor >= 1")
-        return
-    if f == "d":
-        n = desc["order"]
-        _require(n % 2 == 0 and n >= 4, desc, "even order >= 4")
-        return
-    if f == "q":
-        n = desc["order"]
-        _require(n % 4 == 0 and n >= 8, desc, "order 4n with n >= 2")
-        return
-    if f == "sd":
-        n = desc["order"]
-        _require(n % 8 == 0 and n >= 16, desc, "order 8n with n >= 2")
-        return
-    if f == "m2":
-        n = desc["order"]
-        _require(n >= 16 and n & (n - 1) == 0, desc, "order 2^r with r >= 4")
-        return
-
-    p = desc["p"]
-    _require(p < 2 ** 64, desc, "p < 2^64")
-    # no group this large builds; the bound keeps every p^e cheap to compute
-    _require(max(desc.values()[1:]) <= 64, desc, "every exponent <= 64")
-    _require(p % 2 == 1 and is_prime(p), desc, "odd prime p")
-    a, b, g = desc["alpha"], desc["beta"], desc["gamma"]
-    if f == "g1":
-        _require(a >= b >= g >= 1, desc, "alpha >= beta >= gamma >= 1")
-    elif f == "g2":
-        _require(a >= 2 * g, desc, "alpha >= 2*gamma")
-        _require(b >= g >= 1, desc, "beta >= gamma >= 1")
-    elif f == "g3":
-        s = desc["sigma"]
-        _require(b >= g > s >= 1, desc, "beta >= gamma > sigma >= 1")
-        _require(a + s >= 2 * g, desc, "alpha + sigma >= 2*gamma")
-    else:
-        raise DescriptorError(f"unknown family {f!r}")
+    """Check the family-specific parameter constraints: for the g families
+    the bounds on p and the exponents first, then the family's _RULES in
+    order. Raise ConstraintError naming the first that fails."""
+    if desc.family not in _RULES:
+        raise DescriptorError(f"unknown family {desc.family!r}")
+    values = desc.values()
+    if desc.params[0][0] == "p":  # the g families
+        p = values[0]
+        _require(p < 2 ** 64, desc, "p < 2^64")
+        # no group this large builds; the bound keeps every p^e cheap to compute
+        _require(max(values[1:]) <= 64, desc, "every exponent <= 64")
+        _require(p % 2 == 1 and is_prime(p), desc, "odd prime p")
+    for constraint, holds in _RULES[desc.family]:
+        _require(holds(*values), desc, constraint)

@@ -59,10 +59,11 @@ def info(args) -> int:
     desc = parse_descriptor(args.descriptor)
     t0 = time.perf_counter()
     group = groups.build(desc)
-    G = subgroups.whole_subgroup(group)
     exponent, center = group.exponent(), len(group.center())
-    commutator = len(subgroups.commutator_subgroup(G, G))
-    nil_class = subgroups.nilpotency_class(group)
+    # [G, G] is the series' second term; a series of one term is a perfect G
+    series = subgroups.lower_central_series(group)
+    commutator = len(series[1] if len(series) > 1 else series[0])
+    nil_class = len(series) - 1 if series[-1].is_trivial else None
     orders = {name: group.element_order(g) for name, g in group.generators.items()}
     elapsed_ms = _ms(t0)
     gens = " ".join(f"{k}={v}" for k, v in orders.items())

@@ -1,7 +1,9 @@
 """The pinned davlab commands, run as a user runs them: `python tests/pins.py`.
 
 Each row of PINS runs once as `timeout SECONDS davlab ARGV` in a fresh child
-(`davlab` on PATH, as after `pip install -e .`). It passes when the child
+(`davlab` on PATH, as after `pip install -e .`), or, where no davlab is on
+PATH, as `timeout SECONDS python -m davlab.cli ARGV` with this checkout's src
+on PYTHONPATH; each printed row names its launcher. It passes when the child
 exits with one of the row's codes, its JSON document holds the row's fields,
 check(doc, stderr) holds and the child's own peak RSS (os.wait4) is at most
 the row's MB. After the last row every JSON document is validated against
@@ -13,10 +15,19 @@ anything fails.
 import collections
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+if shutil.which("davlab"):
+    LAUNCHER, ENV = ["davlab"], None
+else:
+    LAUNCHER, ENV = [sys.executable, "-m", "davlab.cli"], dict(os.environ, PYTHONPATH=SRC)
+LAUNCHER_NAME = " ".join([os.path.basename(LAUNCHER[0]), *LAUNCHER[1:]])
 
 SECONDS = 120  # the limit of a command pinned without one of its own
 # check(doc, stderr): doc is None unless the row exits 0 with --json
@@ -73,8 +84,8 @@ def run(pin):
     """Run one row and print its line: (what is wrong or None, its document)."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
-        child = subprocess.Popen(["timeout", str(pin.seconds), "davlab", *pin.argv.split()],
-                                 stdout=out, stderr=err)
+        child = subprocess.Popen(["timeout", str(pin.seconds), *LAUNCHER, *pin.argv.split()],
+                                 stdout=out, stderr=err, env=ENV)
         # this child's own rusage: ru_maxrss (KiB) is the larger of timeout's peak and davlab's
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = code = os.waitstatus_to_exitcode(status)
@@ -95,23 +106,22 @@ def run(pin):
                 wrong = f"peak RSS above {pin.mb} MB"
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         wrong = repr(exc)
-    print(f"davlab {pin.argv[:80]}: exit {code}, {seconds:.1f} s, {mb:.0f} MB"
+    print(f"{LAUNCHER_NAME} {pin.argv[:80]}: exit {code}, {seconds:.1f} s, {mb:.0f} MB"
           + (f": FAIL, {wrong}\n{err[-2000:]}".rstrip() if wrong else ""))
     return wrong, doc
 
 
 def main():
     results = [(pin.argv, *run(pin)) for pin in PINS]
-    tests = os.path.dirname(os.path.abspath(__file__))
     # this checkout's davlab, as conftest.run_python gives its children, and conftest
-    sys.path[:0] = [tests, os.path.join(os.path.dirname(tests), "src")]
+    sys.path[:0] = [TESTS, SRC]
     from conftest import schema_errors  # imports davlab and jsonschema
     failures = [argv for argv, wrong, _ in results if wrong]
     for argv, _, doc in results:
         errors = [] if doc is None else schema_errors(doc)
         if errors:
             failures.append(argv)
-            print(f"davlab {argv[:80]}: FAIL, schema.json: " + "; ".join(errors))
+            print(f"{LAUNCHER_NAME} {argv[:80]}: FAIL, schema.json: " + "; ".join(errors))
     print(f"{len(PINS)} commands, {len(failures)} failures")
     return 1 if failures else 0
 

@@ -19,7 +19,7 @@ from davlab.cli import _grid, main, scan_row
 from davlab.descriptors import make_descriptor, validate_descriptor
 from davlab.errors import DavlabError, InternalConsistencyError
 from davlab.numtheory import prime_power
-from davlab.theory import COVERAGE, loewy_formula, olson_white, witness_plan
+from davlab.theory import COVERAGE, constructions, loewy_formula, olson_white, witness_plan
 from davlab.version import SEARCH_ALGO
 from davlab.witnesses import witness_for_theorem
 
@@ -53,6 +53,22 @@ def test_info_json(capsys):
 def test_info_trivial(capsys):
     code, out = run(capsys, "info", "c[1]")
     assert code == 0 and "order: 1" in out
+
+
+@pytest.mark.parametrize("text, commutator, nil_class", [
+    ("g1[3,1,1,1]", 3, 2), ("m2[4096]", 2, 2), ("d[6]", 3, None), ("q[8]", 2, 2)])
+def test_info_takes_the_commutator_subgroup_from_the_lower_central_series(
+        capsys, monkeypatch, text, commutator, nil_class):
+    """[G, G] is the series' second term: info makes the two commutator_subgroup
+    calls of the series, [G, G] and the [gamma_2, G] that ends it."""
+    from davlab import subgroups
+    calls = []
+    real = subgroups.commutator_subgroup
+    monkeypatch.setattr(subgroups, "commutator_subgroup",
+                        lambda H, K: calls.append(1) or real(H, K))
+    code, doc = run_json(capsys, "info", text, "--json")
+    assert code == 0 and len(calls) == 2
+    assert (doc["commutator_size"], doc["nilpotency_class"]) == (commutator, nil_class)
 
 
 def test_parse_error_exit_code(capsys):
@@ -695,24 +711,45 @@ def test_scan_grid_of_the_two_power_families(capsys):
         "q[24]", "q[28]", "sd[16]", "sd[32]", "sd[24]", "m2[16]", "m2[32]"]
 
 
-@pytest.mark.parametrize("family", ["g1", "g2", "g3"])
+@pytest.mark.parametrize("family", ["d", "q", "sd", "m2", "g1", "g2", "g3"])
 def test_scan_grid_of_a_p_family_is_every_valid_descriptor_in_order(family):
-    """At p = 3 and 5, the grid holds each descriptor with exponents from 1 to
-    8 (3^8 > 4096) that validates and has order at most max_order, in the
-    lexicographic order of its exponents."""
-    for p in (3, 5):
+    """The grid of a family holds each valid descriptor of order at most
+    max_order that a witness construction covers, by brute force: every order
+    up to 4096, the 2-powers first, or at p = 3 and 5 every exponent tuple
+    from 1 to 8 (3^8 > 4096) in lexicographic order."""
+    if family in ("g1", "g2", "g3"):
+        tried = {p: [make_descriptor(family, p, *exps) for exps in
+                     itertools.product(range(1, 9), repeat=4 if family == "g3" else 3)]
+                 for p in (3, 5)}
+    else:  # the grid of an order family reads no prime
+        orders = sorted(range(1, 4097), key=lambda n: (n & (n - 1) != 0, n))
+        tried = {3: [make_descriptor(family, n) for n in orders]}
+    for p, candidates in tried.items():
         valid = []
-        for exps in itertools.product(range(1, 9), repeat=4 if family == "g3" else 3):
-            desc = make_descriptor(family, p, *exps)
+        for desc in candidates:
             try:
                 validate_descriptor(desc)
             except DavlabError:
                 continue
-            valid.append(desc)
-        for max_order in (27, 81, 100, 125, 243, 625, 729, 1000, 2187, 3125, 4096):
+            if constructions(desc):
+                valid.append(desc)
+        for max_order in (8, 27, 32, 81, 100, 125, 243, 625, 729, 1000, 2187, 3125, 4096):
             want = [d.canonical() for d in valid if d.theoretical_order() <= max_order]
             got = [d.canonical() for d in _grid([family], [p], max_order, [])]
             assert got == want, (p, max_order)
+
+
+@pytest.mark.parametrize("families, refused", [("c", "c"), ("ab", "ab"), ("d,c", "c")])
+def test_scan_refuses_a_family_no_construction_covers(capsys, monkeypatch, tmp_path,
+                                                       families, refused):
+    """The refusal is one error line and exit 2, before any row is computed."""
+    monkeypatch.setattr(cli, "_row_records", None)  # a computed row would raise
+    cache = tmp_path / "scan.jsonl"
+    code = main(["scan", f"--families={families}", "--max-order=32", "--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: scan does not cover family {refused!r}\n"
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize("p", ["1000000000000000003", str(2 ** 64 + 13)])

@@ -127,6 +127,32 @@ def test_validate_modular2_minimum():
     validate_descriptor(parse_descriptor("m2[16]"))
 
 
+@pytest.mark.parametrize("text, constraint", [
+    ("c[0]", "n >= 1"),
+    ("ab[2,0,3]", "every factor >= 1"),
+    ("d[2]", "even order >= 4"),
+    ("d[9]", "even order >= 4"),
+    ("q[10]", "order 4n with n >= 2"),
+    ("sd[20]", "order 8n with n >= 2"),
+    ("m2[24]", "order 2^r with r >= 4"),
+    ("g1[3,2,2,0]", "alpha >= beta >= gamma >= 1"),
+    ("g2[3,1,2,1]", "alpha >= 2*gamma"),
+    ("g2[3,2,1,0]", "beta >= gamma >= 1"),
+    # both g2 rules fail: alpha >= 2*gamma is checked first
+    ("g2[3,1,1,2]", "alpha >= 2*gamma"),
+    ("g3[3,2,1,1,1]", "beta >= gamma > sigma >= 1"),
+    ("g3[3,1,2,2,1]", "alpha + sigma >= 2*gamma"),
+    # both g3 rules fail: beta >= gamma > sigma >= 1 is checked first
+    ("g3[3,1,1,2,2]", "beta >= gamma > sigma >= 1"),
+    # the g-family checks come before the family's rules
+    ("g2[9,1,1,2]", "odd prime p"),
+])
+def test_each_rule_refuses_with_its_own_text(text, constraint):
+    with pytest.raises(ConstraintError) as err:
+        validate_descriptor(parse_descriptor(text))
+    assert str(err.value) == f"{text}: requires {constraint}"
+
+
 def test_make_descriptor_arity():
     with pytest.raises(DescriptorError):
         make_descriptor("g2", 3, 2, 1)

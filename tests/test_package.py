@@ -32,6 +32,8 @@ KEPT_UNREFERENCED = {
     "min_weight_set": "a computation: the least weight set with D_A <= k",
     "CongruenceSystem": "the type congruence_system returns",
     "WitnessSpec": "the type witness_for_theorem returns",
+    "nilpotency_class": "a computation: the class c with gamma_(c+1) = 1, which info reads "
+                        "off the lower central series it takes [G, G] from",
 }
 
 
