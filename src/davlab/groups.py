@@ -4,22 +4,22 @@ Every family is a polycyclic presentation, given as data: relative orders,
 power words g_k^(r_k) and conjugate words g_k^-1 g_j g_k. Its elements are
 the normal-form words, listed in row-major mixed-radix order. One function
 makes the table of any such presentation, in one form for every family:
-the top-down series, each <g_{k+1}, ...> normal in <g_k, ...>. It computes
-each generator's row from rows already in the table and gathers every other
-row, since the row of a word w h is the row of w read at the entries of the
-row of h. The table is stored once, as one read-only n x n int16 array (2
-bytes a cell: every index lies below ORDER_CAP <= 2^15), and all later work
-is table lookups: rows are slices of one flat memoryview over the array, and
-whole-group sweeps are numpy gathers on it. Element 0 is always the identity
-and labels are the normal-form words, spelled from the index when one is
-read. Every built table is proven a group (entries in range, identity,
-right inverses, generation and Light's associativity test on the shortest
-prefix of the named generators that generates the group, O(|gens| n^2) at
-every order; a monoid with right inverses is a group, hence Latin), and
-every relation of the family's own presentation is checked, so the
-presentations and the row fill are verified, not trusted. ``build`` shares
-a group among its callers while one of them holds it, and keeps no table
-that none of them holds.
+the top-down series, each <g_{k+1}, ...> normal in <g_k, ...>. It builds
+the table of each <g_k, ...> from whole rows of the table of <g_{k+1}, ...>
+by the product rule of the presentation, one slice add per block. The table
+is stored once, as one read-only n x n int16 array (2 bytes a cell: every
+index lies below ORDER_CAP <= 2^15), and all later work is table lookups:
+rows are slices of one flat memoryview over the array, and whole-group
+sweeps are numpy gathers on it. Element 0 is always the identity and labels
+are the normal-form words, spelled from the index when one is read. Every
+built table is proven a group (entries in range, identity, right inverses,
+generation and Light's associativity test on the shortest prefix of the
+named generators that generates the group, O(|gens| n^2) at every order; a
+monoid with right inverses is a group, hence Latin), and every relation of
+the family's own presentation is checked, so the presentations and the
+table build are verified, not trusted. ``build`` shares a group among its
+callers while one of them holds it, and keeps no table that none of them
+holds.
 """
 
 from __future__ import annotations
@@ -252,9 +252,9 @@ def _presentation(d: GroupDescriptor) -> _Presentation:
                          {(1, 0): (0, 1 + e, 1), (2, 0): (0, -e * e, 1 - e)})
 
 
-# Rows per block of the associativity test and per chunk of _fill's gathers:
-# their buffers, a few 128 x n arrays, stay a few MB at the order cap, where
-# one n x n int64 array alone would take 134 MB.
+# Rows per block of the associativity test, and rows of n cells that
+# _pc_table gathers per chunk: their buffers, a few 128 x n arrays, stay a
+# few MB at the order cap, where one n x n int64 array alone would take 134 MB.
 _BLOCK_ROWS = 128
 # Fewest columns a run of a generator's row spans on average for Light's
 # test to copy the table's columns run by run instead of gathering them,
@@ -357,57 +357,6 @@ def check_group_axioms(group: FiniteGroup) -> None:
                     f"{group.name}: associativity fails at generator {g}")
 
 
-def _fill(T: np.ndarray, radices: tuple[int, ...], row_of, done: int) -> None:
-    """Fill T, whose row 0 is the identity row, with the table of the normal
-    words over `radices`; rows below `done` are filled already in their
-    first `done` columns.
-
-    row_of(k) returns row(g_k) as an intp array; it is called once per
-    generator, when every row of a word in g_0..g_{k-1} is filled. Every
-    other row is gathered: (w h) y = w (h y), so row(w h) = row(w)[row(h)].
-    Coordinate by coordinate, the rows whose k-th exponent lies in [d, 2d)
-    and whose later exponents are 0 are the rows of exponent [0, d) gathered
-    at row(g_k^d), for d = 1, 2, 4, ...; the next step is
-    row(g_k^2d) = row(g_k^d)[row(g_k^d)]. Those rows are words[b, e], the
-    row b span + e s (span = r_k s, s the stride of coordinate k), and each
-    step gathers them in chunks of up to _BLOCK_ROWS rows, of several blocks
-    b or of part of one, through one buffer per coordinate. A row below
-    `done` gathers only the columns from `done` on: the first `done`
-    elements form a normal subgroup, left multiplication by them keeps each
-    of its cosets, and the columns of the first coset are the filled ones.
-    """
-    # every index is in range, so mode="clip" clips none (mode="raise"
-    # would buffer the output)
-    n = stride = len(T)
-    for k, r in enumerate(radices):
-        stride //= r
-        span = r * stride
-        # a view of T, also where T is a column slice of the whole table
-        words = T.reshape(n // span, r, stride, n)[:, :, 0]
-        step = row_of(k)
-        ds = [1 << i for i in range((r - 1).bit_length())]  # d = 1, 2, 4, ... below r
-        # one buffer for the whole coordinate, of its largest chunk: a fresh
-        # one per step raised the peak RSS of the pin_large groups
-        rows = max([min(n // span * min(d, r - d), _BLOCK_ROWS) for d in ds], default=0)
-        gathered = np.empty(rows * n, dtype=T.dtype)
-        for d in ds:
-            # exponents [0, m) go to [d, d + m); a chunk is per blocks by cols exponents
-            m = min(d, r - d)
-            per, cols = max(1, _BLOCK_ROWS // m), min(m, _BLOCK_ROWS)
-            # the blocks whose targets lie below done, then the rest; the
-            # sources are whole rows, as step[start:] reads any column
-            cut = len(range(d * stride, done, span))
-            for lo, hi, start in ((0, cut, done), (cut, n // span, 0)):
-                for b in range(lo, hi, per):
-                    for e in range(0, m, cols):
-                        source = words[b:min(b + per, hi), e:min(e + cols, m)]
-                        shape = (*source.shape[:2], n - start)
-                        out = gathered[:math.prod(shape)].reshape(shape)
-                        np.take(source, step[start:], axis=2, out=out, mode="clip")
-                        words[b:b + shape[0], d + e:d + e + shape[1], start:] = out
-            step = step[step]
-
-
 def _powers(row: list[int], r: int) -> list[int]:
     """c^0, ..., c^(r-1), read off the row of c: c^a = c c^(a-1)."""
     out = [0]
@@ -424,16 +373,18 @@ def _generator_indices(radices: tuple[int, ...]) -> list[int]:
 def _pc_table(name: str, pc: _Presentation) -> np.ndarray:
     """The multiplication table of a presentation, as an n x n int16 array.
 
-    Every generator row is made of rows already in the table and _fill
-    gathers the rest, so every entry lies in 0..n-1 whatever the words say:
-    an inconsistent presentation fails check_group_axioms. A word out of its
-    place raises InternalConsistencyError.
+    G_k = <g_k, ..., g_{K-1}> is the leading block T[:n_k, :n_k], built from
+    the bottom level up out of whole rows of the finished block of G_{k+1},
+    T[:m, :m]. With r = r_k, phi the conjugation by g_k on G_{k+1} and
+    w = g_k^r, the element g_k^e h (h in G_{k+1}) has index e m + h and
 
-    G_k = <g_k, ..., g_{K-1}> is the leading block T[:n_k, :n_k], filled
-    from the bottom level up. With phi the conjugation by g_k on G_{k+1},
-    g_j g_k^e h = g_k^e phi^e(g_j) h for j > k, and g_k g_k^e h is
-    g_k^(e+1) h, or g_k^(r_k) h at the radix: rows of G_{k+1}. Filling G_k
-    leaves the finished block of G_{k+1} as it is.
+        (g_k^e h)(g_k^f h') = g_k^((e+f) mod r) u h',
+
+    u = phi^f(h) when e + f < r and w phi^f(h) otherwise: the (e, f) block
+    of G_k is the rows u of G_{k+1}'s block plus ((e+f) mod r) m. So every
+    entry lies in 0..n-1 whatever the words say, and an inconsistent
+    presentation fails check_group_axioms. A word out of its place raises
+    InternalConsistencyError.
     """
     radices = pc.radices
     K, n = len(radices), math.prod(radices)
@@ -454,29 +405,44 @@ def _pc_table(name: str, pc: _Presentation) -> np.ndarray:
         else:
             conj[j, k] = w
     T = np.empty((n, n), dtype=np.int16)
-    T[0] = np.arange(n)
-
-    def top_down_rows(k: int) -> list[np.ndarray]:
-        """The rows of g_k, ..., g_{K-1} on G_k, from the block of G_{k+1}."""
+    for k in reversed(range(K)):
         r, m = radices[k], strides[k]
+        size = r * m
+        if m == 1:
+            # G_{k+1} is trivial: row e of the cyclic G_k is row 0 rotated by e
+            cycle = np.arange(2 * r, dtype=np.int16) % r
+            T[:r, :r] = np.lib.stride_tricks.sliding_window_view(cycle, r)[:r]
+            continue
+        sub = T[:m, :m]
         phi = np.zeros(1, dtype=np.intp)
         for i in range(K - 1, k, -1):
             # phi(g_i^a x) = phi(g_i)^a phi(x) for x in G_{i+1}
             pw = _powers(T[conj.get((i, k), gens[i]), :m].tolist(), radices[i])
             phi = T[np.array(pw)[:, None], phi].ravel()
-        phi = phi.tolist()
-        offsets = np.arange(0, r * m, m)[:, None]
-        rows = [np.concatenate([np.arange(m, r * m), T[power[k], :m]])]
-        for j in range(k + 1, K):
-            images = [gens[j]]
-            for _ in range(r - 1):
-                images.append(phi[images[-1]])
-            rows.append((T[images, :m] + offsets).ravel())
-        return rows
-
-    for k in reversed(range(K)):
-        size = radices[k] * strides[k]
-        _fill(T[:size, :size], radices[k:], top_down_rows(k).__getitem__, strides[k])
+        phis = np.empty((r, m), dtype=np.intp)  # phis[f] = phi^f
+        phis[0] = np.arange(m)
+        for f in range(1, r):
+            phis[f] = phi[phis[f - 1]]
+        wraps = T[power[k], :m][phis[1:]]  # w phi^f for f >= 1; f = 0 never wraps
+        f_m = np.arange(0, size, m, dtype=np.int16)[:, None]
+        blocks = T[:size, :size].reshape(r, m, size)  # blocks[e, h] is row e m + h
+        # a chunk's two gathers, half of _BLOCK_ROWS rows of h each, take at
+        # most _BLOCK_ROWS rows of n cells beside the table
+        for h in range(0, m, _BLOCK_ROWS // 2):
+            rows = slice(h, h + _BLOCK_ROWS // 2)
+            # A[h, f] = row phi^f(h) + f m, B[h, f - 1] = row w phi^f(h) + (f - r) m
+            A = sub[phis[:, rows].T]
+            A += f_m
+            B = sub[wraps[:, rows].T]
+            B += f_m[1:] - size
+            A, B = A.reshape(len(A), size), B.reshape(len(B), size - m)
+            # row e takes f < r - e from A and the rest from B, plus e m; row
+            # 0's block f = 0 is the block of G_{k+1}, already in place
+            blocks[0, rows, m:] = A[:, m:]
+            for e in range(1, r):
+                cut = size - e * m
+                np.add(A[:, :cut], e * m, out=blocks[e, rows, :cut])
+                np.add(B[:, cut - m:], e * m, out=blocks[e, rows, cut:])
     return T
 
 

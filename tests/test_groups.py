@@ -364,9 +364,9 @@ def test_build_refuses_a_metacyclic_system_off_its_presentation(monkeypatch):
 @given(st.data())
 def test_an_inconsistent_presentation_cannot_crash_the_table_fill(data):
     """Random words of g_k, each in <g_{k+1}, ...>: _pc_group returns a
-    group that satisfies the presentation or raises
-    InternalConsistencyError, and reads no cell it has not written (two
-    different fills of the fresh table give the same outcome)."""
+    group that satisfies the presentation, with the table _gather_table
+    gives, or raises InternalConsistencyError, and reads no cell it has not
+    written (two different fills of the fresh table give the same outcome)."""
     K = data.draw(st.integers(1, 3))
     radices = tuple(data.draw(st.lists(st.integers(2, 4), min_size=K, max_size=K)))
 
@@ -391,6 +391,7 @@ def test_an_inconsistent_presentation_cannot_crash_the_table_fill(data):
         return
     assert np.array_equal(G.array, again.array)
     check_group_axioms(G)
+    assert G.array.tobytes() == _gather_table(pc).tobytes()
     g = [G.generators[name] for name in pc.names]
 
     def element(w):
@@ -545,11 +546,10 @@ def test_table_equals_the_full_product(text):
     assert _digest(text, T) == {**FILL_DIGESTS, **GOLDEN_TABLES}[text]
 
 
-def _fill_per_row(T, radices, row_of, done=0):
-    """groups._fill as first written, the reference for the block gathers:
-    one gather per row, every cell of every row, the finished block of a
-    top-down level (the rows and columns below `done`) refilled with the
-    same entries."""
+def _fill_per_row(T, radices, row_of):
+    """The row gather fill: the row of a word w h is the row of w read at
+    the entries of the row of h, one gather per row. row_of(k) is row(g_k),
+    and the rows of g_k^d, d = 1, 2, 4, ..., are gathered from it."""
     filled = [0]
     stride = len(T)
     for k, r in enumerate(radices):
@@ -565,29 +565,68 @@ def _fill_per_row(T, radices, row_of, done=0):
         filled = [y for x in filled for y in range(x, x + r * stride, stride)]
 
 
-# groups whose one-row blocks (radix 2 or 3) fill rows on both sides of a
-# top-down level's `done`, beside FILL_GRID's g3[3,3,2,2,1]; their tables
-# have no digest, so the per-row fill alone is their reference
+def _gather_table(pc) -> np.ndarray:
+    """The table of a consistent presentation by row gathers, the reference
+    for _pc_table: level by level from the bottom, the rows of the
+    generators of G_k computed from the block of G_{k+1} (the conjugation
+    phi by g_k for g_j, j > k, and the power word at the radix of g_k) and
+    every other row of G_k gathered by _fill_per_row."""
+    radices = pc.radices
+    K, n = len(radices), math.prod(radices)
+    strides = [math.prod(radices[k + 1:]) for k in range(K)]
+    gens = groups._generator_indices(radices)
+
+    def index(word):
+        return int(np.ravel_multi_index(word, radices, mode="wrap"))
+
+    T = np.zeros((n, n), dtype=np.int16)
+    T[0] = np.arange(n)
+    for k in reversed(range(K)):
+        r, m = radices[k], strides[k]
+        phi = np.zeros(1, dtype=np.intp)
+        for i in range(K - 1, k, -1):
+            word = pc.conjugates.get((i, k))
+            powers = [0]
+            for _ in range(radices[i] - 1):
+                powers.append(T[powers[-1], gens[i] if word is None else index(word)])
+            phi = T[np.array(powers)[:, None], phi].ravel()
+        power = index(pc.powers[k]) if k in pc.powers else 0
+        offsets = np.arange(0, r * m, m)[:, None]
+        rows = [np.concatenate([np.arange(m, r * m), T[power, :m]])]
+        for j in range(k + 1, K):
+            images = [gens[j]]
+            for _ in range(r - 1):
+                images.append(phi[images[-1]])
+            rows.append((T[images, :m] + offsets).ravel())
+        size = r * m
+        _fill_per_row(T[:size, :size], radices[k:], rows.__getitem__)
+    return T
+
+
+# groups of many levels of radix 2 or 3, beside FILL_GRID's g3[3,3,2,2,1],
+# and two of order 4096 with a cyclic level of 4096 and of 64
 ONE_ROW_FILLS = ["ab[2,2,2,2,2,2]", "ab[3,3,3,3]"]
+REFERENCE_FILLS = FILL_GRID + ONE_ROW_FILLS + ["c[4096]", "ab[64,64]"]
 
 
-@pytest.mark.parametrize("text", FILL_GRID + ONE_ROW_FILLS)
+@pytest.mark.parametrize("text", REFERENCE_FILLS)
 def test_block_fill_equals_the_per_row_fill(text, monkeypatch):
     pc = groups._presentation(parse_descriptor(text))
     T = groups._pc_table(text, pc)
-    # one-row blocks gathered 3 source rows at a time: chunks end on both
-    # sides of `done` and inside each side
+    assert T.tobytes() == _gather_table(pc).tobytes()
+    # one row of h per chunk: every level's blocks written in many chunks
     monkeypatch.setattr(groups, "_BLOCK_ROWS", 3)
-    assert groups._pc_table(text, pc).tobytes() == T.tobytes()
-    monkeypatch.setattr(groups, "_fill", _fill_per_row)
     assert groups._pc_table(text, pc).tobytes() == T.tobytes()
 
 
 @pytest.mark.parametrize("text", ["m2[4096]", "d[4096]", "m2[2048]", "g1[3,3,3,1]",
-                                  "g2[3,4,3,2]"])
+                                  "g2[3,4,3,2]", "c[4096]", "ab[64,64]",
+                                  "ab[2,2,2,2,2,2,2,2,2,2,2,2]", "g2[3,2,4,1]"])
 def test_the_fill_allocates_a_few_chunks_beside_the_table(text):
-    """A gather into a strided view of the table goes through a temporary of
-    the whole block: 8 MiB beside m2[4096]'s 32 MiB table."""
+    """Each chunk gathers its rows into two arrays of at most _BLOCK_ROWS / 2
+    rows of n cells and writes the table through views of them. The bound,
+    3 _BLOCK_ROWS rows of n cells, is 3 MiB beside m2[4096]'s 32 MiB table;
+    the fill peaks at 1.4 MiB there."""
     pc = groups._presentation(parse_descriptor(text))
     tracemalloc.start()
     try:
